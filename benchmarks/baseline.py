@@ -22,7 +22,7 @@ local iteration.
 
 The collector is feature-gated so the *same file* runs against older
 checkouts: constructor keywords that do not exist yet (``batching``,
-``code_cache``, the VM's ``engine``/``fusion``) are silently dropped,
+``code_cache``, the VM's ``engine``) are silently dropped,
 which is how ``BENCH_seed.json`` was produced from the pre-code-cache
 tree.
 
@@ -92,7 +92,7 @@ def _supported_kwargs(**kwargs) -> dict:
 
 def _vm_kwargs(**kwargs) -> dict:
     """Keep only the TycoVM kwargs this checkout supports (``engine``
-    and ``fusion`` arrived with the predecoded dispatch engine)."""
+    arrived with the predecoded dispatch engine)."""
     params = inspect.signature(TycoVM.__init__).parameters
     return {k: v for k, v in kwargs.items() if k in params}
 
@@ -148,10 +148,10 @@ def _put_timing(metrics: dict, key: str, values: list[float],
     metrics[key + "_spread_pct"] = round(spread, 1)
 
 
-def _e1_counter_wall_us(engine=None, fusion=None) -> float:
+def _e1_counter_wall_us(engine=None) -> float:
     program = compile_source(counter_loop(2000))
     start = time.perf_counter()
-    vm = TycoVM(program, **_vm_kwargs(engine=engine, fusion=fusion))
+    vm = TycoVM(program, **_vm_kwargs(engine=engine))
     vm.boot()
     vm.run(50_000_000)
     assert vm.is_idle()

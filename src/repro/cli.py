@@ -313,44 +313,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.only:
         only = {g.strip().lower() for g in args.only.split(",") if g.strip()}
 
-    if args.engines:
-        # Side-by-side engine comparison: run the collectors once per
-        # engine with REPRO_VM_ENGINE forced (every VM the benchmarks
-        # build inherits it), then print the wall-row ratios.  Groups
-        # default to e1 -- the pure-VM row -- unless --only narrows or
-        # widens the set.
-        import os
-
-        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-        saved = os.environ.get("REPRO_VM_ENGINE")
-        rows: dict[str, dict] = {}
-        try:
-            for eng in engines:
-                os.environ["REPRO_VM_ENGINE"] = eng
-                try:
-                    rows[eng] = baseline.collect_metrics(
-                        args.repeats, only=only or {"e1"})
-                except ValueError as exc:
-                    print(str(exc), file=sys.stderr)
-                    return 2
-                for key, value in sorted(rows[eng].items()):
-                    print(f"[{eng}] {key}: {value}")
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_VM_ENGINE", None)
-            else:
-                os.environ["REPRO_VM_ENGINE"] = saved
-        base = engines[0]
-        for eng in engines[1:]:
-            for key in sorted(rows[base]):
-                if key.endswith(("_spread_pct", "_median")):
-                    continue
-                a, b = rows[base].get(key), rows[eng].get(key)
-                if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                        and a:
-                    print(f"ratio {eng}/{base} {key}: {b / a:.3f}")
-        return 0
-
     try:
         if args.json:
             metrics = baseline.write_json(args.json, args.repeats, only=only)
@@ -778,11 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "REPRO_BENCH_REPEATS env or 5)")
     p_bench.add_argument("--json", default=None, metavar="PATH",
                          help="also write the metrics to PATH as JSON")
-    p_bench.add_argument("--engines", default=None, metavar="A,B",
-                         help="compare VM engines side by side (e.g. "
-                              "fast,compiled): collect the wall rows "
-                              "once per engine with REPRO_VM_ENGINE "
-                              "forced and print the ratios")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_wl = sub.add_parser(

@@ -264,7 +264,7 @@ def optimize_program(program: Program) -> Program:
 # unfused program: a fused handler *charges its full width*, and the
 # dispatch loop falls back to single-instruction handlers at slice
 # boundaries, so executed-instruction counts (and therefore simulated
-# schedules) are bit-identical with fusion on or off.
+# schedules) are bit-identical to unfused execution.
 
 #: Binary operators whose result is always a boolean (safe to feed a
 #: fused JMPF: the dynamic non-boolean-conditional check can never fire).

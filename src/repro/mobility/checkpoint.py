@@ -411,8 +411,7 @@ def capture_site(site: Site) -> SiteCheckpoint:
 
 def build_site(code_bytes: bytes, state_bytes: bytes, *,
                ip: str, nameservice: NameService,
-               clock=None, engine: Optional[str] = None,
-               fusion: Optional[bool] = None) -> Site:
+               clock=None, engine: Optional[str] = None) -> Site:
     """Rebuild a site at ``ip`` from its checkpoint parts.
 
     The returned site is *not* adopted into any node, registered with
@@ -436,7 +435,7 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
                     fetch_cache=state["fetch_cache"],
                     code_cache=state["codecache"] is not None,
                     distgc=gc_state is not None, gc_config=gc_config,
-                    clock=clock, engine=engine, fusion=fusion)
+                    clock=clock, engine=engine)
         _fill_site(site, state, old_ip=state["ip"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(
@@ -596,4 +595,4 @@ def restore_site(node, code_bytes: bytes, state_bytes: bytes) -> Site:
     """Rebuild a site onto ``node`` (not yet adopted or registered)."""
     return build_site(code_bytes, state_bytes, ip=node.ip,
                       nameservice=node.nameservice, clock=node.now,
-                      engine=node.engine, fusion=node.fusion)
+                      engine=node.engine)

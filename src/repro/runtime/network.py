@@ -61,8 +61,7 @@ class DiTyCONetwork:
                  typecheck: bool = False,
                  distgc: bool = False,
                  gc_config=None,
-                 engine=None,
-                 fusion=None) -> None:
+                 engine=None) -> None:
         if world is None:
             world = SimWorld(cluster) if cluster else SimWorld()
         elif cluster is not None:
@@ -76,11 +75,10 @@ class DiTyCONetwork:
         self.typecheck = typecheck
         self.distgc = distgc
         self.gc_config = gc_config
-        #: VM dispatch knobs for every site (None = env defaults; see
-        #: docs/PERF.md): ``engine`` picks "compiled"/"fast"/"slow"
-        #: dispatch, ``fusion`` toggles superinstructions.
+        #: VM engine for every site (None = the REPRO_VM_ENGINE env
+        #: default; see docs/PERF.md): "compiled" is production,
+        #: "slow" the instrumented reference loop.
         self.engine = engine
-        self.fusion = fusion
         #: Sampling profiler (repro.obs.profiler): a plain attribute
         #: read at :meth:`add_node` time, normally set through
         #: ``VMProfiler.install_network`` -- None keeps every VM on the
@@ -108,8 +106,7 @@ class DiTyCONetwork:
                     typecheck=self.typecheck,
                     distgc=self.distgc,
                     gc_config=gc_config,
-                    engine=self.engine,
-                    fusion=self.fusion)
+                    engine=self.engine)
         node.profiler = self.profiler
         self.world.add_node(node)
         return node

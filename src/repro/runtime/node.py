@@ -56,8 +56,7 @@ class Node:
                  typecheck: bool = False,
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None,
-                 engine: Optional[str] = None,
-                 fusion: Optional[bool] = None) -> None:
+                 engine: Optional[str] = None) -> None:
         self.ip = ip
         self.nameservice = nameservice
         self.sites: dict[int, Site] = {}
@@ -66,11 +65,9 @@ class Node:
         self.tycoi = TyCOi(self)
         self.fetch_cache = fetch_cache
         self.code_cache = code_cache
-        #: VM dispatch knobs for every site this node creates (None =
-        #: REPRO_VM_ENGINE / REPRO_VM_FUSION env defaults; see
-        #: repro.vm.dispatch and docs/PERF.md).
+        #: VM engine for every site this node creates (None = the
+        #: REPRO_VM_ENGINE env default; see docs/PERF.md).
         self.engine = engine
-        self.fusion = fusion
         #: Sampling profiler (repro.obs.profiler): when set (usually by
         #: VMProfiler.install_network), every site this node creates or
         #: adopts gets the profiler installed on its VM.
@@ -197,7 +194,7 @@ class Node:
                     name_signatures=name_signatures,
                     distgc=self.distgc, gc_config=self.gc_config,
                     clock=self.now,
-                    engine=self.engine, fusion=self.fusion)
+                    engine=self.engine)
         self.sites[site_id] = site
         self.sites_by_name[site_name] = site
         site.on_work = self.on_work_available
@@ -246,7 +243,9 @@ class Node:
         return site
 
     def _on_ns_update(self) -> None:
-        for site in self.sites.values():
+        # list(): a launch into a started wall-clock world inserts into
+        # ``sites`` from its own thread while this one iterates.
+        for site in list(self.sites.values()):
             site.on_nameservice_update()
         self.on_work_available()
 
@@ -293,7 +292,7 @@ class Node:
             self._in_step = False
             self.flush_batches()
         switches = sum(s.vm.runqueue.context_switches
-                       for s in self.sites.values())
+                       for s in list(self.sites.values()))
         delta_switches = switches - self._switches_seen
         self._switches_seen = switches
         return NodeStepReport(instructions=executed,

@@ -106,8 +106,7 @@ class Site:
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None,
                  clock: Optional[Callable[[], float]] = None,
-                 engine: Optional[str] = None,
-                 fusion: Optional[bool] = None) -> None:
+                 engine: Optional[str] = None) -> None:
         self.site_name = site_name
         self.site_id = site_id
         self.ip = ip
@@ -118,8 +117,7 @@ class Site:
         self.alias_ips: set[str] = set()
         self.nameservice = nameservice
         self.fetch_cache = fetch_cache
-        self.vm = TycoVM(program, port=self, name=site_name,
-                         engine=engine, fusion=fusion)
+        self.vm = TycoVM(program, port=self, name=site_name, engine=engine)
         self.stats = SiteStats()
         # Distributed GC (repro.runtime.distgc, docs/GC.md).  Off by
         # default: lease traffic perturbs packet schedules, so it is

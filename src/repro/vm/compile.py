@@ -1,14 +1,15 @@
-"""Tier-3 compiled engine: decoded blocks as generated Python (docs/PERF.md).
+"""Tier-3 of the production engine: decoded blocks as generated Python
+(docs/PERF.md).
 
-The predecoded closure engine (:mod:`repro.vm.dispatch`) pays one
-Python call per (fused) handler plus the dispatch loop's list indexing
-per executed unit.  This module removes that last layer: each code
-block is translated *once* into straight-line Python source -- operand
-stack traffic lowered onto local variables, PUSHL/PUSHC/arith/JMPF
-shapes inlined, communication and instantiation as direct calls into
-the same ``_comm_fast1`` / ``_inst_fast1`` helpers the closure engine
-uses -- then ``exec``-compiled and cached on the block's
-:class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
+The predecoded closures (:mod:`repro.vm.dispatch`) pay one Python call
+per (fused) handler plus the dispatch loop's list indexing per executed
+unit.  This module removes that last layer for blocks that are entered
+again (``machine.TIER_UP_ENTRIES``): such a block is translated *once*
+into straight-line Python source -- operand stack traffic lowered onto
+local variables, PUSHL/PUSHC/arith/JMPF shapes inlined, communication
+and instantiation as direct calls into the same ``_comm_fast1`` /
+``_inst_fast1`` helpers the closures use -- then ``exec``-compiled and
+cached on the block's :class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
 inherits the closure plan's invalidation rules verbatim: entries
 self-invalidate by instruction-tuple identity (``link_bundle``
 appends, peephole rewrites, restart relinks) and ``optimize_program``
@@ -50,7 +51,7 @@ common case touches ``t.stack`` never and ``t.frame`` only for real
 reads/writes.  Frame-read expressions are flushed into temporaries
 before any frame write, and whatever is still symbolic is appended to
 the real stack at every segment exit, so a resumed thread (or the
-closure engine taking over) always sees the exact machine state.
+closures taking over) always sees the exact machine state.
 
 The accounting invariant (docs/PERF.md) is preserved by construction:
 
@@ -58,20 +59,20 @@ The accounting invariant (docs/PERF.md) is preserved by construction:
   <segment width>``), never a rewritten count;
 * when the remaining slice budget is smaller than a segment, or the
   entry pc is not a leader, the function stores ``t.pc`` and returns
-  -- the caller (:meth:`TycoVM._run_slice_compiled`) finishes the
-  slice on the closure engine, whose per-instruction fallback lands
+  -- the caller (:meth:`TycoVM._step_compiled`) finishes the
+  slice on the closures, whose per-instruction fallback lands
   the slice boundary on exactly the same instruction as ever;
 * non-inlinable opcodes (DEFGROUP and the four distribution
   instructions with their import-stall protocol) execute through the
   predecoded per-pc ``head`` handler, one instruction at a time, with
   ``t.pc`` maintained exactly as the closure loop would;
 * tracing still forces the original instrumented loop -- compiled
-  functions only ever run untraced, like the closure fast path.
+  functions only ever run untraced, like the closures.
 
 Consequently ``VMStats``, context switches, simulated schedules, wire
-metrics and error messages are bit-identical across the ``slow``,
-``fast`` and ``compiled`` engines (the 4-arm differential wall in
-``tests/integration/test_fusion_differential.py`` pins this).
+metrics and error messages are bit-identical between the ``slow``
+reference and the production engine at every tier (the differential
+wall in ``tests/integration/test_engine_differential.py`` pins this).
 """
 
 from __future__ import annotations
@@ -552,7 +553,7 @@ class _Codegen:
         accounting matches the generic loop switching threads through
         :meth:`TycoVM.step`.  The profiled path always calls with
         ``chain`` false: there every slice covers one thread, keeping
-        sample attribution identical to the closure engine's."""
+        sample attribution identical to the closures'."""
         self.uses_queue = True
         self.uses_acc = True
         self.emit(ind, "if chain:")
@@ -579,8 +580,8 @@ class _Codegen:
         handlers close over their *program*, and the indirection is
         what keeps compiled functions program-independent (so
         content-identical blocks share one function via the memo).
-        ``_run_slice_compiled`` refreshed the entry just before the
-        call, so the lookup always sees live handlers.
+        The slice prologue refreshed the entry just before the call,
+        so the lookup always sees live handlers.
         """
         self.emit(ind, "if executed >= budget:")
         self.emit(ind, f"    t.pc = {pc}")
@@ -620,7 +621,7 @@ class _Codegen:
             arms.append(f"        if pc == {leader}:")
             arms.extend(self.lines)
         # Entry at a non-leader pc (a slice ended inside a fused run in
-        # the closure engine): yield back so that engine finishes.
+        # the closures): yield back so they finish.
         arms.append("        t.pc = pc")
         arms.append("        return executed")
         params = "".join(f", {name}={name}" for name in self.bindings)
@@ -698,7 +699,7 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     Signature of the result: ``fn(vm, thread, frame, stack, budget)
     -> executed``; the function charges original instruction widths,
     stores ``thread.pc`` at every exit, and sets ``vm.current = None``
-    exactly where the closure engine would.  The generated source is
+    exactly where the closures would.  The generated source is
     kept on ``fn.source`` for inspection.
     """
     try:

@@ -6,10 +6,12 @@ every execution.  This module translates a
 :class:`~repro.compiler.assembly.CodeBlock` *once* into per-pc handler
 closures with the operands unpacked at decode time -- the standard
 predecoding cure for interpreter dispatch cost (cf. py-evm's opcode
-binding).  :meth:`TycoVM.step` runs these handlers in a bare loop
-whenever no tracer is attached and the observability bus is not
-tracing; otherwise it falls back to the original instrumented loop, so
-traced runs stay byte-identical.
+binding).  The production engine runs these handlers in a bare loop
+on a block's first slice entry and wherever generated code
+(:mod:`repro.vm.compile`) yields -- whenever no tracer is attached and
+the observability bus is not tracing; otherwise :meth:`TycoVM.step`
+falls back to the original instrumented loop, so traced runs stay
+byte-identical.
 
 Two invariants the decoder must (and does) preserve:
 
@@ -19,7 +21,7 @@ Two invariants the decoder must (and does) preserve:
   than the fusion width (or when a jump lands inside a fused
   sequence).  Executed-instruction counts, slice boundaries and
   context switches -- and therefore every simulated schedule -- are
-  bit-identical with fusion on, off, or with the instrumented loop.
+  bit-identical with the instrumented loop.
 * **byte-code identity** -- fusion is a *plan* over the unchanged
   instruction tuple (:func:`repro.compiler.peephole.plan_superinstructions`);
   wire images and jump targets never change.
@@ -178,7 +180,7 @@ class DecodedBlock:
     when a block is replaced.
     """
 
-    __slots__ = ("instrs", "size", "heads", "run", "widths", "ones",
+    __slots__ = ("instrs", "size", "heads", "run", "widths", "entries",
                  "compiled")
 
     def __init__(self, instrs, heads, run, widths):
@@ -187,12 +189,13 @@ class DecodedBlock:
         self.heads = heads
         self.run = run
         self.widths = widths
-        self.ones = [1] * len(instrs)
-        # Tier-3 compiled function (repro.vm.compile), built lazily the
-        # first time the "compiled" engine executes this block.  Riding
-        # on the decoded entry gives it the closure plan's invalidation
+        # Tier state of the production engine (machine.TIER_UP_ENTRIES):
+        # slice entries seen so far, and the generated function
+        # (repro.vm.compile) once there were enough of them.  Riding on
+        # the decoded entry gives both the closure plan's invalidation
         # rules for free: identity mismatches, optimize_program clears
-        # and relinks all drop the stale function with the entry.
+        # and relinks all drop them with the entry.
+        self.entries = 0
         self.compiled = None
 
 
@@ -201,8 +204,8 @@ def handler_kind(block: CodeBlock, pc: int) -> str:
     sample at ``(block, pc)`` to: the opcode about to execute, or
     ``"END"`` past the last instruction (the thread is about to
     retire).  Labels come from the *unfused* instruction tuple, so
-    attribution is identical with fusion on or off -- the profiler's
-    determinism contract does not depend on dispatch planning.
+    the profiler's determinism contract does not depend on dispatch
+    planning.
     """
     if 0 <= pc < len(block.instrs):
         return block.instrs[pc].op.name

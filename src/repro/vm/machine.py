@@ -26,6 +26,13 @@ from .heap import Heap
 from .scheduler import RunQueue, Thread
 from .values import Channel, ClassRef, NetRef, RemoteClassRef, VMValue
 
+#: Slice entries into a decoded block before the production engine
+#: translates it into generated Python (docs/PERF.md, "Tier-3").  A
+#: block's first entry runs on the closures ``predecode`` already
+#: built; mobile code -- applets, FETCHed classes, one client program
+#: per operation -- mostly runs once and never pays for ``compile``.
+TIER_UP_ENTRIES = 2
+
 
 class VMRuntimeError(Exception):
     """A dynamic error: bad target type, arity clash, arithmetic fault.
@@ -103,39 +110,27 @@ class TycoVM:
     """One extended TyCO virtual machine."""
 
     def __init__(self, program: Program, port: RemotePort | None = None,
-                 name: str = "vm", engine: str | None = None,
-                 fusion: bool | None = None) -> None:
+                 name: str = "vm", engine: str | None = None) -> None:
         self.program = program
         self.port = port
         self.name = name
-        # Execution engine (docs/PERF.md): "compiled" runs per-block
-        # generated Python whenever nothing is tracing, falling back to
-        # the predecoded closures at slice boundaries; "fast" runs the
-        # predecoded handler closures; "slow" forces the original
-        # instrumented loop (used by the differential suite).
-        # ``fusion`` toggles superinstructions within the closure
-        # engine (and the compiled engine's fallback path).  Both
-        # default from the environment so whole networks (and chaos
-        # scenarios) can be flipped without plumbing.
+        # Execution engine (docs/PERF.md): "compiled" is the production
+        # engine -- predecoded closures on a block's first entry,
+        # per-block generated Python from its TIER_UP_ENTRIES-th;
+        # "slow" forces the original instrumented loop, the reference
+        # the differential suite compares against.  Defaults from the
+        # environment so whole networks (and chaos scenarios) can be
+        # flipped without plumbing.
         if engine is None:
             engine = os.environ.get("REPRO_VM_ENGINE", "compiled")
-        if engine not in ("compiled", "fast", "slow"):
+        if engine not in ("compiled", "slow"):
             raise ValueError(f"unknown VM engine {engine!r}")
-        if fusion is None:
-            fusion = os.environ.get("REPRO_VM_FUSION", "1").lower() \
-                not in ("0", "false", "off")
         self.engine = engine
-        self.fusion = bool(fusion)
-        from .dispatch import predecode  # deferred: dispatch imports us
+        # deferred: dispatch and compile import us
+        from .compile import compile_block
+        from .dispatch import predecode
         self._predecode = predecode
-        if engine == "compiled":
-            from .compile import compile_block  # deferred: imports us
-            self._compile_block = compile_block
-            self._bare_slice = self._run_slice_compiled
-        elif engine == "fast":
-            self._bare_slice = self._run_slice_fast
-        else:
-            self._bare_slice = self._run_slice
+        self._compile_block = compile_block
         self.heap = Heap()
         self.runqueue = RunQueue()
         self.stats = VMStats()
@@ -236,27 +231,30 @@ class TycoVM:
             total += self.step(budget)
         return total
 
+    def _reference(self) -> bool:
+        """Whether this step must run the instrumented loop: the
+        reference engine was asked for, a tracer is attached, or the
+        observability bus is tracing."""
+        return (self.engine == "slow" or self.tracer is not None
+                or (self.obs is not None and self.obs.tracing))
+
     def step(self, budget: int = 1) -> int:
         """Execute up to ``budget`` instructions; returns the number run.
 
-        The engine is chosen per call: the bare predecoded loop when no
-        tracer is attached and the observability bus is not tracing,
-        the original instrumented loop otherwise.  Both engines charge
-        instructions identically, so schedules never depend on the
-        choice -- only wall-clock time does.
+        The loop is chosen per call: the production engine when
+        nothing is tracing, the original instrumented loop otherwise.
+        Both charge instructions identically, so schedules never
+        depend on the choice -- only wall-clock time does.
         """
-        executed = 0
         if self.profiler is not None:
             run_slice = self._run_slice_profiled
-        elif self.tracer is None \
-                and (self.obs is None or not self.obs.tracing):
-            if self._bare_slice is self._run_slice_compiled:
-                executed = self._step_compiled(budget)
-                self.stats.instructions += executed
-                return executed
-            run_slice = self._bare_slice
-        else:
+        elif self._reference():
             run_slice = self._run_slice
+        else:
+            executed = self._step_compiled(budget)
+            self.stats.instructions += executed
+            return executed
+        executed = 0
         runqueue = self.runqueue
         while executed < budget:
             if self.current is None:
@@ -268,17 +266,21 @@ class TycoVM:
         return executed
 
     def _step_compiled(self, budget: int) -> int:
-        """The untraced compiled-engine body of :meth:`step`: the outer
+        """The untraced production body of :meth:`step`: the outer
         thread loop and the slice prologue fused into one frame.
 
         TyCO threads are tiny ("a few tens of byte-code instructions"),
         so per-thread fixed costs -- queue pop, decode-cache probe,
         slice-function call -- dominate spawn-chain workloads like E1;
         fusing them removes one Python call per context switch.
+        The prologue is also where a block picks its tier: it counts
+        its own entries on the decoded-cache entry and is translated
+        into generated Python at the ``TIER_UP_ENTRIES``-th; until
+        then the slice runs on the predecoded closures.
         Accounting is identical to the generic loop by construction:
         pops go through the run-queue counter, every slice charges
         original widths, and a compiled function that yields early
-        hands the remainder to the closure engine exactly like
+        hands the remainder to the closures exactly like
         :meth:`_run_slice_compiled`.  ``program.blocks`` is re-read
         every iteration (``optimize_program`` replaces the list).
         """
@@ -303,13 +305,17 @@ class TycoVM:
                 cache[bid] = dec
             fn = dec.compiled
             if fn is None:
-                fn = self._compile_block(program, bid, block)
-                dec.compiled = fn
+                dec.entries += 1
+                if dec.entries < TIER_UP_ENTRIES:
+                    executed += self._run_closures(dec, thread,
+                                                   budget - executed)
+                    continue
+                fn = dec.compiled = self._compile_block(program, bid, block)
             ran = fn(self, thread, thread.frame, thread.stack,
                      budget - executed, True)
             executed += ran
             if self.current is thread and executed < budget:
-                executed += self._run_slice_fast(thread, budget - executed)
+                executed += self._run_closures(dec, thread, budget - executed)
         return executed
 
     def _run_slice_profiled(self, thread: Thread, budget: int) -> int:
@@ -324,11 +330,10 @@ class TycoVM:
         sample counters differ.
         """
         profiler = self.profiler
-        if self.tracer is None \
-                and (self.obs is None or not self.obs.tracing):
-            base = self._bare_slice
-        else:
+        if self._reference():
             base = self._run_slice
+        else:
+            base = self._run_slice_compiled
         executed = 0
         while executed < budget and self.current is thread:
             chunk = min(budget - executed, profiler.next_chunk(self))
@@ -339,31 +344,17 @@ class TycoVM:
                 break
         return executed
 
-    def _run_slice_fast(self, thread: Thread, budget: int) -> int:
-        """Run ``thread`` on predecoded handlers (repro.vm.dispatch).
+    def _run_closures(self, dec, thread: Thread, budget: int) -> int:
+        """Run ``thread`` on the predecoded handlers of ``dec``, its
+        block's decoded-cache entry (repro.vm.dispatch).
 
-        Decoded blocks are cached on the *program* (shared by every VM
-        executing it) and invalidated by instruction-tuple identity, so
-        a ``link_bundle`` relink or a peephole rewrite re-decodes
-        transparently.  A fused handler charges its full width; when
-        the remaining budget is smaller, the per-instruction ``head``
-        handler runs instead -- slice boundaries and instruction counts
-        are exactly those of the instrumented loop.
+        A fused handler charges its full width; when the remaining
+        budget is smaller, the per-instruction ``head`` handler runs
+        instead -- slice boundaries and instruction counts are exactly
+        those of the instrumented loop.
         """
-        program = self.program
-        bid = thread.block_id
-        block = program.blocks[bid]
-        cache = program.decoded_cache
-        dec = cache.get(bid)
-        if dec is None or dec.instrs is not block.instrs:
-            dec = self._predecode(program, block)
-            cache[bid] = dec
-        if self.fusion:
-            run = dec.run
-            widths = dec.widths
-        else:
-            run = dec.heads
-            widths = dec.ones
+        run = dec.run
+        widths = dec.widths
         heads = dec.heads
         size = dec.size
         frame = thread.frame
@@ -388,17 +379,22 @@ class TycoVM:
         return executed
 
     def _run_slice_compiled(self, thread: Thread, budget: int) -> int:
-        """Run ``thread`` on its exec-compiled block (repro.vm.compile).
+        """One production-engine slice for ``thread``: the chunked
+        entry the profiler needs (:meth:`_step_compiled` inlines the
+        same prologue for everything else).
 
-        The compiled function lives on the block's decoded-cache entry,
-        so it obeys the same identity-invalidation rules as the closure
-        plan (``link_bundle`` appends, ``optimize_program`` clears,
-        relinks after a restart).  It charges original instruction
-        widths and returns early -- with ``thread.pc`` stored -- when
-        the remaining budget is smaller than the next straight-line
-        segment or the thread resumes at an interior pc; the closure
-        engine then finishes the slice, landing boundaries on exactly
-        the instructions the instrumented loop would.
+        Decoded blocks are cached on the *program* (shared by every VM
+        executing it) and invalidated by instruction-tuple identity, so
+        a ``link_bundle`` relink or a peephole rewrite re-decodes
+        transparently; the entry count and the compiled function ride
+        on the entry and die with it (``link_bundle`` appends,
+        ``optimize_program`` clears, relinks after a restart).  The
+        compiled function charges original instruction widths and
+        returns early -- with ``thread.pc`` stored -- when the
+        remaining budget is smaller than the next straight-line
+        segment or the thread resumes at an interior pc; the closures
+        then finish the slice, landing boundaries on exactly the
+        instructions the instrumented loop would.
         """
         program = self.program
         bid = thread.block_id
@@ -410,11 +406,13 @@ class TycoVM:
             cache[bid] = dec
         fn = dec.compiled
         if fn is None:
-            fn = self._compile_block(program, bid, block)
-            dec.compiled = fn
+            dec.entries += 1
+            if dec.entries < TIER_UP_ENTRIES:
+                return self._run_closures(dec, thread, budget)
+            fn = dec.compiled = self._compile_block(program, bid, block)
         executed = fn(self, thread, thread.frame, thread.stack, budget)
         if executed < budget and self.current is thread:
-            executed += self._run_slice_fast(thread, budget - executed)
+            executed += self._run_closures(dec, thread, budget - executed)
         return executed
 
     def _run_slice(self, thread: Thread, budget: int) -> int:

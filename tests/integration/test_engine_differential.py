@@ -1,19 +1,22 @@
-"""Differential harness: fusion/fast dispatch vs the reference engine.
+"""Differential harness: the production engine vs the reference engine.
 
-The predecoded dispatch engine (docs/PERF.md) promises *observational
-identity*: for any program and any schedule, running with
-superinstruction fusion on, fusion off, the tier-3 compiled engine
-(generated Python per block, src/repro/vm/compile.py), or the original
-instrumented loop produces the same outputs, the same VMStats --
-``instructions`` exactly, so every simulated schedule is untouched --
-and the same final heap.  This file checks that promise end to end:
+The production engine (docs/PERF.md) promises *observational
+identity*: for any program and any schedule, running a block on its
+predecoded closures, on generated Python (src/repro/vm/compile.py), or
+on the original instrumented loop produces the same outputs, the same
+VMStats -- ``instructions`` exactly, so every simulated schedule is
+untouched -- and the same final heap.  Which of the first two a block
+gets is the engine's own choice (``machine.TIER_UP_ENTRIES``), so the
+arms (tests/vm/arms.py) pin that constant: as shipped, at 1 (every
+block on generated code from its first entry) and out of reach
+(closures only).  This file checks the promise end to end:
 
 * every example ``.dityco`` program, single-VM;
 * every frozen chaos-corpus schedule, whole-network, by flipping the
-  ``REPRO_VM_ENGINE`` / ``REPRO_VM_FUSION`` environment defaults and
-  comparing the full :class:`~repro.testkit.explore.ChaosRun` record
-  (including ``elapsed``, which is virtual time -- a pure function of
-  instruction counts).
+  ``REPRO_VM_ENGINE`` environment default and comparing the full
+  :class:`~repro.testkit.explore.ChaosRun` record (including
+  ``elapsed``, which is virtual time -- a pure function of instruction
+  counts).
 """
 
 from pathlib import Path
@@ -26,25 +29,20 @@ from repro.vm import TycoVM
 
 from tests.testkit.corpus import CORPUS
 from tests.testkit.scenarios import SCENARIOS
+from tests.vm.arms import each_arm
 
 pytestmark = pytest.mark.slow
 
 PROGRAMS = Path(__file__).resolve().parents[2] / "examples" / "programs"
 DITYCO = sorted(PROGRAMS.glob("*.dityco"))
 
-#: (engine, fusion) arms compared against the ("slow", False) reference.
-#: PR10 adds the tier-3 compiled engine as a 4th arm: generated-Python
-#: blocks must match the instrumented loop as exactly as the closure
-#: engine does (see src/repro/vm/compile.py).
-ARMS = [("fast", True), ("fast", False), ("compiled", True)]
 
-
-def _run_vm(source, name, engine, fusion):
+def _run_vm(source, name, engine):
     vm = TycoVM(compile_source(source, source_name=name), name="diff",
-                engine=engine, fusion=fusion)
+                engine=engine)
     vm.boot()
     vm.run(10_000_000)
-    assert vm.is_idle(), f"{name} did not quiesce under {engine}/{fusion}"
+    assert vm.is_idle(), f"{name} did not quiesce under {engine}"
     s = vm.stats
     return {
         "output": list(vm.output),
@@ -60,11 +58,11 @@ def _run_vm(source, name, engine, fusion):
 
 
 @pytest.mark.parametrize("path", DITYCO, ids=lambda p: p.stem)
-def test_example_programs_identical_across_engines(path):
+def test_example_programs_identical_across_engines(path, monkeypatch):
     source = path.read_text()
-    ref = _run_vm(source, path.name, "slow", False)
-    for engine, fusion in ARMS:
-        assert _run_vm(source, path.name, engine, fusion) == ref
+    ref = _run_vm(source, path.name, "slow")
+    for arm in each_arm(monkeypatch):
+        assert _run_vm(source, path.name, "compiled") == ref, arm
 
 
 def _chaos_record(run):
@@ -87,15 +85,13 @@ def _chaos_record(run):
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_corpus_schedules_identical_across_engines(entry, monkeypatch):
-    def arm(engine, fusion):
+    def record(engine):
         monkeypatch.setenv("REPRO_VM_ENGINE", engine)
-        monkeypatch.setenv("REPRO_VM_FUSION", "1" if fusion else "0")
         return _chaos_record(run_scenario(
             SCENARIOS[entry.scenario], entry.seed, entry.config))
 
-    ref = arm("slow", False)
-    for engine, fusion in ARMS:
-        got = arm(engine, fusion)
-        assert got == ref, (
-            f"{entry.name}: {engine}/fusion={fusion} diverged from the "
-            f"reference engine")
+    ref = record("slow")
+    for arm in each_arm(monkeypatch):
+        assert record("compiled") == ref, (
+            f"{entry.name}: the {arm} arm diverged from the reference "
+            f"engine")

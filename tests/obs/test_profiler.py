@@ -13,13 +13,11 @@ from repro.obs import VMProfiler
 from repro.runtime import DiTyCONetwork
 
 from tests.testkit import scenarios
+from tests.vm.arms import each_arm
 
 
-def _run(profile: bool, stride: int = 16, fusion: bool | None = None,
-         engine: str | None = None):
+def _run(profile: bool, stride: int = 16, engine: str | None = None):
     kwargs = {}
-    if fusion is not None:
-        kwargs["fusion"] = fusion
     if engine is not None:
         kwargs["engine"] = engine
     net = DiTyCONetwork(**kwargs)
@@ -57,23 +55,18 @@ class TestDeterminism:
             assert len(frame.split(";")) == 3   # site;block;kind
             assert int(count) > 0
 
-    def test_attribution_is_fusion_independent(self):
+    def test_attribution_is_engine_independent(self, monkeypatch):
         # Fused superinstructions must not leak synthetic opcodes into
-        # the frames: the same run profiles identically either way.
-        p_fused, _ = _run(True, stride=16, fusion=True)
-        p_plain, _ = _run(True, stride=16, fusion=False)
-        assert p_fused.collapsed() == p_plain.collapsed()
-
-    def test_attribution_is_engine_independent(self):
-        # The tier-3 compiled engine runs whole generated blocks, but
-        # profiled slices stay one-thread-per-call (no HALT chaining),
-        # so every (site, block, handler-kind) frame and count matches
-        # the closure engine byte for byte.
-        p_fast, d_fast = _run(True, stride=16, engine="fast")
-        p_comp, d_comp = _run(True, stride=16, engine="compiled")
-        assert p_comp.samples > 0
-        assert p_fast.collapsed() == p_comp.collapsed()
-        assert d_fast == d_comp
+        # the frames, and generated code runs whole blocks but profiled
+        # slices stay one-thread-per-call (no HALT chaining): whichever
+        # tier a block runs on, every (site, block, handler-kind) frame
+        # and count matches the reference loop byte for byte.
+        p_ref, d_ref = _run(True, stride=16, engine="slow")
+        assert p_ref.samples > 0
+        for arm in each_arm(monkeypatch):
+            prof, digest = _run(True, stride=16, engine="compiled")
+            assert prof.collapsed() == p_ref.collapsed(), arm
+            assert digest == d_ref, arm
 
 
 class TestScheduleNeutrality:

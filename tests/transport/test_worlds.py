@@ -1,5 +1,7 @@
 """Tests for the simulated and threaded worlds driving the same runtime."""
 
+import sys
+
 import pytest
 
 from repro.runtime import DiTyCONetwork
@@ -156,6 +158,34 @@ class TestThreadedWorld:
         net, world = self._run(programs)
         assert sorted(net.site("server").output) == [0, 10, 20]
         assert world.stats.packets >= 3
+
+    def test_launch_storm_into_a_started_world(self):
+        # net.launch inserts into node.sites from the launching thread
+        # while the node threads iterate the pool: Node.step sums the
+        # context switches after every quantum, and each client's
+        # export runs Node._on_ns_update on a node thread.  Iterating
+        # the live dict there killed the node thread with "dictionary
+        # changed size during iteration".
+        client = ("import svc from server in "
+                  "export new a (svc![a] | a?(w) = print![w])")
+        world = ThreadedWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            net.launch("n1", "server", (
+                "def Serve(c) = c?(r) = (r![7] | Serve[c]) "
+                "in export new svc Serve[svc]"))
+            world.start()
+            for i in range(200):
+                net.launch("n2", f"c{i}", client)
+            net.run(max_time=60.0)
+            assert all(t.is_alive() for t in world._threads.values())
+            assert all(net.site(f"c{i}").output == [7] for i in range(200))
+        finally:
+            sys.setswitchinterval(interval)
+            world.shutdown()
 
     def test_quiescence_timeout(self):
         world = ThreadedWorld()

@@ -1,10 +1,12 @@
-"""Unit tests for the predecoded dispatch engine (repro.vm.dispatch).
+"""Unit tests for the production engine (repro.vm.dispatch closures,
+repro.vm.compile generated code, and the tier rule between them).
 
 The engine's contract (docs/PERF.md): same outputs, same VMStats --
 ``instructions`` *exactly*, so simulated schedules are untouched --
-same error messages, for every budget split and with fusion on or off.
-These tests pin that contract at the unit level; the whole-network
-leg lives in tests/integration/test_fusion_differential.py.
+same error messages as the ``slow`` reference, for every budget split
+and whichever tier a block runs on.  These tests pin that contract at
+the unit level; the whole-network leg lives in
+tests/integration/test_engine_differential.py.
 """
 
 import pytest
@@ -18,8 +20,9 @@ from repro.compiler.peephole import (
     F_LC_TRMSG1,
     plan_superinstructions,
 )
-from repro.vm import TycoVM, VMRuntimeError
-from repro.vm.dispatch import predecode
+from repro.vm import TycoVM, VMRuntimeError, machine
+
+from tests.vm.arms import ARMS, each_arm
 
 COUNTER = "def Count(n) = if n > 0 then Count[n - 1] else print![0] in Count[40]"
 CELL = """
@@ -44,15 +47,23 @@ def snapshot(vm):
             len(vm.heap), list(vm.output))
 
 
-def run(source, engine, fusion=True, budget=100_000, optimize=False):
+def run(source, engine="compiled", budget=100_000, optimize=False):
     prog = compile_source(source)
     if optimize:
         optimize_program(prog)
-    vm = TycoVM(prog, name="t", engine=engine, fusion=fusion)
+    vm = TycoVM(prog, name="t", engine=engine)
     vm.boot()
     while not vm.is_idle():
         if vm.step(budget) == 0:
             break
+    return vm
+
+
+def run_program(prog, budget=100_000):
+    """Boot a fresh production VM over ``prog`` and run it dry."""
+    vm = TycoVM(prog, name="t")
+    vm.boot()
+    vm.run(budget)
     return vm
 
 
@@ -62,18 +73,25 @@ class TestEnginePlumbing:
         with pytest.raises(ValueError):
             TycoVM(prog, engine="warp")
 
+    def test_fast_engine_rejected(self, monkeypatch):
+        # The closures are a tier of the production engine now, not an
+        # engine a caller can ask for.
+        prog = compile_source("0")
+        with pytest.raises(ValueError, match="unknown VM engine"):
+            TycoVM(prog, engine="fast")
+        monkeypatch.setenv("REPRO_VM_ENGINE", "fast")
+        with pytest.raises(ValueError, match="unknown VM engine"):
+            TycoVM(prog)
+
+    def test_fusion_parameter_rejected(self):
+        with pytest.raises(TypeError):
+            TycoVM(compile_source("0"), fusion=False)
+
     def test_env_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_VM_ENGINE", "slow")
-        monkeypatch.setenv("REPRO_VM_FUSION", "off")
-        vm = TycoVM(compile_source("0"))
-        assert vm.engine == "slow" and vm.fusion is False
-        monkeypatch.setenv("REPRO_VM_ENGINE", "fast")
-        monkeypatch.setenv("REPRO_VM_FUSION", "1")
-        vm = TycoVM(compile_source("0"))
-        assert vm.engine == "fast" and vm.fusion is True
+        assert TycoVM(compile_source("0")).engine == "slow"
         monkeypatch.setenv("REPRO_VM_ENGINE", "compiled")
-        vm = TycoVM(compile_source("0"))
-        assert vm.engine == "compiled"
+        assert TycoVM(compile_source("0")).engine == "compiled"
 
     def test_default_engine_is_compiled(self, monkeypatch):
         monkeypatch.delenv("REPRO_VM_ENGINE", raising=False)
@@ -82,8 +100,8 @@ class TestEnginePlumbing:
 
     def test_kwargs_override_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_VM_ENGINE", "slow")
-        vm = TycoVM(compile_source("0"), engine="fast", fusion=False)
-        assert vm.engine == "fast" and vm.fusion is False
+        vm = TycoVM(compile_source("0"), engine="compiled")
+        assert vm.engine == "compiled"
 
 
 class TestFusionPlan:
@@ -107,52 +125,47 @@ class TestFusionPlan:
         assert plan[1] is not None and plan[1][1] == 3   # PUSHC GT JMPF
         assert plan[2] is not None and plan[2][1] == 2   # GT JMPF
 
-    def test_plan_never_crosses_jump_targets_semantics(self):
-        # Whatever the plan says, executing with fusion on must equal
-        # executing with fusion off -- including when every slice is a
-        # single instruction (so heads run everywhere).
-        ref = snapshot(run(COUNTER, "fast", fusion=False))
-        assert snapshot(run(COUNTER, "fast", fusion=True)) == ref
-        assert snapshot(run(COUNTER, "fast", fusion=True, budget=1)) == ref
-
-
-#: Non-reference (engine, fusion) arms; every parity check below runs
-#: all of them against the ``slow`` reference.
-PARITY_ARMS = [("fast", False), ("fast", True),
-               ("compiled", False), ("compiled", True)]
+    def test_plan_never_crosses_jump_targets_semantics(self, monkeypatch):
+        # Whatever the plan says, executing the fused closures must
+        # equal the unfused reference -- including when every slice is
+        # a single instruction (so heads run everywhere).
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["closures"])
+        ref = snapshot(run(COUNTER, "slow"))
+        assert snapshot(run(COUNTER)) == ref
+        assert snapshot(run(COUNTER, budget=1)) == ref
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("source", [COUNTER, CELL])
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 64, 100_000])
-    def test_stats_identical_across_engines_and_budgets(self, source, budget):
+    def test_stats_identical_across_engines_and_budgets(self, source, budget,
+                                                        monkeypatch):
         ref = snapshot(run(source, "slow"))
-        for engine, fusion in PARITY_ARMS:
-            got = snapshot(run(source, engine, fusion=fusion, budget=budget))
-            assert got == ref, f"{engine}/fusion={fusion} diverged"
+        for arm in each_arm(monkeypatch):
+            assert snapshot(run(source, budget=budget)) == ref, arm
 
-    def test_parity_on_optimized_code(self):
+    def test_parity_on_optimized_code(self, monkeypatch):
         # Peephole-rewritten blocks (CLI --optimize) go through the
         # same predecoder; stats differ from unoptimized runs but must
         # agree between engines.
         ref = snapshot(run(CELL, "slow", optimize=True))
-        for engine, fusion in PARITY_ARMS:
-            assert snapshot(run(CELL, engine, fusion=fusion,
-                                optimize=True)) == ref
+        for arm in each_arm(monkeypatch):
+            assert snapshot(run(CELL, optimize=True)) == ref, arm
 
-    def test_step_budget_exact_on_fast_engine(self):
-        prog = compile_source("def Loop(n) = Loop[n + 1] in Loop[0]")
-        vm = TycoVM(prog, engine="fast")
-        vm.boot()
-        assert vm.step(100) == 100
-        assert vm.stats.instructions == 100
-        assert not vm.is_idle()
+    def test_step_budget_exact_on_fast_engine(self, monkeypatch):
+        for arm in each_arm(monkeypatch):
+            prog = compile_source("def Loop(n) = Loop[n + 1] in Loop[0]")
+            vm = TycoVM(prog)
+            vm.boot()
+            assert vm.step(100) == 100, arm
+            assert vm.stats.instructions == 100
+            assert not vm.is_idle()
 
     def test_tracer_forces_instrumented_loop(self):
         from repro.vm.trace import Tracer
 
         prog = compile_source(COUNTER)
-        vm = TycoVM(prog, engine="fast")
+        vm = TycoVM(prog)
         tracer = Tracer()
         tracer.install(vm)
         vm.boot()
@@ -161,118 +174,110 @@ class TestEngineParity:
         assert len(tracer.entries()) if hasattr(tracer, "entries") else True
         assert vm.output == [0]
 
-    def test_error_message_parity(self):
+    def test_error_message_parity(self, monkeypatch):
         bad = "print![1 / 0]"
-        msgs = {}
-        for engine in ("slow", "fast", "compiled"):
+        with pytest.raises(VMRuntimeError) as ref:
+            run(bad, "slow")
+        for arm in each_arm(monkeypatch):
             with pytest.raises(VMRuntimeError) as exc:
-                run(bad, engine)
-            msgs[engine] = str(exc.value)
-        assert msgs["slow"] == msgs["fast"] == msgs["compiled"]
+                run(bad)
+            assert str(exc.value) == str(ref.value), arm
 
     @pytest.mark.parametrize("source", [
         "def F(a, b) = print![a] in F[1]",       # too few arguments
         "def F(a) = print![a] in F[1, 2]",       # too many arguments
     ])
-    def test_arity_mismatch_parity(self, source):
-        msgs = set()
-        for engine in ("slow", "fast", "compiled"):
+    def test_arity_mismatch_parity(self, source, monkeypatch):
+        with pytest.raises(VMRuntimeError) as ref:
+            run(source, "slow")
+        assert "argument(s)" in str(ref.value)
+        for arm in each_arm(monkeypatch):
             with pytest.raises(VMRuntimeError) as exc:
-                run(source, engine)
-            msgs.add(str(exc.value))
-        assert len(msgs) == 1 and "argument(s)" in msgs.pop()
+                run(source)
+            assert str(exc.value) == str(ref.value), arm
 
 
 class TestBoolArithRejection:
     """Regression: arithmetic on booleans must raise on *every* path --
-    the generic ``_arith``, the fast-engine binops and the fused
+    the generic ``_arith``, the closures' binops and fused
     superinstructions (whose exact ``type() is int/float`` tests
-    exclude ``bool`` by construction)."""
+    exclude ``bool`` by construction) and the generated code's inlined
+    int fast path (``__class__ is int`` guards)."""
 
     @pytest.mark.parametrize("expr", [
         "true + 1", "1 + true", "true - 1", "1 - false",
         "true * 2", "2 * true", "true / 1", "1 / true",
         "true % 1", "1 % true", "true + false",
     ])
-    @pytest.mark.parametrize("engine,fusion", [
-        ("slow", False), ("fast", False), ("fast", True),
-        ("compiled", True)])
-    def test_bool_operand_raises(self, expr, engine, fusion):
+    @pytest.mark.parametrize("arm", ["slow", "closures", "generated"])
+    def test_bool_operand_raises(self, expr, arm, monkeypatch):
+        if arm != "slow":
+            monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS[arm])
         with pytest.raises(VMRuntimeError, match="arithmetic on booleans"):
-            run(f"print![{expr}]", engine, fusion=fusion)
+            run(f"print![{expr}]", "slow" if arm == "slow" else "compiled")
 
-    def test_bool_operand_raises_in_fused_loop_body(self):
+    def test_bool_operand_raises_in_fused_loop_body(self, monkeypatch):
         # The operand reaches the op through a fused PUSHL+PUSHC+op
         # shape inside a method body, not a top-level expression (and,
-        # on the compiled engine, through the inlined int fast path
-        # whose ``__class__ is int`` guard must exclude bool).
+        # in generated code, through the inlined int fast path whose
+        # ``__class__ is int`` guard must exclude bool).
         src = "def F(n) = print![n + 1] in F[true]"
-        for engine, fusion in [("slow", False), ("fast", True),
-                               ("compiled", True)]:
+        with pytest.raises(VMRuntimeError, match="arithmetic on booleans"):
+            run(src, "slow")
+        for arm in each_arm(monkeypatch):
             with pytest.raises(VMRuntimeError, match="arithmetic on booleans"):
-                run(src, engine, fusion=fusion)
+                run(src)
+
+
+def swap_literal(prog, old, new):
+    """Hot-swap block 0 for a copy pushing ``new`` where it pushed
+    ``old`` (what a relink does: a new instruction tuple)."""
+    block = prog.blocks[0]
+    instrs = list(block.instrs)
+    at = next(i for i, ins in enumerate(instrs)
+              if ins.op is Op.PUSHC and ins.args == (old,))
+    instrs[at] = Instr(Op.PUSHC, (new,))
+    prog.blocks[0] = CodeBlock(
+        instrs=tuple(instrs),
+        nfree=block.nfree, nparams=block.nparams,
+        frame_size=block.frame_size, name=block.name)
 
 
 class TestDecodedCache:
     def test_cache_fills_lazily_and_is_shared(self):
         prog = compile_source(COUNTER)
         assert prog.decoded_cache == {}
-        vm1 = TycoVM(prog, engine="fast")
-        vm1.boot()
-        vm1.run(100_000)
+        vm1 = run_program(prog)
         assert prog.decoded_cache    # hot blocks decoded
         filled = dict(prog.decoded_cache)
         # A second VM over the same program reuses the entries.
-        vm2 = TycoVM(prog, engine="fast")
-        vm2.boot()
-        vm2.run(100_000)
+        vm2 = run_program(prog)
         for bid, dec in filled.items():
             assert prog.decoded_cache[bid] is dec
         assert vm2.output == vm1.output
 
     def test_optimize_program_clears_the_cache(self):
         prog = compile_source(CELL)
-        vm = TycoVM(prog, engine="fast")
-        vm.boot()
-        vm.run(100_000)
+        run_program(prog)
         assert prog.decoded_cache
         optimize_program(prog)
         assert prog.decoded_cache == {}
-        vm2 = TycoVM(prog, engine="fast")
-        vm2.boot()
-        vm2.run(100_000)
-        assert vm2.output == ["done"]
+        assert run_program(prog).output == ["done"]
 
     def test_stale_entry_reinvalidated_by_identity(self):
         # Hot-swapping a block (what a relink does) must not execute
         # stale handlers: the cache checks instruction-tuple identity.
         prog = compile_source("print![1]")
-        vm = TycoVM(prog, engine="fast")
-        vm.boot()
-        vm.run(100)
-        assert vm.output == [1]
-        old = prog.blocks[0]
-        instrs = list(old.instrs)
-        at = next(i for i, ins in enumerate(instrs)
-                  if ins.op is Op.PUSHC and ins.args == (1,))
-        instrs[at] = Instr(Op.PUSHC, (2,))
-        prog.blocks[0] = CodeBlock(
-            instrs=tuple(instrs),
-            nfree=old.nfree, nparams=old.nparams,
-            frame_size=old.frame_size, name=old.name)
-        vm2 = TycoVM(prog, engine="fast")
-        vm2.boot()
-        vm2.run(100)
-        assert vm2.output == [2]
+        assert run_program(prog, 100).output == [1]
+        swap_literal(prog, 1, 2)
+        assert run_program(prog, 100).output == [2]
 
     def test_linked_blocks_decode_lazily(self):
         # link_bundle appends blocks; existing cache entries stay valid
         # and the new ids decode on first execution.
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
-        vm = TycoVM(prog, engine="fast")
-        vm.boot()
-        vm.run(100)
+        run_program(prog, 100)
         cached_before = dict(prog.decoded_cache)
         bundle = extract_bundle(donor, block_roots=(0,))
         result = link_bundle(prog, bundle)
@@ -280,117 +285,137 @@ class TestDecodedCache:
             assert prog.decoded_cache[bid] is dec
         assert max(result.block_map.values()) < len(prog.blocks)
 
-    def test_fused_and_plain_runs_coexist_per_vm(self):
-        # One shared cache entry serves a fusion-on VM and a
-        # fusion-off VM simultaneously.
-        prog = compile_source(COUNTER)
-        vm_on = TycoVM(prog, engine="fast", fusion=True)
-        vm_off = TycoVM(prog, engine="fast", fusion=False)
-        vm_on.boot()
-        vm_off.boot()
-        while not (vm_on.is_idle() and vm_off.is_idle()):
-            vm_on.step(3)
-            vm_off.step(3)
-        assert vm_on.output == vm_off.output == [0]
-        assert vm_on.stats.instructions == vm_off.stats.instructions
-
 
 class TestCompiledCache:
-    """The tier-3 compiled functions live on ``DecodedBlock.compiled``
-    beside the closure plan, so they inherit its invalidation rules:
-    identity checks drop stale entries, ``optimize_program`` clears
-    the cache, ``link_bundle`` appends without disturbing live
-    entries, and a restart rebuilds the program (fresh cache) -- the
-    generation-bump path."""
+    """A block's tier state -- its slice-entry count and, from the
+    ``TIER_UP_ENTRIES``-th entry, its generated function -- lives on
+    its ``DecodedBlock`` beside the closure plan, so it inherits the
+    plan's invalidation rules: identity checks drop stale entries,
+    ``optimize_program`` clears the cache, ``link_bundle`` appends
+    without disturbing live entries, and a restart rebuilds the
+    program (fresh cache) -- the generation-bump path."""
+
+    def test_first_entry_runs_closures_second_compiles(self):
+        prog = compile_source("print![7]")
+        assert run_program(prog, 100).output == [7]
+        dec = prog.decoded_cache[prog.main]
+        assert dec.entries == 1 and dec.compiled is None
+        assert run_program(prog, 100).output == [7]
+        assert dec.entries == 2 and dec.compiled is not None
+        # From here on the count has done its job and stops moving.
+        assert run_program(prog, 100).output == [7]
+        assert dec.entries == 2
 
     def test_compiled_fn_cached_and_shared(self):
         prog = compile_source(COUNTER)
-        vm1 = TycoVM(prog, engine="compiled")
-        vm1.boot()
-        vm1.run(100_000)
+        vm1 = run_program(prog)
         fns = {bid: dec.compiled for bid, dec in prog.decoded_cache.items()
                if dec.compiled is not None}
         assert fns, "no block got a compiled function"
         # A second VM over the same program reuses the same functions.
-        vm2 = TycoVM(prog, engine="compiled")
-        vm2.boot()
-        vm2.run(100_000)
+        vm2 = run_program(prog)
         for bid, fn in fns.items():
             assert prog.decoded_cache[bid].compiled is fn
         assert vm2.output == vm1.output == [0]
 
     def test_optimize_program_drops_compiled_fns(self):
         prog = compile_source(CELL)
-        vm = TycoVM(prog, engine="compiled")
-        vm.boot()
-        vm.run(100_000)
+        run_program(prog)
         assert any(d.compiled for d in prog.decoded_cache.values())
         optimize_program(prog)
         assert prog.decoded_cache == {}
-        vm2 = TycoVM(prog, engine="compiled")
-        vm2.boot()
-        vm2.run(100_000)
-        assert vm2.output == ["done"]
+        # The counts went with the entries: main is on its first entry
+        # again, not its second.
+        assert run_program(prog).output == ["done"]
+        dec = prog.decoded_cache[prog.main]
+        assert dec.entries == 1 and dec.compiled is None
 
     def test_stale_entry_reinvalidated_by_identity(self):
-        # Hot-swapping a block (what a relink does) must not execute a
-        # stale compiled function: the decoded entry (and the compiled
-        # function hanging off it) is dropped on instruction-tuple
-        # identity mismatch.
+        # Hot-swapping a block must not execute stale handlers or a
+        # stale compiled function, nor inherit the old block's count:
+        # the decoded entry (and everything hanging off it) is dropped
+        # on instruction-tuple identity mismatch.
         prog = compile_source("print![1]")
-        vm = TycoVM(prog, engine="compiled")
-        vm.boot()
-        vm.run(100)
-        assert vm.output == [1]
-        old = prog.blocks[0]
-        instrs = list(old.instrs)
-        at = next(i for i, ins in enumerate(instrs)
-                  if ins.op is Op.PUSHC and ins.args == (1,))
-        instrs[at] = Instr(Op.PUSHC, (2,))
-        prog.blocks[0] = CodeBlock(
-            instrs=tuple(instrs),
-            nfree=old.nfree, nparams=old.nparams,
-            frame_size=old.frame_size, name=old.name)
-        vm2 = TycoVM(prog, engine="compiled")
-        vm2.boot()
-        vm2.run(100)
-        assert vm2.output == [2]
+        assert run_program(prog, 100).output == [1]
+        swap_literal(prog, 1, 2)
+        assert run_program(prog, 100).output == [2]
+        dec = prog.decoded_cache[0]
+        assert dec.entries == 1 and dec.compiled is None
+        assert run_program(prog, 100).output == [2]
+        assert dec.compiled is not None
+        swap_literal(prog, 2, 3)
+        assert run_program(prog, 100).output == [3]
+        assert prog.decoded_cache[0].compiled is None
 
-    def test_literal_type_not_aliased_by_memo(self):
+    def test_literal_type_not_aliased_by_memo(self, monkeypatch):
         # 7 == 7.0 == True-as-1 in Python: the content-addressed memo
         # must not hand the int program's function to the float one.
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
         out = []
         for lit in ("7 / 2", "7.0 / 2"):
-            vm = TycoVM(compile_source(f"print![{lit}]"), engine="compiled")
-            vm.boot()
-            vm.run(100)
-            out.append(vm.output[0])
+            out.append(run(f"print![{lit}]", budget=100).output[0])
         assert out == [3, 3.5]
 
     def test_link_bundle_keeps_compiled_entries(self):
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
-        vm = TycoVM(prog, engine="compiled")
-        vm.boot()
-        vm.run(100)
-        cached = {bid: dec.compiled for bid, dec in
+        run_program(prog, 100)
+        run_program(prog, 100)
+        cached = {bid: (dec.entries, dec.compiled) for bid, dec in
                   prog.decoded_cache.items()}
+        assert cached[prog.main][1] is not None
         bundle = extract_bundle(donor, block_roots=(0,))
         result = link_bundle(prog, bundle)
-        for bid, fn in cached.items():
-            assert prog.decoded_cache[bid].compiled is fn
-        # The appended block compiles lazily and runs correctly.
+        for bid, state in cached.items():
+            dec = prog.decoded_cache[bid]
+            assert (dec.entries, dec.compiled) == state
+        # The appended block starts its own count: closures on its
+        # first entry, generated code from its second.
         linked = max(result.block_map.values())
-        vm2 = TycoVM(prog, engine="compiled")
-        vm2.boot()
         blk = prog.blocks[linked]
-        # n = 0: the linked Count body goes straight to its print
-        # branch (the env channels are fresh stand-ins, so the message
-        # just queues -- what matters is the block executed compiled).
-        vm2.spawn(linked, tuple(
-            vm2.heap.new_channel() for _ in range(blk.nfree)), (0,))
-        vm2.run(100_000)
-        assert prog.decoded_cache[linked].compiled is not None
+        for compiled in (False, True):
+            vm = TycoVM(prog)
+            vm.boot()
+            # n = 0: the linked Count body goes straight to its print
+            # branch (the env channels are fresh stand-ins, so the
+            # message just queues -- what matters is which tier ran).
+            vm.spawn(linked, tuple(
+                vm.heap.new_channel() for _ in range(blk.nfree)), (0,))
+            vm.run(100_000)
+            assert (prog.decoded_cache[linked].compiled is not None) \
+                is compiled
+
+    def test_budget_cut_thread_resumes_on_generated_code(self):
+        # A thread starts on closures (its block's first entry), is cut
+        # by the budget, and its resumption -- the block's second entry
+        # -- runs generated code from an interior pc: a segment leader
+        # (budget 4 stops at pc 4, a JMPF fall-through) or the middle
+        # of one (budget 3).  Every step must leave the machine exactly
+        # where the reference loop does.
+        src = ("if 3 > 2 then (if 5 > 4 then print![1 + 2, 3 * 4] "
+               "else print![0]) else print![9]")
+        for budget in range(1, 12):
+            ref = TycoVM(compile_source(src), engine="slow")
+            vm = TycoVM(compile_source(src))
+            ref.boot()
+            vm.boot()
+            dec = None
+            while not ref.is_idle():
+                assert vm.step(budget) == ref.step(budget)
+                assert snapshot(vm) == snapshot(ref)
+                assert (vm.current is None) == (ref.current is None)
+                if ref.current is not None:
+                    assert vm.current.pc == ref.current.pc
+                    # repr: channels are per-VM objects.
+                    assert repr(vm.current.stack) == repr(ref.current.stack)
+                    assert repr(vm.current.frame) == repr(ref.current.frame)
+                # One entry per step: closures ran the first, generated
+                # code every later one.
+                assert (dec is None) == (
+                    vm.program.decoded_cache[vm.program.main].compiled is None)
+                dec = vm.program.decoded_cache[vm.program.main]
+            assert vm.is_idle() and vm.output == ref.output == [3, 12]
+            assert dec.compiled is not None
 
     def test_restart_rebuild_gets_fresh_cache(self):
         # A node restart re-materialises the site from its checkpoint:
