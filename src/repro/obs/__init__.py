@@ -3,9 +3,10 @@
 Every layer of the runtime -- VM reductions, network reductions, the
 code cache, the distributed GC, the transports and the chaos harness
 -- publishes structured events into one :class:`~repro.obs.bus.EventBus`
-owned by the world.  The bus is a no-op unless a sink subscribes, so
-the default (unobserved) system pays a single ``if`` per would-be
-event and produces byte-identical wire traffic.
+owned by the world; there is no other event path.  The bus is a no-op
+unless a sink subscribes, so the default (unobserved) system pays one
+attribute load per would-be event and produces byte-identical wire
+traffic.
 
 Sinks shipped here:
 
@@ -14,9 +15,10 @@ Sinks shipped here:
 * :class:`~repro.obs.chrome.TraceCollector` -- records everything for
   Chrome-trace-event JSON export (``repro trace``, Perfetto-loadable);
 * :class:`~repro.obs.flight.FlightRecorder` -- a bounded per-node ring
-  of recent events, dumped when an invariant breaks or a node crashes;
-* :class:`~repro.vm.trace.NetTracer` -- the legacy bounded network
-  log, now a thin sink over the same bus.
+  of recent events, dumped when an invariant breaks or a node crashes.
+
+The chaos harness adds its own, :class:`~repro.testkit.chaos.FaultLog`
+(the injected faults of one run, the replayable repro dump).
 
 Because all timestamps come from the world's (virtual) clock and all
 ids from deterministic counters, a given chaos seed yields a

@@ -1,18 +1,19 @@
 """The structured event bus every layer publishes into.
 
-One :class:`EventBus` per world.  Publishing is a method call on the
-producer side (``world.trace`` / ``node.trace`` / ``site._trace`` are
-thin shims over :meth:`EventBus.emit`), and the producers guard the
-call with a cheap truthiness check so the *disabled* path is a single
-attribute load -- the observability acceptance bar is <= 3% overhead
-on the E1/E9 benchmarks with no sink attached.
+One :class:`EventBus` per world, and the only way an event travels.
+Publishing is a method call on the producer side (``world.trace`` /
+``node.trace`` / ``site._trace`` each hold one guarded
+:meth:`EventBus.emit`), and the guard reads the plain :attr:`active`
+attribute, so the *disabled* path is a single attribute load -- the
+observability acceptance bar is <= 3% overhead on the E1/E9
+benchmarks with no sink attached.
 
 Two activation levels:
 
 * **active** -- at least one sink subscribed; events are recorded.
   This is the level the chaos harness always runs at (its
-  :class:`~repro.vm.trace.NetTracer` is a sink), and it changes
-  nothing on the wire.
+  :class:`~repro.testkit.chaos.FaultLog` and a flight recorder are
+  sinks), and it changes nothing on the wire.
 * **tracing** -- full causal tracing: span ids are allocated and
   carried in packets (one extra wire tag, docs/WIRE.md), and the VM
   publishes per-reduction events.  Opt-in (``repro trace`` /
@@ -45,6 +46,10 @@ class EventBus:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self._sinks: list[EventSink] = []
+        #: Any sink attached?  Producers read this as their fast-path
+        #: guard; when False, :meth:`emit` must not be called.  Kept
+        #: current by :meth:`subscribe` / :meth:`unsubscribe`.
+        self.active = False
         self._seq = 0
         self._next_span = 0
         #: Full-tracing level: span propagation + VM reduction events.
@@ -55,19 +60,15 @@ class EventBus:
 
     # -- subscription --------------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        """Any sink attached?  Producers use this as their fast-path
-        guard; when False, :meth:`emit` must not be called."""
-        return bool(self._sinks)
-
     def subscribe(self, sink: EventSink) -> None:
         if sink not in self._sinks:
             self._sinks.append(sink)
+        self.active = True
 
     def unsubscribe(self, sink: EventSink) -> None:
         if sink in self._sinks:
             self._sinks.remove(sink)
+        self.active = bool(self._sinks)
 
     # -- publishing ----------------------------------------------------------
 

@@ -93,7 +93,6 @@ class Node:
         self._clock: Callable[[], float] = monotime
         self._send = send
         self._wakeup: Optional[Callable[[], None]] = None
-        self._trace_hook: Optional[Callable] = None
         #: The world's observability bus (repro.obs), set by add_node
         #: via :meth:`attach_obs`.  None for a standalone node.
         self.obs = None
@@ -164,23 +163,12 @@ class Node:
         for site in self.sites.values():
             site.attach_obs(bus)
 
-    def set_trace(self, hook: Optional[Callable]) -> None:
-        """Legacy trace hook ``(kind, src, dst, size, note)``;
-        forwarded to every site.  Superseded by :meth:`attach_obs` --
-        the hook is only consulted when no bus is attached."""
-        self._trace_hook = hook
-        for site in self.sites.values():
-            site.trace = hook
-
     def trace(self, kind: str, src: str = "", dst: str = "",
               size: int = 0, note: str = "") -> None:
-        """Thin shim over :meth:`EventBus.emit` (legacy signature)."""
-        if self.obs is not None:
-            if self.obs.active:
-                self.obs.emit(kind, src=src, dst=dst, size=size,
-                              note=note, node=self.ip)
-        elif self._trace_hook is not None:
-            self._trace_hook(kind, src, dst, size, note)
+        """Publish one node-level event on the world's bus."""
+        if self.obs is not None and self.obs.active:
+            self.obs.emit(kind, src=src, dst=dst, size=size,
+                          note=note, node=self.ip)
 
     # -- site pool ----------------------------------------------------------------
 
@@ -198,7 +186,6 @@ class Node:
         self.sites[site_id] = site
         self.sites_by_name[site_name] = site
         site.on_work = self.on_work_available
-        site.trace = self._trace_hook
         if self.obs is not None:
             site.attach_obs(self.obs)
         if self.profiler is not None:
@@ -233,7 +220,6 @@ class Node:
         self.sites[site.site_id] = site
         self.sites_by_name[site.site_name] = site
         site.on_work = self.on_work_available
-        site.trace = self._trace_hook
         if self.obs is not None:
             site.attach_obs(self.obs)
         if self.profiler is not None:

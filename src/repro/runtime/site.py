@@ -171,10 +171,6 @@ class Site:
         # Set by the owning node: reschedules the node when outside
         # events (user input) make this site runnable again.
         self.on_work: Optional[callable] = None
-        # Set by the owning node: network-event trace hook
-        # (kind, src, dst, size, note) -> None.  Legacy -- superseded
-        # by the event bus below, consulted only when no bus is set.
-        self.trace: Optional[callable] = None
         #: The world's observability bus (repro.obs), set by the node
         #: via :meth:`attach_obs`.
         self.obs = None
@@ -211,13 +207,10 @@ class Site:
 
     def _trace(self, kind: str, dst: str = "", size: int = 0,
                note: str = "") -> None:
-        """Publish one site-level event (shim over ``EventBus.emit``)."""
-        if self.obs is not None:
-            if self.obs.active:
-                self.obs.emit(kind, src=self.site_name, dst=dst, size=size,
-                              note=note, node=self.ip, span=self._span_ctx)
-        elif self.trace is not None:
-            self.trace(kind, self.site_name, dst, size, note)
+        """Publish one site-level event on the world's bus."""
+        if self.obs is not None and self.obs.active:
+            self.obs.emit(kind, src=self.site_name, dst=dst, size=size,
+                          note=note, node=self.ip, span=self._span_ctx)
 
     def _obs_span(self) -> int:
         """Span for an outgoing packet: inherit the chain being

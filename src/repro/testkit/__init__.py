@@ -26,7 +26,7 @@ pinned as regression tests in ``tests/testkit/corpus.py`` (see
 docs/TESTING.md for the promotion workflow).
 """
 
-from .chaos import ChaosConfig, ChaosWorld, CrashEvent
+from .chaos import ChaosConfig, ChaosWorld, CrashEvent, FaultLog
 from .explore import ChaosRun, ExplorationReport, explore, run_scenario
 from .proxy import ChaosProxy, LinkReset
 from .invariants import (

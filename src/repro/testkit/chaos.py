@@ -21,19 +21,22 @@ The perturbations:
 * **crashes** -- :class:`CrashEvent` entries crash a node at a virtual
   time and optionally restart it later.
 
-Every injected fault is recorded in the world's
-:class:`~repro.vm.trace.NetTracer`; the fault log plus the seed is a
-minimized, replayable repro dump.
+Every injected fault is published on the world's event bus like any
+other event; :class:`FaultLog`, a sink the world subscribes to its own
+bus, keeps the fault kinds.  Because the simulator is deterministic,
+that log plus the seed and config is a minimized, replayable repro
+dump.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
+from repro.obs.events import ObsEvent
 from repro.transport.links import ClusterModel
 from repro.transport.sim import SimWorld
-from repro.vm.trace import NetTracer
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +110,35 @@ class ChaosConfig:
         return " ".join(parts)
 
 
+class FaultLog:
+    """Bus sink keeping the injected faults of one run, oldest first.
+
+    Bounded: past ``capacity`` the oldest fault falls off and is
+    counted, and :meth:`format` says so -- never silently incomplete.
+    """
+
+    KINDS = frozenset(
+        {"drop", "dup", "delay", "crash", "restart", "crash-drop"})
+
+    def __init__(self, capacity: int = 65536) -> None:
+        self.events: deque[ObsEvent] = deque(maxlen=capacity)
+        self.evicted = 0
+
+    def on_event(self, event: ObsEvent) -> None:
+        if event.kind in self.KINDS:
+            if len(self.events) == self.events.maxlen:
+                self.evicted += 1
+            self.events.append(event)
+
+    def format(self) -> str:
+        """One ``str(ObsEvent)`` per line (bus sequence numbers)."""
+        lines = [str(e) for e in self.events]
+        if self.evicted:
+            lines.append(f"[{self.evicted} older fault(s) evicted from the "
+                         f"bounded log; fault list is incomplete]")
+        return "\n".join(lines)
+
+
 class ChaosWorld(SimWorld):
     """A simulated cluster with seeded fault injection.
 
@@ -124,7 +156,8 @@ class ChaosWorld(SimWorld):
         self.seed = seed
         self.config = config or ChaosConfig()
         self.rng = random.Random(seed)
-        self.tracer = NetTracer()
+        self.faults = FaultLog()
+        self.obs.subscribe(self.faults)
         self.chaos_dropped = 0
         self.chaos_duplicated = 0   # extra copies admitted
         self.chaos_delayed = 0

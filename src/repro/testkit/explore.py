@@ -223,7 +223,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         chaos_duplicated=world.chaos_duplicated,
         chaos_delayed=world.chaos_delayed,
         crash_dropped=world.dropped_packets,
-        fault_log=world.tracer.format_faults(),
+        fault_log=world.faults.format(),
         stalled_sites=stalled,
         violations=violations,
         distgc=inv.has_distgc(net),

@@ -19,13 +19,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.obs import EventBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.node import Node
-    from repro.vm.trace import NetTracer
 
 
 @dataclass(slots=True)
@@ -69,27 +68,10 @@ class World(ABC):
         # every attached node publishes into it.  A no-op unless a
         # sink subscribes.
         self.obs = EventBus(clock=lambda: self.time)
-        self._tracer: Optional["NetTracer"] = None
-
-    @property
-    def tracer(self) -> Optional["NetTracer"]:
-        """The legacy bounded network log.  Assigning one (the chaos
-        testkit does, ``world.tracer = NetTracer()``) subscribes it to
-        :attr:`obs`; it sees exactly the events it always did, plus
-        whatever the other layers now publish."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Optional["NetTracer"]) -> None:
-        if self._tracer is not None:
-            self.obs.unsubscribe(self._tracer)
-        self._tracer = tracer
-        if tracer is not None:
-            self.obs.subscribe(tracer)
 
     def trace(self, kind: str, src: str = "", dst: str = "",
               size: int = 0, note: str = "") -> None:
-        """Record a network event (shim over :meth:`EventBus.emit`)."""
+        """Publish a world-level event on :attr:`obs`."""
         if self.obs.active:
             self.obs.emit(kind, src=src, dst=dst, size=size, note=note)
 

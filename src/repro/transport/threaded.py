@@ -89,6 +89,7 @@ class ThreadedWorld(World):
             self.stats.bytes += len(data)
             if self._in_flight > self.stats.max_in_flight:
                 self.stats.max_in_flight = self._in_flight
+        self.trace("send", src_ip, dst_ip, len(data))
         # Deliver directly into the destination's TyCOd; the receiving
         # node thread processes the packet on its next quantum.  The
         # per-destination lock serialises concurrent senders into one
@@ -102,6 +103,7 @@ class ThreadedWorld(World):
         finally:
             with self._lock:
                 self._in_flight -= 1
+        self.trace("deliver", src_ip, dst_ip, len(data))
         self._wake(dst_ip)
 
     # -- node threads ----------------------------------------------------------

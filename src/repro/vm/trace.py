@@ -1,17 +1,13 @@
-"""Execution tracing for the TyCO VM and the network layer.
+"""Per-instruction execution tracing for the TyCO VM.
 
 A :class:`Tracer` attached to a :class:`~repro.vm.machine.TycoVM`
-records one event per executed instruction (bounded ring buffer) plus
-every reduction, spawn and remote operation -- the tool one reaches for
-when a distributed program deadlocks.  The CLI exposes it as
-``python -m repro run --trace``.
+records one event per executed instruction (bounded ring buffer) --
+the tool one reaches for when a program deadlocks.  It forces the
+``slow`` reference loop (docs/PERF.md); the CLI exposes it as
+``python -m repro run --trace N``.
 
-A :class:`NetTracer` attached to a :class:`~repro.transport.base.World`
-records network-level events (sends, deliveries, injected faults) on
-the virtual clock.  Because the simulator is deterministic, the fault
-events alone are a *minimized repro dump*: replaying the same
-``(program, seed, config)`` regenerates the identical schedule, and
-:meth:`NetTracer.format_faults` is the part a human needs to read.
+Everything above the instruction level -- reductions, packets, cache
+probes, injected faults -- travels the :mod:`repro.obs` event bus.
 """
 
 from __future__ import annotations
@@ -73,99 +69,6 @@ class Tracer:
 
     def format_tail(self, n: int = 20) -> str:
         return "\n".join(str(e) for e in self.tail(n))
-
-    def __len__(self) -> int:
-        return self._seq
-
-
-@dataclass(slots=True)
-class NetEvent:
-    """One traced network-layer event."""
-
-    seq: int
-    time: float
-    kind: str        # send / deliver / drop / dup / delay / crash / restart / crash-drop
-    src: str = ""
-    dst: str = ""
-    size: int = 0
-    note: str = ""
-
-    def __str__(self) -> str:
-        route = f"{self.src}->{self.dst}" if self.dst else self.src
-        suffix = f" {self.note}" if self.note else ""
-        return (f"{self.seq:6d} {self.time:.9f} {self.kind:<10s} "
-                f"{route} {self.size}B{suffix}")
-
-
-class NetTracer:
-    """Bounded network event log (attach with ``world.tracer = NetTracer()``).
-
-    Since the unified observability layer (:mod:`repro.obs`) landed,
-    this is an :class:`~repro.obs.bus.EventSink`: assigning it to
-    ``world.tracer`` subscribes it to the world's event bus, and
-    :meth:`on_event` feeds :meth:`record`.  The bounded ring plus the
-    per-kind counters and fault formatting are unchanged.
-
-    ``FAULT_KINDS`` events are the injected perturbations; everything
-    else is ordinary traffic.  The fault subsequence is the minimized
-    repro dump: together with the seed and config it pins the schedule.
-    """
-
-    FAULT_KINDS = frozenset(
-        {"drop", "dup", "delay", "crash", "restart", "crash-drop"})
-
-    #: Non-fault kinds worth counting across a run: "batch" (one framed
-    #: multi-packet send), "cache-hit" / "cache-miss" (code cache probes
-    #: during FETCH/SHIPO offers), "code-install" (items appended by a
-    #: cached link), "gc" (a distgc sweep reclaimed heap entries) and
-    #: "gc-late" (a packet arrived for an already-reclaimed id and was
-    #: dropped gracefully).
-    COUNTED_KINDS = frozenset(
-        {"send", "deliver", "batch", "cache-hit", "cache-miss",
-         "code-install", "gc", "gc-late"})
-
-    def __init__(self, capacity: int = 65536) -> None:
-        self.capacity = capacity
-        self.events: deque[NetEvent] = deque(maxlen=capacity)
-        self._seq = 0
-        #: Events the bounded ring evicted (oldest-first); they are
-        #: gone from :attr:`events` but counted, never silent.
-        self.dropped = 0
-        #: kind -> occurrence count, unbounded (survives ring eviction).
-        self.counters: dict[str, int] = {}
-
-    def record(self, time: float, kind: str, src: str = "", dst: str = "",
-               size: int = 0, note: str = "") -> None:
-        self._seq += 1
-        self.counters[kind] = self.counters.get(kind, 0) + 1
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        self.events.append(NetEvent(seq=self._seq, time=time, kind=kind,
-                                    src=src, dst=dst, size=size, note=note))
-
-    def on_event(self, event) -> None:
-        """Event-bus sink adapter (:class:`repro.obs.bus.EventSink`)."""
-        self.record(event.time, event.kind, event.src, event.dst,
-                    event.size, event.note)
-
-    def count(self, kind: str) -> int:
-        return self.counters.get(kind, 0)
-
-    def faults(self) -> list[NetEvent]:
-        return [e for e in self.events if e.kind in self.FAULT_KINDS]
-
-    def format_log(self, n: Optional[int] = None) -> str:
-        events = list(self.events)
-        if n is not None:
-            events = events[-n:]
-        return "\n".join(str(e) for e in events)
-
-    def format_faults(self) -> str:
-        lines = [str(e) for e in self.faults()]
-        if self.dropped:
-            lines.append(f"[{self.dropped} event(s) evicted from the "
-                         f"bounded log; fault list may be incomplete]")
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return self._seq

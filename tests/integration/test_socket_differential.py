@@ -18,8 +18,11 @@ Two tiers of strictness:
   must still agree exactly.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.obs import TraceCollector
 from repro.runtime import DiTyCONetwork
 from repro.transport import SocketWorld, ThreadedWorld
 
@@ -93,9 +96,11 @@ def _observe(net, counts=True):
     return obs
 
 
-def run_phased(kind, phases, max_time=30.0):
+def run_phased(kind, phases, max_time=30.0, sink=None):
     world = _make_world(kind)
     net = DiTyCONetwork(world=world)
+    if sink is not None:
+        net.world.obs.subscribe(sink)
     for phase in phases:
         for ip, _name, _src in phase:
             if ip not in net.world.nodes:
@@ -140,6 +145,24 @@ def test_corpus_scenarios_agree_across_worlds(scenario):
     for kind in WORLDS[1:]:
         assert run_scenario_everywhere(kind, scenario) == reference, (
             f"{scenario}: {kind} world diverged from the simulator")
+
+
+def test_every_world_publishes_the_same_events():
+    """One event path on every transport: a sink subscribed to the
+    world's bus sees each frame leave and arrive (``send`` ==
+    ``deliver`` > 0) and the same multiset of site-level events,
+    whichever world carries the applet fetch."""
+    seen = {}
+    for kind in WORLDS:
+        sink = TraceCollector()
+        run_phased(kind, PROGRAMS["fetch-twice"], sink=sink)
+        kinds = Counter(e.kind for e in sink.events)
+        assert kinds["send"] == kinds["deliver"] > 0, kind
+        # Site-level events name the emitting site, not its node.
+        seen[kind] = Counter(e.kind for e in sink.events
+                             if e.node and e.src != e.node)
+    assert seen["sim"]["fetch-req"] > 0
+    assert seen["threaded"] == seen["socket"] == seen["sim"]
 
 
 def test_phased_ping_expected_answer():

@@ -1,17 +1,16 @@
-"""EventBus behaviour and the legacy-tracer shims riding on it.
+"""EventBus behaviour, the producers publishing into it, and the
+chaos harness's :class:`~repro.testkit.chaos.FaultLog` sink.
 
-Satellite of the unified observability layer: ``world.trace``,
-``node.trace`` and ``site._trace`` are thin shims over one
-:class:`~repro.obs.bus.EventBus`, and the old ``world.tracer``
-assignment subscribes the :class:`~repro.vm.trace.NetTracer` as an
-ordinary sink.
+``world.trace``, ``node.trace`` and ``site._trace`` each hold one
+guarded :meth:`~repro.obs.bus.EventBus.emit`; the bus is the only way
+an event travels.
 """
 
 from repro.obs import EventBus
 from repro.obs.events import ObsEvent, category_of
 from repro.runtime.network import DiTyCONetwork
+from repro.testkit import FaultLog
 from repro.transport.sim import SimWorld
-from repro.vm.trace import NetTracer
 
 
 class _Sink:
@@ -53,6 +52,19 @@ class TestEventBus:
         bus.unsubscribe(sink)
         assert not bus.active
 
+    def test_active_is_a_plain_attribute_tracking_the_sinks(self):
+        bus = EventBus()
+        a, b = _Sink(), _Sink()
+        assert vars(bus)["active"] is False
+        bus.subscribe(a)
+        bus.subscribe(b)
+        bus.unsubscribe(a)
+        assert vars(bus)["active"] is True
+        bus.unsubscribe(_Sink())          # never subscribed: no effect
+        assert bus.active
+        bus.unsubscribe(b)
+        assert vars(bus)["active"] is False
+
     def test_spans_only_allocated_when_tracing(self):
         bus = EventBus()
         assert bus.new_span() == 0
@@ -93,21 +105,8 @@ class TestWorldShims:
         assert [(e.kind, e.src, e.dst, e.size) for e in sink.events] \
             == [("send", "n1", "n2", 10)]
 
-    def test_tracer_property_subscribes_and_swaps(self):
-        world = SimWorld()
-        first = NetTracer()
-        world.tracer = first
-        world.trace("send", "n1", "n2", 10)
-        assert first.count("send") == 1
-        second = NetTracer()
-        world.tracer = second
-        world.trace("deliver", "n1", "n2", 10)
-        # The replaced tracer was unsubscribed, the new one sees events.
-        assert first.count("deliver") == 0
-        assert second.count("deliver") == 1
-
     def test_all_layers_publish_into_one_bus(self):
-        """world.trace / node.trace / site._trace dedupe onto the bus:
+        """world.trace / node.trace / site._trace all land on the bus:
         one run, one sink, events from transport and network layers."""
         world = SimWorld()
         sink = _Sink()
@@ -128,36 +127,45 @@ class TestWorldShims:
         assert {e.node for e in sink.events if e.kind == "fetch-req"} \
             == {"n2"}
 
-    def test_node_legacy_hook_still_works_without_bus(self):
-        from repro.runtime.nameservice import NameService
-        from repro.runtime.node import Node
 
-        node = Node("n9", NameService())
-        seen = []
-        node.set_trace(lambda kind, src, dst, size, note: seen.append(kind))
-        node.trace("cache-hit")
-        assert seen == ["cache-hit"]
+def _publish(bus, kinds):
+    for kind in kinds:
+        bus.emit(kind, src="n1")
 
 
-class TestNetTracerBoundedLog:
+class TestFaultLogBounded:
+    def test_keeps_fault_kinds_only_with_bus_sequence_numbers(self):
+        bus = EventBus()
+        log = FaultLog()
+        bus.subscribe(log)
+        _publish(bus, ["send", "drop", "deliver", "crash", "batch",
+                       "restart"])
+        assert [(e.seq, e.kind) for e in log.events] \
+            == [(2, "drop"), (4, "crash"), (6, "restart")]
+        assert log.format().splitlines() == [str(e) for e in log.events]
+
     def test_eviction_is_counted(self):
-        tracer = NetTracer(capacity=3)
-        for i in range(5):
-            tracer.record(0.0, "send", "a", "b", i)
-        assert len(tracer.events) == 3
-        assert tracer.dropped == 2
-        assert tracer.count("send") == 5  # counters survive eviction
+        bus = EventBus()
+        log = FaultLog(capacity=3)
+        bus.subscribe(log)
+        _publish(bus, ["drop"] * 5)
+        assert [e.seq for e in log.events] == [3, 4, 5]
+        assert log.evicted == 2
 
     def test_format_faults_surfaces_eviction(self):
-        tracer = NetTracer(capacity=2)
-        tracer.record(0.0, "crash", "n1")
-        tracer.record(0.0, "send", "a", "b")
-        tracer.record(0.0, "deliver", "a", "b")  # evicts the crash
-        text = tracer.format_faults()
-        assert "1 event(s) evicted" in text
-        assert "fault list may be incomplete" in text
+        bus = EventBus()
+        log = FaultLog(capacity=2)
+        bus.subscribe(log)
+        _publish(bus, ["crash", "drop", "dup"])     # evicts the crash
+        text = log.format()
+        assert "1 older fault(s) evicted" in text
+        assert "fault list is incomplete" in text
 
     def test_format_faults_silent_when_nothing_evicted(self):
-        tracer = NetTracer()
-        tracer.record(0.0, "crash", "n1")
-        assert "evicted" not in tracer.format_faults()
+        bus = EventBus()
+        log = FaultLog(capacity=2)
+        bus.subscribe(log)
+        # Ordinary traffic never counts against the bound.
+        _publish(bus, ["crash", "send", "deliver", "send", "deliver"])
+        assert "evicted" not in log.format()
+        assert log.format().split()[2] == "crash"

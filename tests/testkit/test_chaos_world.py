@@ -1,25 +1,33 @@
 """Tests for the seeded chaos world: determinism, fault injection,
-crash/restart, and the delivery-accounting ledger."""
+crash/restart, the delivery-accounting ledger and the fault log."""
 
 import pytest
 
+from repro.obs import TraceCollector
 from repro.runtime import DiTyCONetwork
-from repro.testkit import ChaosConfig, ChaosWorld, CrashEvent
+from repro.testkit import (ChaosConfig, ChaosWorld, CrashEvent, FaultLog,
+                           run_scenario)
 from repro.transport import SimWorld
 
-from .scenarios import echo, pump
+from .corpus import CORPUS
+from .scenarios import SCENARIOS, echo, pump
 
 
-def run_once(seed, config, scenario=echo):
+def run_once(seed, config, scenario=echo, sink=None):
     world = ChaosWorld(seed=seed, config=config)
+    if sink is not None:
+        world.obs.subscribe(sink)
     net = DiTyCONetwork(world=world)
     scenario(net)
     net.run(max_time=5.0)
     return world, net
 
 
-def fingerprint(world, net):
-    """Everything observable about a run, for determinism comparison."""
+def fingerprint(seed, config):
+    """Everything observable about a run, for determinism comparison
+    (the last entry is the text of every event it published)."""
+    sink = TraceCollector()
+    world, net = run_once(seed, config, sink=sink)
     return (
         net.time,
         net.outputs(),
@@ -28,7 +36,7 @@ def fingerprint(world, net):
         world.chaos_dropped,
         world.chaos_duplicated,
         world.chaos_delayed,
-        world.tracer.format_log(),
+        "\n".join(str(e) for e in sink.events),
     )
 
 
@@ -47,14 +55,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=lambda c: c.describe())
     def test_same_seed_same_run(self, config):
-        a = fingerprint(*run_once(7, config))
-        b = fingerprint(*run_once(7, config))
+        a = fingerprint(7, config)
+        b = fingerprint(7, config)
         assert a == b
 
     def test_different_seed_changes_schedule(self):
         config = ChaosConfig(drop_prob=0.5, jitter_s=1e-4)
-        logs = {run_once(seed, config)[0].tracer.format_log()
-                for seed in range(8)}
+        logs = {fingerprint(seed, config)[-1] for seed in range(8)}
         assert len(logs) > 1
 
     def test_zero_config_matches_plain_simworld(self):
@@ -77,7 +84,7 @@ class TestFaultInjection:
         assert world.deliveries == 0
         assert world.chaos_dropped == world.stats.packets > 0
         assert net.site("client").output == []
-        assert "drop" in world.tracer.format_faults()
+        assert "drop" in world.faults.format()
 
     def test_dup_delivers_twice(self):
         config = ChaosConfig(dup_prob=1.0)
@@ -129,7 +136,7 @@ class TestCrashRestart:
         world, net = run_once(1, config)
         assert not world.is_failed("n1")
         assert "n1" in world.restarted
-        assert "restart" in world.tracer.format_faults()
+        assert "restart" in world.faults.format()
 
     def test_restart_before_crash_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +152,7 @@ class TestCrashRestart:
         world.fail_node("n1")
         world.fail_node("n1")
         assert world.is_failed("n1")
-        assert world.tracer.format_faults().count("crash") == 1
+        assert world.faults.format().count("crash") == 1
 
 
 class TestAccounting:
@@ -170,3 +177,26 @@ class TestAccounting:
             ChaosConfig(drop_prob=1.5)
         with pytest.raises(ValueError):
             ChaosConfig(jitter_s=-1.0)
+
+
+class TestFaultLog:
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_is_the_fault_subsequence_of_the_bus(self, entry):
+        """``ChaosRun.fault_log`` is nothing but the fault kinds of the
+        one event stream, bus sequence numbers included: a second sink
+        on the same run filters down to the identical text, and a
+        replay reproduces it byte for byte."""
+        def replay():
+            collector = TraceCollector()
+
+            def observed(net):
+                net.world.obs.subscribe(collector)
+                SCENARIOS[entry.scenario](net)
+
+            run = run_scenario(observed, entry.seed, entry.config)
+            return run.fault_log, "\n".join(
+                str(e) for e in collector.events if e.kind in FaultLog.KINDS)
+
+        log, filtered = replay()
+        assert log == filtered
+        assert replay() == (log, filtered)

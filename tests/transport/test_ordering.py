@@ -85,10 +85,11 @@ class TestBatchedOrdering:
     pinned above, on either transport."""
 
     def test_sim_fifo_with_batch_frames(self):
-        from repro.vm.trace import NetTracer
+        from repro.obs import TraceCollector
 
         world = SimWorld()
-        world.tracer = NetTracer()
+        sink = TraceCollector()
+        world.obs.subscribe(sink)
         net = DiTyCONetwork(world=world)
         net.add_nodes(["n1", "n2"])
         n = fifo_program(net, n=12)
@@ -96,7 +97,7 @@ class TestBatchedOrdering:
         assert net.site("server").output == list(range(n))
         # The guarantee must hold *because of* frames, not for lack of
         # them: the client's burst really was batched.
-        assert world.tracer.count("batch") > 0
+        assert any(e.kind == "batch" for e in sink.events)
 
     def test_sim_fifo_without_batching_matches(self):
         net = DiTyCONetwork(batching=False)
