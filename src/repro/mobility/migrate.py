@@ -179,8 +179,7 @@ class MobilityManager:
         # touches it again.
         self.node.tycod.pump()
         ckpt = capture_site(site)
-        del self.node.sites[site.site_id]
-        del self.node.sites_by_name[site_name]
+        self.node.remove_site(site)
         self.code_library.setdefault(ckpt.code_digest, ckpt.code)
         self._seq += 1
         token = f"{self.node.ip}:{site.site_id}:{self._seq}"

@@ -169,13 +169,13 @@ class TyCOi:
     def reap(self) -> int:
         """Destroy sites whose programs have exited (idle, no queues,
         nothing parked); returns how many were reaped."""
-        dead = [sid for sid, site in self.node.sites.items()
+        dead = [site for site in self.node.sites.values()
                 if site.is_idle() and not site.vm.has_stalled()
                 and not site._pending_fetch and not site._pending_code
                 and site.vm.heap.live_queues() == 0]
-        for sid in dead:
+        for site in dead:
             # Retire the site's name-service registrations first so no
             # IdTable row dangles after the site object is gone.
-            self.node.sites[sid].retire_exports()
-            del self.node.sites[sid]
+            site.retire_exports()
+            self.node.remove_site(site)
         return len(dead)

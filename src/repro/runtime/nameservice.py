@@ -57,15 +57,22 @@ class NameServiceStats:
     class_registrations: int = 0
     lookups: int = 0
     misses: int = 0
+    #: Subscriber callbacks invoked by ``_notify``, summed over every
+    #: registration: ``wakeups / registrations`` is the notification
+    #: fan-out (one per node, not one per site ever launched).
+    wakeups: int = 0
 
 
 class NameService:
     """The centralized network name service.
 
     Thread-safe: the threaded transport calls in from node threads.
-    ``subscribe`` registers a callback fired after each registration --
-    sites use it to retry imports that were pending on a not-yet
-    exported identifier.
+    ``subscribe`` adds a callback to the *set* fired after each
+    registration: a node subscribes its ``_on_ns_update`` (once, however
+    many sites it creates) to retry imports that were pending on a
+    not-yet exported identifier and to reschedule itself.  Subscribing
+    an equal callback again is a no-op; callbacks fire in
+    first-subscription order.
     """
 
     def __init__(self) -> None:
@@ -74,7 +81,7 @@ class NameService:
         self._names: dict[tuple[str, str], int] = {}
         self._classes: dict[tuple[str, str], int] = {}
         self._next_site_id = 1
-        self._subscribers: list[Callable[[], None]] = []
+        self._subscribers: dict[Callable[[], None], None] = {}
         self.stats = NameServiceStats()
 
     # -- registration -------------------------------------------------------
@@ -241,12 +248,18 @@ class NameService:
     # -- notification ------------------------------------------------------------
 
     def subscribe(self, callback: Callable[[], None]) -> None:
-        """Call ``callback`` after every successful registration."""
+        """Call ``callback`` after every successful registration
+        (idempotent: an already-subscribed callback keeps its place)."""
         with self._lock:
-            self._subscribers.append(callback)
+            self._subscribers.setdefault(callback)
 
     def _notify(self) -> None:
-        for cb in list(self._subscribers):
+        # Snapshot under the lock (node threads subscribe concurrently),
+        # run the callbacks outside it (they take node and site locks).
+        with self._lock:
+            callbacks = list(self._subscribers)
+            self.stats.wakeups += len(callbacks)
+        for cb in callbacks:
             cb()
 
 

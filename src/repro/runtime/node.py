@@ -190,6 +190,8 @@ class Node:
             site.attach_obs(self.obs)
         if self.profiler is not None:
             self.profiler.install(site.vm)
+        # Idempotent: the node holds one subscription, made by its
+        # first create/adopt, however many sites follow.
         self.nameservice.subscribe(self._on_ns_update)
         site.boot()
         self.on_work_available()
@@ -227,6 +229,13 @@ class Node:
         self.nameservice.subscribe(self._on_ns_update)
         self.on_work_available()
         return site
+
+    def remove_site(self, site: Site) -> None:
+        """The one way a site leaves the pool (TyCOi reap, migration
+        freeze): gone by id and by name, so nothing schedules, looks up
+        or re-checkpoints a site this node no longer runs."""
+        del self.sites[site.site_id]
+        del self.sites_by_name[site.site_name]
 
     def _on_ns_update(self) -> None:
         # list(): a launch into a started wall-clock world inserts into

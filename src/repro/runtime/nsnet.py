@@ -222,7 +222,7 @@ class NameServiceClient:
         self.timeout = timeout
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
-        self._subscribers: list[Callable[[], None]] = []
+        self._subscribers: dict[Callable[[], None], None] = {}
         self._poller: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._seen_version = 0
@@ -346,7 +346,9 @@ class NameServiceClient:
     # -- subscriptions (version polling) -------------------------------------
 
     def subscribe(self, callback: Callable[[], None]) -> None:
-        self._subscribers.append(callback)
+        """Same rule as :meth:`NameService.subscribe`: a set, fired in
+        first-subscription order on every version bump."""
+        self._subscribers.setdefault(callback)
         if self._poller is None:
             self._poller = threading.Thread(
                 target=self._poll_loop, name="dityco-ns-poll", daemon=True)

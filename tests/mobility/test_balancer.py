@@ -148,8 +148,7 @@ class TestLoadBalancer:
             return loads
 
         balancer.sample = stale_sample
-        del node1.sites[site.site_id]
-        del node1.sites_by_name["hotsite"]
+        node1.remove_site(site)
         assert balancer.tick() is None
         assert balancer.decisions == []
 

@@ -82,8 +82,7 @@ class TestRoundTrip:
         site = net.site("server")
         blob = write_checkpoint(site)
         # Tear the original down, rebuild from bytes, re-adopt.
-        del node.sites[site.site_id]
-        del node.sites_by_name["server"]
+        node.remove_site(site)
         code, state = read_checkpoint(blob)
         rebuilt = restore_site(node, code, state)
         node.adopt_site(rebuilt)

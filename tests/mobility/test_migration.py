@@ -106,6 +106,30 @@ class TestHappyPath:
         assert src.residuals == {}
         assert sorted(net.site("server").output) == [0, 1, 2, 3]
 
+    def test_stalled_import_resumes_at_the_new_home(self):
+        # The waiter freezes with its import parked on a name nobody
+        # exports yet; the export's notification must reach it through
+        # the destination node's subscription (adopt_site).
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2", "n3"])
+        net.launch("n1", "waiter",
+                   "import svc from server in new a (svc![a] | a?(w) = print![w])")
+        net.run()
+        assert net.site("waiter").vm.has_stalled()
+        net.migrate("waiter", "n3")
+        net.run()
+        waiter = net.site("waiter")
+        assert waiter.ip == "n3" and waiter.vm.has_stalled()
+        assert "waiter" not in net.node("n1").sites_by_name
+        net.launch("n2", "server",
+                   "def Serve(c) = c?(r) = (r![7] | Serve[c]) "
+                   "in export new svc Serve[svc]")
+        net.run()
+        assert waiter.output == [7]
+        assert not waiter.vm.has_stalled()
+        assert net.is_quiescent()
+        check_invariants(net)
+
     def test_fetch_req_straddling_cutover_still_completes(self):
         """A fetch_req sent to the old home while the cutover is in
         flight gets forwarded, so the fetch_reply comes back from the
@@ -240,6 +264,22 @@ class TestErrors:
         net.add_nodes(["n1", "n2"])
         with pytest.raises(LookupError, match="ghost"):
             net.mobility("n1").migrate_site("ghost", "n2")
+
+    def test_migrate_after_reap_is_an_unknown_site(self):
+        # A reaped site is gone by name as well as by id: migrating it
+        # used to checkpoint the zombie and then die on the pool delete.
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        net.launch("n1", "op7", "print![7]")
+        net.run()
+        assert net.node("n1").tycoi.reap() == 1
+        with pytest.raises(KeyError, match="op7"):
+            net.site("op7")
+        with pytest.raises(KeyError, match="no site named 'op7'"):
+            net.migrate("op7", "n2")
+        with pytest.raises(LookupError, match="no site 'op7'"):
+            net.mobility("n1").migrate_site("op7", "n2")
+        assert net.node("n1").mobility.frozen == {}
 
 
 class _Sink:

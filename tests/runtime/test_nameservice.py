@@ -124,6 +124,43 @@ class TestSubscriptions:
         ns.export_name("a", "x", 1)
         assert len(events) == 2
 
+    @pytest.mark.parametrize("service", [NameService, ReplicatedNameService])
+    def test_subscription_is_a_membership_not_a_log(self, service):
+        class Waiter:
+            def __init__(self, tag, log):
+                self.tag, self.log = tag, log
+
+            def woken(self):
+                self.log.append(self.tag)
+
+        ns = service()
+        log = []
+        first, second = Waiter("first", log), Waiter("second", log)
+        for _ in range(100):
+            # A fresh bound-method object every time, as in create_site.
+            ns.subscribe(first.woken)
+        ns.subscribe(second.woken)
+        ns.subscribe(first.woken)      # keeps its place
+        ns.register_site("a", "ip")
+        assert log == ["first", "second"]
+        ns.export_name("a", "x", 1)
+        ns.export_class("a", "K", 2)
+        ns.rebind_site("a", "ip2")
+        assert log == ["first", "second"] * 4
+        assert ns.stats.wakeups == 8
+
+    def test_wakeups_count_callbacks_invoked(self):
+        ns = NameService()
+        ns.register_site("a", "ip")           # nobody listening yet
+        assert ns.stats.wakeups == 0
+        ns.subscribe(lambda: None)
+        ns.subscribe(lambda: None)            # distinct callables
+        ns.export_name("a", "x", 1)
+        assert ns.stats.wakeups == 2
+        ns.register_site("a", "ip")           # idempotent: no notify
+        ns.unregister_export("a", "x")        # removals never notify
+        assert ns.stats.wakeups == 2
+
 
 class TestReplicated:
     def test_writes_visible_in_replicas(self):

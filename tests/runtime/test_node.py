@@ -135,8 +135,14 @@ class TestTyCOi:
         reaped = node.tycoi.reap()
         assert reaped == 1
         assert "done" not in [s.site_name for s in node.sites.values()]
-        # The site with a live queue survives.
+        # Gone by name too: no zombie to look up or migrate.
+        assert "done" not in node.sites_by_name
+        with pytest.raises(KeyError):
+            node.site("done")
+        # The site with a live queue survives, under both keys.
         assert any(s.site_name == "waiting" for s in node.sites.values())
+        assert node.site("waiting") is node.sites_by_name["waiting"]
+        assert len(node.sites_by_name) == len(node.sites) == 1
 
     def test_typechecking_node_rejects_bad_source(self):
         from repro.types import TycoTypeError

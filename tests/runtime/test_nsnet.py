@@ -114,6 +114,31 @@ class TestSubscriptions:
         finally:
             other.close()
 
+    def test_resubscribing_is_a_noop_and_order_is_first_subscription(self, ns):
+        # A daemon subscribes Node._on_ns_update once per site it
+        # creates; the poller must still run it once per version bump.
+        class Waiter:
+            def __init__(self, tag, log):
+                self.tag, self.log = tag, log
+
+            def woken(self):
+                self.log.append(self.tag)
+
+        _server, client = ns
+        log = []
+        first, second = Waiter("first", log), Waiter("second", log)
+        for _ in range(100):
+            client.subscribe(first.woken)
+        client.subscribe(second.woken)
+        client.subscribe(first.woken)
+        client.register_site("alpha", "n1")
+        # "second" runs last, so seeing it means the bump's loop is over.
+        assert wait_until(lambda: "second" in log)
+        assert log == ["first", "second"]
+        client.export_name("alpha", "svc", 3)
+        assert wait_until(lambda: log.count("second") == 2)
+        assert log == ["first", "second"] * 2
+
     def test_reconnects_after_transient_failure(self, ns):
         _server, client = ns
         client.register_site("alpha", "n1")

@@ -160,12 +160,14 @@ class TestThreadedWorld:
         assert world.stats.packets >= 3
 
     def test_launch_storm_into_a_started_world(self):
-        # net.launch inserts into node.sites from the launching thread
-        # while the node threads iterate the pool: Node.step sums the
-        # context switches after every quantum, and each client's
-        # export runs Node._on_ns_update on a node thread.  Iterating
-        # the live dict there killed the node thread with "dictionary
-        # changed size during iteration".
+        # net.launch inserts into node.sites and subscribes to the name
+        # service from the launching thread while the node threads
+        # iterate both: Node.step sums the context switches after every
+        # quantum, and each client's export makes NameService._notify
+        # run every node's (one) _on_ns_update on a node thread.
+        # Iterating the live pool killed the node thread with
+        # "dictionary changed size during iteration"; _notify takes its
+        # subscriber snapshot under the service lock for the same reason.
         client = ("import svc from server in "
                   "export new a (svc![a] | a?(w) = print![w])")
         world = ThreadedWorld()

@@ -110,6 +110,58 @@ class TestRunnerEdges:
         assert s["violations"] == []
 
 
+class TestNameServiceFanOut:
+    """A registration wakes the nodes that exist, not every site ever
+    launched -- counts that repeat exactly, not timings."""
+
+    @staticmethod
+    def run_keeping_net(monkeypatch, ops):
+        from repro.runtime import DiTyCONetwork
+        from repro.workloads import runner
+
+        made = []
+
+        class Recording(DiTyCONetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(runner, "DiTyCONetwork", Recording)
+        spec = WorkloadSpec("pubsub", seed=11, ops=ops, rate_per_s=8000.0,
+                            nodes=3, topics=2, subscribers=3)
+        report = run_workload(spec)
+        assert report.violations == [] and report.ops_completed == ops
+        return made[0]
+
+    def test_fan_out_per_registration_is_the_node_count(self, monkeypatch):
+        deficits = []
+        for ops in (300, 1200):
+            net = self.run_keeping_net(monkeypatch, ops)
+            stats = net.nameservice.stats
+            registrations = (stats.site_registrations
+                             + stats.name_registrations
+                             + stats.class_registrations)
+            nodes = len(net.world.nodes)
+            assert registrations > ops
+            assert stats.wakeups / registrations <= nodes
+            # Registrations made before every node had subscribed (the
+            # fabric's first launches) woke fewer than ``nodes``.
+            deficits.append(nodes * registrations - stats.wakeups)
+        # The shortfall is that set-up constant, whatever the run
+        # length: every traffic-window registration woke exactly
+        # ``nodes`` callbacks at 300 ops and at 1200.
+        assert deficits[0] == deficits[1]
+
+    def test_reaped_sites_leave_nothing_behind(self, monkeypatch):
+        net = self.run_keeping_net(monkeypatch, 300)
+        for node in net.world.nodes.values():
+            node.tycoi.reap()
+            assert len(node.sites_by_name) == len(node.sites)
+            assert set(node.sites_by_name.values()) == set(node.sites.values())
+            assert not any(name.startswith("op") for name in node.sites_by_name)
+        assert len(net.nameservice._subscribers) == len(net.world.nodes)
+
+
 def test_threaded_world_smoke():
     spec = WorkloadSpec("pubsub", seed=21, ops=10, rate_per_s=500.0,
                         nodes=2, topics=1, subscribers=2)
