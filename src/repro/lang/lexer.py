@@ -18,10 +18,18 @@ Tokens:
   ``+ - * / % < <= > >= == != or``.
 
 Comments run from ``--`` or ``//`` to end of line.
+
+The scanner is one compiled regular expression (``_SCAN``) applied with
+``finditer``: a character-at-a-time Python loop was 0.12 / 0.22 / 0.28 s
+of the ``pubsub`` / ``mapreduce`` / ``coldstart`` benchmark windows
+(docs/PERF.md, "Launch path").  Its behaviour -- kinds, texts, values,
+positions, error messages -- is pinned row by row in
+``tests/lang/test_lexer.py``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -41,17 +49,7 @@ KEYWORDS = {
     "new", "def", "in", "and", "if", "then", "else", "let",
     "export", "import", "from", "not", "or", "true", "false",
 }
-
-# ASCII-only digits: str.isdigit() accepts Unicode digits (e.g. '\u00b2')
-# that int() rejects, so the lexer must not use it.
-_ASCII_DIGITS = frozenset("0123456789")
-
-# Multi-character punctuation first so the lexer is greedy.
-PUNCTUATION = [
-    "<=", ">=", "==", "!=",
-    "!", "?", "[", "]", "(", ")", "{", "}", ",", "=", "|", ".",
-    "+", "-", "*", "/", "%", "<", ">",
-]
+_BOOLEANS = {"true": True, "false": False}
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,139 +73,112 @@ class LexError(Exception):
         self.column = column
 
 
+#: The scanner: one alternative per token class, tried in order at
+#: every position (so ``--`` is a comment before ``-`` is an operator,
+#: ``1.5`` a float before ``1`` an int, ``<=`` before ``<``).  The last
+#: alternative takes any one character, so successive matches tile the
+#: source and a match of ``bad`` is the first offending character.
+#:
+#: ``\w`` is exactly ``str.isalnum() or '_'``, the continuation class
+#: of an identifier; its *first* character must be ``str.isalpha()``
+#: (or ``_``), which ``[^\W\d]`` over-approximates -- it admits
+#: non-decimal numerics such as ``'\u00b2'`` -- so a word that does not
+#: start with an ASCII letter is checked in ``tokens``.
+_STRING_BODY = r'(?:[^"\\\n]|\\[ntr"\\0])*'
+_SCAN = re.compile(rf"""
+    (?P<space>   [ \t\r]+ )
+  | (?P<newline> \n [ \t\r\n]* )
+  | (?P<lower>   [a-z_] [\w']* )
+  | (?P<upper>   [A-Z] [\w']* )
+  | (?P<float>   [0-9]+ (?: \.[0-9]+ (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
+  | (?P<int>     [0-9]+ )
+  | (?P<comment> (?: -- | // ) [^\n]* )
+  | (?P<punct>   [<>=!]= | [!?\[\](){{}},=|.+\-*/%<>] )
+  | (?P<string>  " {_STRING_BODY} " )
+  | (?P<word>    [^\W\d] [\w']* )
+  | (?P<bad>     (?s: . ) )
+""", re.VERBOSE)
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)")
+#: The well-formed prefix of a string literal (error reporting only).
+_STRING_PREFIX = re.compile('"' + _STRING_BODY)
+
+
 class Lexer:
-    """Streaming tokenizer with one-token-at-a-time interface."""
+    """Tokenizer: one pass of the ``_SCAN`` regex over the source.
+
+    ``tokens()`` returns every token, EOF included; a token's line and
+    column are derived from its match offset and the offset of the last
+    newline seen.  After ``tokens()``, ``int_spans`` holds one
+    ``(token index, start offset, end offset)`` per ``INT`` token -- the
+    launch path of :mod:`repro.runtime.launch` keys a submission by its
+    text with those spans blanked.
+    """
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.int_spans: list[tuple[int, int, int]] = []
 
     def tokens(self) -> list[Token]:
         """Tokenize the whole input (EOF token included)."""
-        out = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
+        source = self.source
+        out: list[Token] = []
+        append = out.append
+        spans = self.int_spans = []
+        line = 1
+        bol = 0     # offset of the first character of the current line
+        IDENT, CLASSID = TokenKind.IDENT, TokenKind.CLASSID
+        PUNCT, KEYWORD = TokenKind.PUNCT, TokenKind.KEYWORD
+        for m in _SCAN.finditer(source):
+            group = m.lastgroup
+            if group == "space" or group == "comment":
+                continue
+            start = m.start()
+            text = m.group()
+            column = start - bol + 1
+            if group == "newline":
+                line += text.count("\n")
+                bol = start + text.rindex("\n") + 1
+            elif group == "punct":
+                append(Token(PUNCT, text, line, column))
+            elif group == "lower":
+                if text in KEYWORDS:
+                    append(Token(KEYWORD, text, line, column,
+                                 _BOOLEANS.get(text)))
                 else:
-                    self.column += 1
-                self.pos += 1
+                    append(Token(IDENT, text, line, column))
+            elif group == "upper":
+                append(Token(CLASSID, text, line, column))
+            elif group == "int":
+                spans.append((len(out), start, m.end()))
+                append(Token(TokenKind.INT, text, line, column, int(text)))
+            elif group == "float":
+                append(Token(TokenKind.FLOAT, text, line, column,
+                             float(text)))
+            elif group == "string":
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+                append(Token(TokenKind.STRING, '"' + value + '"', line,
+                             column, value))
+            elif group == "word" and text[0].isalpha():
+                kind = CLASSID if text[0].isupper() else IDENT
+                append(Token(kind, text, line, column))
+            else:
+                raise self._error(start, line, column)
+        append(Token(TokenKind.EOF, "", line, len(source) - bol + 1))
+        return out
 
-    def _skip_trivia(self) -> None:
-        while True:
-            c = self._peek()
-            if not c:
-                return
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "-" and self._peek(1) == "-":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            if c == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            return
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        c = self._peek()
-        if not c:
-            return Token(TokenKind.EOF, "", line, column)
-
-        if c.isalpha() or c == "_":
-            start = self.pos
-            while True:
-                ch = self._peek()
-                if not ch or not (ch.isalnum() or ch in "_'"):
-                    break
-                self._advance()
-            text = self.source[start:self.pos]
-            if text in ("true", "false"):
-                return Token(TokenKind.KEYWORD, text, line, column,
-                             value=(text == "true"))
-            if text in KEYWORDS:
-                return Token(TokenKind.KEYWORD, text, line, column)
-            kind = TokenKind.CLASSID if text[0].isupper() else TokenKind.IDENT
-            return Token(kind, text, line, column)
-
-        if c in _ASCII_DIGITS:
-            return self._number(line, column)
-
-        if c == '"':
-            return self._string(line, column)
-
-        for p in PUNCTUATION:
-            if self.source.startswith(p, self.pos):
-                self._advance(len(p))
-                return Token(TokenKind.PUNCT, p, line, column)
-
-        raise LexError(f"unexpected character {c!r}", line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() in _ASCII_DIGITS:
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1) in _ASCII_DIGITS:
-            is_float = True
-            self._advance()
-            while self._peek() in _ASCII_DIGITS:
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1) in _ASCII_DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _ASCII_DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _ASCII_DIGITS:
-                self._advance()
-        text = self.source[start:self.pos]
-        if is_float:
-            return Token(TokenKind.FLOAT, text, line, column, value=float(text))
-        return Token(TokenKind.INT, text, line, column, value=int(text))
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            c = self._peek()
-            if not c or c == "\n":
-                raise LexError("unterminated string literal", line, column)
-            if c == '"':
-                self._advance()
-                text = '"' + "".join(chars) + '"'
-                return Token(TokenKind.STRING, text, line, column,
-                             value="".join(chars))
-            if c == "\\":
-                esc = self._peek(1)
-                if esc not in self._ESCAPES:
-                    raise LexError(f"bad escape \\{esc}", self.line, self.column)
-                chars.append(self._ESCAPES[esc])
-                self._advance(2)
-                continue
-            chars.append(c)
-            self._advance()
+    def _error(self, start: int, line: int, column: int) -> LexError:
+        """The error for the character at ``start``, which begins no
+        token: a broken string literal or an unknown character."""
+        source = self.source
+        if source[start] != '"':
+            return LexError(f"unexpected character {source[start]!r}",
+                            line, column)
+        stop = _STRING_PREFIX.match(source, start).end()
+        if source[stop:stop + 1] != "\\":   # end of input or of line
+            return LexError("unterminated string literal", line, column)
+        return LexError(f"bad escape \\{source[stop + 1:stop + 2]}",
+                        line, column + stop - start)

@@ -126,8 +126,9 @@ _MUL_OPS = {"*", "/", "%"}
 class Parser:
     """One-pass parser producing core terms (sugar already expanded)."""
 
-    def __init__(self, source: str) -> None:
-        self.tokens = Lexer(source).tokens()
+    def __init__(self, source: str,
+                 tokens: list[Token] | None = None) -> None:
+        self.tokens = Lexer(source).tokens() if tokens is None else tokens
         self.index = 0
         self.free_names: dict[str, Name] = {}
 
@@ -614,9 +615,15 @@ class Parser:
         raise ParseError(f"expected an expression, found {tok.text!r}", tok)
 
 
-def parse_program(source: str) -> ParsedProgram:
-    """Parse one DiTyCO site program."""
-    return Parser(source).parse_program()
+def parse_program(source: str,
+                  tokens: list[Token] | None = None) -> ParsedProgram:
+    """Parse one DiTyCO site program.
+
+    ``tokens``, when given, is ``Lexer(source).tokens()`` already made
+    (the launch path scans a submission once, to key it, and hands the
+    tokens on); the source text is not scanned again.
+    """
+    return Parser(source, tokens).parse_program()
 
 
 def parse_process(source: str) -> Process:

@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.compiler.assembly import Program
+
+from .launch import LaunchCache
 from .wire import Packet, decode, encode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -134,11 +137,19 @@ class TyCOi:
     each submission compiles (if needed) and creates a new site --
     "new sites are created when a new program is submitted for
     execution and destroyed when the program exits".
+
+    *If needed* is decided by ``launch``, the node's
+    :class:`~repro.runtime.launch.LaunchCache`: source text that
+    differs from an earlier submission only in its integer literals
+    (the 1200th client ``op{seq}`` of a workload) is instantiated from
+    the compiled shape instead of being parsed and compiled again.
+    ``launch.stats`` counts hits and misses.
     """
 
     def __init__(self, node: "Node") -> None:
         self.node = node
         self.submissions = 0
+        self.launch = LaunchCache()
 
     def submit(self, site_name: str, program) -> "object":
         """Create a site running ``program`` (a compiled Program or
@@ -149,17 +160,10 @@ class TyCOi:
         single-site inference) and the inferred export signatures are
         installed for the dynamic boundary checks.
         """
-        from repro.compiler import Program, compile_term
-        from repro.lang import parse_program
-
         signatures = None
         if isinstance(program, str):
-            parsed = parse_program(program)
-            if self.node.typecheck:
-                from .typecheck import check_site_program
-
-                signatures = check_site_program(site_name, parsed.program).names
-            program = compile_term(parsed.program, source_name=site_name)
+            program, signatures = self.launch.compile(
+                program, site_name, typecheck=self.node.typecheck)
         elif not isinstance(program, Program):
             raise TypeError(f"expected source text or Program, got {program!r}")
         self.submissions += 1

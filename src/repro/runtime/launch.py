@@ -1,0 +1,217 @@
+"""The launch path: source text -> :class:`Program`, once per shape.
+
+"Each submission compiles (if needed) and creates a new site" (section
+5).  A node that serves client traffic is sent the same program over
+and over with different numbers in it -- ``op17`` and ``op18`` of a
+macro workload differ in two integer literals -- so *if needed* is
+decided per **shape**: the submission's text with every ``INT`` token
+blanked.  The code is one unit, the literals are its data.
+
+* 1st sighting of a shape: compile in full, remember a 16-byte digest.
+* 2nd sighting (:data:`TEMPLATE_ON_SIGHTING`): compile once more with
+  every ``INT`` token's value wrapped in a :class:`_Hole`, and keep the
+  result as a template if each hole came out as the operand of exactly
+  one ``PUSHC`` and nowhere else.  Otherwise the shape is remembered
+  as untemplatable and always compiles in full (``0`` in process
+  position is ``Nil``, not a constant).
+* Later sightings: :meth:`_Template.instantiate` -- a fresh ``Program``
+  that shares the literal-free ``CodeBlock`` s and re-tuples the rest.
+
+Why the second sighting and not the first: a shape seen once is the
+common case for generated one-off programs (the ``coldstart``
+benchmark), where templating every submission cost +48 % wall for no
+hit (docs/PERF.md, "Launch path"); waiting one sighting costs such a
+program a digest.  The same policy, for the same kind of measured
+reason, as ``machine.TIER_UP_ENTRIES``.
+
+Entries are immutable once stored and installed by a single dict
+assignment, so concurrent submissions (a launch into a started
+wall-clock world, two control connections of one daemon) need no lock:
+the worst a race does is compile a shape once more than necessary.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from hashlib import blake2b
+
+from repro.compiler.assembly import CodeBlock, Instr, Op, Program
+from repro.compiler.codegen import compile_term
+from repro.lang.lexer import Lexer, Token
+from repro.lang.parser import parse_program
+
+#: A shape becomes a template when it is seen for the second time.
+TEMPLATE_ON_SIGHTING = 2
+
+#: Shapes remembered per node.  When the table is full it is emptied
+#: (a shape still in use costs two compiles to learn again); entries
+#: for once-seen shapes are a digest and a small int.
+MAX_SHAPES = 1024
+
+
+class _Hole(int):
+    """An ``INT`` literal's value, tagged with its position among the
+    submission's ``INT`` tokens.  Behaves as the int it wraps (the
+    parser asks ``value == 0``), so the marked compile takes exactly
+    the path the plain one would."""
+
+    def __new__(cls, value: int, index: int) -> "_Hole":
+        hole = super().__new__(cls, value)
+        hole.index = index
+        return hole
+
+
+@dataclass(slots=True)
+class LaunchStats:
+    """Counts per node; ``hits + misses`` is the number of source
+    submissions."""
+
+    hits: int = 0            # instantiated from a template
+    misses: int = 0          # parsed and compiled (any other outcome)
+    untemplatable: int = 0   # shapes whose marked compile was rejected
+    evictions: int = 0       # entries dropped when the table filled up
+
+
+class _Template:
+    """A compiled shape: the marked program plus where its holes are."""
+
+    __slots__ = ("program", "patches")
+
+    def __init__(self, program: Program,
+                 patches: list[tuple[int, list[tuple[int, int]]]]) -> None:
+        self.program = program
+        #: (block id, [(pc, hole index), ...]) per block with a literal.
+        self.patches = patches
+
+    @classmethod
+    def accept(cls, program: Program, holes: int) -> "_Template | None":
+        """The template for a marked compile, or None when some hole
+        is not the operand of exactly one ``PUSHC`` -- or shows up
+        anywhere else in the program area."""
+        found = [0] * holes
+        patches = []
+        elsewhere = [program.main]
+        for block_id, block in enumerate(program.blocks):
+            at = []
+            for pc, instr in enumerate(block.instrs):
+                for arg in instr.args:
+                    if type(arg) is _Hole:
+                        if instr.op is not Op.PUSHC:
+                            return None
+                        found[arg.index] += 1
+                        at.append((pc, arg.index))
+            if at:
+                patches.append((block_id, at))
+            elsewhere += (block.nfree, block.nparams, block.frame_size)
+        for obj in program.objects:
+            elsewhere += obj.methods.values()
+        for group in program.groups:
+            elsewhere.append(group.nfree)
+            elsewhere += (block_id for _hint, block_id in group.clauses)
+        if found != [1] * holes or any(type(v) is _Hole for v in elsewhere):
+            return None
+        return cls(program, patches)
+
+    def instantiate(self, values: list[int], site_name: str) -> Program:
+        """A fresh program area for one submission: own tables, own
+        (empty) decoded cache, the literal-free blocks shared."""
+        shared = self.program
+        blocks = list(shared.blocks)
+        for block_id, at in self.patches:
+            block = blocks[block_id]
+            instrs = list(block.instrs)
+            for pc, index in at:
+                instrs[pc] = Instr(Op.PUSHC, (values[index],))
+            blocks[block_id] = CodeBlock(tuple(instrs), block.nfree,
+                                         block.nparams, block.frame_size,
+                                         block.name)
+        return Program(blocks=blocks, objects=list(shared.objects),
+                       groups=list(shared.groups),
+                       externals=list(shared.externals),
+                       main=shared.main, source_name=site_name)
+
+
+def _shape_key(source: str, int_spans) -> bytes:
+    """Digest of the source with every ``INT`` token replaced by NUL.
+
+    Whitespace-sensitive on purpose (no per-token work).  Two sources
+    with one key have the same tokens up to the digits of their INTs:
+    a NUL where a token would start is otherwise a ``LexError``, and
+    inside a string or comment no INT starts.
+    """
+    pieces = []
+    prev = 0
+    for _index, start, end in int_spans:
+        pieces.append(source[prev:start])
+        prev = end
+    pieces.append(source[prev:])
+    return blake2b("\0".join(pieces).encode("utf-8", "surrogatepass"),
+                   digest_size=16).digest()
+
+
+class LaunchCache:
+    """A node's memory of the program shapes submitted to it (owned by
+    :class:`~repro.runtime.daemon.TyCOi`)."""
+
+    def __init__(self) -> None:
+        #: shape key -> sightings so far (int), a _Template, or None
+        #: for a shape that cannot be templated.
+        self._shapes: dict[bytes, "int | _Template | None"] = {}
+        self.stats = LaunchStats()
+
+    def compile(self, source: str, site_name: str,
+                typecheck: bool = False) -> tuple[Program, "dict | None"]:
+        """The program for one source submission, and the export
+        signatures the static check inferred (``typecheck`` only --
+        the check needs the parsed term, so it always compiles)."""
+        stats = self.stats
+        if typecheck:
+            stats.misses += 1
+            return self._full(source, None, site_name, typecheck=True)
+        lexer = Lexer(source)
+        tokens = lexer.tokens()
+        spans = lexer.int_spans
+        key = _shape_key(source, spans)
+        values = [tokens[index].value for index, _s, _e in spans]
+        seen = self._shapes.get(key, 0)
+        if type(seen) is _Template:
+            stats.hits += 1
+            return seen.instantiate(values, site_name), None
+        stats.misses += 1
+        if seen is None:                           # untemplatable
+            return self._full(source, tokens, site_name)
+        if seen + 1 < TEMPLATE_ON_SIGHTING:
+            result = self._full(source, tokens, site_name)
+            self._remember(key, seen + 1)
+            return result
+        marked = list(tokens)
+        for hole, (index, _s, _e) in enumerate(spans):
+            tok = tokens[index]
+            marked[index] = Token(tok.kind, tok.text, tok.line, tok.column,
+                                  _Hole(tok.value, hole))
+        program, _ = self._full(source, marked, site_name)
+        template = _Template.accept(program, len(values))
+        self._remember(key, template)
+        if template is None:
+            stats.untemplatable += 1
+            return self._full(source, tokens, site_name)
+        return template.instantiate(values, site_name), None
+
+    def _remember(self, key: bytes, entry) -> None:
+        shapes = self._shapes
+        if len(shapes) >= MAX_SHAPES and key not in shapes:
+            self.stats.evictions += len(shapes)
+            shapes.clear()
+        shapes[key] = entry
+
+    @staticmethod
+    def _full(source: str, tokens: "list[Token] | None", site_name: str,
+              typecheck: bool = False) -> tuple[Program, "dict | None"]:
+        """What a miss is: parse, (check,) generate code."""
+        parsed = parse_program(source, tokens)
+        signatures = None
+        if typecheck:
+            from .typecheck import check_site_program
+
+            signatures = check_site_program(site_name, parsed.program).names
+        return compile_term(parsed.program, source_name=site_name), signatures

@@ -25,7 +25,7 @@ from repro.transport.clock import monotime
 
 from .daemon import TyCOd, TyCOi
 from .distgc import GcConfig
-from .nameservice import NameService
+from .nameservice import NameService, NameServiceError
 from .site import Site
 from .wire import decode_frame, encode_frame, is_frame
 
@@ -174,7 +174,17 @@ class Node:
 
     def create_site(self, site_name: str, program: Program,
                     name_signatures: Optional[dict] = None) -> Site:
-        """Register with the name service, create and boot a site."""
+        """Register with the name service, create and boot a site.
+
+        A name this node still runs a site under is refused, like the
+        name service refuses one registered at another node: the
+        second site would take the first one's id and pool slot, and
+        the first one's exports would dangle.  A name is free again
+        once its site was reaped.
+        """
+        if site_name in self.sites_by_name:
+            raise NameServiceError(
+                f"site {site_name!r} already registered at {self.ip}")
         site_id = self.nameservice.register_site(site_name, self.ip)
         site = Site(site_name, site_id, self.ip, program,
                     self.nameservice, fetch_cache=self.fetch_cache,

@@ -144,6 +144,39 @@ class TestTyCOi:
         assert node.site("waiting") is node.sites_by_name["waiting"]
         assert len(node.sites_by_name) == len(node.sites) == 1
 
+    def test_relaunch_of_a_live_name_is_refused(self):
+        # The second launch used to take the first site's id and pool
+        # slot: the server's threads and waiting object vanished while
+        # its IdTable row stayed, and the client's import ended in
+        # "DeliveryError: delivery to unexported heap id".
+        from repro.runtime import NameServiceError
+
+        net = DiTyCONetwork()
+        net.add_nodes(["n0", "n1"])
+        first = net.launch("n0", "s", "export new c c?(v) = print![v]")
+        net.run()
+        registrations = net.nameservice.stats.site_registrations
+        with pytest.raises(NameServiceError, match="'s' already registered at n0"):
+            net.launch("n0", "s", "export new d d?(v) = print![v + 1]")
+        # Refused before the name service or the pool were touched.
+        assert net.nameservice.stats.site_registrations == registrations
+        assert net.node("n0").sites_by_name == {"s": first}
+        assert net.node("n0").sites == {first.site_id: first}
+        net.launch("n1", "client", "import c from s in c![41]")
+        net.run()
+        assert first.output == [41]
+
+    def test_relaunch_after_reap_reuses_the_name(self):
+        net = DiTyCONetwork()
+        net.add_node("n0")
+        first = net.launch("n0", "s", "print![1]")
+        net.run()
+        assert net.node("n0").tycoi.reap() == 1
+        second = net.launch("n0", "s", "print![2]")
+        net.run()
+        assert second is not first and second.site_id == first.site_id
+        assert net.site("s") is second and second.output == [2]
+
     def test_typechecking_node_rejects_bad_source(self):
         from repro.types import TycoTypeError
 

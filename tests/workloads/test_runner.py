@@ -110,33 +110,34 @@ class TestRunnerEdges:
         assert s["violations"] == []
 
 
+def run_keeping_net(monkeypatch, workload, ops):
+    """`run_workload` (checked clean), returning the network it built."""
+    from repro.runtime import DiTyCONetwork
+    from repro.workloads import runner
+
+    made = []
+
+    class Recording(DiTyCONetwork):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "DiTyCONetwork", Recording)
+    spec = WorkloadSpec(workload, seed=11, ops=ops, rate_per_s=8000.0,
+                        nodes=3, topics=2, subscribers=3)
+    report = run_workload(spec)
+    assert report.violations == [] and report.ops_completed == ops
+    return made[0]
+
+
 class TestNameServiceFanOut:
     """A registration wakes the nodes that exist, not every site ever
     launched -- counts that repeat exactly, not timings."""
 
-    @staticmethod
-    def run_keeping_net(monkeypatch, ops):
-        from repro.runtime import DiTyCONetwork
-        from repro.workloads import runner
-
-        made = []
-
-        class Recording(DiTyCONetwork):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(runner, "DiTyCONetwork", Recording)
-        spec = WorkloadSpec("pubsub", seed=11, ops=ops, rate_per_s=8000.0,
-                            nodes=3, topics=2, subscribers=3)
-        report = run_workload(spec)
-        assert report.violations == [] and report.ops_completed == ops
-        return made[0]
-
     def test_fan_out_per_registration_is_the_node_count(self, monkeypatch):
         deficits = []
         for ops in (300, 1200):
-            net = self.run_keeping_net(monkeypatch, ops)
+            net = run_keeping_net(monkeypatch, "pubsub", ops)
             stats = net.nameservice.stats
             registrations = (stats.site_registrations
                              + stats.name_registrations
@@ -153,13 +154,61 @@ class TestNameServiceFanOut:
         assert deficits[0] == deficits[1]
 
     def test_reaped_sites_leave_nothing_behind(self, monkeypatch):
-        net = self.run_keeping_net(monkeypatch, 300)
+        net = run_keeping_net(monkeypatch, "pubsub", 300)
         for node in net.world.nodes.values():
             node.tycoi.reap()
             assert len(node.sites_by_name) == len(node.sites)
             assert set(node.sites_by_name.values()) == set(node.sites.values())
             assert not any(name.startswith("op") for name in node.sites_by_name)
         assert len(net.nameservice._subscribers) == len(net.world.nodes)
+
+
+class TestLaunchCache:
+    """Compiles per run are a constant of the workload, not of its
+    length -- counts that repeat exactly, not timings."""
+
+    @pytest.mark.parametrize("workload, shapes, fabric", [
+        # fabric: set-up and post-phase sites, each a shape of its own
+        # seen once (6 subscribers + collector + 2 hubs; master +
+        # collector + probe).
+        ("pubsub", 4, 9), ("mapreduce", 1, 3)])
+    def test_misses_do_not_grow_with_ops(self, monkeypatch, workload,
+                                         shapes, fabric):
+        misses = []
+        for ops in (300, 1200):
+            net = run_keeping_net(monkeypatch, workload, ops)
+            nodes = net.world.nodes.values()
+            for node in nodes:
+                stats = node.tycoi.launch.stats
+                assert stats.hits + stats.misses == node.tycoi.submissions
+                assert stats.untemplatable == stats.evictions == 0
+            assert sum(n.tycoi.submissions for n in nodes) == ops + fabric
+            misses.append(sum(n.tycoi.launch.stats.misses for n in nodes))
+            # An op shape costs a node two compiles (first sighting,
+            # template), however many ops follow.
+            assert misses[-1] - fabric <= 2 * shapes * len(nodes)
+        assert misses[0] == misses[1]
+
+    def test_summary_does_not_depend_on_what_the_process_ran_before(self):
+        # A cold interpreter vs. this one (warm caches, advanced name
+        # serials), and this one twice.
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("import json; "
+                "from repro.workloads import WorkloadSpec, run_workload; "
+                "print(json.dumps(run_workload(WorkloadSpec("
+                "'mapreduce', seed=7, ops=300)).summary(), sort_keys=True))")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        cold = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src}).stdout.strip()
+        spec = WorkloadSpec("mapreduce", seed=7, ops=300)
+        warm = [json.dumps(run_workload(spec).summary(), sort_keys=True)
+                for _ in range(2)]
+        assert warm[0] == warm[1] == cold
 
 
 def test_threaded_world_smoke():
