@@ -196,16 +196,19 @@ class TestCommittedBaselines:
         checkout; the simulated latency percentiles, makespans and
         throughputs must match the committed record bit-for-bit (they
         are pure functions of the specs -- any drift means a schedule
-        change, which this gate forces the PR to own)."""
+        change, which this gate forces the PR to own).  The record is
+        pr16's: the node code store moved the E15 / E16 keys on
+        purpose (the gate below says which); E14 reads the same in
+        pr7 and pr16."""
         from baseline import collect_metrics
 
-        pr7 = _load_baseline("BENCH_pr7.json")
+        pr16 = _load_baseline("BENCH_pr16.json")
         live = collect_metrics(repeats=1, only={"e14", "e15", "e16"})
         assert live, "repro.workloads missing on this checkout"
         for key, value in sorted(live.items()):
             if "_wall_ms" in key:
                 continue                  # host-speed, not pinned
-            assert pr7[key] == value, key
+            assert pr16[key] == value, key
 
     def test_pr8_mobility_leaves_existing_metrics_untouched(self):
         """Checkpointing and migration are new machinery beside the
@@ -290,6 +293,32 @@ class TestCommittedBaselines:
             assert pr12[key] == pr10[key], key
         assert pr12["e1_counter_wall_us"] <= \
             pr10["e1_counter_wall_us"] * 1.10
+
+    def test_pr16_code_store_moves_only_the_macro_code_keys(self):
+        """One code store per node: a class is downloaded once per
+        node instead of once per task site, so the CODE_NEED /
+        CODE_REPLY round trip leaves every macro op after a node's
+        first.  That is a schedule change, owned here: exactly the
+        E15 / E16 latency, makespan and throughput keys move, each the
+        right way, and nothing else that is not host wall time does
+        (E4 refetch, E9, E17 and every single-site experiment fetch
+        from one site, where the per-site table already hit)."""
+        pr12 = _load_baseline("BENCH_pr12.json")
+        pr16 = _load_baseline("BENCH_pr16.json")
+        lower = {f"{e}_{k}" for e in ("e15_mapreduce", "e16_agents")
+                 for k in ("p50_us", "p99_us", "makespan_us")}
+        higher = {"e15_mapreduce_sim_ops_per_s", "e16_agents_sim_ops_per_s"}
+        for key in pr12:
+            if "_wall_" in key:
+                continue
+            if key in lower:
+                assert pr16[key] < pr12[key], key
+            elif key in higher:
+                assert pr16[key] > pr12[key], key
+            else:
+                assert pr16[key] == pr12[key], key
+        assert pr16["e15_mapreduce_p50_us"] < \
+            0.75 * pr12["e15_mapreduce_p50_us"]
 
     def test_seed_records_the_uncached_world(self):
         """Guard against accidentally regenerating BENCH_seed.json on a

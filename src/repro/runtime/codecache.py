@@ -1,10 +1,12 @@
-"""Per-site content-addressed code cache (the "download once" of FETCH).
+"""Content-addressed code: the "download once" of FETCH.
 
 The paper's FETCH rule says class byte-code is "downloaded and linked
 locally" -- the whole point of code-fetching semantics is that the
-download happens *once*.  This module gives each site's program area a
-content digest per block/object/group so the runtime can recognise
-code it already holds:
+download happens *once*, and once per *node*: sites are "threads
+sharing the address space of the node", so the unit that holds code is
+the machine.  This module gives each site's program area a content
+digest per block/object/group so the runtime can recognise code it
+already holds:
 
 * :func:`digest_item` -- the digest of one program item is the hash of
   the wire encoding of the *transitive slice* rooted at it.  Two items
@@ -25,9 +27,16 @@ code it already holds:
   counter bumped when the owning node restarts, which invalidates
   in-flight state that a crash made unanswerable (the cached code
   itself is content-addressed and can never go stale).
+* :class:`CodeStore` -- one per node: digest -> the rooted slice that
+  digests to it.  What a site downloads, serves or offers is kept here,
+  so the next site of the node links the slice out of the store
+  instead of asking the owner again, and the node can answer for code
+  a site it no longer runs once offered.
 * :func:`link_bundle_cached` -- the receiving half: link a bundle into
   a program area installing **only** the items whose digests are
   missing, renumbering every cross-reference onto the cached copies.
+  Block ids are area-relative, so a slice out of the node's store is
+  linked into each site's own area through here too.
 """
 
 from __future__ import annotations
@@ -53,6 +62,17 @@ BLOCK = "block"
 OBJECT = "object"
 GROUP = "group"
 
+#: kind -> the :func:`extract_bundle` keyword that roots a slice there.
+ROOTS_ARG = {BLOCK: "block_roots", OBJECT: "object_roots",
+             GROUP: "group_roots"}
+
+#: Rooted slices one node's :class:`CodeStore` holds before it is
+#: emptied.  A node holds one slice per distinct class or method body
+#: that ever crossed it (1 after 1200 `mapreduce` ops); emptying is the
+#: whole eviction policy because an evicted digest costs one more
+#: download, nothing else.
+MAX_SLICES = 1024
+
 
 def _bundle_as_program(bundle: CodeBundle) -> Program:
     """View a bundle as a program area so it can be re-extracted."""
@@ -64,31 +84,31 @@ def _digest_bytes(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
-def _rooted_slice_digest(program: Program, kind: str, item_id: int) -> bytes:
-    # Imported lazily: wire imports the linker, which this module extends.
-    from .wire import encode
-
-    roots = {BLOCK: "block_roots", OBJECT: "object_roots",
-             GROUP: "group_roots"}[kind]
-    slice_bundle = extract_bundle(program, **{roots: (item_id,)})
-    return _digest_bytes(encode(slice_bundle))
-
-
 def digest_item(program: Program, kind: str, item_id: int,
-                memo: Optional[dict] = None) -> bytes:
+                memo: Optional[dict] = None,
+                store: Optional["CodeStore"] = None) -> bytes:
     """Digest of the transitive code slice rooted at one program item.
 
     ``memo`` (keyed by ``(kind, id)``) is safe to keep for the lifetime
     of the program area: areas are append-only and items immutable.
+    ``store`` keeps the slice that had to be extracted to digest it --
+    the deposit costs nothing the digest did not already pay for, and
+    a memo hit deposits nothing.
     """
     if memo is not None:
         key = (kind, item_id)
         cached = memo.get(key)
         if cached is not None:
             return cached
-    digest = _rooted_slice_digest(program, kind, item_id)
+    # Imported lazily: wire imports the linker, which this module extends.
+    from .wire import encode
+
+    rooted_slice = extract_bundle(program, **{ROOTS_ARG[kind]: (item_id,)})
+    digest = _digest_bytes(encode(rooted_slice))
     if memo is not None:
         memo[key] = digest
+    if store is not None:
+        store.deposit(digest, rooted_slice)
     return digest
 
 
@@ -111,6 +131,82 @@ def manifest_for_bundle(bundle: CodeBundle) -> BundleManifest:
     )
 
 
+def verified_roots(bundle: CodeBundle,
+                   manifest: BundleManifest) -> list[tuple[str, int, bytes]]:
+    """``(kind, bundle-local id, digest)`` of every root of ``bundle``,
+    once every digest of ``manifest`` was recomputed from the bundle
+    itself -- :class:`LinkError` if one differs or the bundle does not
+    hang together (a dangling reference, a root it lacks)."""
+    if manifest_for_bundle(bundle) != manifest:
+        raise LinkError("manifest does not match its bundle")
+    roots = []
+    for kind, entries, digests in (
+            (BLOCK, bundle.entry_blocks, manifest.block_digests),
+            (OBJECT, bundle.entry_objects, manifest.object_digests),
+            (GROUP, bundle.entry_groups, manifest.group_digests)):
+        for i in entries:
+            if not (0 <= i < len(digests)):
+                raise LinkError(f"bundle roots {kind} {i}, which it lacks")
+            roots.append((kind, i, digests[i]))
+    return roots
+
+
+class CodeStore:
+    """Digest -> the rooted slice that digests to it, for one node.
+
+    Sites come and go (a client operation is a site); the code they
+    downloaded stays with the node.  An entry is a single-root
+    :class:`~repro.compiler.linker.CodeBundle` plus its manifest, kept
+    under the digest of its root -- bundle-local ids, so any site links
+    it into its own program area with :func:`link_bundle_cached`.
+
+    Everything here was either extracted on this node from a program
+    area (:func:`digest_item` with ``store=``) or re-extracted from a
+    download whose every digest was recomputed first
+    (``Site._on_code_reply``); the key is the hash of what is stored,
+    by construction.  Entries are immutable and only the node's own
+    thread writes the table (a wall-clock world's delivery thread may
+    read it, to answer an orphan CODE_NEED).
+    """
+
+    def __init__(self) -> None:
+        self._slices: dict[bytes, tuple[CodeBundle, BundleManifest]] = {}
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._slices)
+
+    def get(self, digest: bytes
+            ) -> Optional[tuple[CodeBundle, BundleManifest]]:
+        return self._slices.get(digest)
+
+    def deposit(self, digest: bytes, rooted_slice: CodeBundle
+                ) -> tuple[CodeBundle, BundleManifest]:
+        """Keep ``rooted_slice`` under ``digest`` (first deposit wins;
+        the manifest is computed once, here) and return the entry."""
+        found = self._slices.get(digest)
+        if found is None:
+            if len(self._slices) >= MAX_SLICES:
+                self.evictions += len(self._slices)
+                self._slices.clear()
+            found = self._slices[digest] = (
+                rooted_slice, manifest_for_bundle(rooted_slice))
+        return found
+
+    def deposit_roots(self, bundle: CodeBundle,
+                      roots: list[tuple[str, int, bytes]]) -> None:
+        """Keep each root of a verified download.  Re-extracted per
+        root, so what is stored is the rooted slice its key is the hash
+        of, whatever else the download carried."""
+        view = _bundle_as_program(bundle)
+        for kind, item_id, _digest in roots:
+            digest_item(view, kind, item_id, store=self)
+
+    def snapshot(self) -> dict[bytes, tuple[CodeBundle, BundleManifest]]:
+        """Copy of the table (for the integrity invariant)."""
+        return dict(self._slices)
+
+
 class CodeCache:
     """Digest -> installed location for one site's program area.
 
@@ -131,7 +227,6 @@ class CodeCache:
         self.program = program
         self.generation = 0
         self._by_digest: dict[bytes, tuple[str, int]] = {}
-        self._digest_memo: dict = {}
         self._in_flight: dict[bytes, int] = {}
         self.hits = 0
         self.misses = 0
@@ -142,10 +237,6 @@ class CodeCache:
 
     # -- digest bookkeeping ---------------------------------------------------
 
-    def digest_of(self, kind: str, item_id: int) -> bytes:
-        """Digest of one of *our own* program items (memoized)."""
-        return digest_item(self.program, kind, item_id, self._digest_memo)
-
     def register(self, digest: bytes, kind: str, item_id: int) -> None:
         """Record that ``digest`` lives at ``(kind, item_id)`` locally."""
         self._by_digest.setdefault(digest, (kind, item_id))
@@ -154,7 +245,7 @@ class CodeCache:
         """Digest and register one of our own items (the serving side
         does this so code we exported once is also recognised when it
         bounces back to us)."""
-        digest = self.digest_of(kind, item_id)
+        digest = digest_item(self.program, kind, item_id)
         self.register(digest, kind, item_id)
         return digest
 
@@ -286,4 +377,23 @@ def verify_cache_integrity(cache: CodeCache) -> list[str]:
             violations.append(
                 f"stale code: cached {kind} {item_id} digests "
                 f"{actual.hex()[:12]}, cache promised {digest.hex()[:12]}")
+    return violations
+
+
+def verify_store_integrity(store: CodeStore) -> list[str]:
+    """Re-digest every slice a node's store holds: each must have one
+    root that digests to its key, and a manifest that is the slice's
+    own.  Returns violation strings (empty = consistent)."""
+    violations = []
+    for digest, (rooted_slice, manifest) in store.snapshot().items():
+        tag = digest.hex()[:12]
+        try:
+            roots = verified_roots(rooted_slice, manifest)
+        except LinkError as exc:
+            violations.append(f"stale code: store slice {tag}: {exc}")
+            continue
+        if [d for _kind, _i, d in roots] != [digest]:
+            violations.append(
+                f"stale code: store slice {tag} is rooted at "
+                f"{[d.hex()[:12] for _kind, _i, d in roots]}")
     return violations

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from repro.compiler.assembly import Program
 
 from .launch import LaunchCache
-from .wire import Packet, decode, encode
+from .wire import KIND_CODE_NEED, KIND_CODE_REPLY, Packet, decode, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -36,6 +36,7 @@ class DaemonStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     encode_skipped: int = 0  # local fast-path deliveries
+    orphan_needs_dropped: int = 0  # CODE_NEEDs for a gone site, unanswerable
 
 
 class TyCOd:
@@ -71,14 +72,8 @@ class TyCOd:
         if packet.dest_ip == self.node.ip:
             target = self.node.sites.get(packet.dest_site_id)
             if target is None:
-                # Mid-migration mail: the site may be frozen here
-                # (buffer as a residual) or tombstoned (forward to its
-                # new home).  See repro.mobility.migrate.
-                mobility = self.node.mobility
-                if mobility is not None and mobility.intercept(packet):
-                    return
-                raise LookupError(
-                    f"node {self.node.ip}: no site {packet.dest_site_id}")
+                self._no_such_site(packet)
+                return
             if self.local_fast_path:
                 self.stats.local_deliveries += 1
                 self.stats.encode_skipped += 1
@@ -120,14 +115,52 @@ class TyCOd:
             return
         target = self.node.sites.get(packet.dest_site_id)
         if target is None:
-            mobility = self.node.mobility
-            if mobility is not None and mobility.intercept(packet):
-                return
-            raise LookupError(
-                f"node {self.node.ip}: no site {packet.dest_site_id} "
-                f"for incoming {packet.kind}")
+            self._no_such_site(packet)
+            return
         target.incoming.append(packet)
         self.node.on_work_available()
+
+    def _no_such_site(self, packet: Packet) -> None:
+        """A packet addresses a site this node does not run.  Mid-
+        migration mail is buffered (frozen here) or forwarded
+        (tombstoned: it left) by :mod:`repro.mobility.migrate`; a
+        CODE_NEED for code a since-reaped site offered is the node's
+        to answer; anything else is a routing fault."""
+        mobility = self.node.mobility
+        if mobility is not None and mobility.intercept(packet):
+            return
+        if packet.kind == KIND_CODE_NEED:
+            self._answer_orphan_need(packet)
+            return
+        raise LookupError(
+            f"node {self.node.ip}: no site {packet.dest_site_id} "
+            f"for {packet.kind}")
+
+    def _answer_orphan_need(self, need: Packet) -> None:
+        """The site that offered this code is gone; the slices it
+        digested to make the offer are still in the node's store.
+        Answer in its name, one CODE_REPLY per requested digest (the
+        receiver completes its offer across replies).  A need the store
+        cannot answer in full (ablation A2, an evicted digest) is
+        dropped, which leaves the receiver blocked -- the state a
+        crashed owner leaves -- never an exception out of the world."""
+        token_kind, token_val, digests = need.payload
+        store = self.node.codestore
+        slices = [store.get(d) for d in digests] if store is not None else []
+        if not slices or None in slices:
+            self.stats.orphan_needs_dropped += 1
+            self.node.trace("code-orphan", need.src_ip, self.node.ip,
+                            len(digests),
+                            note=f"site {need.dest_site_id} is gone: "
+                                 f"{token_kind} {token_val}")
+            return
+        for rooted_slice, manifest in slices:
+            self._route(Packet(
+                kind=KIND_CODE_REPLY,
+                src_ip=self.node.ip, src_site_id=need.dest_site_id,
+                dest_ip=need.src_ip, dest_site_id=need.src_site_id,
+                payload=(token_kind, token_val, rooted_slice, manifest),
+                span=need.span))
 
 
 class TyCOi:

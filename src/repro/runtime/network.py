@@ -40,7 +40,8 @@ class DiTyCONetwork:
     local_fast_path / fetch_cache:
         Toggles for ablations A3 and A2 respectively.
     code_cache / batching:
-        Toggles for the per-site code cache (offer/need/reply protocol)
+        Toggles for the code cache (per-site digest tables and per-node
+        code stores behind the offer/need/reply protocol)
         and the per-destination wire batching; on by default, turned
         off for the ablation benchmarks.
     distgc / gc_config:

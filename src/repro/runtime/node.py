@@ -23,6 +23,7 @@ from repro.compiler.assembly import Program
 
 from repro.transport.clock import monotime
 
+from .codecache import CodeStore
 from .daemon import TyCOd, TyCOi
 from .distgc import GcConfig
 from .nameservice import NameService, NameServiceError
@@ -65,6 +66,12 @@ class Node:
         self.tycoi = TyCOi(self)
         self.fetch_cache = fetch_cache
         self.code_cache = code_cache
+        #: Code belongs to the node: every site this node runs links
+        #: out of, and deposits into, this one store -- a class is
+        #: downloaded once per node, not once per site.  None under
+        #: ablation A2 (``code_cache=False``).
+        self.codestore: Optional[CodeStore] = (
+            CodeStore() if code_cache else None)
         #: VM engine for every site this node creates (None = the
         #: REPRO_VM_ENGINE env default; see docs/PERF.md).
         self.engine = engine
@@ -195,6 +202,7 @@ class Node:
                     engine=self.engine)
         self.sites[site_id] = site
         self.sites_by_name[site_name] = site
+        site.codestore = self.codestore
         site.on_work = self.on_work_available
         if self.obs is not None:
             site.attach_obs(self.obs)
@@ -231,6 +239,8 @@ class Node:
         site keeps its checkpointed id and resumes mid-program."""
         self.sites[site.site_id] = site
         self.sites_by_name[site.site_name] = site
+        if site.codecache is not None:
+            site.codestore = self.codestore
         site.on_work = self.on_work_available
         if self.obs is not None:
             site.attach_obs(self.obs)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 
 from repro.compiler.assembly import Program
 from repro.transport.clock import monotime
-from repro.compiler.linker import extract_bundle
+from repro.compiler.linker import LinkError, extract_bundle
 from repro.vm.machine import ImportPending, TycoVM, VMRuntimeError
 from repro.vm.values import (
     Channel,
@@ -43,10 +43,13 @@ from repro.vm.values import (
 from .codecache import (
     BLOCK,
     GROUP,
+    ROOTS_ARG,
     CodeCache,
+    CodeStore,
     digest_item,
     link_bundle_cached,
     manifest_for_bundle,
+    verified_roots,
 )
 from .distgc import DistGC, GcConfig
 from .nameservice import NameService
@@ -148,12 +151,19 @@ class Site:
         self._fetched: dict[tuple[str, int, int], ClassRef] = {}
         # Instantiations waiting for an in-flight FETCH.
         self._pending_fetch: dict[tuple[str, int, int], list[tuple]] = {}
-        # Per-site code cache (ablation: code_cache=False links every
-        # bundle from scratch, the pre-cache behaviour).
+        # Per-site code table: digest -> id in *this* program area,
+        # plus the in-flight protocol state (ablation: code_cache=False
+        # links every bundle from scratch, the pre-cache behaviour).
         self.codecache: Optional[CodeCache] = (
             CodeCache(program) if code_cache else None)
-        # Serving-side digest memo; kept separately from the receive
-        # cache so disabling the latter does not slow down serving.
+        #: Where the code itself is kept: the node's store, handed over
+        #: by ``Node.create_site`` / ``adopt_site``.  A bare site gets a
+        #: private one so there is a single path; None with the cache
+        #: ablated (every offer is then answered with a CODE_NEED).
+        self.codestore: Optional[CodeStore] = (
+            CodeStore() if code_cache else None)
+        # The one digest memo over this program area (serving and
+        # shipping; site-owned so an ablated cache still serves from it).
         self._digest_memo: dict = {}
         # Offers whose code has not arrived yet:
         # (src ip, src site, token kind, token value) ->
@@ -162,7 +172,9 @@ class Site:
                                  tuple[tuple[bytes, ...], tuple]] = {}
         # SHIPO offers we made, so a CODE_NEED can be answered later --
         # kept for the lifetime of the site: a crashed receiver may ask
-        # for the code long after the offer (restart recovery).
+        # for the code long after the offer (restart recovery).  Once
+        # the site is gone its node answers from the store instead
+        # (``TyCOd._answer_orphan_need``).
         self._ship_offers: dict[int, tuple[int, ...]] = {}
         self._next_ship_token = 1
         # Incoming/outgoing packet queues (pumped by the node's TyCOd).
@@ -575,9 +587,12 @@ class Site:
 
     def _digest_of(self, kind: str, item_id: int) -> bytes:
         """Content digest of one of our own program items (serving
-        side of the code cache protocol)."""
+        side of the code protocol).  The slice extracted to compute it
+        stays in the node's store: the next need for it is answered
+        without extracting again, by this site or -- once this site
+        was reaped -- by the node."""
         return digest_item(self.vm.program, kind, item_id,
-                           self._digest_memo)
+                           self._digest_memo, self.codestore)
 
     def ship_object(self, target: NetRef, methods: dict[str, int],
                     env: tuple) -> None:
@@ -909,16 +924,56 @@ class Site:
         self._send_code_need(packet.src_ip, packet.src_site_id,
                              token_kind, token_val, missing)
 
+    def _local_code(self, digest: bytes, kind: str,
+                    installed: dict[bytes, tuple[str, int]]
+                    ) -> Optional[int]:
+        """The one lookup order of the code protocol: what a reply just
+        linked (``installed``; all an ablated site has to go by), this
+        site's own table, then the node's store -- a hit there links
+        the stored slice into *our* program area (block ids are
+        area-relative) and registers it in the table.  None means only
+        the owner can help."""
+        found = installed.get(digest)
+        cache = self.codecache
+        if found is None and cache is not None:
+            found = cache.lookup(digest)
+            if found is None and self.codestore is not None:
+                stored = self.codestore.get(digest)
+                if stored is not None:
+                    result = link_bundle_cached(self.vm.program, *stored,
+                                                cache)
+                    self.stats.code_items_installed += \
+                        result.installed_count()
+                    found = cache.lookup(digest)
+        if found is not None and found[0] == kind:
+            return found[1]
+        return None
+
+    def _local_methods(self, payload,
+                       installed: dict[bytes, tuple[str, int]]
+                       ) -> Optional[dict[str, int]]:
+        """label -> local block id for an offered object, or None while
+        a method block is still missing."""
+        _token, _heap_id, positions, entry_digests, _env = payload
+        block_ids = {}
+        for label, pos in positions.items():
+            block_id = self._local_code(entry_digests[pos], BLOCK, installed)
+            if block_id is None:
+                return None
+            block_ids[label] = block_id
+        return block_ids
+
     def _on_fetch_offer(self, packet: Packet) -> None:
         """Requester side of FETCH, step 1: the owner offered the class
-        group by digest.  Cached -> link locally with zero code bytes
-        on the wire; missing -> ask for the slice."""
+        group by digest.  Held by this site or its node -> link locally
+        with zero code bytes on the wire; missing -> ask for the slice."""
         class_id, root_digest, _index, _captured, _hint = packet.payload
-        if self.codecache is not None and self.codecache.has(root_digest):
+        group_id = self._local_code(root_digest, GROUP, {})
+        if group_id is not None:
             self.stats.code_cache_hits += 1
             self._trace("cache-hit", packet.src_ip, note=f"class {class_id}")
             self._install_fetched(packet.src_ip, packet.src_site_id,
-                                  packet.payload)
+                                  packet.payload, group_id)
             return
         self.stats.code_cache_misses += 1
         self._trace("cache-miss", packet.src_ip, note=f"class {class_id}")
@@ -926,14 +981,15 @@ class Site:
 
     def _on_object_offer(self, packet: Packet) -> None:
         """Receiver side of SHIPO, step 1: method blocks offered by
-        digest; deliver from cache or ask for the missing ones."""
+        digest; deliver from what the site or its node holds, or ask
+        for the missing ones."""
         token, heap_id, _positions, entry_digests, _env = packet.payload
         self._check_target(heap_id)
-        if self.codecache is not None and all(
-                self.codecache.has(d) for d in entry_digests):
+        block_ids = self._local_methods(packet.payload, {})
+        if block_ids is not None:
             self.stats.code_cache_hits += 1
             self._trace("cache-hit", packet.src_ip, note=f"obj {heap_id}")
-            self._install_shipped(packet.payload)
+            self._install_shipped(packet.payload, block_ids)
             return
         self.stats.code_cache_misses += 1
         self._trace("cache-miss", packet.src_ip, note=f"obj {heap_id}")
@@ -945,8 +1001,10 @@ class Site:
         self._park_offer(packet, "ship", token, tuple(seen))
 
     def _serve_code_need(self, packet: Packet) -> None:
-        """Owner side, step 2: extract and send the requested slice
-        with its manifest, so the receiver installs item-by-item."""
+        """Owner side, step 2: send the requested slice with its
+        manifest, so the receiver installs item-by-item.  A single
+        root -- every FETCH, every one-method object -- is the slice
+        the node's store already keeps under the digest we offered."""
         token_kind, token_val, digests = packet.payload
         if token_kind == "fetch":
             classref = self._class_exports.get(token_val)
@@ -958,8 +1016,7 @@ class Site:
                 raise DeliveryError(
                     f"{self.site_name}: CODE_NEED for unknown class "
                     f"id {token_val}")
-            bundle = extract_bundle(self.vm.program,
-                                    group_roots=(classref.group_id,))
+            kind, root_ids = GROUP, (classref.group_id,)
         elif token_kind == "ship":
             block_ids = self._ship_offers.get(token_val)
             if block_ids is None:
@@ -971,39 +1028,66 @@ class Site:
             wanted = set(digests)
             subset = tuple(b for b in block_ids
                            if self._digest_of(BLOCK, b) in wanted)
-            bundle = extract_bundle(self.vm.program,
-                                    block_roots=subset or block_ids)
+            kind, root_ids = BLOCK, subset or block_ids
         else:
             raise DeliveryError(
                 f"{self.site_name}: unknown CODE_NEED token kind "
                 f"{token_kind!r}")
-        manifest = manifest_for_bundle(bundle)
+        store = self.codestore if len(root_ids) == 1 else None
+        root_digest = self._digest_of(kind, root_ids[0])  # memoised: offered
+        reply = store.get(root_digest) if store is not None else None
+        if reply is None:  # several roots, evicted since offered, or A2
+            bundle = extract_bundle(self.vm.program,
+                                    **{ROOTS_ARG[kind]: root_ids})
+            reply = (store.deposit(root_digest, bundle) if store is not None
+                     else (bundle, manifest_for_bundle(bundle)))
         self.stats.code_replies_served += 1
         self.outgoing.append(Packet(
             kind=KIND_CODE_REPLY,
             src_ip=self.ip, src_site_id=self.site_id,
             dest_ip=packet.src_ip, dest_site_id=packet.src_site_id,
-            payload=(token_kind, token_val, bundle, manifest),
+            payload=(token_kind, token_val, *reply),
             span=self._obs_span(),
         ))
         self.stats.packets_sent += 1
 
-    def _on_code_reply(self, packet: Packet) -> None:
-        """Receiver side, step 3: link the slice (installing only the
-        missing items), then complete every offer it satisfies."""
-        token_kind, token_val, bundle, manifest = packet.payload
-        if not manifest.matches(bundle):
+    def _verify_code_reply(self, pkey, bundle, manifest) -> list:
+        """Nothing unverified is linked or stored: every digest of the
+        manifest is recomputed from the shipped bundle, and while the
+        offer is parked the bundle must be rooted at digests it asked
+        for.  Returns the bundle's roots."""
+        try:
+            roots = verified_roots(bundle, manifest)
+        except LinkError as exc:
             raise DeliveryError(
-                f"{self.site_name}: CODE_REPLY manifest does not match "
-                f"its bundle")
+                f"{self.site_name}: CODE_REPLY does not verify: "
+                f"{exc}") from exc
+        entry = self._pending_code.get(pkey)
+        if entry is not None:
+            asked = set(entry[0])
+            if not roots or any(d not in asked for _k, _i, d in roots):
+                raise DeliveryError(
+                    f"{self.site_name}: CODE_REPLY is not the code "
+                    f"{pkey[2]} {pkey[3]} asked for")
+        return roots
+
+    def _on_code_reply(self, packet: Packet) -> None:
+        """Receiver side, step 3: verify the slice, link it (installing
+        only the missing items), leave each root with the node for the
+        sites that come after us, then complete every offer it
+        satisfies."""
+        token_kind, token_val, bundle, manifest = packet.payload
+        pkey = (packet.src_ip, packet.src_site_id, token_kind, token_val)
+        roots = self._verify_code_reply(pkey, bundle, manifest)
         result = link_bundle_cached(self.vm.program, bundle, manifest,
                                     self.codecache)
+        if self.codestore is not None and pkey in self._pending_code:
+            self.codestore.deposit_roots(bundle, roots)
         installed = self._installed_map(manifest, result)
         new_items = result.installed_count()
         self.stats.code_items_installed += new_items
         self._trace("code-install", packet.src_ip, size=new_items,
                     note=f"{token_kind} {token_val}")
-        pkey = (packet.src_ip, packet.src_site_id, token_kind, token_val)
         self._try_complete_code(pkey, installed)
         if self.codecache is not None:
             # Coalesced offers parked on the same digests complete now.
@@ -1028,67 +1112,34 @@ class Site:
             return False
         src_ip, src_site_id, token_kind, _token_val = pkey
         _needed, payload = entry
-
-        def resolve(digest: bytes, kind: str) -> Optional[int]:
-            found = installed.get(digest)
-            if found is not None and found[0] == kind:
-                return found[1]
-            if self.codecache is not None:
-                found = self.codecache.lookup(digest)
-                if found is not None and found[0] == kind:
-                    return found[1]
-            return None
-
         if token_kind == "fetch":
             _class_id, root_digest, _index, _captured, _hint = payload
-            group_id = resolve(root_digest, GROUP)
+            group_id = self._local_code(root_digest, GROUP, installed)
             if group_id is None:
                 return False
             del self._pending_code[pkey]
-            self._install_fetched(src_ip, src_site_id, payload,
-                                  group_id=group_id)
+            self._install_fetched(src_ip, src_site_id, payload, group_id)
             return True
-        _token, _heap_id, positions, entry_digests, _env = payload
-        block_ids = {}
-        for label, pos in positions.items():
-            block_id = resolve(entry_digests[pos], BLOCK)
-            if block_id is None:
-                return False
-            block_ids[label] = block_id
+        block_ids = self._local_methods(payload, installed)
+        if block_ids is None:
+            return False
         del self._pending_code[pkey]
-        self._install_shipped(payload, block_ids=block_ids)
+        self._install_shipped(payload, block_ids)
         return True
 
-    def _install_shipped(self, payload, block_ids=None) -> None:
+    def _install_shipped(self, payload, block_ids: dict[str, int]) -> None:
         """Deliver a shipped object once its method blocks are local."""
-        _token, heap_id, positions, entry_digests, env = payload
-        if block_ids is None:
-            # Warm path: every method block already cached.
-            block_ids = {}
-            for label, pos in positions.items():
-                found = self.codecache.lookup(entry_digests[pos])
-                if found is None or found[0] != BLOCK:
-                    raise DeliveryError(
-                        f"{self.site_name}: cached object code for heap "
-                        f"id {heap_id} vanished")
-                block_ids[label] = found[1]
+        _token, heap_id, _positions, _entry_digests, env = payload
         self.vm.deliver_object(
             heap_id, block_ids,
             tuple(self.unmarshal_value(v) for v in env))
 
     def _install_fetched(self, src_ip: str, src_site_id: int, payload,
-                         group_id: Optional[int] = None) -> None:
+                         group_id: int) -> None:
         """Requester side of FETCH, final step: build the ClassRefs on
         the (cached or just-installed) class group and spawn every
         parked instantiation."""
-        class_id, root_digest, index, captured, hint = payload
-        if group_id is None:
-            found = self.codecache.lookup(root_digest)
-            if found is None or found[0] != GROUP:
-                raise DeliveryError(
-                    f"{self.site_name}: cached class code for class "
-                    f"id {class_id} vanished")
-            group_id = found[1]
+        class_id, _root_digest, index, captured, hint = payload
         group = self.vm.program.groups[group_id]
         env: list = [self.unmarshal_value(v) for v in captured]
         env.extend([None] * len(group.clauses))

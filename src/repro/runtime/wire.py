@@ -364,7 +364,7 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int]:
 # ---------------------------------------------------------------------------
 
 #: Packet kinds exchanged by the TyCOd daemons.  Code-carrying kinds
-#: follow the offer / need / reply protocol of the per-site code cache
+#: follow the offer / need / reply protocol of the code cache
 #: (docs/WIRE.md): the sender first *offers* content digests, the
 #: receiver answers with the subset of code it is missing.
 KIND_MESSAGE = "msg"          # payload: (heap_id, label, args tuple)

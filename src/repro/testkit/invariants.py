@@ -108,19 +108,27 @@ def check_no_dangling_imports(net: "DiTyCONetwork") -> list[str]:
 
 def check_no_stale_code(net: "DiTyCONetwork") -> list[str]:
     """No stale code after restart (or ever): recompute the digest of
-    every cached installed item and compare it to its cache key.  A
-    mismatch means a FETCH/SHIPO could be satisfied with byte-code that
-    is not what the sender's offer described.
+    every cached installed item and compare it to its cache key, and
+    re-digest every slice of every node's code store against the key
+    it is kept under.  A mismatch means a FETCH/SHIPO could be
+    satisfied with byte-code that is not what the sender's offer
+    described -- from a store, on every future site of that node.
 
     Also, liveness on clean schedules: when the wire has drained and
     the schedule never dropped a packet or crashed a node, every parked
     code offer must have completed -- a leftover entry means the
     offer/need/reply protocol lost a step on its own."""
-    from repro.runtime.codecache import verify_cache_integrity
+    from repro.runtime.codecache import (
+        verify_cache_integrity,
+        verify_store_integrity,
+    )
 
     world = net.world
     violations = []
     for node in world.nodes.values():
+        if node.codestore is not None:
+            for problem in verify_store_integrity(node.codestore):
+                violations.append(f"node {node.ip}: {problem}")
         for site in node.sites.values():
             if site.codecache is None:
                 continue

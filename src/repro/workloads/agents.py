@@ -11,10 +11,10 @@ After the last hop the agent FETCHes the ``Finish`` class from
 to the collector.
 
 A tour with ``h`` hops therefore exercises ``h`` sequential cross-site
-rendezvous, one class FETCH (served from the per-site code cache after
-the first agent on a node), and the shared completion path -- the
-longest dependency chains of the three macro workloads, which is why
-its tail latency is the interesting number.
+rendezvous, one class FETCH (linked out of the node's code store once
+the first agent on a node has downloaded it), and the shared completion
+path -- the longest dependency chains of the three macro workloads,
+which is why its tail latency is the interesting number.
 """
 
 from __future__ import annotations

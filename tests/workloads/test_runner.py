@@ -211,6 +211,55 @@ class TestLaunchCache:
         assert warm[0] == warm[1] == cold
 
 
+class TestCodeStore:
+    """A class is downloaded once per node, not once per task site --
+    counts that repeat exactly, not timings."""
+
+    @staticmethod
+    def _probes(monkeypatch, workload, ops):
+        """(hits, misses) over every site that ever lived: reaped
+        sites are counted as they leave their node."""
+        from repro.runtime.node import Node
+
+        totals = [0, 0]
+
+        def count(site):
+            totals[0] += site.stats.code_cache_hits
+            totals[1] += site.stats.code_cache_misses
+
+        real_remove = Node.remove_site
+
+        def remove_site(node, site):
+            count(site)
+            real_remove(node, site)
+
+        monkeypatch.setattr(Node, "remove_site", remove_site)
+        net = run_keeping_net(monkeypatch, workload, ops)
+        for node in net.world.nodes.values():
+            for site in node.sites.values():
+                count(site)
+        return net, totals
+
+    def test_downloads_do_not_grow_with_ops(self, monkeypatch):
+        misses = []
+        for ops in (300, 1200):
+            net, (hits, missed) = self._probes(monkeypatch, "mapreduce", ops)
+            nodes = net.world.nodes.values()
+            assert hits + missed == ops          # one FETCH per task
+            assert missed <= 2 * len(nodes)
+            # One slice (MapTask), on the master and on each worker
+            # node that downloaded it: O(distinct code), not O(ops).
+            assert all(len(node.codestore) <= 1 for node in nodes)
+            misses.append(missed)
+        assert misses[0] == misses[1]
+
+    def test_a_workload_that_moves_no_code_never_probes(self, monkeypatch):
+        net, totals = self._probes(monkeypatch, "pubsub", 300)
+        assert totals == [0, 0]
+        assert all(len(node.codestore) == 0
+                   for node in net.world.nodes.values())
+
+
 def test_threaded_world_smoke():
     spec = WorkloadSpec("pubsub", seed=21, ops=10, rate_per_s=500.0,
                         nodes=2, topics=1, subscribers=2)
