@@ -5,12 +5,10 @@ publish/ping mix (`repro.workloads`); every operation is stopwatched
 from injection to its completion token reaching the collector.  On the
 simulator the whole latency distribution is a pure function of the
 spec, so p50/p99 are regression-gated exactly; set
-``REPRO_BENCH_WALL_WORLDS=1`` to append real threaded/socket rows.
+``REPRO_BENCH_WALL_WORLDS=1`` to append a real socket-world row.
 """
 
 import os
-
-import pytest
 
 from repro.workloads import WorkloadSpec, run_workload
 
@@ -71,9 +69,8 @@ class TestPubSubMacro:
         assert rep.percentile(50, "publish") >= rep.percentile(50, "ping")
 
 
-@pytest.mark.parametrize("world", ["threaded", "socket"])
-def test_wall_worlds_complete(world):
-    rep = run(world=world)
+def test_wall_worlds_complete():
+    rep = run(world="socket")
     assert rep.violations == []
     assert rep.ops_completed == WALL_SPEC.ops
 
@@ -81,8 +78,7 @@ def test_wall_worlds_complete(world):
 def report() -> list[dict]:
     rows = summary_rows(run())
     if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        for world in ("threaded", "socket"):
-            rows.extend(summary_rows(run(world=world)))
+        rows.extend(summary_rows(run(world="socket")))
     return rows
 
 

@@ -6,12 +6,10 @@ the paper's SETI pattern), folds its chunk into the shared reducer and
 reports completion.  The end-state check is exact: the reducer's final
 total must equal ``sum(chunk^2)`` over the generated trace, whatever
 the interleaving.  Sim p50/p99 are regression-gated exactly;
-``REPRO_BENCH_WALL_WORLDS=1`` appends threaded/socket rows.
+``REPRO_BENCH_WALL_WORLDS=1`` appends a socket-world row.
 """
 
 import os
-
-import pytest
 
 from repro.workloads import WorkloadSpec, run_workload
 from repro.workloads.mapreduce import PROBE_SITE
@@ -47,9 +45,8 @@ class TestMapReduceMacro:
         assert a.registry.render() == b.registry.render()
 
 
-@pytest.mark.parametrize("world", ["threaded", "socket"])
-def test_wall_worlds_complete(world):
-    rep = run(world=world)
+def test_wall_worlds_complete():
+    rep = run(world="socket")
     assert rep.violations == []
     assert rep.ops_completed == WALL_SPEC.ops
 
@@ -57,8 +54,7 @@ def test_wall_worlds_complete(world):
 def report() -> list[dict]:
     rows = summary_rows(run())
     if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        for world in ("threaded", "socket"):
-            rows.extend(summary_rows(run(world=world)))
+        rows.extend(summary_rows(run(world="socket")))
     return rows
 
 

@@ -6,12 +6,10 @@ stage sites *sequentially* (remote evaluation), then FETCHes the
 have mixed lengths, so this is the workload with real dependency
 chains -- the tail (p99) stretches with the hop count while the median
 stays short.  Sim p50/p99 are regression-gated exactly;
-``REPRO_BENCH_WALL_WORLDS=1`` appends threaded/socket rows.
+``REPRO_BENCH_WALL_WORLDS=1`` appends a socket-world row.
 """
 
 import os
-
-import pytest
 
 from repro.workloads import WorkloadSpec, run_workload
 
@@ -46,9 +44,8 @@ class TestAgentsMacro:
         assert rep.percentile(99) > rep.percentile(50)
 
 
-@pytest.mark.parametrize("world", ["threaded", "socket"])
-def test_wall_worlds_complete(world):
-    rep = run(world=world)
+def test_wall_worlds_complete():
+    rep = run(world="socket")
     assert rep.violations == []
     assert rep.ops_completed == WALL_SPEC.ops
 
@@ -56,8 +53,7 @@ def test_wall_worlds_complete(world):
 def report() -> list[dict]:
     rows = summary_rows(run())
     if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        for world in ("threaded", "socket"):
-            rows.extend(summary_rows(run(world=world)))
+        rows.extend(summary_rows(run(world="socket")))
     return rows
 
 

@@ -1,32 +1,28 @@
-"""E7 -- network name service: registration/lookup cost and the
-centralized vs replicated design.
+"""E7 -- network name service: registration/lookup cost of the
+centralized design.
 
 Section 5: "Currently ... the network name service is centralized and
 all sites know its location in advance.  This will change ... into a
-distributed network name service.  This is a fundamental development
-for reasons of both redundancy (for failure recovery) and
-performance."
+distributed network name service."  Only the centralized service is
+reproduced (the distributed one is parked in ROADMAP.md).
 
-We measure: lookup cost as the IdTable grows (hash-table flat), the
-export/import path through a whole site program, and the write
-amplification / local-read benefit of the replicated variant.
+We measure: lookup cost as the IdTable grows (hash-table flat) and the
+export/import path through a whole site program.
 """
 
 import pytest
 
-from repro.runtime import DiTyCONetwork, NameService, ReplicatedNameService
+from repro.runtime import DiTyCONetwork, NameService
 
 TABLE_SIZES = (10, 100, 1000, 10_000)
 
 
-def populated(ns_class, size: int, replicas: int = 0):
-    ns = ns_class()
-    reps = [ns.replica(f"rep{i}") for i in range(replicas)] \
-        if isinstance(ns, ReplicatedNameService) else []
+def populated(size: int) -> NameService:
+    ns = NameService()
     ns.register_site("server", "10.0.0.1")
     for i in range(size):
         ns.export_name("server", f"id{i}", i + 1)
-    return ns, reps
+    return ns
 
 
 class TestShape:
@@ -34,7 +30,7 @@ class TestShape:
         import time
 
         def lookup_time(size):
-            ns, _ = populated(NameService, size)
+            ns = populated(size)
             n = 3000
             t0 = time.perf_counter()
             for i in range(n):
@@ -44,16 +40,6 @@ class TestShape:
         t_small = min(lookup_time(10) for _ in range(3))
         t_large = min(lookup_time(10_000) for _ in range(3))
         assert t_large < t_small * 3  # hash table: no linear scan
-
-    def test_replication_write_amplification(self):
-        ns, _ = populated(ReplicatedNameService, 100, replicas=4)
-        assert ns.replica_writes == 4 * 101  # site + 100 names, x4 replicas
-
-    def test_replica_reads_equal_primary(self):
-        ns, reps = populated(ReplicatedNameService, 50, replicas=2)
-        for i in (0, 25, 49):
-            assert (reps[0].lookup_name("server", f"id{i}")
-                    == ns.lookup_name("server", f"id{i}"))
 
     def test_import_resolution_counts(self):
         net = DiTyCONetwork()
@@ -69,7 +55,7 @@ class TestShape:
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
 def test_lookup_wall_time(benchmark, size):
-    ns, _ = populated(NameService, size)
+    ns = populated(size)
 
     def kernel():
         total = 0
@@ -92,26 +78,12 @@ def test_registration_wall_time(benchmark):
     benchmark(kernel)
 
 
-@pytest.mark.parametrize("replicas", [0, 4])
-def test_replicated_write_wall_time(benchmark, replicas):
-    def kernel():
-        ns = ReplicatedNameService()
-        for i in range(replicas):
-            ns.replica(f"rep{i}")
-        ns.register_site("server", "ip")
-        for i in range(128):
-            ns.export_name("server", f"id{i}", i)
-        return ns
-
-    benchmark(kernel)
-
-
 def report() -> list[dict]:
     import time
 
     rows = []
     for size in TABLE_SIZES:
-        ns, _ = populated(NameService, size)
+        ns = populated(size)
         n = 5000
         t0 = time.perf_counter()
         for i in range(n):
@@ -119,10 +91,6 @@ def report() -> list[dict]:
         per = (time.perf_counter() - t0) / n
         rows.append({"table_size": size,
                      "lookup_ns": round(per * 1e9)})
-    ns, _ = populated(ReplicatedNameService, 1000, replicas=4)
-    rows.append({"table_size": "1000 (replicated x4)",
-                 "lookup_ns": f"writes amplified x4 "
-                              f"({ns.replica_writes} replica writes)"})
     return rows
 
 

@@ -4,11 +4,11 @@ One `repro.workloads` spec fully determines a run: the application
 (pub/sub chat fabric, map-reduce with FETCH code movement, or the
 mobile-agent pipeline), its topology, and the arrival schedule.  On
 the simulator the whole latency distribution is reproducible
-bit-for-bit; pass a wall-clock world name to measure real round trips
-over queues or TCP.
+bit-for-bit; pass ``socket`` to measure real round trips over loopback
+TCP.
 
 Usage:  python examples/workload_traffic.py [workload] [world]
-        python examples/workload_traffic.py mapreduce threaded
+        python examples/workload_traffic.py mapreduce socket
 """
 
 import sys

@@ -29,8 +29,8 @@ The package is layered exactly like the system in the paper:
     features (termination detection, failure detection).
 ``repro.transport``
     The cluster substrate: a deterministic simulated network with
-    Myrinet / Fast-Ethernet link models and a threaded in-process
-    transport.
+    Myrinet / Fast-Ethernet link models and a real TCP transport
+    (one process, or one process per node).
 """
 
 __version__ = "0.1.0"

@@ -753,9 +753,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="WorkloadSpec JSON file (canonical form, as "
                            "written by WorkloadSpec.to_json)")
     p_wl.add_argument("--world", default="sim",
-                      choices=("sim", "threaded", "socket"),
-                      help="substrate: deterministic simulator or a "
-                           "wall-clock transport (default: sim)")
+                      choices=("sim", "socket"),
+                      help="substrate: deterministic simulator or the "
+                           "wall-clock TCP transport (default: sim)")
     p_wl.add_argument("--seed", type=int, default=None,
                       help="traffic RNG seed (default: spec's)")
     p_wl.add_argument("--ops", type=int, default=None,

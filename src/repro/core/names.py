@@ -35,7 +35,7 @@ class _Serial:
 
     A single global counter keeps printed names unambiguous across all
     engines in a test run.  The counter is thread-safe because the
-    threaded runtime (``repro.transport.threaded``) creates names from
+    socket transport (``repro.transport.socket``) creates names from
     several node threads concurrently.
     """
 

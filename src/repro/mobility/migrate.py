@@ -158,8 +158,9 @@ class MobilityManager:
         #: control packets awaiting :meth:`process_inbox` (the node's
         #: step loop).  Deferral matters: processing a SHIP sends a
         #: NEED, whose processing sends a CODE -- run inline inside
-        #: transport delivery that chain re-enters the destination
-        #: (deadlock on the threaded world's per-node delivery lock,
+        #: transport delivery that chain re-enters the transport
+        #: (sends from the IO thread that holds ``SocketWorld._deliver``'s
+        #: per-node delivery lock and would have to drain them,
         #: unbounded recursion on the simulator).
         self.inbox: list[Packet] = []
         self._seq = 0

@@ -18,7 +18,7 @@ Two sampling modes:
   boundaries and instruction accounting (fused handlers already fall
   back to per-instruction heads at any budget boundary), so schedules
   with the profiler attached are bit-identical to unprofiled runs.
-* ``wall`` (threaded / socket worlds): slices run in fixed
+* ``wall`` (socket / daemon worlds): slices run in fixed
   ``wall_chunk`` instruction chunks and a sample is recorded when at
   least ``interval_s`` of wall clock elapsed since the last one --
   classic low-overhead wall-clock sampling, not deterministic.

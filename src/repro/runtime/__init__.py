@@ -14,7 +14,6 @@ from .nameservice import (
     NameService,
     NameServiceError,
     NameServiceStats,
-    ReplicatedNameService,
     SiteRecord,
     UnknownSiteName,
 )

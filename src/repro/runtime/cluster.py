@@ -43,7 +43,8 @@ from repro.transport.clock import monotime
 from repro.transport.socket import SocketWorld
 
 from .network import DiTyCONetwork
-from .nsnet import NameServiceClient, NameServiceServer, recv_msg, send_msg
+from .nsnet import (NameServiceClient, NameServiceServer, recv_msg,
+                    recv_reply, send_msg)
 
 
 class DaemonWorld(SocketWorld):
@@ -116,17 +117,13 @@ class _DaemonControl:
 
         class _Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
-                while True:
-                    try:
-                        msg = recv_msg(self.request)
-                    except (ConnectionError, ValueError, OSError,
-                            SyntaxError):
-                        return
-                    if msg is None:
-                        return
-                    send_msg(self.request, outer._dispatch(msg))
-                    if msg[0] == "shutdown":
-                        return
+                try:
+                    while (msg := recv_msg(self.request)) is not None:
+                        send_msg(self.request, outer._dispatch(msg))
+                        if outer.shutdown_requested.is_set():
+                            return
+                except (OSError, ValueError):
+                    return
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -237,9 +234,7 @@ def control_call(addr: tuple[str, int], method: str, *args,
     """One request to a daemon's control port (fresh connection)."""
     with socket.create_connection(addr, timeout=timeout) as sock:
         send_msg(sock, (method, *args))
-        reply = recv_msg(sock)
-    if reply is None:
-        raise ConnectionError(f"daemon control at {addr} closed")
+        reply = recv_reply(sock)
     if reply[0] == "ok":
         return reply[1]
     _status, err_type, message = reply

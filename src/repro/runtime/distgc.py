@@ -86,7 +86,7 @@ class GcConfig:
 
     @classmethod
     def wall_clock(cls) -> "GcConfig":
-        """Defaults for wall-clock transports (threaded/socket): the
+        """Defaults for wall-clock transports (socket, daemon): the
         sim-scale terms above are shorter than a GIL scheduling hiccup,
         so a live holder's lease could expire between two of its node's
         quanta.  Seconds-scale terms keep the same ratios."""

@@ -8,9 +8,7 @@ detector over the simulated world: every node emits a heartbeat each
 ``period``; a node silent for ``timeout`` is *suspected* and the
 registered reconfiguration callbacks fire.  The default
 reconfiguration removes the dead node's sites from the network name
-service (so later imports stall instead of shipping into a void) and,
-with a :class:`~repro.runtime.nameservice.ReplicatedNameService`,
-drops its replica.
+service (so later imports stall instead of shipping into a void).
 
 Failure *injection* lives on the world: :meth:`SimWorld.fail_node`
 stops scheduling a node and silently drops packets addressed to it --
@@ -24,7 +22,7 @@ from typing import Callable
 
 from repro.transport.sim import SimWorld
 
-from .nameservice import NameService, ReplicatedNameService
+from .nameservice import NameService
 
 
 @dataclass(slots=True)
@@ -108,8 +106,6 @@ class HeartbeatMonitor:
 
     def _reconfigure(self, suspicion: Suspicion) -> None:
         self.unregister_node_sites(suspicion.ip)
-        if isinstance(self.nameservice, ReplicatedNameService):
-            self.nameservice.drop_replica(suspicion.ip)
         # Distributed GC reconfiguration: every live node expires the
         # suspect's leases (its references are gone, reclaim now) and
         # stops renewing into the void (a no-op on non-distgc nodes).

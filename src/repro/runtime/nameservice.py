@@ -15,11 +15,10 @@ the model): ``ClassTable : SiteName x IdName -> ClassId``.
 "Currently, in this first implementation, the network name service is
 centralized and all sites know its location in advance.  This will
 change, as the system matures, into a distributed network name
-service."  Both are provided: :class:`NameService` is the paper's
-centralized first implementation; :class:`ReplicatedNameService`
-realises the future-work design with one replica per node, synchronous
-writes to all replicas and local reads, giving the redundancy and read
-performance the paper asks for (benchmark E7 compares them).
+service."  :class:`NameService` is the paper's centralized first
+implementation, and the only store; :mod:`repro.runtime.nsnet` puts it
+behind a TCP front for multi-process clusters.  The distributed service
+is not reproduced (sharded / replicated NNS is parked in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class NameServiceStats:
 class NameService:
     """The centralized network name service.
 
-    Thread-safe: the threaded transport calls in from node threads.
+    Thread-safe: the socket transport calls in from node threads.
     ``subscribe`` adds a callback to the *set* fired after each
     registration: a node subscribes its ``_on_ns_update`` (once, however
     many sites it creates) to retry imports that were pending on a
@@ -261,101 +260,3 @@ class NameService:
             self.stats.wakeups += len(callbacks)
         for cb in callbacks:
             cb()
-
-
-class ReplicatedNameService(NameService):
-    """The distributed name service of the paper's future work.
-
-    One primary plus one replica per node: writes go to every replica
-    synchronously (sequential consistency is enough for a registry
-    that is write-once per key); reads are served by the local replica,
-    which is both the redundancy ("for failure recovery") and the
-    performance ("and performance") motivation given in section 5.
-
-    The implementation models replicas as full copies sharing the
-    site-id supply; :meth:`replica` hands out per-node read views and
-    :meth:`drop_replica` simulates losing one (reads fail over to any
-    surviving replica transparently because every copy is complete).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._replicas: dict[str, NameService] = {}
-        self.replica_writes = 0
-
-    def replica(self, ip: str) -> NameService:
-        """The (create-on-demand) replica local to node ``ip``."""
-        with self._lock:
-            if ip not in self._replicas:
-                rep = NameService()
-                # Copy current state into the new replica.
-                rep._sites = dict(self._sites)
-                rep._names = dict(self._names)
-                rep._classes = dict(self._classes)
-                rep._next_site_id = self._next_site_id
-                self._replicas[ip] = rep
-            return self._replicas[ip]
-
-    def drop_replica(self, ip: str) -> None:
-        """Simulate the loss of one replica (failure recovery path)."""
-        with self._lock:
-            self._replicas.pop(ip, None)
-
-    # Writes propagate to every replica.
-
-    def register_site(self, site_name: str, ip: str) -> int:
-        site_id = super().register_site(site_name, ip)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep._sites[site_name] = self._sites[site_name]
-                rep._next_site_id = self._next_site_id
-                self.replica_writes += 1
-        return site_id
-
-    def export_name(self, site_name: str, id_name: str, heap_id: int) -> None:
-        super().export_name(site_name, id_name, heap_id)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep._names[(site_name, id_name)] = heap_id
-                self.replica_writes += 1
-
-    def export_class(self, site_name: str, id_name: str, class_id: int) -> None:
-        super().export_class(site_name, id_name, class_id)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep._classes[(site_name, id_name)] = class_id
-                self.replica_writes += 1
-
-    def rebind_site(self, site_name: str, new_ip: str,
-                    site_id: Optional[int] = None) -> int:
-        sid = super().rebind_site(site_name, new_ip, site_id)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep._sites[site_name] = self._sites[site_name]
-                rep._next_site_id = self._next_site_id
-                self.replica_writes += 1
-        return sid
-
-    def unregister_ip(self, ip: str) -> list[str]:
-        removed = super().unregister_ip(ip)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep.unregister_ip(ip)
-                self.replica_writes += 1
-        return removed
-
-    def unregister_export(self, site_name: str, id_name: str) -> bool:
-        existed = super().unregister_export(site_name, id_name)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep.unregister_export(site_name, id_name)
-                self.replica_writes += 1
-        return existed
-
-    def unregister_class_export(self, site_name: str, id_name: str) -> bool:
-        existed = super().unregister_class_export(site_name, id_name)
-        with self._lock:
-            for rep in self._replicas.values():
-                rep.unregister_class_export(site_name, id_name)
-                self.replica_writes += 1
-        return existed

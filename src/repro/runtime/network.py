@@ -34,9 +34,10 @@ class DiTyCONetwork:
         :class:`~repro.transport.sim.SimWorld` (deterministic,
         virtual-clock).
     nameservice:
-        Defaults to the paper's centralized :class:`NameService`; pass
-        a :class:`~repro.runtime.nameservice.ReplicatedNameService`
-        for the future-work distributed variant.
+        Defaults to a fresh in-process :class:`NameService` (the
+        paper's centralized service); a multi-process cluster passes a
+        :class:`~repro.runtime.nsnet.NameServiceClient` talking to the
+        one shared store.
     local_fast_path / fetch_cache:
         Toggles for ablations A3 and A2 respectively.
     code_cache / batching:

@@ -10,7 +10,7 @@ threads sharing the address space of the node."
 In this reproduction a node is one Python object; *how* its sites get
 CPU time is decided by the attached world: the simulated transport
 calls :meth:`step` from its event loop (deterministic, virtual time),
-the threaded transport runs one OS thread per node calling the same
+the socket transport runs one OS thread per node calling the same
 method (the paper's process/thread architecture).
 """
 

@@ -59,7 +59,12 @@ def send_msg(sock: socket.socket, obj: object) -> None:
 
 
 def recv_msg(sock: socket.socket) -> object:
-    """One length-prefixed literal off a blocking socket (EOF -> None)."""
+    """One length-prefixed literal off a blocking socket.
+
+    ``None`` only for a clean EOF *between* records.  EOF anywhere
+    inside one raises ``ConnectionError``; a complete record that is
+    oversized or whose payload is not one literal raises ``ValueError``.
+    """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
         return None
@@ -69,15 +74,37 @@ def recv_msg(sock: socket.socket) -> object:
     payload = _recv_exact(sock, size)
     if payload is None:
         raise ConnectionError("connection closed mid-record")
-    return ast.literal_eval(payload.decode("utf-8"))
+    try:
+        return ast.literal_eval(payload.decode("utf-8"))
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # UnicodeDecodeError is a ValueError.
+        raise ValueError(f"record is not one literal: {exc!r}") from None
+
+
+def recv_reply(sock: socket.socket) -> tuple:
+    """The answer to one request: ``("ok", result)`` or ``("err",
+    exception_type, message)``.  EOF in its place is a
+    ``ConnectionError``, any other literal a ``ValueError``."""
+    reply = recv_msg(sock)
+    if reply is None:
+        raise ConnectionError("connection closed before the reply")
+    if isinstance(reply, tuple) and (
+            (len(reply) == 2 and reply[0] == "ok")
+            or (len(reply) == 3 and reply[0] == "err")):
+        return reply
+    raise ValueError(f"malformed reply {reply!r:.80}")
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
+    """Exactly ``n`` bytes; ``None`` if the peer closed before the
+    first of them, ``ConnectionError`` if it closed after."""
     buf = b""
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
-            return None if not buf else buf  # caller treats short as error
+            if buf:
+                raise ConnectionError("connection closed mid-record")
+            return None
         buf += chunk
     return buf
 
@@ -96,15 +123,13 @@ class NameServiceServer:
 
         class _Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
-                while True:
-                    try:
-                        msg = recv_msg(self.request)
-                    except (ConnectionError, ValueError, OSError,
-                            SyntaxError):
-                        return
-                    if msg is None:
-                        return
-                    send_msg(self.request, outer._dispatch(msg))
+                # A torn, oversized or non-literal record, or a peer
+                # gone before its reply, ends this connection only.
+                try:
+                    while (msg := recv_msg(self.request)) is not None:
+                        send_msg(self.request, outer._dispatch(msg))
+                except (OSError, ValueError):
+                    return
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -241,11 +266,11 @@ class NameServiceClient:
                     self._sock = self._connect()
                 try:
                     send_msg(self._sock, (method, *args))
-                    reply = recv_msg(self._sock)
-                    if reply is None:
-                        raise ConnectionError("name service closed")
+                    reply = recv_reply(self._sock)
                     break
-                except (ConnectionError, OSError):
+                except (OSError, ValueError):
+                    # Closed, torn or garbled: the stream cannot be
+                    # trusted past this point, so reconnect once.
                     self._sock.close()
                     self._sock = None
                     if attempt == 2:
@@ -358,7 +383,7 @@ class NameServiceClient:
         while not self._stop.is_set():
             try:
                 version = self._call("version")
-            except (ConnectionError, OSError, NameServiceError):
+            except (OSError, ValueError, NameServiceError):
                 version = self._seen_version
             if version != self._seen_version:
                 self._seen_version = version

@@ -164,7 +164,7 @@ def settle_distgc(net: "DiTyCONetwork") -> None:
     lease terms (idle nodes are otherwise never scheduled, so holders
     could not renew and owners could not sweep) and drain the world.
 
-    SimWorld only -- threaded transports settle in real time.
+    SimWorld only -- wall-clock transports settle in real time.
     """
     world = net.world
     if not isinstance(world, SimWorld):  # pragma: no cover - guard

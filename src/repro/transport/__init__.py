@@ -1,9 +1,9 @@
-"""Cluster substrates: link models, simulated world, threaded world.
+"""Cluster substrates: link models, simulated world, socket world.
 
 Substitute for the paper's physical Myrinet cluster (see DESIGN.md,
 substitution table): the simulated world reproduces the interconnect's
-latency/bandwidth behaviour on a virtual clock; the threaded world
-reproduces the process/thread deployment architecture.
+latency/bandwidth behaviour on a virtual clock; the socket world
+reproduces the process/thread deployment architecture over real TCP.
 """
 
 from .base import TransportStats, World
@@ -19,6 +19,5 @@ from .links import (
 )
 from .sim import SimWorld
 from .socket import SocketEndpoint, SocketWorld, StreamDecoder, TokenBucket
-from .threaded import ThreadedWorld
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""The world interface shared by the simulated and threaded transports.
+"""The world interface shared by the simulated and socket transports.
 
 A *world* owns the nodes of one DiTyCO network and decides how they
 get CPU time and how buffers travel between them.  Both concrete
@@ -8,10 +8,11 @@ worlds drive exactly the same :class:`~repro.runtime.node.Node` code:
   discrete-event simulation with a virtual clock and the link models
   of :mod:`repro.transport.links`; fully deterministic, used by the
   tests and by every benchmark that reports (simulated) time.
-* :class:`~repro.transport.threaded.ThreadedWorld` -- one OS thread
-  per node plus real queues; this is the paper's deployment
+* :class:`~repro.transport.socket.SocketWorld` -- one OS thread per
+  node plus real TCP connections; this is the paper's deployment
   architecture (a node is a Unix process whose sites and daemons are
-  threads), used by the integration tests.
+  threads), in one process or, through
+  :class:`~repro.runtime.cluster.DaemonWorld`, one process per node.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class TransportStats:
     The first three fields are meaningful everywhere; the remainder
     are only driven by the socket transport (handshakes, reconnects,
     token-bucket throttling, bounded-queue backpressure) and stay at
-    their zero defaults under the simulated and threaded worlds -- so
-    existing consumers and renders are unaffected.
+    their zero defaults under the simulated world -- so existing
+    consumers and renders are unaffected.
     """
 
     packets: int = 0
@@ -56,7 +57,7 @@ class World(ABC):
     """Owns nodes; delivers buffers; runs the network to quiescence."""
 
     #: True for transports whose :attr:`time` is the process monotonic
-    #: clock (threaded, socket); False for the virtual-clock simulator.
+    #: clock (socket, daemon); False for the virtual-clock simulator.
     #: Wall-clock-sensitive layers (distgc lease terms, failure
     #: detectors) branch on this instead of isinstance checks.
     wall_clock: bool = False
@@ -83,7 +84,7 @@ class World(ABC):
     def run(self, max_time: float | None = None) -> float:
         """Run until global quiescence (or the bound); returns elapsed
         time -- virtual seconds for the simulator, wall seconds for
-        the threaded world."""
+        the socket world."""
 
     @property
     @abstractmethod

@@ -1,9 +1,10 @@
 """The shared wall-clock time base for non-simulated worlds.
 
-Every wall-clock transport (:class:`~repro.transport.threaded.ThreadedWorld`,
-:class:`~repro.transport.socket.SocketWorld`) must measure time on the
-*same* monotonic clock: GC leases, heartbeat deadlines and reconnect
-backoff all compare timestamps produced by different components, and a
+Every wall-clock transport (:class:`~repro.transport.socket.SocketWorld`
+and the per-process :class:`~repro.runtime.cluster.DaemonWorld` built on
+it) must measure time on the *same* monotonic clock: GC leases,
+heartbeat deadlines and reconnect backoff all compare timestamps
+produced by different components, and a
 mixture of ``time.monotonic`` / ``time.time`` / per-world clocks makes
 those comparisons silently wrong (wall time jumps on NTP steps;
 monotonic clocks from different epochs are not comparable).

@@ -26,9 +26,9 @@ Three layers (see docs/TRANSPORT.md):
   :class:`~repro.transport.base.TransportStats`.
 
 :class:`SocketWorld` runs the whole network in one process (one
-stepping thread per node, as in the threaded world, plus one asyncio
-loop thread owning every endpoint) -- that is what the differential
-and chaos-proxy tests drive.  :mod:`repro.runtime.cluster` reuses
+stepping thread per node plus one asyncio loop thread owning every
+endpoint) -- that is what the differential and chaos-proxy tests
+drive.  :mod:`repro.runtime.cluster` reuses
 :class:`SocketEndpoint` unchanged to run each node as a genuine OS
 process (``python -m repro daemon``).
 """
@@ -578,9 +578,24 @@ class SocketEndpoint:
 
 
 class SocketWorld(World):
-    """The full network over real TCP, one process: node stepping
-    threads (as in :class:`~repro.transport.threaded.ThreadedWorld`)
-    plus one asyncio loop thread owning every :class:`SocketEndpoint`.
+    """The full network over real TCP, one process: one stepping
+    thread per node plus one asyncio loop thread owning every
+    :class:`SocketEndpoint`.
+
+    "A DiTyCO node is implemented as a Unix process.  The sites, the
+    communication daemon (TyCOd), and the user interface daemon (TyCOi)
+    are implemented as threads sharing the address space of the node."
+    Each node thread loops over :meth:`Node.step` (which pumps the
+    TyCOd and round-robins the site pool) and parks on an event when
+    the node has no work.
+
+    Global quiescence is detected with a repeated scan over (busy
+    nodes, link queues, records sent / delivered, generation counters):
+    a node that became busy between two scans bumps its generation,
+    invalidating the snapshot.  The algorithmic alternative (Safra's
+    token ring, the paper's future-work termination detection) lives
+    in :mod:`repro.runtime.termination` and is exercised by experiment
+    E12.
 
     ``proxy`` (a :class:`~repro.testkit.proxy.ChaosProxy`) interposes
     a fault-injecting TCP relay on every link; the world then mirrors
@@ -816,7 +831,8 @@ class SocketWorld(World):
     def run(self, max_time: float | None = None) -> float:
         """Start (if needed) and wait for stable global inactivity.
 
-        Unlike the threaded world this does *not* require strict
+        Returns the wall-clock seconds waited; raises ``TimeoutError``
+        if ``max_time`` elapses first.  This does *not* require strict
         :meth:`Node.is_quiescent`: a site parked on an unanswerable
         FETCH is passive, and fault-injecting proxy runs legitimately
         end in that state (the chaos corpus observes it).  Use

@@ -4,14 +4,14 @@
 :class:`~repro.runtime.network.DiTyCONetwork`, injects the generated
 arrival schedule open-loop, and stopwatches every operation from its
 injection to the moment its completion token reaches the ``collector``
-site.  The same code path drives all three worlds:
+site.  The same code path drives both worlds:
 
 * ``sim`` -- arrivals become :meth:`SimWorld.schedule_at` events on
   the virtual clock, so the whole run (latencies included) is a pure
   function of the spec; repeated runs are bit-identical.
-* ``threaded`` / ``socket`` -- the world is started, the injector
-  thread sleeps out the schedule on the wall clock, and latencies are
-  real round-trip times over queues or TCP.
+* ``socket`` -- the world is started, the injector thread sleeps out
+  the schedule on the wall clock, and latencies are real round-trip
+  times over loopback TCP.
 
 Latency measurement needs no VM support: every workload routes each
 operation's completion token (its ``seq``) to the collector's console,
@@ -48,7 +48,7 @@ from .spec import Arrival, WorkloadSpec, WorkloadError, generate_trace
 #: (setup_phases / op_entry / post_phases / expected_outputs).
 APPS = {"pubsub": pubsub, "mapreduce": mapreduce, "agents": agents}
 
-WORLD_KINDS = ("sim", "threaded", "socket")
+WORLD_KINDS = ("sim", "socket")
 
 #: Seconds, geometric x4 from 1us to ~17s: spans simulated cross-node
 #: round trips (tens of us) through real TCP tails.
@@ -171,10 +171,6 @@ def _us(seconds: float | None) -> float | None:
 def _make_world(kind: str):
     if kind == "sim":
         return None                     # DiTyCONetwork's default SimWorld
-    if kind == "threaded":
-        from repro.transport.threaded import ThreadedWorld
-
-        return ThreadedWorld()
     if kind == "socket":
         from repro.transport.socket import SocketWorld
 
@@ -367,7 +363,7 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                               flight_dump=flight_dump,
                               slo_breaches=slo_breaches)
     finally:
-        if world == "socket":
+        if world != "sim":
             net.world.shutdown()
 
 

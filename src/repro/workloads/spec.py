@@ -60,7 +60,7 @@ class WorkloadSpec:
         Number of operations the generator injects.
     rate_per_s:
         Mean open-loop arrival rate (operations per *simulated* second
-        on SimWorld; per wall second on the socket/threaded worlds).
+        on SimWorld; per wall second on the socket world).
         Inter-arrival gaps are uniform integers in
         ``[1, 2*mean_gap - 1]`` microseconds (mean = ``1e6/rate``).
     nodes:

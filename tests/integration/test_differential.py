@@ -9,7 +9,7 @@ randomly generated confluent programs both must produce
 * exactly the same number of COMM and INST reductions.
 
 A third leg checks the distributed stack: the same two-site program
-run on the simulated world and on the threaded world produces the same
+run on the simulated world and on the socket world produces the same
 outputs.
 """
 
@@ -233,7 +233,7 @@ def test_well_typed_programs_run_clean(p):
     assert all(isinstance(v, int) for v in vm.output)
 
 
-class TestSimVsThreaded:
+class TestSimVsSocket:
     PROGRAMS = [
         ("export new svc svc?(w) = print![w]",
          "import svc from server in svc![5]",
@@ -249,7 +249,7 @@ class TestSimVsThreaded:
     @pytest.mark.parametrize("server_src,client_src,who,expected", PROGRAMS)
     def test_both_worlds_agree(self, server_src, client_src, who, expected):
         from repro.runtime import DiTyCONetwork
-        from repro.transport import SimWorld, ThreadedWorld
+        from repro.transport import SimWorld, SocketWorld
 
         def run(world):
             net = DiTyCONetwork(world=world)
@@ -257,11 +257,11 @@ class TestSimVsThreaded:
             net.launch("n1", "server", server_src)
             net.launch("n2", "client", client_src)
             try:
-                net.run(20.0 if isinstance(world, ThreadedWorld) else None)
+                net.run(20.0 if world.wall_clock else None)
                 return net.site(who).output
             finally:
-                if isinstance(world, ThreadedWorld):
+                if world.wall_clock:
                     world.shutdown()
 
         assert run(SimWorld()) == expected
-        assert run(ThreadedWorld()) == expected
+        assert run(SocketWorld()) == expected

@@ -1,7 +1,6 @@
 """Cross-world differential testing: the same program must reach the
 same final observable state on the deterministic simulator
-(:class:`SimWorld`), the in-process threaded transport
-(:class:`ThreadedWorld`), and real TCP (:class:`SocketWorld`).
+(:class:`SimWorld`) and on real TCP (:class:`SocketWorld`).
 
 Two tiers of strictness:
 
@@ -24,11 +23,11 @@ import pytest
 
 from repro.obs import TraceCollector
 from repro.runtime import DiTyCONetwork
-from repro.transport import SocketWorld, ThreadedWorld
+from repro.transport import SocketWorld
 
 from ..testkit.scenarios import SCENARIOS
 
-WORLDS = ["sim", "threaded", "socket"]
+WORLDS = ["sim", "socket"]
 
 #: name -> list of phases; a phase is [(ip, site_name, source), ...].
 #: Sources follow the paper's examples: service calls (code shipping)
@@ -70,11 +69,9 @@ PROGRAMS = {
 
 
 def _make_world(kind):
-    if kind == "sim":
-        return None                     # DiTyCONetwork's default SimWorld
-    if kind == "threaded":
-        return ThreadedWorld()
-    return SocketWorld()
+    """``None`` (DiTyCONetwork's default SimWorld) or the wall-clock
+    world, which its builder must shut down."""
+    return None if kind == "sim" else SocketWorld()
 
 
 def _observe(net, counts=True):
@@ -109,12 +106,12 @@ def run_phased(kind, phases, max_time=30.0, sink=None):
         for phase in phases:
             for ip, name, src in phase:
                 net.launch(ip, name, src)
-            net.run(max_time=None if kind == "sim" else max_time)
+            net.run(max_time=None if world is None else max_time)
         assert net.is_quiescent()
         return _observe(net)
     finally:
-        if kind == "socket":
-            net.world.shutdown()
+        if world is not None:
+            world.shutdown()
 
 
 def run_scenario_everywhere(kind, scenario, max_time=30.0):
@@ -122,29 +119,26 @@ def run_scenario_everywhere(kind, scenario, max_time=30.0):
     net = DiTyCONetwork(world=world)
     try:
         SCENARIOS[scenario](net)
-        net.run(max_time=None if kind == "sim" else max_time)
+        net.run(max_time=None if world is None else max_time)
         assert net.is_quiescent()
         return _observe(net, counts=False)
     finally:
-        if kind == "socket":
-            net.world.shutdown()
+        if world is not None:
+            world.shutdown()
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS), ids=str)
 def test_phased_programs_agree_across_worlds(name):
     phases = PROGRAMS[name]
-    reference = run_phased("sim", phases)
-    for kind in WORLDS[1:]:
-        assert run_phased(kind, phases) == reference, (
-            f"{name}: {kind} world diverged from the simulator")
+    assert run_phased("socket", phases) == run_phased("sim", phases), (
+        f"{name}: socket world diverged from the simulator")
 
 
 @pytest.mark.parametrize("scenario", ["echo", "pump", "applet"], ids=str)
 def test_corpus_scenarios_agree_across_worlds(scenario):
-    reference = run_scenario_everywhere("sim", scenario)
-    for kind in WORLDS[1:]:
-        assert run_scenario_everywhere(kind, scenario) == reference, (
-            f"{scenario}: {kind} world diverged from the simulator")
+    assert run_scenario_everywhere("socket", scenario) == \
+        run_scenario_everywhere("sim", scenario), (
+            f"{scenario}: socket world diverged from the simulator")
 
 
 def test_every_world_publishes_the_same_events():
@@ -162,7 +156,7 @@ def test_every_world_publishes_the_same_events():
         seen[kind] = Counter(e.kind for e in sink.events
                              if e.node and e.src != e.node)
     assert seen["sim"]["fetch-req"] > 0
-    assert seen["threaded"] == seen["socket"] == seen["sim"]
+    assert seen["socket"] == seen["sim"]
 
 
 def test_phased_ping_expected_answer():
@@ -181,7 +175,7 @@ def test_phased_ping_expected_answer():
 # then every generated operation launched in one final concurrent
 # phase.  Imports still resolve on first execution (all names are
 # registered before the op phase), so per-site instruction counts are
-# comparable; completion *order* races on the wall-clock worlds, so
+# comparable; completion *order* races on the wall-clock world, so
 # output tuples are compared as multisets.
 
 from repro.workloads import WorkloadSpec, generate_trace  # noqa: E402
@@ -207,11 +201,9 @@ def _canonical(obs: dict) -> dict:
 
 
 def test_chat_fabric_agrees_across_worlds():
-    reference = _canonical(run_phased("sim", chat_fabric_phases()))
-    for kind in WORLDS[1:]:
-        observed = _canonical(run_phased(kind, chat_fabric_phases()))
-        assert observed == reference, (
-            f"chat-fabric: {kind} world diverged from the simulator")
+    assert _canonical(run_phased("socket", chat_fabric_phases())) == \
+        _canonical(run_phased("sim", chat_fabric_phases())), (
+            "chat-fabric: socket world diverged from the simulator")
 
 
 def test_chat_fabric_expected_answer():

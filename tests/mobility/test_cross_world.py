@@ -7,8 +7,9 @@ state (printed outputs, per-site instruction counts, export pins, name
 service placement) on:
 
 * the deterministic simulator,
-* the threaded in-process world (one thread per node, wall clock),
-* a 3-process ``repro daemon`` cluster over real TCP.
+* the in-process socket world (one thread per node, loopback TCP,
+  wall clock),
+* a 3-process ``repro daemon`` cluster over the same TCP transport.
 
 A second family drives migration over real sockets *through the chaos
 proxy* (every record duplicated), pinning the at-most-once cutover on
@@ -21,7 +22,7 @@ from repro.runtime import DiTyCONetwork
 from repro.runtime.cluster import ProcessCluster
 from repro.testkit import ChaosConfig, ChaosProxy
 from repro.testkit import invariants as inv
-from repro.transport import SocketWorld, ThreadedWorld
+from repro.transport import SocketWorld
 
 pytestmark = pytest.mark.slow
 
@@ -104,15 +105,15 @@ def digest_cluster():
         cluster.shutdown()
 
 
-def test_sim_vs_threaded_vs_process_cluster():
+def test_sim_vs_socket_vs_process_cluster():
     sim = digest_in_process()
-    world = ThreadedWorld()
+    world = SocketWorld()
     try:
-        threaded = digest_in_process(world)
+        in_process = digest_in_process(world)
     finally:
         world.shutdown()
     cluster = digest_cluster()
-    assert threaded == sim
+    assert in_process == sim
     assert cluster == sim
     # Anchor against hand-computed expectations so the three stacks
     # cannot agree by being wrong together.

@@ -1,8 +1,8 @@
 """Regression tests for wall-clock vs virtual-clock mixups.
 
 The runtime has two time bases: SimWorld's virtual clock (microsecond
-scale, advanced by the scheduler) and the wall clock shared by the
-threaded and socket transports (repro.transport.clock.monotime).
+scale, advanced by the scheduler) and the wall clock of the socket
+transport, in one process or many (repro.transport.clock.monotime).
 Components written against one must not silently run on the other:
 
 * pre-scheduling detectors (HeartbeatMonitor, GcScheduler) only make
@@ -24,30 +24,31 @@ from repro.runtime import (
     HeartbeatMonitor,
     NameService,
 )
-from repro.transport import SimWorld, SocketWorld, ThreadedWorld
+from repro.transport import SimWorld, SocketWorld
 from repro.transport.clock import monotime
 
 
-class TestSchedulersRefuseWallClockWorlds:
-    def test_heartbeat_monitor_rejects_threaded_world(self):
-        with pytest.raises(TypeError, match="virtual-clock"):
-            HeartbeatMonitor(ThreadedWorld(), NameService())
+@pytest.fixture
+def wall_world():
+    world = SocketWorld()
+    try:
+        yield world
+    finally:
+        world.shutdown()
 
-    def test_heartbeat_monitor_rejects_socket_world(self):
-        world = SocketWorld()
-        try:
-            with pytest.raises(TypeError, match="virtual-clock"):
-                HeartbeatMonitor(world, NameService())
-        finally:
-            world.shutdown()
+
+class TestSchedulersRefuseWallClockWorlds:
+    def test_heartbeat_monitor_rejects_socket_world(self, wall_world):
+        with pytest.raises(TypeError, match="virtual-clock"):
+            HeartbeatMonitor(wall_world, NameService())
 
     def test_heartbeat_monitor_accepts_sim_world(self):
         monitor = HeartbeatMonitor(SimWorld(), NameService())
         monitor.install(horizon=0.01)
 
-    def test_gc_scheduler_rejects_wall_clock_worlds(self):
+    def test_gc_scheduler_rejects_wall_clock_worlds(self, wall_world):
         with pytest.raises(TypeError, match="virtual-clock"):
-            GcScheduler(ThreadedWorld())
+            GcScheduler(wall_world)
 
     def test_gc_scheduler_accepts_sim_world(self):
         GcScheduler(SimWorld()).install(horizon=0.01)
@@ -60,9 +61,8 @@ class TestGcConfigScaling:
         assert wall.renew_s / wall.sweep_s == sim.renew_s / sim.sweep_s
         assert wall.lease_s >= 1.0     # survives scheduling hiccups
 
-    def test_network_scales_gc_terms_on_wall_clock_world(self):
-        world = ThreadedWorld()
-        net = DiTyCONetwork(world=world, distgc=True)
+    def test_network_scales_gc_terms_on_wall_clock_world(self, wall_world):
+        net = DiTyCONetwork(world=wall_world, distgc=True)
         node = net.add_node("n1")
         site = net.launch("n1", "s", "new x x?(v) = 0")
         assert node.gc_config.lease_s == GcConfig.wall_clock().lease_s
@@ -74,25 +74,18 @@ class TestGcConfigScaling:
         site = net.launch("n1", "s", "new x x?(v) = 0")
         assert site.distgc.config.lease_s == GcConfig().lease_s
 
-    def test_explicit_config_wins_everywhere(self):
+    def test_explicit_config_wins_everywhere(self, wall_world):
         custom = GcConfig(lease_s=9.0, renew_s=2.0, sweep_s=1.0)
-        world = ThreadedWorld()
-        net = DiTyCONetwork(world=world, distgc=True, gc_config=custom)
+        net = DiTyCONetwork(world=wall_world, distgc=True, gc_config=custom)
         net.add_node("n1")
         site = net.launch("n1", "s", "new x x?(v) = 0")
         assert site.distgc.config is custom
 
 
 class TestSharedMonotonicClock:
-    def test_wall_clock_worlds_read_monotime(self):
-        threaded = ThreadedWorld()
-        world = SocketWorld()
-        try:
-            before = monotime()
-            assert before <= threaded.time <= monotime()
-            assert before <= world.time <= monotime()
-        finally:
-            world.shutdown()
+    def test_wall_clock_worlds_read_monotime(self, wall_world):
+        before = monotime()
+        assert before <= wall_world.time <= monotime()
 
     def test_monotime_is_the_monotonic_clock(self):
         assert abs(monotime() - time.monotonic()) < 0.5

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.runtime import DiTyCONetwork, HeartbeatMonitor, ReplicatedNameService
+from repro.runtime import DiTyCONetwork, HeartbeatMonitor
 from repro.transport import SimWorld
 
 
-def running_net(nameservice=None):
+def running_net():
     world = SimWorld()
-    net = DiTyCONetwork(world=world, nameservice=nameservice)
+    net = DiTyCONetwork(world=world)
     net.add_nodes(["n1", "n2"])
     net.launch("n1", "server", "export new svc svc?(w) = print![w]")
     net.launch("n2", "client", "import svc from server in svc![1]")
@@ -88,16 +88,6 @@ class TestHeartbeatMonitor:
         net.launch("n2", "late", "import svc from server in svc![9]")
         world.run()
         assert net.site("late").vm.has_stalled()
-
-    def test_replica_dropped_for_replicated_ns(self):
-        ns = ReplicatedNameService()
-        world, net = running_net(nameservice=ns)
-        ns.replica("n1")
-        monitor = HeartbeatMonitor(world, ns, period=1e-3, timeout=3.5e-3)
-        monitor.install(horizon=0.02)
-        world.schedule_at(world.time + 2e-3, lambda: world.fail_node("n1"))
-        world.run()
-        assert "n1" not in ns._replicas
 
     def test_timeout_must_exceed_period(self):
         world, net = running_net()

@@ -5,7 +5,6 @@ import pytest
 from repro.runtime import (
     NameService,
     NameServiceError,
-    ReplicatedNameService,
     UnknownSiteName,
 )
 from repro.vm.values import NetRef, RemoteClassRef
@@ -101,19 +100,6 @@ class TestUnregister:
         ns = NameService()
         assert ns.unregister_export("ghost", "x") is False
 
-    def test_replicated_unregister_propagates(self):
-        ns = ReplicatedNameService()
-        rep = ns.replica("a")
-        ns.register_site("s", "ip")
-        ns.export_name("s", "x", 1)
-        ns.export_class("s", "X", 2)
-        writes = ns.replica_writes
-        assert ns.unregister_export("s", "x")
-        assert ns.unregister_class_export("s", "X")
-        assert rep.lookup_name("s", "x") is None
-        assert rep.lookup_class("s", "X") is None
-        assert ns.replica_writes == writes + 2
-
 
 class TestSubscriptions:
     def test_callbacks_fired_on_registration(self):
@@ -124,8 +110,7 @@ class TestSubscriptions:
         ns.export_name("a", "x", 1)
         assert len(events) == 2
 
-    @pytest.mark.parametrize("service", [NameService, ReplicatedNameService])
-    def test_subscription_is_a_membership_not_a_log(self, service):
+    def test_subscription_is_a_membership_not_a_log(self):
         class Waiter:
             def __init__(self, tag, log):
                 self.tag, self.log = tag, log
@@ -133,7 +118,7 @@ class TestSubscriptions:
             def woken(self):
                 self.log.append(self.tag)
 
-        ns = service()
+        ns = NameService()
         log = []
         first, second = Waiter("first", log), Waiter("second", log)
         for _ in range(100):
@@ -162,42 +147,11 @@ class TestSubscriptions:
         assert ns.stats.wakeups == 2
 
 
-class TestReplicated:
-    def test_writes_visible_in_replicas(self):
-        ns = ReplicatedNameService()
-        rep = ns.replica("10.0.0.2")
-        sid = ns.register_site("server", "10.0.0.1")
-        ns.export_name("server", "svc", 3)
-        ref = rep.lookup_name("server", "svc")
-        assert ref == NetRef(3, sid, "10.0.0.1")
+def test_one_store_only():
+    """One store, one TCP front: any other name-service class is an
+    ``ImportError``, not an alias."""
+    import repro.runtime as runtime
 
-    def test_replica_created_after_writes_sees_history(self):
-        ns = ReplicatedNameService()
-        sid = ns.register_site("server", "10.0.0.1")
-        ns.export_name("server", "svc", 3)
-        rep = ns.replica("10.0.0.3")
-        assert rep.lookup_name("server", "svc") == NetRef(3, sid, "10.0.0.1")
-
-    def test_drop_replica_recovery(self):
-        ns = ReplicatedNameService()
-        ns.register_site("server", "10.0.0.1")
-        ns.export_name("server", "svc", 3)
-        ns.replica("10.0.0.2")
-        ns.drop_replica("10.0.0.2")
-        # A fresh replica (recovered node) has the full state again.
-        rep = ns.replica("10.0.0.2")
-        assert rep.lookup_name("server", "svc") is not None
-
-    def test_replica_write_count(self):
-        ns = ReplicatedNameService()
-        ns.replica("a")
-        ns.replica("b")
-        ns.register_site("s", "ip")
-        ns.export_name("s", "x", 1)
-        assert ns.replica_writes == 4  # 2 replicas x 2 writes
-
-    def test_site_ids_consistent_across_replicas(self):
-        ns = ReplicatedNameService()
-        rep = ns.replica("a")
-        sid = ns.register_site("s1", "ip1")
-        assert rep.lookup_site("s1").site_id == sid
+    assert sorted(n for n in dir(runtime) if "NameService" in n) == [
+        "NameService", "NameServiceClient", "NameServiceError",
+        "NameServiceServer", "NameServiceStats"]

@@ -1,11 +1,19 @@
 """Unit tests for the TCP name service (repro.runtime.nsnet)."""
 
+import socket
+import threading
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.runtime import DiTyCONetwork
+from repro.runtime.cluster import _DaemonControl, control_call
 from repro.runtime.nameservice import NameServiceError, UnknownSiteName
-from repro.runtime.nsnet import NameServiceClient, NameServiceServer
+from repro.runtime.nsnet import (NameServiceClient, NameServiceServer,
+                                 recv_msg, send_msg)
+from repro.transport.socket import encode_record
 
 
 @pytest.fixture
@@ -146,3 +154,158 @@ class TestSubscriptions:
         # must transparently redial.
         client._sock.close()
         assert client.lookup_site("alpha").site_name == "alpha"
+
+
+def handlers_done():
+    """No socketserver handler thread of this process is still running."""
+    return wait_until(lambda: not any(
+        "process_request_thread" in t.name for t in threading.enumerate()))
+
+
+def send_and_close(addr, data):
+    with socket.create_connection(addr, timeout=5.0) as sock:
+        sock.sendall(data)
+
+
+@pytest.fixture
+def control():
+    net = DiTyCONetwork()
+    net.add_node("n1")
+    ctl = _DaemonControl(net, net.world, "n1", "127.0.0.1", 0)
+    try:
+        yield ctl, ("127.0.0.1", ctl.port)
+    finally:
+        ctl.close()
+
+
+class TornPeer:
+    """A fake name server: answers every request of every connection
+    with the same canned bytes, then closes."""
+
+    def __init__(self, answer: bytes) -> None:
+        self.answer = answer
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.02)
+        self.addr = self._listener.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                self.connections += 1
+                recv_msg(conn)
+                conn.sendall(self.answer)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+LITERALS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestTornRecords:
+    """EOF inside a record, or a record that is not a literal, is a
+    typed error on the reading side and ends one connection only."""
+
+    REPLY = encode_record(repr(("ok", ("alpha", 1, "n1"))).encode())
+
+    def test_every_prefix_of_a_request_leaves_the_server_serving(
+            self, ns, control, capfd):
+        server, client = ns
+        ctl, ctl_addr = control
+        record = encode_record(repr(("site_count",)).encode())
+        for addr in ((server.host, server.port), ctl_addr):
+            for cut in range(len(record)):      # cut 2: a torn header
+                send_and_close(addr, record[:cut])
+            # Complete records that are not requests: bad UTF-8, not a
+            # literal, unbalanced, nested past the parser's limit, a
+            # non-sequence, and a length prefix over the record bound.
+            for payload in (b"\xff\xfe", b"import os", b"(", b"(" * 5000,
+                            b"5", b"'shutdown'"):
+                send_and_close(addr, encode_record(payload))
+            send_and_close(addr, b"\xff\xff\xff\xff")
+        assert handlers_done()
+        assert client.site_count() == 0
+        assert control_call(ctl_addr, "ident")["ip"] == "n1"
+        assert not ctl.shutdown_requested.is_set()
+        assert capfd.readouterr().err == ""
+
+    def test_non_sequence_control_request_is_an_err_reply(self, control):
+        _ctl, addr = control
+        with socket.create_connection(addr, timeout=5.0) as sock:
+            send_msg(sock, 5)
+            status, err_type, _message = recv_msg(sock)
+            assert (status, err_type) == ("err", "TypeError")
+            # ... and the connection keeps serving.
+            send_msg(sock, ("ident",))
+            assert recv_msg(sock)[0] == "ok"
+
+    @pytest.mark.parametrize("answer", [
+        REPLY[:3],                      # torn header
+        REPLY[:len(REPLY) // 2],        # full header, half a payload
+        b"",                            # EOF in place of the reply
+    ], ids=["torn-header", "half-payload", "eof"])
+    def test_client_gets_connection_error_after_one_retry(self, answer):
+        peer = TornPeer(answer)
+        client = NameServiceClient(*peer.addr)
+        try:
+            with pytest.raises(ConnectionError):
+                client.lookup_site("alpha")
+            assert peer.connections == 2
+        finally:
+            client.close()
+            peer.close()
+
+    @pytest.mark.parametrize("payload", [b"(", b"\xff", b"5", b"('ok',)",
+                                         b"('maybe', 1)"],
+                             ids=["unbalanced", "bad-utf8", "non-tuple",
+                                  "short-ok", "unknown-status"])
+    def test_garbled_reply_is_a_value_error(self, payload):
+        peer = TornPeer(encode_record(payload))
+        client = NameServiceClient(*peer.addr)
+        try:
+            with pytest.raises(ValueError):
+                client.lookup_site("alpha")
+            with pytest.raises(ValueError):
+                control_call(peer.addr, "ident")
+        finally:
+            client.close()
+            peer.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(obj=LITERALS, data=st.data())
+    def test_strict_prefix_then_eof_is_none_or_connection_error(
+            self, obj, data):
+        record = encode_record(repr(obj).encode())
+        cut = data.draw(st.integers(0, len(record) - 1))
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            writer.sendall(record[:cut])
+            writer.shutdown(socket.SHUT_WR)
+            if cut == 0:
+                assert recv_msg(reader) is None
+            else:
+                with pytest.raises(ConnectionError):
+                    recv_msg(reader)
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            writer.sendall(record)
+            writer.shutdown(socket.SHUT_WR)
+            assert recv_msg(reader) == obj
+            assert recv_msg(reader) is None

@@ -3,14 +3,16 @@
 The paper's protocol is asynchronous and makes no global ordering
 promise, but both worlds deliver *point-to-point in FIFO order* (the
 simulator because equal-latency packets dequeue in send order, the
-threaded world because receive is synchronous).  Programs in the
-tests/benchmarks rely on that, so it is pinned down here.
+socket world because each (src, dst) link is one TCP connection whose
+records are handed to the node under a per-destination receive lock).
+Programs in the tests/benchmarks rely on that, so it is pinned down
+here.
 """
 
 import pytest
 
 from repro.runtime import DiTyCONetwork
-from repro.transport import SimWorld, ThreadedWorld
+from repro.transport import SimWorld, SocketWorld
 
 
 def fifo_program(net, n=8):
@@ -66,9 +68,9 @@ class TestSimOrdering:
         assert net.site("server").output == [1, 2]
 
 
-class TestThreadedOrdering:
+class TestSocketOrdering:
     def test_point_to_point_fifo(self):
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         net.add_nodes(["n1", "n2"])
         n = fifo_program(net)
@@ -122,11 +124,11 @@ class TestBatchedOrdering:
             assert net.site("server").output == list(range(n)), \
                 f"seed {seed} reordered a single link's stream"
 
-    def test_threaded_two_senders_fifo_under_batching(self):
+    def test_socket_two_senders_fifo_under_batching(self):
         """Concurrent senders into one node: the per-destination
         receive lock must enqueue each frame atomically, so every
         sender's stream stays FIFO even when frames interleave."""
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         net.add_nodes(["n1", "n2", "n3"])
         receivers = " | ".join(f"(svc?(v{i}) = print![v{i}])"

@@ -1,11 +1,12 @@
-"""Tests for the simulated and threaded worlds driving the same runtime."""
+"""Tests for the simulated and socket worlds driving the same runtime."""
 
+import importlib
 import sys
 
 import pytest
 
 from repro.runtime import DiTyCONetwork
-from repro.transport import SimWorld, ThreadedWorld, myrinet_cluster
+from repro.transport import SimWorld, SocketWorld, myrinet_cluster
 
 
 SERVER = "export new svc svc?(r) = r![7]"
@@ -104,9 +105,9 @@ class TestSimWorld:
         assert one_run() == one_run()
 
 
-class TestThreadedWorld:
+class TestWallClockWorld:
     def _run(self, programs, timeout=20.0):
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         ips = sorted({ip for ip, _, _ in programs})
         net.add_nodes(ips)
@@ -170,7 +171,7 @@ class TestThreadedWorld:
         # subscriber snapshot under the service lock for the same reason.
         client = ("import svc from server in "
                   "export new a (svc![a] | a?(w) = print![w])")
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         net.add_nodes(["n1", "n2"])
         interval = sys.getswitchinterval()
@@ -190,7 +191,7 @@ class TestThreadedWorld:
             world.shutdown()
 
     def test_quiescence_timeout(self):
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         net.add_node("n1")
         try:
@@ -201,7 +202,7 @@ class TestThreadedWorld:
             world.shutdown()
 
     def test_shutdown_idempotent(self):
-        world = ThreadedWorld()
+        world = SocketWorld()
         net = DiTyCONetwork(world=world)
         net.add_node("n1")
         net.launch("n1", "s", "print![1]")
@@ -209,3 +210,14 @@ class TestThreadedWorld:
         world.shutdown()
         world.shutdown()
         assert net.site("s").output == [1]
+
+
+def test_two_worlds_only():
+    """One deterministic world, one wall-clock world: any other is an
+    ``ImportError``, not an alias."""
+    import repro.transport as transport
+
+    assert sorted(n for n in dir(transport) if n.endswith("World")) == [
+        "SimWorld", "SocketWorld", "World"]
+    with pytest.raises(ImportError):
+        importlib.import_module(".threaded", "repro.transport")

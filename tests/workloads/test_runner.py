@@ -1,7 +1,9 @@
 """The open-loop runner end to end on the simulator (plus one
-threaded-world smoke): completion, correctness of effects, latency
+socket-world smoke): completion, correctness of effects, latency
 recording, and same-(spec, seed) bit-determinism.
 """
+
+import threading
 
 import pytest
 
@@ -92,8 +94,17 @@ class TestDeterminism:
 
 class TestRunnerEdges:
     def test_unknown_world_rejected(self):
-        with pytest.raises(WorkloadError, match="unknown world"):
-            run_workload(SPECS["pubsub"], world="quantum")
+        for kind in ("quantum", "threaded"):
+            with pytest.raises(WorkloadError, match="unknown world"):
+                run_workload(SPECS["pubsub"], world=kind)
+
+    def test_cli_offers_the_two_worlds_only(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workload", "pubsub", "--world", "threaded"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err
 
     def test_external_registry_is_used(self):
         registry = MetricsRegistry()
@@ -260,10 +271,20 @@ class TestCodeStore:
                    for node in net.world.nodes.values())
 
 
-def test_threaded_world_smoke():
-    spec = WorkloadSpec("pubsub", seed=21, ops=10, rate_per_s=500.0,
-                        nodes=2, topics=1, subscribers=2)
-    rep = run_workload(spec, world="threaded", max_time=20.0)
+WALL_SPEC = WorkloadSpec("pubsub", seed=21, ops=10, rate_per_s=500.0,
+                         nodes=2, topics=1, subscribers=2)
+
+
+def test_socket_world_smoke():
+    rep = run_workload(WALL_SPEC, world="socket", max_time=20.0)
     assert rep.violations == []
-    assert rep.ops_completed == spec.ops
+    assert rep.ops_completed == WALL_SPEC.ops
     assert all(s > 0 for s in rep.all_latencies())
+
+
+def test_wall_world_leaves_no_threads():
+    before = set(threading.enumerate())
+    run_workload(WALL_SPEC, world="socket", max_time=20.0)
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.name.startswith("dityco-")]
+    assert leaked == []
