@@ -62,9 +62,9 @@ class TyCOd:
         """Move every packet currently waiting in site outgoing queues."""
         moved = 0
         for site in list(self.node.sites.values()):
-            while site.outgoing:
-                packet = site.outgoing.popleft()
-                self._route(packet)
+            outgoing = site.outgoing
+            while outgoing:
+                self._route(outgoing.popleft())
                 moved += 1
         return moved
 

@@ -103,7 +103,6 @@ class Node:
         #: The world's observability bus (repro.obs), set by add_node
         #: via :meth:`attach_obs`.  None for a standalone node.
         self.obs = None
-        self._switches_seen = 0
         #: Live-migration manager (repro.mobility), created lazily by
         #: :meth:`ensure_mobility` -- nodes that never migrate carry a
         #: None and every pre-mobility schedule stays byte-identical.
@@ -281,16 +280,36 @@ class Node:
         """One scheduling quantum: pump the daemon, then round-robin
         the site pool with a per-site instruction budget.  While the
         quantum runs, outgoing buffers are batched per destination;
-        the quantum boundary flushes them."""
+        the quantum boundary flushes them.
+
+        A quantum costs what runs in it: with nothing queued or
+        runnable and no timer to serve it returns at the door, and the
+        walk steps only the sites that have work when it reaches them
+        (a name-service wake-up earlier in the same walk counts).  The
+        budget still divides by the whole pool -- that, and pool order,
+        are the schedule."""
+        if not (self.distgc or self.mobility is not None or self.has_work()):
+            return NodeStepReport(0, 0, 0)
         self._in_step = True
         try:
             moved = self.tycod.pump()
-            executed = 0
+            executed = switches = 0
             nsites = len(self.sites)
             if nsites:
                 per_site = max(1, quantum // nsites)
                 for site in list(self.sites.values()):
-                    executed += site.step(per_site)
+                    vm = site.vm
+                    # has_work()'s test, inline: a call per site per
+                    # quantum shows on the wall (docs/PERF.md, "The
+                    # stepping shell").
+                    if (site.incoming or site.outgoing
+                            or vm.current is not None or vm.runqueue._queue):
+                        # Switches are charged per visited site: a reap
+                        # refunds nothing, an adoption brings no history.
+                        runqueue = vm.runqueue
+                        before = runqueue.context_switches
+                        executed += site.step(per_site)
+                        switches += runqueue.context_switches - before
             if self.distgc and self.sites:
                 # Sweep before the closing pump so renew/drop/claim
                 # packets ride this quantum's batch frames.
@@ -306,12 +325,8 @@ class Node:
         finally:
             self._in_step = False
             self.flush_batches()
-        switches = sum(s.vm.runqueue.context_switches
-                       for s in list(self.sites.values()))
-        delta_switches = switches - self._switches_seen
-        self._switches_seen = switches
         return NodeStepReport(instructions=executed,
-                              context_switches=delta_switches,
+                              context_switches=switches,
                               packets_moved=moved)
 
     def on_peer_suspected(self, ip: str) -> None:
@@ -368,12 +383,19 @@ class Node:
 
     def has_work(self) -> bool:
         """Anything runnable or queued on this node?"""
-        if self.mobility is not None and self.mobility.inbox:
+        if self._batch_buf or (self.mobility is not None
+                               and self.mobility.inbox):
             return True
-        return bool(self._batch_buf) or any(
-            not site.vm.is_idle() or site.incoming or site.outgoing
-            for site in self.sites.values()
-        )
+        # list(): the node thread of a wall-clock world asks this at
+        # the door of every quantum while a launch inserts a site.
+        for site in list(self.sites.values()):
+            vm = site.vm
+            # "This site has work": mail in either queue or a runnable
+            # thread.  step() asks every site it walks past the same.
+            if (site.incoming or site.outgoing
+                    or vm.current is not None or vm.runqueue._queue):
+                return True
+        return False
 
     def is_quiescent(self) -> bool:
         """Nothing runnable, queued, stalled or awaiting FETCH/code."""

@@ -389,6 +389,10 @@ class Site:
                         note=f"classes={len(dead_classes)} "
                              f"exports={len(dead_exports)} "
                              f"heap={hs.live}/{hs.allocated}")
+        if self.obs is not None and self.obs.tracing:
+            # A sweep changes the heap outside a step; the holder may
+            # be idle, and an idle site is never stepped.
+            self._emit_vm_state()
         return reclaimed
 
     def on_peer_suspected(self, ip: str) -> None:

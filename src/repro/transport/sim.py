@@ -7,17 +7,17 @@ delivery events computed from a :class:`~repro.transport.links.LinkModel`
 ``instr_time_s`` per executed byte-code instruction and
 ``context_switch_s`` per thread switch.
 
-Determinism: a single event heap ordered by (time, sequence number);
-no wall-clock or randomness anywhere, so every run of a given program
-produces identical timings -- which is what lets the benchmarks report
-stable simulated-time numbers for E2/E3/E8.
+Determinism: a single event heap of ``(time, seq, action)`` tuples
+(``seq`` is unique, so the heap orders in C and never compares an
+action); no wall-clock or randomness anywhere, so every run of a given
+program produces identical timings -- which is what lets the
+benchmarks report stable simulated-time numbers for E2/E3/E8.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 from typing import TYPE_CHECKING
@@ -29,17 +29,6 @@ from .base import World
 from .links import ClusterModel, myrinet_cluster
 
 
-@dataclass(order=True, slots=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.action is None:  # pragma: no cover - guarded by callers
-            raise ValueError("event without action")
-
-
 class SimWorld(World):
     """Single-threaded simulated cluster."""
 
@@ -49,7 +38,7 @@ class SimWorld(World):
         self.cluster = cluster or myrinet_cluster()
         self.quantum = quantum
         self._clock = 0.0
-        self._events: list[_Event] = []
+        self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._scheduled: set[str] = set()   # node ips with a pending step
         # Per-(src, dst) link clock: packets on one link are delivered
@@ -87,7 +76,7 @@ class SimWorld(World):
             self._push(self._clock, lambda: self._node_step(ip))
 
     def _push(self, time: float, action: Callable[[], None]) -> None:
-        heapq.heappush(self._events, _Event(time, next(self._seq), action))
+        heapq.heappush(self._events, (time, next(self._seq), action))
 
     # -- packet transport ----------------------------------------------------------
 
@@ -175,12 +164,13 @@ class SimWorld(World):
         start = self._clock
         while self._events:
             event = heapq.heappop(self._events)
-            if max_time is not None and event.time > max_time:
+            time, _, action = event
+            if max_time is not None and time > max_time:
                 heapq.heappush(self._events, event)
                 self._clock = max(self._clock, max_time)
                 break
-            self._clock = max(self._clock, event.time)
-            event.action()
+            self._clock = max(self._clock, time)
+            action()
         return self._clock - start
 
     def kick(self) -> None:
@@ -194,6 +184,8 @@ class SimWorld(World):
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule an arbitrary control-plane action on the virtual
         clock (heartbeats, monitors, workload generators)."""
+        if not callable(action):
+            raise TypeError(f"event action must be callable, got {action!r}")
         if time < self._clock:
             raise ValueError(f"cannot schedule in the past ({time} < {self._clock})")
         self._push(time, action)

@@ -214,3 +214,176 @@ class TestQuiescence:
             node.step()
         assert node.total_reductions() == 2
         assert node.total_instructions() > 0
+
+
+LOOP = "def L(n) = L[n + 1] in L[0]"
+
+
+def count_site_steps(monkeypatch):
+    """Record the name of every site ``Site.step`` is called on."""
+    from repro.runtime.site import Site
+
+    stepped = []
+    real = Site.step
+
+    def step(self, budget):
+        stepped.append(self.site_name)
+        return real(self, budget)
+
+    monkeypatch.setattr(Site, "step", step)
+    return stepped
+
+
+class TestQuantumCostsWhatRanInIt:
+    """``Node.step`` steps the sites that have work, and nothing else."""
+
+    def test_drained_sites_are_not_stepped(self, monkeypatch):
+        node, _, _ = bare_node()
+        for i in range(20):
+            node.create_site(f"done{i}", compile_source(f"print![{i}]"))
+        while node.step().busy:
+            pass
+        looper = node.create_site("looper", compile_source(LOOP))
+        stepped = count_site_steps(monkeypatch)
+        for _ in range(5):
+            before = looper.vm.stats.instructions
+            report = node.step(quantum=210)
+            # The budget still divides by the whole pool: 210 // 21.
+            assert report.instructions == 10
+            assert looper.vm.stats.instructions - before == 10
+        assert stepped == ["looper"] * 5
+
+    def test_empty_quantum_returns_at_the_door(self, monkeypatch):
+        node, _, _ = bare_node()
+        node.create_site("s", compile_source("print![1]"))
+        while node.step().busy:
+            pass
+        stepped = count_site_steps(monkeypatch)
+        pumps = []
+        monkeypatch.setattr(node.tycod, "pump", lambda: pumps.append(1) or 0)
+        report = node.step()
+        assert report.busy is False
+        assert (report.instructions, report.context_switches,
+                report.packets_moved) == (0, 0, 0)
+        assert stepped == [] and pumps == []
+
+    def test_empty_quantum_still_sweeps_when_due(self):
+        from repro.runtime import GcConfig
+
+        now = [0.0]
+        ns = NameService()
+        node = Node("n1", ns, distgc=True,
+                    gc_config=GcConfig(sweep_s=1.0))
+        node.attach_transport(lambda *a: None, clock=lambda: now[0])
+        site = node.create_site("s", compile_source("print![1]"))
+        while node.step().busy:
+            pass
+        assert not node.has_work()
+        swept = site.distgc.stats.sweeps
+        node.step()                      # not due: no sweep
+        assert site.distgc.stats.sweeps == swept
+        now[0] = node._next_sweep
+        node.step()                      # due: the idle node sweeps
+        assert site.distgc.stats.sweeps == swept + 1
+
+    def test_empty_quantum_still_serves_the_mobility_manager(self, monkeypatch):
+        node, _, _ = bare_node()
+        node.create_site("s", compile_source("print![1]"))
+        while node.step().busy:
+            pass
+        mobility = node.ensure_mobility()
+        calls = []
+        monkeypatch.setattr(mobility, "process_inbox",
+                            lambda: calls.append("inbox") or 0)
+        monkeypatch.setattr(mobility, "tick",
+                            lambda now: calls.append("tick"))
+        assert not node.has_work()
+        node.step()
+        assert calls == ["inbox", "tick"]
+
+    def test_wakeup_during_the_walk_runs_in_the_same_quantum(self, monkeypatch):
+        # `late` stalls on an import in the first quantum; `early`,
+        # ahead of it in pool order, registers the name many quanta
+        # later.  The name-service update resumes `late` while the walk
+        # is at `early`, and the walk must still see it: a runnable set
+        # snapshotted at the top of the quantum would run `late` one
+        # quantum later and change every schedule that imports.
+        node, ns, _ = bare_node()
+        node.create_site("early", compile_source(
+            "def Wait(n) = if n > 0 then Wait[n - 1] "
+            "else export new svc svc?(w) = print![w] in Wait[3]"))
+        late = node.create_site("late", compile_source(
+            "import svc from early in svc![7]"))
+        stepped = count_site_steps(monkeypatch)
+        node.step(quantum=8)
+        assert late.vm.has_stalled()
+        for _ in range(100):
+            del stepped[:]
+            ran = late.vm.stats.instructions
+            node.step(quantum=8)
+            if not late.vm.has_stalled():
+                break
+            assert stepped == ["early"]   # a stalled site is not stepped
+        else:
+            pytest.fail("early never exported svc")
+        assert stepped == ["early", "late"]
+        assert late.vm.stats.instructions > ran
+        while node.step().busy:
+            pass
+        assert node.site("early").output == [7]
+
+
+class TestContextSwitchCharge:
+    """Switches are charged per visited site: reaping refunds nothing,
+    adoption brings no history."""
+
+    def test_reap_is_not_a_refund(self):
+        node, _, _ = bare_node()
+        reports = []
+
+        def run():
+            while True:
+                reports.append(node.step())
+                if not reports[-1].busy:
+                    return
+
+        gone = node.tycoi.submit(
+            "gone", "print![1] | print![2] | print![3] | print![4]")
+        node.tycoi.submit("stays", "new x x![1]")   # live queue: not reaped
+        run()
+        assert gone.vm.runqueue.context_switches > 1
+        assert node.tycoi.reap() == 1
+        third = node.tycoi.submit("third", "print![5]")
+        report = node.step()
+        reports.append(report)
+        # A whole-pool sum delta would charge `third - gone`: a busy
+        # quantum at a negative price.
+        assert report.context_switches == third.vm.runqueue.context_switches
+        assert report.context_switches > 0
+        run()
+        assert all(r.context_switches >= 0 for r in reports)
+        assert sum(r.context_switches for r in reports) == sum(
+            s.vm.runqueue.context_switches
+            for s in (gone, third, node.site("stays")))
+
+    def test_adoption_brings_no_history(self):
+        from repro.mobility.checkpoint import (read_checkpoint, restore_site,
+                                               write_checkpoint)
+
+        ns = NameService()
+        src, dst = Node("n1", ns), Node("n2", ns)
+        for node in (src, dst):
+            node.attach_transport(lambda *a: None)
+        site = src.create_site("looper", compile_source(LOOP))
+        for _ in range(10):
+            src.step()
+        history = site.vm.runqueue.context_switches
+        assert history > 50
+        src.remove_site(site)
+        rebuilt = restore_site(dst, *read_checkpoint(write_checkpoint(site)))
+        assert rebuilt.vm.runqueue.context_switches == history
+        dst.adopt_site(rebuilt)
+        report = dst.step()
+        ran = rebuilt.vm.runqueue.context_switches - history
+        assert 0 < ran < history
+        assert report.context_switches == ran

@@ -73,6 +73,14 @@ class TestSimWorld:
         with pytest.raises(ValueError):
             world.schedule_at(world.time - 1e-6, lambda: None)
 
+    def test_schedule_at_rejects_a_missing_action(self):
+        # Refused at the call, not as "'NoneType' object is not
+        # callable" out of run() a virtual second later.
+        world = SimWorld()
+        with pytest.raises(TypeError, match="callable"):
+            world.schedule_at(1.0, None)
+        assert world.run() == 0.0
+
     def test_schedule_at_future_fires_in_order(self):
         world = SimWorld()
         fired = []
