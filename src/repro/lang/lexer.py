@@ -84,20 +84,42 @@ class LexError(Exception):
 #: (or ``_``), which ``[^\W\d]`` over-approximates -- it admits
 #: non-decimal numerics such as ``'\u00b2'`` -- so a word that does not
 #: start with an ASCII letter is checked in ``tokens``.
+#:
+#: The token classes that can hold a digit are spelt once, here, for
+#: both ``_SCAN`` and ``_INT_SCAN`` below.
+_WORD_TAIL = r"[\w']*"
+_WORD = r"[^\W\d]" + _WORD_TAIL
+_INT = r"[0-9]+"
+_FLOAT = r"[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+_COMMENT = r"(?:--|//)[^\n]*"
 _STRING_BODY = r'(?:[^"\\\n]|\\[ntr"\\0])*'
+_STRING = '"' + _STRING_BODY + '"'
 _SCAN = re.compile(rf"""
     (?P<space>   [ \t\r]+ )
   | (?P<newline> \n [ \t\r\n]* )
-  | (?P<lower>   [a-z_] [\w']* )
-  | (?P<upper>   [A-Z] [\w']* )
-  | (?P<float>   [0-9]+ (?: \.[0-9]+ (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
-  | (?P<int>     [0-9]+ )
-  | (?P<comment> (?: -- | // ) [^\n]* )
+  | (?P<lower>   [a-z_] {_WORD_TAIL} )
+  | (?P<upper>   [A-Z] {_WORD_TAIL} )
+  | (?P<float>   {_FLOAT} )
+  | (?P<int>     {_INT} )
+  | (?P<comment> {_COMMENT} )
   | (?P<punct>   [<>=!]= | [!?\[\](){{}},=|.+\-*/%<>] )
-  | (?P<string>  " {_STRING_BODY} " )
-  | (?P<word>    [^\W\d] [\w']* )
+  | (?P<string>  {_STRING} )
+  | (?P<word>    {_WORD} )
   | (?P<bad>     (?s: . ) )
 """, re.VERBOSE)
+
+#: The same walk, for the launch path (repro.runtime.launch), which
+#: wants the ``INT`` tokens of a submission and nothing else: group 1
+#: takes everything an ``INT`` cannot start in -- the four classes
+#: above that may hold a digit (``float`` before ``int``, as in
+#: ``_SCAN``; ``lower`` / ``upper`` / ``word`` are one alternative,
+#: their first characters being disjoint from every other class's),
+#: then any one non-digit -- possessively, so the walk never restarts
+#: inside a token; group 2 is the ``INT`` it stopped at, or empty at
+#: the end of the text (without ``\Z`` a walk that found no further
+#: ``INT`` would fail and be retried one character on, mid-token).
+_INT_SCAN = re.compile(
+    rf"((?>{_WORD}|{_FLOAT}|{_COMMENT}|{_STRING}|[^0-9])*+)({_INT}|\Z)")
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
 _ESCAPE = re.compile(r"\\(.)")
@@ -182,3 +204,23 @@ class Lexer:
             return LexError("unterminated string literal", line, column)
         return LexError(f"bad escape \\{source[stop + 1:stop + 2]}",
                         line, column + stop - start)
+
+
+def scan_ints(source: str) -> tuple[list[str], list[str]]:
+    """The ``INT`` tokens of ``source`` without a :class:`Token`:
+    ``(pieces, digits)`` with ``source == pieces[0] + digits[0] +
+    pieces[1] + ... + pieces[-1]``, one C-level ``split``.
+
+    Where ``Lexer(source).tokens()`` succeeds, ``digits`` are the texts
+    of its ``INT`` tokens in order; where it raises, this does not (it
+    steps over what starts no token), so the result may only stand in
+    for a text that is *known* to lex -- see
+    :meth:`repro.runtime.launch.LaunchCache.compile`.
+    """
+    # ['', piece, digits, '', piece, digits, ...]: the matches tile
+    # the text; the first one without digits is the tail (an empty
+    # match at the very end may follow it).
+    parts = _INT_SCAN.split(source)
+    digits = parts[2::3]
+    count = digits.index("")
+    return parts[1:3 * count + 2:3], digits[:count]

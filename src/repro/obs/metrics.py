@@ -458,9 +458,9 @@ def world_metrics(world, registry: Optional[MetricsRegistry] = None
     """Sample the gauge-shaped state of ``world`` into ``registry``.
 
     Covers the whole stack: transport totals, per-node daemon traffic,
-    per-site VM counters (instructions, COMM/INST reductions,
-    run-queue depth), heap stats, code-cache hits/misses and distgc
-    lease state.  Safe to call repeatedly -- gauges are overwritten,
+    launch-cache and code-store state, per-site VM counters
+    (instructions, COMM/INST reductions, run-queue depth), heap stats,
+    code-cache hits/misses and distgc lease state.  Safe to call repeatedly -- gauges are overwritten,
     lifetime counters are set to the live values.
     """
     reg = registry if registry is not None else MetricsRegistry()
@@ -479,9 +479,23 @@ def world_metrics(world, registry: Optional[MetricsRegistry] = None
         "repro_node_bytes_sent_total": lambda n: n.tycod.stats.bytes_sent,
         "repro_node_local_deliveries_total":
             lambda n: n.tycod.stats.local_deliveries,
+        # What the node remembers between sites: program shapes
+        # (repro.runtime.launch) and code slices (runtime.codecache).
+        "repro_launch_cache_hits_total": lambda n: n.tycoi.launch.stats.hits,
+        "repro_launch_cache_misses_total":
+            lambda n: n.tycoi.launch.stats.misses,
+        "repro_launch_cache_untemplatable_total":
+            lambda n: n.tycoi.launch.stats.untemplatable,
+        "repro_launch_cache_evictions_total":
+            lambda n: n.tycoi.launch.stats.evictions,
+        "repro_code_store_slices":
+            lambda n: 0 if n.codestore is None else len(n.codestore),
+        "repro_code_store_evictions_total":
+            lambda n: 0 if n.codestore is None else n.codestore.evictions,
     }
     for name, getter in node_g.items():
-        handle = g(name, "Per-node TyCOd traffic.", ("node",))
+        handle = g(name, "Per-node daemon traffic, launch-cache and "
+                         "code-store state.", ("node",))
         for ip in sorted(world.nodes):
             handle.labels(ip).set(getter(world.nodes[ip]))
     site_g = {

@@ -31,7 +31,10 @@ already holds:
   digests to it.  What a site downloads, serves or offers is kept here,
   so the next site of the node links the slice out of the store
   instead of asking the owner again, and the node can answer for code
-  a site it no longer runs once offered.
+  a site it no longer runs once offered.  An entry also keeps what
+  :func:`link_bundle` made of it last time (:meth:`CodeStore.link`):
+  the task sites of a workload have one area shape, so they share the
+  linked blocks and their decoded plans instead of each linking anew.
 * :func:`link_bundle_cached` -- the receiving half: link a bundle into
   a program area installing **only** the items whose digests are
   missing, renumbering every cross-reference onto the cached copies.
@@ -42,9 +45,10 @@ already holds:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.compiler.assembly import Program
+from repro.compiler.assembly import ClassGroup, CodeBlock, ObjectCode, Program
 from repro.compiler.linker import (
     BundleManifest,
     CodeBundle,
@@ -53,6 +57,7 @@ from repro.compiler.linker import (
     extract_bundle,
     link_bundle,
 )
+from repro.vm.dispatch import DecodedBlock, predecode
 
 #: Digest width in bytes.  16 bytes of blake2b keeps manifests compact
 #: while making accidental collisions astronomically unlikely.
@@ -171,6 +176,9 @@ class CodeStore:
 
     def __init__(self) -> None:
         self._slices: dict[bytes, tuple[CodeBundle, BundleManifest]] = {}
+        #: digest -> what the last full link of that slice appended
+        #: (one slot per slice; dies with the entry).
+        self._linked: dict[bytes, _LinkedSlice] = {}
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -189,6 +197,7 @@ class CodeStore:
             if len(self._slices) >= MAX_SLICES:
                 self.evictions += len(self._slices)
                 self._slices.clear()
+                self._linked.clear()
             found = self._slices[digest] = (
                 rooted_slice, manifest_for_bundle(rooted_slice))
         return found
@@ -202,9 +211,69 @@ class CodeStore:
         for kind, item_id, _digest in roots:
             digest_item(view, kind, item_id, store=self)
 
+    def link(self, digest: bytes, program: Program,
+             cache: "CodeCache") -> Optional[LinkResult]:
+        """Link the slice kept under ``digest`` into ``program`` and
+        register its items in ``cache``; None when there is no such
+        slice.
+
+        What :func:`link_bundle` appends is a function of the slice
+        and of the receiving area's shape alone when nothing is reused
+        (every reference lands in the appended range), so the last such
+        link is remembered: the next site whose area has that shape and
+        whose table knows none of the slice's digests -- every task
+        site of a workload -- ``extend`` s its area with the same
+        objects.  The first site to do so proves the shape repeats and
+        pays for decoding the blocks; from then on the plans (and the
+        tier state on them) are shared too.  The bookkeeping is
+        :func:`link_bundle_cached`'s in both cases.
+        """
+        entry = self._slices.get(digest)
+        if entry is None:
+            return None
+        bundle, manifest = entry
+        nblocks, nobjects, ngroups = area = (
+            len(program.blocks), len(program.objects), len(program.groups))
+        linked = self._linked.get(digest)
+        if (linked is None or linked.area != area
+                or any(map(cache.has, manifest.block_digests
+                           + manifest.object_digests
+                           + manifest.group_digests))):
+            result = link_bundle_cached(program, bundle, manifest, cache)
+            if result.installed_count() == len(manifest):
+                self._linked[digest] = _LinkedSlice(
+                    area, program.blocks[nblocks:],
+                    program.objects[nobjects:], program.groups[ngroups:],
+                    result)
+            return result
+        program.blocks.extend(linked.blocks)
+        program.objects.extend(linked.objects)
+        program.groups.extend(linked.groups)
+        if linked.plans is None:
+            linked.plans = {
+                block_id: predecode(program, block)
+                for block_id, block in enumerate(linked.blocks, nblocks)}
+        program.decoded_cache.update(linked.plans)
+        _register_linked(cache, manifest, linked.result)
+        return linked.result
+
     def snapshot(self) -> dict[bytes, tuple[CodeBundle, BundleManifest]]:
         """Copy of the table (for the integrity invariant)."""
         return dict(self._slices)
+
+
+@dataclass(slots=True)
+class _LinkedSlice:
+    """What one full :func:`link_bundle` of a stored slice appended to
+    an area of shape ``area`` = (blocks, objects, groups) before it."""
+
+    area: tuple[int, int, int]
+    blocks: list[CodeBlock]
+    objects: list[ObjectCode]
+    groups: list[ClassGroup]
+    result: LinkResult
+    #: block id -> decoded plan, once a second site had that shape.
+    plans: Optional[dict[int, DecodedBlock]] = None
 
 
 class CodeCache:
@@ -338,22 +407,25 @@ def link_bundle_cached(program: Program, bundle: CodeBundle,
     reuse_g = reuse_map(manifest.group_digests, GROUP)
     result = link_bundle(program, bundle, reuse_blocks=reuse_b,
                          reuse_objects=reuse_o, reuse_groups=reuse_g)
-    for i, digest in enumerate(manifest.block_digests):
-        if i not in reuse_b:
-            cache.register(digest, BLOCK, result.block_map[i])
-            cache.installs += 1
-        cache.clear_in_flight(digest)
-    for i, digest in enumerate(manifest.object_digests):
-        if i not in reuse_o:
-            cache.register(digest, OBJECT, result.object_map[i])
-            cache.installs += 1
-        cache.clear_in_flight(digest)
-    for i, digest in enumerate(manifest.group_digests):
-        if i not in reuse_g:
-            cache.register(digest, GROUP, result.group_map[i])
-            cache.installs += 1
-        cache.clear_in_flight(digest)
+    _register_linked(cache, manifest, result)
     return result
+
+
+def _register_linked(cache: CodeCache, manifest: BundleManifest,
+                     result: LinkResult) -> None:
+    """Register what one link installed under its manifest digests."""
+    for kind, digests, ids, reused in (
+            (BLOCK, manifest.block_digests, result.block_map,
+             result.reused_blocks),
+            (OBJECT, manifest.object_digests, result.object_map,
+             result.reused_objects),
+            (GROUP, manifest.group_digests, result.group_map,
+             result.reused_groups)):
+        for i, digest in enumerate(digests):
+            if i not in reused:
+                cache.register(digest, kind, ids[i])
+                cache.installs += 1
+            cache.clear_in_flight(digest)
 
 
 def verify_cache_integrity(cache: CodeCache) -> list[str]:

@@ -15,7 +15,12 @@ blanked.  The code is one unit, the literals are its data.
   as untemplatable and always compiles in full (``0`` in process
   position is ``Nil``, not a constant).
 * Later sightings: :meth:`_Template.instantiate` -- a fresh ``Program``
-  that shares the literal-free ``CodeBlock`` s and re-tuples the rest.
+  that shares the literal-free ``CodeBlock`` s *and their decoded
+  plans* and re-tuples (and re-binds the constant handlers of) the
+  rest.  A later sighting is recognised without the :class:`Lexer`:
+  :func:`~repro.lang.lexer.scan_ints` yields the same key and the
+  literals' digits from one C-level pass, so a known shape launches at
+  the cost of its literals.
 
 Why the second sighting and not the first: a shape seen once is the
 common case for generated one-off programs (the ``coldstart``
@@ -37,8 +42,9 @@ from hashlib import blake2b
 
 from repro.compiler.assembly import CodeBlock, Instr, Op, Program
 from repro.compiler.codegen import compile_term
-from repro.lang.lexer import Lexer, Token
+from repro.lang.lexer import Lexer, Token, scan_ints
 from repro.lang.parser import parse_program
+from repro.vm.dispatch import patch_constants, predecode
 
 #: A shape becomes a template when it is seen for the second time.
 TEMPLATE_ON_SIGHTING = 2
@@ -73,15 +79,23 @@ class LaunchStats:
 
 
 class _Template:
-    """A compiled shape: the marked program plus where its holes are."""
+    """A compiled shape: the marked program, decoded once, plus where
+    its holes are."""
 
     __slots__ = ("program", "patches")
 
     def __init__(self, program: Program,
-                 patches: list[tuple[int, list[tuple[int, int]]]]) -> None:
+                 patches: list[tuple[int, list[int], list[int]]]) -> None:
         self.program = program
-        #: (block id, [(pc, hole index), ...]) per block with a literal.
+        #: (block id, pcs, hole indexes) per block with a literal.
         self.patches = patches
+        # The template owns the decoded plans (repro.vm.dispatch): an
+        # instantiation starts from a copy of this dict, so the plan --
+        # and the tier state riding on it -- of a literal-free block is
+        # per content, not per site.
+        program.decoded_cache.update(
+            (block_id, predecode(program, block))
+            for block_id, block in enumerate(program.blocks))
 
     @classmethod
     def accept(cls, program: Program, holes: int) -> "_Template | None":
@@ -92,16 +106,17 @@ class _Template:
         patches = []
         elsewhere = [program.main]
         for block_id, block in enumerate(program.blocks):
-            at = []
+            pcs, indexes = [], []
             for pc, instr in enumerate(block.instrs):
                 for arg in instr.args:
                     if type(arg) is _Hole:
                         if instr.op is not Op.PUSHC:
                             return None
                         found[arg.index] += 1
-                        at.append((pc, arg.index))
-            if at:
-                patches.append((block_id, at))
+                        pcs.append(pc)
+                        indexes.append(arg.index)
+            if pcs:
+                patches.append((block_id, pcs, indexes))
             elsewhere += (block.nfree, block.nparams, block.frame_size)
         for obj in program.objects:
             elsewhere += obj.methods.values()
@@ -113,22 +128,34 @@ class _Template:
         return cls(program, patches)
 
     def instantiate(self, values: list[int], site_name: str) -> Program:
-        """A fresh program area for one submission: own tables, own
-        (empty) decoded cache, the literal-free blocks shared."""
+        """A fresh program area for one submission: own tables and own
+        decoded-cache dict; the literal-free blocks and their plans are
+        the template's, a block with a literal is re-tupled and its
+        plan patched where the literal is bound."""
         shared = self.program
         blocks = list(shared.blocks)
-        for block_id, at in self.patches:
+        decoded = dict(shared.decoded_cache)
+        program = Program(blocks=blocks, objects=list(shared.objects),
+                          groups=list(shared.groups),
+                          externals=list(shared.externals),
+                          main=shared.main, source_name=site_name,
+                          decoded_cache=decoded)
+        for block_id, pcs, indexes in self.patches:
             block = blocks[block_id]
             instrs = list(block.instrs)
-            for pc, index in at:
+            for pc, index in zip(pcs, indexes):
                 instrs[pc] = Instr(Op.PUSHC, (values[index],))
-            blocks[block_id] = CodeBlock(tuple(instrs), block.nfree,
-                                         block.nparams, block.frame_size,
-                                         block.name)
-        return Program(blocks=blocks, objects=list(shared.objects),
-                       groups=list(shared.groups),
-                       externals=list(shared.externals),
-                       main=shared.main, source_name=site_name)
+            block = blocks[block_id] = CodeBlock(
+                tuple(instrs), block.nfree, block.nparams, block.frame_size,
+                block.name)
+            decoded[block_id] = patch_constants(program, decoded[block_id],
+                                                block, pcs)
+        return program
+
+
+def _key(pieces: list[str]) -> bytes:
+    return blake2b("\0".join(pieces).encode("utf-8", "surrogatepass"),
+                   digest_size=16).digest()
 
 
 def _shape_key(source: str, int_spans) -> bytes:
@@ -145,8 +172,7 @@ def _shape_key(source: str, int_spans) -> bytes:
         pieces.append(source[prev:start])
         prev = end
     pieces.append(source[prev:])
-    return blake2b("\0".join(pieces).encode("utf-8", "surrogatepass"),
-                   digest_size=16).digest()
+    return _key(pieces)
 
 
 class LaunchCache:
@@ -168,6 +194,22 @@ class LaunchCache:
         if typecheck:
             stats.misses += 1
             return self._full(source, None, site_name, typecheck=True)
+        if "\0" not in source:
+            # The hit path builds no token.  Two NUL-free texts with one
+            # key are equal outside the ``[0-9]+`` spans one
+            # deterministic left-to-right walk found in each, so they
+            # tile alike and one lexes iff the other does -- and a
+            # template is only ever stored for a text that did.
+            pieces, digits = scan_ints(source)
+            seen = self._shapes.get(_key(pieces))
+            if type(seen) is _Template:
+                stats.hits += 1
+                return seen.instantiate([int(d) for d in digits],
+                                        site_name), None
+        # A miss tokenises, and so does any text holding a NUL: legal
+        # inside a string or a comment, a ``LexError`` wherever a token
+        # would start -- the error that keeps ``print![\0]`` from
+        # having the key of ``print![5]``.
         lexer = Lexer(source)
         tokens = lexer.tokens()
         spans = lexer.int_spans

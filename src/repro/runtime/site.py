@@ -942,10 +942,8 @@ class Site:
         if found is None and cache is not None:
             found = cache.lookup(digest)
             if found is None and self.codestore is not None:
-                stored = self.codestore.get(digest)
-                if stored is not None:
-                    result = link_bundle_cached(self.vm.program, *stored,
-                                                cache)
+                result = self.codestore.link(digest, self.vm.program, cache)
+                if result is not None:
                     self.stats.code_items_installed += \
                         result.installed_count()
                     found = cache.lookup(digest)

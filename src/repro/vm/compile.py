@@ -672,7 +672,12 @@ def compiled_source(program: Program, block_id: int) -> str:
 #: makes recompiling a program from the same source (every benchmark
 #: repeat, every site booting the same workload) skip ``exec``
 #: entirely.  Keys are pure content, so the memo can never go stale:
-#: a peephole rewrite or a relinked bundle changes the key.
+#: a peephole rewrite or a relinked bundle changes the key.  Bounded
+#: like the node's other two tables (``launch.MAX_SHAPES``,
+#: ``codecache.MAX_SLICES``): emptied when full, so a content still in
+#: use costs one more ``exec`` -- a table that merely stopped storing
+#: would compile every content first seen after the 1024th on each
+#: relaunch, for the life of the process.
 _MEMO: dict = {}
 _MEMO_CAP = 1024
 
@@ -716,6 +721,8 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     exec(code, namespace)
     fn = namespace["_compiled_block"]
     fn.source = src
-    if key is not None and len(_MEMO) < _MEMO_CAP:
+    if key is not None:
+        if len(_MEMO) >= _MEMO_CAP:
+            _MEMO.clear()
         _MEMO[key] = fn
     return fn

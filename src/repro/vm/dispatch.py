@@ -52,6 +52,7 @@ from repro.compiler.peephole import (
     F_LL_OP_JMPF,
     F_LL_TRMSG1,
     F_OP_JMPF,
+    _match,
     plan_superinstructions,
 )
 
@@ -224,6 +225,37 @@ def predecode(program: Program, block: CodeBlock) -> DecodedBlock:
             kind, width, payload = entry
             run[pc] = _FUSED_FACTORIES[kind](payload)
             widths[pc] = width
+    return DecodedBlock(instrs, heads, run, widths)
+
+
+def patch_constants(program: Program, dec: DecodedBlock, block: CodeBlock,
+                    pcs: list[int]) -> DecodedBlock:
+    """The plan :func:`predecode` would build for ``block``, made from
+    ``dec`` -- the plan of a block that differs from it only in the
+    operands of the ``PUSHC`` s at ``pcs`` (a launch template and one
+    instantiation of it, repro.runtime.launch).
+
+    The fusion planner matches on opcodes and arities and never reads a
+    ``PUSHC`` operand, so kinds and widths are the same for both
+    blocks; the operand is bound in the ``PUSHC``'s own head handler
+    and in the superinstructions whose window covers it, and only those
+    are built again.  ``widths`` is shared (nobody writes it); the tier
+    state starts from zero, the block being new content.
+    """
+    instrs = block.instrs
+    size = len(instrs)
+    heads = list(dec.heads)
+    run = list(dec.run)
+    widths = dec.widths
+    reach = max(widths)
+    for pc in pcs:
+        heads[pc] = run[pc] = _decode_one(program, instrs[pc])
+    for pc in pcs:
+        for start in range(max(0, pc - reach + 1), pc + 1):
+            width = widths[start]
+            if width > 1 and start + width > pc:
+                kind, _width, payload = _match(instrs, start, size)
+                run[start] = _FUSED_FACTORIES[kind](payload)
     return DecodedBlock(instrs, heads, run, widths)
 
 

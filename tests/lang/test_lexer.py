@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lang import LexError, Lexer, TokenKind
+from repro.lang import LexError, Lexer, TokenKind, lexer
+from repro.lang.lexer import scan_ints
+from repro.runtime.launch import _key, _shape_key
 
 
 def lex(src):
@@ -459,3 +461,83 @@ def test_tokens_sit_where_they_say(source):
     spans.tokens()
     assert [(tokens[i].kind, source[a:b]) for i, a, b in spans.int_spans] \
         == [(t.kind, t.text) for t in tokens if t.kind is TokenKind.INT]
+
+
+# -- the INT walk (scan_ints) finds the Lexer's INTs -------------------------
+#
+# The launch path recognises a known shape from `scan_ints` alone
+# (repro.runtime.launch), so what it reports has to be what the Lexer
+# would: the same INT tokens in the same order, the same text around
+# them -- hence the same table key, byte for byte.
+
+#: Rows where a digit is not an INT, or an INT hides next to one.
+INT_PINS = [
+    ("1.5", []), ("3e4", []), ("1e", ["1"]), ("1.x", ["1"]), ("a1", []),
+    ("x'1", []), ("A1[3].4", ["3", "4"]), ('"s 5 \\" 6"', []),
+    ("-- 8 9", []), ("a--1\n2", ["2"]), ("a-1", ["1"]),
+    ("7 // 8\n9", ["7", "9"]), ("007", ["007"]), ("", []), ("12x 1_0",
+                                                            ["12", "1"]),
+    ("1.5.2", ["2"]), ("1e5e5", []), ("1..2", ["1", "2"]), ("x² 3", ["3"]),
+    ('"a\x00b" 4', ["4"]), ("5", ["5"]), ("a1 b", []), ("1e+x", ["1"]),
+]
+
+
+def _lexed_ints(source):
+    """(text around the INT tokens, their texts, their values), from
+    the Lexer."""
+    lexed = Lexer(source)
+    tokens = lexed.tokens()
+    pieces, digits, prev = [], [], 0
+    for _index, start, end in lexed.int_spans:
+        pieces.append(source[prev:start])
+        digits.append(source[start:end])
+        prev = end
+    pieces.append(source[prev:])
+    values = [t.value for t in tokens if t.kind is TokenKind.INT]
+    return pieces, digits, values, lexed.int_spans
+
+
+def assert_scan_is_the_lexers(source):
+    pieces, digits = scan_ints(source)
+    assert len(pieces) == len(digits) + 1
+    assert all(d.isascii() and d.isdigit() for d in digits)
+    assert "".join(p + d for p, d in zip(pieces, digits + [""])) == source
+    lexed_pieces, lexed_digits, values, spans = _lexed_ints(source)
+    assert (pieces, digits) == (lexed_pieces, lexed_digits)
+    assert [int(d) for d in digits] == values
+    assert _key(pieces) == _shape_key(source, spans)
+
+
+@pytest.mark.parametrize("source, digits", INT_PINS,
+                         ids=[repr(src) for src, _ in INT_PINS])
+def test_scan_ints_pinned(source, digits):
+    assert scan_ints(source)[1] == digits
+    assert_scan_is_the_lexers(source)
+
+
+@pytest.mark.parametrize("source", [src for src, exp in PINS
+                                    if not isinstance(exp, LexError)], ids=repr)
+def test_scan_ints_on_the_lexer_pins(source):
+    assert_scan_is_the_lexers(source)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SOURCES)
+def test_scan_ints_finds_the_lexers_ints(source):
+    try:
+        Lexer(source).tokens()
+    except LexError:
+        # No claim about a text that does not lex, except that the walk
+        # neither raises nor loses a character.
+        pieces, digits = scan_ints(source)
+        assert "".join(p + d for p, d in zip(pieces, digits + [""])) == source
+        return
+    assert_scan_is_the_lexers(source)
+
+
+def test_scan_ints_is_built_from_the_lexers_fragments():
+    # One spelling of each class that can hold a digit.
+    for fragment in (lexer._WORD, lexer._FLOAT, lexer._COMMENT,
+                     lexer._STRING, lexer._INT):
+        assert fragment in lexer._INT_SCAN.pattern
+        assert fragment in lexer._SCAN.pattern

@@ -143,3 +143,50 @@ class TestEventSink:
                 f'le="{rendered}"}} 1') in text
         # Non-transport kinds do not feed the histogram.
         assert 'kind="comm",le=' not in text
+
+
+class TestNodeCaches:
+    def test_world_metrics_show_launch_cache_and_code_store(self, monkeypatch):
+        # What a node remembers between sites is per-node state: the
+        # hit ratios PERF.md's launch-path and code-movement sections
+        # rest on must be readable from `--metrics -`.
+        from repro.obs import world_metrics
+        from repro.runtime import DiTyCONetwork
+        from repro.workloads import WorkloadSpec, run_workload, runner
+
+        nets = []
+
+        class Net(DiTyCONetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        monkeypatch.setattr(runner, "DiTyCONetwork", Net)
+        registry = MetricsRegistry()
+        run_workload(WorkloadSpec("mapreduce", seed=7, ops=40),
+                     registry=registry)
+        (net,) = nets
+        snapshot = world_metrics(net.world, registry).snapshot()
+
+        def series(name):
+            family = snapshot[name]
+            assert family["labels"] == ["node"]
+            return {ip: value for (ip,), value in family["series"].items()}
+
+        hits = series("repro_launch_cache_hits_total")
+        misses = series("repro_launch_cache_misses_total")
+        slices = series("repro_code_store_slices")
+        assert set(hits) == set(misses) == set(slices) == set(net.world.nodes)
+        for ip, node in net.world.nodes.items():
+            assert hits[ip] + misses[ip] == node.tycoi.submissions > 0
+        assert sum(hits.values()) > 30
+        # The master's node kept the slice it served, each worker node
+        # the one it downloaded: MapTask, once per node.
+        assert slices == {ip: 1 for ip in net.world.nodes}
+        for name in ("repro_launch_cache_untemplatable_total",
+                     "repro_launch_cache_evictions_total",
+                     "repro_code_store_evictions_total"):
+            assert set(series(name).values()) == {0}
+        text = registry.render()
+        assert 'repro_launch_cache_hits_total{node="' in text
+        assert 'repro_code_store_slices{node="' in text

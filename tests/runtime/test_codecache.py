@@ -2,6 +2,8 @@
 per-site digest table, the per-node code store, and the
 offer/need/reply fetch protocol built on top of them."""
 
+import copy
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.runtime.site import DeliveryError
 from repro.runtime.wire import KIND_CODE_REPLY, Packet, encode
 from repro.testkit import ChaosWorld
 from repro.testkit.invariants import check_no_stale_code
+from repro.vm.dispatch import predecode
 
 
 NESTED = """
@@ -428,6 +431,150 @@ class TestCodeStore:
         store.deposit(b"k" * DIGEST_SIZE, bundle)
         problems = verify_store_integrity(store)
         assert len(problems) == 1 and "stale code" in problems[0]
+
+
+class TestLinkedSlot:
+    """`CodeStore.link`: a store entry remembers what its last full
+    link appended, and hands the same objects to the next area of that
+    shape.  Whichever way a site got the code, its program area, its
+    digest table and its counts are those of `link_bundle_cached`."""
+
+    SMALL = "print![1]"
+    LARGER = "new c (c![1] | c?(v) = print![v])"
+
+    def _store(self):
+        store = CodeStore()
+        # Group 1 is `Outer`: four blocks, two objects, two groups.
+        digest = digest_item(compile_source(NESTED), GROUP, 1, None, store)
+        return store, digest
+
+    def _link(self, store, digest, source):
+        program = compile_source(source)
+        ref_program = copy.deepcopy(program)
+        cache = CodeCache(program)
+        base = len(program.blocks)
+        result = store.link(digest, program, cache)
+        # What the plain linker makes of an equal area.
+        ref_cache = CodeCache(ref_program)
+        ref = link_bundle_cached(ref_program, *store.get(digest), ref_cache)
+        assert program.blocks[base:] == ref_program.blocks[base:]
+        assert len(program.blocks) == len(ref_program.blocks)
+        assert (program.objects, program.groups) == (ref_program.objects,
+                                                     ref_program.groups)
+        assert cache.snapshot() == ref_cache.snapshot()
+        assert cache.installs == ref_cache.installs == len(store.get(digest)[1])
+        assert (result.block_map, result.object_map, result.group_map,
+                result.installed_count()) == (
+            ref.block_map, ref.object_map, ref.group_map,
+            ref.installed_count())
+        assert verify_cache_integrity(cache) == []
+        for block_id, dec in program.decoded_cache.items():
+            assert dec.instrs is program.blocks[block_id].instrs
+        return program, cache, base
+
+    def test_unknown_digest_links_nothing(self):
+        program = compile_source(self.SMALL)
+        assert CodeStore().link(b"?" * DIGEST_SIZE, program,
+                                CodeCache(program)) is None
+
+    def test_areas_of_one_shape_share_blocks_and_plans(self):
+        store, digest = self._store()
+        first, _c1, base = self._link(store, digest, self.SMALL)
+        slot = store._linked[digest]
+        assert slot.plans is None and first.decoded_cache == {}
+        second, _c2, _ = self._link(store, digest, self.SMALL)
+        third, _c3, _ = self._link(store, digest, self.SMALL)
+        assert store._linked[digest] is slot       # one slot, reused
+        linked = range(base, len(first.blocks))
+        assert len(linked) >= 3
+        for program in (second, third):
+            assert program.blocks is not first.blocks
+            assert program.decoded_cache is not slot.plans
+            for i in linked:
+                assert program.blocks[i] is first.blocks[i]
+                assert program.decoded_cache[i] is slot.plans[i]
+            assert program.objects[0] is first.objects[0]
+            assert program.groups[-1] is first.groups[-1]
+            assert set(program.decoded_cache) == set(linked)
+        # The shared plan is the plan predecode builds here.
+        for i in linked:
+            fresh = predecode(third, third.blocks[i])
+            assert [h.__code__ for h in fresh.run] == \
+                [h.__code__ for h in slot.plans[i].run]
+            assert fresh.widths == slot.plans[i].widths
+        assert verify_store_integrity(store) == []
+
+    def test_another_area_shape_links_in_full_with_its_own_ids(self):
+        store, digest = self._store()
+        first, _c, _b = self._link(store, digest, self.SMALL)
+        self._link(store, digest, self.SMALL)
+        assert store._linked[digest].plans is not None
+        other, _c, base = self._link(store, digest, self.LARGER)
+        assert base > len(compile_source(self.SMALL).blocks)
+        assert not any(block is mine for block in other.blocks
+                       for mine in first.blocks)
+        # It is the last shape now; the small one links in full again.
+        slot = store._linked[digest]
+        assert slot.area[0] == base and slot.plans is None
+        again, _c, _b = self._link(store, digest, self.SMALL)
+        assert store._linked[digest] is not slot
+        assert again.decoded_cache == {}
+
+    def test_a_table_that_knows_an_item_links_item_by_item(self):
+        store, digest = self._store()
+        self._link(store, digest, self.SMALL)
+        slot = store._linked[digest]
+        # A site that already holds the slice: pure renumbering, and
+        # nothing for the slot to remember.
+        program = compile_source(self.SMALL)
+        cache = CodeCache(program)
+        store.link(digest, program, cache)
+        size = len(program.blocks)
+        result = store.link(digest, program, cache)
+        assert result.installed_count() == 0 and len(program.blocks) == size
+        assert store._linked[digest] is slot
+
+    def test_eviction_drops_the_slot(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.codecache.MAX_SLICES", 2)
+        store, digest = self._store()
+        self._link(store, digest, self.SMALL)
+        assert digest in store._linked
+        bundle = store.get(digest)[0]
+        store.deposit(b"a" * DIGEST_SIZE, bundle)
+        assert digest in store._linked
+        store.deposit(b"b" * DIGEST_SIZE, bundle)
+        assert len(store) == 1 and store._linked == {}
+
+    def test_sites_of_one_node_share_the_class_they_fetched(self):
+        net = two_node_net()
+        net.launch(N1, "server", APPLET_SERVER)
+        sites = []
+        for name in ("c1", "c2", "c3", "c4"):
+            sites.append(net.launch(N2, name, FETCH_CLIENT))
+            net.run()
+        wide = net.launch(N2, "wide", "import Applet from server in new v ("
+                          "Applet[v] | v?(w) = new k (k![w] | k?(z) = print![z]))")
+        net.run()
+        assert [s.output for s in sites + [wide]] == [[42]] * 5
+        c1, c2, c3, c4 = sites
+        assert c1.stats.code_cache_misses == 1     # the node's one download
+        for site in (c2, c3, c4, wide):
+            assert site.stats.code_cache_hits == 1
+            assert site.stats.code_items_installed == \
+                c1.stats.code_items_installed > 0
+            assert site.codecache.installs == c1.codecache.installs
+            assert verify_cache_integrity(site.codecache) == []
+        last = len(c2.vm.program.blocks) - 1
+        for site in (c3, c4):                      # c2's area shape again
+            assert site.codecache.snapshot() == c2.codecache.snapshot()
+            assert site.vm.program.blocks[last] is c2.vm.program.blocks[last]
+            assert site.vm.program.groups[-1] is c2.vm.program.groups[-1]
+        assert c4.vm.program.decoded_cache[last] is \
+            c3.vm.program.decoded_cache[last]
+        assert len(wide.vm.program.blocks) > last + 1
+        assert wide.vm.program.blocks[-1] is not c2.vm.program.blocks[last]
+        assert check_no_stale_code(net) == []
+        assert verify_store_integrity(net.node(N2).codestore) == []
 
 
 class TestNodeStore:

@@ -6,6 +6,10 @@ and fails the way the full path fails.
 "Equal" is modulo the `#serial` suffix of debug names: the suffix is a
 process-global `Name` counter, history-dependent already, and stripped
 by checkpoints for the same reason.
+
+An instantiation also arrives decoded (`Program.decoded_cache`): every
+plan it carries is checked, wherever a program is, against the plan
+`predecode` builds for the same block.
 """
 
 import ast
@@ -17,15 +21,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_source, optimize_program
-from repro.compiler.assembly import Op
+from repro.compiler.assembly import CodeBlock, Instr, Op, Program
 from repro.compiler.codegen import CompileError, compile_term
 from repro.compiler.linker import extract_bundle, link_bundle
+from repro.compiler.peephole import (
+    F_C_OP, F_C_OP_JMPF, F_C_STOREL, F_C_TRMSG1, F_L_LC_OP_INSTOF1, F_LC_OP,
+    F_LC_OP_JMPF, F_LC_TRMSG1, plan_superinstructions)
 from repro.lang import LexError, Lexer, ParseError, parse_program
+from repro.lang import lexer as lexer_module
 from repro.mobility.checkpoint import _canonical_name
 from repro.runtime import DiTyCONetwork, NameService, Node, launch
-from repro.runtime.launch import LaunchCache
+from repro.runtime.launch import LaunchCache, _shape_key
 from repro.vm.dispatch import predecode
 from repro.workloads import APPS, WorkloadSpec, generate_trace
+
+from tests.lang.test_lexer import PINS as LEXER_PINS
+from tests.lang.test_lexer import assert_scan_is_the_lexers
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -51,7 +62,25 @@ def outcome(build):
         for instr in block.instrs:
             assert all(type(arg) in (int, float, str, bool)
                        for arg in instr.args), instr
+    assert_plans_are_what_predecode_builds(program)
     return ("ok", canonical(program))
+
+
+def bound(handlers):
+    """What a row of handler closures is: code and bound operands (a
+    marker int equals the int it wraps, so types are listed apart)."""
+    return [(h.__code__, h.__defaults__,
+             [type(v) for v in h.__defaults__ or ()]) for h in handlers]
+
+
+def assert_plans_are_what_predecode_builds(program):
+    for block_id, dec in program.decoded_cache.items():
+        block = program.blocks[block_id]
+        fresh = predecode(program, block)
+        assert dec.instrs is block.instrs and dec.size == fresh.size
+        assert bound(dec.heads) == bound(fresh.heads)
+        assert bound(dec.run) == bound(fresh.run)
+        assert dec.widths == fresh.widths
 
 
 def reference(source, site_name):
@@ -110,6 +139,18 @@ def test_every_op_source_equals_the_full_compile(workload, shapes):
     stats = cache.stats
     assert stats.misses == 2 * shapes and stats.hits == 300 - 2 * shapes
     assert stats.untemplatable == 0 and stats.evictions == 0
+
+
+@pytest.mark.parametrize("workload", ["pubsub", "mapreduce", "agents"])
+def test_the_token_free_walk_reads_every_op_source_as_the_lexer(workload):
+    spec = WorkloadSpec(workload=workload, seed=7, ops=1200)
+    for arrival in generate_trace(spec):
+        assert_scan_is_the_lexers(APPS[workload].op_entry(spec, arrival)[2])
+
+
+def test_the_token_free_walk_reads_the_examples_as_the_lexer():
+    for source in EXAMPLE_PROGRAMS.values():
+        assert_scan_is_the_lexers(source)
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
@@ -238,6 +279,35 @@ def test_errors_are_the_full_paths_errors(template):
     assert cache.stats.hits == 0 and not cache._shapes
 
 
+#: Texts that must not launch, each one a near miss of `print![5]`: a
+#: NUL where the key has one, a digit the walk sees and the Lexer does
+#: not, and every `LexError` row the lexer's own tests pin.
+HOSTILE = ["print![\0]", 'print!["5]', "print![5 \u0663]"] + [
+    "print![5] | " + source for source, expected in LEXER_PINS
+    if isinstance(expected, LexError)]
+
+
+@pytest.mark.parametrize("source", HOSTILE, ids=repr)
+def test_the_hit_path_does_not_widen_what_launches(source):
+    cache = LaunchCache()
+    for n in (5, 6, 7):                  # a templated sibling, hit once
+        cache.compile(f"print![{n}]", "s")
+    assert cache.stats.hits == 1
+    with pytest.raises(LexError) as full:
+        parse_program(source)
+    for _sighting in (1, 2, 3):
+        with pytest.raises(LexError) as got:
+            cache.compile(source, "s")
+        assert (type(got.value), str(got.value), got.value.line,
+                got.value.column) == (type(full.value), str(full.value),
+                                      full.value.line, full.value.column)
+    assert cache.stats.hits == 1 and len(cache._shapes) == 1
+
+
+def test_the_hostile_rows_are_found():
+    assert len(HOSTILE) >= 3 + 15
+
+
 def test_a_compile_error_is_raised_at_every_sighting(monkeypatch):
     def refuse(term, source_name="<program>"):
         raise CompileError(f"cannot compile for {source_name}")
@@ -262,11 +332,20 @@ def instantiations(count):
     return cache, made[2:]
 
 
+def template_of(cache):
+    (template,) = [entry for entry in cache._shapes.values()
+                   if type(entry) is launch._Template]
+    return template
+
+
 def test_an_instantiation_is_a_fresh_object_graph():
-    _cache, (a, b) = instantiations(2)
+    cache, (a, b) = instantiations(2)
     for name in ("blocks", "objects", "groups", "externals", "decoded_cache"):
         assert getattr(a, name) is not getattr(b, name)
-    assert a.decoded_cache == {} and a.source_name == "s2"
+    assert a.source_name == "s2"
+    # It arrives decoded: one plan per block, in a dict of its own.
+    plans = template_of(cache).program.decoded_cache
+    assert set(a.decoded_cache) == set(plans) == set(range(len(a.blocks)))
     patched = [i for i, block in enumerate(a.blocks)
                if any(ins.op is Op.PUSHC and type(ins.args[0]) is int
                       for ins in block.instrs)]
@@ -274,27 +353,48 @@ def test_an_instantiation_is_a_fresh_object_graph():
     for i, (mine, theirs) in enumerate(zip(a.blocks, b.blocks)):
         if i in patched:
             assert mine is not theirs and mine.instrs is not theirs.instrs
+            # A block with a literal is new content: own plan, own
+            # tier state, decoded from its own instruction tuple.
+            assert a.decoded_cache[i] is not b.decoded_cache[i]
+            assert a.decoded_cache[i] is not plans[i]
+            assert a.decoded_cache[i].instrs is mine.instrs
         else:
             assert mine is theirs          # literal-free code is shared
+            # ... and so is its plan, tier state included.
+            assert a.decoded_cache[i] is b.decoded_cache[i] is plans[i]
+    assert_plans_are_what_predecode_builds(a)
 
 
 def test_changing_one_instantiation_leaves_the_others_alone():
     cache, (a, b) = instantiations(2)
     before = canonical(b)
     block_ids = [id(block) for block in b.blocks]
+    plans = template_of(cache).program.decoded_cache
+    template_plans, b_plans = dict(plans), dict(b.decoded_cache)
+    tiers = [(dec.entries, dec.compiled) for dec in plans.values()]
 
-    optimize_program(a)
+    optimize_program(a)                    # clears a's dict, and only a's
+    assert a.decoded_cache == {}
     a.decoded_cache[a.main] = predecode(a, a.blocks[a.main])   # warm
     donor = compile_source("def K(x) = print![x] in K[1]")
     link_bundle(a, extract_bundle(donor, group_roots=(0,)))
     assert len(a.blocks) > len(b.blocks) and len(a.groups) > len(b.groups)
+    a.decoded_cache[len(b.blocks)] = predecode(a, a.blocks[len(b.blocks)])
 
-    assert canonical(b) == before and b.decoded_cache == {}
+    assert canonical(b) == before
     assert [id(block) for block in b.blocks] == block_ids
+    # Same keys, same objects: b's dict and the template's plans.
+    assert list(b.decoded_cache.items()) == list(b_plans.items())
+    assert list(plans.items()) == list(template_plans.items())
+    assert [(dec.entries, dec.compiled) for dec in plans.values()] == tiers
+    assert_plans_are_what_predecode_builds(b)
     source = SHAPE.format(70, 80, 90)
     assert submit(cache, source, "late") == reference(source, "late")
     late = cache.compile(source, "late")[0]
-    assert late.decoded_cache == {} and len(late.blocks) == len(b.blocks)
+    assert len(late.blocks) == len(b.blocks)
+    assert set(late.decoded_cache) == set(plans)
+    assert all(late.decoded_cache[i] is plans[i]
+               for i, block in enumerate(late.blocks) if block is b.blocks[i])
 
 
 def test_instantiated_programs_run():
@@ -306,6 +406,150 @@ def test_instantiated_programs_run():
     assert net.node("n0").tycoi.launch.stats.hits == 3
     for n in range(5):
         assert sorted(net.site(f"s{n}").output) == sorted([n + 3, n * 10])
+
+
+def test_a_literal_free_block_tiers_up_on_the_nodes_second_op():
+    # `entries` counts per content: the plan of a literal-free block is
+    # one object for every site instantiated from the shape, so the
+    # engine's tier rule (machine.TIER_UP_ENTRIES) sees the node's
+    # second op as the block's second entry.
+    net = DiTyCONetwork()
+    net.add_node("n0")
+    for n in range(5):
+        net.launch("n0", f"s{n}", SHAPE.format(n + 3, n, n * 10))
+        net.run()
+    plans = template_of(net.node("n0").tycoi.launch).program.decoded_cache
+    shared = [i for i, block in enumerate(net.site("s4").vm.program.blocks)
+              if block is net.site("s3").vm.program.blocks[i]]
+    assert shared and all(plans[i].entries == 0 or plans[i].compiled
+                          for i in shared)
+    assert any(plans[i].compiled for i in shared)
+    for n in range(5):
+        assert sorted(net.site(f"s{n}").output) == sorted([n + 3, n * 10])
+
+
+# -- a patched plan is the plan predecode would have built ---------------------------
+
+#: One shape per fusion kind that binds a constant; every kind must
+#: show up with a hole inside its window (checked below).
+FUSED = [
+    "new c (c?(v) = print![v + {}])",                       # lc_op, c_op
+    "new c (c![{}])",                                       # lc/c_trmsg1
+    "new c (c?(v) = if v == {} then print![{}] else c![v])",
+    "if {} < {} then print![{}] else print![{}]",           # c_op_jmpf
+    "def K(n) = if n < {} then K[n + {}] else print![n] in K[{}]",
+]
+CONSTANT_KINDS = {F_C_OP, F_LC_OP, F_C_OP_JMPF, F_LC_OP_JMPF, F_C_STOREL,
+                  F_C_TRMSG1, F_LC_TRMSG1, F_L_LC_OP_INSTOF1}
+
+
+def kinds_over_literals(program):
+    """Fusion kinds whose window covers a PUSHC of an int."""
+    kinds = set()
+    for block in program.blocks:
+        for pc, entry in enumerate(plan_superinstructions(block.instrs)):
+            if entry is None:
+                continue
+            kind, width, _payload = entry
+            if any(ins.op is Op.PUSHC and type(ins.args[0]) is int
+                   for ins in block.instrs[pc:pc + width]):
+                kinds.add(kind)
+    return kinds
+
+
+def test_a_hole_inside_every_fusion_kind_that_takes_a_constant():
+    seen = set()
+    for text in FUSED:
+        cache = LaunchCache()
+        for n in range(1, 6):
+            source = text.format(*range(n, n + text.count("{}")))
+            assert submit(cache, source, f"s{n}") == reference(source, f"s{n}")
+        assert cache.stats.hits == 3
+        seen |= kinds_over_literals(cache.compile(source, "s")[0])
+    # Codegen emits no STOREL, so `PUSHC c; STOREL d` is hand-made:
+    # two holes in a row, the second one also under a c_op window.
+    marked = Program(blocks=[CodeBlock((
+        Instr(Op.PUSHC, (launch._Hole(5, 0),)), Instr(Op.STOREL, (0,)),
+        Instr(Op.PUSHL, (0,)), Instr(Op.PUSHC, (launch._Hole(6, 1),)),
+        Instr(Op.ADD, ()), Instr(Op.PRINT, (1,))), 0, 0, 1)])
+    template = launch._Template.accept(marked, 2)
+    program = template.instantiate([40, 2], "s")
+    assert program.blocks[0].instrs[0] == Instr(Op.PUSHC, (40,))
+    assert_plans_are_what_predecode_builds(program)
+    seen |= kinds_over_literals(program)
+    assert seen >= CONSTANT_KINDS
+    net = DiTyCONetwork()
+    net.add_node("n0")
+    net.launch("n0", "s", program)
+    net.run()
+    assert net.site("s").output == [42]
+
+
+# -- the hit path builds no token -----------------------------------------------------
+
+def test_no_token_is_built_on_a_hit(monkeypatch):
+    built, scans = [], []
+    real_token, real_tokens = lexer_module.Token, Lexer.tokens
+
+    def token(*args, **kwargs):
+        built.append(args)
+        return real_token(*args, **kwargs)
+
+    def tokens(self):
+        scans.append(self.source)
+        return real_tokens(self)
+
+    monkeypatch.setattr(lexer_module, "Token", token)
+    monkeypatch.setattr(launch, "Token", token)
+    monkeypatch.setattr(Lexer, "tokens", tokens)
+    cache = LaunchCache()
+    sources = [f"new c (c![{n}] | c?(v) = print![v + {n * n}])"
+               for n in range(6)]
+    for source in sources[:2]:
+        cache.compile(source, "s")
+    assert scans == sources[:2] and built        # a miss tokenises
+    del built[:], scans[:]
+    hits = [cache.compile(source, f"s{n}")[0]
+            for n, source in enumerate(sources[2:], 2)]
+    assert cache.stats.hits == 4
+    assert built == [] and scans == []           # a hit does not
+    for n, program in enumerate(hits, 2):
+        assert ("ok", canonical(program)) == reference(sources[n], f"s{n}")
+
+
+def test_the_table_key_is_the_same_bytes_on_either_path():
+    for source in ["print![5]", "print![007, x1, 1.5, \"a 2\"] -- 3\n| y![4]",
+                   "", "x", "12", *EXAMPLE_PROGRAMS.values()]:
+        scanned = launch._key(lexer_module.scan_ints(source)[0])
+        lexed = Lexer(source)
+        lexed.tokens()
+        assert scanned == _shape_key(source, lexed.int_spans)
+    # ... so the hit path reads what the miss path wrote.
+    cache = LaunchCache()
+    for n in range(3):
+        cache.compile(f"print![{n}]", "s")
+    assert list(cache._shapes) == [_shape_key("print![9]", [(3, 7, 8)])]
+    assert cache.stats.hits == 1
+
+
+def test_a_source_holding_a_nul_reaches_the_lexer(monkeypatch):
+    scans = []
+    real_tokens = Lexer.tokens
+    monkeypatch.setattr(Lexer, "tokens", lambda self: (
+        scans.append(self.source), real_tokens(self))[1])
+    cache = LaunchCache()
+    # NUL where it is legal: compiles to what the full path compiles,
+    # and still templates (through the Lexer, as before).
+    for template in ['print![{}] -- \0', 'print!["\0", {}]']:
+        del scans[:]
+        hits = cache.stats.hits
+        for n in (1, 2, 3, 4):
+            source = template.format(n)
+            assert submit(cache, source, f"s{n}") == reference(source, f"s{n}")
+        assert cache.stats.hits == hits + 2
+        # Twice per text: `submit` and the reference compile.
+        assert scans == [template.format(n) for n in (1, 2, 3, 4)
+                         for _ in range(2)]
 
 
 def test_concurrent_submissions_stay_exact(monkeypatch):

@@ -356,6 +356,27 @@ class TestCompiledCache:
             out.append(run(f"print![{lit}]", budget=100).output[0])
         assert out == [3, 3.5]
 
+    def test_full_memo_is_emptied_not_frozen(self, monkeypatch):
+        # A memo that only stored while it had room would, once full,
+        # exec-compile every content first seen later on each relaunch.
+        from repro.vm import compile as tier3
+
+        monkeypatch.setattr(tier3, "_MEMO", {})
+        monkeypatch.setattr(tier3, "_MEMO_CAP", 4)
+
+        def compiled(literal):
+            prog = compile_source(f"print![{literal}]")
+            return tier3.compile_block(prog, prog.main, prog.blocks[prog.main])
+
+        first = [compiled(n) for n in range(4)]
+        assert len(tier3._MEMO) == 4
+        assert [compiled(n) for n in range(4)] == first     # all remembered
+        fifth = compiled(4)
+        assert compiled(4) is fifth and fifth not in first
+        assert 1 <= len(tier3._MEMO) <= 4
+        assert compiled(0) is not first[0]      # evicted: compiled anew,
+        assert compiled(0) is compiled(0)       # and remembered again
+
     def test_link_bundle_keeps_compiled_entries(self):
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
