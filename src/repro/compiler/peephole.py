@@ -29,6 +29,10 @@ _FOLDABLE = {
     Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR,
 }
 
+#: Binary operators whose result is always a boolean (a ``JMPF`` fed by
+#: one can never see a non-boolean conditional; repro.vm.compile).
+_BOOL_OPS = {Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR}
+
 
 def _try_fold(op: Op, a, b):
     """Return (folded_value,) or None if folding is unsafe."""
@@ -252,132 +256,3 @@ def optimize_program(program: Program) -> Program:
     program.decoded_cache.clear()
     return program
 
-
-# -- superinstruction planning (predecoded dispatch, docs/PERF.md) ----------
-#
-# The passes above rewrite byte-code.  The planner below does NOT: it
-# only *analyses* a block's instruction tuple and reports, for each pc,
-# the longest fusable sequence starting there.  The VM's predecoder
-# (repro.vm.dispatch) turns each entry into one superinstruction
-# handler.  Because the byte-code itself is untouched, wire images,
-# jump targets and instruction accounting are exactly those of the
-# unfused program: a fused handler *charges its full width*, and the
-# dispatch loop falls back to single-instruction handlers at slice
-# boundaries, so executed-instruction counts (and therefore simulated
-# schedules) are bit-identical to unfused execution.
-
-#: Binary operators whose result is always a boolean (safe to feed a
-#: fused JMPF: the dynamic non-boolean-conditional check can never fire).
-_BOOL_OPS = {Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR}
-
-# Fusion kinds (payload layout in parentheses).
-F_LL_OP = "ll_op"                  # PUSHL a; PUSHL b; op          (a, b, op)
-F_LC_OP = "lc_op"                  # PUSHL a; PUSHC c; op          (a, c, op)
-F_L_OP = "l_op"                    # PUSHL b; op                   (b, op)
-F_C_OP = "c_op"                    # PUSHC c; op                   (c, op)
-F_LL_OP_JMPF = "ll_op_jmpf"        # ... + JMPF t                  (a, b, op, t)
-F_LC_OP_JMPF = "lc_op_jmpf"        #                               (a, c, op, t)
-F_L_OP_JMPF = "l_op_jmpf"          #                               (b, op, t)
-F_C_OP_JMPF = "c_op_jmpf"          #                               (c, op, t)
-F_OP_JMPF = "op_jmpf"              # op; JMPF t                    (op, t)
-F_L_STOREL = "l_storel"            # PUSHL s; STOREL d             (s, d)
-F_C_STOREL = "c_storel"            # PUSHC c; STOREL d             (c, d)
-F_L_TRMSG0 = "l_trmsg0"            # PUSHL t; TRMSG l,0            (t, label)
-F_L_TRMSG1 = "l_trmsg1"            # PUSHL a; TRMSG l,1            (a, label)
-F_C_TRMSG1 = "c_trmsg1"            # PUSHC c; TRMSG l,1            (c, label)
-F_LL_TRMSG1 = "ll_trmsg1"          # PUSHL t; PUSHL a; TRMSG l,1   (t, a, label)
-F_LC_TRMSG1 = "lc_trmsg1"          # PUSHL t; PUSHC c; TRMSG l,1   (t, c, label)
-F_L_LC_OP_INSTOF1 = "l_lc_op_instof1"
-# PUSHL k; PUSHL a; PUSHC c; op; INSTOF 1 -> (k, a, c, op): the whole
-# recursion step of a counting/accumulating class (E1's hot sequence).
-
-
-def plan_superinstructions(instrs: tuple[Instr, ...]) -> list:
-    """Per-pc fusion plan: ``plan[pc]`` is ``(kind, width, payload)``
-    for the longest fusable sequence starting at ``pc``, else ``None``.
-
-    Every pc keeps its own entry -- a jump *into* the interior of a
-    fused sequence simply starts at that pc's (possibly shorter, or
-    single-instruction) handler, so control flow needs no remapping.
-    """
-    n = len(instrs)
-    plan: list = [None] * n
-    for pc in range(n):
-        plan[pc] = _match(instrs, pc, n)
-    return plan
-
-
-def _match(instrs, pc: int, n: int):
-    i0 = instrs[pc]
-    op0 = i0.op
-    if op0 is Op.PUSHL:
-        s0 = i0.args[0]
-        if pc + 4 < n and instrs[pc + 1].op is Op.PUSHL \
-                and instrs[pc + 2].op is Op.PUSHC \
-                and instrs[pc + 3].op in _FOLDABLE \
-                and instrs[pc + 4].op is Op.INSTOF \
-                and instrs[pc + 4].args[0] == 1:
-            return (F_L_LC_OP_INSTOF1, 5,
-                    (s0, instrs[pc + 1].args[0], instrs[pc + 2].args[0],
-                     instrs[pc + 3].op))
-        if pc + 2 < n and instrs[pc + 1].op is Op.PUSHC \
-                and instrs[pc + 2].op in _FOLDABLE:
-            c = instrs[pc + 1].args[0]
-            op = instrs[pc + 2].op
-            if pc + 3 < n and instrs[pc + 3].op is Op.JMPF \
-                    and op in _BOOL_OPS:
-                return (F_LC_OP_JMPF, 4, (s0, c, op, instrs[pc + 3].args[0]))
-            return (F_LC_OP, 3, (s0, c, op))
-        if pc + 2 < n and instrs[pc + 1].op is Op.PUSHL \
-                and instrs[pc + 2].op in _FOLDABLE:
-            s1 = instrs[pc + 1].args[0]
-            op = instrs[pc + 2].op
-            if pc + 3 < n and instrs[pc + 3].op is Op.JMPF \
-                    and op in _BOOL_OPS:
-                return (F_LL_OP_JMPF, 4, (s0, s1, op, instrs[pc + 3].args[0]))
-            return (F_LL_OP, 3, (s0, s1, op))
-        if pc + 2 < n and instrs[pc + 1].op is Op.PUSHC \
-                and instrs[pc + 2].op is Op.TRMSG \
-                and instrs[pc + 2].args[1] == 1:
-            return (F_LC_TRMSG1, 3,
-                    (s0, instrs[pc + 1].args[0], instrs[pc + 2].args[0]))
-        if pc + 2 < n and instrs[pc + 1].op is Op.PUSHL \
-                and instrs[pc + 2].op is Op.TRMSG \
-                and instrs[pc + 2].args[1] == 1:
-            return (F_LL_TRMSG1, 3,
-                    (s0, instrs[pc + 1].args[0], instrs[pc + 2].args[0]))
-        if pc + 1 < n:
-            i1 = instrs[pc + 1]
-            if i1.op in _FOLDABLE:
-                if pc + 2 < n and instrs[pc + 2].op is Op.JMPF \
-                        and i1.op in _BOOL_OPS:
-                    return (F_L_OP_JMPF, 3,
-                            (s0, i1.op, instrs[pc + 2].args[0]))
-                return (F_L_OP, 2, (s0, i1.op))
-            if i1.op is Op.STOREL:
-                return (F_L_STOREL, 2, (s0, i1.args[0]))
-            if i1.op is Op.TRMSG:
-                label, nargs = i1.args
-                if nargs == 0:
-                    return (F_L_TRMSG0, 2, (s0, label))
-                if nargs == 1:
-                    return (F_L_TRMSG1, 2, (s0, label))
-        return None
-    if op0 is Op.PUSHC:
-        c = i0.args[0]
-        if pc + 1 < n:
-            i1 = instrs[pc + 1]
-            if i1.op in _FOLDABLE:
-                if pc + 2 < n and instrs[pc + 2].op is Op.JMPF \
-                        and i1.op in _BOOL_OPS:
-                    return (F_C_OP_JMPF, 3,
-                            (c, i1.op, instrs[pc + 2].args[0]))
-                return (F_C_OP, 2, (c, i1.op))
-            if i1.op is Op.STOREL:
-                return (F_C_STOREL, 2, (c, i1.args[0]))
-            if i1.op is Op.TRMSG and i1.args[1] == 1:
-                return (F_C_TRMSG1, 2, (c, i1.args[0]))
-        return None
-    if op0 in _BOOL_OPS and pc + 1 < n and instrs[pc + 1].op is Op.JMPF:
-        return (F_OP_JMPF, 2, (op0, instrs[pc + 1].args[0]))
-    return None

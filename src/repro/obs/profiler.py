@@ -15,9 +15,10 @@ Two sampling modes:
   instruction boundaries -- the profile is a pure function of
   ``(program, seed, stride)`` and repeated runs are byte-identical
   (:meth:`collapsed` output is sorted).  Chunking preserves slice
-  boundaries and instruction accounting (fused handlers already fall
-  back to per-instruction heads at any budget boundary), so schedules
-  with the profiler attached are bit-identical to unprofiled runs.
+  boundaries and instruction accounting (a chunk end is a budget end,
+  and every tier already lands those on the exact instruction), so
+  schedules with the profiler attached are bit-identical to
+  unprofiled runs.
 * ``wall`` (socket / daemon worlds): slices run in fixed
   ``wall_chunk`` instruction chunks and a sample is recorded when at
   least ``interval_s`` of wall clock elapsed since the last one --

@@ -645,9 +645,6 @@ class Site:
         self.stats.packets_sent += 1
         self._trace("fetch-req", cref.ip, note=f"class {cref.class_id}")
 
-    def stall(self, thread) -> None:  # pragma: no cover - via ImportPending
-        self.vm.stalled.append(thread)
-
     def _send(self, kind: str, target: NetRef, payload) -> None:
         self.outgoing.append(Packet(
             kind=kind,

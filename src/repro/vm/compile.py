@@ -2,15 +2,15 @@
 (docs/PERF.md).
 
 The predecoded closures (:mod:`repro.vm.dispatch`) pay one Python call
-per (fused) handler plus the dispatch loop's list indexing per executed
-unit.  This module removes that last layer for blocks that are entered
-again (``machine.TIER_UP_ENTRIES``): such a block is translated *once*
+per handler plus the dispatch loop's list indexing per executed
+instruction.  This module removes that last layer for blocks that are
+entered again (``machine.TIER_UP_ENTRIES``): such a block is translated *once*
 into straight-line Python source -- operand stack traffic lowered onto
 local variables, PUSHL/PUSHC/arith/JMPF shapes inlined, communication
 and instantiation as direct calls into the same ``_comm_fast1`` /
 ``_inst_fast1`` helpers the closures use -- then ``exec``-compiled and
 cached on the block's :class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
-inherits the closure plan's invalidation rules verbatim: entries
+inherits the closures' invalidation rules verbatim: entries
 self-invalidate by instruction-tuple identity (``link_bundle``
 appends, peephole rewrites, restart relinks) and ``optimize_program``
 clears the whole ``Program.decoded_cache``.
@@ -60,8 +60,8 @@ The accounting invariant (docs/PERF.md) is preserved by construction:
 * when the remaining slice budget is smaller than a segment, or the
   entry pc is not a leader, the function stores ``t.pc`` and returns
   -- the caller (:meth:`TycoVM._step_compiled`) finishes the
-  slice on the closures, whose per-instruction fallback lands
-  the slice boundary on exactly the same instruction as ever;
+  slice on the closures, one instruction per handler, so the
+  slice boundary lands on exactly the same instruction as ever;
 * non-inlinable opcodes (DEFGROUP and the four distribution
   instructions with their import-stall protocol) execute through the
   predecoded per-pc ``head`` handler, one instruction at a time, with
@@ -546,7 +546,7 @@ class _Codegen:
             self.emit(ind, "continue")
 
     def emit_thread_end(self, ind: str) -> None:
-        """End of thread (HALT).  When called from the fused step loop
+        """End of thread (HALT).  When called from the step loop
         (``chain`` true), peek the run queue: a next thread on the
         *same block* is picked up in place -- the pop goes through the
         context-switch counter exactly like :meth:`RunQueue.pop`, so
@@ -620,8 +620,8 @@ class _Codegen:
                 self.emit_segment(leader, leaders, ind)
             arms.append(f"        if pc == {leader}:")
             arms.extend(self.lines)
-        # Entry at a non-leader pc (a slice ended inside a fused run in
-        # the closures): yield back so they finish.
+        # Entry at a non-leader pc (a slice ended mid-segment in the
+        # closures): yield back so they finish.
         arms.append("        t.pc = pc")
         arms.append("        return executed")
         params = "".join(f", {name}={name}" for name in self.bindings)
@@ -704,8 +704,7 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     Signature of the result: ``fn(vm, thread, frame, stack, budget)
     -> executed``; the function charges original instruction widths,
     stores ``thread.pc`` at every exit, and sets ``vm.current = None``
-    exactly where the closures would.  The generated source is
-    kept on ``fn.source`` for inspection.
+    exactly where the closures would.
     """
     try:
         key = _memo_key(program, block_id, block)
@@ -720,7 +719,6 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     code = compile(src, f"<compiled {block.name}>", "exec")
     exec(code, namespace)
     fn = namespace["_compiled_block"]
-    fn.source = src
     if key is not None:
         if len(_MEMO) >= _MEMO_CAP:
             _MEMO.clear()

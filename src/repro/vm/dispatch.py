@@ -13,48 +13,22 @@ the observability bus is not tracing; otherwise :meth:`TycoVM.step`
 falls back to the original instrumented loop, so traced runs stay
 byte-identical.
 
-Two invariants the decoder must (and does) preserve:
-
-* **instruction accounting** -- a fused superinstruction *charges its
-  full width*, and every pc keeps a single-instruction ``head`` handler
-  the loop falls back to when the remaining slice budget is smaller
-  than the fusion width (or when a jump lands inside a fused
-  sequence).  Executed-instruction counts, slice boundaries and
-  context switches -- and therefore every simulated schedule -- are
-  bit-identical with the instrumented loop.
-* **byte-code identity** -- fusion is a *plan* over the unchanged
-  instruction tuple (:func:`repro.compiler.peephole.plan_superinstructions`);
-  wire images and jump targets never change.
+One handler per instruction: a handler charges one instruction, so
+executed-instruction counts, slice boundaries and context switches --
+and therefore every simulated schedule -- are those of the
+instrumented loop by construction; and the instruction tuple is only
+read, so wire images and jump targets never change.  A block runs on
+this tier once (``machine.TIER_UP_ENTRIES``): code that comes back is
+generated code's to speed up, not this module's.
 
 Handler protocol: ``handler(vm, thread, frame, stack)`` with
-``thread.pc`` already advanced past the (fused) sequence; a truthy
-return ends the slice (HALT, import stall).
+``thread.pc`` already advanced past the instruction; a truthy return
+ends the slice (HALT, import stall).
 """
 
 from __future__ import annotations
 
 from repro.compiler.assembly import CodeBlock, Op, Program
-from repro.compiler.peephole import (
-    F_C_OP,
-    F_C_OP_JMPF,
-    F_C_STOREL,
-    F_C_TRMSG1,
-    F_L_LC_OP_INSTOF1,
-    F_L_OP,
-    F_L_OP_JMPF,
-    F_L_STOREL,
-    F_L_TRMSG0,
-    F_L_TRMSG1,
-    F_LC_OP,
-    F_LC_OP_JMPF,
-    F_LC_TRMSG1,
-    F_LL_OP,
-    F_LL_OP_JMPF,
-    F_LL_TRMSG1,
-    F_OP_JMPF,
-    _match,
-    plan_superinstructions,
-)
 
 from .machine import ImportPending, VMRuntimeError, _arith, _vm_equal
 from .values import ClassRef
@@ -174,26 +148,21 @@ FAST_BINOP = {
 class DecodedBlock:
     """The predecoded form of one code block.
 
-    ``heads[pc]`` is the single-instruction handler for ``pc``;
-    ``run[pc]``/``widths[pc]`` is the longest superinstruction starting
-    there (equal to ``heads[pc]``/1 where nothing fuses).  ``instrs``
-    keeps the source tuple's identity so the cache self-invalidates
-    when a block is replaced.
+    ``heads[pc]`` is the handler for the instruction at ``pc``.
+    ``instrs`` keeps the source tuple's identity so the cache
+    self-invalidates when a block is replaced.
     """
 
-    __slots__ = ("instrs", "size", "heads", "run", "widths", "entries",
-                 "compiled")
+    __slots__ = ("instrs", "size", "heads", "entries", "compiled")
 
-    def __init__(self, instrs, heads, run, widths):
+    def __init__(self, instrs, heads):
         self.instrs = instrs
         self.size = len(instrs)
         self.heads = heads
-        self.run = run
-        self.widths = widths
         # Tier state of the production engine (machine.TIER_UP_ENTRIES):
         # slice entries seen so far, and the generated function
         # (repro.vm.compile) once there were enough of them.  Riding on
-        # the decoded entry gives both the closure plan's invalidation
+        # the decoded entry gives both the handlers' invalidation
         # rules for free: identity mismatches, optimize_program clears
         # and relinks all drop them with the entry.
         self.entries = 0
@@ -204,9 +173,8 @@ def handler_kind(block: CodeBlock, pc: int) -> str:
     """The handler-kind label the sampling profiler attributes a
     sample at ``(block, pc)`` to: the opcode about to execute, or
     ``"END"`` past the last instruction (the thread is about to
-    retire).  Labels come from the *unfused* instruction tuple, so
-    the profiler's determinism contract does not depend on dispatch
-    planning.
+    retire).  Labels come from the instruction tuple, not from the
+    tier that runs it, which is the profiler's determinism contract.
     """
     if 0 <= pc < len(block.instrs):
         return block.instrs[pc].op.name
@@ -214,52 +182,30 @@ def handler_kind(block: CodeBlock, pc: int) -> str:
 
 
 def predecode(program: Program, block: CodeBlock) -> DecodedBlock:
-    """Translate ``block`` into pre-bound handlers (both the plain
-    per-instruction form and the fused superinstruction form)."""
+    """Translate ``block`` into pre-bound handlers, one per instruction."""
     instrs = block.instrs
-    heads = [_decode_one(program, ins) for ins in instrs]
-    run = list(heads)
-    widths = [1] * len(instrs)
-    for pc, entry in enumerate(plan_superinstructions(instrs)):
-        if entry is not None:
-            kind, width, payload = entry
-            run[pc] = _FUSED_FACTORIES[kind](payload)
-            widths[pc] = width
-    return DecodedBlock(instrs, heads, run, widths)
+    return DecodedBlock(instrs, [_decode_one(program, ins) for ins in instrs])
 
 
 def patch_constants(program: Program, dec: DecodedBlock, block: CodeBlock,
                     pcs: list[int]) -> DecodedBlock:
-    """The plan :func:`predecode` would build for ``block``, made from
-    ``dec`` -- the plan of a block that differs from it only in the
-    operands of the ``PUSHC`` s at ``pcs`` (a launch template and one
-    instantiation of it, repro.runtime.launch).
+    """What :func:`predecode` would build for ``block``, made from
+    ``dec`` -- the decoded form of a block that differs from it only in
+    the operands of the ``PUSHC`` s at ``pcs`` (a launch template and
+    one instantiation of it, repro.runtime.launch).
 
-    The fusion planner matches on opcodes and arities and never reads a
-    ``PUSHC`` operand, so kinds and widths are the same for both
-    blocks; the operand is bound in the ``PUSHC``'s own head handler
-    and in the superinstructions whose window covers it, and only those
-    are built again.  ``widths`` is shared (nobody writes it); the tier
-    state starts from zero, the block being new content.
+    A ``PUSHC`` operand is bound in that instruction's handler and
+    nowhere else, so only those are built again.  The tier state starts
+    from zero, the block being new content.
     """
     instrs = block.instrs
-    size = len(instrs)
     heads = list(dec.heads)
-    run = list(dec.run)
-    widths = dec.widths
-    reach = max(widths)
     for pc in pcs:
-        heads[pc] = run[pc] = _decode_one(program, instrs[pc])
-    for pc in pcs:
-        for start in range(max(0, pc - reach + 1), pc + 1):
-            width = widths[start]
-            if width > 1 and start + width > pc:
-                kind, _width, payload = _match(instrs, start, size)
-                run[start] = _FUSED_FACTORIES[kind](payload)
-    return DecodedBlock(instrs, heads, run, widths)
+        heads[pc] = _decode_one(program, instrs[pc])
+    return DecodedBlock(instrs, heads)
 
 
-# -- single-instruction handlers ---------------------------------------------
+# -- handlers ----------------------------------------------------------------
 
 def _halt(vm, t, f, st):
     vm.current = None
@@ -469,177 +415,3 @@ def _decode_one(program: Program, ins):
         raise VMRuntimeError(f"{vm.name}: unknown opcode {_op}")
     return h
 
-
-# -- superinstruction handlers -----------------------------------------------
-
-def _f_ll_op(payload):
-    a, b, op = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _a=a, _b=b, _fn=fn):
-        st.append(_fn(vm, f[_a], f[_b]))
-    return h
-
-
-def _f_lc_op(payload):
-    a, c, op = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _a=a, _c=c, _fn=fn):
-        st.append(_fn(vm, f[_a], _c))
-    return h
-
-
-def _f_l_op(payload):
-    b, op = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _b=b, _fn=fn):
-        st[-1] = _fn(vm, st[-1], f[_b])
-    return h
-
-
-def _f_c_op(payload):
-    c, op = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _c=c, _fn=fn):
-        st[-1] = _fn(vm, st[-1], _c)
-    return h
-
-
-def _f_ll_op_jmpf(payload):
-    a, b, op, target = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _a=a, _b=b, _fn=fn, _t=target):
-        if not _fn(vm, f[_a], f[_b]):
-            t.pc = _t
-    return h
-
-
-def _f_lc_op_jmpf(payload):
-    a, c, op, target = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _a=a, _c=c, _fn=fn, _t=target):
-        if not _fn(vm, f[_a], _c):
-            t.pc = _t
-    return h
-
-
-def _f_l_op_jmpf(payload):
-    b, op, target = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _b=b, _fn=fn, _t=target):
-        if not _fn(vm, st.pop(), f[_b]):
-            t.pc = _t
-    return h
-
-
-def _f_c_op_jmpf(payload):
-    c, op, target = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _c=c, _fn=fn, _t=target):
-        if not _fn(vm, st.pop(), _c):
-            t.pc = _t
-    return h
-
-
-def _f_op_jmpf(payload):
-    op, target = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _fn=fn, _t=target):
-        b = st.pop()
-        if not _fn(vm, st.pop(), b):
-            t.pc = _t
-    return h
-
-
-def _f_l_storel(payload):
-    s, d = payload
-
-    def h(vm, t, f, st, _s=s, _d=d):
-        f[_d] = f[_s]
-    return h
-
-
-def _f_c_storel(payload):
-    c, d = payload
-
-    def h(vm, t, f, st, _c=c, _d=d):
-        f[_d] = _c
-    return h
-
-
-def _f_l_trmsg0(payload):
-    s, label = payload
-
-    def h(vm, t, f, st, _s=s, _l=label):
-        vm._trmsg(f[_s], _l, ())
-    return h
-
-
-def _f_l_trmsg1(payload):
-    s, label = payload
-
-    def h(vm, t, f, st, _s=s, _l=label):
-        vm._comm_fast1(st.pop(), _l, f[_s])
-    return h
-
-
-def _f_c_trmsg1(payload):
-    c, label = payload
-
-    def h(vm, t, f, st, _c=c, _l=label):
-        vm._comm_fast1(st.pop(), _l, _c)
-    return h
-
-
-def _f_ll_trmsg1(payload):
-    tgt, a, label = payload
-
-    def h(vm, t, f, st, _t=tgt, _a=a, _l=label):
-        vm._comm_fast1(f[_t], _l, f[_a])
-    return h
-
-
-def _f_lc_trmsg1(payload):
-    tgt, c, label = payload
-
-    def h(vm, t, f, st, _t=tgt, _c=c, _l=label):
-        vm._comm_fast1(f[_t], _l, _c)
-    return h
-
-
-def _f_l_lc_op_instof1(payload):
-    k, a, c, op = payload
-    fn = FAST_BINOP[op]
-
-    def h(vm, t, f, st, _k=k, _a=a, _c=c, _fn=fn):
-        vm._inst_fast1(f[_k], _fn(vm, f[_a], _c))
-    return h
-
-
-_FUSED_FACTORIES = {
-    F_LL_OP: _f_ll_op,
-    F_LC_OP: _f_lc_op,
-    F_L_OP: _f_l_op,
-    F_C_OP: _f_c_op,
-    F_LL_OP_JMPF: _f_ll_op_jmpf,
-    F_LC_OP_JMPF: _f_lc_op_jmpf,
-    F_L_OP_JMPF: _f_l_op_jmpf,
-    F_C_OP_JMPF: _f_c_op_jmpf,
-    F_OP_JMPF: _f_op_jmpf,
-    F_L_STOREL: _f_l_storel,
-    F_C_STOREL: _f_c_storel,
-    F_L_TRMSG0: _f_l_trmsg0,
-    F_L_TRMSG1: _f_l_trmsg1,
-    F_C_TRMSG1: _f_c_trmsg1,
-    F_LL_TRMSG1: _f_ll_trmsg1,
-    F_LC_TRMSG1: _f_lc_trmsg1,
-    F_L_LC_OP_INSTOF1: _f_l_lc_op_instof1,
-}

@@ -51,8 +51,9 @@ class ImportPending(Exception):
 
     The IMPORT/IMPORTCLASS instructions are side-effect free until
     they succeed, so the machine rewinds the thread one instruction
-    and hands it to the port's ``stall``; the site re-queues it when
-    the name service announces new registrations.
+    and parks it in ``vm.stalled`` (:meth:`TycoVM._stall`); the site
+    re-queues it (``Site.on_nameservice_update``) when the name
+    service announces new registrations.
     """
 
 
@@ -267,22 +268,23 @@ class TycoVM:
 
     def _step_compiled(self, budget: int) -> int:
         """The untraced production body of :meth:`step`: the outer
-        thread loop and the slice prologue fused into one frame.
+        thread loop and the slice prologue in one frame.
 
         TyCO threads are tiny ("a few tens of byte-code instructions"),
         so per-thread fixed costs -- queue pop, decode-cache probe,
         slice-function call -- dominate spawn-chain workloads like E1;
-        fusing them removes one Python call per context switch.
+        one frame removes one Python call per context switch.
         The prologue is also where a block picks its tier: it counts
         its own entries on the decoded-cache entry and is translated
         into generated Python at the ``TIER_UP_ENTRIES``-th; until
         then the slice runs on the predecoded closures.
         Accounting is identical to the generic loop by construction:
-        pops go through the run-queue counter, every slice charges
-        original widths, and a compiled function that yields early
-        hands the remainder to the closures exactly like
-        :meth:`_run_slice_compiled`.  ``program.blocks`` is re-read
-        every iteration (``optimize_program`` replaces the list).
+        pops go through the run-queue counter, a closure charges one
+        instruction and generated code its segments' original widths,
+        and a compiled function that yields early hands the remainder
+        to the closures exactly like :meth:`_run_slice_compiled`.
+        ``program.blocks`` is re-read every iteration
+        (``optimize_program`` replaces the list).
         """
         executed = 0
         runqueue = self.runqueue
@@ -324,10 +326,10 @@ class TycoVM:
 
         Re-entering the underlying engine mid-slice is exactly what
         :meth:`step`'s outer loop does after a truthy handler return,
-        and chunk boundaries are budget boundaries the fused handlers
-        already honour -- so instruction accounting, slice ends and
-        schedules are bit-identical to unprofiled runs; only the
-        sample counters differ.
+        and a chunk boundary is a budget boundary like any other -- so
+        instruction accounting, slice ends and schedules are
+        bit-identical to unprofiled runs; only the sample counters
+        differ.
         """
         profiler = self.profiler
         if self._reference():
@@ -346,15 +348,10 @@ class TycoVM:
 
     def _run_closures(self, dec, thread: Thread, budget: int) -> int:
         """Run ``thread`` on the predecoded handlers of ``dec``, its
-        block's decoded-cache entry (repro.vm.dispatch).
-
-        A fused handler charges its full width; when the remaining
-        budget is smaller, the per-instruction ``head`` handler runs
-        instead -- slice boundaries and instruction counts are exactly
-        those of the instrumented loop.
+        block's decoded-cache entry (repro.vm.dispatch): one handler,
+        one instruction, so slice boundaries and instruction counts
+        are exactly those of the instrumented loop.
         """
-        run = dec.run
-        widths = dec.widths
         heads = dec.heads
         size = dec.size
         frame = thread.frame
@@ -365,17 +362,10 @@ class TycoVM:
             if pc >= size:
                 self.current = None
                 return executed
-            w = widths[pc]
-            if executed + w <= budget:
-                thread.pc = pc + w
-                executed += w
-                if run[pc](self, thread, frame, stack):
-                    return executed
-            else:
-                thread.pc = pc + 1
-                executed += 1
-                if heads[pc](self, thread, frame, stack):
-                    return executed
+            thread.pc = pc + 1
+            executed += 1
+            if heads[pc](self, thread, frame, stack):
+                return executed
         return executed
 
     def _run_slice_compiled(self, thread: Thread, budget: int) -> int:
@@ -537,8 +527,9 @@ class TycoVM:
     # -- communication / instantiation ---------------------------------------
 
     def _stall(self, thread: Thread) -> None:
-        """Rewind the current instruction and park the thread with the
-        port until the name service has the entry it is waiting for."""
+        """Rewind the current instruction and park the thread in
+        ``stalled`` until the name service has the entry it is waiting
+        for (:meth:`resume_stalled`)."""
         thread.pc -= 1
         self.current = None
         self.stalled.append(thread)

@@ -499,9 +499,8 @@ class TestLinkedSlot:
         # The shared plan is the plan predecode builds here.
         for i in linked:
             fresh = predecode(third, third.blocks[i])
-            assert [h.__code__ for h in fresh.run] == \
-                [h.__code__ for h in slot.plans[i].run]
-            assert fresh.widths == slot.plans[i].widths
+            assert [h.__code__ for h in fresh.heads] == \
+                [h.__code__ for h in slot.plans[i].heads]
         assert verify_store_integrity(store) == []
 
     def test_another_area_shape_links_in_full_with_its_own_ids(self):

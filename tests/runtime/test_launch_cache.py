@@ -24,9 +24,6 @@ from repro.compiler import compile_source, optimize_program
 from repro.compiler.assembly import CodeBlock, Instr, Op, Program
 from repro.compiler.codegen import CompileError, compile_term
 from repro.compiler.linker import extract_bundle, link_bundle
-from repro.compiler.peephole import (
-    F_C_OP, F_C_OP_JMPF, F_C_STOREL, F_C_TRMSG1, F_L_LC_OP_INSTOF1, F_LC_OP,
-    F_LC_OP_JMPF, F_LC_TRMSG1, plan_superinstructions)
 from repro.lang import LexError, Lexer, ParseError, parse_program
 from repro.lang import lexer as lexer_module
 from repro.mobility.checkpoint import _canonical_name
@@ -79,8 +76,6 @@ def assert_plans_are_what_predecode_builds(program):
         fresh = predecode(program, block)
         assert dec.instrs is block.instrs and dec.size == fresh.size
         assert bound(dec.heads) == bound(fresh.heads)
-        assert bound(dec.run) == bound(fresh.run)
-        assert dec.widths == fresh.widths
 
 
 def reference(source, site_name):
@@ -430,44 +425,54 @@ def test_a_literal_free_block_tiers_up_on_the_nodes_second_op():
 
 # -- a patched plan is the plan predecode would have built ---------------------------
 
-#: One shape per fusion kind that binds a constant; every kind must
-#: show up with a hole inside its window (checked below).
-FUSED = [
-    "new c (c?(v) = print![v + {}])",                       # lc_op, c_op
-    "new c (c![{}])",                                       # lc/c_trmsg1
+#: Shapes that put a hole in front of everything that reads a constant
+#: (checked below).
+CONSUMERS = [
+    "new c (c?(v) = print![v + {}])",                       # binary op
+    "new c (c![{}])",                                       # TRMSG l,1
     "new c (c?(v) = if v == {} then print![{}] else c![v])",
-    "if {} < {} then print![{}] else print![{}]",           # c_op_jmpf
+    "if {} < {} then print![{}] else print![{}]",           # op; JMPF
     "def K(n) = if n < {} then K[n + {}] else print![n] in K[{}]",
 ]
-CONSTANT_KINDS = {F_C_OP, F_LC_OP, F_C_OP_JMPF, F_LC_OP_JMPF, F_C_STOREL,
-                  F_C_TRMSG1, F_LC_TRMSG1, F_L_LC_OP_INSTOF1}
 
 
-def kinds_over_literals(program):
-    """Fusion kinds whose window covers a PUSHC of an int."""
-    kinds = set()
+def consumers_of_literals(program):
+    """Opcodes of the two instructions after each PUSHC of an int: what
+    reads the constant, and what reads that (`PUSHC; LT; JMPF`)."""
+    ops = set()
     for block in program.blocks:
-        for pc, entry in enumerate(plan_superinstructions(block.instrs)):
-            if entry is None:
-                continue
-            kind, width, _payload = entry
-            if any(ins.op is Op.PUSHC and type(ins.args[0]) is int
-                   for ins in block.instrs[pc:pc + width]):
-                kinds.add(kind)
-    return kinds
+        for pc, ins in enumerate(block.instrs):
+            if ins.op is Op.PUSHC and type(ins.args[0]) is int:
+                ops.update(after.op for after in block.instrs[pc + 1:pc + 3])
+    return ops
 
 
-def test_a_hole_inside_every_fusion_kind_that_takes_a_constant():
+def assert_only_the_holes_were_rebuilt(template, program):
+    patched = {(block_id, pc) for block_id, pcs, _indexes in template.patches
+               for pc in pcs}
+    assert patched
+    for block_id, dec in program.decoded_cache.items():
+        theirs = template.program.decoded_cache[block_id].heads
+        for pc, head in enumerate(dec.heads):
+            if (block_id, pc) not in patched:
+                assert head is theirs[pc]
+            assert not any(type(v) is launch._Hole
+                           for v in head.__defaults__ or ())
+
+
+def test_a_hole_before_every_consumer_of_a_constant():
     seen = set()
-    for text in FUSED:
+    for text in CONSUMERS:
         cache = LaunchCache()
         for n in range(1, 6):
             source = text.format(*range(n, n + text.count("{}")))
             assert submit(cache, source, f"s{n}") == reference(source, f"s{n}")
         assert cache.stats.hits == 3
-        seen |= kinds_over_literals(cache.compile(source, "s")[0])
+        program = cache.compile(source, "s")[0]
+        assert_only_the_holes_were_rebuilt(template_of(cache), program)
+        seen |= consumers_of_literals(program)
     # Codegen emits no STOREL, so `PUSHC c; STOREL d` is hand-made:
-    # two holes in a row, the second one also under a c_op window.
+    # two holes in one block, the second one an operand of ADD.
     marked = Program(blocks=[CodeBlock((
         Instr(Op.PUSHC, (launch._Hole(5, 0),)), Instr(Op.STOREL, (0,)),
         Instr(Op.PUSHL, (0,)), Instr(Op.PUSHC, (launch._Hole(6, 1),)),
@@ -476,8 +481,10 @@ def test_a_hole_inside_every_fusion_kind_that_takes_a_constant():
     program = template.instantiate([40, 2], "s")
     assert program.blocks[0].instrs[0] == Instr(Op.PUSHC, (40,))
     assert_plans_are_what_predecode_builds(program)
-    seen |= kinds_over_literals(program)
-    assert seen >= CONSTANT_KINDS
+    assert_only_the_holes_were_rebuilt(template, program)
+    seen |= consumers_of_literals(program)
+    assert seen >= {Op.ADD, Op.EQ, Op.LT, Op.JMPF, Op.STOREL, Op.TRMSG,
+                    Op.INSTOF}
     net = DiTyCONetwork()
     net.add_node("n0")
     net.launch("n0", "s", program)

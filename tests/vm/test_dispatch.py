@@ -11,16 +11,10 @@ tests/integration/test_engine_differential.py.
 
 import pytest
 
-from repro.compiler import compile_source, optimize_program
+from repro.compiler import compile_source, optimize_program, peephole
 from repro.compiler.assembly import CodeBlock, Instr, Op
 from repro.compiler.linker import extract_bundle, link_bundle
-from repro.compiler.peephole import (
-    F_L_LC_OP_INSTOF1,
-    F_LC_OP_JMPF,
-    F_LC_TRMSG1,
-    plan_superinstructions,
-)
-from repro.vm import TycoVM, VMRuntimeError, machine
+from repro.vm import TycoVM, VMRuntimeError, dispatch, machine
 
 from tests.vm.arms import ARMS, each_arm
 
@@ -104,35 +98,19 @@ class TestEnginePlumbing:
         assert vm.engine == "compiled"
 
 
-class TestFusionPlan:
-    def test_counter_loop_fuses_the_hot_block(self):
-        prog = compile_source(COUNTER)
-        block = next(b for b in prog.blocks if "Count" in (b.name or ""))
-        plan = plan_superinstructions(block.instrs)
-        kinds = {entry[0] for entry in plan if entry is not None}
-        # The three shapes that dominate the instantiation recursion.
-        assert F_LC_OP_JMPF in kinds
-        assert F_L_LC_OP_INSTOF1 in kinds
-        assert F_LC_TRMSG1 in kinds
-
-    def test_interior_pcs_keep_their_own_plans(self):
-        # A jump can land *inside* a fused run; every pc must still
-        # carry the longest fusion starting at that pc.
-        prog = compile_source(COUNTER)
-        block = next(b for b in prog.blocks if "Count" in (b.name or ""))
-        plan = plan_superinstructions(block.instrs)
-        assert plan[0] is not None and plan[0][1] == 4   # PUSHL PUSHC GT JMPF
-        assert plan[1] is not None and plan[1][1] == 3   # PUSHC GT JMPF
-        assert plan[2] is not None and plan[2][1] == 2   # GT JMPF
-
-    def test_plan_never_crosses_jump_targets_semantics(self, monkeypatch):
-        # Whatever the plan says, executing the fused closures must
-        # equal the unfused reference -- including when every slice is
-        # a single instruction (so heads run everywhere).
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["closures"])
-        ref = snapshot(run(COUNTER, "slow"))
-        assert snapshot(run(COUNTER)) == ref
-        assert snapshot(run(COUNTER, budget=1)) == ref
+def test_one_handler_per_instruction():
+    # The closure tier decodes and does nothing else: no second row of
+    # handlers, no widths, no planner behind it (docs/PERF.md, "Tried,
+    # shipped, deleted").
+    assert dispatch.DecodedBlock.__slots__ == (
+        "instrs", "size", "heads", "entries", "compiled")
+    for source in (COUNTER, CELL):
+        prog = compile_source(source)
+        for block in prog.blocks:
+            dec = dispatch.predecode(prog, block)
+            assert len(dec.heads) == len(block.instrs)
+    assert not hasattr(peephole, "plan_superinstructions")
+    assert not hasattr(dispatch, "_FUSED_FACTORIES")
 
 
 class TestEngineParity:
@@ -143,6 +121,16 @@ class TestEngineParity:
         ref = snapshot(run(source, "slow"))
         for arm in each_arm(monkeypatch):
             assert snapshot(run(source, budget=budget)) == ref, arm
+
+    def test_closures_match_the_reference_at_every_slice_length(
+            self, monkeypatch):
+        # One handler charges one instruction, so a budget cut can
+        # land between any two instructions of a block.
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["closures"])
+        for source in (COUNTER, CELL):
+            ref = snapshot(run(source, "slow"))
+            for budget in (*range(1, 13), 100_000):
+                assert snapshot(run(source, budget=budget)) == ref, budget
 
     def test_parity_on_optimized_code(self, monkeypatch):
         # Peephole-rewritten blocks (CLI --optimize) go through the
@@ -199,10 +187,10 @@ class TestEngineParity:
 
 class TestBoolArithRejection:
     """Regression: arithmetic on booleans must raise on *every* path --
-    the generic ``_arith``, the closures' binops and fused
-    superinstructions (whose exact ``type() is int/float`` tests
-    exclude ``bool`` by construction) and the generated code's inlined
-    int fast path (``__class__ is int`` guards)."""
+    the generic ``_arith``, the closures' binops (whose exact
+    ``type() is int/float`` tests exclude ``bool`` by construction) and
+    the generated code's inlined int fast path (``__class__ is int``
+    guards)."""
 
     @pytest.mark.parametrize("expr", [
         "true + 1", "1 + true", "true - 1", "1 - false",
@@ -216,9 +204,9 @@ class TestBoolArithRejection:
         with pytest.raises(VMRuntimeError, match="arithmetic on booleans"):
             run(f"print![{expr}]", "slow" if arm == "slow" else "compiled")
 
-    def test_bool_operand_raises_in_fused_loop_body(self, monkeypatch):
-        # The operand reaches the op through a fused PUSHL+PUSHC+op
-        # shape inside a method body, not a top-level expression (and,
+    def test_bool_operand_raises_in_a_method_body(self, monkeypatch):
+        # The operand reaches the op from a frame slot (PUSHL; PUSHC;
+        # op) inside a method body, not a top-level expression (and,
         # in generated code, through the inlined int fast path whose
         # ``__class__ is int`` guard must exclude bool).
         src = "def F(n) = print![n + 1] in F[true]"
