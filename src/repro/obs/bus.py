@@ -15,10 +15,11 @@ Two activation levels:
   :class:`~repro.testkit.chaos.FaultLog` and a flight recorder are
   sinks), and it changes nothing on the wire.
 * **tracing** -- full causal tracing: span ids are allocated and
-  carried in packets (one extra wire tag, docs/WIRE.md), and the VM
-  publishes per-reduction events.  Opt-in (``repro trace`` /
-  ``repro chaos --trace``) because the span field perturbs wire sizes
-  and therefore simulated packet timings.
+  carried in packets (one extra wire tag, docs/WIRE.md), and a site
+  publishes its VM's state after each step (``heap``).  Opt-in
+  (``repro trace`` / ``repro chaos --trace``) because the span field
+  perturbs wire sizes and therefore simulated packet timings.  It
+  does not pick the engine the run executes on.
 
 Determinism: sequence numbers and span ids come from plain counters,
 timestamps from the world clock (virtual under simulation), so a
@@ -52,10 +53,9 @@ class EventBus:
         self.active = False
         self._seq = 0
         self._next_span = 0
-        #: Full-tracing level: span propagation + VM reduction events.
-        #: Producers read this directly (site span allocation, node
-        #: VM-hook installation); flipping it after nodes were added is
-        #: honoured for spans but VM hooks are installed at add time.
+        #: Full-tracing level: span propagation + per-step VM-state
+        #: events.  Sites read this directly at each use, so flipping
+        #: it mid-run takes effect at the next packet or step.
         self.tracing = False
 
     # -- subscription --------------------------------------------------------

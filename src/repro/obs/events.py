@@ -1,7 +1,7 @@
 """The event model and kind taxonomy (docs/OBSERVABILITY.md).
 
 One :class:`ObsEvent` is one *reduction-shaped* thing that happened
-somewhere in the system: a VM rendezvous, a packet on the wire, a
+somewhere in the system: a VM step, a packet on the wire, a
 cache probe, a lease transition, an injected fault.  Events are flat
 records -- no payloads, no object references -- so recording one is
 cheap and serialising a stream of them is deterministic.
@@ -13,7 +13,8 @@ the layers of the paper's architecture:
 ========== ==========================================================
 category   kinds
 ========== ==========================================================
-vm         comm, inst, heap  (rule LOC: local reductions + heap state)
+vm         heap  (rule LOC, per step: heap and run-queue state plus the
+           cumulative comm / inst reduction counts)
 net        shipm, shipo, fetch-req, fetch-serve, gc-late
            (rules SHIPM / SHIPO / FETCH and their failure edges)
 cache      cache-hit, cache-miss, code-need, code-install
@@ -47,9 +48,7 @@ OTHER = "other"
 
 #: kind -> category, the event taxonomy.
 CATEGORY_OF: dict[str, str] = {
-    # VM layer: local reductions (rule LOC) and heap/run-queue state.
-    "comm": VM,
-    "inst": VM,
+    # VM layer: per-step heap / run-queue state and reduction counts.
     "heap": VM,
     # Network reductions between sites.
     "shipm": NET,

@@ -117,8 +117,7 @@ class VMProfiler:
         from repro.vm.dispatch import handler_kind
 
         block = vm.program.blocks[thread.block_id]
-        key = (vm.obs_site or vm.name, block.name,
-               handler_kind(block, thread.pc))
+        key = (vm.name, block.name, handler_kind(block, thread.pc))
         self.counts[key] = self.counts.get(key, 0) + 1
         self.samples += 1
 

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 from repro.compiler.assembly import Program
 
 from .launch import LaunchCache
-from .wire import KIND_CODE_NEED, KIND_CODE_REPLY, Packet, decode, encode
+from .wire import (KIND_CODE_NEED, KIND_CODE_REPLY, KIND_REF_DROP,
+                   KIND_REF_LEASE, KIND_REF_RENEW, Packet, decode, encode)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -37,6 +38,7 @@ class DaemonStats:
     bytes_received: int = 0
     encode_skipped: int = 0  # local fast-path deliveries
     orphan_needs_dropped: int = 0  # CODE_NEEDs for a gone site, unanswerable
+    orphan_refs_dropped: int = 0   # lease traffic for a gone site
 
 
 class TyCOd:
@@ -125,12 +127,20 @@ class TyCOd:
         migration mail is buffered (frozen here) or forwarded
         (tombstoned: it left) by :mod:`repro.mobility.migrate`; a
         CODE_NEED for code a since-reaped site offered is the node's
-        to answer; anything else is a routing fault."""
+        to answer; a lease claim, renewal or drop has nobody left to
+        hold or release the lease (the site was reaped, its exports
+        with it) and is counted; anything else is a routing fault."""
         mobility = self.node.mobility
         if mobility is not None and mobility.intercept(packet):
             return
         if packet.kind == KIND_CODE_NEED:
             self._answer_orphan_need(packet)
+            return
+        if packet.kind in (KIND_REF_LEASE, KIND_REF_RENEW, KIND_REF_DROP):
+            self.stats.orphan_refs_dropped += 1
+            self.node.trace("gc-late", packet.src_ip, self.node.ip,
+                            note=f"site {packet.dest_site_id} is gone: "
+                                 f"{packet.kind}")
             return
         raise LookupError(
             f"node {self.node.ip}: no site {packet.dest_site_id} "
@@ -215,4 +225,8 @@ class TyCOi:
             # IdTable row dangles after the site object is gone.
             site.retire_exports()
             self.node.remove_site(site)
+            # Here and not in ``remove_site``, which migration's freeze
+            # also uses: only a site whose program exited leaves the
+            # SiteTable.
+            self.node.nameservice.unregister_site(site.site_name)
         return len(dead)

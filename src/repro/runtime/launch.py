@@ -29,6 +29,14 @@ hit (docs/PERF.md, "Launch path"); waiting one sighting costs such a
 program a digest.  The same policy, for the same kind of measured
 reason, as ``machine.TIER_UP_ENTRIES``.
 
+A typed submission (``typecheck=True``, section 7's static half) is a
+launch like any other: an ``INT`` literal is ``int`` whatever its
+value, so the export signatures ``check_site_program`` infers belong to
+the shape.  Every miss runs the check in full; the marked compile's
+result is kept on the template and a hit returns it.  A typed
+submission that meets a template stored unchecked compiles in full
+once more and stores a new one.
+
 Entries are immutable once stored and installed by a single dict
 assignment, so concurrent submissions (a launch into a started
 wall-clock world, two control connections of one daemon) need no lock:
@@ -79,16 +87,19 @@ class LaunchStats:
 
 
 class _Template:
-    """A compiled shape: the marked program, decoded once, plus where
-    its holes are."""
+    """A compiled shape: the marked program, decoded once, where its
+    holes are, and the export signatures its static check inferred."""
 
-    __slots__ = ("program", "patches")
+    __slots__ = ("program", "patches", "signatures")
 
     def __init__(self, program: Program,
                  patches: list[tuple[int, list[int], list[int]]]) -> None:
         self.program = program
         #: (block id, pcs, hole indexes) per block with a literal.
         self.patches = patches
+        #: ``SiteSignatures.names`` of the marked compile, set before
+        #: the template is stored; None when it was not checked.
+        self.signatures: "dict | None" = None
         # The template owns the decoded plans (repro.vm.dispatch): an
         # instantiation starts from a copy of this dict, so the plan --
         # and the tier state riding on it -- of a literal-free block is
@@ -187,13 +198,10 @@ class LaunchCache:
 
     def compile(self, source: str, site_name: str,
                 typecheck: bool = False) -> tuple[Program, "dict | None"]:
-        """The program for one source submission, and the export
-        signatures the static check inferred (``typecheck`` only --
-        the check needs the parsed term, so it always compiles)."""
+        """The program for one source submission, and -- on a
+        ``typecheck`` node -- the export signatures the static check
+        inferred for its shape."""
         stats = self.stats
-        if typecheck:
-            stats.misses += 1
-            return self._full(source, None, site_name, typecheck=True)
         if "\0" not in source:
             # The hit path builds no token.  Two NUL-free texts with one
             # key are equal outside the ``[0-9]+`` spans one
@@ -202,10 +210,11 @@ class LaunchCache:
             # template is only ever stored for a text that did.
             pieces, digits = scan_ints(source)
             seen = self._shapes.get(_key(pieces))
-            if type(seen) is _Template:
+            if type(seen) is _Template and (
+                    seen.signatures is not None or not typecheck):
                 stats.hits += 1
                 return seen.instantiate([int(d) for d in digits],
-                                        site_name), None
+                                        site_name), seen.signatures
         # A miss tokenises, and so does any text holding a NUL: legal
         # inside a string or a comment, a ``LexError`` wherever a token
         # would start -- the error that keeps ``print![\0]`` from
@@ -217,13 +226,15 @@ class LaunchCache:
         values = [tokens[index].value for index, _s, _e in spans]
         seen = self._shapes.get(key, 0)
         if type(seen) is _Template:
-            stats.hits += 1
-            return seen.instantiate(values, site_name), None
+            if seen.signatures is not None or not typecheck:
+                stats.hits += 1
+                return seen.instantiate(values, site_name), seen.signatures
+            seen = TEMPLATE_ON_SIGHTING - 1    # stored unchecked: once more
         stats.misses += 1
         if seen is None:                           # untemplatable
-            return self._full(source, tokens, site_name)
+            return self._full(source, tokens, site_name, typecheck)
         if seen + 1 < TEMPLATE_ON_SIGHTING:
-            result = self._full(source, tokens, site_name)
+            result = self._full(source, tokens, site_name, typecheck)
             self._remember(key, seen + 1)
             return result
         marked = list(tokens)
@@ -231,13 +242,15 @@ class LaunchCache:
             tok = tokens[index]
             marked[index] = Token(tok.kind, tok.text, tok.line, tok.column,
                                   _Hole(tok.value, hole))
-        program, _ = self._full(source, marked, site_name)
+        program, signatures = self._full(source, marked, site_name, typecheck)
         template = _Template.accept(program, len(values))
-        self._remember(key, template)
         if template is None:
+            self._remember(key, None)
             stats.untemplatable += 1
-            return self._full(source, tokens, site_name)
-        return template.instantiate(values, site_name), None
+            return self._full(source, tokens, site_name, typecheck)
+        template.signatures = signatures
+        self._remember(key, template)
+        return template.instantiate(values, site_name), signatures
 
     def _remember(self, key: bytes, entry) -> None:
         shapes = self._shapes

@@ -35,7 +35,7 @@ class NameServiceError(Exception):
 
 
 class UnknownSiteName(NameServiceError):
-    """A lookup named a site that never registered."""
+    """A lookup named a site that is not (or no longer) registered."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,6 +229,23 @@ class NameService:
             self._classes = {k: v for k, v in self._classes.items()
                              if k[0] not in dead}
             return sorted(dead)
+
+    def unregister_site(self, site_name: str) -> bool:
+        """SiteTable delete for a site whose program has exited, plus
+        whatever IdTable / ClassTable rows still name it.  Later
+        lookups raise :class:`UnknownSiteName` (or return None) instead
+        of resolving to a node that no longer runs the site, and a
+        relaunch under the same name is a new site with a new SiteId --
+        ids are never handed out twice, so a reference to the dead
+        site's heap cannot address the new one's.  Returns whether a
+        row existed.  No subscriber notification, like every removal."""
+        with self._lock:
+            if self._sites.pop(site_name, None) is None:
+                return False
+            for table in (self._names, self._classes):
+                for key in [k for k in table if k[0] == site_name]:
+                    del table[key]
+            return True
 
     def unregister_export(self, site_name: str, id_name: str) -> bool:
         """IdTable delete: a collected (or explicitly retired) export

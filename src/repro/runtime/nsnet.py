@@ -190,6 +190,9 @@ class NameServiceServer:
     def _rpc_rebind_site(self, site_name, new_ip, site_id):
         return self.ns.rebind_site(site_name, new_ip, site_id=site_id)
 
+    def _rpc_unregister_site(self, site_name):
+        return self.ns.unregister_site(site_name)
+
     def _rpc_unregister_export(self, site_name, id_name):
         return self.ns.unregister_export(site_name, id_name)
 
@@ -322,6 +325,9 @@ class NameServiceClient:
     def rebind_site(self, site_name: str, new_ip: str,
                     site_id: Optional[int] = None) -> int:
         return self._call("rebind_site", site_name, new_ip, site_id)
+
+    def unregister_site(self, site_name: str) -> bool:
+        return self._call("unregister_site", site_name)
 
     def unregister_export(self, site_name: str, id_name: str) -> bool:
         return self._call("unregister_export", site_name, id_name)

@@ -191,9 +191,9 @@ class Site:
         #: threads a cross-site chain (SHIPM -> FETCH -> ...) into one
         #: trace tree.  0 = no span / tracing off.
         self._span_ctx = 0
-        # Last (allocated, reclaimed, run-queue depth) published as a
-        # "heap" event; only changes are emitted.
-        self._vm_state_seen = (0, 0, 0)
+        # Last (allocated, reclaimed, run-queue depth, comm, inst)
+        # published as a "heap" event; only changes are emitted.
+        self._vm_state_seen = (0, 0, 0, 0, 0)
 
     # -- life-cycle ----------------------------------------------------------
 
@@ -211,11 +211,9 @@ class Site:
             or bool(self._pending_code))
 
     def attach_obs(self, bus) -> None:
-        """Connect this site (and its VM) to the world's event bus."""
+        """Connect this site to the world's event bus.  The VM is not
+        told: its state is read off it after each step."""
         self.obs = bus
-        self.vm.obs = bus
-        self.vm.obs_node = self.ip
-        self.vm.obs_site = self.site_name
 
     def _trace(self, kind: str, dst: str = "", size: int = 0,
                note: str = "") -> None:
@@ -233,14 +231,17 @@ class Site:
 
     def _emit_vm_state(self) -> None:
         hs = self.vm.heap.stats()
+        vs = self.vm.stats
         depth = len(self.vm.runqueue)
-        state = (hs.allocated, hs.reclaimed, depth)
+        state = (hs.allocated, hs.reclaimed, depth,
+                 vs.comm_reductions, vs.inst_reductions)
         if state == self._vm_state_seen:
             return
         self._vm_state_seen = state
         self._trace("heap", size=hs.live,
                     note=f"alloc={hs.allocated} reclaimed={hs.reclaimed} "
-                         f"rq={depth}")
+                         f"rq={depth} comm={vs.comm_reductions} "
+                         f"inst={vs.inst_reductions}")
 
     def step(self, budget: int) -> int:
         """Drain the incoming queue, then run the VM for ``budget``."""

@@ -211,8 +211,12 @@ def _encode_into(out: bytearray, v: Any) -> None:
 
 
 def decode(buf: bytes) -> Any:
-    """Decode one value tree; the whole buffer must be consumed."""
-    value, pos = _decode_at(buf, 0)
+    """Decode one value tree; the whole buffer must be consumed.  Any
+    rejection is a :class:`WireError`: callers catch nothing else."""
+    try:
+        value, pos = _decode_at(buf, 0)
+    except RecursionError:      # a peer nested deeper than we recurse
+        raise WireError("value nested too deeply") from None
     if pos != len(buf):
         raise WireError(f"{len(buf) - pos} trailing byte(s)")
     return value

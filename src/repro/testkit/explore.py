@@ -141,7 +141,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     A flight recorder rides along on every run; its dump lands in
     ``ChaosRun.flight_dump`` when an invariant breaks or a node
     crashes.  ``tracing=True`` additionally turns on full causal
-    tracing (span ids on the wire, per-reduction VM events) and fills
+    tracing (span ids on the wire, per-step VM-state events) and fills
     ``ChaosRun.trace_json`` with the Chrome-trace-event export --
     deterministic, so the same ``(seed, config)`` yields the same
     bytes.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)

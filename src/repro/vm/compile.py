@@ -66,8 +66,8 @@ The accounting invariant (docs/PERF.md) is preserved by construction:
   instructions with their import-stall protocol) execute through the
   predecoded per-pc ``head`` handler, one instruction at a time, with
   ``t.pc`` maintained exactly as the closure loop would;
-* tracing still forces the original instrumented loop -- compiled
-  functions only ever run untraced, like the closures.
+* a per-instruction ``Tracer`` (``repro run --trace N``) still forces
+  the original instrumented loop; the observability bus does not.
 
 Consequently ``VMStats``, context switches, simulated schedules, wire
 metrics and error messages are bit-identical between the ``slow``

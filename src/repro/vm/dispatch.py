@@ -8,10 +8,10 @@ closures with the operands unpacked at decode time -- the standard
 predecoding cure for interpreter dispatch cost (cf. py-evm's opcode
 binding).  The production engine runs these handlers in a bare loop
 on a block's first slice entry and wherever generated code
-(:mod:`repro.vm.compile`) yields -- whenever no tracer is attached and
-the observability bus is not tracing; otherwise :meth:`TycoVM.step`
-falls back to the original instrumented loop, so traced runs stay
-byte-identical.
+(:mod:`repro.vm.compile`) yields; only ``engine="slow"`` or an attached
+per-instruction :class:`~repro.vm.trace.Tracer` sends
+:meth:`TycoVM.step` to the original instrumented loop -- the
+observability bus does not.
 
 One handler per instruction: a handler charges one instruction, so
 executed-instruction counts, slice boundaries and context switches --

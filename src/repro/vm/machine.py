@@ -12,6 +12,11 @@ plain (non-distributed) TyCO machine of [15].
 The machine is *steppable*: :meth:`step` executes a bounded number of
 instructions, so the surrounding node/transport can interleave many
 sites and account simulated time per instruction (experiments E1-E3).
+
+Which loop a step runs is decided by ``engine`` and an attached
+per-instruction :class:`~repro.vm.trace.Tracer`, nothing else: this
+package does not know the observability bus exists.  A site reads its
+VM's state off it after ``step`` returns (docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -140,14 +145,7 @@ class TycoVM:
         self.output: list = []       # the site I/O port (console lines)
         self.externals: dict[str, Channel] = {}
         self.tracer = None           # optional repro.vm.trace.Tracer
-        # Observability (repro.obs): the world's event bus plus the
-        # node/site labels to stamp on events.  Per-reduction "comm" /
-        # "inst" events are published only at the full-tracing level
-        # (bus.tracing), so the default path pays one None check.
-        self.obs = None
-        self.obs_node = ""
-        self.obs_site = ""
-        # Sampling profiler (repro.obs.profiler): installed via
+        # Sampling profiler (docs/OBSERVABILITY.md): installed via
         # VMProfiler.install.  None costs one attribute check per
         # step() call; the dispatch loops themselves are untouched.
         self.profiler = None
@@ -234,18 +232,17 @@ class TycoVM:
 
     def _reference(self) -> bool:
         """Whether this step must run the instrumented loop: the
-        reference engine was asked for, a tracer is attached, or the
-        observability bus is tracing."""
-        return (self.engine == "slow" or self.tracer is not None
-                or (self.obs is not None and self.obs.tracing))
+        reference engine was asked for or a per-instruction tracer is
+        attached -- and nothing else picks the engine."""
+        return self.engine == "slow" or self.tracer is not None
 
     def step(self, budget: int = 1) -> int:
         """Execute up to ``budget`` instructions; returns the number run.
 
-        The loop is chosen per call: the production engine when
-        nothing is tracing, the original instrumented loop otherwise.
-        Both charge instructions identically, so schedules never
-        depend on the choice -- only wall-clock time does.
+        The loop is chosen per call: the original instrumented loop
+        for ``engine="slow"`` or an attached tracer, else the production
+        engine.  Both charge instructions identically, so schedules
+        never depend on the choice -- only wall-clock time does.
         """
         if self.profiler is not None:
             run_slice = self._run_slice_profiled
@@ -267,7 +264,7 @@ class TycoVM:
         return executed
 
     def _step_compiled(self, budget: int) -> int:
-        """The untraced production body of :meth:`step`: the outer
+        """The production body of :meth:`step`: the outer
         thread loop and the slice prologue in one frame.
 
         TyCO threads are tiny ("a few tens of byte-code instructions"),
@@ -322,7 +319,7 @@ class TycoVM:
 
     def _run_slice_profiled(self, thread: Thread, budget: int) -> int:
         """Run a slice in chunks capped at the profiler's next sample
-        point (repro.obs.profiler).
+        point (``VMProfiler``, docs/OBSERVABILITY.md).
 
         Re-entering the underlying engine mid-slice is exactly what
         :meth:`step`'s outer loop does after a truthy handler return,
@@ -574,10 +571,7 @@ class TycoVM:
         tuple, no intermediate stack slicing -- and the method frame is
         built in place.  Arity/env mismatches delegate to
         :meth:`_fire` so the dynamic errors (and the counter updates
-        preceding them) are exactly those of the generic path.  Only
-        reachable from the untraced fast loop, so skipping the
-        per-reduction "comm" event matches the generic path's
-        tracing-off behaviour."""
+        preceding them) are exactly those of the generic path."""
         if target.__class__ is Channel:
             if target.builtin is None:
                 entry = target.match_object(label)
@@ -652,9 +646,6 @@ class TycoVM:
                 f"{self.name}: method {label!r} expects {block.nparams} "
                 f"argument(s), got {len(args)}")
         self.stats.comm_reductions += 1
-        if self.obs is not None and self.obs.tracing:
-            self.obs.emit("comm", src=self.obs_site, size=len(args),
-                          note=label, node=self.obs_node)
         self.spawn(block_id, env, args)
 
     def _instof(self, cref, args: tuple) -> None:
@@ -666,9 +657,6 @@ class TycoVM:
             raise VMRuntimeError(
                 f"{self.name}: instantiation of non-class {cref!r}")
         self.stats.inst_reductions += 1
-        if self.obs is not None and self.obs.tracing:
-            self.obs.emit("inst", src=self.obs_site, size=len(args),
-                          node=self.obs_node)
         self.spawn(cref.block_id, cref.env, args)
 
     def _gc_roots(self, extra_roots: list | None = None) -> list:

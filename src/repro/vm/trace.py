@@ -6,8 +6,8 @@ the tool one reaches for when a program deadlocks.  It forces the
 ``slow`` reference loop (docs/PERF.md); the CLI exposes it as
 ``python -m repro run --trace N``.
 
-Everything above the instruction level -- reductions, packets, cache
-probes, injected faults -- travels the :mod:`repro.obs` event bus.
+Everything above the instruction level -- per-step VM state, packets,
+cache probes, injected faults -- travels the world's event bus.
 """
 
 from __future__ import annotations

@@ -16,7 +16,12 @@ block on generated code from its first entry) and out of reach
   ``REPRO_VM_ENGINE`` environment default and comparing the full
   :class:`~repro.testkit.explore.ChaosRun` record (including
   ``elapsed``, which is virtual time -- a pure function of instruction
-  counts).
+  counts);
+* the same schedules and the three macro workloads *watched*
+  (``world.obs.tracing``): turning tracing on does not pick the
+  engine, so the differential holds with it on, event for event --
+  what a site publishes about its VM is read off counters both
+  engines keep identically.
 """
 
 from pathlib import Path
@@ -26,10 +31,12 @@ import pytest
 from repro.compiler import compile_source
 from repro.testkit import run_scenario
 from repro.vm import TycoVM
+from repro.workloads import WorkloadSpec, run_workload
 
 from tests.testkit.corpus import CORPUS
 from tests.testkit.scenarios import SCENARIOS
 from tests.vm.arms import each_arm
+from tests.workloads.switches import force
 
 pytestmark = pytest.mark.slow
 
@@ -95,3 +102,51 @@ def test_corpus_schedules_identical_across_engines(entry, monkeypatch):
         assert record("compiled") == ref, (
             f"{entry.name}: the {arm} arm diverged from the reference "
             f"engine")
+
+
+# -- the traced leg: the observer does not pick the engine -------------------
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_traced_corpus_schedules_identical_across_engines(entry, monkeypatch):
+    def record(engine):
+        monkeypatch.setenv("REPRO_VM_ENGINE", engine)
+        run = run_scenario(SCENARIOS[entry.scenario], entry.seed,
+                           entry.config, tracing=True)
+        assert '"name":"heap"' in run.trace_json
+        return _chaos_record(run), run.trace_json
+
+    ref = record("slow")
+    for arm in each_arm(monkeypatch):
+        assert record("compiled") == ref, (
+            f"{entry.name}: the {arm} arm, traced, diverged from the "
+            f"traced reference engine")
+
+
+def _workload_record(monkeypatch, workload, **switches):
+    """One 200-op macro run, in two parts: what tracing leaves alone
+    (outputs, per-site VMStats, packets), and what span ids on the
+    wire move (virtual time, bytes) with the event stream."""
+    made = force(monkeypatch, **switches)
+    report = run_workload(WorkloadSpec(workload=workload, ops=200, seed=7))
+    (net,) = made
+    assert report.violations == [] and report.ops_completed == 200
+    stats = {site.site_name: site.vm.stats
+             for node in net.world.nodes.values()
+             for site in node.sites.values()}
+    events = [(e.kind, e.src, e.dst, e.size, e.note, e.node, e.span, e.time)
+              for e in net.collector.events] if switches.get("tracing") else []
+    return ((net.outputs(), stats, net.world.stats.packets),
+            (net.world.time, net.world.stats.bytes, events))
+
+
+@pytest.mark.parametrize("workload", ["pubsub", "mapreduce", "agents"])
+def test_traced_workloads_identical_across_engines(workload, monkeypatch):
+    unwatched, _ = _workload_record(monkeypatch, workload)
+    ref = _workload_record(monkeypatch, workload, tracing=True, engine="slow")
+    left_alone, (_time, _bytes, events) = ref
+    assert left_alone == unwatched and len(events) > 1000
+    for arm in each_arm(monkeypatch):
+        assert _workload_record(monkeypatch, workload, tracing=True,
+                                engine="compiled") == ref, (
+            f"{workload}: the {arm} arm, traced, diverged from the traced "
+            f"reference engine")

@@ -112,8 +112,6 @@ class TestWireFuzz:
             value = decode(data)
         except WireError:
             return
-        except RecursionError:
-            return  # deeply nested valid prefixes: acceptable rejection
         # Whatever decoded must re-encode (canonical form).
         assert decode(encode(value)) == value
 
@@ -128,6 +126,13 @@ class TestWireFuzz:
                 decode(corrupted)
             except WireError:
                 pass
+
+    def test_nesting_bomb_is_a_wire_error(self):
+        # 5000 nested one-tuples: deeper than the interpreter recurses.
+        # Callers catch WireError only, so that is what it has to be.
+        bomb = b"\x07\x01" * 5000 + b"\x00"
+        with pytest.raises(WireError, match="nested too deeply"):
+            decode(bomb)
 
     def test_length_bomb_rejected_cheaply(self):
         # A string header claiming 2^40 bytes with a 3-byte body must

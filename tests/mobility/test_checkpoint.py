@@ -200,6 +200,18 @@ class TestRejection:
         with pytest.raises(CheckpointError):
             read_checkpoint(b"")
 
+    def test_nesting_bomb_is_corruption_in_the_body_and_in_a_part(self):
+        # 5000 nested one-tuples under a valid digest: the wire codec's
+        # rejection is a WireError whatever the bytes, so this is the
+        # checkpoint's own "does not decode", not a RecursionError.
+        bomb = b"\x07\x01" * 5000 + b"\x00"
+        blob = MAGIC + bytes([VERSION]) + digest_bytes(bomb) + bomb
+        with pytest.raises(CheckpointCorruptError, match="body part does not"):
+            read_checkpoint(blob)
+        node = pump_net().node("n1")
+        with pytest.raises(CheckpointCorruptError, match="code part does not"):
+            restore_site(node, bomb, bomb)
+
 
 GOLDEN_PROGRAM = (
     "export def Cell(self, v) = self?{ get(r) = (r![v] | Cell[self, v]), "

@@ -75,7 +75,10 @@ class TestEventBus:
         assert bus.spans_allocated == 2
 
     def test_category_taxonomy(self):
-        assert category_of("comm") == "vm"
+        assert category_of("heap") == "vm"
+        # Per-reduction kinds left the taxonomy: what they counted
+        # rides on "heap" (cumulative comm= / inst= in its note).
+        assert category_of("comm") == category_of("inst") == "other"
         assert category_of("shipm") == "net"
         assert category_of("cache-hit") == "cache"
         assert category_of("lease-claim") == "gc"

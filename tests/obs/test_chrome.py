@@ -23,11 +23,11 @@ class TestCollector:
 
 class TestChromeTrace:
     def test_instant_event_shape(self):
-        doc = chrome_trace([_ev(1, "comm", time=2e-6, size=3, note="m")])
+        doc = chrome_trace([_ev(1, "heap", time=2e-6, size=3, note="m")])
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 1
         ev = instants[0]
-        assert ev["name"] == "comm"
+        assert ev["name"] == "heap"
         assert ev["cat"] == "vm"
         assert ev["s"] == "t"
         assert ev["ts"] == 2.0  # seconds -> microseconds
@@ -39,7 +39,7 @@ class TestChromeTrace:
         doc = chrome_trace([
             _ev(1, "send", node="n2", src="client"),
             _ev(2, "deliver", node="n1", src="server"),
-            _ev(3, "comm", node="n2", src="client"),
+            _ev(3, "heap", node="n2", src="client"),
         ])
         meta = [(e["name"], e["args"]["name"])
                 for e in doc["traceEvents"] if e["ph"] == "M"]
@@ -79,7 +79,7 @@ class TestChromeTrace:
 
 class TestSchemaValidation:
     def test_real_export_validates(self):
-        doc = chrome_trace([_ev(1, "send", span=1), _ev(2, "comm")])
+        doc = chrome_trace([_ev(1, "send", span=1), _ev(2, "heap")])
         assert validate_trace(doc) == []
 
     def test_schema_loads_from_docs(self):

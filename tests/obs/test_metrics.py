@@ -125,24 +125,24 @@ class TestRegistry:
 class TestEventSink:
     def test_on_event_counts_by_category_and_kind(self):
         reg = MetricsRegistry()
-        reg.on_event(ObsEvent(seq=1, time=0.0, kind="comm"))
-        reg.on_event(ObsEvent(seq=2, time=0.0, kind="comm"))
+        reg.on_event(ObsEvent(seq=1, time=0.0, kind="heap"))
+        reg.on_event(ObsEvent(seq=2, time=0.0, kind="heap"))
         reg.on_event(ObsEvent(seq=3, time=0.0, kind="shipm"))
         text = reg.render()
-        assert 'repro_events_total{cat="vm",kind="comm"} 2' in text
+        assert 'repro_events_total{cat="vm",kind="heap"} 2' in text
         assert 'repro_events_total{cat="net",kind="shipm"} 1' in text
 
     def test_on_event_sizes_transport_frames(self):
         reg = MetricsRegistry()
         small = DEFAULT_BUCKETS[0]
         reg.on_event(ObsEvent(seq=1, time=0.0, kind="send", size=int(small)))
-        reg.on_event(ObsEvent(seq=2, time=0.0, kind="comm", size=999999))
+        reg.on_event(ObsEvent(seq=2, time=0.0, kind="heap", size=999999))
         text = reg.render()
         rendered = int(small)
         assert (f'repro_transport_frame_bytes_bucket{{kind="send",'
                 f'le="{rendered}"}} 1') in text
         # Non-transport kinds do not feed the histogram.
-        assert 'kind="comm",le=' not in text
+        assert 'kind="heap",le=' not in text
 
 
 class TestNodeCaches:

@@ -14,6 +14,7 @@ plan it carries is checked, wherever a program is, against the plan
 
 import ast
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,10 @@ from repro.lang import LexError, Lexer, ParseError, parse_program
 from repro.lang import lexer as lexer_module
 from repro.mobility.checkpoint import _canonical_name
 from repro.runtime import DiTyCONetwork, NameService, Node, launch
+from repro.runtime import typecheck as typecheck_module
 from repro.runtime.launch import LaunchCache, _shape_key
+from repro.runtime.typecheck import check_site_program
+from repro.types import TycoTypeError
 from repro.vm.dispatch import predecode
 from repro.workloads import APPS, WorkloadSpec, generate_trace
 
@@ -605,17 +609,151 @@ def test_concurrent_submissions_stay_exact(monkeypatch):
     assert len(cache._shapes) <= 4 + len(threads)
 
 
-# -- what does not go through the cache ---------------------------------------------------
+# -- a typed submission is a launch like any other --------------------------------------
+#
+# An INT literal is `int` whatever its value, so what the static check
+# infers is a function of the shape: `typecheck=True` goes through the
+# table, and what comes back -- at every sighting -- is the program of
+# the untyped path and the signatures of a full `check_site_program`.
 
-def test_typechecking_nodes_always_compile(monkeypatch):
+def typed_outcome(build):
+    """`outcome` of the program, then the export signatures; a type
+    error as ("error", TycoTypeError, message without `#serial`s)."""
+    signatures = []
+
+    def program():
+        built, names = build()
+        signatures.append(names)
+        return built
+
+    try:
+        return outcome(program) + tuple(signatures)
+    except TycoTypeError as err:
+        return ("error", TycoTypeError, re.sub(r"#\d+", "", str(err)))
+
+
+def typed_reference(source, site_name):
+    def build():
+        parsed = parse_program(source).program
+        names = check_site_program(site_name, parsed).names
+        return compile_term(parsed, site_name), names
+    return typed_outcome(build)
+
+
+def typed_submit(cache, source, site_name):
+    return typed_outcome(
+        lambda: cache.compile(source, site_name, typecheck=True))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every `check_site_program` call `LaunchCache._full` makes (it
+    looks the function up at call time; the references above do not
+    go through this name)."""
+    calls = []
+
+    def counting(site_name, program):
+        calls.append(site_name)
+        return check_site_program(site_name, program)
+
+    monkeypatch.setattr(typecheck_module, "check_site_program", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["pubsub", "mapreduce", "agents"])
+def test_every_typed_source_equals_the_full_check(workload, checks):
+    # Fabric and op sources, in submission order, one table per node as
+    # deployed: the check runs once per full compile, never on a hit.
+    spec = WorkloadSpec(workload=workload, seed=7, ops=300)
+    app, trace = APPS[workload], generate_trace(spec)
+    entries = [entry for phase in app.setup_phases(spec) for entry in phase]
+    entries += [app.op_entry(spec, arrival) for arrival in trace]
+    entries += [entry for phase in app.post_phases(spec, trace)
+                for entry in phase]
+    caches = {}
+    for ip, name, source in entries:
+        cache = caches.setdefault(ip, LaunchCache())
+        got = typed_submit(cache, source, name)
+        assert got == typed_reference(source, name)
+        assert got[0] == "ok" and got[:2] == reference(source, name)
+    hits = sum(cache.stats.hits for cache in caches.values())
+    full = sum(cache.stats.misses + cache.stats.untemplatable
+               for cache in caches.values())
+    assert hits >= 0.8 * len(entries) and hits + full == len(entries)
+    assert len(checks) == full
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
+def test_typed_example_programs_with_perturbed_integers(name, checks):
+    source = EXAMPLE_PROGRAMS[name]
+    rng = random.Random(name)
+    cache = LaunchCache()
+    for sighting in range(1, 11):
+        site = f"site{sighting}"
+        got = typed_submit(cache, source, site)
+        assert got == typed_reference(source, site)
+        if got[0] == "ok":
+            assert got[:2] == reference(source, site)
+        source = with_ints(EXAMPLE_PROGRAMS[name], rng)
+    stats = cache.stats
+    assert stats.hits + stats.misses == 10
+    # One per full compile that got as far as the check.
+    assert len(checks) <= stats.misses + stats.untemplatable
+
+
+def test_the_typed_examples_cover_signatures_and_a_type_error():
+    kinds = {name: typed_reference(source, "site")
+             for name, source in EXAMPLE_PROGRAMS.items()}
+    assert kinds["seti_at_home.py:SETI_SITE"][:2] == ("error", TycoTypeError)
+    assert "svc" in kinds["typechecked_network.py:SERVER_SRC"][2]
+    assert "appletserver" in kinds["applet_server.py:SHIP_SERVER"][2]
+
+
+def test_typechecking_nodes_hit_the_cache_with_equal_signatures(checks):
     node = Node("n1", NameService(), typecheck=True)
     node.attach_transport(lambda *a: None)
     for n in range(4):
-        site = node.tycoi.submit(
-            f"s{n}", f"export new svc svc?{{ put(v) = print![v + {n}] }}")
+        source = f"export new svc svc?{{ put(v) = print![v + {n}] }}"
+        site = node.tycoi.submit(f"s{n}", source)
         assert "svc" in site.name_signatures
+        assert site.name_signatures == check_site_program(
+            f"s{n}", parse_program(source).program).names
     stats = node.tycoi.launch.stats
-    assert (stats.hits, stats.misses) == (0, 4)
+    assert (stats.hits, stats.misses) == (2, 2)
+    assert checks == ["s0", "s1"]
+
+
+def test_an_ill_typed_shape_is_rejected_at_every_sighting(checks):
+    cache = LaunchCache()
+    for n in (1, 2, 3):
+        with pytest.raises(TycoTypeError):
+            cache.compile(f"new x (x![true] | x?(n) = print![n + {n}])", "s",
+                          typecheck=True)
+    assert cache.stats.hits == 0 and len(checks) == 3
+    assert not any(type(entry) is launch._Template
+                   for entry in cache._shapes.values())
+
+
+def test_typecheck_turned_on_after_a_template_was_stored(checks):
+    node = Node("n1", NameService())
+    node.attach_transport(lambda *a: None)
+    source = "export new svc svc?{{ put(v) = print![v + {}] }}".format
+    for n in range(3):
+        assert node.tycoi.submit(f"s{n}", source(n)).name_signatures == {}
+    cache = node.tycoi.launch
+    unchecked = template_of(cache)
+    frozen = (unchecked.program, unchecked.patches, unchecked.signatures)
+    assert frozen[2] is None and cache.stats.hits == 1 and checks == []
+    node.typecheck = True
+    for n in range(3, 6):
+        assert "svc" in node.tycoi.submit(f"s{n}", source(n)).name_signatures
+    # One full compile, one check; the entry is a new object, the old
+    # one is as it was stored.
+    assert checks == ["s3"] and cache.stats.hits == 3
+    assert template_of(cache) is not unchecked
+    assert template_of(cache).signatures.keys() == {"svc"}
+    assert (unchecked.program, unchecked.patches,
+            unchecked.signatures) == frozen
 
 
 def test_program_submissions_are_not_counted():

@@ -99,6 +99,33 @@ class TestUnregister:
     def test_unregister_unknown_site_is_false(self):
         ns = NameService()
         assert ns.unregister_export("ghost", "x") is False
+        assert ns.unregister_site("ghost") is False
+
+    def test_unregister_site_takes_its_rows_and_retires_its_id(self):
+        ns = NameService()
+        woken = []
+        ns.subscribe(lambda: woken.append(1))
+        first = ns.register_site("s", "ip")
+        ns.register_site("t", "ip")
+        for site in ("s", "t"):
+            ns.export_name(site, "x", 1)
+            ns.export_class(site, "X", 2)
+        before = len(woken)
+        assert ns.unregister_site("s") is True
+        assert len(woken) == before            # removals never notify
+        assert ns.lookup_name("s", "x") is None
+        assert ns.lookup_class("s", "X") is None
+        with pytest.raises(UnknownSiteName):
+            ns.lookup_site("s")
+        with pytest.raises(UnknownSiteName):
+            ns.export_name("s", "x", 1)
+        assert ns.snapshot() == {
+            "sites": {"t": ns.lookup_site("t")},
+            "names": {("t", "x"): 1}, "classes": {("t", "X"): 2}}
+        assert ns.unregister_site("s") is False
+        # The name is free for any node; the id is never handed out again.
+        assert ns.register_site("s", "elsewhere") > max(
+            first, ns.lookup_site("t").site_id)
 
 
 class TestSubscriptions:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.runtime import DiTyCONetwork, NameService, Node
+from repro.runtime.nameservice import UnknownSiteName
 
 
 def bare_node(ip="n1", **kwargs):
@@ -106,6 +107,26 @@ class TestTyCOd:
         with pytest.raises(LookupError):
             node.receive(encode(pkt))
 
+    @pytest.mark.parametrize("kind", ["ref_lease", "ref_renew", "ref_drop"])
+    def test_lease_traffic_for_a_gone_site_is_counted_not_raised(self, kind):
+        # With distgc on, a holder's sweep outlives the owners it
+        # leased from: a claim, renewal or drop for a reaped site has
+        # nobody left to hold or release the lease.
+        from repro.obs import EventBus, TraceCollector
+        from repro.runtime.wire import Packet, encode
+
+        node, _, _ = bare_node()
+        bus, events = EventBus(), TraceCollector()
+        bus.subscribe(events)
+        node.attach_obs(bus)
+        pkt = Packet(kind=kind, src_ip="x", src_site_id=1,
+                     dest_ip="n1", dest_site_id=42, payload=((("n", 2),),))
+        node.receive(encode(pkt))
+        assert node.tycod.stats.orphan_refs_dropped == 1
+        (event,) = events.events
+        assert (event.kind, event.src, event.node) == ("gc-late", "x", "n1")
+        assert "site 42 is gone" in event.note and kind in event.note
+
 
 class TestTyCOi:
     def test_submit_source(self):
@@ -167,15 +188,29 @@ class TestTyCOi:
         assert first.output == [41]
 
     def test_relaunch_after_reap_reuses_the_name(self):
+        # The name is free again; the site id is not.  A reaped site
+        # leaves the SiteTable, so the relaunch is a new site: a
+        # reference to the dead a.x (site 1, heap 2) must not address
+        # the new a.y, which gets heap 2 again.
         net = DiTyCONetwork()
         net.add_node("n0")
-        first = net.launch("n0", "s", "print![1]")
+        ns = net.node("n0").nameservice
+        first = net.launch("n0", "a", "export new x (x![1] | x?(v) = print![v])")
         net.run()
+        dead = ns.lookup_name("a", "x")
+        assert (dead.site_id, first.output) == (first.site_id, [1])
         assert net.node("n0").tycoi.reap() == 1
-        second = net.launch("n0", "s", "print![2]")
+        assert ns.lookup_name("a", "x") is None
+        with pytest.raises(UnknownSiteName):
+            ns.lookup_site("a")
+        assert ns.snapshot() == {"sites": {}, "names": {}, "classes": {}}
+        second = net.launch("n0", "a", "export new y (y![2] | y?(v) = print![v])")
         net.run()
-        assert second is not first and second.site_id == first.site_id
-        assert net.site("s") is second and second.output == [2]
+        assert second is not first and second.site_id > first.site_id
+        live = ns.lookup_name("a", "y")
+        assert live.heap_id == dead.heap_id and live != dead
+        assert ns.lookup_name("a", "x") is None
+        assert net.site("a") is second and second.output == [2]
 
     def test_typechecking_node_rejects_bad_source(self):
         from repro.types import TycoTypeError

@@ -49,6 +49,13 @@ class TestRpcRoundtrips:
         assert client.lookup_name("alpha", "missing") is None
         assert client.unregister_export("alpha", "svc") is True
         assert client.lookup_name("alpha", "svc") is None
+        client.export_name("alpha", "svc", heap_id=42)
+        assert client.unregister_site("alpha") is True
+        assert client.unregister_site("alpha") is False
+        assert client.lookup_name("alpha", "svc") is None
+        with pytest.raises(UnknownSiteName):
+            client.lookup_site("alpha")
+        assert client.register_site("alpha", "n2") > sid
 
     def test_class_table(self, ns):
         _server, client = ns

@@ -123,6 +123,29 @@ class TestDynamicBoundary:
         with pytest.raises(ProtocolError):
             net.run()
 
+    @pytest.mark.parametrize("message", [
+        'svc!smash[1]', 'svc!put[1, 2]', 'svc!put["one"]'],
+        ids=["wrong-label", "wrong-arity", "str-for-int"])
+    def test_a_site_launched_from_a_template_guards_its_boundary(
+            self, message):
+        # A typed submission is a launch like any other: the fourth
+        # server of one shape is instantiated, not compiled, and owns
+        # the signatures the shape's one static check inferred.
+        net = DiTyCONetwork(typecheck=True)
+        net.add_nodes(["n1", "n2"])
+        for n in range(4):
+            net.launch("n1", f"server{n}",
+                       f"export new svc svc?{{ put(n) = print![n + {n}] }}")
+        stats = net.node("n1").tycoi.launch.stats
+        assert (stats.hits, stats.misses) == (2, 2)
+        net.launch("n2", "fine", "import svc from server3 in svc!put[39]")
+        net.run()
+        assert net.site("server3").output == [42]
+        net.launch("n2", "hostile", f"import svc from server3 in {message}")
+        with pytest.raises(ProtocolError):
+            net.run()
+        assert net.site("server3").output == [42]
+
     def test_checks_off_by_default(self):
         net = DiTyCONetwork()  # typecheck=False
         net.add_nodes(["n1", "n2"])

@@ -303,3 +303,91 @@ class TestExternalBinding:
         assert "amb" in vm.externals
         assert isinstance(vm.externals["amb"], Channel)
         assert vm.stats.messages_queued == 1
+
+
+# -- who picks the engine ----------------------------------------------------
+
+LOOP = ("def Count(n) = if n < 40 then Count[n + 1] else print![n] "
+        "in Count[0]")
+
+
+def traced_network_run(monkeypatch, engine=None, tracer=False):
+    """LOOP on a one-node network with `world.obs.tracing` on; returns
+    (site, events, entries into the reference loop)."""
+    from repro.obs import TraceCollector
+    from repro.runtime import DiTyCONetwork
+    from repro.vm.trace import Tracer
+
+    entered = []
+    reference_loop = TycoVM._run_slice
+
+    def counting(self, thread, budget):
+        entered.append(self.name)
+        return reference_loop(self, thread, budget)
+
+    monkeypatch.setattr(TycoVM, "_run_slice", counting)
+    net = DiTyCONetwork(engine=engine)
+    net.add_node("n0")
+    net.world.obs.tracing = True
+    sink = TraceCollector()
+    net.world.obs.subscribe(sink)
+    site = net.launch("n0", "s", LOOP)
+    if tracer:
+        Tracer().install(site.vm)
+    net.run()
+    assert site.output == [40]
+    return site, sink.events, len(entered)
+
+
+class TestWhoPicksTheEngine:
+    """`engine` and an attached per-instruction `Tracer` choose the
+    loop `step` runs; the observability bus does not."""
+
+    def test_a_watched_run_is_on_the_production_engine(self, monkeypatch):
+        site, events, entered = traced_network_run(monkeypatch)
+        assert entered == 0
+        program = site.vm.program
+        count = next(i for i, block in enumerate(program.blocks)
+                     if "Count" in block.name)
+        assert program.decoded_cache[count].compiled is not None
+        # What the per-reduction events counted rides on the per-step
+        # VM-state event, cumulatively.
+        notes = [e.note for e in events if e.kind == "heap"]
+        stats = site.vm.stats
+        assert stats.inst_reductions == 41
+        assert notes[-1].endswith(f"comm={stats.comm_reductions} "
+                                  f"inst={stats.inst_reductions}")
+        assert {e.kind for e in events} == {"heap"}
+
+    @pytest.mark.parametrize("how", [{"engine": "slow"}, {"tracer": True}])
+    def test_the_reference_loop_is_asked_for_by_name(self, monkeypatch, how):
+        watched = traced_network_run(monkeypatch)
+        site, events, entered = traced_network_run(monkeypatch, **how)
+        assert entered > 0
+        assert not any(dec.compiled
+                       for dec in site.vm.program.decoded_cache.values())
+        # Same events either way: the state is read off the VM.
+        key = lambda e: (e.kind, e.src, e.size, e.note, e.node, e.time)
+        assert [key(e) for e in events] == [key(e) for e in watched[1]]
+        assert site.vm.stats == watched[0].vm.stats
+
+    def test_the_vm_package_does_not_know_the_bus(self):
+        import io
+        import re
+        import tokenize
+        from pathlib import Path
+
+        import repro.vm
+        from repro.obs import CATEGORY_OF
+
+        assert not {"comm", "inst"} & set(CATEGORY_OF)
+        vm = TycoVM(compile_source("0"))
+        assert not any(hasattr(vm, name)
+                       for name in ("obs", "obs_site", "obs_node"))
+        for path in sorted(Path(repro.vm.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            assert not re.search(r"\.obs\b|obs_site|obs_node", text), path
+            # "tracing" is said in docstrings only, never in code.
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                assert ("tracing" not in tok.string
+                        or tok.type == tokenize.STRING), (path, tok.start)
