@@ -4,16 +4,22 @@
 The predecoded closures (:mod:`repro.vm.dispatch`) pay one Python call
 per handler plus the dispatch loop's list indexing per executed
 instruction.  This module removes that last layer for blocks that are
-entered again (``machine.TIER_UP_ENTRIES``): such a block is translated *once*
-into straight-line Python source -- operand stack traffic lowered onto
-local variables, PUSHL/PUSHC/arith/JMPF shapes inlined, communication
-and instantiation as direct calls into the same ``_comm_fast1`` /
-``_inst_fast1`` helpers the closures use -- then ``exec``-compiled and
-cached on the block's :class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
+entered again (``machine.TIER_UP_ENTRIES``): such a block is translated
+*once* into straight-line Python source -- operand stack traffic
+lowered onto local variables, PUSHL/PUSHC/arith/JMPF shapes inlined,
+and every reduction spawned in place: TRMSG and INSTOF of any arity,
+TROBJ and FORK inline the common case of ``TycoVM._trmsg`` /
+``_trobj`` / ``_instof`` -> ``_fire`` -> ``spawn``, the helpers every
+loop calls, with the same checks in the same order -- then
+``exec``-compiled and cached on the block's
+:class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
 inherits the closures' invalidation rules verbatim: entries
 self-invalidate by instruction-tuple identity (``link_bundle``
 appends, peephole rewrites, restart relinks) and ``optimize_program``
-clears the whole ``Program.decoded_cache``.
+clears the whole ``Program.decoded_cache``.  Behind it, compiled code
+is memoised per block *shape* (``_MEMO``): literals, FORK targets,
+TROBJ method tables and the block's own id are defaults of the
+function, not part of its source.
 
 Codegen shape
 -------------
@@ -23,7 +29,7 @@ starting at a leader pc (block entry, any jump target, and the pcs
 around non-inlinable opcodes).  The generated function is one
 ``while`` loop dispatching over the leaders::
 
-    def _compiled_block(vm, t, f, st, budget, ...bindings...):
+    def _compiled_block(vm, t, f, st, budget, chain=False, ...bindings...):
         executed = 0
         pc = t.pc
         while 1:
@@ -31,7 +37,7 @@ around non-inlinable opcodes).  The generated function is one
                 if executed + 4 > budget:   # slice-budget yield point
                     t.pc = 0
                     return executed
-                _t1 = _b_GT(vm, f[2], _c0)  # PUSHL 2; PUSHC 0; GT
+                _t1 = _b_GT(vm, f[2], _k1)  # PUSHL 2; PUSHC 0; GT
                 executed += 4
                 if not _t1:                 # JMPF 10
                     pc = 10
@@ -77,6 +83,8 @@ wall in ``tests/integration/test_engine_differential.py`` pins this).
 
 from __future__ import annotations
 
+from types import FunctionType
+
 from repro.compiler.assembly import CodeBlock, Op, Program
 from repro.compiler.peephole import _BOOL_OPS
 
@@ -113,22 +121,19 @@ class _Codegen:
 
     def __init__(self, program: Program, block_id: int,
                  block: CodeBlock) -> None:
-        self.program = program
-        self.block_id = block_id
         self.block = block
+        self.operands = _operands(program, block_id, block)
         self.lines: list[str] = []
         self.bindings: dict[str, object] = {}
-        self._const_names: dict = {}
         self._tmp = 0
         self.uses_stats = False
         #: Block spawns/chains threads: hoist the run-queue into locals
         #: and accumulate the per-reduction counters (``_ir``/``_cr``/
-        #: ``_ts``/``_cs``) in locals, flushed to ``VMStats`` /
+        #: ``_ts``/``_fk``/``_cs``) in locals, flushed to ``VMStats`` /
         #: ``RunQueue`` in a ``finally`` -- nothing observes the
         #: counters mid-call and increments commute with the helper
         #: fallbacks, while the flush keeps totals exact across every
         #: return *and* raise.
-        self.uses_queue = False
         self.uses_acc = False
         #: Per-call-site inline-cache locals (``_ic<pc>_*``),
         #: initialised in the function header.  Within one invocation
@@ -158,18 +163,9 @@ class _Codegen:
         self.bindings[name] = value
         return name
 
-    def const(self, value) -> str:
-        try:
-            key = (type(value), value)
-            name = self._const_names.get(key)
-        except TypeError:               # unhashable literal: no dedupe
-            key = name = None
-        if name is None:
-            name = f"_c{len(self.bindings)}"
-            self.bind(name, value)
-            if key is not None:
-                self._const_names[key] = name
-        return name
+    def operand(self, name: str) -> str:
+        """Bind one of the block's own operands (``_operands``)."""
+        return self.bind(name, self.operands[name])
 
     def binop(self, op: Op) -> str:
         return self.bind(f"_b_{op.name}", FAST_BINOP[op])
@@ -247,22 +243,23 @@ class _Codegen:
                 leaders.add(pc)
         return sorted(x for x in leaders if 0 <= x <= n)
 
-    def emit_spawn_push(self, ind: str, bid: str, env: str, arg: str,
-                        block: str | None, pad: str | None = None) -> None:
-        """The matched-rendezvous spawn: build the frame, create the
-        thread without the ``__init__`` call (``__new__`` plus slot
-        stores -- thread creation is the hottest allocation in spawn
-        chains), and push it with the run-queue's depth accounting
-        exactly as :meth:`RunQueue.push` does.  ``pad`` names a local
-        already holding ``frame_size - len(frame)`` (inline-cached
-        sites); otherwise it is computed from ``block``."""
+    def emit_spawn_push(self, ind: str, bid: str, items: list[str],
+                        pad: str) -> None:
+        """The thread creation every inline reduction ends in (the tail
+        of :meth:`TycoVM.spawn` once its checks passed): build the frame
+        from ``items`` in place, create the thread without the
+        ``__init__`` call (``__new__`` plus slot stores -- thread
+        creation is the hottest allocation in spawn chains), and push
+        it with the run-queue's depth accounting exactly as
+        :meth:`RunQueue.push` does.  ``pad`` is a local holding the
+        number of ``None`` slots to add (inline-cached sites), or an
+        expression computing it once ``_fr`` is built."""
         self.bind("_Thread", Thread)
-        self.uses_queue = True
         self.uses_acc = True
-        self.emit(ind, f"_fr = [*{env}, {arg}]")
-        if pad is None:
+        self.emit(ind, f"_fr = [{', '.join(items)}]")
+        if not pad.isidentifier():
+            self.emit(ind, f"_pd = {pad}")
             pad = "_pd"
-            self.emit(ind, f"_pd = {block}.frame_size - len(_fr)")
         self.emit(ind, f"if {pad}:")
         self.emit(ind, f"    _fr.extend([None] * {pad})")
         self.emit(ind, "_nt = _Thread.__new__(_Thread)")
@@ -282,7 +279,7 @@ class _Codegen:
         if op is Op.PUSHL:
             self.stack.append((f"f[{ins.args[0]}]", "frame"))
         elif op is Op.PUSHC:
-            self.stack.append((self.const(ins.args[0]), "const"))
+            self.stack.append((self.operand(f"_k{pc}"), "const"))
         elif op is Op.STOREL:
             (val,) = self.popn(1, ind)
             self.flush_frame_reads(ind)
@@ -346,117 +343,129 @@ class _Codegen:
             self.emit(ind, f"{tv} = -{val}")
             self.stack.append((tv, "temp"))
         elif op is Op.TRMSG:
+            # TycoVM._trmsg -> _fire -> spawn, inline: same checks, same
+            # counter order; anything unusual goes to the helper.
             label, nargs = ins.args
-            lc = self.const(label)
-            if nargs == 1:
-                (target, kt), (arg, _ka) = self.popn_kinds(2, ind)
-                target = self.materialize(target, kt, ind)
-                self.bind("_comm1", TycoVM._comm_fast1)
-                self.bind("_fire", TycoVM._fire)
-                self.bind("_Channel", Channel)
-                self.uses_stats = True
-                self.uses_acc = True
-                # Inline of _comm_fast1's rendezvous fast path (same
-                # checks, same counter order); builtins, n-ary method
-                # bodies and non-channel targets delegate to the
-                # helpers for the identical generic behaviour.  The
-                # site caches the last fired block (id key; the
-                # receiver env varies per rendezvous so the arity
-                # checks stay).
-                ic = f"_ic{pc}"
-                self.ic_inits.append(f"{ic}_bi = -1")
-                self.emit(ind, f"if {target}.__class__ is _Channel "
-                               f"and {target}.builtin is None:")
-                self.emit(ind, f"    _en = {target}.match_object({lc})")
-                self.emit(ind, "    if _en is not None:")
-                self.emit(ind, "        _ev = _en[1]")
-                self.emit(ind, f"        _bi = _en[0][{lc}]")
-                self.emit(ind, f"        if _bi == {ic}_bi:")
-                self.emit(ind, f"            _bk = {ic}_bk")
-                self.emit(ind, "        else:")
-                self.emit(ind, f"            {ic}_bi = _bi")
-                self.emit(ind, f"            {ic}_bk = _bk = "
-                               "vm.program.blocks[_bi]")
-                self.emit(ind, "        if _bk.nparams != 1 "
-                               "or len(_ev) != _bk.nfree:")
-                self.emit(ind, f"            _fire(vm, _bi, _ev, "
-                               f"({arg},), {lc})")
-                self.emit(ind, "        else:")
-                self.emit(ind, "            _cr += 1")
-                self.emit_spawn_push(ind + "            ",
-                                     "_bi", "_ev", arg, "_bk")
-                self.emit(ind, "    else:")
-                self.emit(ind, f"        {target}.messages.append"
-                               f"(({lc}, ({arg},)))")
-                self.emit(ind, "        stats.messages_queued += 1")
-                self.emit(ind, "else:")
-                self.emit(ind, f"    _comm1(vm, {target}, {lc}, {arg})")
-            else:
-                vals = self.popn(nargs + 1, ind)
-                self.bind("_trmsg", TycoVM._trmsg)
-                self.emit(ind, f"_trmsg(vm, {vals[0]}, {lc}, "
-                               f"{self.tup(vals[1:])})")
+            lb = repr(label)
+            (target, kt), *rest = self.popn_kinds(nargs + 1, ind)
+            target = self.materialize(target, kt, ind)
+            args = [expr for expr, _kind in rest]
+            self.bind("_Channel", Channel)
+            self.bind("_fire", TycoVM._fire)
+            self.bind("_trmsg", TycoVM._trmsg)
+            self.uses_acc = True
+            self.emit(ind, f"if {target}.__class__ is _Channel "
+                           f"and {target}.builtin is None:")
+            self.emit(ind, f"    _en = {target}.match_object({lb})")
+            self.emit(ind, "    if _en is not None:")
+            self.emit(ind, "        _ev = _en[1]")
+            self.emit(ind, f"        _bi = _en[0][{lb}]")
+            self.emit(ind, "        _bk = vm.program.blocks[_bi]")
+            self.emit(ind, f"        if _bk.nparams != {nargs} "
+                           "or len(_ev) != _bk.nfree:")
+            self.emit(ind, f"            _fire(vm, _bi, _ev, "
+                           f"{self.tup(args)}, {lb})")
+            self.emit(ind, "        else:")
+            self.emit(ind, "            _cr += 1")
+            self.emit_spawn_push(ind + "            ", "_bi",
+                                 ["*_ev", *args],
+                                 "_bk.frame_size - len(_fr)")
+            self.emit(ind, "    else:")
+            self.emit(ind, f"        {target}.messages.append"
+                           f"(({lb}, {self.tup(args)}))")
+            self.emit(ind, "        stats.messages_queued += 1")
+            self.emit(ind, "else:")
+            self.emit(ind, f"    _trmsg(vm, {target}, {lb}, "
+                           f"{self.tup(args)})")
         elif op is Op.TROBJ:
-            obj_id, nfree = ins.args
-            mname = self.bind(f"_m{pc}", self.program.objects[obj_id].methods)
-            vals = self.popn(nfree + 1, ind)
+            # TycoVM._trobj -> _fire -> spawn, inline.  The method table is the
+            # block's own (``_m<pc>``), so the memo keys only the width.
+            nfree = ins.args[1]
+            methods = self.operand(f"_m{pc}")
+            (target, kt), *rest = self.popn_kinds(nfree + 1, ind)
+            target = self.materialize(target, kt, ind)
+            env = [expr for expr, _kind in rest]
+            self.bind("_Channel", Channel)
+            self.bind("_fire", TycoVM._fire)
             self.bind("_trobj", TycoVM._trobj)
-            self.emit(ind, f"_trobj(vm, {vals[0]}, {mname}, "
-                           f"{self.tup(vals[1:])})")
+            self.uses_acc = True
+            self.emit(ind, f"if {target}.__class__ is _Channel "
+                           f"and {target}.builtin is None:")
+            self.emit(ind, f"    _en = {target}.match_message({methods})")
+            self.emit(ind, "    if _en is not None:")
+            self.emit(ind, "        _lb, _ag = _en")
+            self.emit(ind, f"        _bi = {methods}[_lb]")
+            self.emit(ind, "        _bk = vm.program.blocks[_bi]")
+            self.emit(ind, "        if _bk.nparams != len(_ag) "
+                           f"or _bk.nfree != {nfree}:")
+            self.emit(ind, f"            _fire(vm, _bi, {self.tup(env)}, "
+                           "_ag, _lb)")
+            self.emit(ind, "        else:")
+            self.emit(ind, "            _cr += 1")
+            self.emit_spawn_push(ind + "            ", "_bi",
+                                 [*env, "*_ag"],
+                                 "_bk.frame_size - len(_fr)")
+            self.emit(ind, "    else:")
+            self.emit(ind, f"        {target}.objects.append"
+                           f"(({methods}, {self.tup(env)}))")
+            self.emit(ind, "        stats.objects_queued += 1")
+            self.emit(ind, "else:")
+            self.emit(ind, f"    _trobj(vm, {target}, {methods}, "
+                           f"{self.tup(env)})")
         elif op is Op.INSTOF:
+            # TycoVM._instof -> spawn, inline.  The site caches the last
+            # ClassRef it spawned (identity key): a recursive chain
+            # re-instantiating the same class skips the block fetch,
+            # the arity checks and the pad arithmetic after the first
+            # time through.
             (nargs,) = ins.args
-            if nargs == 1:
-                (cref, kc), (arg, _ka) = self.popn_kinds(2, ind)
-                cref = self.materialize(cref, kc, ind)
-                self.bind("_instof", TycoVM._instof)
-                self.bind("_spawn", TycoVM.spawn)
-                self.bind("_ClassRef", ClassRef)
-                self.uses_stats = True
-                self.uses_acc = True
-                # Inline of _inst_fast1 (the E1 recursion shape): same
-                # checks, same counter order; parameter mismatches and
-                # remote classes delegate to the generic helpers.  The
-                # site caches the last ClassRef it spawned (identity
-                # key): a recursive chain re-instantiating the same
-                # class skips the block fetch, arity checks and pad
-                # arithmetic after the first time through.
-                ic = f"_ic{pc}"
-                self.ic_inits.append(f"{ic}_ref = None")
-                self.emit(ind, f"if {cref}.__class__ is _ClassRef:")
-                self.emit(ind, "    _ir += 1")
-                self.emit(ind, f"    if {cref} is {ic}_ref:")
-                self.emit_spawn_push(ind + "        ", f"{ic}_bi",
-                                     f"{ic}_env", arg, None, pad=f"{ic}_pd")
-                self.emit(ind, "    else:")
-                self.emit(ind, f"        _bi = {cref}.block_id")
-                self.emit(ind, "        _bk = vm.program.blocks[_bi]")
-                self.emit(ind, f"        _ev = {cref}.env")
-                self.emit(ind, "        if _bk.nparams != 1 "
-                               "or len(_ev) != _bk.nfree:")
-                self.emit(ind, f"            _spawn(vm, _bi, _ev, ({arg},))")
-                self.emit(ind, "        else:")
-                self.emit(ind, f"            {ic}_ref = {cref}")
-                self.emit(ind, f"            {ic}_env = _ev")
-                self.emit(ind, f"            {ic}_bi = _bi")
-                self.emit(ind, f"            {ic}_pd = "
-                               "_bk.frame_size - len(_ev) - 1")
-                self.emit_spawn_push(ind + "            ",
-                                     "_bi", "_ev", arg, None,
-                                     pad=f"{ic}_pd")
-                self.emit(ind, "else:")
-                self.emit(ind, f"    _instof(vm, {cref}, ({arg},))")
-            else:
-                vals = self.popn(nargs + 1, ind)
-                self.bind("_instof", TycoVM._instof)
-                self.emit(ind, f"_instof(vm, {vals[0]}, "
-                               f"{self.tup(vals[1:])})")
+            (cref, kc), *rest = self.popn_kinds(nargs + 1, ind)
+            cref = self.materialize(cref, kc, ind)
+            args = [expr for expr, _kind in rest]
+            self.bind("_ClassRef", ClassRef)
+            self.bind("_spawn", TycoVM.spawn)
+            self.bind("_instof", TycoVM._instof)
+            self.uses_acc = True
+            ic = f"_ic{pc}"
+            self.ic_inits.append(f"{ic}_ref = None")
+            self.emit(ind, f"if {cref}.__class__ is _ClassRef:")
+            self.emit(ind, "    _ir += 1")
+            self.emit(ind, f"    if {cref} is {ic}_ref:")
+            self.emit_spawn_push(ind + "        ", f"{ic}_bi",
+                                 [f"*{ic}_env", *args], f"{ic}_pd")
+            self.emit(ind, "    else:")
+            self.emit(ind, f"        _bi = {cref}.block_id")
+            self.emit(ind, "        _bk = vm.program.blocks[_bi]")
+            self.emit(ind, f"        _ev = {cref}.env")
+            self.emit(ind, f"        if _bk.nparams != {nargs} "
+                           "or len(_ev) != _bk.nfree:")
+            self.emit(ind, f"            _spawn(vm, _bi, _ev, "
+                           f"{self.tup(args)})")
+            self.emit(ind, "        else:")
+            self.emit(ind, f"            {ic}_ref = {cref}")
+            self.emit(ind, f"            {ic}_env = _ev")
+            self.emit(ind, f"            {ic}_bi = _bi")
+            self.emit(ind, f"            {ic}_pd = "
+                           f"_bk.frame_size - len(_ev) - {nargs}")
+            self.emit_spawn_push(ind + "            ", "_bi",
+                                 ["*_ev", *args], f"{ic}_pd")
+            self.emit(ind, "else:")
+            self.emit(ind, f"    _instof(vm, {cref}, {self.tup(args)})")
         elif op is Op.FORK:
-            block_id, nfree = ins.args
+            # TycoVM.spawn for FORK, inline.  The target block id is the
+            # block's own (``_fb<pc>``), so the memo keys only the width.
+            nfree = ins.args[1]
+            fb = self.operand(f"_fb{pc}")
             env = self.popn(nfree, ind)
             self.bind("_spawn", TycoVM.spawn)
-            self.emit(ind, f"_spawn(vm, {block_id}, {self.tup(env)}, ())")
-            self.emit(ind, "stats.forks += 1")
-            self.uses_stats = True
+            self.uses_acc = True
+            self.emit(ind, f"_bk = vm.program.blocks[{fb}]")
+            self.emit(ind, f"if _bk.nparams or _bk.nfree != {nfree}:")
+            self.emit(ind, f"    _spawn(vm, {fb}, {self.tup(env)}, ())")
+            self.emit(ind, "else:")
+            self.emit_spawn_push(ind + "    ", fb, env,
+                                 f"_bk.frame_size - {nfree}")
+            self.emit(ind, "_fk += 1")
         elif op is Op.NEWCH:
             self.flush_frame_reads(ind)
             self.emit(ind, f"f[{ins.args[0]}] = vm.heap.new_channel()")
@@ -554,11 +563,10 @@ class _Codegen:
         :meth:`TycoVM.step`.  The profiled path always calls with
         ``chain`` false: there every slice covers one thread, keeping
         sample attribution identical to the closures'."""
-        self.uses_queue = True
         self.uses_acc = True
         self.emit(ind, "if chain:")
         self.emit(ind, "    if _dq and executed < budget "
-                       f"and _dq[0].block_id == {self.block_id}:")
+                       f"and _dq[0].block_id == {self.operand('_bid')}:")
         self.emit(ind, "        _cs += 1")
         self.emit(ind, "        t = _dq.popleft()")
         self.emit(ind, "        vm.current = t")
@@ -578,8 +586,8 @@ class _Codegen:
         The handler is fetched through the caller's decoded-cache
         entry at run time rather than bound into the function:
         handlers close over their *program*, and the indirection is
-        what keeps compiled functions program-independent (so
-        content-identical blocks share one function via the memo).
+        what keeps compiled code program-independent (so blocks of one
+        shape share one code object via the memo).
         The slice prologue refreshed the entry just before the call,
         so the lookup always sees live handlers.
         """
@@ -588,7 +596,7 @@ class _Codegen:
         self.emit(ind, "    return executed")
         self.emit(ind, f"t.pc = {pc + 1}")
         self.emit(ind, "executed += 1")
-        self.emit(ind, f"if vm.program.decoded_cache[{self.block_id}]"
+        self.emit(ind, f"if vm.program.decoded_cache[{self.operand('_bid')}]"
                        f".heads[{pc}](vm, t, f, st):")
         self.emit(ind, "    return executed")
         self.emit(ind, "pc = t.pc")
@@ -625,15 +633,13 @@ class _Codegen:
         arms.append("        t.pc = pc")
         arms.append("        return executed")
         params = "".join(f", {name}={name}" for name in self.bindings)
-        if self.uses_acc:
-            self.uses_stats = self.uses_queue = True
         header = [f"def _compiled_block(vm, t, f, st, budget, "
                   f"chain=False{params}):",
                   "    executed = 0",
                   "    pc = t.pc"]
-        if self.uses_stats:
+        if self.uses_stats or self.uses_acc:
             header.append("    stats = vm.stats")
-        if self.uses_queue:
+        if self.uses_acc:
             header.append("    _rq = vm.runqueue")
             header.append("    _dq = _rq._queue")
         body = ["    while 1:"] + arms
@@ -642,7 +648,7 @@ class _Codegen:
             # block flushes them on every exit path, raises included,
             # so externally-visible VMStats / context-switch totals are
             # bit-identical to per-reduction increments.
-            header.append("    _ir = _cr = _ts = _cs = 0")
+            header.append("    _ir = _cr = _ts = _fk = _cs = 0")
             header.extend("    " + init for init in self.ic_inits)
             body = (["    try:"]
                     + ["    " + ln for ln in body]
@@ -653,6 +659,8 @@ class _Codegen:
                        "            stats.comm_reductions += _cr",
                        "        if _ts:",
                        "            stats.threads_spawned += _ts",
+                       "        if _fk:",
+                       "            stats.forks += _fk",
                        "        if _cs:",
                        "            _rq.context_switches += _cs"])
         return "\n".join(header + body) + "\n"
@@ -663,39 +671,50 @@ def compiled_source(program: Program, block_id: int) -> str:
     return _Codegen(program, block_id, program.blocks[block_id]).generate()
 
 
-#: Content-addressed memo of compiled functions.  Generated functions
-#: are program-independent -- non-inlinable opcodes reach their head
-#: handlers through ``vm.program.decoded_cache`` and TROBJ method
-#: tables are plain block-id dicts -- so two programs whose block
-#: ``block_id`` has identical instructions (and identical method
-#: tables for any objects it ships) can share one function.  This
-#: makes recompiling a program from the same source (every benchmark
-#: repeat, every site booting the same workload) skip ``exec``
-#: entirely.  Keys are pure content, so the memo can never go stale:
-#: a peephole rewrite or a relinked bundle changes the key.  Bounded
-#: like the node's other two tables (``launch.MAX_SHAPES``,
-#: ``codecache.MAX_SLICES``): emptied when full, so a content still in
-#: use costs one more ``exec`` -- a table that merely stopped storing
-#: would compile every content first seen after the 1024th on each
-#: relaunch, for the life of the process.
+#: Compiled code per block *shape*.  Nothing block-specific is in the
+#: generated source: each PUSHC literal is the default ``_k<pc>``, a
+#: FORK target ``_fb<pc>``, a TROBJ method table ``_m<pc>`` and the
+#: block's own id ``_bid`` (:func:`_operands`); everything else the
+#: function binds is the same for every block.  So two blocks whose
+#: instructions differ only in those operands -- one launch template's
+#: instantiations, the same class linked at two positions, a generated
+#: program's look-alike classes -- share one code object, and a hit
+#: costs a ``FunctionType`` with this block's defaults: no codegen, no
+#: ``compile``.  Keys are pure shape, so the memo can never go stale: a
+#: peephole rewrite or a relinked bundle changes the key or the
+#: defaults.  Bounded like the node's other two tables
+#: (``launch.MAX_SHAPES``, ``codecache.MAX_SLICES``): emptied when full,
+#: so a shape still in use costs one more ``compile`` -- a table that
+#: merely stopped storing would compile every shape first seen after
+#: the 1024th, for the life of the process.
 _MEMO: dict = {}
 _MEMO_CAP = 1024
 
 
-def _memo_key(program: Program, block_id: int, block: CodeBlock):
-    objects = []
-    # Instruction args are keyed as (type, value) pairs: Python's
-    # cross-type numeric equality (``7 == 7.0 == True-ish``) would
-    # otherwise alias blocks differing only in a literal's type, and
-    # the memoized function bakes literals in as bound constants.
-    instrs = tuple((ins.op, tuple((type(a), a) for a in ins.args))
-                   for ins in block.instrs)
-    for ins in block.instrs:
-        if ins.op is Op.TROBJ:
-            obj_id = ins.args[0]
-            methods = program.objects[obj_id].methods
-            objects.append((obj_id, tuple(sorted(methods.items()))))
-    return (block_id, instrs, tuple(objects))
+def _operands(program: Program, block_id: int, block: CodeBlock) -> dict:
+    """The defaults a block binds that its memo key abstracts."""
+    operands = {"_bid": block_id}
+    for pc, ins in enumerate(block.instrs):
+        op = ins.op
+        if op is Op.PUSHC:
+            operands[f"_k{pc}"] = ins.args[0]
+        elif op is Op.FORK:
+            operands[f"_fb{pc}"] = ins.args[0]
+        elif op is Op.TROBJ:
+            operands[f"_m{pc}"] = program.objects[ins.args[0]].methods
+    return operands
+
+
+def _memo_key(block: CodeBlock) -> tuple:
+    """The block's shape: its instructions with a PUSHC literal reduced
+    to its type -- the inlined arithmetic checks a literal's type, and
+    ``7 == 7.0 == True`` must not alias -- and a FORK / TROBJ to its
+    width; every other operand is in the source and keyed as is."""
+    return tuple(
+        (Op.PUSHC, type(ins.args[0])) if ins.op is Op.PUSHC
+        else (ins.op, ins.args[1]) if ins.op in (Op.FORK, Op.TROBJ)
+        else (ins.op, ins.args)
+        for ins in block.instrs)
 
 
 def compile_block(program: Program, block_id: int, block: CodeBlock):
@@ -706,21 +725,22 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     stores ``thread.pc`` at every exit, and sets ``vm.current = None``
     exactly where the closures would.
     """
-    try:
-        key = _memo_key(program, block_id, block)
-        fn = _MEMO.get(key)
-    except TypeError:           # unhashable literal somewhere: no memo
-        key = fn = None
-    if fn is not None:
-        return fn
+    key = _memo_key(block)
+    seen = _MEMO.get(key)
+    if seen is not None:
+        # The parameters after (vm, t, f, st, budget) are ``chain`` and
+        # the bindings, in the order of ``seen.__defaults__``.
+        operands = _operands(program, block_id, block)
+        return FunctionType(seen.__code__, seen.__globals__, seen.__name__,
+                            tuple(operands.get(name, value) for name, value
+                                  in zip(seen.__code__.co_varnames[5:],
+                                         seen.__defaults__)))
     gen = _Codegen(program, block_id, block)
-    src = gen.generate()
+    code = compile(gen.generate(), "<compiled block>", "exec")
     namespace = dict(gen.bindings)
-    code = compile(src, f"<compiled {block.name}>", "exec")
     exec(code, namespace)
     fn = namespace["_compiled_block"]
-    if key is not None:
-        if len(_MEMO) >= _MEMO_CAP:
-            _MEMO.clear()
-        _MEMO[key] = fn
+    if len(_MEMO) >= _MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = fn
     return fn

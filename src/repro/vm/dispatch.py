@@ -244,15 +244,6 @@ def _decode_one(program: Program, ins):
 
     if op is Op.TRMSG:
         label, nargs = ins.args
-        if nargs == 1:
-            def h(vm, t, f, st, _l=label):
-                arg = st.pop()
-                vm._comm_fast1(st.pop(), _l, arg)
-            return h
-        if nargs == 0:
-            def h(vm, t, f, st, _l=label):
-                vm._trmsg(st.pop(), _l, ())
-            return h
 
         def h(vm, t, f, st, _l=label, _n=nargs):
             args = tuple(st[len(st) - _n:])
@@ -272,11 +263,6 @@ def _decode_one(program: Program, ins):
 
     if op is Op.INSTOF:
         (nargs,) = ins.args
-        if nargs == 1:
-            def h(vm, t, f, st):
-                arg = st.pop()
-                vm._inst_fast1(st.pop(), arg)
-            return h
 
         def h(vm, t, f, st, _n=nargs):
             args = tuple(st[len(st) - _n:])

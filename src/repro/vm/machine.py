@@ -17,6 +17,13 @@ Which loop a step runs is decided by ``engine`` and an attached
 per-instruction :class:`~repro.vm.trace.Tracer`, nothing else: this
 package does not know the observability bus exists.  A site reads its
 VM's state off it after ``step`` returns (docs/PERF.md).
+
+Every reduction -- COMM from either side, INST, FORK -- spawns a
+thread through one set of helpers (``_trmsg`` / ``_trobj`` /
+``_instof`` -> ``_fire`` -> ``spawn``), which every loop calls.
+Generated code (:mod:`repro.vm.compile`) inlines their common case and
+hands anything unusual back to them, so check and counter order are
+defined here once.
 """
 
 from __future__ import annotations
@@ -281,40 +288,47 @@ class TycoVM:
         and a compiled function that yields early hands the remainder
         to the closures exactly like :meth:`_run_slice_compiled`.
         ``program.blocks`` is re-read every iteration
-        (``optimize_program`` replaces the list).
+        (``optimize_program`` replaces the list); the program and its
+        decoded cache are the VM's for life.  Pops are counted in a
+        local and flushed in a ``finally``, like generated code's.
         """
         executed = 0
+        switches = 0
         runqueue = self.runqueue
         queue = runqueue._queue
         predecode = self._predecode
-        while executed < budget:
-            thread = self.current
-            if thread is None:
-                if not queue:
-                    break
-                runqueue.context_switches += 1
-                thread = self.current = queue.popleft()
-            program = self.program
-            bid = thread.block_id
-            block = program.blocks[bid]
-            cache = program.decoded_cache
-            dec = cache.get(bid)
-            if dec is None or dec.instrs is not block.instrs:
-                dec = predecode(program, block)
-                cache[bid] = dec
-            fn = dec.compiled
-            if fn is None:
-                dec.entries += 1
-                if dec.entries < TIER_UP_ENTRIES:
+        program = self.program
+        cache = program.decoded_cache
+        try:
+            while executed < budget:
+                thread = self.current
+                if thread is None:
+                    if not queue:
+                        break
+                    switches += 1
+                    thread = self.current = queue.popleft()
+                bid = thread.block_id
+                block = program.blocks[bid]
+                dec = cache.get(bid)
+                if dec is None or dec.instrs is not block.instrs:
+                    dec = predecode(program, block)
+                    cache[bid] = dec
+                fn = dec.compiled
+                if fn is None:
+                    dec.entries += 1
+                    if dec.entries < TIER_UP_ENTRIES:
+                        executed += self._run_closures(dec, thread,
+                                                       budget - executed)
+                        continue
+                    fn = dec.compiled = self._compile_block(program, bid,
+                                                            block)
+                executed += fn(self, thread, thread.frame, thread.stack,
+                               budget - executed, True)
+                if self.current is thread and executed < budget:
                     executed += self._run_closures(dec, thread,
                                                    budget - executed)
-                    continue
-                fn = dec.compiled = self._compile_block(program, bid, block)
-            ran = fn(self, thread, thread.frame, thread.stack,
-                     budget - executed, True)
-            executed += ran
-            if self.current is thread and executed < budget:
-                executed += self._run_closures(dec, thread, budget - executed)
+        finally:
+            runqueue.context_switches += switches
         return executed
 
     def _run_slice_profiled(self, thread: Thread, budget: int) -> int:
@@ -564,60 +578,6 @@ class TycoVM:
             return
         target.messages.append((label, args))
         self.stats.messages_queued += 1
-
-    def _comm_fast1(self, target, label: str, arg) -> None:
-        """TRMSG fast path for the dominant single-argument send: a
-        ready message is handed straight to a waiting method -- no args
-        tuple, no intermediate stack slicing -- and the method frame is
-        built in place.  Arity/env mismatches delegate to
-        :meth:`_fire` so the dynamic errors (and the counter updates
-        preceding them) are exactly those of the generic path."""
-        if target.__class__ is Channel:
-            if target.builtin is None:
-                entry = target.match_object(label)
-                if entry is not None:
-                    env = entry[1]
-                    block_id = entry[0][label]
-                    block = self.program.blocks[block_id]
-                    if block.nparams != 1 or len(env) != block.nfree:
-                        self._fire(block_id, env, (arg,), label)
-                        return
-                    self.stats.comm_reductions += 1
-                    frame = [*env, arg]
-                    pad = block.frame_size - len(frame)
-                    if pad:
-                        frame.extend([None] * pad)
-                    self.runqueue.push(Thread(block_id=block_id, frame=frame))
-                    self.stats.threads_spawned += 1
-                    return
-                target.messages.append((label, (arg,)))
-                self.stats.messages_queued += 1
-                return
-            target.builtin(label, (arg,))
-            return
-        self._trmsg(target, label, (arg,))
-
-    def _inst_fast1(self, cref, arg) -> None:
-        """INSTOF fast path for single-argument instantiation (the E1
-        recursion shape): inline the frame build and spawn.  Mismatches
-        delegate to :meth:`spawn` / :meth:`_instof` for the exact
-        generic errors and counter ordering."""
-        if cref.__class__ is ClassRef:
-            self.stats.inst_reductions += 1
-            block_id = cref.block_id
-            block = self.program.blocks[block_id]
-            env = cref.env
-            if block.nparams != 1 or len(env) != block.nfree:
-                self.spawn(block_id, env, (arg,))
-                return
-            frame = [*env, arg]
-            pad = block.frame_size - len(frame)
-            if pad:
-                frame.extend([None] * pad)
-            self.runqueue.push(Thread(block_id=block_id, frame=frame))
-            self.stats.threads_spawned += 1
-            return
-        self._instof(cref, (arg,))
 
     def _trobj(self, target, methods: dict[str, int], env: tuple) -> None:
         if isinstance(target, NetRef):

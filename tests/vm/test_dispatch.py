@@ -9,12 +9,24 @@ the unit level; the whole-network leg lives in
 tests/integration/test_engine_differential.py.
 """
 
+import builtins
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from repro.compiler import compile_source, optimize_program, peephole
+from repro.compiler import (
+    compile_source,
+    optimize_program,
+    parse_assembly,
+    peephole,
+)
 from repro.compiler.assembly import CodeBlock, Instr, Op
 from repro.compiler.linker import extract_bundle, link_bundle
+from repro.runtime import DiTyCONetwork
 from repro.vm import TycoVM, VMRuntimeError, dispatch, machine
+from repro.vm import compile as tier3
 
 from tests.vm.arms import ARMS, each_arm
 
@@ -51,6 +63,24 @@ def run(source, engine="compiled", budget=100_000, optimize=False):
         if vm.step(budget) == 0:
             break
     return vm
+
+
+def observe(vm):
+    """Everything a VM shows: outputs, every VMStats field, the
+    run-queue's counters."""
+    return (list(vm.output), dataclasses.asdict(vm.stats),
+            vm.runqueue.context_switches, vm.runqueue.max_depth)
+
+
+def run_observed(program, engine):
+    vm = TycoVM(program, name="t", engine=engine)
+    vm.boot()
+    try:
+        vm.run(100_000)
+        error = None
+    except VMRuntimeError as exc:
+        error = str(exc)
+    return observe(vm), error
 
 
 def run_program(prog, budget=100_000):
@@ -346,24 +376,90 @@ class TestCompiledCache:
 
     def test_full_memo_is_emptied_not_frozen(self, monkeypatch):
         # A memo that only stored while it had room would, once full,
-        # exec-compile every content first seen later on each relaunch.
-        from repro.vm import compile as tier3
-
+        # compile every shape first seen later on each relaunch.
         monkeypatch.setattr(tier3, "_MEMO", {})
         monkeypatch.setattr(tier3, "_MEMO_CAP", 4)
 
-        def compiled(literal):
-            prog = compile_source(f"print![{literal}]")
-            return tier3.compile_block(prog, prog.main, prog.blocks[prog.main])
+        def compiled(width):
+            # One shape per width: print! with ``width`` arguments.
+            prog = compile_source(f"print![{', '.join(['1'] * width)}]")
+            return tier3.compile_block(
+                prog, prog.main, prog.blocks[prog.main]).__code__
 
-        first = [compiled(n) for n in range(4)]
+        first = [compiled(n) for n in range(1, 5)]
         assert len(tier3._MEMO) == 4
-        assert [compiled(n) for n in range(4)] == first     # all remembered
-        fifth = compiled(4)
-        assert compiled(4) is fifth and fifth not in first
+        assert all(compiled(n) is code                      # all remembered
+                   for n, code in zip(range(1, 5), first))
+        fifth = compiled(5)
+        assert compiled(5) is fifth and all(fifth is not c for c in first)
         assert 1 <= len(tier3._MEMO) <= 4
-        assert compiled(0) is not first[0]      # evicted: compiled anew,
-        assert compiled(0) is compiled(0)       # and remembered again
+        assert compiled(1) is not first[0]      # evicted: compiled anew,
+        assert compiled(1) is compiled(1)       # and remembered again
+
+    def test_one_code_object_per_shape(self, monkeypatch):
+        # Literals, FORK targets and the block's own position are
+        # defaults of the generated function, not part of its source:
+        # blocks differing only in those share one code object, and
+        # each still prints its own answer.
+        monkeypatch.setattr(tier3, "_MEMO", {})
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        donor = compile_source(
+            "def F(x) = (print![x] | print![x + 1]) in F[1]")
+        prog = compile_source(
+            "def F(x) = (print![x] | print![x + 7]) in F[3]")
+        (fid,) = [i for i, b in enumerate(prog.blocks) if b.name == "class F"]
+        assert donor.blocks[fid].name == "class F"
+        # The bundle's block 0 is its root, the donor's F.
+        linked = link_bundle(prog, extract_bundle(donor, block_roots=(fid,)))
+        moved = linked.block_map[0]
+        fork_at = [ins.args[0] for ins in prog.blocks[fid].instrs
+                   if ins.op is Op.FORK]
+        fork_moved = [ins.args[0] for ins in prog.blocks[moved].instrs
+                      if ins.op is Op.FORK]
+        assert moved != fid and fork_moved != fork_at
+        assert sorted(run_program(donor).output) == [1, 2]
+        vm = run_program(prog)
+        assert sorted(vm.output) == [3, 10]
+        # The linked copy of the donor's F, at its new position.
+        vm.spawn(moved, (vm.externals["print"], None), (5,))
+        vm.run(100)
+        assert sorted(vm.output) == [3, 5, 6, 10]
+        codes = {id(program.decoded_cache[bid].compiled.__code__)
+                 for program, bid in ((donor, fid), (prog, fid),
+                                      (prog, moved))}
+        assert len(codes) == 1
+        forks = {id(prog.decoded_cache[bid].compiled.__code__)
+                 for bid in (*fork_at, *fork_moved)}
+        assert len(forks) == 1
+
+    def test_literal_types_compile_apart(self, monkeypatch):
+        # 7 == 7.0 == True-as-1 in Python; a literal's type is part of
+        # the shape (the inlined arithmetic checks it).
+        monkeypatch.setattr(tier3, "_MEMO", {})
+        codes = set()
+        for literal in ("7", "7.0", "true"):
+            source = f"print![{literal} - 2]"
+            ref = run_observed(compile_source(source), "slow")
+            for arm in each_arm(monkeypatch):
+                assert run_observed(compile_source(source), "compiled") \
+                    == ref, arm
+            prog = compile_source(source)
+            codes.add(id(tier3.compile_block(
+                prog, prog.main, prog.blocks[prog.main]).__code__))
+        assert len(codes) == 3 == len(tier3._MEMO)
+
+    def test_compile_runs_once_per_shape(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(tier3, "_MEMO", {})
+        monkeypatch.setattr(
+            tier3, "compile",
+            lambda source, *rest: sources.append(source) or
+            builtins.compile(source, *rest), raising=False)
+        for n in range(5):
+            for text in (f"print![{n}]", f"print![{n}, {n + 1}]"):
+                prog = compile_source(text)
+                tier3.compile_block(prog, prog.main, prog.blocks[prog.main])
+        assert len(sources) == 2
 
     def test_link_bundle_keeps_compiled_entries(self):
         donor = compile_source(COUNTER)
@@ -449,3 +545,211 @@ class TestCompiledCache:
         assert rebuilt.vm.program.decoded_cache is not donor_cache
         assert rebuilt.vm.program.decoded_cache == {}
         assert rebuilt.vm.engine == "compiled"
+
+
+# -- every reduction, inline -------------------------------------------------
+#
+# Generated code spawns in place for TRMSG and INSTOF of any arity, for
+# TROBJ and for FORK, and hands everything unusual to the generic
+# helpers.  The matrix below runs each cell on the every-block-generated
+# arm and on ``slow`` and compares everything a VM shows.
+
+#: Hand-built programs for what the compiler never emits: a FORK, an
+#: object or a class whose block disagrees with the width of the
+#: environment it is given, and an instance of a non-class.
+_ASM_MAIN = "; externals: print\n; main: block 0\n"
+ASM_CELLS = {
+    "FORK env mismatch": """
+block 0 (main) [free=1 params=0 frame=1]
+     0  pushl 0
+     1  fork 1, 1
+     2  halt
+block 1 (fork) [free=2 params=0 frame=2]
+     0  halt
+""",
+    "FORK params mismatch": """
+block 0 (main) [free=1 params=0 frame=1]
+     0  pushl 0
+     1  fork 1, 1
+     2  halt
+block 1 (fork) [free=1 params=1 frame=2]
+     0  halt
+""",
+    "TRMSG env mismatch": """
+block 0 (main) [free=1 params=0 frame=2]
+     0  newch 1
+     1  pushl 1
+     2  pushl 0
+     3  trobj 0, 1
+     4  pushl 1
+     5  pushc 1
+     6  pushc 2
+     7  trmsg 'go', 2
+     8  halt
+block 1 (method go) [free=2 params=2 frame=4]
+     0  halt
+object 0 (object@x): go->b1
+""",
+    "TROBJ env mismatch": """
+block 0 (main) [free=1 params=0 frame=2]
+     0  newch 1
+     1  pushl 1
+     2  pushc 1
+     3  pushc 2
+     4  trmsg 'go', 2
+     5  pushl 1
+     6  pushl 0
+     7  trobj 0, 1
+     8  halt
+block 1 (method go) [free=2 params=2 frame=4]
+     0  halt
+object 0 (object@x): go->b1
+""",
+    "INSTOF env mismatch": """
+block 0 (main) [free=1 params=0 frame=2]
+     0  pushl 0
+     1  defgroup 0, 1, 1
+     2  pushl 1
+     3  pushc 1
+     4  pushc 2
+     5  instof 2
+     6  halt
+block 1 (class F) [free=3 params=2 frame=5]
+     0  halt
+group 0 (F) [free=1]: F->b1
+""",
+    "INSTOF non-class": """
+block 0 (main) [free=1 params=0 frame=1]
+     0  pushc 5
+     1  pushc 1
+     2  pushc 2
+     3  instof 2
+     4  halt
+""",
+}
+
+SOURCE_CELLS = {
+    # Both orders of object and message: each arity is matched and
+    # queued once on the TRMSG side and once on the TROBJ side.
+    **{f"TRMSG/TROBJ {n} args": (
+        f"new x ((x?{{ go({params}) = print![0{rest}] }}) "
+        f"| x!go[{args}] | x!go[{args}] "
+        f"| (x?{{ go({params}) = print![1{rest}] }}))")
+       for n, params, rest, args in (
+           (0, "", "", ""), (2, "a, b", ", b, a", "1, 2"),
+           (3, "a, b, c", ", c, b, a", "1, 2, 3"))},
+    "TRMSG method-arity mismatch":
+        "new x ((x?{ go(a, b) = 0 }) | x!go[1, 2, 3])",
+    "TROBJ method-arity mismatch":
+        "new x (x!go[1, 2, 3] | (x?{ go(a, b) = 0 }))",
+    **{f"TRMSG {n} args builtin": f"print!go[{args}]"
+       for n, args in ((0, ""), (2, "1, 2"), (3, "1, 2, 3"))},
+    **{f"TRMSG {n} args non-channel": f"def F(x) = x!go[{args}] in F[5]"
+       for n, args in ((0, ""), (2, "1, 2"), (3, "1, 2, 3"))},
+    "TROBJ builtin": "print?{ go(a) = 0 }",
+    "TROBJ non-channel": "def F(x) = x?{ go(a, b) = 0 } in F[5]",
+    "INSTOF 0 args": "def F() = print![0] in (F[] | F[])",
+    "INSTOF 2 args": "def F(a, b) = print![a, b] in (F[1, 2] | F[3, 4])",
+    "INSTOF 3 args":
+        "def F(a, b, c) = if a > 0 then F[a - 1, b, c] else print![b, c] "
+        "in F[3, 4, 5]",
+    "INSTOF method-arity mismatch": "def F(a, b) = 0 in F[1, 2, 3]",
+    "FORK": "def T(d) = if d > 0 then (T[d - 1] | T[d - 1] | print![d]) "
+            "else 0 in T[3]",
+}
+
+
+class TestReductionParity:
+    @pytest.mark.parametrize("cell", sorted(SOURCE_CELLS) + sorted(ASM_CELLS))
+    def test_cell_matches_the_reference(self, cell, monkeypatch):
+        def program():
+            if cell in SOURCE_CELLS:
+                return compile_source(SOURCE_CELLS[cell])
+            return parse_assembly(_ASM_MAIN + ASM_CELLS[cell])
+
+        ref = run_observed(program(), "slow")
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        assert run_observed(program(), "compiled") == ref
+        assert (ref[1] is not None) == (
+            "mismatch" in cell or "non-" in cell or cell == "TROBJ builtin")
+
+    def test_remote_targets_ship_through_the_helpers(self, monkeypatch):
+        # NetRef targets of TRMSG / TROBJ and RemoteClassRef targets of
+        # INSTOF, 0 / 2 / 3 arguments, between two sites of one node.
+        server = """
+        export def A0() = print![0]
+               and A2(a, b) = print![a, b]
+               and A3(a, b, c) = print![a, b, c]
+        in export new svc
+        def S(s) = s?{ go() = print!["go"] | S[s],
+                       two(a, b) = print![a, b] | S[s],
+                       three(a, b, c) = print![a, b, c] | S[s] }
+        in S[svc]
+        """
+        client = """
+        import svc from server in import A0 from server in
+        import A2 from server in import A3 from server in
+        ( svc!go[] | svc!two[1, 2] | svc!three[1, 2, 3]
+        | (svc?{ back(a, b) = print![a, b] }) | svc!back[7, 8]
+        | A0[] | A2[1, 2] | A3[1, 2, 3] )
+        """
+
+        def record(engine):
+            net = DiTyCONetwork(engine=engine)
+            net.add_nodes(["n1"])
+            net.launch("n1", "server", server)
+            net.launch("n1", "client", client)
+            net.run()
+            return (net.outputs(), net.world.time, net.world.stats.packets,
+                    {name: observe(net.site(name).vm)
+                     for name in ("server", "client")})
+
+        ref = record("slow")
+        stats = ref[3]["client"][1]
+        assert (stats["remote_messages"], stats["remote_objects"],
+                stats["remote_instances"]) == (7, 1, 3)
+        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        assert record("compiled") == ref
+
+
+def _vmloop_kernels():
+    """The four ``vmloop`` kernels of the end-to-end benchmark."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "_workloads.py"
+    spec = importlib.util.spec_from_file_location("_vmloop_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {"counter_loop": (module.counter_loop, 40),
+            "cell_churn": (module.cell_churn, 40),
+            "ping_pong": (module.ping_pong, 40),
+            # A depth: n and 2n leaves are depths d and d + 1.
+            "spawn_tree": (module.spawn_tree, 5)}
+
+
+@pytest.mark.parametrize("kernel", ["counter_loop", "cell_churn",
+                                    "ping_pong", "spawn_tree"])
+def test_matched_reductions_call_no_vm_method(kernel, monkeypatch):
+    # On the production engine a matched COMM / INST / FORK in
+    # generated code spawns in place: only a block's first entry, on
+    # the closures, and what is unusual (the final print) reach the
+    # generic helpers -- so their call counts do not grow with n.
+    generator, n = _vmloop_kernels()[kernel]
+    calls = {}
+    for name in ("spawn", "_fire", "_trobj", "_instof", "_trmsg"):
+        real = getattr(TycoVM, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(TycoVM, name, counted)
+    # Generated code binds the helpers when it is built.
+    monkeypatch.setattr(tier3, "_MEMO", {})
+    seen = []
+    for size in (n, 2 * n if kernel != "spawn_tree" else n + 1):
+        calls.clear()
+        vm = TycoVM(compile_source(generator(size)), name=kernel)
+        vm.boot()
+        vm.run(10 ** 7)
+        assert vm.is_idle() and vm.stats.reductions + vm.stats.forks > n
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
