@@ -263,12 +263,13 @@ class Compiler:
 
     def _free_vars_of(self, p: Process, ctx: _Ctx) -> tuple[list[Name], list[ClassVar]]:
         """Variables of ``p`` that must be captured from ``ctx``."""
-        fns = [n for n in sorted(free_names(p), key=lambda n: n.serial)
+        free = free_names(p)
+        fns = [n for n in sorted(free, key=lambda n: n.serial)
                if n in ctx.names]
         # Anything free but unknown to the context is a genuine error --
         # external names were pre-bound in the main context and inner
         # contexts inherit captures explicitly.
-        unknown = [n for n in free_names(p) if n not in ctx.names]
+        unknown = [n for n in free if n not in ctx.names]
         if unknown:
             raise CompileError(f"unbound name(s) {unknown} in nested block")
         fcs = [c for c in sorted(free_classvars(p), key=lambda c: c.serial)]
@@ -375,24 +376,27 @@ class Compiler:
                     raise CompileError(f"unbound class variable {c}")
                 seen_c.add(c)
                 all_fcs.append(c)
-        captured_fcs = [c for c in all_fcs]
         # Clause blocks see: captured names, captured external classes,
-        # then the group's own classrefs.
-        group_offset = len(all_fns) + len(captured_fcs)
+        # then the group's own classrefs.  Clause frame layout:
+        # [fns | ext classes | group classes | params].
+        group_offset = len(all_fns) + len(all_fcs)
+        nfree = group_offset + len(group_vars)
+        base_names = {n: i for i, n in enumerate(all_fns)}
+        base_classes = {c: len(all_fns) + i for i, c in enumerate(all_fcs)}
+        for j, gv in enumerate(group_vars):
+            base_classes[gv] = group_offset + j
         clause_blocks: list[tuple[str, int]] = []
         for var, m in clauses.items():
-            # Clause frame layout: [fns | ext classes | group classes | params].
-            child = _Ctx(
-                names={n: i for i, n in enumerate(all_fns)},
-                classes={c: len(all_fns) + i for i, c in enumerate(captured_fcs)},
-                nfree=group_offset + len(group_vars),
-                nparams=len(m.params),
-                next_slot=group_offset + len(group_vars) + len(m.params),
-            )
-            for j, gv in enumerate(group_vars):
-                child.classes[gv] = group_offset + j
+            names = dict(base_names)
             for j, prm in enumerate(m.params):
-                child.names[prm] = group_offset + len(group_vars) + j
+                names[prm] = nfree + j
+            child = _Ctx(
+                names=names,
+                classes=dict(base_classes),
+                nfree=nfree,
+                nparams=len(m.params),
+                next_slot=nfree + len(m.params),
+            )
             self._compile_proc(m.body, child)
             child.emit(Op.HALT)
             block = CodeBlock(
@@ -412,8 +416,8 @@ class Compiler:
         first_slot = ctx.next_slot
         for var in group_vars:
             ctx.classes[var] = ctx.alloc()
-        nfree = self._capture_env(all_fns, captured_fcs, ctx)
-        ctx.emit(Op.DEFGROUP, group_id, nfree, first_slot)
+        ncaptured = self._capture_env(all_fns, all_fcs, ctx)
+        ctx.emit(Op.DEFGROUP, group_id, ncaptured, first_slot)
         if export_hints:
             for index, var in enumerate(group_vars):
                 ctx.emit(Op.EXPORTCLASS, group_id, ctx.classes[var],

@@ -22,16 +22,18 @@ Comments run from ``--`` or ``//`` to end of line.
 The scanner is one compiled regular expression (``_SCAN``) applied with
 ``finditer``: a character-at-a-time Python loop was 0.12 / 0.22 / 0.28 s
 of the ``pubsub`` / ``mapreduce`` / ``coldstart`` benchmark windows
-(docs/PERF.md, "Launch path").  Its behaviour -- kinds, texts, values,
-positions, error messages -- is pinned row by row in
-``tests/lang/test_lexer.py``.
+(docs/PERF.md, "Launch path").  A :class:`Token` is a ``NamedTuple``:
+the frozen dataclass it replaced cost more to build than the rest of
+the scan (docs/PERF.md, "A miss pays once per token").
+Its behaviour -- kinds, texts, values, positions, error messages -- is
+pinned row by row in ``tests/lang/test_lexer.py``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -52,8 +54,11 @@ KEYWORDS = {
 _BOOLEANS = {"true": True, "false": False}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One token.  A tuple, so immutable -- launch templates share token
+    lists (:mod:`repro.runtime.launch`) -- and built by one
+    ``tuple.__new__`` rather than an ``object.__setattr__`` per field."""
+
     kind: TokenKind
     text: str
     line: int

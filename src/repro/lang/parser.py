@@ -134,22 +134,24 @@ class Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        i = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def _peek(self) -> Token:
+        return self.tokens[self.index]
 
     def _next(self) -> Token:
         tok = self.tokens[self.index]
+        # The token list ends in EOF and no step passes it (here, in the
+        # skip loops, or restoring an index held before), so
+        # ``self.index <= len(self.tokens) - 1``: only lookahead clamps.
         if tok.kind is not TokenKind.EOF:
             self.index += 1
         return tok
 
     def _at_punct(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         return tok.kind is TokenKind.PUNCT and tok.text == text
 
     def _at_keyword(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         return tok.kind is TokenKind.KEYWORD and tok.text == text
 
     def _expect_punct(self, text: str) -> Token:
@@ -277,7 +279,8 @@ class Parser:
         Distinguishes ``new x y P`` (two binders) from ``new x y![..]``
         (one binder, then a message at y) by looking one token ahead.
         """
-        nxt = self._peek(1)
+        tokens = self.tokens
+        nxt = tokens[min(self.index + 1, len(tokens) - 1)]
         return nxt.kind is TokenKind.PUNCT and nxt.text in ("!", "?")
 
     def _parse_clauses(self, scope: _Scope) -> tuple[_Scope, Definitions]:
@@ -296,7 +299,7 @@ class Parser:
             headers.append((ctok, params))
             bodies_start.append(self.index)
             # Skip over the body tokens to find 'and' / 'in' at depth 0.
-            self._skip_clause_body()
+            self.index = self._skip_clause_body(self.index)
             if self._at_keyword("and"):
                 self._next()
                 continue
@@ -315,75 +318,93 @@ class Parser:
         self.index = end_index
         return inner, Definitions(clauses)
 
-    def _skip_clause_body(self) -> None:
-        """Advance past one clause body: stop at ``and``/``in`` at depth 0."""
+    # The three skip loops walk every token of every clause body once,
+    # so each keeps the tokens and kinds in locals and takes and returns
+    # a token index.  They stop at, and consume, different keywords.
+
+    def _skip_clause_body(self, i: int) -> int:
+        """Skip one clause body from ``i``: the index of its ``and`` /
+        ``in`` at depth 0."""
+        tokens = self.tokens
+        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
         depth = 0
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.EOF:
+            tok = tokens[i]
+            kind = tok.kind
+            if kind is EOF:
                 raise ParseError("unterminated def: expected 'in'", tok)
-            if tok.kind is TokenKind.PUNCT and tok.text in "([{":
-                depth += 1
-            elif tok.kind is TokenKind.PUNCT and tok.text in ")]}":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced bracket in def body", tok)
-            elif depth == 0 and tok.kind is TokenKind.KEYWORD and tok.text in ("and", "in"):
-                # 'and'/'in' may also close a *nested* def inside the
-                # body; track nesting of def/let/import keywords.
-                return
-            elif depth == 0 and tok.kind is TokenKind.KEYWORD and tok.text in ("def", "let", "import"):
-                self._next()
-                self._skip_to_matching_in()
-                continue
-            elif depth == 0 and tok.kind is TokenKind.KEYWORD and tok.text == "if":
-                # An if-condition may contain boolean 'and' at depth 0;
-                # skip to the matching 'then' before resuming.
-                self._next()
-                self._skip_to_then()
-                continue
-            self._next()
+            if kind is PUNCT:
+                if tok.text in "([{":
+                    depth += 1
+                elif tok.text in ")]}":
+                    depth -= 1
+                    if depth < 0:
+                        raise ParseError("unbalanced bracket in def body", tok)
+            elif depth == 0 and kind is KEYWORD:
+                text = tok.text
+                if text in ("and", "in"):
+                    # 'and'/'in' may also close a *nested* def inside the
+                    # body; track nesting of def/let/import keywords.
+                    return i
+                if text in ("def", "let", "import"):
+                    i = self._skip_to_matching_in(i + 1)
+                    continue
+                if text == "if":
+                    # An if-condition may contain boolean 'and' at depth
+                    # 0; skip to the matching 'then' before resuming.
+                    i = self._skip_to_then(i + 1)
+                    continue
+            i += 1
 
-    def _skip_to_then(self) -> None:
-        """After an 'if', skip the condition up to its 'then'."""
+    def _skip_to_then(self, i: int) -> int:
+        """After an 'if', skip the condition: the index past its 'then'."""
+        tokens = self.tokens
+        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
         depth = 0
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.EOF:
+            tok = tokens[i]
+            kind = tok.kind
+            if kind is EOF:
                 raise ParseError("unterminated 'if': expected 'then'", tok)
-            if tok.kind is TokenKind.PUNCT and tok.text in "([{":
-                depth += 1
-            elif tok.kind is TokenKind.PUNCT and tok.text in ")]}":
-                depth -= 1
-            elif depth == 0 and tok.kind is TokenKind.KEYWORD and tok.text == "then":
-                self._next()
-                return
-            self._next()
+            if kind is PUNCT:
+                if tok.text in "([{":
+                    depth += 1
+                elif tok.text in ")]}":
+                    depth -= 1
+                    if depth < 0:
+                        raise ParseError("unbalanced bracket in def body", tok)
+            elif depth == 0 and kind is KEYWORD and tok.text == "then":
+                return i + 1
+            i += 1
 
-    def _skip_to_matching_in(self) -> None:
-        """After a nested def/let/import keyword, skip to its 'in'."""
+    def _skip_to_matching_in(self, i: int) -> int:
+        """After a nested def/let/import keyword: the index past its 'in'."""
+        tokens = self.tokens
+        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
         depth = 0
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.EOF:
+            tok = tokens[i]
+            kind = tok.kind
+            if kind is EOF:
                 raise ParseError("unterminated construct: expected 'in'", tok)
-            if tok.kind is TokenKind.PUNCT and tok.text in "([{":
-                depth += 1
-            elif tok.kind is TokenKind.PUNCT and tok.text in ")]}":
-                depth -= 1
-            elif depth == 0 and tok.kind is TokenKind.KEYWORD:
-                if tok.text in ("def", "let", "import"):
-                    self._next()
-                    self._skip_to_matching_in()
+            if kind is PUNCT:
+                if tok.text in "([{":
+                    depth += 1
+                elif tok.text in ")]}":
+                    depth -= 1
+                    if depth < 0:
+                        raise ParseError("unbalanced bracket in def body", tok)
+            elif depth == 0 and kind is KEYWORD:
+                text = tok.text
+                if text in ("def", "let", "import"):
+                    i = self._skip_to_matching_in(i + 1)
                     continue
-                if tok.text == "if":
-                    self._next()
-                    self._skip_to_then()
+                if text == "if":
+                    i = self._skip_to_then(i + 1)
                     continue
-                if tok.text == "in":
-                    self._next()
-                    return
-            self._next()
+                if text == "in":
+                    return i + 1
+            i += 1
 
     def _parse_def(self, scope: _Scope) -> Process:
         self._expect_keyword("def")

@@ -174,7 +174,8 @@ def _term(p: SiteProgram, namer: _Namer, indent: int) -> str:
             m = p.methods[VAL]
             params = ", ".join(namer.lexeme(x) for x in m.params)
             body = _proc(m.body, namer, indent + 1).lstrip()
-            return f"{pad}{subj}?({params}) = ({body})"
+            # The sugar's body runs as far right as a binder's does.
+            return f"{pad}({subj}?({params}) = {body})"
         methods = []
         for label, m in p.methods.items():
             params = ", ".join(namer.lexeme(x) for x in m.params)

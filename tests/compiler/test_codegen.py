@@ -1,5 +1,9 @@
 """Unit tests for code generation (repro.compiler.codegen)."""
 
+import hashlib
+import random
+import re
+
 import pytest
 
 from repro.compiler import (
@@ -173,3 +177,82 @@ class TestDisassembler:
     def test_instruction_count(self):
         prog = compile_source("x![1] | y![2]")
         assert prog.instruction_count() > 4
+
+
+# -- pinned output on a large generated def group ---------------------------
+#
+# One 64-clause group in the shape of the `coldstart` benchmark's
+# programs (five body forms, arities 2-4, three-digit literals), written
+# here because tests do not import the benchmarks.  The digest covers
+# every block, object and group the compiler emits; it was recorded
+# before the front end's per-token and per-clause loops were rewritten,
+# so a change that alters an instruction, a frame layout or a table
+# order shows up here.
+
+_FORMS = ("arith", "branch", "channel", "object", "call")
+_PARAMS = ("acc", "x", "y", "z")
+
+
+def _group_source(seed: int, classes: int) -> str:
+    rng = random.Random(seed)
+    lit = lambda: rng.randint(100, 999)  # noqa: E731
+    forms = [_FORMS[i % len(_FORMS)] for i in range(classes)]
+    arities = [2 + i % 3 for i in range(classes)]
+    rng.shuffle(forms)
+    rng.shuffle(arities)
+    names = [f"Kx{i:03d}" for i in range(classes)]
+    clauses = []
+    for i in range(classes):
+        params = _PARAMS[:arities[i]]
+        if i + 1 < classes:
+            extra = [p if p in params else str(lit())
+                     for p in _PARAMS[2:arities[i + 1]]]
+            head = f"{names[i + 1]}[{{}}, {{}}" + "".join(
+                f", {e}" for e in extra) + "]"
+        else:
+            head = "join![{}]"
+        call = lambda acc, x: head.format(acc, x)  # noqa: E731
+        a, b, d = lit(), lit(), lit()
+        form = forms[i]
+        if form == "branch":
+            body = (f"if x > {a} then {call(f'acc + {b}', f'x - {d}')} "
+                    f"else {call(f'acc + x + {d}', f'x + {b}')}")
+        elif form == "channel":
+            body = f"new t (t![x + {a}] | t?(w) = {call('acc + w', 'x')})"
+        elif form == "object":
+            body = (f"new o (o!put[x, {a}] | o?{{ put(p, q) = "
+                    f"{call('acc + p * q', f'x + {b}')}, skip() = 0 }})")
+        elif form == "call":
+            body = (f"new s ((s?{{ get(k, r) = r![k + {a}] }}) | "
+                    f"let w = s!get[x] in {call('acc + w', f'x + {b}')})")
+        else:
+            body = call(f"acc + x * {a} + {b}", f"x + {d}")
+        clauses.append(f"{names[i]}({', '.join(params)}) = {body}")
+    start = f"{names[0]}[" + ", ".join(
+        str(lit()) for _ in range(arities[0])) + "]"
+    return ("new join (\ndef " + "\nand ".join(clauses)
+            + f"\nin ({start} | join?(v) = print![v]))\n")
+
+
+def _program_digest(prog) -> str:
+    rows = [tuple((i.op.name, i.args) for i in b.instrs)
+            + (b.nfree, b.nparams, b.frame_size, b.name) for b in prog.blocks]
+    rows.append(tuple((o.methods, o.name) for o in prog.objects))
+    rows.append(tuple((g.clauses, g.nfree, g.name) for g in prog.groups))
+    rows.append((prog.externals, prog.main))
+    # Object names carry a Name's process-wide serial: number them by
+    # first appearance so the digest does not depend on what ran before.
+    serials: dict[str, int] = {}
+    text = re.sub(r"#(\d+)",
+                  lambda m: f"#{serials.setdefault(m[1], len(serials))}",
+                  repr(rows))
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+def test_generated_group_compiles_to_pinned_code():
+    source = _group_source(2027, 64)
+    assert source.count("\nand ") == 63
+    prog = compile_source(source)
+    validate_program(prog)
+    assert len(prog.groups) == 1 and len(prog.groups[0].clauses) == 64
+    assert _program_digest(prog) == "8ba7fb0da311e17daabf34d739a80ce7"

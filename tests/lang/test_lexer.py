@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lang import LexError, Lexer, TokenKind, lexer
+from repro.lang import LexError, Lexer, Token, TokenKind, lexer
 from repro.lang.lexer import scan_ints
 from repro.runtime.launch import _key, _shape_key
 
@@ -148,6 +148,41 @@ class TestPositions:
             assert e.line == 2 and e.column == 4
         else:  # pragma: no cover
             pytest.fail("expected LexError")
+
+
+class TestToken:
+    """A token is an immutable value: launch templates share token lists
+    (repro.runtime.launch), so no holder may change one under another."""
+
+    def test_fields_cannot_be_assigned(self):
+        tok = Lexer("x").tokens()[0]
+        for field in ("kind", "text", "line", "column", "value"):
+            with pytest.raises(AttributeError):
+                setattr(tok, field, None)
+        assert tok.text == "x"
+
+    def test_value_protocol(self):
+        toks = Lexer('x 12 "s"').tokens()
+        assert [repr(t) for t in toks] == [
+            "Token(kind=<TokenKind.IDENT: 1>, text='x', line=1, column=1,"
+            " value=None)",
+            "Token(kind=<TokenKind.INT: 3>, text='12', line=1, column=3,"
+            " value=12)",
+            "Token(kind=<TokenKind.STRING: 5>, text='\"s\"', line=1,"
+            " column=6, value='s')",
+            "Token(kind=<TokenKind.EOF: 8>, text='', line=1, column=9,"
+            " value=None)",
+        ]
+        assert [str(t) for t in toks] == \
+            ["'x'@1:1", "'12'@1:3", "'\"s\"'@1:6", "''@1:9"]
+        for t in toks:
+            assert hash(t) == hash((t.kind, t.text, t.line, t.column, t.value))
+        x = toks[0]
+        assert x == Token(TokenKind.IDENT, "x", 1, 1)
+        assert hash(x) == hash(Token(TokenKind.IDENT, "x", 1, 1))
+        assert x != Token(TokenKind.IDENT, "x", 1, 2)
+        assert x != Token(TokenKind.IDENT, "x", 1, 1, 0)
+        assert Token(TokenKind.EOF, "", 1, 1).value is None
 
 
 # -- pins ----------------------------------------------------------------

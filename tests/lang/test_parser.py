@@ -175,6 +175,73 @@ class TestDef:
         assert isinstance(body, If)
 
 
+class TestClausePrePass:
+    """The pass that finds where each clause of a ``def`` group ends
+    (its ``and`` / ``in`` at bracket depth 0) before any body is parsed,
+    so that every clause can name every class of its group."""
+
+    @staticmethod
+    def clauses(src):
+        p = parse_process(src)
+        assert isinstance(p, Def)
+        return {v.hint: m.body for v, m in p.definitions.clauses.items()}
+
+    def test_boolean_and_in_if_condition(self):
+        bodies = self.clauses(
+            "def A(x, y) = if x > 1 and not y < 2 or x == y then A[x - 1, y]"
+            " else 0 and B() = A[3, 1] in B[]")
+        assert list(bodies) == ["A", "B"]
+        cond = bodies["A"].condition
+        assert cond.op == "or" and cond.left.op == "and"
+
+    def test_and_inside_brackets(self):
+        bodies = self.clauses(
+            "def A(x) = x![(true and false), x and x] | x?{ m(a) = "
+            "a![a and a] } and B() = 0 in 0")
+        assert list(bodies) == ["A", "B"]
+        msg = flatten_par(bodies["A"])[0]
+        assert [arg.op for arg in msg.args] == ["and", "and"]
+
+    def test_nested_def_let_import_in_clause_body(self):
+        bodies = self.clauses(
+            "def A(s) = def C(y) = y![1] and D() = 0 in "
+            "let w = s!get[1] in import z from site in C[z] | w![] "
+            "and B() = if true then def E() = 0 in E[] else 0 in A[q] | B[]")
+        assert list(bodies) == ["A", "B"]
+        nested = bodies["A"]
+        assert isinstance(nested, Def)
+        assert [v.hint for v in nested.definitions.clauses] == ["C", "D"]
+        assert isinstance(nested.body, New)          # the let's reply
+        assert isinstance(bodies["B"], If)
+
+    def test_forward_reference_to_later_clause(self):
+        p = parse_process("def A(x) = B[x + 1] and B(y) = y![] in A[1]")
+        a, b = p.definitions.clauses
+        body = p.definitions.clauses[a].body
+        assert isinstance(body, Instance) and body.classref is b
+
+    @pytest.mark.parametrize("src, message", [
+        ("def X() = x![1]",
+         "1:16: unterminated def: expected 'in'"),
+        ("def X() = x![1]) and Y() = 0 in 0",
+         "1:16: unbalanced bracket in def body"),
+        ("def A(x) = if x > 1 in 0",
+         "1:25: unterminated 'if': expected 'then'"),
+        ("def A(x) = let w = s!get[x] and 0",
+         "1:34: unterminated construct: expected 'in'"),
+        ("def A(x) = if (x > 1)) then 0 else 0 and B() = 0 in 0",
+         "1:22: unbalanced bracket in def body"),
+        ("def A(x) = def C() = 0) in 0 and B() = 0 in 0",
+         "1:23: unbalanced bracket in def body"),
+        ("def A(x) =\n  import y from s) in y![x] and B() = 0 in 0",
+         "2:18: unbalanced bracket in def body"),
+    ])
+    def test_errors(self, src, message):
+        with pytest.raises(ParseError) as info:
+            parse_process(src)
+        assert str(info.value) == message
+
+
 class TestIfLet:
     def test_if(self):
         p = parse_process("if 1 < 2 then x![] else y![]")

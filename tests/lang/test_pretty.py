@@ -1,6 +1,7 @@
 """Round-trip tests: pretty(parse(src)) re-parses to an alpha-equivalent term."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Lit,
@@ -8,6 +9,7 @@ from repro.core import (
     Name,
     Site,
     alpha_equal,
+    flatten_par,
     val_msg,
 )
 from repro.lang import is_printable_source, parse_process, parse_program, pretty
@@ -65,6 +67,16 @@ def test_round_trip_site_programs(src):
     assert pretty(parsed2.program) == printed
 
 
+def test_val_object_left_of_par_keeps_its_scope():
+    # The sugar's body extends to the right: printed bare, ``x?(r) = 0``
+    # followed by ``| 0`` would re-parse with ``| 0`` inside the body.
+    src = "(x![1] | x?(r) = 0) | 0"
+    printed = pretty(parse_process(src))
+    assert pretty(parse_process(printed)) == printed
+    kinds = lambda p: [type(q) for q in flatten_par(p)]  # noqa: E731
+    assert kinds(parse_process(printed)) == kinds(parse_process(src))
+
+
 class TestPrintability:
     def test_plain_term_printable(self):
         p = parse_process("new x x![1]")
@@ -100,3 +112,80 @@ class TestNamerDisambiguation:
         printed = pretty(p)
         p2 = parse_process(printed)
         assert alpha_equal(p, p2)
+
+
+# -- def groups, generated ---------------------------------------------------
+#
+# Whole programs built from the constructs a clause body can hold: the
+# parser finds each clause's end in a pre-pass (every ``and`` / ``in`` at
+# bracket depth 0 that is not an ``if`` condition's or a nested
+# construct's), so the bodies mix exactly those.
+
+_CMP = st.sampled_from(["<", "<=", ">", ">=", "==", "!="])
+_ARITH = st.sampled_from(["+", "-", "*"])
+
+
+@st.composite
+def _def_groups(draw):
+    classes = [f"K{i}" for i in range(draw(st.integers(1, 30)))]
+    fresh = iter(range(10 ** 6))
+
+    def expr(scope, depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.one_of(st.integers(0, 999).map(str),
+                                  st.sampled_from(scope)))
+        return (f"({expr(scope, depth - 1)} {draw(_ARITH)} "
+                f"{expr(scope, depth - 1)})")
+
+    def cond(scope, depth):
+        kind = draw(st.integers(0, 3 if depth else 0))
+        if kind == 0:
+            return f"{expr(scope, 1)} {draw(_CMP)} {expr(scope, 1)}"
+        if kind == 1:
+            return f"not {cond(scope, depth - 1)}"
+        op = "and" if kind == 2 else "or"
+        return f"({cond(scope, depth - 1)} {op} {cond(scope, depth - 1)})"
+
+    def args(scope, n):
+        return ", ".join(expr(scope, 1) for _ in range(n))
+
+    def proc(scope, depth):
+        kind = draw(st.integers(0, 9 if depth else 2))
+        var = draw(st.sampled_from(scope))
+        if kind == 0:
+            return "0"
+        if kind == 1:
+            return f"{var}!m[{args(scope, draw(st.integers(0, 2)))}]"
+        if kind == 2:
+            return f"{draw(st.sampled_from(classes))}[{args(scope, 2)}]"
+        if kind == 3:
+            return (f"if {cond(scope, 2)} then {proc(scope, depth - 1)} "
+                    f"else {proc(scope, depth - 1)}")
+        if kind == 4:
+            v = f"n{next(fresh)}"
+            return f"(new {v} {proc(scope + [v], depth - 1)})"
+        if kind == 5:
+            return (f"{var}?{{ m(p) = {proc(scope + ['p'], depth - 1)}, "
+                    f"k() = {proc(scope, depth - 1)} }}")
+        if kind == 6:
+            return f"({proc(scope, depth - 1)} | {proc(scope, depth - 1)})"
+        if kind == 7:
+            v = f"w{next(fresh)}"
+            return (f"(let {v} = {var}!get[{expr(scope, 1)}] in "
+                    f"{proc(scope + [v], depth - 1)})")
+        if kind == 8:
+            inner = f"L{next(fresh)}"
+            return (f"(def {inner}(q) = {proc(scope + ['q'], depth - 1)} in "
+                    f"{inner}[{expr(scope, 1)}])")
+        return f"{var}?(r) = {proc(scope + ['r'], depth - 1)}"
+
+    clauses = [f"{c}(a, b) = {proc(['a', 'b', 'out'], 3)}" for c in classes]
+    return ("def " + "\nand ".join(clauses)
+            + f"\nin {classes[0]}[1, 2] | {proc(['out'], 2)}")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_def_groups())
+def test_def_group_round_trip(src):
+    printed = pretty(parse_process(src))
+    assert pretty(parse_process(printed)) == printed
