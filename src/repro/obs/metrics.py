@@ -310,34 +310,36 @@ class MetricsRegistry:
     # -- snapshot / merge (repro.obs.cluster) --------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-literal dump of every family and series.
+        """A plain-value dump of every family and series.
 
-        The structure round-trips through ``repr`` + ``ast.literal_eval``
-        (the daemon control protocol's marshalling): only str / int /
-        float / None / tuples / lists / dicts, no ``inf`` or ``nan``
-        (empty-histogram min/max become None).  Deterministic: families
-        and series are emitted sorted.
+        The structure round-trips through ``wire.encode`` /
+        ``wire.decode`` (the daemon control protocol's marshalling):
+        only str / int / float / None / tuples / lists / str-keyed
+        dicts, so ``series`` is a list of ``(label_values, state)``
+        pairs; empty-histogram min/max are None.  Deterministic:
+        families and series are emitted sorted.
         """
         out: dict[str, dict] = {}
         for name in sorted(self._families):
             family = self._families[name]
             fam: dict = {"kind": family.kind, "help": family.help,
                          "labels": list(family.label_names),
-                         "dropped": family.dropped, "series": {}}
+                         "dropped": family.dropped, "series": []}
             if family.kind == "histogram":
                 fam["buckets"] = list(family.buckets)
             for values in sorted(family.series):
                 inst = family.series[values]
                 if family.kind == "histogram":
                     assert isinstance(inst, Histogram)
-                    fam["series"][values] = {
+                    state = {
                         "counts": list(inst.counts), "sum": inst.sum,
                         "count": inst.count,
                         "min": None if inst.count == 0 else inst.min,
                         "max": None if inst.count == 0 else inst.max,
                     }
                 else:
-                    fam["series"][values] = inst.value
+                    state = inst.value
+                fam["series"].append((values, state))
             out[name] = fam
         return out
 
@@ -367,8 +369,7 @@ def merge_snapshots(snapshots: dict[str, dict],
                 name, fam["kind"], fam["help"], labels,
                 buckets=tuple(fam.get("buckets", DEFAULT_BUCKETS)))
             family.dropped += fam["dropped"]
-            for values, state in fam["series"].items():
-                values = tuple(values)
+            for values, state in fam["series"]:
                 if prepend:
                     values = (node,) + values
                 inst = family.child(values)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import socket
-import socketserver
 import subprocess
 import sys
 import threading
@@ -43,7 +42,7 @@ from repro.transport.clock import monotime
 from repro.transport.socket import SocketWorld
 
 from .network import DiTyCONetwork
-from .nsnet import (NameServiceClient, NameServiceServer, recv_msg,
+from .nsnet import (NameServiceClient, NameServiceServer, RpcServer,
                     recv_reply, send_msg)
 
 
@@ -95,9 +94,8 @@ def _marshal_value(value):
                                        type(None))) else repr(value)
 
 
-class _DaemonControl:
-    """The daemon's control server: one repr-tuple request per record,
-    same framing as the name service RPC."""
+class _DaemonControl(RpcServer):
+    """The daemon's control server, on the name service's RPC loop."""
 
     def __init__(self, net: DiTyCONetwork, world: DaemonWorld, ip: str,
                  host: str, port: int, collector=None, recorder=None,
@@ -113,43 +111,12 @@ class _DaemonControl:
         self.recorder = recorder
         self.registry = registry
         self.shutdown_requested = threading.Event()
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                try:
-                    while (msg := recv_msg(self.request)) is not None:
-                        send_msg(self.request, outer._dispatch(msg))
-                        if outer.shutdown_requested.is_set():
-                            return
-                except (OSError, ValueError):
-                    return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"dityco-ctl-{ip}", daemon=True)
-        self._thread.start()
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        super().__init__(host, port, f"dityco-ctl-{ip}")
+        self.start()
 
     def _sites(self):
         return [site for node in self.world.nodes.values()
                 for site in node.sites.values()]
-
-    def _dispatch(self, msg) -> tuple:
-        try:
-            method, *args = msg
-            return ("ok", getattr(self, f"_rpc_{method}")(*args))
-        except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-            return ("err", type(exc).__name__, str(exc))
 
     def _rpc_launch(self, site_name, source):
         self.net.launch(self.ip, site_name, source)
@@ -182,8 +149,8 @@ class _DaemonControl:
         return {"ip": self.ip, "obs": self.collector is not None}
 
     def _rpc_metrics(self):
-        """This daemon's registry snapshot (PR4 exposition, marshalled
-        as a literal dict; see MetricsRegistry.snapshot)."""
+        """This daemon's registry snapshot (see
+        MetricsRegistry.snapshot)."""
         from repro.obs.metrics import MetricsRegistry, world_metrics
 
         registry = self.registry if self.registry is not None \
@@ -192,7 +159,7 @@ class _DaemonControl:
         return registry.snapshot()
 
     def _rpc_trace(self, since=0):
-        """Recorded events with ``seq > since`` as literal dicts.
+        """Recorded events with ``seq > since`` as flat dicts.
         Non-destructive: the collector keeps everything, so repeated
         scrapes of a quiescent daemon return identical streams."""
         if self.collector is None:

@@ -10,9 +10,10 @@ that sites and nodes already use.
 
 Wire format: the transport's length-prefixed records
 (:func:`repro.transport.socket.encode_record`), each carrying one
-``repr``'d tuple -- ``(method, *args)`` up, ``("ok", result)`` or
-``("err", exception_type, message)`` down.  ``ast.literal_eval``
-bounds what can come off the wire to literals (no pickle).
+:func:`repro.runtime.wire.encode`'d tuple -- ``(method, *args)`` up,
+``("ok", result)`` or ``("err", exception_type, message)`` down -- read
+with the data plane's decoder and error rule.  :class:`RpcServer` is
+the one server loop, here and on the daemon control port.
 
 Subscriptions (sites retry pending imports when *anything* registers)
 cannot be pushed over a request/response socket, so the server keeps a
@@ -29,7 +30,6 @@ destinations (the static IP topology table of section 5).
 
 from __future__ import annotations
 
-import ast
 import socket
 import socketserver
 import threading
@@ -39,6 +39,7 @@ from repro.transport.clock import monotime
 from repro.transport.socket import MAX_RECORD, encode_record, _LEN
 from repro.vm.values import NetRef, RemoteClassRef
 
+from . import wire
 from .nameservice import (
     NameService,
     NameServiceError,
@@ -55,15 +56,15 @@ _ERRORS = {
 
 
 def send_msg(sock: socket.socket, obj: object) -> None:
-    sock.sendall(encode_record(repr(obj).encode("utf-8")))
+    sock.sendall(encode_record(wire.encode(obj)))
 
 
 def recv_msg(sock: socket.socket) -> object:
-    """One length-prefixed literal off a blocking socket.
+    """One length-prefixed wire value off a blocking socket.
 
     ``None`` only for a clean EOF *between* records.  EOF anywhere
     inside one raises ``ConnectionError``; a complete record that is
-    oversized or whose payload is not one literal raises ``ValueError``.
+    oversized or whose payload does not decode raises ``ValueError``.
     """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
@@ -75,22 +76,22 @@ def recv_msg(sock: socket.socket) -> object:
     if payload is None:
         raise ConnectionError("connection closed mid-record")
     try:
-        return ast.literal_eval(payload.decode("utf-8"))
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        # UnicodeDecodeError is a ValueError.
-        raise ValueError(f"record is not one literal: {exc!r}") from None
+        return wire.decode(payload)
+    except wire.WireError as exc:
+        raise ValueError(f"record does not decode: {exc}") from None
 
 
 def recv_reply(sock: socket.socket) -> tuple:
     """The answer to one request: ``("ok", result)`` or ``("err",
-    exception_type, message)``.  EOF in its place is a
-    ``ConnectionError``, any other literal a ``ValueError``."""
+    exception_type, message)`` with two strs.  EOF in its place is a
+    ``ConnectionError``, any other value a ``ValueError``."""
     reply = recv_msg(sock)
     if reply is None:
         raise ConnectionError("connection closed before the reply")
     if isinstance(reply, tuple) and (
             (len(reply) == 2 and reply[0] == "ok")
-            or (len(reply) == 3 and reply[0] == "err")):
+            or (len(reply) == 3 and reply[0] == "err"
+                and all(isinstance(part, str) for part in reply[1:]))):
         return reply
     raise ValueError(f"malformed reply {reply!r:.80}")
 
@@ -109,7 +110,59 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     return buf
 
 
-class NameServiceServer:
+class _RpcHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        # A torn, oversized or undecodable record, or a peer gone
+        # before its reply, ends this connection only.  A request that
+        # decodes gets ("ok", result) or ("err", type, message) -- an
+        # err also when the result does not encode.
+        try:
+            while (msg := recv_msg(self.request)) is not None:
+                try:
+                    method, *args = msg
+                    result = getattr(self.server, f"_rpc_{method}")(*args)
+                    reply = wire.encode(("ok", result))
+                except Exception as exc:  # noqa: BLE001 - to the caller
+                    reply = wire.encode(("err", type(exc).__name__,
+                                         str(exc)))
+                self.request.sendall(encode_record(reply))
+        except (OSError, ValueError):
+            return
+
+
+class RpcServer(socketserver.ThreadingTCPServer):
+    """The control plane's one RPC loop: a ``(method, *args)`` record
+    calls the subclass's ``_rpc_<method>(*args)``, one reply per
+    request until the client's EOF.  The name service and the daemon
+    control port both subclass it."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, host: str, port: int, name: str) -> None:
+        super().__init__((host, port), _RpcHandler)
+        self.host, self.port = self.server_address[:2]
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        name=name, daemon=True)
+
+    def start(self) -> "RpcServer":
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        self.shutdown()
+        self.server_close()
+
+
+def _check(kind: type, *values) -> None:
+    """A table row holds ``str`` names and ips and ``int`` (not
+    ``bool``) ids and ports, or a later snapshot could not encode it."""
+    for value in values:
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r:.40}")
+
+
+class NameServiceServer(RpcServer):
     """The name service as an actual TCP server (one per cluster)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -119,60 +172,30 @@ class NameServiceServer:
         self._nodes: dict[str, tuple[str, int]] = {}
         self._lock = threading.Lock()
         self.ns.subscribe(self._bump)
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                # A torn, oversized or non-literal record, or a peer
-                # gone before its reply, ends this connection only.
-                try:
-                    while (msg := recv_msg(self.request)) is not None:
-                        send_msg(self.request, outer._dispatch(msg))
-                except (OSError, ValueError):
-                    return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="dityco-ns",
-            daemon=True)
-
-    def start(self) -> "NameServiceServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        super().__init__(host, port, "dityco-ns")
 
     def _bump(self) -> None:
         with self._lock:
             self._version += 1
 
-    # -- RPC dispatch --------------------------------------------------------
-
-    def _dispatch(self, msg) -> tuple:
-        try:
-            method, *args = msg
-            return ("ok", getattr(self, f"_rpc_{method}")(*args))
-        except Exception as exc:  # noqa: BLE001 - marshalled to the client
-            return ("err", type(exc).__name__, str(exc))
+    # -- RPCs ----------------------------------------------------------------
 
     def _rpc_version(self):
         with self._lock:
             return self._version
 
     def _rpc_register_site(self, site_name, ip):
+        _check(str, site_name, ip)
         return self.ns.register_site(site_name, ip)
 
     def _rpc_export_name(self, site_name, id_name, heap_id):
+        _check(str, site_name, id_name)
+        _check(int, heap_id)
         self.ns.export_name(site_name, id_name, heap_id)
 
     def _rpc_export_class(self, site_name, id_name, class_id):
+        _check(str, site_name, id_name)
+        _check(int, class_id)
         self.ns.export_class(site_name, id_name, class_id)
 
     def _rpc_lookup_site(self, site_name):
@@ -188,6 +211,9 @@ class NameServiceServer:
         return None if ref is None else (ref.class_id, ref.site_id, ref.ip)
 
     def _rpc_rebind_site(self, site_name, new_ip, site_id):
+        _check(str, site_name, new_ip)
+        if site_id is not None:
+            _check(int, site_id)
         return self.ns.rebind_site(site_name, new_ip, site_id=site_id)
 
     def _rpc_unregister_site(self, site_name):
@@ -212,12 +238,17 @@ class NameServiceServer:
         return self.ns.exported_count()
 
     def _rpc_snapshot(self):
+        # IdTable / ClassTable keys are (site, id) pairs and wire dicts
+        # take str keys, so those two travel as (site, id, value) rows.
         snap = self.ns.snapshot()
         return {"sites": {k: (r.site_name, r.site_id, r.ip)
                           for k, r in snap["sites"].items()},
-                "names": snap["names"], "classes": snap["classes"]}
+                "names": [(*key, v) for key, v in snap["names"].items()],
+                "classes": [(*key, v) for key, v in snap["classes"].items()]}
 
     def _rpc_register_node(self, ip, host, port):
+        _check(str, ip, host)
+        _check(int, port)
         with self._lock:
             self._nodes[ip] = (host, port)
         self._bump()
@@ -351,7 +382,8 @@ class NameServiceClient:
         snap = self._call("snapshot")
         return {"sites": {k: SiteRecord(*row)
                           for k, row in snap["sites"].items()},
-                "names": snap["names"], "classes": snap["classes"]}
+                "names": {(s, i): v for s, i, v in snap["names"]},
+                "classes": {(s, i): v for s, i, v in snap["classes"]}}
 
     # -- node directory ------------------------------------------------------
 
@@ -389,7 +421,7 @@ class NameServiceClient:
         while not self._stop.is_set():
             try:
                 version = self._call("version")
-            except (OSError, ValueError, NameServiceError):
+            except (OSError, ValueError, LookupError, NameServiceError):
                 version = self._seen_version
             if version != self._seen_version:
                 self._seen_version = version

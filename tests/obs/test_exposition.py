@@ -110,18 +110,18 @@ class TestSnapshotAndMerge:
                   ("node", "site")).labels("n1", "s").set(7)
         return reg.snapshot()
 
-    def test_snapshot_is_literal_eval_safe(self):
-        import ast
+    def test_snapshot_round_trips_through_wire(self):
+        from repro.runtime import wire
 
         snap = self._snap()
-        assert ast.literal_eval(repr(snap)) == snap
+        assert wire.decode(wire.encode(snap)) == snap
 
     def test_empty_histogram_min_max_become_none(self):
         reg = MetricsRegistry()
         reg.histogram("lat", "h").labels()  # no labels() on handle
         reg.histogram("lat2", "h", ("k",)).labels("a")  # series, no samples
         snap = reg.snapshot()
-        state = snap["lat2"]["series"][("a",)]
+        state = dict(snap["lat2"]["series"])[("a",)]
         assert state["min"] is None and state["max"] is None
 
     def test_merge_prepends_node_label_and_keeps_nodes_apart(self):

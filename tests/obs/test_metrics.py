@@ -171,7 +171,7 @@ class TestNodeCaches:
         def series(name):
             family = snapshot[name]
             assert family["labels"] == ["node"]
-            return {ip: value for (ip,), value in family["series"].items()}
+            return {ip: value for (ip,), value in family["series"]}
 
         hits = series("repro_launch_cache_hits_total")
         misses = series("repro_launch_cache_misses_total")

@@ -1,19 +1,23 @@
 """Unit tests for the TCP name service (repro.runtime.nsnet)."""
 
+import ast
 import socket
 import threading
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.runtime import DiTyCONetwork
+import repro
+from repro.runtime import DiTyCONetwork, wire
 from repro.runtime.cluster import _DaemonControl, control_call
 from repro.runtime.nameservice import NameServiceError, UnknownSiteName
 from repro.runtime.nsnet import (NameServiceClient, NameServiceServer,
-                                 recv_msg, send_msg)
+                                 recv_msg, recv_reply, send_msg)
 from repro.transport.socket import encode_record
+from repro.vm.values import NetRef
 
 
 @pytest.fixture
@@ -218,8 +222,12 @@ class TornPeer:
         self._listener.close()
 
 
-LITERALS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.text(max_size=8)
+           | st.binary(max_size=8))
+WIRE_VALUES = st.recursive(
+    SCALARS | st.builds(NetRef, st.integers(0, 99), st.integers(0, 99),
+                        st.text(max_size=4)),
     lambda inner: st.lists(inner, max_size=3)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -227,24 +235,27 @@ LITERALS = st.recursive(
 
 
 class TestTornRecords:
-    """EOF inside a record, or a record that is not a literal, is a
+    """EOF inside a record, or a record that does not decode, is a
     typed error on the reading side and ends one connection only."""
 
-    REPLY = encode_record(repr(("ok", ("alpha", 1, "n1"))).encode())
+    REPLY = encode_record(wire.encode(("ok", ("alpha", 1, "n1"))))
 
     def test_every_prefix_of_a_request_leaves_the_server_serving(
             self, ns, control, capfd):
         server, client = ns
         ctl, ctl_addr = control
-        record = encode_record(repr(("site_count",)).encode())
+        record = encode_record(wire.encode(("site_count",)))
         for addr in ((server.host, server.port), ctl_addr):
             for cut in range(len(record)):      # cut 2: a torn header
                 send_and_close(addr, record[:cut])
-            # Complete records that are not requests: bad UTF-8, not a
-            # literal, unbalanced, nested past the parser's limit, a
-            # non-sequence, and a length prefix over the record bound.
-            for payload in (b"\xff\xfe", b"import os", b"(", b"(" * 5000,
-                            b"5", b"'shutdown'"):
+            # Complete records that are not requests: an unknown tag,
+            # bad UTF-8 in a str, a truncated tuple, nested past the
+            # decoder's limit, a non-sequence, a bare str, a trailing
+            # byte, and a length prefix over the record bound.
+            for payload in (b"\xff", b"\x05\x02\xff\xfe", b"\x07\x02\x00",
+                            b"\x07\x01" * 5000 + b"\x00", wire.encode(5),
+                            wire.encode("shutdown"),
+                            wire.encode(("site_count",)) + b"\x00"):
                 send_and_close(addr, encode_record(payload))
             send_and_close(addr, b"\xff\xff\xff\xff")
         assert handlers_done()
@@ -279,10 +290,12 @@ class TestTornRecords:
             client.close()
             peer.close()
 
-    @pytest.mark.parametrize("payload", [b"(", b"\xff", b"5", b"('ok',)",
-                                         b"('maybe', 1)"],
-                             ids=["unbalanced", "bad-utf8", "non-tuple",
-                                  "short-ok", "unknown-status"])
+    @pytest.mark.parametrize("payload", [
+        b"\x07\x02\x00", b"\x05\x01\xff", b"\xff", wire.encode(5),
+        wire.encode(("ok",)), wire.encode(("maybe", 1)),
+        wire.encode(("err", [1], "m"))],
+        ids=["unbalanced", "bad-utf8", "unknown-tag", "non-tuple",
+             "short-ok", "unknown-status", "unhashable-err-type"])
     def test_garbled_reply_is_a_value_error(self, payload):
         peer = TornPeer(encode_record(payload))
         client = NameServiceClient(*peer.addr)
@@ -296,10 +309,10 @@ class TestTornRecords:
             peer.close()
 
     @settings(max_examples=100, deadline=None)
-    @given(obj=LITERALS, data=st.data())
+    @given(obj=WIRE_VALUES, data=st.data())
     def test_strict_prefix_then_eof_is_none_or_connection_error(
             self, obj, data):
-        record = encode_record(repr(obj).encode())
+        record = encode_record(wire.encode(obj))
         cut = data.draw(st.integers(0, len(record) - 1))
         reader, writer = socket.socketpair()
         with reader, writer:
@@ -316,3 +329,122 @@ class TestTornRecords:
             writer.shutdown(socket.SHUT_WR)
             assert recv_msg(reader) == obj
             assert recv_msg(reader) is None
+
+
+class TestPoller:
+    """A reply the poller cannot use -- one that does not decode, or an
+    error -- is skipped: the thread lives on for the next bump."""
+
+    @pytest.mark.parametrize("answer", [
+        encode_record(b"\xff"),
+        encode_record(wire.encode(("err", "KeyError", "x")))],
+        ids=["undecodable", "err-reply"])
+    def test_poller_survives_a_bad_version_reply(self, answer):
+        peer = TornPeer(answer)
+        client = NameServiceClient(*peer.addr)
+        try:
+            client.subscribe(lambda: None)
+            time.sleep(0.2)
+            assert client._poller.is_alive()
+        finally:
+            client.close()
+            peer.close()
+
+
+class TestRowTypes:
+    """The tables hold only what a snapshot can send back out."""
+
+    @pytest.mark.parametrize("method, args", [
+        ("register_site", (5, "n1")),
+        ("register_site", ("beta", None)),
+        ("export_name", ("alpha", "svc", True)),
+        ("export_class", ("alpha", 7, 1)),
+        ("rebind_site", ("alpha", "n2", "1")),
+        ("register_node", ("n1", "127.0.0.1", 4100.0)),
+    ])
+    def test_a_row_the_wire_cannot_carry_is_an_err_reply(
+            self, ns, method, args):
+        _server, client = ns
+        client.register_site("alpha", "n1")
+        before = client.snapshot(), client.nodes()
+        with pytest.raises(NameServiceError, match="expected"):
+            getattr(client, method)(*args)
+        assert (client.snapshot(), client.nodes()) == before
+
+
+def rpc_names(target):
+    return sorted(name[len("_rpc_"):] for name in dir(target)
+                  if name.startswith("_rpc_"))
+
+
+class TestHostileRequests:
+    """Both servers, any input: a reply or a closed connection, never a
+    traceback, and the next client is served."""
+
+    def test_any_record_gets_an_err_reply_or_closes_its_connection(
+            self, ns, control, capfd):
+        server, client = ns
+        _ctl, ctl_addr = control
+
+        @settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+        @given(payload=st.binary(max_size=48)
+               | WIRE_VALUES.map(wire.encode))
+        def check(payload):
+            for addr in ((server.host, server.port), ctl_addr):
+                with socket.create_connection(addr, timeout=5.0) as sock:
+                    sock.sendall(encode_record(payload))
+                    try:
+                        reply = recv_msg(sock)
+                    except ConnectionError:     # reset by the server
+                        reply = None
+                    assert reply is None or reply[0] == "err"
+
+        check()
+        assert handlers_done()
+        assert client.site_count() == 0
+        assert control_call(ctl_addr, "ident")["ip"] == "n1"
+        assert capfd.readouterr().err == ""
+
+    def test_every_well_framed_request_gets_ok_or_err(
+            self, ns, control, capfd):
+        server, client = ns
+        ctl, ctl_addr = control
+        servers = [((server.host, server.port), rpc_names(server)),
+                   (ctl_addr, rpc_names(ctl))]
+        args = st.sampled_from(["alpha", "n1", 1, 5, True, None]) \
+            | WIRE_VALUES
+
+        @settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+        @given(data=st.data())
+        def check(data):
+            for addr, names in servers:
+                method = data.draw(st.sampled_from(names)
+                                   | st.text(max_size=8))
+                request = (method, *data.draw(st.lists(args, max_size=3)))
+                with socket.create_connection(addr, timeout=5.0) as sock:
+                    send_msg(sock, request)
+                    assert recv_reply(sock)[0] in ("ok", "err")
+
+        check()
+        assert handlers_done()
+        client.snapshot()
+        client.nodes()
+        client.site_count()
+        assert capfd.readouterr().err == ""
+
+
+def test_no_runtime_or_obs_module_imports_ast():
+    """One codec: the control plane has no ``literal_eval`` path."""
+    root = Path(repro.__file__).parent
+    for path in sorted([*(root / "runtime").glob("*.py"),
+                        *(root / "obs").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            assert "ast" not in modules, path
