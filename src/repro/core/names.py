@@ -34,9 +34,9 @@ class _Serial:
     """Process-wide monotonically increasing serial-number supply.
 
     A single global counter keeps printed names unambiguous across all
-    engines in a test run.  The counter is thread-safe because the
-    socket transport (``repro.transport.socket``) creates names from
-    several node threads concurrently.
+    engines in a test run.  The counter is thread-safe because each
+    socket world (``repro.transport.socket``) steps its nodes on its
+    own loop thread, and one process may run several.
     """
 
     def __init__(self) -> None:

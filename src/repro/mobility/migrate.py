@@ -159,9 +159,7 @@ class MobilityManager:
         #: step loop).  Deferral matters: processing a SHIP sends a
         #: NEED, whose processing sends a CODE -- run inline inside
         #: transport delivery that chain re-enters the transport
-        #: (sends from the IO thread that holds ``SocketWorld._deliver``'s
-        #: per-node delivery lock and would have to drain them,
-        #: unbounded recursion on the simulator).
+        #: (unbounded recursion on the simulator).
         self.inbox: list[Packet] = []
         self._seq = 0
 
@@ -251,6 +249,13 @@ class MobilityManager:
                 self._retry(record.token)
                 fired += 1
         return fired
+
+    def next_retry(self) -> Optional[float]:
+        """When :meth:`tick` next has a retry to fire, or None."""
+        if self.schedule is not None:
+            return None
+        return min((record.next_retry for record in self.outbound.values()
+                    if not record.failed), default=None)
 
     # -- control packet dispatch --------------------------------------------
 

@@ -12,6 +12,7 @@ Three pieces:
     A one-node slice of :class:`~repro.transport.socket.SocketWorld`:
     destinations that are not local resolve through the cluster's node
     directory, so links dial straight into the peer daemon's endpoint.
+    Control RPCs and name-service callbacks go through its ``call``.
 
 :func:`daemon_main`
     The ``python -m repro daemon`` entrypoint.  Starts (or joins) the
@@ -71,17 +72,13 @@ class DaemonWorld(SocketWorld):
         return tuple(self._directory(dst_ip))
 
     def status(self) -> dict:
-        """The launcher's quiescence ingredients for this slice."""
-        with self._lock:
-            busy = any(self._busy.values())
-            gen = sum(self._generations.values())
-            sent, delivered = self.records_sent, self.records_delivered
+        """The launcher's quiescence ingredients, read on the loop."""
         return {
-            "busy": busy,
+            "busy": bool(self._scheduled),
             "links_idle": all(e.links_idle()
                               for e in self._endpoints.values()),
             "has_work": any(n.has_work() for n in self.nodes.values()),
-            "gen": gen, "sent": sent, "delivered": delivered,
+            "sent": self.records_sent, "delivered": self.records_delivered,
             "quiescent": all(n.is_quiescent()
                              for n in self.nodes.values()),
             "resets": self.stats.resets,
@@ -95,7 +92,8 @@ def _marshal_value(value):
 
 
 class _DaemonControl(RpcServer):
-    """The daemon's control server, on the name service's RPC loop."""
+    """The daemon's control server, on the name service's RPC loop.
+    Every ``_rpc_*`` runs on the world's loop thread."""
 
     def __init__(self, net: DiTyCONetwork, world: DaemonWorld, ip: str,
                  host: str, port: int, collector=None, recorder=None,
@@ -113,6 +111,9 @@ class _DaemonControl(RpcServer):
         self.shutdown_requested = threading.Event()
         super().__init__(host, port, f"dityco-ctl-{ip}")
         self.start()
+
+    def dispatch(self, method, args):
+        return self.world.call(super().dispatch, method, args)
 
     def _sites(self):
         return [site for node in self.world.nodes.values()
@@ -226,6 +227,8 @@ def daemon_main(args: argparse.Namespace) -> int:
     ns = NameServiceClient(ns_host, ns_port)
     world = DaemonWorld(directory=ns.node_addr, host=args.host,
                         quantum=args.quantum)
+    # The poller hands its subscriber callbacks to the loop, unwaited.
+    ns.handoff = lambda fn: world.io.loop.call_soon_threadsafe(world.call, fn)
     collector = recorder = registry = None
     if getattr(args, "obs", False):
         # The scrape surface's sinks.  Opt-in: tracing flips span
@@ -261,8 +264,8 @@ def daemon_main(args: argparse.Namespace) -> int:
         pass
     finally:
         control.close()
+        ns.close()              # the poller stops before the loop does
         world.shutdown()
-        ns.close()
         if ns_server is not None:
             ns_server.close()
     return 0
@@ -388,8 +391,7 @@ class ProcessCluster:
         quiet = (not any(s["busy"] or s["has_work"] for s in statuses)
                  and all(s["links_idle"] for s in statuses)
                  and sent == delivered)
-        fingerprint = tuple((s["gen"], s["sent"], s["delivered"])
-                            for s in statuses)
+        fingerprint = tuple((s["sent"], s["delivered"]) for s in statuses)
         return quiet, fingerprint
 
     def run(self, max_time: float = 60.0) -> float:

@@ -65,7 +65,9 @@ class NameServiceStats:
 class NameService:
     """The centralized network name service.
 
-    Thread-safe: the socket transport calls in from node threads.
+    Thread-safe: behind :class:`~repro.runtime.nsnet.NameServiceServer`
+    every client connection calls in from its own RPC handler thread
+    (in-process worlds call in from the one thread that steps nodes).
     ``subscribe`` adds a callback to the *set* fired after each
     registration: a node subscribes its ``_on_ns_update`` (once, however
     many sites it creates) to retry imports that were pending on a
@@ -270,8 +272,8 @@ class NameService:
             self._subscribers.setdefault(callback)
 
     def _notify(self) -> None:
-        # Snapshot under the lock (node threads subscribe concurrently),
-        # run the callbacks outside it (they take node and site locks).
+        # Snapshot under the lock (RPC handler threads subscribe
+        # concurrently), run the callbacks outside it.
         with self._lock:
             callbacks = list(self._subscribers)
             self.stats.wakeups += len(callbacks)

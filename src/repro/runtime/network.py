@@ -123,7 +123,7 @@ class DiTyCONetwork:
 
     def launch(self, ip: str, site_name: str, program: str | Program) -> Site:
         """Submit a program to the node at ``ip`` (TyCOi path)."""
-        return self.node(ip).tycoi.submit(site_name, program)
+        return self.world.call(self.node(ip).tycoi.submit, site_name, program)
 
     # -- live migration (repro.mobility) ------------------------------------------
 
@@ -150,6 +150,9 @@ class DiTyCONetwork:
         returns the migration token.  The source node is found by
         name, the destination manager is pre-created so the cutover
         needs no lazy construction mid-protocol."""
+        return self.world.call(self._migrate, site_name, dest_ip)
+
+    def _migrate(self, site_name: str, dest_ip: str) -> str:
         src_ip = None
         for node in self.world.nodes.values():
             if site_name in node.sites_by_name:

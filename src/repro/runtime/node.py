@@ -10,8 +10,7 @@ threads sharing the address space of the node."
 In this reproduction a node is one Python object; *how* its sites get
 CPU time is decided by the attached world: the simulated transport
 calls :meth:`step` from its event loop (deterministic, virtual time),
-the socket transport runs one OS thread per node calling the same
-method (the paper's process/thread architecture).
+the socket transport from the asyncio loop that owns its sockets.
 """
 
 from __future__ import annotations
@@ -257,9 +256,7 @@ class Node:
         del self.sites_by_name[site.site_name]
 
     def _on_ns_update(self) -> None:
-        # list(): a launch into a started wall-clock world inserts into
-        # ``sites`` from its own thread while this one iterates.
-        for site in list(self.sites.values()):
+        for site in self.sites.values():
             site.on_nameservice_update()
         self.on_work_available()
 
@@ -386,9 +383,7 @@ class Node:
         if self._batch_buf or (self.mobility is not None
                                and self.mobility.inbox):
             return True
-        # list(): the node thread of a wall-clock world asks this at
-        # the door of every quantum while a launch inserts a site.
-        for site in list(self.sites.values()):
+        for site in self.sites.values():
             vm = site.vm
             # "This site has work": mail in either queue or a runnable
             # thread.  step() asks every site it walks past the same.
@@ -396,6 +391,13 @@ class Node:
                     or vm.current is not None or vm.runqueue._queue):
                 return True
         return False
+
+    def next_deadline(self) -> Optional[float]:
+        """When a timer of this node falls due on its clock -- the
+        distgc sweep or a wall-clock migration retry -- or None."""
+        sweep = self._next_sweep if self.distgc and self.sites else None
+        retry = None if self.mobility is None else self.mobility.next_retry()
+        return min((t for t in (sweep, retry) if t is not None), default=None)
 
     def is_quiescent(self) -> bool:
         """Nothing runnable, queued, stalled or awaiting FETCH/code."""

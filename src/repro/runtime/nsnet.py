@@ -19,8 +19,10 @@ Subscriptions (sites retry pending imports when *anything* registers)
 cannot be pushed over a request/response socket, so the server keeps a
 **version counter** bumped on every registration and the client polls
 it from a daemon thread, firing local subscriber callbacks whenever
-the version moved.  The poll interval only delays import retries, not
-correctness -- a registration is visible to lookups immediately.
+the version moved -- through :attr:`NameServiceClient.handoff`, which
+a daemon points at its world's loop.  The poll interval only delays
+import retries, not correctness -- a registration is visible to
+lookups immediately.
 
 The server also keeps the **node directory** (``register_node`` /
 ``node_addr``): each daemon publishes its transport listening address
@@ -120,7 +122,7 @@ class _RpcHandler(socketserver.BaseRequestHandler):
             while (msg := recv_msg(self.request)) is not None:
                 try:
                     method, *args = msg
-                    result = getattr(self.server, f"_rpc_{method}")(*args)
+                    result = self.server.dispatch(method, args)
                     reply = wire.encode(("ok", result))
                 except Exception as exc:  # noqa: BLE001 - to the caller
                     reply = wire.encode(("err", type(exc).__name__,
@@ -144,6 +146,9 @@ class RpcServer(socketserver.ThreadingTCPServer):
         self.host, self.port = self.server_address[:2]
         self._thread = threading.Thread(target=self.serve_forever,
                                         name=name, daemon=True)
+
+    def dispatch(self, method, args):
+        return getattr(self, f"_rpc_{method}")(*args)
 
     def start(self) -> "RpcServer":
         self._thread.start()
@@ -268,9 +273,10 @@ class NameServiceClient:
     """The NameService object API, remoted over one TCP connection.
 
     Drop-in for sites/nodes: ``DiTyCONetwork(nameservice=client)``.
-    Calls are synchronous request/response under a lock (node threads
-    call in concurrently); :meth:`subscribe` lazily starts the version
-    poller thread.
+    Calls are synchronous request/response under a lock (the world's
+    loop and the poller call in concurrently); :meth:`subscribe` lazily
+    starts the version poller thread, which runs each subscriber
+    callback through :attr:`handoff`.
     """
 
     def __init__(self, host: str, port: int,
@@ -285,6 +291,9 @@ class NameServiceClient:
         self._poller: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._seen_version = 0
+        #: How the poller runs a subscriber callback (a daemon hands it
+        #: to the loop that steps its node).
+        self.handoff: Callable[[Callable[[], None]], None] = lambda fn: fn()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -426,5 +435,5 @@ class NameServiceClient:
             if version != self._seen_version:
                 self._seen_version = version
                 for cb in list(self._subscribers):
-                    cb()
+                    self.handoff(cb)
             self._stop.wait(self.poll_interval)

@@ -122,7 +122,7 @@ class ChaosProxy:
                 self.stats[link] = LinkStats()
                 self._rngs[link] = random.Random(
                     f"{self.seed}:{src}:{dst}")
-                port = loop.call(self._listen(link))
+                port = loop.call(self._listen, link)
                 self._relay_ports[link] = port
 
     async def _listen(self, link: tuple[str, str]) -> int:
@@ -142,7 +142,7 @@ class ChaosProxy:
         self._closed = True
         if self._loop.alive:
             try:
-                self._loop.call(self._close(), timeout=5.0)
+                self._loop.call(self._close, timeout=5.0)
             except Exception:  # pragma: no cover - best-effort teardown
                 pass
 
@@ -277,7 +277,8 @@ class ChaosProxy:
         return self._pending
 
     def fingerprint(self) -> tuple:
-        """Stable-state digest used by SocketWorld's quiescence scan."""
+        """Stable-state digest SocketWorld compares across two
+        observations after an unclean drop."""
         return (self.forwarded_total, self.dropped_total,
                 self.duplicated_total, self.resets_total, self._pending)
 

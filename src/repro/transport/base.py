@@ -8,11 +8,16 @@ worlds drive exactly the same :class:`~repro.runtime.node.Node` code:
   discrete-event simulation with a virtual clock and the link models
   of :mod:`repro.transport.links`; fully deterministic, used by the
   tests and by every benchmark that reports (simulated) time.
-* :class:`~repro.transport.socket.SocketWorld` -- one OS thread per
-  node plus real TCP connections; this is the paper's deployment
-  architecture (a node is a Unix process whose sites and daemons are
-  threads), in one process or, through
+* :class:`~repro.transport.socket.SocketWorld` -- real TCP
+  connections, with one asyncio loop thread that owns the sockets and
+  steps every node; this is the paper's deployment architecture (a
+  node is a Unix process whose sites and daemons share its address
+  space), in one process or, through
   :class:`~repro.runtime.cluster.DaemonWorld`, one process per node.
+
+Whatever reaches a node from outside the world's own stepping --
+a launch, a migration, a control RPC, a workload injector --
+goes through :meth:`World.call`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class TransportStats:
     resets: int = 0                # unclean connection drops observed
     throttled: int = 0             # records delayed by the token bucket
     throttle_wait_s: float = 0.0   # total seconds spent throttled
-    backpressure_waits: int = 0    # sends that blocked on a full queue
+    backpressure_waits: int = 0    # steps deferred by a full link queue
     queue_peak: int = 0            # max records queued on any one link
 
 
@@ -90,6 +95,12 @@ class World(ABC):
     @abstractmethod
     def time(self) -> float:
         """Current time (virtual or wall-clock, world-dependent)."""
+
+    def call(self, fn, *args):
+        """Run ``fn(*args)`` where this world steps its nodes and return
+        its result: inline here; a wall-clock world hands it to its
+        loop thread when called from another one."""
+        return fn(*args)
 
     def node(self, ip: str) -> "Node":
         return self.nodes[ip]

@@ -20,17 +20,16 @@ Three layers (see docs/TRANSPORT.md):
   as :meth:`~repro.runtime.node.Node.on_link_reset` (crash-restart
   semantics: in-flight code requests re-drive, plain messages may be
   lost).
-* **backpressure** -- each link owns a bounded outbound queue (sends
-  block when it fills) and an optional :class:`TokenBucket` rate
-  limiter; both are visible in
-  :class:`~repro.transport.base.TransportStats`.
+* **backpressure** -- each link owns an outbound queue (a world does
+  not step a node while one of its links holds ``queue_limit``
+  records) and an optional :class:`TokenBucket` rate limiter; both are
+  visible in :class:`~repro.transport.base.TransportStats`.
 
-:class:`SocketWorld` runs the whole network in one process (one
-stepping thread per node plus one asyncio loop thread owning every
-endpoint) -- that is what the differential and chaos-proxy tests
-drive.  :mod:`repro.runtime.cluster` reuses
-:class:`SocketEndpoint` unchanged to run each node as a genuine OS
-process (``python -m repro daemon``).
+:class:`SocketWorld` runs the whole network in one process on one
+asyncio loop thread, which owns every endpoint and steps every node --
+that is what the differential and chaos-proxy tests drive.
+:mod:`repro.runtime.cluster` reuses it to run each node as a genuine
+OS process (``python -m repro daemon``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import struct
 import threading
-import time as _time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -176,14 +174,13 @@ class TokenBucket:
 class _Link:
     """Dialer-side state for one (src, dst) connection."""
 
-    __slots__ = ("dst", "queue", "sem", "event", "task", "state",
-                 "attempt", "writing", "dropped")
+    __slots__ = ("dst", "queue", "event", "task", "state", "attempt",
+                 "writing", "dropped")
 
-    def __init__(self, dst: str, queue_limit: int) -> None:
+    def __init__(self, dst: str) -> None:
         self.dst = dst
         self.queue: deque[bytes] = deque()
-        self.sem = threading.Semaphore(queue_limit)
-        self.event: Optional[asyncio.Event] = None  # created on the loop
+        self.event: Optional[asyncio.Event] = None
         self.task: Optional[asyncio.Task] = None
         self.state = "connecting"      # connecting | up | rejected | closed
         self.attempt = 0
@@ -202,8 +199,9 @@ class _Link:
 
 
 class LoopThread:
-    """One asyncio event loop on a daemon thread, shared by every
-    endpoint (and the chaos proxy) of a process."""
+    """One asyncio event loop on a daemon thread: the one thread of a
+    process that touches an endpoint, a chaos relay or -- under
+    :class:`SocketWorld` -- a node."""
 
     def __init__(self, name: str = "dityco-io") -> None:
         self.loop = asyncio.new_event_loop()
@@ -228,10 +226,16 @@ class LoopThread:
             self._started = True
             self._thread.start()
 
-    def call(self, coro, timeout: float = 10.0):
-        """Run a coroutine on the loop from a foreign thread."""
-        fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        return fut.result(timeout)
+    def on_loop(self) -> bool:
+        return threading.current_thread() is self._thread
+
+    def call(self, fn, *args, timeout: float = 10.0):
+        """Run ``fn(*args)`` on the loop from another thread; return its
+        result (awaited if a coroutine) or raise its exception here."""
+        async def run():
+            result = fn(*args)
+            return await result if asyncio.iscoroutine(result) else result
+        return asyncio.run_coroutine_threadsafe(run(), self.loop).result(timeout)
 
     def stop(self, timeout: float = 5.0) -> None:
         if not self._started or not self._thread.is_alive():
@@ -248,9 +252,9 @@ class SocketEndpoint:
     """One node's TCP presence: a listening server for inbound records
     and one dialed link per destination for outbound records.
 
-    Thread model: :meth:`send` is called from node stepping threads
-    (it only touches locks, queues and semaphores); everything that
-    touches a socket runs on the shared :class:`LoopThread`.
+    Thread model: everything, :meth:`send` included, runs on the
+    shared :class:`LoopThread`; only :meth:`start` and :meth:`close`
+    are called from outside it.
     """
 
     def __init__(self, ip: str,
@@ -258,9 +262,9 @@ class SocketEndpoint:
                  resolve: Callable[[str], tuple[str, int]],
                  loop: LoopThread,
                  stats=None,
-                 stats_lock: Optional[threading.Lock] = None,
                  on_link_reset: Optional[Callable[[str], None]] = None,
                  on_reset_observed: Optional[Callable[[str], None]] = None,
+                 on_drain: Callable[[], None] = lambda: None,
                  generation: Callable[[], int] = lambda: 0,
                  host: str = "127.0.0.1",
                  version: int = WIRE_VERSION,
@@ -279,9 +283,10 @@ class SocketEndpoint:
         self.resolve = resolve
         self.loop = loop
         self.stats = stats if stats is not None else TransportStats()
-        self.stats_lock = stats_lock or threading.Lock()
         self.on_link_reset = on_link_reset
         self.on_reset_observed = on_reset_observed
+        #: Told when a link's queue empties or drops below the limit.
+        self.on_drain = on_drain
         self.generation = generation
         self.version = version
         self.accept_version = accept_version
@@ -293,7 +298,8 @@ class SocketEndpoint:
         self.bucket = (TokenBucket(rate_limit, burst)
                        if rate_limit is not None else None)
         self._links: dict[str, _Link] = {}
-        self._links_lock = threading.Lock()
+        #: Destinations whose queue holds ``queue_limit`` records or more.
+        self.full: set[str] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbound: set[asyncio.StreamWriter] = set()
         #: Last handshake seen per dialing peer: ip -> (attempt, generation).
@@ -306,7 +312,7 @@ class SocketEndpoint:
 
     def start(self, port: int = 0) -> int:
         """Bind and start the listening server; returns the bound port."""
-        self.port = self.loop.call(self._start(port))
+        self.port = self.loop.call(self._start, port)
         return self.port
 
     async def _start(self, port: int) -> int:
@@ -322,17 +328,12 @@ class SocketEndpoint:
         self._closed = True
         if self.loop.alive:
             try:
-                self.loop.call(self._close(), timeout=5.0)
+                self.loop.call(self._close, timeout=5.0)
             except Exception:  # pragma: no cover - best-effort teardown
                 pass
-        # Unblock any node thread parked on a full queue.
-        with self._links_lock:
-            for link in self._links.values():
-                link.sem.release()
 
     async def _close(self) -> None:
-        with self._links_lock:
-            links = list(self._links.values())
+        links = list(self._links.values())
         for link in links:
             link.state = "closed"
             if link.task is not None:
@@ -350,66 +351,44 @@ class SocketEndpoint:
 
     def links_idle(self) -> bool:
         """Every link drained, at rest, and not mid-reconnect."""
-        with self._links_lock:
-            return all(link.is_idle() for link in self._links.values())
+        return all(link.is_idle() for link in self._links.values())
 
     def pending_tasks(self) -> int:
         """Link tasks not yet finished (0 after a clean close)."""
-        with self._links_lock:
-            return sum(1 for link in self._links.values()
-                       if link.task is not None and not link.task.done())
+        return sum(1 for link in self._links.values()
+                   if link.task is not None and not link.task.done())
 
     def queue_depths(self) -> dict[str, int]:
         """Outbound queue depth per destination ip (a point-in-time
         snapshot; the cluster plane's ``load`` scrape surfaces it)."""
-        with self._links_lock:
-            return {dst: len(link.queue)
-                    for dst, link in self._links.items()}
+        return {dst: len(link.queue) for dst, link in self._links.items()}
 
     # -- outbound ------------------------------------------------------------
 
     def send(self, dst_ip: str, data: bytes) -> None:
-        """Queue one record for ``dst_ip`` (called from node threads).
-        Blocks while the link's bounded queue is full (backpressure);
-        dead-letters the record if the link was rejected or closed."""
-        link = self._link(dst_ip)
+        """Queue one record for ``dst_ip`` (on the loop).  Never blocks:
+        a queue that reaches ``queue_limit`` puts ``dst_ip`` in
+        :attr:`full` until the drain frees a slot.  Dead-letters the
+        record if the link was rejected or closed."""
+        link = self._links.get(dst_ip)
+        if link is None:
+            link = self._links[dst_ip] = _Link(dst_ip)
+            if not self._closed:
+                link.event = asyncio.Event()
+                link.task = self.loop.loop.create_task(self._run_link(link))
         if link.state in ("rejected", "closed"):
             link.dropped += 1
             self.records_dropped += 1
             return
-        if not link.sem.acquire(blocking=False):
-            with self.stats_lock:
-                self.stats.backpressure_waits += 1
-            while not link.sem.acquire(timeout=0.05):
-                if self._closed or link.state in ("rejected", "closed"):
-                    link.dropped += 1
-                    self.records_dropped += 1
-                    return
-        with self._links_lock:
-            link.queue.append(data)
-            depth = len(link.queue)
-        with self.stats_lock:
-            if depth > self.stats.queue_peak:
-                self.stats.queue_peak = depth
-        self.loop.loop.call_soon_threadsafe(self._kick, link)
-
-    def _kick(self, link: _Link) -> None:
+        queue = link.queue
+        queue.append(data)
+        depth = len(queue)
+        if depth > self.stats.queue_peak:
+            self.stats.queue_peak = depth
+        if depth >= self.queue_limit:
+            self.full.add(dst_ip)
         if link.event is not None:
             link.event.set()
-
-    def _link(self, dst_ip: str) -> _Link:
-        with self._links_lock:
-            link = self._links.get(dst_ip)
-            if link is None:
-                link = _Link(dst_ip, self.queue_limit)
-                self._links[dst_ip] = link
-                self.loop.loop.call_soon_threadsafe(self._spawn, link)
-            return link
-
-    def _spawn(self, link: _Link) -> None:
-        if link.task is None and not self._closed:
-            link.event = asyncio.Event()
-            link.task = self.loop.loop.create_task(self._run_link(link))
 
     async def _run_link(self, link: _Link) -> None:
         backoff = self.backoff_base
@@ -440,12 +419,11 @@ class SocketEndpoint:
             backoff = self.backoff_base
             link.attempt += 1
             link.state = "up"
-            with self.stats_lock:
-                self.stats.handshakes += 1
-                if link.attempt >= 2:
-                    self.stats.reconnects += 1
-            if link.attempt >= 2 and self.on_link_reset is not None:
-                self.on_link_reset(link.dst)
+            self.stats.handshakes += 1
+            if link.attempt >= 2:
+                self.stats.reconnects += 1
+                if self.on_link_reset is not None:
+                    self.on_link_reset(link.dst)
             try:
                 await self._drain(link, reader, writer)
             except (OSError, ConnectionError):
@@ -456,8 +434,7 @@ class SocketEndpoint:
             if self._closed or link.state == "closed":
                 return
             # The connection died under us: unclean drop.
-            with self.stats_lock:
-                self.stats.resets += 1
+            self.stats.resets += 1
             if self.on_reset_observed is not None:
                 self.on_reset_observed(link.dst)
 
@@ -469,8 +446,7 @@ class SocketEndpoint:
         size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
         status, _version = decode_ack(await reader.readexactly(size))
         if status != ACK_OK:
-            with self.stats_lock:
-                self.stats.handshake_failures += 1
+            self.stats.handshake_failures += 1
             return False
         return True
 
@@ -489,13 +465,12 @@ class SocketEndpoint:
         """
         loop = asyncio.get_running_loop()
         eof = loop.create_task(reader.read(1))
+        queue = link.queue
         try:
             while not self._closed and link.state == "up":
                 if eof.done():
                     raise ConnectionResetError("peer closed the connection")
-                with self._links_lock:
-                    head = link.queue[0] if link.queue else None
-                if head is None:
+                if not queue:
                     link.event.clear()
                     waiter = loop.create_task(link.event.wait())
                     done, _pending = await asyncio.wait(
@@ -506,30 +481,30 @@ class SocketEndpoint:
                 if self.bucket is not None:
                     wait = self.bucket.reserve(1.0)
                     if wait > 0.0:
-                        with self.stats_lock:
-                            self.stats.throttled += 1
-                            self.stats.throttle_wait_s += wait
+                        self.stats.throttled += 1
+                        self.stats.throttle_wait_s += wait
                         await asyncio.sleep(wait)
                 link.writing = True
                 try:
-                    writer.write(encode_record(head))
+                    writer.write(encode_record(queue[0]))
                     await writer.drain()
                 finally:
                     link.writing = False
-                with self._links_lock:
-                    link.queue.popleft()
-                link.sem.release()
+                queue.popleft()
+                if not queue or (link.dst in self.full
+                                 and len(queue) < self.queue_limit):
+                    self.full.discard(link.dst)
+                    self.on_drain()
         finally:
             eof.cancel()
 
     def _dead_letter(self, link: _Link) -> None:
-        with self._links_lock:
-            dropped = len(link.queue)
-            link.queue.clear()
-        for _ in range(dropped):
-            link.sem.release()
+        dropped = len(link.queue)
+        link.queue.clear()
         link.dropped += dropped
         self.records_dropped += dropped
+        self.full.discard(link.dst)
+        self.on_drain()
 
     # -- inbound -------------------------------------------------------------
 
@@ -547,14 +522,12 @@ class SocketEndpoint:
             if magic != MAGIC:
                 writer.write(encode_record(encode_ack(ACK_BAD_MAGIC)))
                 await writer.drain()
-                with self.stats_lock:
-                    self.stats.handshake_failures += 1
+                self.stats.handshake_failures += 1
                 return
             if version != self.accept_version:
                 writer.write(encode_record(encode_ack(ACK_BAD_VERSION)))
                 await writer.drain()
-                with self.stats_lock:
-                    self.stats.handshake_failures += 1
+                self.stats.handshake_failures += 1
                 return
             writer.write(encode_record(encode_ack(ACK_OK)))
             await writer.drain()
@@ -578,23 +551,24 @@ class SocketEndpoint:
 
 
 class SocketWorld(World):
-    """The full network over real TCP, one process: one stepping
-    thread per node plus one asyncio loop thread owning every
-    :class:`SocketEndpoint`.
+    """The full network over real TCP, in one process: one asyncio loop
+    thread owns every :class:`SocketEndpoint` and steps every node.
 
     "A DiTyCO node is implemented as a Unix process.  The sites, the
     communication daemon (TyCOd), and the user interface daemon (TyCOi)
     are implemented as threads sharing the address space of the node."
-    Each node thread loops over :meth:`Node.step` (which pumps the
-    TyCOd and round-robins the site pool) and parks on an event when
-    the node has no work.
+    Here they share one thread: a delivered record, new work or a busy
+    quantum schedules the node's :meth:`Node.step` on the loop, and a
+    timer that falls due later (:meth:`Node.next_deadline`) a
+    ``call_at``.  A node with a link at ``queue_limit`` is not stepped
+    until the drain frees a slot.  Another thread reaches a node
+    through :meth:`call`; a node whose step or receive raises is
+    stepped no more, and :meth:`run` raises the exception.
 
-    Global quiescence is detected with a repeated scan over (busy
-    nodes, link queues, records sent / delivered, generation counters):
-    a node that became busy between two scans bumps its generation,
-    invalidating the snapshot.  The algorithmic alternative (Safra's
-    token ring, the paper's future-work termination detection) lives
-    in :mod:`repro.runtime.termination` and is exercised by experiment
+    Quiescence is one check on the loop (:meth:`_quiet`); the
+    algorithmic alternative (Safra's token ring, the paper's
+    future-work termination detection) lives in
+    :mod:`repro.runtime.termination` and is exercised by experiment
     E12.
 
     ``proxy`` (a :class:`~repro.testkit.proxy.ChaosProxy`) interposes
@@ -607,7 +581,7 @@ class SocketWorld(World):
 
     wall_clock = True
 
-    def __init__(self, quantum: int = 512, idle_wait_s: float = 0.001,
+    def __init__(self, quantum: int = 512,
                  host: str = "127.0.0.1",
                  rate_limit: Optional[float] = None,
                  burst: float = 64.0,
@@ -617,7 +591,6 @@ class SocketWorld(World):
                  backoff_cap: float = 1.0) -> None:
         super().__init__()
         self.quantum = quantum
-        self.idle_wait_s = idle_wait_s
         self.host = host
         self.rate_limit = rate_limit
         self.burst = burst
@@ -629,14 +602,15 @@ class SocketWorld(World):
         self.proxy = None
         self._endpoints: dict[str, SocketEndpoint] = {}
         self._addrs: dict[str, tuple[str, int]] = {}
-        self._threads: dict[str, threading.Thread] = {}
-        self._wake_events: dict[str, threading.Event] = {}
-        self._recv_locks: dict[str, threading.Lock] = {}
-        self._generations: dict[str, int] = {}
-        self._busy: dict[str, bool] = {}
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
+        self._scheduled: set[str] = set()    # a step is on the loop's queue
+        self._deferred: set[str] = set()     # waiting for a link slot
+        self._armed: dict[str, float] = {}   # last timer deadline per node
+        #: ip -> what that node's step or receive raised.
+        self._errors: dict[str, Exception] = {}
         self._started = False
+        self._running = False                # the loop steps the nodes
+        self._waiting = False                # run() wants _settled
+        self._settled = threading.Event()
         self.records_sent = 0
         self.records_delivered = 0
         #: Peers whose links suffered an unclean drop -- the socket
@@ -650,23 +624,25 @@ class SocketWorld(World):
     def time(self) -> float:
         return monotime()
 
+    def call(self, fn, *args):
+        if self._started and not self.io.on_loop():
+            return self.io.call(fn, *args)
+        return fn(*args)
+
     def add_node(self, node: "Node") -> None:
         if self._started:
             raise RuntimeError("cannot add nodes after start")
         if node.ip in self.nodes:
             raise ValueError(f"duplicate node ip {node.ip}")
         self.nodes[node.ip] = node
-        self._wake_events[node.ip] = threading.Event()
-        self._recv_locks[node.ip] = threading.Lock()
-        self._generations[node.ip] = 0
-        self._busy[node.ip] = True
         endpoint = SocketEndpoint(
             node.ip, deliver=self._deliver,
             resolve=lambda dst, src=node.ip: self._resolve(src, dst),
-            loop=self.io, stats=self.stats, stats_lock=self._lock,
+            loop=self.io, stats=self.stats,
             on_link_reset=lambda peer, ip=node.ip: self._on_reset(ip, peer),
             on_reset_observed=lambda peer, ip=node.ip:
                 self._note_reset(ip, peer),
+            on_drain=lambda ip=node.ip: self._on_drain(ip),
             generation=node.code_generation,
             host=self.host, version=self.version,
             rate_limit=self.rate_limit, burst=self.burst,
@@ -693,11 +669,6 @@ class SocketWorld(World):
         return {ip: endpoint.queue_depths()
                 for ip, endpoint in sorted(self._endpoints.items())}
 
-    def _wake(self, ip: str) -> None:
-        ev = self._wake_events.get(ip)
-        if ev is not None:
-            ev.set()
-
     def _resolve(self, src_ip: str, dst_ip: str) -> tuple[str, int]:
         if self.proxy is not None:
             return self.proxy.relay_addr(src_ip, dst_ip)
@@ -708,35 +679,79 @@ class SocketWorld(World):
         overrides this to consult the cluster's node directory)."""
         return dst_ip in self.nodes
 
+    # -- the loop: stepping, delivery, timers ----------------------------------
+
+    def _wake(self, ip: str) -> None:
+        if self._running and ip not in self._scheduled:
+            self._scheduled.add(ip)
+            self.io.loop.call_soon(self._step, ip)
+
+    def _step(self, ip: str) -> None:
+        self._scheduled.discard(ip)
+        if not self._running or ip in self._errors:
+            return
+        if self._endpoints[ip].full:
+            self._deferred.add(ip)
+            self.stats.backpressure_waits += 1
+            return
+        node = self.nodes[ip]
+        try:
+            report = node.step(self.quantum)
+        except Exception as exc:  # noqa: BLE001 - run() raises it
+            self._fail(ip, exc)
+            return
+        if report.busy:
+            self._wake(ip)
+            return
+        # monotime is the loop's clock; a stale timer only steps an
+        # idle node once more.
+        deadline = node.next_deadline()
+        if deadline is not None and self._armed.get(ip) != deadline:
+            self._armed[ip] = deadline
+            self.io.loop.call_at(deadline, self._wake, ip)
+        if not self._scheduled:
+            self._settle()
+
+    def _fail(self, ip: str, exc: Exception) -> None:
+        self._errors.setdefault(ip, exc)
+        self._settled.set()
+
     def _send(self, src_ip: str, dst_ip: str, data: bytes) -> None:
         if not self._routable(dst_ip):
             raise LookupError(f"no node at {dst_ip}")
-        with self._lock:
-            self.stats.packets += 1
-            self.stats.bytes += len(data)
-            self.records_sent += 1
-            in_flight = self.records_sent - self.records_delivered
-            if in_flight > self.stats.max_in_flight:
-                self.stats.max_in_flight = in_flight
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += len(data)
+        self.records_sent += 1
+        in_flight = self.records_sent - self.records_delivered
+        if in_flight > stats.max_in_flight:
+            stats.max_in_flight = in_flight
         self.trace("send", src_ip, dst_ip, len(data))
         self._endpoints[src_ip].send(dst_ip, data)
 
     def _deliver(self, src_ip: str, dst_ip: str, data: bytes) -> None:
-        """A record arrived at ``dst_ip``'s endpoint (loop thread)."""
-        dst = self.nodes[dst_ip]
-        with self._recv_locks[dst_ip]:
-            dst.receive(data)
-        with self._lock:
-            self.records_delivered += 1
-            self._generations[dst_ip] += 1
+        """A record arrived at ``dst_ip``'s endpoint."""
+        if dst_ip not in self._errors:
+            try:
+                self.nodes[dst_ip].receive(data)
+            except Exception as exc:  # noqa: BLE001 - run() raises it
+                self._fail(dst_ip, exc)
+        self.records_delivered += 1
         self.trace("deliver", src_ip, dst_ip, len(data))
         self._wake(dst_ip)
 
+    def _on_drain(self, ip: str) -> None:
+        """A link of ``ip`` emptied or freed a slot."""
+        if ip in self._deferred and not self._endpoints[ip].full:
+            self._deferred.discard(ip)
+            self._wake(ip)
+        self._settle()
+
     def _note_reset(self, ip: str, peer: str) -> None:
-        """An endpoint observed an unclean connection drop (loop
-        thread): records may have died in a kernel buffer, so exact
-        accounting is off for the rest of the run."""
-        if self._stop.is_set():
+        """An endpoint observed an unclean connection drop: records may
+        have died in a kernel buffer, so exact accounting is off for
+        the rest of the run."""
+        if not self._running:
             return    # teardown closes connections; that is not a fault
         self.crashed_ever.add(ip)
         self.crashed_ever.add(peer)
@@ -744,13 +759,10 @@ class SocketWorld(World):
     def _on_reset(self, ip: str, peer: str) -> None:
         """A link to ``peer`` was re-established after an unclean
         drop: let the node re-drive its in-flight code requests."""
-        if self._stop.is_set():
+        if not self._running:
             return
         self._note_reset(ip, peer)
-        node = self.nodes.get(ip)
-        if node is not None:
-            node.on_link_reset(peer)
-            self._wake(ip)
+        self.nodes[ip].on_link_reset(peer)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -760,39 +772,20 @@ class SocketWorld(World):
         self._started = True
         self.io.start()
         for ip, endpoint in self._endpoints.items():
-            port = endpoint.start()
-            self._addrs[ip] = (self.host, port)
+            self._addrs[ip] = (self.host, endpoint.start())
         if self.proxy is not None:
             self.proxy.start(self.io, dict(self._addrs))
-        for ip, node in self.nodes.items():
-            t = threading.Thread(target=self._node_loop, args=(ip, node),
-                                 name=f"dityco-socket-{ip}", daemon=True)
-            self._threads[ip] = t
-            t.start()
+        self.io.call(self._begin)
 
-    def _node_loop(self, ip: str, node: "Node") -> None:
-        ev = self._wake_events[ip]
-        while not self._stop.is_set():
-            report = node.step(self.quantum)
-            if report.busy:
-                with self._lock:
-                    self._generations[ip] += 1
-                    self._busy[ip] = True
-                continue
-            with self._lock:
-                self._busy[ip] = False
-            ev.wait(self.idle_wait_s)
-            ev.clear()
+    def _begin(self) -> None:
+        self._running = True
+        for ip in self.nodes:
+            self._wake(ip)
 
     def shutdown(self) -> None:
-        """Stop node threads, endpoints, proxy and the IO loop
+        """Stop stepping, then close endpoints, proxy and the IO loop
         (idempotent)."""
-        self._stop.set()
-        for ev in self._wake_events.values():
-            ev.set()
-        for t in self._threads.values():
-            t.join(timeout=2.0)
-        self._threads.clear()
+        self._running = False
         for endpoint in self._endpoints.values():
             endpoint.close()
         if self.proxy is not None:
@@ -809,59 +802,60 @@ class SocketWorld(World):
             expected += self.proxy.duplicated_total
         return expected
 
-    def _snapshot(self):
-        with self._lock:
-            gens = dict(self._generations)
-            busy = any(self._busy.values())
-            sent = self.records_sent
-            delivered = self.records_delivered
-        links_idle = all(e.links_idle() for e in self._endpoints.values())
-        proxy_pending = 0 if self.proxy is None else self.proxy.pending()
-        quiet = (not busy and links_idle and proxy_pending == 0
-                 and not any(n.has_work() for n in self.nodes.values()))
-        if not self.crashed_ever:
-            # No unclean drop ever: accounting must close exactly.
-            quiet = quiet and delivered == self._expected_deliveries()
-        fingerprint = (tuple(sorted(gens.items())), sent, delivered,
-                       proxy_pending,
-                       None if self.proxy is None else
-                       self.proxy.fingerprint())
-        return quiet, fingerprint
+    def _quiet(self) -> bool:
+        """The one quiescence check (on the loop); after an unclean
+        drop the accounting proves nothing and is skipped."""
+        if self._scheduled or any(n.has_work() for n in self.nodes.values()):
+            return False
+        if not all(e.links_idle() for e in self._endpoints.values()):
+            return False
+        if self.proxy is not None and self.proxy.pending():
+            return False
+        return (bool(self.crashed_ever)
+                or self.records_delivered == self._expected_deliveries())
+
+    def _settle(self) -> None:
+        if self._waiting and self._quiet():
+            self._settled.set()
+
+    def _observe(self) -> tuple[bool, tuple]:
+        return self._quiet(), (
+            self.records_sent, self.records_delivered,
+            None if self.proxy is None else self.proxy.fingerprint())
 
     def run(self, max_time: float | None = None) -> float:
-        """Start (if needed) and wait for stable global inactivity.
+        """Start (if needed) and wait for global inactivity.
 
-        Returns the wall-clock seconds waited; raises ``TimeoutError``
-        if ``max_time`` elapses first.  This does *not* require strict
+        Returns the wall-clock seconds waited; raises what a node's
+        step or receive raised, or ``TimeoutError`` if ``max_time``
+        elapses first.  This does *not* require strict
         :meth:`Node.is_quiescent`: a site parked on an unanswerable
         FETCH is passive, and fault-injecting proxy runs legitimately
         end in that state (the chaos corpus observes it).  Use
         :meth:`is_quiescent` to assert the strict notion afterwards.
         """
         self.start()
-        deadline = None if max_time is None else monotime() + max_time
         start = monotime()
-        # After an unclean drop the accounting can no longer prove the
-        # wire is drained, so demand one extra stable observation.
-        while True:
-            needed = 3 if self.crashed_ever else 2
-            stable = 0
-            last = None
-            while stable < needed:
-                quiet, fingerprint = self._snapshot()
-                if not quiet:
-                    break
-                if last is not None and fingerprint != last:
-                    break
-                last = fingerprint
-                stable += 1
-                if stable < needed:
-                    _time.sleep(max(self.idle_wait_s, 0.005))
-            if stable >= needed:
-                return monotime() - start
-            if deadline is not None and monotime() > deadline:
-                raise TimeoutError("network did not reach quiescence")
-            _time.sleep(self.idle_wait_s)
+        deadline = None if max_time is None else start + max_time
+        last = None
+        self._waiting = True
+        try:
+            while True:
+                self._settled.clear()
+                quiet, fingerprint = self.io.call(self._observe)
+                if self._errors:
+                    raise next(iter(self._errors.values()))
+                # After an unclean drop: a second, unchanged observation.
+                if quiet and (not self.crashed_ever or fingerprint == last):
+                    return monotime() - start
+                last = fingerprint if quiet else None
+                if deadline is not None and monotime() > deadline:
+                    raise TimeoutError("network did not reach quiescence")
+                # The loop signals a quiet network; the timeout re-looks
+                # at what signals nothing (a record the proxy dropped).
+                self._settled.wait(0.01)
+        finally:
+            self._waiting = False
 
     # -- chaos-checker surface (mirrors ChaosWorld) --------------------------
 

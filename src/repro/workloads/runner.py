@@ -10,8 +10,9 @@ site.  The same code path drives both worlds:
   the virtual clock, so the whole run (latencies included) is a pure
   function of the spec; repeated runs are bit-identical.
 * ``socket`` -- the world is started, the injector thread sleeps out
-  the schedule on the wall clock, and latencies are real round-trip
-  times over loopback TCP.
+  the schedule on the wall clock and hands each arrival to the world's
+  loop (:meth:`~repro.transport.base.World.call`), and latencies are
+  real round-trip times over loopback TCP.
 
 Latency measurement needs no VM support: every workload routes each
 operation's completion token (its ``seq``) to the collector's console,
@@ -26,10 +27,11 @@ gates) and the shared ``repro_workload_latency_seconds`` histogram of
 a :class:`~repro.obs.metrics.MetricsRegistry` (bucketed p50/p99 for
 exposition, exactly what E14--E16 surface through ``run_all --json``).
 
-On the simulator the runner also reaps drained operation sites every
-``reap_every`` arrivals (a deterministic point in virtual time);
-without this the per-site scheduling quantum shrinks as thousands of
-dead client sites accumulate and long runs go superlinear.
+On both worlds the runner also reaps drained operation sites every
+``reap_every`` arrivals (on the simulator a deterministic point in
+virtual time); without this the per-site scheduling quantum shrinks as
+thousands of dead client sites accumulate and long runs go
+superlinear.
 """
 
 from __future__ import annotations
@@ -278,23 +280,23 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
         collector = net.site("collector")
         collector.vm.output = _TapList(collector.vm.output, on_token)
 
+        def make_launch(arrival: Arrival):
+            reap = reap_every > 0 and arrival.seq % reap_every == reap_every - 1
+
+            def launch() -> None:
+                if reap:
+                    _reap_all(net)
+                ip, name, src = app.op_entry(spec, arrival)
+                launch_at[arrival.seq] = net.world.time
+                net.launch(ip, name, src)
+            return launch
+
         base = net.time
         if world == "sim":
             sim_world = net.world
-
-            def make_launch(arrival: Arrival, reap: bool):
-                def launch() -> None:
-                    if reap:
-                        _reap_all(net)
-                    ip, name, src = app.op_entry(spec, arrival)
-                    launch_at[arrival.seq] = sim_world.time
-                    net.launch(ip, name, src)
-                return launch
-
             for arrival in trace:
-                reap = reap_every > 0 and arrival.seq % reap_every == reap_every - 1
                 sim_world.schedule_at(base + arrival.at_us * 1e-6,
-                                      make_launch(arrival, reap))
+                                      make_launch(arrival))
             if balancer is not None:
                 span = trace[-1].at_us * 1e-6 if trace else 0.0
                 interval = balance_interval or max(span / 8.0, 1e-5)
@@ -308,8 +310,8 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                                           watchdog.check)
             net.run(max_time)
         else:
-            # Reaping is sim-only: it mutates node.sites under the
-            # stepping threads' feet, and wall runs are smoke-sized.
+            # This thread sleeps out the schedule; everything that
+            # touches a node runs on the world's loop (World.call).
             net.world.start()
             base = net.world.time
             for arrival in trace:
@@ -317,12 +319,10 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                 if delay > 0:
                     _time.sleep(delay)
                 if balancer is not None:
-                    balancer.tick()
+                    net.world.call(balancer.tick)
                 if watchdog is not None and arrival.seq % 16 == 15:
-                    watchdog.check()
-                ip, name, src = app.op_entry(spec, arrival)
-                launch_at[arrival.seq] = net.world.time
-                net.launch(ip, name, src)
+                    net.world.call(watchdog.check)
+                net.world.call(make_launch(arrival))
             net.run(wall_timeout)
         makespan = net.time - base
 

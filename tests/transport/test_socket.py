@@ -3,8 +3,10 @@
 Covers the stream layer without sockets (StreamDecoder, TokenBucket,
 handshake codec), endpoint behaviour over real loopback TCP
 (version-mismatch rejection, reconnect with backoff after a peer
-restart, token-bucket throttling surfaced in TransportStats), and
-SocketWorld end-to-end runs with clean shutdown.
+restart, token-bucket throttling surfaced in TransportStats),
+SocketWorld end-to-end runs with clean shutdown, and the thread model:
+one loop thread steps every node, backpressure defers a node instead
+of blocking a sender, and a failing node ends ``run()``.
 """
 
 import threading
@@ -30,6 +32,12 @@ from repro.transport.socket import (
 
 SERVER = "export new svc svc?(r) = r![7]"
 CLIENT = "import svc from server in new a (svc![a] | a?(w) = print![w])"
+
+
+def dityco_threads(before=()):
+    """Names of the ``dityco-*`` threads alive now and not in ``before``."""
+    return sorted(t.name for t in threading.enumerate()
+                  if t.name.startswith("dityco-") and t not in before)
 
 
 def wait_until(predicate, timeout=10.0, interval=0.005):
@@ -138,6 +146,10 @@ class _Harness:
         self.endpoints.append(ep)
         return ep
 
+    def send(self, ep, dst, data):
+        """Endpoints are driven from their loop."""
+        self.loop.call(ep.send, dst, data)
+
     def close(self):
         for ep in self.endpoints:
             ep.close()
@@ -159,7 +171,7 @@ class TestSocketEndpoint:
         harness.endpoint("b")
         payloads = [b"r%d" % i for i in range(50)]
         for p in payloads:
-            a.send("b", p)
+            harness.send(a, "b", p)
         assert wait_until(lambda: len(harness.delivered) == 50)
         assert [d for (_s, _d, d) in harness.delivered] == payloads
         assert all(src == "a" and dst == "b"
@@ -169,14 +181,14 @@ class TestSocketEndpoint:
     def test_version_mismatch_rejected(self, harness):
         a = harness.endpoint("a", version=2)
         b = harness.endpoint("b")          # accepts WIRE_VERSION == 1
-        a.send("b", b"doomed")
+        harness.send(a, "b", b"doomed")
         assert wait_until(lambda: a.records_dropped >= 1)
         assert a.stats.handshake_failures >= 1
         assert b.stats.handshake_failures >= 1
         assert harness.delivered == []
         # The link is dead-lettered, not retried: further sends drop
         # immediately instead of queueing forever.
-        a.send("b", b"also-doomed")
+        harness.send(a, "b", b"also-doomed")
         assert a.records_dropped >= 2
 
     def test_reconnect_with_backoff_after_peer_restart(self, harness):
@@ -185,16 +197,16 @@ class TestSocketEndpoint:
                              on_link_reset=resets.append)
         b = harness.endpoint("b")
         b_port = harness.directory["b"][1]
-        a.send("b", b"before")
+        harness.send(a, "b", b"before")
         assert wait_until(lambda: len(harness.delivered) == 1)
         # Kill b entirely, then poke the link until a notices the drop.
         b.close()
         harness.endpoints.remove(b)
-        a.send("b", b"sacrificial")
+        harness.send(a, "b", b"sacrificial")
         assert wait_until(lambda: a.stats.resets >= 1)
         # Queue real traffic while the peer is down, then bring it back
         # on the same port: the link must redial and drain the queue.
-        a.send("b", b"queued-during-outage")
+        harness.send(a, "b", b"queued-during-outage")
         harness.endpoint("b", port=b_port)
         assert wait_until(lambda: any(
             data == b"queued-during-outage"
@@ -208,27 +220,10 @@ class TestSocketEndpoint:
         a = harness.endpoint("a", rate_limit=200.0, burst=1.0)
         harness.endpoint("b")
         for i in range(30):
-            a.send("b", b"tick%d" % i)
+            harness.send(a, "b", b"tick%d" % i)
         assert wait_until(lambda: len(harness.delivered) == 30)
         assert a.stats.throttled > 0
         assert a.stats.throttle_wait_s > 0.0
-
-    def test_bounded_queue_backpressure(self, harness):
-        a = harness.endpoint("a", queue_limit=4, rate_limit=50.0, burst=1.0)
-        harness.endpoint("b")
-        done = threading.Event()
-
-        def producer():
-            for i in range(12):
-                a.send("b", b"p%d" % i)
-            done.set()
-
-        t = threading.Thread(target=producer, daemon=True)
-        t.start()
-        assert wait_until(lambda: len(harness.delivered) == 12)
-        assert done.is_set()
-        assert a.stats.backpressure_waits > 0
-        assert a.stats.queue_peak <= 4
 
 
 class TestSocketWorld:
@@ -300,6 +295,7 @@ class TestSocketWorld:
         assert "repro_socket_" not in world_metrics(net.world).render()
 
     def test_clean_shutdown_no_leaks(self):
+        before = set(threading.enumerate())
         net, world = self._run([("n1", "server", SERVER),
                                 ("n2", "client", CLIENT)])
         # _run already shut the world down; everything must be at rest.
@@ -309,6 +305,130 @@ class TestSocketWorld:
             assert ep.pending_tasks() == 0
             assert ep._server is None
             assert not ep._inbound
-        assert all(not t.is_alive() for t in world._threads.values())
+        assert dityco_threads(before) == []
         world.shutdown()                  # idempotent
         assert net.site("client").output == [7]
+
+    def test_backpressure_defers_the_node(self, monkeypatch):
+        # A slow link (50 records/s, burst 1) with room for 4: the
+        # client's node is not stepped while the queue is full, so the
+        # queue overshoots the limit by at most one quantum's records,
+        # and every record still arrives, in send order.
+        from repro.runtime.node import Node
+
+        n = 24
+        world = SocketWorld(quantum=16, queue_limit=4, rate_limit=50.0,
+                            burst=1.0)
+        depths = []
+        step = Node.step
+
+        def recording_step(node, quantum):
+            depths.append(max(world.endpoint(node.ip).queue_depths().values(),
+                              default=0))
+            return step(node, quantum)
+
+        net = DiTyCONetwork(world=world, batching=False)
+        net.add_nodes(["n1", "n2"])
+        monkeypatch.setattr(Node, "step", recording_step)
+        try:
+            net.launch("n1", "server", (
+                "def Serve(c) = c?(v) = (print![v] | Serve[c]) "
+                "in export new svc Serve[svc]"))
+            net.launch("n2", "client", (
+                "import svc from server in "
+                f"def Send(k) = if k < {n} then (svc![k] | Send[k + 1]) "
+                "else 0 in Send[0]"))
+            net.run(max_time=30.0)
+        finally:
+            world.shutdown()
+        assert net.site("server").output == list(range(n))
+        assert world.stats.backpressure_waits > 0
+        assert 4 <= world.stats.queue_peak <= 4 + world.quantum
+        assert max(depths) < 4          # no step began at the limit
+
+
+class TestThreadModel:
+    """One loop thread steps a socket process: no per-node threads."""
+
+    SERVER = ("def Serve(c) = c?(r) = (r![7] | Serve[c]) "
+              "in export new svc Serve[svc]")
+    CLIENT = ("import svc from server in "
+              "new a (svc![a] | a?(w) = print![w])")
+
+    def test_every_node_call_runs_on_the_loop(self, monkeypatch):
+        from repro.runtime.node import Node
+        from repro.runtime.site import Site
+
+        seen = []
+
+        def record(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((f"{cls.__name__}.{name}",
+                             threading.current_thread().name))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls, name in ((Node, "step"), (Node, "receive"),
+                          (Site, "step"), (Node, "_on_ns_update")):
+            record(cls, name)
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2", "n3"])
+        try:
+            world.start()
+            # The first client's import stalls until the server exports.
+            net.launch("n2", "early", self.CLIENT)
+            launcher = threading.Thread(target=lambda: [
+                net.launch("n3", f"c{i}", self.CLIENT) for i in range(5)])
+            launcher.start()
+            launcher.join(timeout=30.0)
+            assert not launcher.is_alive()
+            net.launch("n1", "server", self.SERVER)
+            net.run(max_time=30.0)
+        finally:
+            world.shutdown()
+        assert net.site("early").output == [7]
+        assert all(net.site(f"c{i}").output == [7] for i in range(5))
+        assert {name for name, _ in seen} == {
+            "Node.step", "Node.receive", "Site.step", "Node._on_ns_update"}
+        assert {thread for _, thread in seen} == {"dityco-io"}
+
+    def test_the_loop_is_the_only_thread(self):
+        before = set(threading.enumerate())
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2", "n3"])
+        try:
+            net.launch("n1", "server", self.SERVER)
+            net.launch("n2", "client", self.CLIENT)
+            net.run(max_time=30.0)
+            assert dityco_threads(before) == ["dityco-io"]
+            net.launch("n3", "late", self.CLIENT)
+            net.run(max_time=30.0)
+            assert dityco_threads(before) == ["dityco-io"]
+        finally:
+            world.shutdown()
+        assert net.site("late").output == [7]
+        assert dityco_threads(before) == []
+
+    def test_a_failing_node_ends_run(self):
+        from repro.vm.machine import VMRuntimeError
+
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2"])
+        try:
+            world.start()
+            net.launch("n1", "bad", "print![1 + true]")
+            started = time.monotonic()
+            with pytest.raises(VMRuntimeError):
+                net.run(max_time=5.0)
+            assert time.monotonic() - started < 2.0
+            # The node stays stopped: the next run raises it again.
+            with pytest.raises(VMRuntimeError):
+                net.run(max_time=5.0)
+        finally:
+            world.shutdown()

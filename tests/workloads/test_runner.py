@@ -121,7 +121,7 @@ class TestRunnerEdges:
         assert s["violations"] == []
 
 
-def run_keeping_net(monkeypatch, workload, ops):
+def run_keeping_net(monkeypatch, workload, ops, world="sim"):
     """`run_workload` (checked clean), returning the network it built."""
     from repro.runtime import DiTyCONetwork
     from repro.workloads import runner
@@ -136,7 +136,7 @@ def run_keeping_net(monkeypatch, workload, ops):
     monkeypatch.setattr(runner, "DiTyCONetwork", Recording)
     spec = WorkloadSpec(workload, seed=11, ops=ops, rate_per_s=8000.0,
                         nodes=3, topics=2, subscribers=3)
-    report = run_workload(spec)
+    report = run_workload(spec, world=world)
     assert report.violations == [] and report.ops_completed == ops
     return made[0]
 
@@ -288,3 +288,14 @@ def test_wall_world_leaves_no_threads():
     leaked = [t.name for t in threading.enumerate()
               if t not in before and t.name.startswith("dityco-")]
     assert leaked == []
+
+
+def test_wall_world_reaps(monkeypatch):
+    # The injector reaps every 32 arrivals on the socket world too, on
+    # the loop that steps the nodes: the SiteTable holds the live sites
+    # and no more, and they are a window of the run, not all of it.
+    net = run_keeping_net(monkeypatch, "pubsub", 300, world="socket")
+    live = {name for node in net.world.nodes.values()
+            for name in node.sites_by_name}
+    assert set(net.nameservice.snapshot()["sites"]) == live
+    assert len(live) < 64
