@@ -6,31 +6,15 @@ source is preserved so that movable code can be selected dynamically
 (section 5).
 """
 
-from .assembly import (
-    ClassGroup,
-    CodeBlock,
-    Instr,
-    ObjectCode,
-    Op,
-    Program,
-    validate_program,
-)
-from .asmparser import AsmParseError, parse_assembly
-from .codegen import CompileError, Compiler, compile_source, compile_term
-from .linker import (
-    BundleManifest,
-    CodeBundle,
-    LinkError,
-    LinkResult,
-    extract_bundle,
-    link_bundle,
-)
-from .peephole import (
-    eliminate_dead_code,
-    fold_constants,
-    optimize_block,
-    optimize_program,
-    simplify_branches,
-)
+from .._lazy import exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "assembly": "ClassGroup CodeBlock Instr ObjectCode Op Program "
+                "validate_program",
+    "asmparser": "AsmParseError parse_assembly",
+    "codegen": "CompileError Compiler compile_source compile_term",
+    "linker": "BundleManifest CodeBundle LinkError LinkResult extract_bundle "
+              "link_bundle",
+    "peephole": "eliminate_dead_code fold_constants optimize_block "
+                "optimize_program simplify_branches",
+})

@@ -64,6 +64,11 @@ class Op(Enum):
     IMPORTCLASS = auto()  # (hint, site, slot)      resolve remote class into slot
 
 
+#: Binary operators whose result is always a boolean (a ``JMPF`` fed by
+#: one can never see a non-boolean conditional; repro.vm.compile).
+BOOL_OPS = {Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR}
+
+
 @dataclass(frozen=True, slots=True)
 class Instr:
     """One assembly/byte-code instruction (opcode + immediate operands)."""

@@ -29,10 +29,6 @@ _FOLDABLE = {
     Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR,
 }
 
-#: Binary operators whose result is always a boolean (a ``JMPF`` fed by
-#: one can never see a non-boolean conditional; repro.vm.compile).
-_BOOL_OPS = {Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR}
-
 
 def _try_fold(op: Op, a, b):
     """Return (folded_value,) or None if folding is unsafe."""

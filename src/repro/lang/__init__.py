@@ -6,22 +6,13 @@ of section 2 (``x![v]``, ``x?(y)=P``) and the ``let`` synchronous-call
 sugar are expanded during parsing.
 """
 
-from .lexer import KEYWORDS, LexError, Lexer, Token, TokenKind
-from .parser import ParseError, ParsedProgram, Parser, parse_process, parse_program
-from .pretty import is_printable_source, pretty, pretty_expr
+from .._lazy import exports
 
-__all__ = [
-    "KEYWORDS",
-    "LexError",
-    "Lexer",
-    "ParseError",
-    "ParsedProgram",
-    "Parser",
-    "Token",
-    "TokenKind",
-    "is_printable_source",
-    "parse_process",
-    "parse_program",
-    "pretty",
-    "pretty_expr",
-]
+# Eager: the name is also a submodule's (see repro._lazy).
+from .pretty import pretty
+
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "lexer": "KEYWORDS LexError Lexer Token TokenKind",
+    "parser": "ParseError ParsedProgram Parser parse_process parse_program",
+    "pretty": "is_printable_source pretty pretty_expr",
+})

@@ -19,41 +19,14 @@ See docs/MIGRATION.md for the format, the protocol state machine and
 the failure matrix.
 """
 
-from .balancer import BalanceDecision, LoadBalancer, ThresholdPolicy
-from .checkpoint import (
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointVersionError,
-    SiteCheckpoint,
-    capture_site,
-    digest_bytes,
-    pack_checkpoint,
-    read_checkpoint,
-    restore_site,
-    write_checkpoint,
-)
-from .journal import FileJournal, MemoryJournal, checkpoint_node, restore_node
-from .migrate import MobilityConfig, MobilityManager, MobilityStats
+from .._lazy import exports
 
-__all__ = [
-    "BalanceDecision",
-    "CheckpointCorruptError",
-    "CheckpointError",
-    "CheckpointVersionError",
-    "FileJournal",
-    "LoadBalancer",
-    "MemoryJournal",
-    "MobilityConfig",
-    "MobilityManager",
-    "MobilityStats",
-    "SiteCheckpoint",
-    "ThresholdPolicy",
-    "capture_site",
-    "checkpoint_node",
-    "digest_bytes",
-    "pack_checkpoint",
-    "read_checkpoint",
-    "restore_node",
-    "restore_site",
-    "write_checkpoint",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "balancer": "BalanceDecision LoadBalancer ThresholdPolicy",
+    "checkpoint": "CheckpointCorruptError CheckpointError "
+                  "CheckpointVersionError SiteCheckpoint capture_site "
+                  "digest_bytes pack_checkpoint read_checkpoint restore_site "
+                  "write_checkpoint",
+    "journal": "FileJournal MemoryJournal checkpoint_node restore_node",
+    "migrate": "MobilityConfig MobilityManager MobilityStats",
+})

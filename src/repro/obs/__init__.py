@@ -25,51 +25,19 @@ ids from deterministic counters, a given chaos seed yields a
 byte-identical trace file on every run.
 """
 
-from .bus import EventBus
-from .chrome import TraceCollector, chrome_trace, chrome_trace_json
-from .cluster import (ClusterScraper, event_from_dict, event_to_dict,
-                      events_from_jsonl, events_to_jsonl, merge_metrics,
-                      stitch_events, stitch_trace_json, top_table)
-from .events import CATEGORY_OF, KNOWN_KINDS, ObsEvent, category_of
-from .flight import FlightRecorder, resolve_capacity
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      merge_snapshots, world_metrics)
-from .profiler import VMProfiler
-from .schema import load_trace_schema, validate_trace
-from .slo import SLOBreach, SLOError, SLORule, SLOSpec, SLOWatchdog
+from .._lazy import exports
 
-__all__ = [
-    "EventBus",
-    "ObsEvent",
-    "CATEGORY_OF",
-    "KNOWN_KINDS",
-    "category_of",
-    "TraceCollector",
-    "chrome_trace",
-    "chrome_trace_json",
-    "ClusterScraper",
-    "event_to_dict",
-    "event_from_dict",
-    "events_to_jsonl",
-    "events_from_jsonl",
-    "merge_metrics",
-    "merge_snapshots",
-    "stitch_events",
-    "stitch_trace_json",
-    "top_table",
-    "FlightRecorder",
-    "resolve_capacity",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "world_metrics",
-    "VMProfiler",
-    "SLOSpec",
-    "SLORule",
-    "SLOBreach",
-    "SLOError",
-    "SLOWatchdog",
-    "load_trace_schema",
-    "validate_trace",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "bus": "EventBus",
+    "chrome": "TraceCollector chrome_trace chrome_trace_json",
+    "cluster": "ClusterScraper event_from_dict event_to_dict "
+               "events_from_jsonl events_to_jsonl merge_metrics stitch_events "
+               "stitch_trace_json top_table",
+    "events": "CATEGORY_OF KNOWN_KINDS ObsEvent category_of",
+    "flight": "FlightRecorder resolve_capacity",
+    "metrics": "Counter Gauge Histogram MetricsRegistry merge_snapshots "
+               "world_metrics",
+    "profiler": "VMProfiler",
+    "schema": "load_trace_schema validate_trace",
+    "slo": "SLOBreach SLOError SLORule SLOSpec SLOWatchdog",
+})

@@ -429,11 +429,6 @@ class Packet:
         return len(encode(self))
 
 
-def packet_size_estimate(packet: Packet) -> int:
-    """Size used by the transports for bandwidth accounting."""
-    return packet.wire_size()
-
-
 # ---------------------------------------------------------------------------
 # Batch frames (transport layer)
 # ---------------------------------------------------------------------------

@@ -26,17 +26,17 @@ pinned as regression tests in ``tests/testkit/corpus.py`` (see
 docs/TESTING.md for the promotion workflow).
 """
 
-from .chaos import ChaosConfig, ChaosWorld, CrashEvent, FaultLog
-from .explore import ChaosRun, ExplorationReport, explore, run_scenario
-from .proxy import ChaosProxy, LinkReset
-from .invariants import (
-    check_export_liveness,
-    check_message_accounting,
-    check_nameservice_integrity,
-    check_no_dangling_imports,
-    check_no_premature_reclaim,
-    check_termination_not_early,
-    settle_distgc,
-)
+from .._lazy import exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Eager: the name is also a submodule's (see repro._lazy).
+from .explore import explore
+
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "chaos": "ChaosConfig ChaosWorld CrashEvent FaultLog",
+    "explore": "ChaosRun ExplorationReport explore run_scenario",
+    "proxy": "ChaosProxy LinkReset",
+    "invariants": "check_export_liveness check_message_accounting "
+                  "check_nameservice_integrity check_no_dangling_imports "
+                  "check_no_premature_reclaim check_termination_not_early "
+                  "settle_distgc",
+})

@@ -6,18 +6,13 @@ latency/bandwidth behaviour on a virtual clock; the socket world
 reproduces the process/thread deployment architecture over real TCP.
 """
 
-from .base import TransportStats, World
-from .clock import monotime
-from .links import (
-    FAST_ETHERNET,
-    LOOPBACK,
-    MYRINET,
-    ClusterModel,
-    LinkModel,
-    fast_ethernet_cluster,
-    myrinet_cluster,
-)
-from .sim import SimWorld
-from .socket import SocketEndpoint, SocketWorld, StreamDecoder, TokenBucket
+from .._lazy import exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "base": "TransportStats World",
+    "clock": "monotime",
+    "links": "FAST_ETHERNET LOOPBACK MYRINET ClusterModel LinkModel "
+             "fast_ethernet_cluster myrinet_cluster",
+    "sim": "SimWorld",
+    "socket": "SocketEndpoint SocketWorld StreamDecoder TokenBucket",
+})

@@ -5,41 +5,18 @@ types, equi-recursive unification, per-``def`` generalisation, and the
 combined static/dynamic checking scheme for remote interactions.
 """
 
-from .display import format_env, format_type
-from .infer import (
-    DYNAMIC_SCHEME,
-    ClassArityError,
-    CyclicImportError,
-    Inferencer,
-    Signature,
-    TycoTypeError,
-    UnboundClassVarError,
-    check_network,
-    infer_program,
-    infer_site_signature,
-)
-from .typeterms import (
-    BOOL,
-    DYN,
-    FLOAT,
-    INT,
-    STRING,
-    Basic,
-    ChanType,
-    Dyn,
-    Row,
-    RowEmpty,
-    RowEntry,
-    RowVar,
-    Scheme,
-    TVar,
-    Type,
-    free_type_vars,
-    make_row,
-    prune,
-    prune_row,
-    row_entries,
-)
-from .unify import MethodArityError, MissingMethodError, UnifyError, unify, unify_rows
+from .._lazy import exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Eager: the name is also a submodule's (see repro._lazy).
+from .unify import unify
+
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "display": "format_env format_type",
+    "infer": "DYNAMIC_SCHEME ClassArityError CyclicImportError Inferencer "
+             "Signature TycoTypeError UnboundClassVarError check_network "
+             "infer_program infer_site_signature",
+    "typeterms": "BOOL DYN FLOAT INT STRING Basic ChanType Dyn Row RowEmpty "
+                 "RowEntry RowVar Scheme TVar Type free_type_vars make_row "
+                 "prune prune_row row_entries",
+    "unify": "MethodArityError MissingMethodError UnifyError unify unify_rows",
+})

@@ -7,24 +7,13 @@ DiTyCO are executed here, with network effects delegated to a
 :class:`~repro.vm.machine.RemotePort`.
 """
 
-from .heap import Heap
-from .machine import (
-    ImportPending,
-    NoPortError,
-    RemotePort,
-    TycoVM,
-    VMRuntimeError,
-    VMStats,
-)
-from .scheduler import RunQueue, Thread
-from .values import (
-    Channel,
-    ClassRef,
-    NetRef,
-    RemoteClassRef,
-    VMValue,
-    is_channel_value,
-    value_repr,
-)
+from .._lazy import exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "heap": "Heap",
+    "machine": "ImportPending NoPortError RemotePort TycoVM VMRuntimeError "
+               "VMStats",
+    "scheduler": "RunQueue Thread",
+    "values": "Channel ClassRef NetRef RemoteClassRef VMValue "
+              "is_channel_value value_repr",
+})

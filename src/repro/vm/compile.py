@@ -85,8 +85,7 @@ from __future__ import annotations
 
 from types import FunctionType
 
-from repro.compiler.assembly import CodeBlock, Op, Program
-from repro.compiler.peephole import _BOOL_OPS
+from repro.compiler.assembly import BOOL_OPS, CodeBlock, Op, Program
 
 from .dispatch import FAST_BINOP
 from .machine import TycoVM, VMRuntimeError
@@ -315,7 +314,7 @@ class _Codegen:
                     self.emit(ind, f"{tv} = {a} {pyop} {b}")
             else:
                 self.emit(ind, f"{tv} = {fn}(vm, {a}, {b})")
-            self.stack.append((tv, "bool" if op in _BOOL_OPS else "temp"))
+            self.stack.append((tv, "bool" if op in BOOL_OPS else "temp"))
         elif op is Op.BNOT:
             (val,) = self.popn(1, ind)
             val = self.materialize(val, "const", ind) \

@@ -6,25 +6,11 @@ seeded open-loop generator that drives them and the runner that
 stopwatches every operation (docs/WORKLOADS.md).
 """
 
-from .spec import (DEFAULT_MIX, WORKLOADS, Arrival, WorkloadError,
-                   WorkloadSpec, generate_trace, trace_digest, trace_json)
-from .runner import (APPS, LATENCY_BUCKETS, WORLD_KINDS, WorkloadReport,
-                     expected_outputs, install_scenario, run_workload)
+from .._lazy import exports
 
-__all__ = [
-    "APPS",
-    "Arrival",
-    "DEFAULT_MIX",
-    "LATENCY_BUCKETS",
-    "WORKLOADS",
-    "WORLD_KINDS",
-    "WorkloadError",
-    "WorkloadReport",
-    "WorkloadSpec",
-    "expected_outputs",
-    "generate_trace",
-    "install_scenario",
-    "run_workload",
-    "trace_digest",
-    "trace_json",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "spec": "DEFAULT_MIX WORKLOADS Arrival WorkloadError WorkloadSpec "
+            "generate_trace trace_digest trace_json",
+    "runner": "APPS LATENCY_BUCKETS WORLD_KINDS WorkloadReport "
+              "expected_outputs install_scenario run_workload",
+})
