@@ -12,7 +12,7 @@ import pytest
 
 from _workloads import cell_churn, counter_loop, ping_pong, spawn_tree
 
-from repro.compiler import compile_source, optimize_program
+from repro.compiler import compile_source
 from repro.core import LocalEngine
 from repro.lang.parser import Parser
 from repro.vm import TycoVM
@@ -84,17 +84,8 @@ def test_calculus_engine_same_result_slower_machinery(benchmark, name):
     benchmark.extra_info["reductions"] = engine.reductions
 
 
-def test_optimizer_reduces_instruction_count():
-    for source in KERNELS.values():
-        prog = compile_source(source)
-        before = prog.instruction_count()
-        optimize_program(prog)
-        assert prog.instruction_count() <= before
-
-
 def report() -> list[dict]:
-    """Rows for EXPERIMENTS.md: per-kernel reduction statistics, plus
-    the A4 ablation (peephole optimiser off vs on)."""
+    """Rows for EXPERIMENTS.md: per-kernel reduction statistics."""
     rows = []
     for name, source in KERNELS.items():
         vm = run_vm(source)
@@ -107,26 +98,6 @@ def report() -> list[dict]:
             "instr/thread": round(
                 vm.stats.instructions / max(1, vm.stats.threads_spawned), 2),
         })
-    # A4: the peephole optimiser on a constants-heavy kernel.  The four
-    # kernels above are variable-only, so folding finds nothing there
-    # (fine-grained process code rarely has literal subexpressions);
-    # configuration-style code with literal arithmetic shrinks.
-    const_kernel = " | ".join(
-        f"(if {i} * 3 < {i} * 3 + 1 then print![{i} * 100 + {i}] else 0)"
-        for i in range(8))
-    plain = compile_source(const_kernel)
-    size_before = plain.instruction_count()
-    optimize_program(plain)
-    vm = TycoVM(plain)
-    vm.boot()
-    vm.run(50_000_000)
-    rows.append({
-        "kernel": "const-heavy (A4: peephole)",
-        "reductions": f"code {size_before} -> {plain.instruction_count()} instrs",
-        "instructions": vm.stats.instructions,
-        "instr/reduction": "-",
-        "instr/thread": "-",
-    })
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Regenerate every experiment table (E1-E12) for EXPERIMENTS.md.
+"""Regenerate every experiment table (E1-E17) for EXPERIMENTS.md.
 
 Usage:  python benchmarks/run_all.py [e1 e4 ...]
         python benchmarks/run_all.py --json BENCH_pr2.json

@@ -320,6 +320,22 @@ class TestCommittedBaselines:
         assert pr16["e15_mapreduce_p50_us"] < \
             0.75 * pr12["e15_mapreduce_p50_us"]
 
+    def test_pr16_non_wall_keys_reproduce_live(self):
+        """Live determinism wall over the whole record: every key of
+        BENCH_pr16.json that is not host wall time -- simulated times,
+        wire bytes and packets, heap sizes, op counts -- is a pure
+        function of the code, so one live run must match it exactly.
+        A PR that moves one owns it with a new record."""
+        from baseline import collect_metrics
+
+        pr16 = _load_baseline("BENCH_pr16.json")
+        live = collect_metrics(repeats=1)
+        exact = sorted(key for key in pr16 if "_wall_" not in key)
+        assert exact == sorted(key for key in live if "_wall_" not in key)
+        assert len(exact) == 39
+        assert {key: live[key] for key in exact} == \
+            {key: pr16[key] for key in exact}
+
     def test_seed_records_the_uncached_world(self):
         """Guard against accidentally regenerating BENCH_seed.json on a
         post-cache tree: the seed must show refetch bytes scaling with

@@ -12,7 +12,6 @@
     python -m repro chaos --explore 20 SESSION    sweep seeds, check invariants
     python -m repro trace --out t.json SESSION    causal trace (Perfetto JSON)
     python -m repro trace-check t.json            validate a trace file
-    python -m repro bench --only e1,e2            baseline benchmark metrics
     python -m repro workload pubsub --ops 100     macro workload latency run
     python -m repro obs scrape --controls ...     aggregate a daemon cluster
     python -m repro obs stitch a.jsonl b.jsonl    merge event streams
@@ -33,14 +32,12 @@ from pathlib import Path
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.compiler import compile_source, optimize_program
+    from repro.compiler import compile_source
     from repro.vm import TycoVM, value_repr
     from repro.vm.trace import Tracer
 
     source = Path(args.program).read_text()
     program = compile_source(source, source_name=args.program)
-    if args.optimize:
-        optimize_program(program)
     if args.check:
         from repro.lang import parse_program
         from repro.runtime.typecheck import check_site_program
@@ -72,12 +69,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from repro.compiler import compile_source, optimize_program, validate_program
+    from repro.compiler import compile_source, validate_program
 
     source = Path(args.program).read_text()
     program = compile_source(source, source_name=args.program)
-    if args.optimize:
-        optimize_program(program)
     validate_program(program)
     print(program.disassemble())
     return 0
@@ -104,14 +99,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unknown_node(exc: Exception) -> int:
+    """A session named a node ``--nodes`` did not create: one line,
+    exit 2 like any other bad argument."""
+    print(f"error: {exc} — pass --nodes", file=sys.stderr)
+    return 2
+
+
 def _cmd_net(args: argparse.Namespace) -> int:
     from repro.runtime import DiTyCONetwork, TycoShell
+    from repro.runtime.shell import UnknownNodeError
 
     net = DiTyCONetwork(typecheck=args.check)
     for ip in args.nodes.split(","):
         net.add_node(ip.strip())
     shell = TycoShell(net, write=print)
-    shell.execute_script(Path(args.session).read_text())
+    try:
+        shell.execute_script(Path(args.session).read_text())
+    except UnknownNodeError as exc:
+        return _unknown_node(exc)
     return 0
 
 
@@ -223,6 +229,7 @@ def _cmd_trace_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.runtime.shell import UnknownNodeError
     from repro.testkit import ChaosConfig, explore, run_scenario
 
     config = ChaosConfig(
@@ -240,10 +247,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print("--trace/--metrics apply to single runs, not --explore",
                   file=sys.stderr)
             return 2
-        report = explore(scenario, range(args.seed, args.seed + args.explore),
-                         config, max_time=args.max_time,
-                         check_termination=args.check_termination,
-                         monitor=args.monitor)
+        try:
+            report = explore(scenario,
+                             range(args.seed, args.seed + args.explore),
+                             config, max_time=args.max_time,
+                             check_termination=args.check_termination,
+                             monitor=args.monitor)
+        except UnknownNodeError as exc:
+            return _unknown_node(exc)
         print(report.summary(program))
         return 0 if report.ok() else 3
     registry = None
@@ -251,12 +262,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    run = run_scenario(scenario, args.seed, config, max_time=args.max_time,
-                       check_termination=args.check_termination,
-                       monitor=args.monitor,
-                       tracing=args.trace is not None,
-                       metrics=registry,
-                       flight_capacity=args.flight_capacity)
+    try:
+        run = run_scenario(scenario, args.seed, config,
+                           max_time=args.max_time,
+                           check_termination=args.check_termination,
+                           monitor=args.monitor,
+                           tracing=args.trace is not None,
+                           metrics=registry,
+                           flight_capacity=args.flight_capacity)
+    except UnknownNodeError as exc:
+        return _unknown_node(exc)
     print(f"chaos seed={run.seed} {config.describe()}")
     print(f"quiescent: {'yes' if run.quiescent else 'no'}  "
           f"elapsed: {run.elapsed:.9f}s")
@@ -291,41 +306,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         _write_or_print(args.metrics, registry.render())
     print(f"repro: {run.repro(program)}")
     return 3 if run.violations else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # The collectors live in benchmarks/ (not the installed package):
-    # locate the directory relative to this repo checkout and import
-    # from there, mirroring `python benchmarks/run_all.py --json`.
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    if not (bench_dir / "baseline.py").is_file():
-        print(f"benchmarks directory not found at {bench_dir} "
-              "(the bench subcommand needs a repo checkout)",
-              file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(bench_dir))
-    try:
-        import baseline
-    finally:
-        sys.path.remove(str(bench_dir))
-
-    only = None
-    if args.only:
-        only = {g.strip().lower() for g in args.only.split(",") if g.strip()}
-
-    try:
-        if args.json:
-            metrics = baseline.write_json(args.json, args.repeats, only=only)
-        else:
-            metrics = baseline.collect_metrics(args.repeats, only=only)
-    except ValueError as exc:  # unknown --only group
-        print(str(exc), file=sys.stderr)
-        return 2
-    for key, value in sorted(metrics.items()):
-        print(f"{key}: {value}")
-    if args.json:
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
@@ -628,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("program", help="a .dityco source file")
     p_run.add_argument("--steps", type=int, default=10_000_000,
                        help="instruction bound (default: 10M)")
-    p_run.add_argument("--optimize", action="store_true",
-                       help="apply the peephole optimiser")
     p_run.add_argument("--check", action="store_true",
                        help="static type check before running")
     p_run.add_argument("--stats", action="store_true",
@@ -640,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile and disassemble")
     p_compile.add_argument("program")
-    p_compile.add_argument("--optimize", action="store_true")
     p_compile.set_defaults(func=_cmd_compile)
 
     p_check = sub.add_parser("check", help="static type check")
@@ -728,19 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate a trace file against docs/trace_schema.json")
     p_tcheck.add_argument("trace", help="a trace JSON file")
     p_tcheck.set_defaults(func=_cmd_trace_check)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="collect the baseline benchmark metric set (see docs/PERF.md)")
-    p_bench.add_argument("--only", default=None, metavar="GROUPS",
-                         help="comma-separated experiment groups, "
-                              "e.g. e1,e2 (default: all)")
-    p_bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                         help="timed runs per metric (default: "
-                              "REPRO_BENCH_REPEATS env or 5)")
-    p_bench.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the metrics to PATH as JSON")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_wl = sub.add_parser(
         "workload",

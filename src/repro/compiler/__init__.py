@@ -15,6 +15,4 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "codegen": "CompileError Compiler compile_source compile_term",
     "linker": "BundleManifest CodeBundle LinkError LinkResult extract_bundle "
               "link_bundle",
-    "peephole": "eliminate_dead_code fold_constants optimize_block "
-                "optimize_program simplify_branches",
 })

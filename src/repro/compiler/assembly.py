@@ -148,9 +148,10 @@ class Program:
     source_name: str = "<program>"
     #: Predecoded-handler cache (repro.vm.dispatch), keyed by block id.
     #: Handlers are VM-independent closures, so every VM running this
-    #: program area shares one decode.  Entries self-invalidate by
-    #: instruction-tuple identity when a block is replaced (peephole)
-    #: and new ids decode lazily after a ``link_bundle`` append.
+    #: program area shares one decode.  Entries are checked by
+    #: instruction-tuple identity; new ids decode lazily after a
+    #: ``link_bundle`` append, and ``_Template.instantiate`` installs a
+    #: re-tupled literal block's patched plan before any VM runs.
     decoded_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 

@@ -33,6 +33,10 @@ class ShellError(Exception):
     """Bad command or argument in the shell."""
 
 
+class UnknownNodeError(ShellError):
+    """A command named a node the network does not have."""
+
+
 class TycoShell:
     """Command interpreter bound to one network."""
 
@@ -71,6 +75,13 @@ class TycoShell:
             if line and not line.startswith("#"):
                 self.execute(line)
 
+    def _node(self, ip: str) -> str:
+        nodes = self.network.world.nodes
+        if ip not in nodes:
+            raise UnknownNodeError(f"unknown node {ip!r} "
+                                   f"(known: {', '.join(sorted(nodes))})")
+        return ip
+
     # -- commands ------------------------------------------------------------
 
     def _cmd_nodes(self, args: list[str]) -> None:
@@ -91,13 +102,13 @@ class TycoShell:
         if len(args) != 3:
             raise ShellError("usage: run <ip> <site-name> <file>")
         ip, site_name, path = args
-        self.run_file(ip, site_name, path)
+        self.run_file(self._node(ip), site_name, path)
         self._write(f"launched {site_name} at {ip}")
 
     def _cmd_eval(self, args: list[str]) -> None:
         if len(args) < 3:
             raise ShellError("usage: eval <ip> <site-name> <source>")
-        ip, site_name = args[0], args[1]
+        ip, site_name = self._node(args[0]), args[1]
         source = " ".join(args[2:])
         self.run_program(ip, site_name, source)
         self._write(f"launched {site_name} at {ip}")
@@ -126,7 +137,7 @@ class TycoShell:
     def _cmd_migrate(self, args: list[str]) -> None:
         if len(args) not in (2, 3):
             raise ShellError("usage: migrate <site-name> <dest-ip> [at-time]")
-        site_name, dest_ip = args[0], args[1]
+        site_name, dest_ip = args[0], self._node(args[1])
         if len(args) == 3:
             # Plant the cutover on the timer wheel so chaos sessions
             # can migrate mid-traffic at a reproducible virtual time.

@@ -13,13 +13,13 @@ TROBJ and FORK inline the common case of ``TycoVM._trmsg`` /
 loop calls, with the same checks in the same order -- then
 ``exec``-compiled and cached on the block's
 :class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
-inherits the closures' invalidation rules verbatim: entries
-self-invalidate by instruction-tuple identity (``link_bundle``
-appends, peephole rewrites, restart relinks) and ``optimize_program``
-clears the whole ``Program.decoded_cache``.  Behind it, compiled code
-is memoised per block *shape* (``_MEMO``): literals, FORK targets,
-TROBJ method tables and the block's own id are defaults of the
-function, not part of its source.
+inherits the closures' invalidation rules verbatim: entries are
+checked by instruction-tuple identity, ``link_bundle`` only appends
+new block ids, and ``_Template.instantiate`` re-tuples a literal
+block and installs its patched plan before any VM runs.  Behind it,
+compiled code is memoised per block *shape* (``_MEMO``): literals,
+FORK targets, TROBJ method tables and the block's own id are defaults
+of the function, not part of its source.
 
 Codegen shape
 -------------
@@ -137,12 +137,11 @@ class _Codegen:
         #: Per-call-site inline-cache locals (``_ic<pc>_*``),
         #: initialised in the function header.  Within one invocation
         #: ``program.blocks[i]`` entries are stable (``link_bundle``
-        #: only appends; ``optimize_program`` cannot run mid-slice), so
-        #: an INSTOF site that sees the same ``ClassRef`` object again
-        #: can skip the block fetch, the arity checks and the
-        #: frame-padding arithmetic it already did.  The cache lives in
-        #: locals, so it dies with the call -- it can never go stale
-        #: across relinks or restarts.
+        #: only appends), so an INSTOF site that sees the same
+        #: ``ClassRef`` object again can skip the block fetch, the
+        #: arity checks and the frame-padding arithmetic it already
+        #: did.  The cache lives in locals, so it dies with the call --
+        #: it can never go stale across relinks or restarts.
         self.ic_inits: list[str] = []
         #: Symbolic operand stack: (expression, kind) with kind one of
         #: "frame" (lazy f[i] read), "const", "temp", "bool" (a temp
@@ -680,7 +679,7 @@ def compiled_source(program: Program, block_id: int) -> str:
 #: program's look-alike classes -- share one code object, and a hit
 #: costs a ``FunctionType`` with this block's defaults: no codegen, no
 #: ``compile``.  Keys are pure shape, so the memo can never go stale: a
-#: peephole rewrite or a relinked bundle changes the key or the
+#: re-tupled literal block or a relinked bundle changes the key or the
 #: defaults.  Bounded like the node's other two tables
 #: (``launch.MAX_SHAPES``, ``codecache.MAX_SLICES``): emptied when full,
 #: so a shape still in use costs one more ``compile`` -- a table that

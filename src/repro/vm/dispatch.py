@@ -163,8 +163,8 @@ class DecodedBlock:
         # slice entries seen so far, and the generated function
         # (repro.vm.compile) once there were enough of them.  Riding on
         # the decoded entry gives both the handlers' invalidation
-        # rules for free: identity mismatches, optimize_program clears
-        # and relinks all drop them with the entry.
+        # rules for free: an identity mismatch drops them with the
+        # entry.
         self.entries = 0
         self.compiled = None
 

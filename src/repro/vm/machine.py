@@ -287,10 +287,10 @@ class TycoVM:
         instruction and generated code its segments' original widths,
         and a compiled function that yields early hands the remainder
         to the closures exactly like :meth:`_run_slice_compiled`.
-        ``program.blocks`` is re-read every iteration
-        (``optimize_program`` replaces the list); the program and its
-        decoded cache are the VM's for life.  Pops are counted in a
-        local and flushed in a ``finally``, like generated code's.
+        ``program.blocks`` is indexed afresh every iteration (a
+        ``link_bundle`` append lands between slices); the program and
+        its decoded cache are the VM's for life.  Pops are counted in
+        a local and flushed in a ``finally``, like generated code's.
         """
         executed = 0
         switches = 0
@@ -385,17 +385,17 @@ class TycoVM:
         same prologue for everything else).
 
         Decoded blocks are cached on the *program* (shared by every VM
-        executing it) and invalidated by instruction-tuple identity, so
-        a ``link_bundle`` relink or a peephole rewrite re-decodes
-        transparently; the entry count and the compiled function ride
-        on the entry and die with it (``link_bundle`` appends,
-        ``optimize_program`` clears, relinks after a restart).  The
-        compiled function charges original instruction widths and
-        returns early -- with ``thread.pc`` stored -- when the
-        remaining budget is smaller than the next straight-line
-        segment or the thread resumes at an interior pc; the closures
-        then finish the slice, landing boundaries on exactly the
-        instructions the instrumented loop would.
+        executing it) and checked by instruction-tuple identity: a
+        ``link_bundle`` relink appends new block ids, which decode on
+        first entry, and ``_Template.instantiate`` re-tuples a literal
+        block and installs its patched plan before any VM runs.  The
+        entry count and the compiled function ride on the entry and
+        die with it.  The compiled function charges original
+        instruction widths and returns early -- with ``thread.pc``
+        stored -- when the remaining budget is smaller than the next
+        straight-line segment or the thread resumes at an interior pc;
+        the closures then finish the slice, landing boundaries on
+        exactly the instructions the instrumented loop would.
         """
         program = self.program
         bid = thread.block_id

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -27,12 +29,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert "communications" in err
 
-    def test_run_optimized(self, tmp_path, capsys):
-        p = tmp_path / "p.dityco"
-        p.write_text("print![2 + 3]")
-        assert main(["run", "--optimize", str(p)]) == 0
-        assert capsys.readouterr().out.strip() == "5"
-
     def test_run_divergent_bounded(self, tmp_path, capsys):
         p = tmp_path / "loop.dityco"
         p.write_text("def Loop(n) = Loop[n + 1] in Loop[0]")
@@ -48,14 +44,6 @@ class TestCompile:
         assert main(["compile", str(cell_file)]) == 0
         out = capsys.readouterr().out
         assert "block" in out and "defgroup" in out
-
-    def test_optimized_disassembly(self, tmp_path, capsys):
-        p = tmp_path / "p.dityco"
-        p.write_text("print![1 + 2]")
-        assert main(["compile", "--optimize", str(p)]) == 0
-        out = capsys.readouterr().out
-        assert "pushc 3" in out
-        assert "add" not in out.split("pushc 3")[1].split("\n")[0]
 
 
 class TestCheck:
@@ -96,3 +84,17 @@ class TestNet:
         assert main(["net", "--nodes", "alpha,beta,gamma", str(session)]) == 0
         out = capsys.readouterr().out
         assert "alpha" in out and "gamma" in out
+
+
+MIGRATE_SESSION = (Path(__file__).parents[2]
+                   / "examples" / "programs" / "migrate_network.tycosh")
+
+
+@pytest.mark.parametrize("argv", [
+    ["net"], ["chaos"], ["chaos", "--explore", "2"]])
+def test_unknown_node_is_one_error_line(argv, capsys):
+    # The session names n3; the default --nodes is n1,n2.
+    assert main([*argv, str(MIGRATE_SESSION)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: unknown node 'n3' (known: n1, n2)"
+                   " — pass --nodes\n")

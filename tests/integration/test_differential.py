@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler import compile_term, optimize_program
+from repro.compiler import compile_term
 from repro.core import (
     BinOp,
     ClassVar,
@@ -136,11 +136,8 @@ def run_engine(term: Process):
     return engine
 
 
-def run_vm(term: Process, optimize: bool = False):
-    program = compile_term(term)
-    if optimize:
-        optimize_program(program)
-    vm = TycoVM(program)
+def run_vm(term: Process):
+    vm = TycoVM(compile_term(term))
     vm.boot()
     vm.run(2_000_000)
     assert vm.is_idle()
@@ -179,17 +176,6 @@ def test_engine_and_vm_agree_on_reductions(p):
     vm = run_vm(term)
     assert engine.comm_count == vm.stats.comm_reductions == comms
     assert engine.inst_count == vm.stats.inst_reductions == insts
-
-
-@settings(max_examples=40, deadline=None)
-@given(programs())
-def test_optimizer_preserves_semantics(p):
-    term, _, _, _ = p
-    plain = run_vm(term, optimize=False)
-    optimized = run_vm(term, optimize=True)
-    assert canon(plain.output) == canon(optimized.output)
-    assert (plain.stats.comm_reductions
-            == optimized.stats.comm_reductions)
 
 
 @st.composite

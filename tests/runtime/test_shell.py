@@ -122,6 +122,14 @@ class TestErrors:
         with pytest.raises(ShellError):
             shell.execute("eval n1 onlyname")
 
+    @pytest.mark.parametrize("line", [
+        "eval n3 s print![1]", "run n3 s prog.dityco", "migrate s n3",
+        "migrate s n3 1e-5"])
+    def test_unknown_node(self, shell, line):
+        with pytest.raises(ShellError,
+                           match=r"^unknown node 'n3' \(known: n1, n2\)$"):
+            shell.execute(line)
+
     def test_empty_and_comment_lines_ignored(self, shell):
         shell.execute("")
         shell.execute("   ")

@@ -29,7 +29,8 @@ NOT_ON_SIM_PATH = (
 )
 
 #: package -> submodule -> the names the package re-exports from it:
-#: the API the eager ``__init__`` files had, recorded.
+#: the API the eager ``__init__`` files had, recorded (less the names
+#: of modules deleted since).
 EXPORTS = {
     "repro.compiler": {
         "assembly": "ClassGroup CodeBlock Instr ObjectCode Op Program "
@@ -38,8 +39,6 @@ EXPORTS = {
         "codegen": "CompileError Compiler compile_source compile_term",
         "linker": "BundleManifest CodeBundle LinkError LinkResult "
                   "extract_bundle link_bundle",
-        "peephole": "eliminate_dead_code fold_constants optimize_block "
-                    "optimize_program simplify_branches",
     },
     "repro.core": {
         "congruence": "alpha_equal congruent normalize_par",

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.compiler import (
-    compile_source,
-    optimize_program,
-    parse_assembly,
-    peephole,
-)
+from repro.compiler import compile_source, parse_assembly
 from repro.compiler.assembly import CodeBlock, Instr, Op
 from repro.compiler.linker import extract_bundle, link_bundle
 from repro.runtime import DiTyCONetwork
@@ -53,10 +48,8 @@ def snapshot(vm):
             len(vm.heap), list(vm.output))
 
 
-def run(source, engine="compiled", budget=100_000, optimize=False):
+def run(source, engine="compiled", budget=100_000):
     prog = compile_source(source)
-    if optimize:
-        optimize_program(prog)
     vm = TycoVM(prog, name="t", engine=engine)
     vm.boot()
     while not vm.is_idle():
@@ -139,7 +132,6 @@ def test_one_handler_per_instruction():
         for block in prog.blocks:
             dec = dispatch.predecode(prog, block)
             assert len(dec.heads) == len(block.instrs)
-    assert not hasattr(peephole, "plan_superinstructions")
     assert not hasattr(dispatch, "_FUSED_FACTORIES")
 
 
@@ -161,14 +153,6 @@ class TestEngineParity:
             ref = snapshot(run(source, "slow"))
             for budget in (*range(1, 13), 100_000):
                 assert snapshot(run(source, budget=budget)) == ref, budget
-
-    def test_parity_on_optimized_code(self, monkeypatch):
-        # Peephole-rewritten blocks (CLI --optimize) go through the
-        # same predecoder; stats differ from unoptimized runs but must
-        # agree between engines.
-        ref = snapshot(run(CELL, "slow", optimize=True))
-        for arm in each_arm(monkeypatch):
-            assert snapshot(run(CELL, optimize=True)) == ref, arm
 
     def test_step_budget_exact_on_fast_engine(self, monkeypatch):
         for arm in each_arm(monkeypatch):
@@ -274,14 +258,6 @@ class TestDecodedCache:
             assert prog.decoded_cache[bid] is dec
         assert vm2.output == vm1.output
 
-    def test_optimize_program_clears_the_cache(self):
-        prog = compile_source(CELL)
-        run_program(prog)
-        assert prog.decoded_cache
-        optimize_program(prog)
-        assert prog.decoded_cache == {}
-        assert run_program(prog).output == ["done"]
-
     def test_stale_entry_reinvalidated_by_identity(self):
         # Hot-swapping a block (what a relink does) must not execute
         # stale handlers: the cache checks instruction-tuple identity.
@@ -309,9 +285,9 @@ class TestCompiledCache:
     ``TIER_UP_ENTRIES``-th entry, its generated function -- lives on
     its ``DecodedBlock`` beside the closure plan, so it inherits the
     plan's invalidation rules: identity checks drop stale entries,
-    ``optimize_program`` clears the cache, ``link_bundle`` appends
-    without disturbing live entries, and a restart rebuilds the
-    program (fresh cache) -- the generation-bump path."""
+    ``link_bundle`` appends without disturbing live entries, and a
+    restart rebuilds the program (fresh cache) -- the generation-bump
+    path."""
 
     def test_first_entry_runs_closures_second_compiles(self):
         prog = compile_source("print![7]")
@@ -335,18 +311,6 @@ class TestCompiledCache:
         for bid, fn in fns.items():
             assert prog.decoded_cache[bid].compiled is fn
         assert vm2.output == vm1.output == [0]
-
-    def test_optimize_program_drops_compiled_fns(self):
-        prog = compile_source(CELL)
-        run_program(prog)
-        assert any(d.compiled for d in prog.decoded_cache.values())
-        optimize_program(prog)
-        assert prog.decoded_cache == {}
-        # The counts went with the entries: main is on its first entry
-        # again, not its second.
-        assert run_program(prog).output == ["done"]
-        dec = prog.decoded_cache[prog.main]
-        assert dec.entries == 1 and dec.compiled is None
 
     def test_stale_entry_reinvalidated_by_identity(self):
         # Hot-swapping a block must not execute stale handlers or a

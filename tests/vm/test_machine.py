@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.compiler import compile_source, optimize_program
+from repro.compiler import compile_source
 from repro.vm import Channel, TycoVM, VMRuntimeError
 
 
-def run_vm(source, optimize=False, max_instructions=200_000):
-    prog = compile_source(source)
-    if optimize:
-        optimize_program(prog)
-    vm = TycoVM(prog, name="test")
+def run_vm(source, max_instructions=200_000):
+    vm = TycoVM(compile_source(source), name="test")
     vm.boot()
     vm.run(max_instructions)
     return vm
@@ -265,7 +262,7 @@ class TestEquality:
         assert sorted(vm.output) == [1, 2]
 
 
-class TestOptimizedPrograms:
+class TestLiteralOperands:
     @pytest.mark.parametrize("src,expected", [
         ("print![2 + 3]", [5]),
         ("if 1 < 2 then print![1] else print![2]", [1]),
@@ -273,15 +270,8 @@ class TestOptimizedPrograms:
         ("print![-(3)]", [-3]),
         ('print!["a" + "b"]', ["ab"]),
     ])
-    def test_optimizer_preserves_output(self, src, expected):
-        assert run_vm(src, optimize=False).output == expected
-        assert run_vm(src, optimize=True).output == expected
-
-    def test_optimizer_shrinks_code(self):
-        plain = compile_source("print![1 + 2 + 3 + 4]")
-        size_before = plain.instruction_count()
-        optimize_program(plain)
-        assert plain.instruction_count() < size_before
+    def test_operators_on_literals(self, src, expected):
+        assert run_vm(src).output == expected
 
 
 class TestExternalBinding:
