@@ -4,11 +4,9 @@ A 2-topic, 8-subscriber fabric over three nodes takes a seeded
 publish/ping mix (`repro.workloads`); every operation is stopwatched
 from injection to its completion token reaching the collector.  On the
 simulator the whole latency distribution is a pure function of the
-spec, so p50/p99 are regression-gated exactly; set
-``REPRO_BENCH_WALL_WORLDS=1`` to append a real socket-world row.
+spec, so p50/p99 are regression-gated exactly;
+``test_wall_worlds_complete`` runs ``WALL_SPEC`` on the socket world.
 """
-
-import os
 
 from repro.workloads import WorkloadSpec, run_workload
 
@@ -76,10 +74,7 @@ def test_wall_worlds_complete():
 
 
 def report() -> list[dict]:
-    rows = summary_rows(run())
-    if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        rows.extend(summary_rows(run(world="socket")))
-    return rows
+    return summary_rows(run())
 
 
 if __name__ == "__main__":

@@ -6,10 +6,8 @@ the paper's SETI pattern), folds its chunk into the shared reducer and
 reports completion.  The end-state check is exact: the reducer's final
 total must equal ``sum(chunk^2)`` over the generated trace, whatever
 the interleaving.  Sim p50/p99 are regression-gated exactly;
-``REPRO_BENCH_WALL_WORLDS=1`` appends a socket-world row.
+``test_wall_worlds_complete`` runs ``WALL_SPEC`` on the socket world.
 """
-
-import os
 
 from repro.workloads import WorkloadSpec, run_workload
 from repro.workloads.mapreduce import PROBE_SITE
@@ -52,10 +50,7 @@ def test_wall_worlds_complete():
 
 
 def report() -> list[dict]:
-    rows = summary_rows(run())
-    if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        rows.extend(summary_rows(run(world="socket")))
-    return rows
+    return summary_rows(run())
 
 
 if __name__ == "__main__":

@@ -6,10 +6,8 @@ stage sites *sequentially* (remote evaluation), then FETCHes the
 have mixed lengths, so this is the workload with real dependency
 chains -- the tail (p99) stretches with the hop count while the median
 stays short.  Sim p50/p99 are regression-gated exactly;
-``REPRO_BENCH_WALL_WORLDS=1`` appends a socket-world row.
+``test_wall_worlds_complete`` runs ``WALL_SPEC`` on the socket world.
 """
-
-import os
 
 from repro.workloads import WorkloadSpec, run_workload
 
@@ -51,10 +49,7 @@ def test_wall_worlds_complete():
 
 
 def report() -> list[dict]:
-    rows = summary_rows(run())
-    if os.environ.get("REPRO_BENCH_WALL_WORLDS"):
-        rows.extend(summary_rows(run(world="socket")))
-    return rows
+    return summary_rows(run())
 
 
 if __name__ == "__main__":

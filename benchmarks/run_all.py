@@ -1,19 +1,14 @@
 """Regenerate every experiment table (E1-E17) for EXPERIMENTS.md.
 
 Usage:  python benchmarks/run_all.py [e1 e4 ...]
-        python benchmarks/run_all.py --json BENCH_pr2.json
-        python benchmarks/run_all.py --json BENCH.json --only e1,e2 --repeats 9
+        python benchmarks/run_all.py --json BENCH.json [--only e2,e4]
 
 Each ``bench_*`` module exposes ``report() -> list[dict]``; this script
 runs them all and prints aligned tables.  ``--json PATH`` instead
-writes the baseline metric set (see baseline.py) -- the per-PR
-regression record compared by test_baseline.py.  With ``--json``,
-``--only e1,e2`` restricts collection to those experiment groups and
-``--repeats N`` overrides the timed-run count (default: the
-``REPRO_BENCH_REPEATS`` environment variable, else 5).  Wall-clock
-rows gate on the min-of-k with ``_median``/``_spread_pct``
-companions and enforce per-row repeat floors, so ``--repeats`` only
-ever raises the count (docs/PERF.md "Measuring").
+writes the baseline metric set (see baseline.py) -- the exact
+record test_baseline.py pins against ``BENCH_pr16.json``.  With
+``--json``, ``--only e2,e4`` restricts collection to those
+experiment groups.
 """
 
 import importlib
@@ -74,21 +69,17 @@ def main(argv: list[str] | None = None) -> None:
 
         out = "BENCH.json"
         only = None
-        repeats = None
         rest = argv[1:]
         i = 0
         while i < len(rest):
             if rest[i] == "--only":
                 only = {g.strip().lower() for g in rest[i + 1].split(",")}
                 i += 2
-            elif rest[i] == "--repeats":
-                repeats = int(rest[i + 1])
-                i += 2
             else:
                 out = rest[i]
                 i += 1
         try:
-            metrics = baseline.write_json(out, repeats, only=only)
+            metrics = baseline.write_json(out, only=only)
         except ValueError as exc:          # unknown --only group
             raise SystemExit(str(exc))
         for key, value in sorted(metrics.items()):

@@ -2,35 +2,45 @@
 
 Two layers:
 
-* **live ratios** -- re-measure the two headline effects of the code
-  cache + wire batching PR on this checkout (E4 repeated-fetch byte
-  reduction, E9 burst packet reduction);
-* **committed baselines** -- compare the JSON records written by
-  ``run_all.py --json`` (``BENCH_seed.json`` from the pre-cache tree,
-  ``BENCH_pr2.json`` from this one) so the improvement, and the
-  absence of an E1 hot-path regression, stay pinned in the repo.
+* **live ratios** -- re-measure the headline effects on this checkout
+  (E4 repeated-fetch byte reduction from the code cache, the
+  production engine against the reference loop on E1, E9 burst packet
+  reduction from wire batching);
+* **the record** -- every key ``run_all.py --json`` writes is a pure
+  function of the code, so one live run must reproduce the committed
+  ``BENCH_pr16.json`` exactly.
 """
 
 import json
+import time
 from pathlib import Path
 
-import pytest
+from repro.compiler import compile_source
+from repro.vm import TycoVM
 
-from baseline import (
-    _burst,
-    _e1_counter_wall_us,
-    _timed_runs,
-    refetch_network,
-)
+from _workloads import counter_loop
+from baseline import _burst, collect_metrics, refetch_network
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_baseline(name: str) -> dict:
-    path = REPO_ROOT / name
-    if not path.exists():
-        pytest.skip(f"{name} not present in the repo root")
-    return json.loads(path.read_text())
+def _e1_counter_wall_us(engine=None) -> float:
+    """Wall time of a 2000-step instantiation recursion on one VM."""
+    program = compile_source(counter_loop(2000))
+    start = time.perf_counter()
+    vm = TycoVM(program, engine=engine)
+    vm.boot()
+    vm.run(50_000_000)
+    assert vm.is_idle()
+    return (time.perf_counter() - start) * 1e6
+
+
+def _timed_runs(fn, repeats: int, warmup: int = 1) -> list[float]:
+    """``warmup`` untimed runs (caches, allocator, branch predictors),
+    then ``repeats`` timed runs."""
+    for _ in range(warmup):
+        fn()
+    return [fn() for _ in range(repeats)]
 
 
 class TestLiveRatios:
@@ -53,10 +63,10 @@ class TestLiveRatios:
 
     def test_production_engine_beats_reference_engine(self):
         """The production engine must out-run the instrumented
-        reference loop on the E1 recursion.  Min-of-3 per arm; the
-        live record shows ~20x (closures ~9x, generated code ~2.5x on
-        top), the 1.4x bar -- the product of the two bars the closure
-        and compiled engines were held to separately -- only guards
+        reference loop on the E1 recursion.  Min-of-3 per arm; a live
+        run shows ~20x (closures ~9x, generated code ~2.5x on top),
+        the 1.4x bar -- the product of the two bars the closure and
+        compiled engines were held to separately -- only guards
         against the production path silently falling back to the slow
         loop."""
         production = min(_timed_runs(_e1_counter_wall_us, repeats=3))
@@ -75,271 +85,16 @@ class TestLiveRatios:
 
 
 class TestCommittedBaselines:
-    def test_pr2_improves_on_seed(self):
-        seed = _load_baseline("BENCH_seed.json")
-        pr2 = _load_baseline("BENCH_pr2.json")
-        # Headline: >=5x fewer bytes for repeated FETCHes of one class.
-        assert pr2["e4_refetch_bytes"] * 5 <= seed["e4_refetch_bytes"]
-        # Batching collapses the 32-message burst into fewer packets.
-        assert pr2["e9_burst_packets"] < pr2["e9_burst_packets_nobatch"]
-        assert pr2["e9_burst_packets"] < seed["e9_burst_packets"]
-        # The local hot path (E1, no network) must not regress >5%.
-        assert pr2["e1_counter_wall_us"] <= \
-            seed["e1_counter_wall_us"] * 1.05
-
-    def test_pr3_distgc_bounds_churn_heap(self):
-        """The distributed-GC PR's headline: under export churn the
-        client heap is bounded by the lease term with distgc on, and
-        grows with the cycle count with it off."""
-        pr3 = _load_baseline("BENCH_pr3.json")
-        cycles = pr3["e10_churn_cycles"]
-        assert pr3["e10_churn_final_heap_on"] < 100
-        assert pr3["e10_churn_peak_heap_on"] < cycles / 2
-        assert pr3["e10_churn_final_heap_off"] >= cycles
-
-    def test_pr3_keeps_pr2_wins(self):
-        """The lease plumbing must not regress the code-cache or
-        batching headline numbers, nor the E1 hot path (>10%: the
-        GC hooks add a bounded constant, not a scaling term)."""
-        pr2 = _load_baseline("BENCH_pr2.json")
-        pr3 = _load_baseline("BENCH_pr3.json")
-        assert pr3["e4_refetch_bytes"] <= pr2["e4_refetch_bytes"] * 1.05
-        assert pr3["e9_burst_packets"] <= pr2["e9_burst_packets"]
-        assert pr3["e1_counter_wall_us"] <= \
-            pr2["e1_counter_wall_us"] * 1.10
-
-    def test_pr4_observability_is_free_when_off(self):
-        """The unified observability layer's acceptance bar: with no
-        sink subscribed and tracing off, the E1 hot path stays within
-        3% of the pre-observability tree, and the wire traffic (E4/E9
-        byte and packet counts -- exact, not timed) is unchanged, so
-        untraced simulated schedules are bit-for-bit the same."""
-        pr3 = _load_baseline("BENCH_pr3.json")
-        pr4 = _load_baseline("BENCH_pr4.json")
-        assert pr4["e1_counter_wall_us"] <= \
-            pr3["e1_counter_wall_us"] * 1.03
-        for exact in ("e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e9_burst_packets", "e9_burst_bytes",
-                      "e9_burst_packets_nobatch", "e9_msg_wire_bytes"):
-            assert pr4[exact] == pr3[exact], exact
-
-    def test_pr5_dispatch_engine_speeds_up_e1(self):
-        """The predecoded dispatch PR's headline: the E1 instantiation
-        recursion runs in at most 0.55x the pr4 wall time (the record
-        shows ~8x; the gate leaves room for a slower CI host)."""
-        pr4 = _load_baseline("BENCH_pr4.json")
-        pr5 = _load_baseline("BENCH_pr5.json")
-        assert pr5["e1_counter_wall_us"] <= \
-            0.55 * pr4["e1_counter_wall_us"]
-
-    def test_pr5_preserves_simulated_schedules_exactly(self):
-        """Fusion charges original instruction widths, so every
-        simulated-time and wire metric -- pure functions of instruction
-        and byte counts -- must be *equal* to pr4, not merely close.
-        Real-time wins show up in the new ``e2_*_wall_us`` keys
-        instead (docs/PERF.md)."""
-        pr4 = _load_baseline("BENCH_pr4.json")
-        pr5 = _load_baseline("BENCH_pr5.json")
-        for exact in ("e2_cross_node_sim_us", "e2_same_node_sim_us",
-                      "e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e4_refetch_sim_us", "e9_burst_packets",
-                      "e9_burst_bytes", "e9_burst_packets_nobatch",
-                      "e9_msg_wire_bytes"):
-            assert pr5[exact] == pr4[exact], exact
-
-    def test_pr6_socket_transport_leaves_sim_untouched(self):
-        """The TCP transport is a new substrate beside the simulator,
-        not a change to it: every simulated-time and wire metric must
-        be *equal* to pr5, and the E1 hot path (which never touches a
-        transport) must not regress >10%."""
-        pr5 = _load_baseline("BENCH_pr5.json")
-        pr6 = _load_baseline("BENCH_pr6.json")
-        for exact in ("e2_cross_node_sim_us", "e2_same_node_sim_us",
-                      "e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e4_refetch_sim_us", "e9_burst_packets",
-                      "e9_burst_bytes", "e9_burst_packets_nobatch",
-                      "e9_msg_wire_bytes"):
-            assert pr6[exact] == pr5[exact], exact
-        assert pr6["e1_counter_wall_us"] <= \
-            pr5["e1_counter_wall_us"] * 1.10
-
-    def test_pr7_macro_workloads_leave_existing_metrics_untouched(self):
-        """The macro-workload PR adds experiments beside E1-E13, not
-        changes to them: every simulated-time and wire metric must be
-        *equal* to pr6, and the E1 hot path must not regress >10%."""
-        pr6 = _load_baseline("BENCH_pr6.json")
-        pr7 = _load_baseline("BENCH_pr7.json")
-        for exact in ("e2_cross_node_sim_us", "e2_same_node_sim_us",
-                      "e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e4_refetch_sim_us", "e9_burst_packets",
-                      "e9_burst_bytes", "e9_burst_packets_nobatch",
-                      "e9_msg_wire_bytes"):
-            assert pr7[exact] == pr6[exact], exact
-        assert pr7["e1_counter_wall_us"] <= \
-            pr6["e1_counter_wall_us"] * 1.10
-
-    def test_pr7_macro_latency_gates_are_sane(self):
-        """E14-E16 must report a full latency record: every operation
-        completed, percentiles ordered, makespan and throughput
-        positive."""
-        pr7 = _load_baseline("BENCH_pr7.json")
-        for prefix in ("e14_pubsub", "e15_mapreduce", "e16_agents"):
-            assert pr7[f"{prefix}_ops"] > 0, prefix
-            p50 = pr7[f"{prefix}_p50_us"]
-            p99 = pr7[f"{prefix}_p99_us"]
-            assert 0 < p50 <= p99, prefix
-            assert pr7[f"{prefix}_makespan_us"] >= p99, prefix
-            assert pr7[f"{prefix}_sim_ops_per_s"] > 0, prefix
-
-    def test_pr7_macro_sim_metrics_reproduce_exactly(self):
-        """Live determinism wall: re-run the macro workloads on this
-        checkout; the simulated latency percentiles, makespans and
-        throughputs must match the committed record bit-for-bit (they
-        are pure functions of the specs -- any drift means a schedule
-        change, which this gate forces the PR to own).  The record is
-        pr16's: the node code store moved the E15 / E16 keys on
-        purpose (the gate below says which); E14 reads the same in
-        pr7 and pr16."""
-        from baseline import collect_metrics
-
-        pr16 = _load_baseline("BENCH_pr16.json")
-        live = collect_metrics(repeats=1, only={"e14", "e15", "e16"})
-        assert live, "repro.workloads missing on this checkout"
-        for key, value in sorted(live.items()):
-            if "_wall_ms" in key:
-                continue                  # host-speed, not pinned
-            assert pr16[key] == value, key
-
-    def test_pr8_mobility_leaves_existing_metrics_untouched(self):
-        """Checkpointing and migration are new machinery beside the
-        simulator's scheduling, not a change to it: every simulated-
-        time and wire metric must be *equal* to pr7, and the E1 hot
-        path (which never touches a mobility manager) must not regress
-        >10%."""
-        pr7 = _load_baseline("BENCH_pr7.json")
-        pr8 = _load_baseline("BENCH_pr8.json")
-        for exact in ("e2_cross_node_sim_us", "e2_same_node_sim_us",
-                      "e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e4_refetch_sim_us", "e9_burst_packets",
-                      "e9_burst_bytes", "e9_burst_packets_nobatch",
-                      "e9_msg_wire_bytes"):
-            assert pr8[exact] == pr7[exact], exact
-        assert pr8["e1_counter_wall_us"] <= \
-            pr7["e1_counter_wall_us"] * 1.10
-
-    def test_pr8_migration_record_is_sane(self):
-        """E17 must show the code-cache effect on whole sites: a warm
-        cutover ships no code, so its wire bill undercuts the cold one
-        by at least the CodeBundle."""
-        pr8 = _load_baseline("BENCH_pr8.json")
-        assert pr8["e17_ckpt_bytes"] > 0
-        assert pr8["e17_warm_migrate_bytes"] < pr8["e17_cold_migrate_bytes"]
-        assert (pr8["e17_cold_migrate_bytes"]
-                - pr8["e17_warm_migrate_bytes"]
-                >= pr8["e17_code_bytes_shipped"])
-
-    def test_pr8_migration_costs_reproduce_exactly(self):
-        """Live determinism wall: re-run E17 on this checkout; every
-        byte count and virtual time must match the committed record
-        bit-for-bit (they are pure functions of the program -- drift
-        means the checkpoint format or protocol changed, which this
-        gate forces the PR to own)."""
-        from baseline import collect_metrics
-
-        pr8 = _load_baseline("BENCH_pr8.json")
-        live = collect_metrics(repeats=1, only={"e17"})
-        assert live, "repro.mobility missing on this checkout"
-        for key, value in sorted(live.items()):
-            assert pr8[key] == value, key
-
-    def test_pr10_compiled_engine_speeds_up_e1(self):
-        """The tier-3 compiled engine's headline: the E1 instantiation
-        recursion runs in at most 0.6x the pr8 wall time.  Note the
-        metrology change riding along (docs/PERF.md "Measuring"): the
-        pr10 value is min-of-k where pr8 recorded a median of 5, so
-        part of the ratio is noise removal (the engine-only ratio on
-        one host under one scheme was ~0.68 on the recording box)."""
-        pr8 = _load_baseline("BENCH_pr8.json")
-        pr10 = _load_baseline("BENCH_pr10.json")
-        assert pr10["e1_counter_wall_us"] <= \
-            0.6 * pr8["e1_counter_wall_us"]
-
-    def test_pr10_preserves_simulated_schedules_exactly(self):
-        """The compiled engine charges original instruction widths and
-        yields to the closure engine at every boundary it cannot land
-        itself, so -- exactly as for pr5's fusion -- every simulated-
-        time and wire metric must be *equal* to pr8, not merely
-        close."""
-        pr8 = _load_baseline("BENCH_pr8.json")
-        pr10 = _load_baseline("BENCH_pr10.json")
-        for exact in ("e2_cross_node_sim_us", "e2_same_node_sim_us",
-                      "e4_fetch_cold_bytes", "e4_refetch_bytes",
-                      "e4_refetch_sim_us", "e9_burst_packets",
-                      "e9_burst_bytes", "e9_burst_packets_nobatch",
-                      "e9_msg_wire_bytes"):
-            assert pr10[exact] == pr8[exact], exact
-
-    def test_pr12_one_production_engine_changes_no_schedule(self):
-        """Picking a tier per block (closures on a block's first
-        entry, generated code from its second) moves wall time only:
-        every simulated-time, wire-byte, heap and count key must be
-        *equal* to pr10, and the E1 hot path -- whose hot blocks still
-        run generated code -- must not regress >10%."""
-        pr10 = _load_baseline("BENCH_pr10.json")
-        pr12 = _load_baseline("BENCH_pr12.json")
-        exact = [key for key in pr10 if "_wall_" not in key]
-        assert exact
-        for key in exact:
-            assert pr12[key] == pr10[key], key
-        assert pr12["e1_counter_wall_us"] <= \
-            pr10["e1_counter_wall_us"] * 1.10
-
-    def test_pr16_code_store_moves_only_the_macro_code_keys(self):
-        """One code store per node: a class is downloaded once per
-        node instead of once per task site, so the CODE_NEED /
-        CODE_REPLY round trip leaves every macro op after a node's
-        first.  That is a schedule change, owned here: exactly the
-        E15 / E16 latency, makespan and throughput keys move, each the
-        right way, and nothing else that is not host wall time does
-        (E4 refetch, E9, E17 and every single-site experiment fetch
-        from one site, where the per-site table already hit)."""
-        pr12 = _load_baseline("BENCH_pr12.json")
-        pr16 = _load_baseline("BENCH_pr16.json")
-        lower = {f"{e}_{k}" for e in ("e15_mapreduce", "e16_agents")
-                 for k in ("p50_us", "p99_us", "makespan_us")}
-        higher = {"e15_mapreduce_sim_ops_per_s", "e16_agents_sim_ops_per_s"}
-        for key in pr12:
-            if "_wall_" in key:
-                continue
-            if key in lower:
-                assert pr16[key] < pr12[key], key
-            elif key in higher:
-                assert pr16[key] > pr12[key], key
-            else:
-                assert pr16[key] == pr12[key], key
-        assert pr16["e15_mapreduce_p50_us"] < \
-            0.75 * pr12["e15_mapreduce_p50_us"]
-
     def test_pr16_non_wall_keys_reproduce_live(self):
         """Live determinism wall over the whole record: every key of
         BENCH_pr16.json that is not host wall time -- simulated times,
         wire bytes and packets, heap sizes, op counts -- is a pure
-        function of the code, so one live run must match it exactly.
-        A PR that moves one owns it with a new record."""
-        from baseline import collect_metrics
-
-        pr16 = _load_baseline("BENCH_pr16.json")
-        live = collect_metrics(repeats=1)
-        exact = sorted(key for key in pr16 if "_wall_" not in key)
-        assert exact == sorted(key for key in live if "_wall_" not in key)
-        assert len(exact) == 39
-        assert {key: live[key] for key in exact} == \
-            {key: pr16[key] for key in exact}
-
-    def test_seed_records_the_uncached_world(self):
-        """Guard against accidentally regenerating BENCH_seed.json on a
-        post-cache tree: the seed must show refetch bytes scaling with
-        uses and no packet reduction from batching."""
-        seed = _load_baseline("BENCH_seed.json")
-        assert seed["e4_refetch_bytes"] > 5 * seed["e4_fetch_cold_bytes"]
-        assert seed["e9_burst_packets"] == seed["e9_burst_packets_nobatch"]
+        function of the code, and the collector writes exactly those,
+        so one live run must match them all.  A PR that moves one owns
+        it with a new record."""
+        golden = json.loads((REPO_ROOT / "BENCH_pr16.json").read_text())
+        live = collect_metrics()
+        assert sorted(live) == sorted(
+            k for k in golden if "_wall_" not in k)
+        assert len(live) == 39
+        assert live == {key: golden[key] for key in live}

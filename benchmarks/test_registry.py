@@ -55,16 +55,16 @@ class TestUnknownNamesRejected:
     def test_json_only_rejects_unknown_group(self, tmp_path):
         out = tmp_path / "bench.json"
         with pytest.raises(SystemExit, match="unknown benchmark groups"):
-            run_all.main(["--json", str(out), "--only", "e1,e77"])
+            run_all.main(["--json", str(out), "--only", "e9,e77"])
         assert not out.exists()
 
     def test_collect_metrics_rejects_unknown_group(self):
         with pytest.raises(ValueError, match="e77"):
-            baseline.collect_metrics(repeats=1, only={"e77"})
+            baseline.collect_metrics(only={"e77"})
 
 
 def test_json_only_happy_path_writes_requested_groups(tmp_path):
     out = tmp_path / "bench.json"
-    run_all.main(["--json", str(out), "--only", "e9", "--repeats", "1"])
+    run_all.main(["--json", str(out), "--only", "e9"])
     data = json.loads(out.read_text())
     assert data and all(k.startswith("e9_") for k in data)

@@ -38,13 +38,13 @@ class DiTyCONetwork:
         paper's centralized service); a multi-process cluster passes a
         :class:`~repro.runtime.nsnet.NameServiceClient` talking to the
         one shared store.
-    local_fast_path / fetch_cache:
-        Toggles for ablations A3 and A2 respectively.
-    code_cache / batching:
-        Toggles for the code cache (per-site digest tables and per-node
-        code stores behind the offer/need/reply protocol)
-        and the per-destination wire batching; on by default, turned
-        off for the ablation benchmarks.
+    local_fast_path / fetch_cache / code_cache / batching:
+        On by default; turning one off is an ablation.  No
+        ``local_fast_path``: same-node traffic goes through TyCOd (A3).
+        No ``code_cache``: no digest tables or node code stores, every
+        offer gets a CODE_NEED (A2).  No ``fetch_cache``: every remote
+        instantiation re-runs FETCH (E4's refetch workload is built
+        so).  No ``batching``: one packet per send, no frames.
     distgc / gc_config:
         The lease-based distributed garbage collector (docs/GC.md).
         Off by default -- lease traffic perturbs packet schedules, so

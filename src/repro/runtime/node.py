@@ -29,6 +29,9 @@ from .nameservice import NameService, NameServiceError
 from .site import Site
 from .wire import decode_frame, encode_frame, is_frame
 
+#: A destination's batch is flushed early once this many bytes wait.
+BATCH_BYTES = 4096
+
 
 @dataclass(slots=True)
 class NodeStepReport:
@@ -52,7 +55,6 @@ class Node:
                  fetch_cache: bool = True,
                  code_cache: bool = True,
                  batching: bool = True,
-                 batch_bytes: int = 4096,
                  typecheck: bool = False,
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None,
@@ -80,11 +82,10 @@ class Node:
         self.profiler = None
         #: Wire batching: buffers outgoing buffers per destination while
         #: a scheduling quantum runs and flushes them as one frame at
-        #: the quantum boundary (or earlier, once ``batch_bytes`` is
+        #: the quantum boundary (or earlier, once ``BATCH_BYTES`` are
         #: buffered).  Only active inside :meth:`step`, so direct pumps
         #: from tests and tools behave exactly as before.
         self.batching = batching
-        self.batch_bytes = batch_bytes
         self._batch_buf: dict[str, list[bytes]] = {}
         self._batch_size: dict[str, int] = {}
         self._in_step = False
@@ -135,7 +136,7 @@ class Node:
         self._batch_buf.setdefault(dest_ip, []).append(data)
         size = self._batch_size.get(dest_ip, 0) + len(data)
         self._batch_size[dest_ip] = size
-        if size >= self.batch_bytes:
+        if size >= BATCH_BYTES:
             self._flush_dest(dest_ip)
 
     def _flush_dest(self, dest_ip: str) -> None:
@@ -198,17 +199,7 @@ class Node:
                     distgc=self.distgc, gc_config=self.gc_config,
                     clock=self.now,
                     engine=self.engine)
-        self.sites[site_id] = site
-        self.sites_by_name[site_name] = site
-        site.codestore = self.codestore
-        site.on_work = self.on_work_available
-        if self.obs is not None:
-            site.attach_obs(self.obs)
-        if self.profiler is not None:
-            self.profiler.install(site.vm)
-        # Idempotent: the node holds one subscription, made by its
-        # first create/adopt, however many sites follow.
-        self.nameservice.subscribe(self._on_ns_update)
+        self._admit(site)
         site.boot()
         self.on_work_available()
         return site
@@ -235,6 +226,13 @@ class Node:
         """Wire an already-built site (a checkpoint restore) into the
         pool: :meth:`create_site` minus registration and boot -- the
         site keeps its checkpointed id and resumes mid-program."""
+        self._admit(site)
+        self.on_work_available()
+        return site
+
+    def _admit(self, site: Site) -> None:
+        """Wire a site into the pool: the one admission path of
+        :meth:`create_site` and :meth:`adopt_site`."""
         self.sites[site.site_id] = site
         self.sites_by_name[site.site_name] = site
         if site.codecache is not None:
@@ -244,9 +242,9 @@ class Node:
             site.attach_obs(self.obs)
         if self.profiler is not None:
             self.profiler.install(site.vm)
+        # Idempotent: the node holds one subscription, made by its
+        # first admission, however many sites follow.
         self.nameservice.subscribe(self._on_ns_update)
-        self.on_work_available()
-        return site
 
     def remove_site(self, site: Site) -> None:
         """The one way a site leaves the pool (TyCOi reap, migration
