@@ -268,8 +268,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                            check_termination=args.check_termination,
                            monitor=args.monitor,
                            tracing=args.trace is not None,
-                           metrics=registry,
-                           flight_capacity=args.flight_capacity)
+                           metrics=registry)
     except UnknownNodeError as exc:
         return _unknown_node(exc)
     print(f"chaos seed={run.seed} {config.describe()}")
@@ -355,8 +354,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                               max_time=args.max_time,
                               balance=args.balance,
                               balance_interval=args.balance_interval,
-                              slo=slo,
-                              flight_capacity=args.flight_capacity)
+                              slo=slo)
     except (WorkloadError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -409,18 +407,19 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
+def _host_port(spec: str) -> tuple[str, int]:
+    """``HOST:PORT`` -> (host, port): the argparse type of every
+    address option, so a malformed one is a usage error (exit 2)."""
+    host, _, port = spec.strip().rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"bad address {spec!r}: expected HOST:PORT")
+    return host, int(port)
+
+
 def _parse_controls(spec: str) -> list[tuple[str, int]]:
     """Comma-separated ``HOST:PORT`` list -> [(host, port), ...]."""
-    addrs = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, _, port = part.rpartition(":")
-        if not host or not port.isdigit():
-            raise argparse.ArgumentTypeError(
-                f"bad control address {part!r}: expected HOST:PORT")
-        addrs.append((host, int(port)))
+    addrs = [_host_port(part) for part in spec.split(",") if part.strip()]
     if not addrs:
         raise argparse.ArgumentTypeError(
             "at least one HOST:PORT control address required")
@@ -535,14 +534,8 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     """Order a live daemon (``repro daemon``) to migrate one site."""
     from repro.runtime.cluster import control_call
 
-    host, _, port = args.control.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"bad --control {args.control!r}: expected HOST:PORT",
-              file=sys.stderr)
-        return 2
     try:
-        token = control_call((host, int(port)), "migrate",
-                             args.site, args.dest)
+        token = control_call(args.control, "migrate", args.site, args.dest)
     except (OSError, RuntimeError) as exc:
         print(f"migrate failed: {exc}", file=sys.stderr)
         return 1
@@ -675,10 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--metrics", metavar="PATH", default=None,
                          help="write the Prometheus-style metrics "
                               "exposition (- for stdout)")
-    p_chaos.add_argument("--flight-capacity", type=int, default=None,
-                         metavar="N",
-                         help="flight-recorder ring size per node "
-                              "(default: REPRO_FLIGHT_CAPACITY or 256)")
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_trace = sub.add_parser(
@@ -756,10 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="SLO spec JSON (docs/OBSERVABILITY.md); the "
                            "watchdog checks it during the run and exit "
                            "code 4 flags breaches")
-    p_wl.add_argument("--flight-capacity", type=int, default=None,
-                      metavar="N",
-                      help="flight-recorder ring size per node "
-                           "(default: REPRO_FLIGHT_CAPACITY or 256)")
     p_wl.set_defaults(func=_cmd_workload)
 
     p_daemon = sub.add_parser(
@@ -771,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "static topology)")
     p_daemon.add_argument("--host", default="127.0.0.1",
                           help="interface to bind (default: 127.0.0.1)")
-    p_daemon.add_argument("--ns", default=None, metavar="HOST:PORT",
+    p_daemon.add_argument("--ns", type=_host_port, default=None,
+                          metavar="HOST:PORT",
                           help="name service location (required unless "
                                "--serve-ns)")
     p_daemon.add_argument("--serve-ns", action="store_true",
@@ -790,10 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="turn on the observability plane: causal "
                                "tracing plus trace/flight sinks served "
                                "over the control protocol")
-    p_daemon.add_argument("--flight-capacity", type=int, default=None,
-                          metavar="N",
-                          help="flight-recorder ring size (with --obs; "
-                               "default: REPRO_FLIGHT_CAPACITY or 256)")
     p_daemon.set_defaults(func=_cmd_daemon)
 
     p_migrate = sub.add_parser(
@@ -802,7 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
              "daemon cluster (docs/MIGRATION.md)")
     p_migrate.add_argument("site", help="site name at the source daemon")
     p_migrate.add_argument("dest", help="destination node's logical IP")
-    p_migrate.add_argument("--control", required=True, metavar="HOST:PORT",
+    p_migrate.add_argument("--control", type=_host_port, required=True,
+                           metavar="HOST:PORT",
                            help="the *source* daemon's control port "
                                 "(from its READY line)")
     p_migrate.set_defaults(func=_cmd_migrate)

@@ -38,7 +38,6 @@ import hashlib
 import re
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 from repro.compiler.assembly import Program
 from repro.compiler.linker import CodeBundle, link_bundle
@@ -411,7 +410,7 @@ def capture_site(site: Site) -> SiteCheckpoint:
 
 def build_site(code_bytes: bytes, state_bytes: bytes, *,
                ip: str, nameservice: NameService,
-               clock=None, engine: Optional[str] = None) -> Site:
+               clock=None) -> Site:
     """Rebuild a site at ``ip`` from its checkpoint parts.
 
     The returned site is *not* adopted into any node, registered with
@@ -435,7 +434,7 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
                     fetch_cache=state["fetch_cache"],
                     code_cache=state["codecache"] is not None,
                     distgc=gc_state is not None, gc_config=gc_config,
-                    clock=clock, engine=engine)
+                    clock=clock)
         _fill_site(site, state, old_ip=state["ip"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(
@@ -594,5 +593,4 @@ def read_checkpoint(data: bytes) -> tuple[bytes, bytes]:
 def restore_site(node, code_bytes: bytes, state_bytes: bytes) -> Site:
     """Rebuild a site onto ``node`` (not yet adopted or registered)."""
     return build_site(code_bytes, state_bytes, ip=node.ip,
-                      nameservice=node.nameservice, clock=node.now,
-                      engine=node.engine)
+                      nameservice=node.nameservice, clock=node.now)

@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = exports(__name__, {
                "events_from_jsonl events_to_jsonl merge_metrics stitch_events "
                "stitch_trace_json top_table",
     "events": "CATEGORY_OF KNOWN_KINDS ObsEvent category_of",
-    "flight": "FlightRecorder resolve_capacity",
+    "flight": "FlightRecorder",
     "metrics": "Counter Gauge Histogram MetricsRegistry merge_snapshots "
                "world_metrics",
     "profiler": "VMProfiler",

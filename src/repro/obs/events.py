@@ -123,10 +123,6 @@ class ObsEvent:
     span: int = 0
     note: str = ""
 
-    @property
-    def cat(self) -> str:
-        return category_of(self.kind)
-
     def __str__(self) -> str:
         route = f"{self.src}->{self.dst}" if self.dst else self.src
         at = f"@{self.node}" if self.node else ""

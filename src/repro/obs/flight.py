@@ -11,39 +11,19 @@ includes the dump in :class:`~repro.testkit.explore.ChaosRun`.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 from .events import ObsEvent
 
+#: Events kept per node ring (read when a recorder is built).
 DEFAULT_CAPACITY = 256
-
-#: Environment override for the default ring capacity.
-CAPACITY_ENV = "REPRO_FLIGHT_CAPACITY"
-
-
-def resolve_capacity(cli: int | None = None) -> int:
-    """The effective ring capacity: ``--flight-capacity`` beats
-    :data:`CAPACITY_ENV` beats :data:`DEFAULT_CAPACITY`."""
-    if cli is None:
-        raw = os.environ.get(CAPACITY_ENV)
-        if raw is None:
-            return DEFAULT_CAPACITY
-        try:
-            cli = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CAPACITY_ENV}={raw!r} is not an integer") from None
-    if cli < 1:
-        raise ValueError(f"flight capacity must be >= 1, got {cli}")
-    return cli
 
 
 class FlightRecorder:
     """Bus sink keeping the last ``capacity`` events per node."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
+    def __init__(self, capacity: int | None = None) -> None:
+        self.capacity = DEFAULT_CAPACITY if capacity is None else capacity
         self._rings: dict[str, deque[ObsEvent]] = {}
         self._evicted: dict[str, int] = {}
         #: Every dump produced so far (reason, text).

@@ -580,7 +580,7 @@ def world_metrics(world, registry: Optional[MetricsRegistry] = None
     # rendered when the world actually ran over TCP, so simulator
     # expositions are unchanged.
     if world.stats.handshakes or world.stats.resets \
-            or world.stats.throttled or world.stats.backpressure_waits:
+            or world.stats.backpressure_waits:
         socket_g = {
             "repro_socket_handshakes_total":
                 ("Connection handshakes completed.",
@@ -594,12 +594,6 @@ def world_metrics(world, registry: Optional[MetricsRegistry] = None
             "repro_socket_resets_total":
                 ("Unclean connection drops observed.",
                  world.stats.resets),
-            "repro_socket_throttled_total":
-                ("Sends delayed by the token bucket.",
-                 world.stats.throttled),
-            "repro_socket_throttle_wait_seconds_total":
-                ("Cumulative token-bucket wait time.",
-                 world.stats.throttle_wait_s),
             "repro_socket_backpressure_waits_total":
                 ("Sends that blocked on a full outbound queue.",
                  world.stats.backpressure_waits),

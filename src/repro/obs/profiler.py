@@ -7,22 +7,15 @@ Every sample is attributed to ``(site, program block, handler kind)``
 block which compiled definition, the handler kind which opcode was
 about to execute.
 
-Two sampling modes:
-
-* ``instructions`` (simulator): a sample fires every ``stride``
-  executed instructions.  :meth:`TycoVM.step` runs its slices in
-  chunks capped at the stride remainder, so samples land at exact
-  instruction boundaries -- the profile is a pure function of
-  ``(program, seed, stride)`` and repeated runs are byte-identical
-  (:meth:`collapsed` output is sorted).  Chunking preserves slice
-  boundaries and instruction accounting (a chunk end is a budget end,
-  and every tier already lands those on the exact instruction), so
-  schedules with the profiler attached are bit-identical to
-  unprofiled runs.
-* ``wall`` (socket / daemon worlds): slices run in fixed
-  ``wall_chunk`` instruction chunks and a sample is recorded when at
-  least ``interval_s`` of wall clock elapsed since the last one --
-  classic low-overhead wall-clock sampling, not deterministic.
+A sample fires every ``stride`` executed instructions.
+:meth:`TycoVM.step` runs its slices in chunks capped at the stride
+remainder, so samples land at exact instruction boundaries -- the
+profile is a pure function of ``(program, seed, stride)`` and repeated
+runs are byte-identical (:meth:`collapsed` output is sorted).
+Chunking preserves slice boundaries and instruction accounting (a
+chunk end is a budget end, and every tier already lands those on the
+exact instruction), so schedules with the profiler attached are
+bit-identical to unprofiled runs.
 
 Output: collapsed-stack flamegraph text (``site;block;kind count``
 lines, the format ``flamegraph.pl`` and speedscope consume) and
@@ -31,13 +24,7 @@ lines, the format ``flamegraph.pl`` and speedscope consume) and
 
 from __future__ import annotations
 
-from typing import Optional
-
-MODES = ("instructions", "wall")
-
 DEFAULT_STRIDE = 4096
-DEFAULT_WALL_CHUNK = 1024
-DEFAULT_INTERVAL_S = 1e-3
 
 
 class VMProfiler:
@@ -50,29 +37,13 @@ class VMProfiler:
     untouched.
     """
 
-    def __init__(self, stride: int = DEFAULT_STRIDE,
-                 mode: str = "instructions",
-                 interval_s: float = DEFAULT_INTERVAL_S,
-                 wall_chunk: int = DEFAULT_WALL_CHUNK,
-                 clock=None) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown profiler mode {mode!r} "
-                             f"(choose from {', '.join(MODES)})")
+    def __init__(self, stride: int = DEFAULT_STRIDE) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        if wall_chunk < 1:
-            raise ValueError(f"wall_chunk must be >= 1, got {wall_chunk}")
         self.stride = stride
-        self.mode = mode
-        self.interval_s = interval_s
-        self.wall_chunk = wall_chunk
-        if clock is None:
-            from repro.transport.clock import monotime as clock
-        self.clock = clock
         #: (site, block, kind) -> sample count.
         self.counts: dict[tuple[str, str, str], int] = {}
         self.samples = 0
-        self._last_wall: Optional[float] = None
 
     # -- installation --------------------------------------------------------
 
@@ -93,25 +64,16 @@ class VMProfiler:
 
     def next_chunk(self, vm) -> int:
         """Instructions the VM may run before the next sample point."""
-        if self.mode == "instructions":
-            return vm._profile_left
-        return self.wall_chunk
+        return vm._profile_left
 
     def account(self, vm, thread, ran: int) -> None:
         """Charge ``ran`` executed instructions; record a sample when
-        a stride boundary (or wall interval) was reached."""
-        if self.mode == "instructions":
-            left = vm._profile_left - ran
-            if left <= 0:
-                self._record(vm, thread)
-                left = self.stride
-            vm._profile_left = left
-        else:
-            now = self.clock()
-            if self._last_wall is None \
-                    or now - self._last_wall >= self.interval_s:
-                self._last_wall = now
-                self._record(vm, thread)
+        a stride boundary was reached."""
+        left = vm._profile_left - ran
+        if left <= 0:
+            self._record(vm, thread)
+            left = self.stride
+        vm._profile_left = left
 
     def _record(self, vm, thread) -> None:
         from repro.vm.dispatch import handler_kind

@@ -221,8 +221,7 @@ def daemon_main(args: argparse.Namespace) -> int:
             print("daemon: --ns HOST:PORT required unless --serve-ns",
                   file=sys.stderr)
             return 2
-        host_s, _, port_s = args.ns.rpartition(":")
-        ns_host, ns_port = host_s, int(port_s)
+        ns_host, ns_port = args.ns
 
     ns = NameServiceClient(ns_host, ns_port)
     world = DaemonWorld(directory=ns.node_addr, host=args.host,
@@ -236,13 +235,11 @@ def daemon_main(args: argparse.Namespace) -> int:
         # daemon runs stay byte-identical to pre-plane daemons.
         from repro.obs import (FlightRecorder, MetricsRegistry,
                                TraceCollector)
-        from repro.obs.flight import resolve_capacity
 
         world.obs.tracing = True
         collector = TraceCollector()
         world.obs.subscribe(collector)
-        recorder = FlightRecorder(
-            resolve_capacity(getattr(args, "flight_capacity", None)))
+        recorder = FlightRecorder()
         world.obs.subscribe(recorder)
         registry = MetricsRegistry()
         world.obs.subscribe(registry)
@@ -284,8 +281,7 @@ class ProcessCluster:
     def __init__(self, ips, host: str = "127.0.0.1",
                  quantum: int = 512,
                  python: str = sys.executable,
-                 obs: bool = False,
-                 flight_capacity: Optional[int] = None) -> None:
+                 obs: bool = False) -> None:
         self.ips = list(ips)
         if not self.ips:
             raise ValueError("a cluster needs at least one node")
@@ -293,9 +289,8 @@ class ProcessCluster:
         self.quantum = quantum
         self.python = python
         #: Spawn daemons with ``--obs`` (scrapeable trace/flight/metrics
-        #: sinks + span tracing) and an optional flight-ring capacity.
+        #: sinks + span tracing).
         self.obs = obs
-        self.flight_capacity = flight_capacity
         self.procs: dict[str, subprocess.Popen] = {}
         self.control: dict[str, tuple[str, int]] = {}
         self.ns: Optional[NameServiceClient] = None
@@ -308,8 +303,6 @@ class ProcessCluster:
                "--host", self.host, "--quantum", str(self.quantum)]
         if self.obs:
             cmd.append("--obs")
-        if self.flight_capacity is not None:
-            cmd += ["--flight-capacity", str(self.flight_capacity)]
         if serve_ns:
             cmd.append("--serve-ns")
         else:

@@ -62,8 +62,7 @@ class DiTyCONetwork:
                  batching: bool = True,
                  typecheck: bool = False,
                  distgc: bool = False,
-                 gc_config=None,
-                 engine=None) -> None:
+                 gc_config=None) -> None:
         if world is None:
             world = SimWorld(cluster) if cluster else SimWorld()
         elif cluster is not None:
@@ -77,10 +76,6 @@ class DiTyCONetwork:
         self.typecheck = typecheck
         self.distgc = distgc
         self.gc_config = gc_config
-        #: VM engine for every site (None = the REPRO_VM_ENGINE env
-        #: default; see docs/PERF.md): "compiled" is production,
-        #: "slow" the instrumented reference loop.
-        self.engine = engine
         #: Sampling profiler (repro.obs.profiler): a plain attribute
         #: read at :meth:`add_node` time, normally set through
         #: ``VMProfiler.install_network`` -- None keeps every VM on the
@@ -107,8 +102,7 @@ class DiTyCONetwork:
                     batching=self.batching,
                     typecheck=self.typecheck,
                     distgc=self.distgc,
-                    gc_config=gc_config,
-                    engine=self.engine)
+                    gc_config=gc_config)
         node.profiler = self.profiler
         self.world.add_node(node)
         return node

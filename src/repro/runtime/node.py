@@ -50,15 +50,13 @@ class Node:
     """One IP node: a pool of sites plus the TyCOd/TyCOi daemons."""
 
     def __init__(self, ip: str, nameservice: NameService,
-                 send: Optional[Callable[[str, str, bytes], None]] = None,
                  local_fast_path: bool = True,
                  fetch_cache: bool = True,
                  code_cache: bool = True,
                  batching: bool = True,
                  typecheck: bool = False,
                  distgc: bool = False,
-                 gc_config: Optional[GcConfig] = None,
-                 engine: Optional[str] = None) -> None:
+                 gc_config: Optional[GcConfig] = None) -> None:
         self.ip = ip
         self.nameservice = nameservice
         self.sites: dict[int, Site] = {}
@@ -73,9 +71,6 @@ class Node:
         #: ablation A2 (``code_cache=False``).
         self.codestore: Optional[CodeStore] = (
             CodeStore() if code_cache else None)
-        #: VM engine for every site this node creates (None = the
-        #: REPRO_VM_ENGINE env default; see docs/PERF.md).
-        self.engine = engine
         #: Sampling profiler (repro.obs.profiler): when set (usually by
         #: VMProfiler.install_network), every site this node creates or
         #: adopts gets the profiler installed on its VM.
@@ -98,7 +93,7 @@ class Node:
         self._gc_sweep_s = (gc_config or GcConfig()).sweep_s
         self._next_sweep = 0.0
         self._clock: Callable[[], float] = monotime
-        self._send = send
+        self._send: Optional[Callable[[str, str, bytes], None]] = None
         self._wakeup: Optional[Callable[[], None]] = None
         #: The world's observability bus (repro.obs), set by add_node
         #: via :meth:`attach_obs`.  None for a standalone node.
@@ -197,8 +192,7 @@ class Node:
                     code_cache=self.code_cache,
                     name_signatures=name_signatures,
                     distgc=self.distgc, gc_config=self.gc_config,
-                    clock=self.now,
-                    engine=self.engine)
+                    clock=self.now)
         self._admit(site)
         site.boot()
         self.on_work_available()

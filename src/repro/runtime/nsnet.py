@@ -49,6 +49,11 @@ from .nameservice import (
     UnknownSiteName,
 )
 
+#: How often a subscribed client asks the server for its version.
+POLL_INTERVAL_S = 0.02
+#: Connect timeout, and the blocking-socket timeout of every call.
+CALL_TIMEOUT_S = 10.0
+
 _ERRORS = {
     "NameServiceError": NameServiceError,
     "UnknownSiteName": UnknownSiteName,
@@ -170,9 +175,8 @@ def _check(kind: type, *values) -> None:
 class NameServiceServer(RpcServer):
     """The name service as an actual TCP server (one per cluster)."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 nameservice: Optional[NameService] = None) -> None:
-        self.ns = nameservice or NameService()
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.ns = NameService()
         self._version = 0
         self._nodes: dict[str, tuple[str, int]] = {}
         self._lock = threading.Lock()
@@ -279,12 +283,8 @@ class NameServiceClient:
     callback through :attr:`handoff`.
     """
 
-    def __init__(self, host: str, port: int,
-                 poll_interval: float = 0.02,
-                 timeout: float = 10.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.addr = (host, port)
-        self.poll_interval = poll_interval
-        self.timeout = timeout
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._subscribers: dict[Callable[[], None], None] = {}
@@ -298,7 +298,7 @@ class NameServiceClient:
     # -- plumbing ------------------------------------------------------------
 
     def _connect(self) -> socket.socket:
-        sock = socket.create_connection(self.addr, timeout=self.timeout)
+        sock = socket.create_connection(self.addr, timeout=CALL_TIMEOUT_S)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
@@ -436,4 +436,4 @@ class NameServiceClient:
                 self._seen_version = version
                 for cb in list(self._subscribers):
                     self.handoff(cb)
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(POLL_INTERVAL_S)

@@ -108,8 +108,7 @@ class Site:
                  name_signatures: Optional[dict] = None,
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None,
-                 clock: Optional[Callable[[], float]] = None,
-                 engine: Optional[str] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.site_name = site_name
         self.site_id = site_id
         self.ip = ip
@@ -120,7 +119,7 @@ class Site:
         self.alias_ips: set[str] = set()
         self.nameservice = nameservice
         self.fetch_cache = fetch_cache
-        self.vm = TycoVM(program, port=self, name=site_name, engine=engine)
+        self.vm = TycoVM(program, port=self, name=site_name)
         self.stats = SiteStats()
         # Distributed GC (repro.runtime.distgc, docs/GC.md).  Off by
         # default: lease traffic perturbs packet schedules, so it is
@@ -587,7 +586,7 @@ class Site:
         dest = (target.ip, target.site_id)
         payload = (target.heap_id, label,
                    tuple(self.marshal_value(a, dest) for a in args))
-        self._send(KIND_MESSAGE, target, payload)
+        self._send(KIND_MESSAGE, target.ip, target.site_id, payload)
         self._trace("shipm", target.ip, size=len(args), note=label)
 
     def _digest_of(self, kind: str, item_id: int) -> bytes:
@@ -618,7 +617,7 @@ class Site:
         dest = (target.ip, target.site_id)
         payload = (token, target.heap_id, positions, digests,
                    tuple(self.marshal_value(v, dest) for v in env))
-        self._send(KIND_OBJECT, target, payload)
+        self._send(KIND_OBJECT, target.ip, target.site_id, payload)
         self._trace("shipo", target.ip, size=len(block_ids))
 
     def fetch_instance(self, cref: RemoteClassRef, args: tuple) -> None:
@@ -636,21 +635,19 @@ class Site:
             return
         self._pending_fetch[key] = [args]
         self.stats.fetch_requests_sent += 1
-        self.outgoing.append(Packet(
-            kind=KIND_FETCH_REQUEST,
-            src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=cref.ip, dest_site_id=cref.site_id,
-            payload=(cref.class_id,),
-            span=self._obs_span(),
-        ))
-        self.stats.packets_sent += 1
+        self._send(KIND_FETCH_REQUEST, cref.ip, cref.site_id,
+                   (cref.class_id,))
         self._trace("fetch-req", cref.ip, note=f"class {cref.class_id}")
 
-    def _send(self, kind: str, target: NetRef, payload) -> None:
+    def _send(self, kind: str, dest_ip: str, dest_site_id: int,
+              payload) -> None:
+        """Queue one packet for the TyCOd.  The caller has built
+        ``payload`` already, so marshalling runs before the span is
+        allocated: span ids and wire bytes depend on that order."""
         self.outgoing.append(Packet(
             kind=kind,
             src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=target.ip, dest_site_id=target.site_id,
+            dest_ip=dest_ip, dest_site_id=dest_site_id,
             payload=payload,
             span=self._obs_span(),
         ))
@@ -722,14 +719,7 @@ class Site:
 
     def _send_ref(self, kind: str, owner: tuple[str, int],
                   keys: tuple) -> None:
-        self.outgoing.append(Packet(
-            kind=kind,
-            src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=owner[0], dest_site_id=owner[1],
-            payload=(tuple(keys),),
-            span=self._obs_span(),
-        ))
-        self.stats.packets_sent += 1
+        self._send(kind, owner[0], owner[1], (tuple(keys),))
         if self.on_work is not None:
             self.on_work()
 
@@ -875,15 +865,9 @@ class Site:
         captured = tuple(self.marshal_value(v, requester)
                          for v in classref.env[:group.nfree])
         self.stats.fetch_replies_served += 1
-        self.outgoing.append(Packet(
-            kind=KIND_FETCH_REPLY,
-            src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=packet.src_ip, dest_site_id=packet.src_site_id,
-            payload=(class_id, root_digest, classref.index, captured,
-                     classref.hint),
-            span=self._obs_span(),
-        ))
-        self.stats.packets_sent += 1
+        self._send(KIND_FETCH_REPLY, packet.src_ip, packet.src_site_id,
+                   (class_id, root_digest, classref.index, captured,
+                    classref.hint))
         self._trace("fetch-serve", packet.src_ip, note=f"class {class_id}")
 
     # -- the offer / need / reply protocol (docs/WIRE.md) ---------------------
@@ -895,14 +879,8 @@ class Site:
             for digest in digests:
                 self.codecache.mark_in_flight(digest)
         self.stats.code_needs_sent += 1
-        self.outgoing.append(Packet(
-            kind=KIND_CODE_NEED,
-            src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=src_ip, dest_site_id=src_site_id,
-            payload=(token_kind, token_val, digests),
-            span=self._obs_span(),
-        ))
-        self.stats.packets_sent += 1
+        self._send(KIND_CODE_NEED, src_ip, src_site_id,
+                   (token_kind, token_val, digests))
         self._trace("code-need", src_ip, size=len(digests))
 
     def _park_offer(self, packet: Packet, token_kind: str, token_val,
@@ -1042,14 +1020,8 @@ class Site:
             reply = (store.deposit(root_digest, bundle) if store is not None
                      else (bundle, manifest_for_bundle(bundle)))
         self.stats.code_replies_served += 1
-        self.outgoing.append(Packet(
-            kind=KIND_CODE_REPLY,
-            src_ip=self.ip, src_site_id=self.site_id,
-            dest_ip=packet.src_ip, dest_site_id=packet.src_site_id,
-            payload=(token_kind, token_val, *reply),
-            span=self._obs_span(),
-        ))
-        self.stats.packets_sent += 1
+        self._send(KIND_CODE_REPLY, packet.src_ip, packet.src_site_id,
+                   (token_kind, token_val, *reply))
 
     def _verify_code_reply(self, pkey, bundle, manifest) -> list:
         """Nothing unverified is linked or stored: every digest of the
@@ -1200,11 +1172,4 @@ class Site:
             if (ip, sid, "fetch", class_id) in self._pending_code:
                 continue  # offer arrived; the re-sent NEED covers it
             self.stats.fetch_requests_sent += 1
-            self.outgoing.append(Packet(
-                kind=KIND_FETCH_REQUEST,
-                src_ip=self.ip, src_site_id=self.site_id,
-                dest_ip=ip, dest_site_id=sid,
-                payload=(class_id,),
-                span=self._obs_span(),
-            ))
-            self.stats.packets_sent += 1
+            self._send(KIND_FETCH_REQUEST, ip, sid, (class_id,))

@@ -35,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.events import ObsEvent
-from repro.transport.links import ClusterModel
 from repro.transport.sim import SimWorld
 
 
@@ -82,10 +81,6 @@ class ChaosConfig:
         configs (only reordering/delay) must be answer-confluent."""
         return (self.drop_prob == 0.0 and self.dup_prob == 0.0
                 and not self.crashes)
-
-    def is_fault_free(self) -> bool:
-        return self.is_loss_free() and self.jitter_s == 0.0 \
-            and self.delay_prob == 0.0
 
     def describe(self) -> str:
         crashes = ",".join(c.describe() for c in self.crashes) or "-"
@@ -149,10 +144,9 @@ class ChaosWorld(SimWorld):
     outputs and clocks.
     """
 
-    def __init__(self, seed: int = 0, config: ChaosConfig | None = None,
-                 cluster: ClusterModel | None = None,
-                 quantum: int = 256) -> None:
-        super().__init__(cluster, quantum)
+    def __init__(self, seed: int = 0,
+                 config: ChaosConfig | None = None) -> None:
+        super().__init__()
         self.seed = seed
         self.config = config or ChaosConfig()
         self.rng = random.Random(seed)

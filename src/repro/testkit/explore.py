@@ -21,7 +21,7 @@ Every finding carries the one-line ``repro`` command that replays it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.obs import FlightRecorder, TraceCollector, chrome_trace_json
 from repro.runtime.network import DiTyCONetwork
@@ -88,7 +88,7 @@ class ExplorationReport:
     """The aggregate of one :func:`explore` sweep."""
 
     config: ChaosConfig
-    baseline: Optional[ChaosRun]
+    baseline: ChaosRun
     runs: list[ChaosRun]
     divergent: list[ChaosRun] = field(default_factory=list)
     violations: list[tuple[int, str]] = field(default_factory=list)
@@ -128,8 +128,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
                  check_termination: bool = False,
                  monitor: bool = False,
                  tracing: bool = False,
-                 metrics=None,
-                 flight_capacity: int | None = None) -> ChaosRun:
+                 metrics=None) -> ChaosRun:
     """Run ``scenario`` once under ``(seed, config)`` and check the
     per-run invariants.
 
@@ -146,14 +145,11 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     deterministic, so the same ``(seed, config)`` yields the same
     bytes.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     is subscribed as a sink and topped up with the end-of-run gauge
-    snapshot.  ``flight_capacity`` sizes the recorder's per-node rings
-    (else ``REPRO_FLIGHT_CAPACITY``, else the default).
+    snapshot.
     """
-    from repro.obs.flight import resolve_capacity
-
     config = config or ChaosConfig()
     world = ChaosWorld(seed=seed, config=config)
-    recorder = FlightRecorder(resolve_capacity(flight_capacity))
+    recorder = FlightRecorder()
     world.obs.subscribe(recorder)
     if metrics is not None:
         world.obs.subscribe(metrics)
@@ -246,8 +242,7 @@ def explore(scenario: Scenario, seeds: Iterable[int],
             config: ChaosConfig | None = None,
             max_time: float = DEFAULT_MAX_TIME,
             check_termination: bool = False,
-            monitor: bool = False,
-            baseline: bool = True) -> ExplorationReport:
+            monitor: bool = False) -> ExplorationReport:
     """Sweep ``scenario`` across ``seeds`` under ``config``.
 
     Cross-run checks on top of the per-run invariants:
@@ -260,11 +255,9 @@ def explore(scenario: Scenario, seeds: Iterable[int],
       in the regression corpus.
     """
     config = config or ChaosConfig()
-    base = None
-    if baseline:
-        base = run_scenario(scenario, seed=0, config=ChaosConfig(),
-                            max_time=max_time,
-                            check_termination=check_termination)
+    base = run_scenario(scenario, seed=0, config=ChaosConfig(),
+                        max_time=max_time,
+                        check_termination=check_termination)
     runs = [run_scenario(scenario, seed, config, max_time,
                          check_termination=check_termination,
                          monitor=monitor)
@@ -273,13 +266,10 @@ def explore(scenario: Scenario, seeds: Iterable[int],
     for run in runs:
         for message in run.violations:
             report.violations.append((run.seed, message))
-    ref = base if base is not None else (runs[0] if runs else None)
-    reference = ref.canonical_outputs() if ref is not None else None
+    reference = base.canonical_outputs()
     for run in runs:
-        if ref is None:
-            break
         same = (run.canonical_outputs() == reference
-                and run.quiescent == ref.quiescent)
+                and run.quiescent == base.quiescent)
         if same:
             continue
         if config.is_loss_free():

@@ -83,8 +83,7 @@ class ChaosProxy:
     """
 
     def __init__(self, seed: int = 0, config: ChaosConfig | None = None,
-                 resets: tuple[LinkReset, ...] = (),
-                 time_scale: float = 1.0) -> None:
+                 resets: tuple[LinkReset, ...] = ()) -> None:
         self.seed = seed
         self.config = config or ChaosConfig()
         if self.config.crashes:
@@ -92,7 +91,6 @@ class ChaosProxy:
                 "ChaosProxy models crash-restart as connection resets; "
                 "pass LinkReset entries instead of CrashEvents")
         self.resets = tuple(resets)
-        self.time_scale = time_scale
         self.stats: dict[tuple[str, str], LinkStats] = {}
         self.faults: list[str] = []
         self._loop: LoopThread | None = None
@@ -245,7 +243,7 @@ class ChaosProxy:
             if delay > 0.0:
                 # Sleeping the stream delays everything behind this
                 # record too: per-link FIFO, exactly like the simulator.
-                await asyncio.sleep(delay * self.time_scale)
+                await asyncio.sleep(delay)
             for _ in range(copies):
                 upstream_writer.write(encode_record(record))
             await upstream_writer.drain()

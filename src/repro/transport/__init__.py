@@ -14,5 +14,5 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "links": "FAST_ETHERNET LOOPBACK MYRINET ClusterModel LinkModel "
              "fast_ethernet_cluster myrinet_cluster",
     "sim": "SimWorld",
-    "socket": "SocketEndpoint SocketWorld StreamDecoder TokenBucket",
+    "socket": "SocketEndpoint SocketWorld StreamDecoder",
 })

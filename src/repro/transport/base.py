@@ -39,7 +39,7 @@ class TransportStats:
 
     The first three fields are meaningful everywhere; the remainder
     are only driven by the socket transport (handshakes, reconnects,
-    token-bucket throttling, bounded-queue backpressure) and stay at
+    bounded-queue backpressure) and stay at
     their zero defaults under the simulated world -- so existing
     consumers and renders are unaffected.
     """
@@ -52,8 +52,6 @@ class TransportStats:
     handshake_failures: int = 0    # rejected (version/magic mismatch)
     reconnects: int = 0            # re-established links (attempt >= 2)
     resets: int = 0                # unclean connection drops observed
-    throttled: int = 0             # records delayed by the token bucket
-    throttle_wait_s: float = 0.0   # total seconds spent throttled
     backpressure_waits: int = 0    # steps deferred by a full link queue
     queue_peak: int = 0            # max records queued on any one link
 

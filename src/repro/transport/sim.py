@@ -29,14 +29,17 @@ from .base import World
 from .links import ClusterModel, myrinet_cluster
 
 
+#: Instructions a node may run per scheduling step.
+QUANTUM = 256
+
+
 class SimWorld(World):
     """Single-threaded simulated cluster."""
 
-    def __init__(self, cluster: ClusterModel | None = None,
-                 quantum: int = 256) -> None:
+    def __init__(self, cluster: ClusterModel | None = None) -> None:
         super().__init__()
         self.cluster = cluster or myrinet_cluster()
-        self.quantum = quantum
+        self.quantum = QUANTUM
         self._clock = 0.0
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
@@ -172,12 +175,6 @@ class SimWorld(World):
             self._clock = max(self._clock, time)
             action()
         return self._clock - start
-
-    def kick(self) -> None:
-        """Schedule an initial step for every node (used after loading
-        programs directly, without going through the shell)."""
-        for ip in self.nodes:
-            self._wake(ip)
 
     # -- control plane ---------------------------------------------------------
 

@@ -20,9 +20,9 @@ Three layers (see docs/TRANSPORT.md):
   as :meth:`~repro.runtime.node.Node.on_link_reset` (crash-restart
   semantics: in-flight code requests re-drive, plain messages may be
   lost).
-* **backpressure** -- each link owns an outbound queue (a world does
-  not step a node while one of its links holds ``queue_limit``
-  records) and an optional :class:`TokenBucket` rate limiter; both are
+* **backpressure** -- each link owns an outbound queue, and a world
+  does not step a node while one of its links holds
+  :data:`QUEUE_LIMIT` records; the peak depth and the deferrals are
   visible in :class:`~repro.transport.base.TransportStats`.
 
 :class:`SocketWorld` runs the whole network in one process on one
@@ -57,6 +57,13 @@ WIRE_VERSION = 1
 #: hostile stream turning a garbage length prefix into a giant
 #: allocation.  Far above any real frame (code bundles are KBs).
 MAX_RECORD = 16 * 1024 * 1024
+
+#: Records a link queues before its node is deferred (backpressure).
+QUEUE_LIMIT = 1024
+#: First redial delay after a failed connect or handshake; doubles per
+#: failure up to :data:`BACKOFF_CAP` seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
 
 _LEN = struct.Struct(">I")
 _HELLO = struct.Struct(">4sBIIH")     # magic, version, attempt, generation, len(ip)
@@ -123,8 +130,8 @@ def decode_hello(payload: bytes) -> tuple[bytes, int, int, int, str]:
     return magic, version, attempt, generation, ip
 
 
-def encode_ack(status: int, version: int = WIRE_VERSION) -> bytes:
-    return _ACK.pack(MAGIC, status, version)
+def encode_ack(status: int) -> bytes:
+    return _ACK.pack(MAGIC, status, WIRE_VERSION)
 
 
 def decode_ack(payload: bytes) -> tuple[int, int]:
@@ -133,42 +140,6 @@ def decode_ack(payload: bytes) -> tuple[int, int]:
     if magic != MAGIC:
         raise ValueError("bad handshake ack")
     return status, version
-
-
-class TokenBucket:
-    """Deterministic token-bucket rate limiter (reserve semantics).
-
-    ``reserve(n)`` always succeeds and returns how long the caller
-    must wait before acting -- the bucket balance may go negative, so
-    callers queue behind each other in FIFO order instead of busy
-    retrying (the py-evm token bucket's trick).  Pure function of the
-    injected clock: unit-testable without sleeping.
-    """
-
-    def __init__(self, rate: float, capacity: float,
-                 clock: Callable[[], float] = monotime) -> None:
-        if rate <= 0 or capacity <= 0:
-            raise ValueError("rate and capacity must be positive")
-        self.rate = float(rate)
-        self.capacity = float(capacity)
-        self._clock = clock
-        self._tokens = self.capacity
-        self._updated = clock()
-
-    def _refill(self, now: float) -> None:
-        self._tokens = min(self.capacity,
-                           self._tokens + (now - self._updated) * self.rate)
-        self._updated = now
-
-    def reserve(self, n: float = 1.0) -> float:
-        """Take ``n`` tokens; return the seconds to wait before using
-        them (0.0 when the bucket covers the cost now)."""
-        now = self._clock()
-        self._refill(now)
-        self._tokens -= n
-        if self._tokens >= 0.0:
-            return 0.0
-        return -self._tokens / self.rate
 
 
 class _Link:
@@ -266,14 +237,7 @@ class SocketEndpoint:
                  on_reset_observed: Optional[Callable[[str], None]] = None,
                  on_drain: Callable[[], None] = lambda: None,
                  generation: Callable[[], int] = lambda: 0,
-                 host: str = "127.0.0.1",
-                 version: int = WIRE_VERSION,
-                 accept_version: int = WIRE_VERSION,
-                 rate_limit: Optional[float] = None,
-                 burst: float = 64.0,
-                 queue_limit: int = 1024,
-                 backoff_base: float = 0.05,
-                 backoff_cap: float = 1.0) -> None:
+                 host: str = "127.0.0.1") -> None:
         from .base import TransportStats
 
         self.ip = ip
@@ -288,17 +252,8 @@ class SocketEndpoint:
         #: Told when a link's queue empties or drops below the limit.
         self.on_drain = on_drain
         self.generation = generation
-        self.version = version
-        self.accept_version = accept_version
-        self.rate_limit = rate_limit
-        self.burst = burst
-        self.queue_limit = queue_limit
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.bucket = (TokenBucket(rate_limit, burst)
-                       if rate_limit is not None else None)
         self._links: dict[str, _Link] = {}
-        #: Destinations whose queue holds ``queue_limit`` records or more.
+        #: Destinations whose queue holds :data:`QUEUE_LIMIT` records or more.
         self.full: set[str] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbound: set[asyncio.StreamWriter] = set()
@@ -367,7 +322,7 @@ class SocketEndpoint:
 
     def send(self, dst_ip: str, data: bytes) -> None:
         """Queue one record for ``dst_ip`` (on the loop).  Never blocks:
-        a queue that reaches ``queue_limit`` puts ``dst_ip`` in
+        a queue that reaches :data:`QUEUE_LIMIT` puts ``dst_ip`` in
         :attr:`full` until the drain frees a slot.  Dead-letters the
         record if the link was rejected or closed."""
         link = self._links.get(dst_ip)
@@ -385,13 +340,13 @@ class SocketEndpoint:
         depth = len(queue)
         if depth > self.stats.queue_peak:
             self.stats.queue_peak = depth
-        if depth >= self.queue_limit:
+        if depth >= QUEUE_LIMIT:
             self.full.add(dst_ip)
         if link.event is not None:
             link.event.set()
 
     async def _run_link(self, link: _Link) -> None:
-        backoff = self.backoff_base
+        backoff = BACKOFF_BASE
         while not self._closed and link.state != "closed":
             link.state = "connecting"
             try:
@@ -402,21 +357,21 @@ class SocketEndpoint:
                 # Peer unreachable or not yet in the directory (its
                 # registration may still be propagating): back off.
                 await asyncio.sleep(backoff)
-                backoff = min(self.backoff_cap, backoff * 2)
+                backoff = min(BACKOFF_CAP, backoff * 2)
                 continue
             try:
                 accepted = await self._handshake(link, reader, writer)
             except (OSError, asyncio.IncompleteReadError, ValueError):
                 writer.close()
                 await asyncio.sleep(backoff)
-                backoff = min(self.backoff_cap, backoff * 2)
+                backoff = min(BACKOFF_CAP, backoff * 2)
                 continue
             if not accepted:
                 link.state = "rejected"
                 self._dead_letter(link)
                 writer.close()
                 return
-            backoff = self.backoff_base
+            backoff = BACKOFF_BASE
             link.attempt += 1
             link.state = "up"
             self.stats.handshakes += 1
@@ -440,8 +395,7 @@ class SocketEndpoint:
 
     async def _handshake(self, link: _Link, reader, writer) -> bool:
         writer.write(encode_record(encode_hello(
-            self.ip, link.attempt + 1, self.generation(),
-            version=self.version)))
+            self.ip, link.attempt + 1, self.generation())))
         await writer.drain()
         size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
         status, _version = decode_ack(await reader.readexactly(size))
@@ -478,12 +432,6 @@ class SocketEndpoint:
                         return_when=asyncio.FIRST_COMPLETED)
                     waiter.cancel()
                     continue
-                if self.bucket is not None:
-                    wait = self.bucket.reserve(1.0)
-                    if wait > 0.0:
-                        self.stats.throttled += 1
-                        self.stats.throttle_wait_s += wait
-                        await asyncio.sleep(wait)
                 link.writing = True
                 try:
                     writer.write(encode_record(queue[0]))
@@ -492,7 +440,7 @@ class SocketEndpoint:
                     link.writing = False
                 queue.popleft()
                 if not queue or (link.dst in self.full
-                                 and len(queue) < self.queue_limit):
+                                 and len(queue) < QUEUE_LIMIT):
                     self.full.discard(link.dst)
                     self.on_drain()
         finally:
@@ -524,7 +472,7 @@ class SocketEndpoint:
                 await writer.drain()
                 self.stats.handshake_failures += 1
                 return
-            if version != self.accept_version:
+            if version != WIRE_VERSION:
                 writer.write(encode_record(encode_ack(ACK_BAD_VERSION)))
                 await writer.drain()
                 self.stats.handshake_failures += 1
@@ -560,7 +508,7 @@ class SocketWorld(World):
     Here they share one thread: a delivered record, new work or a busy
     quantum schedules the node's :meth:`Node.step` on the loop, and a
     timer that falls due later (:meth:`Node.next_deadline`) a
-    ``call_at``.  A node with a link at ``queue_limit`` is not stepped
+    ``call_at``.  A node with a link at :data:`QUEUE_LIMIT` is not stepped
     until the drain frees a slot.  Another thread reaches a node
     through :meth:`call`; a node whose step or receive raises is
     stepped no more, and :meth:`run` raises the exception.
@@ -582,22 +530,10 @@ class SocketWorld(World):
     wall_clock = True
 
     def __init__(self, quantum: int = 512,
-                 host: str = "127.0.0.1",
-                 rate_limit: Optional[float] = None,
-                 burst: float = 64.0,
-                 queue_limit: int = 1024,
-                 version: int = WIRE_VERSION,
-                 backoff_base: float = 0.05,
-                 backoff_cap: float = 1.0) -> None:
+                 host: str = "127.0.0.1") -> None:
         super().__init__()
         self.quantum = quantum
         self.host = host
-        self.rate_limit = rate_limit
-        self.burst = burst
-        self.queue_limit = queue_limit
-        self.version = version
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.io = LoopThread()
         self.proxy = None
         self._endpoints: dict[str, SocketEndpoint] = {}
@@ -643,11 +579,7 @@ class SocketWorld(World):
             on_reset_observed=lambda peer, ip=node.ip:
                 self._note_reset(ip, peer),
             on_drain=lambda ip=node.ip: self._on_drain(ip),
-            generation=node.code_generation,
-            host=self.host, version=self.version,
-            rate_limit=self.rate_limit, burst=self.burst,
-            queue_limit=self.queue_limit,
-            backoff_base=self.backoff_base, backoff_cap=self.backoff_cap)
+            generation=node.code_generation, host=self.host)
         self._endpoints[node.ip] = endpoint
         node.attach_transport(self._send,
                               wakeup=lambda ip=node.ip: self._wake(ip),

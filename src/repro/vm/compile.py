@@ -664,11 +664,6 @@ class _Codegen:
         return "\n".join(header + body) + "\n"
 
 
-def compiled_source(program: Program, block_id: int) -> str:
-    """The generated Python source for one block (tests, docs)."""
-    return _Codegen(program, block_id, program.blocks[block_id]).generate()
-
-
 #: Compiled code per block *shape*.  Nothing block-specific is in the
 #: generated source: each PUSHC literal is the default ``_k<pc>``, a
 #: FORK target ``_fb<pc>``, a TROBJ method table ``_m<pc>`` and the

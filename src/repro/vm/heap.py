@@ -156,8 +156,7 @@ class Heap:
                 stack.extend(v)
         return reachable
 
-    def collect(self, roots, pinned: Optional[Iterable[int]] = None,
-                remote_refs: Optional[set] = None) -> int:
+    def collect(self, roots, pinned: Optional[Iterable[int]] = None) -> int:
         """Garbage-collect unreachable channels (the heap-level image
         of the calculus rule GcN: unused restrictions disappear).
 
@@ -176,7 +175,7 @@ class Heap:
             ch = self._channels.get(hid)
             if ch is not None:
                 all_roots.append(ch)
-        reachable = self.trace(all_roots, remote_refs=remote_refs)
+        reachable = self.trace(all_roots)
         keep = reachable | pinned_ids
         dead = [hid for hid in self._channels if hid not in keep]
         free = self._free

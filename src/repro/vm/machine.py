@@ -635,14 +635,11 @@ class TycoVM:
         return roots
 
     def collect_garbage(self, pinned: set[int] | None = None,
-                        extra_roots: list | None = None,
-                        remote_refs: set | None = None) -> int:
+                        extra_roots: list | None = None) -> int:
         """Reclaim channels unreachable from any runnable or parked
         thread, the externals, ``extra_roots``, or ``pinned``
-        (exported) heap ids.  ``remote_refs``, when given, is filled
-        with the NetRef/RemoteClassRef values the live graph holds."""
-        return self.heap.collect(self._gc_roots(extra_roots),
-                                 pinned=pinned, remote_refs=remote_refs)
+        (exported) heap ids."""
+        return self.heap.collect(self._gc_roots(extra_roots), pinned=pinned)
 
     def scan_refs(self, extra_roots: list | None = None) -> set:
         """Non-destructive sweep: the remote references (NetRef /

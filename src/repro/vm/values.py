@@ -128,11 +128,6 @@ class ClassRef:
 VMValue = object
 
 
-def is_remote_ref(v: VMValue) -> bool:
-    """Is ``v`` a reference into some remote site's heap/program area?"""
-    return isinstance(v, (NetRef, RemoteClassRef))
-
-
 def remote_ref_key(v: NetRef | RemoteClassRef) -> tuple[str, int]:
     """The lease key a remote reference renews: ``("n", heap_id)`` for
     channel references, ``("c", class_id)`` for class references.

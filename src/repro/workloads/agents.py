@@ -37,12 +37,6 @@ def setup_phases(spec: WorkloadSpec) -> list[list[tuple[str, str, str]]]:
     return [stages]
 
 
-def tour_value(spec: WorkloadSpec, hops: int) -> int:
-    """The value a ``hops``-long tour folds: Finish doubles the sum of
-    the visited stages' local values."""
-    return 2 * sum((s + 1) * 10 for s in range(hops))
-
-
 def op_entry(spec: WorkloadSpec, arrival: Arrival) -> tuple[str, str, str]:
     if arrival.op != "tour":
         raise ValueError(f"agents cannot run op {arrival.op!r}")

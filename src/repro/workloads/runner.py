@@ -191,8 +191,7 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                  reap_every: int = 32,
                  balance: bool = False,
                  balance_interval: float | None = None,
-                 slo=None,
-                 flight_capacity: int | None = None) -> WorkloadReport:
+                 slo=None) -> WorkloadReport:
     """Build the fabric, drive the open-loop schedule, report latency.
 
     ``max_time`` bounds each wall-clock drain (ignored on the
@@ -213,9 +212,7 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
     evaluates the rules at deterministic points of the traffic window
     (quarters of the schedule on the simulator, every 16 arrivals on
     wall clocks) and once more at drain; breaches land on the report
-    and the first one captures a flight dump.  ``flight_capacity``
-    overrides the recorder's per-node ring size (else
-    ``REPRO_FLIGHT_CAPACITY``, else the default).
+    and the first one captures a flight dump.
     """
     app = APPS[spec.workload]
     trace = generate_trace(spec)
@@ -234,9 +231,9 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
             raise WorkloadError(f"{spec.workload} fabric did not settle")
 
         if balance or slo is not None:
-            from repro.obs.flight import FlightRecorder, resolve_capacity
+            from repro.obs.flight import FlightRecorder
 
-            recorder = FlightRecorder(resolve_capacity(flight_capacity))
+            recorder = FlightRecorder()
             net.world.obs.subscribe(recorder)
         if balance:
             from repro.mobility.balancer import LoadBalancer, ThresholdPolicy

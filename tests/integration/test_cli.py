@@ -98,3 +98,19 @@ def test_unknown_node_is_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert err == ("error: unknown node 'n3' (known: n1, n2)"
                    " — pass --nodes\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["daemon", "--ip", "n2", "--ns", "localhost"],
+    ["daemon", "--ip", "n2", "--ns", "host:notaport"],
+    ["migrate", "server", "n2", "--control", "localhost"],
+    ["obs", "scrape", "--controls", "127.0.0.1:1,localhost"],
+    ["obs", "top", "--controls", "127.0.0.1:99999"],
+])
+def test_bad_host_port_is_a_usage_error(argv, capsys):
+    # Checked by argparse before any socket is opened or daemon started.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "expected HOST:PORT" in err

@@ -142,11 +142,13 @@ def _workload_record(monkeypatch, workload, **switches):
 @pytest.mark.parametrize("workload", ["pubsub", "mapreduce", "agents"])
 def test_traced_workloads_identical_across_engines(workload, monkeypatch):
     unwatched, _ = _workload_record(monkeypatch, workload)
-    ref = _workload_record(monkeypatch, workload, tracing=True, engine="slow")
+    monkeypatch.setenv("REPRO_VM_ENGINE", "slow")
+    ref = _workload_record(monkeypatch, workload, tracing=True)
     left_alone, (_time, _bytes, events) = ref
     assert left_alone == unwatched and len(events) > 1000
+    monkeypatch.setenv("REPRO_VM_ENGINE", "compiled")
     for arm in each_arm(monkeypatch):
-        assert _workload_record(monkeypatch, workload, tracing=True,
-                                engine="compiled") == ref, (
+        assert _workload_record(monkeypatch, workload,
+                                tracing=True) == ref, (
             f"{workload}: the {arm} arm, traced, diverged from the traced "
             f"reference engine")

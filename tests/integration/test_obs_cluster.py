@@ -34,7 +34,7 @@ PHASES = [
 
 @pytest.fixture(scope="module")
 def cluster():
-    cluster = ProcessCluster(IPS, obs=True, flight_capacity=64).start()
+    cluster = ProcessCluster(IPS, obs=True).start()
     try:
         for phase in PHASES:
             for ip, name, src in phase:

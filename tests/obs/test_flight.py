@@ -1,10 +1,7 @@
 """Flight recorder rings and the chaos-harness auto-dump."""
 
-import pytest
-
-from repro.obs import FlightRecorder, resolve_capacity
+from repro.obs import FlightRecorder, flight
 from repro.obs.events import ObsEvent
-from repro.obs.flight import CAPACITY_ENV, DEFAULT_CAPACITY
 from repro.testkit import ChaosConfig, CrashEvent, run_scenario
 
 from tests.testkit.scenarios import applet
@@ -45,38 +42,22 @@ class TestFlightRecorder:
 
 
 class TestConfigurableCapacity:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(CAPACITY_ENV, raising=False)
-        assert resolve_capacity() == DEFAULT_CAPACITY
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "17")
-        assert resolve_capacity() == 17
-
-    def test_cli_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "17")
-        assert resolve_capacity(3) == 3
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_capacity(0)
-        monkeypatch.setenv(CAPACITY_ENV, "many")
-        with pytest.raises(ValueError, match="not an integer"):
-            resolve_capacity()
+    def test_default(self):
+        assert FlightRecorder().capacity == flight.DEFAULT_CAPACITY == 256
 
     def test_small_ring_evicts_and_counts(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "2")
-        rec = FlightRecorder(resolve_capacity())
+        monkeypatch.setattr(flight, "DEFAULT_CAPACITY", 2)
+        rec = FlightRecorder()
         for i in range(7):
             rec.on_event(_ev(i + 1, "send"))
         assert [e.seq for e in rec.recent("n1")] == [6, 7]
         assert "5 older event(s) evicted" in rec.dump("cap test")
 
-    def test_chaos_run_honours_the_capacity(self):
+    def test_chaos_run_honours_the_capacity(self, monkeypatch):
+        monkeypatch.setattr(flight, "DEFAULT_CAPACITY", 1)
         config = ChaosConfig(
             crashes=(CrashEvent("n2", at=3.2e-5, restart_at=1e-3),))
-        run = run_scenario(applet, seed=7, config=config,
-                           flight_capacity=1)
+        run = run_scenario(applet, seed=7, config=config)
         # One-slot rings: every node section reports exactly one event.
         assert "last 1 event(s)" in run.flight_dump
         assert "older event(s) evicted" in run.flight_dump

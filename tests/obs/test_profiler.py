@@ -16,11 +16,8 @@ from tests.testkit import scenarios
 from tests.vm.arms import each_arm
 
 
-def _run(profile: bool, stride: int = 16, engine: str | None = None):
-    kwargs = {}
-    if engine is not None:
-        kwargs["engine"] = engine
-    net = DiTyCONetwork(**kwargs)
+def _run(profile: bool, stride: int = 16):
+    net = DiTyCONetwork()
     prof = None
     if profile:
         prof = VMProfiler(stride=stride)
@@ -61,10 +58,12 @@ class TestDeterminism:
         # slices stay one-thread-per-call (no HALT chaining): whichever
         # tier a block runs on, every (site, block, handler-kind) frame
         # and count matches the reference loop byte for byte.
-        p_ref, d_ref = _run(True, stride=16, engine="slow")
+        monkeypatch.setenv("REPRO_VM_ENGINE", "slow")
+        p_ref, d_ref = _run(True, stride=16)
         assert p_ref.samples > 0
+        monkeypatch.setenv("REPRO_VM_ENGINE", "compiled")
         for arm in each_arm(monkeypatch):
-            prof, digest = _run(True, stride=16, engine="compiled")
+            prof, digest = _run(True, stride=16)
             assert prof.collapsed() == p_ref.collapsed(), arm
             assert digest == d_ref, arm
 
@@ -100,25 +99,7 @@ class TestOutputs:
         assert site.vm.profiler is prof
 
 
-class TestWallMode:
-    def test_wall_mode_samples_on_the_injected_clock(self):
-        ticks = iter(range(1000))
-        prof = VMProfiler(mode="wall", interval_s=1.0,
-                          wall_chunk=4, clock=lambda: next(ticks))
-        net = DiTyCONetwork()
-        prof.install_network(net)
-        scenarios.pump(net, clients=2)
-        net.run(1.0)
-        # Every account() call advances the fake clock by >= interval,
-        # so every chunk records a sample.
-        assert prof.samples > 0
-
-
 class TestValidation:
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            VMProfiler(mode="cpu")
-
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError):
             VMProfiler(stride=0)

@@ -86,7 +86,7 @@ EXPORTS = {
                    "events_from_jsonl events_to_jsonl merge_metrics "
                    "stitch_events stitch_trace_json top_table",
         "events": "CATEGORY_OF KNOWN_KINDS ObsEvent category_of",
-        "flight": "FlightRecorder resolve_capacity",
+        "flight": "FlightRecorder",
         "metrics": "Counter Gauge Histogram MetricsRegistry merge_snapshots "
                    "world_metrics",
         "profiler": "VMProfiler",
@@ -128,7 +128,7 @@ EXPORTS = {
         "links": "FAST_ETHERNET LOOPBACK MYRINET ClusterModel LinkModel "
                  "fast_ethernet_cluster myrinet_cluster",
         "sim": "SimWorld",
-        "socket": "SocketEndpoint SocketWorld StreamDecoder TokenBucket",
+        "socket": "SocketEndpoint SocketWorld StreamDecoder",
     },
     "repro.types": {
         "display": "format_env format_type",

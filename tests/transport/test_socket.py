@@ -1,14 +1,14 @@
 """Unit tests for the asyncio TCP transport (repro.transport.socket).
 
-Covers the stream layer without sockets (StreamDecoder, TokenBucket,
-handshake codec), endpoint behaviour over real loopback TCP
-(version-mismatch rejection, reconnect with backoff after a peer
-restart, token-bucket throttling surfaced in TransportStats),
-SocketWorld end-to-end runs with clean shutdown, and the thread model:
+Covers the stream layer without sockets (StreamDecoder, handshake
+codec), endpoint behaviour over real loopback TCP (version-mismatch
+rejection, reconnect with backoff after a peer restart), SocketWorld
+end-to-end runs with clean shutdown, and the thread model:
 one loop thread steps every node, backpressure defers a node instead
 of blocking a sender, and a failing node ends ``run()``.
 """
 
+import functools
 import threading
 import time
 
@@ -16,13 +16,13 @@ import pytest
 
 from repro.runtime import DiTyCONetwork
 from repro.transport import SocketWorld
+from repro.transport import socket as socket_transport
 from repro.transport.socket import (
     ACK_BAD_VERSION,
     ACK_OK,
     LoopThread,
     SocketEndpoint,
     StreamDecoder,
-    TokenBucket,
     decode_ack,
     decode_hello,
     encode_ack,
@@ -80,34 +80,6 @@ class TestStreamDecoder:
         decoder = StreamDecoder(max_record=64)
         with pytest.raises(ValueError):
             decoder.feed(encode_record(b"y" * 65))
-
-
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=10.0, capacity=2.0, clock=lambda: clock[0])
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() == 0.0
-        # Bucket empty: the third caller waits one token period, the
-        # fourth queues behind it (reserve semantics, FIFO).
-        assert bucket.reserve() == pytest.approx(0.1)
-        assert bucket.reserve() == pytest.approx(0.2)
-
-    def test_refill_capped_at_capacity(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=10.0, capacity=2.0, clock=lambda: clock[0])
-        for _ in range(4):
-            bucket.reserve()
-        clock[0] = 100.0            # long idle: refills to capacity only
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() > 0.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, capacity=1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, capacity=0.0)
 
 
 class TestHandshakeCodec:
@@ -178,9 +150,12 @@ class TestSocketEndpoint:
                    for (src, dst, _data) in harness.delivered)
         assert a.stats.handshakes == 1
 
-    def test_version_mismatch_rejected(self, harness):
-        a = harness.endpoint("a", version=2)
-        b = harness.endpoint("b")          # accepts WIRE_VERSION == 1
+    def test_version_mismatch_rejected(self, monkeypatch, harness):
+        # a's hellos claim version 2; b accepts WIRE_VERSION == 1 only.
+        monkeypatch.setattr(socket_transport, "encode_hello",
+                            functools.partial(encode_hello, version=2))
+        a = harness.endpoint("a")
+        b = harness.endpoint("b")
         harness.send(a, "b", b"doomed")
         assert wait_until(lambda: a.records_dropped >= 1)
         assert a.stats.handshake_failures >= 1
@@ -191,10 +166,12 @@ class TestSocketEndpoint:
         harness.send(a, "b", b"also-doomed")
         assert a.records_dropped >= 2
 
-    def test_reconnect_with_backoff_after_peer_restart(self, harness):
+    def test_reconnect_with_backoff_after_peer_restart(self, monkeypatch,
+                                                       harness):
+        monkeypatch.setattr(socket_transport, "BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(socket_transport, "BACKOFF_CAP", 0.1)
         resets = []
-        a = harness.endpoint("a", backoff_base=0.01, backoff_cap=0.1,
-                             on_link_reset=resets.append)
+        a = harness.endpoint("a", on_link_reset=resets.append)
         b = harness.endpoint("b")
         b_port = harness.directory["b"][1]
         harness.send(a, "b", b"before")
@@ -215,15 +192,6 @@ class TestSocketEndpoint:
         assert resets == ["b"]
         hello = harness.endpoints[-1].peer_hello["a"]
         assert hello[0] >= 2               # reconnect attempt number
-
-    def test_token_bucket_throttling_in_stats(self, harness):
-        a = harness.endpoint("a", rate_limit=200.0, burst=1.0)
-        harness.endpoint("b")
-        for i in range(30):
-            harness.send(a, "b", b"tick%d" % i)
-        assert wait_until(lambda: len(harness.delivered) == 30)
-        assert a.stats.throttled > 0
-        assert a.stats.throttle_wait_s > 0.0
 
 
 class TestSocketWorld:
@@ -310,15 +278,24 @@ class TestSocketWorld:
         assert net.site("client").output == [7]
 
     def test_backpressure_defers_the_node(self, monkeypatch):
-        # A slow link (50 records/s, burst 1) with room for 4: the
-        # client's node is not stepped while the queue is full, so the
-        # queue overshoots the limit by at most one quantum's records,
-        # and every record still arrives, in send order.
+        # A link held down for its first three dials, with room for 4:
+        # the client's node is not stepped while the queue is full, so
+        # the queue overshoots the limit by at most one quantum's
+        # records, and every record still arrives, in send order.
         from repro.runtime.node import Node
 
         n = 24
-        world = SocketWorld(quantum=16, queue_limit=4, rate_limit=50.0,
-                            burst=1.0)
+        monkeypatch.setattr(socket_transport, "QUEUE_LIMIT", 4)
+        world = SocketWorld(quantum=16)
+        resolve = world._resolve
+        outage = iter(range(3))
+
+        def resolve_after_outage(src_ip, dst_ip):
+            if next(outage, None) is not None:
+                raise LookupError(f"{dst_ip} is not in the directory yet")
+            return resolve(src_ip, dst_ip)
+
+        monkeypatch.setattr(world, "_resolve", resolve_after_outage)
         depths = []
         step = Node.step
 

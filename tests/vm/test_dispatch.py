@@ -486,7 +486,7 @@ class TestCompiledCache:
             assert vm.is_idle() and vm.output == ref.output == [3, 12]
             assert dec.compiled is not None
 
-    def test_restart_rebuild_gets_fresh_cache(self):
+    def test_restart_rebuild_gets_fresh_cache(self, monkeypatch):
         # A node restart re-materialises the site from its checkpoint:
         # new Program, empty decoded cache -- the CodeCache
         # generation-bump path can never see a stale compiled function
@@ -496,7 +496,8 @@ class TestCompiledCache:
                                                write_checkpoint)
         from repro.runtime import DiTyCONetwork
 
-        net = DiTyCONetwork(engine="compiled")
+        monkeypatch.setenv("REPRO_VM_ENGINE", "compiled")
+        net = DiTyCONetwork()
         net.add_nodes(["n1"])
         net.launch("n1", "worker", COUNTER)
         net.run()
@@ -659,7 +660,8 @@ class TestReductionParity:
         """
 
         def record(engine):
-            net = DiTyCONetwork(engine=engine)
+            monkeypatch.setenv("REPRO_VM_ENGINE", engine)
+            net = DiTyCONetwork()
             net.add_nodes(["n1"])
             net.launch("n1", "server", server)
             net.launch("n1", "client", client)

@@ -316,7 +316,9 @@ def traced_network_run(monkeypatch, engine=None, tracer=False):
         return reference_loop(self, thread, budget)
 
     monkeypatch.setattr(TycoVM, "_run_slice", counting)
-    net = DiTyCONetwork(engine=engine)
+    if engine is not None:
+        monkeypatch.setenv("REPRO_VM_ENGINE", engine)
+    net = DiTyCONetwork()
     net.add_node("n0")
     net.world.obs.tracing = True
     sink = TraceCollector()

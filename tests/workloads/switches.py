@@ -1,7 +1,7 @@
 """Reaching the switches `run_workload` has no parameter for.
 
-`typecheck`, `distgc`, `engine` and `world.obs.tracing` are set where
-the network is built, and `run_workload` builds its own: the tests that
+`typecheck`, `distgc` and `world.obs.tracing` are set where the
+network is built, and `run_workload` builds its own: the tests that
 want a macro run with one of them on substitute `runner.DiTyCONetwork`
 with a subclass that forces it, and read the network back afterwards.
 """
