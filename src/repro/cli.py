@@ -28,7 +28,41 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+
+class _Fail(Exception):
+    """Bad input a command reports as one stderr line and an exit
+    status instead of a traceback; :func:`main` prints it."""
+
+    def __init__(self, line: str, status: int) -> None:
+        super().__init__(line)
+        self.status = status
+
+
+def _read(path: str) -> str:
+    """The text of the program or session file named on the command
+    line; a file that cannot be read exits 2."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _Fail(f"error: cannot read {path}: {reason}", 2) from None
+
+
+@contextmanager
+def _front_end(path: str):
+    """A program that does not lex or parse -- or a session line
+    launching one -- exits 1 with one ``PATH:line:col: message`` line,
+    like ``check``'s type errors."""
+    from repro.lang.lexer import LexError
+    from repro.lang.parser import ParseError
+
+    try:
+        yield
+    except (LexError, ParseError) as exc:
+        raise _Fail(f"{path}:{exc}", 1) from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -36,8 +70,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.vm import TycoVM, value_repr
     from repro.vm.trace import Tracer
 
-    source = Path(args.program).read_text()
-    program = compile_source(source, source_name=args.program)
+    source = _read(args.program)
+    with _front_end(args.program):
+        program = compile_source(source, source_name=args.program)
     if args.check:
         from repro.lang import parse_program
         from repro.runtime.typecheck import check_site_program
@@ -71,8 +106,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.compiler import compile_source, validate_program
 
-    source = Path(args.program).read_text()
-    program = compile_source(source, source_name=args.program)
+    source = _read(args.program)
+    with _front_end(args.program):
+        program = compile_source(source, source_name=args.program)
     validate_program(program)
     print(program.disassemble())
     return 0
@@ -83,8 +119,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.runtime.typecheck import check_site_program
     from repro.types import TycoTypeError
 
-    source = Path(args.program).read_text()
-    parsed = parse_program(source)
+    source = _read(args.program)
+    with _front_end(args.program):
+        parsed = parse_program(source)
     try:
         sigs = check_site_program(Path(args.program).stem, parsed.program)
     except TycoTypeError as exc:
@@ -114,8 +151,10 @@ def _cmd_net(args: argparse.Namespace) -> int:
     for ip in args.nodes.split(","):
         net.add_node(ip.strip())
     shell = TycoShell(net, write=print)
+    script = _read(args.session)
     try:
-        shell.execute_script(Path(args.session).read_text())
+        with _front_end(args.session):
+            shell.execute_script(script)
     except UnknownNodeError as exc:
         return _unknown_node(exc)
     return 0
@@ -142,7 +181,7 @@ def _chaos_scenario(args: argparse.Namespace):
     from repro.runtime import TycoShell
 
     path = Path(args.program)
-    text = path.read_text()
+    text = _read(args.program)
     nodes = [ip.strip() for ip in args.nodes.split(",")]
     distgc = getattr(args, "distgc", False)
     max_time = getattr(args, "max_time", 5.0)
@@ -160,11 +199,13 @@ def _chaos_scenario(args: argparse.Namespace):
         def scenario(net):
             prepare(net)
             shell = TycoShell(net, write=lambda line: None)
-            shell.execute_script(text)
+            with _front_end(args.program):
+                shell.execute_script(text)
     else:
         def scenario(net):
             prepare(net)
-            net.launch(nodes[0], "main", text)
+            with _front_end(args.program):
+                net.launch(nodes[0], "main", text)
     return scenario
 
 
@@ -549,7 +590,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     from repro.runtime import DiTyCONetwork, TycoShell
 
     path = Path(args.program)
-    text = path.read_text()
+    text = _read(args.program)
     nodes = [ip.strip() for ip in args.nodes.split(",")]
     net = DiTyCONetwork()
     for ip in nodes:
@@ -561,10 +602,11 @@ def _cmd_balance(args: argparse.Namespace) -> int:
                                  s for s in args.pin.split(",") if s))
     balancer = LoadBalancer(net, policy)
     balancer.install_sim(args.interval, args.until)
-    if path.suffix == ".tycosh":
-        TycoShell(net, write=print).execute_script(text)
-    else:
-        net.launch(nodes[0], "main", text)
+    with _front_end(args.program):
+        if path.suffix == ".tycosh":
+            TycoShell(net, write=print).execute_script(text)
+        else:
+            net.launch(nodes[0], "main", text)
     net.run(args.max_time)
     print(f"balance: {balancer.ticks} tick(s), "
           f"{len(balancer.decisions)} migration(s)")
@@ -910,7 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Fail as exc:
+        print(exc, file=sys.stderr)
+        return exc.status
 
 
 if __name__ == "__main__":  # pragma: no cover

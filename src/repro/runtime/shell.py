@@ -26,6 +26,9 @@ import shlex
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError
+
 from .network import DiTyCONetwork
 
 
@@ -70,10 +73,16 @@ class TycoShell:
         handler(args)
 
     def execute_script(self, script: str) -> None:
-        for line in script.splitlines():
+        """Execute ``script`` line by line.  A launch whose program does
+        not lex or parse raises :class:`ParseError` prefixed with its
+        script line: ``"3: 1:8: expected ..."``."""
+        for number, line in enumerate(script.splitlines(), 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                self.execute(line)
+                try:
+                    self.execute(line)
+                except (LexError, ParseError) as exc:
+                    raise ParseError(f"{number}: {exc}") from None
 
     def _node(self, ip: str) -> str:
         nodes = self.network.world.nodes

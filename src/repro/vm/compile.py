@@ -17,9 +17,9 @@ inherits the closures' invalidation rules verbatim: entries are
 checked by instruction-tuple identity, ``link_bundle`` only appends
 new block ids, and ``_Template.instantiate`` re-tuples a literal
 block and installs its patched plan before any VM runs.  Behind it,
-compiled code is memoised per block *shape* (``_MEMO``): literals,
-FORK targets, TROBJ method tables and the block's own id are defaults
-of the function, not part of its source.
+compiled code is memoised per block *shape* (``_MEMO``): frame slots,
+literals, FORK targets, TROBJ method tables and the block's own id are
+defaults of the function, not part of its source.
 
 Codegen shape
 -------------
@@ -37,7 +37,7 @@ around non-inlinable opcodes).  The generated function is one
                 if executed + 4 > budget:   # slice-budget yield point
                     t.pc = 0
                     return executed
-                _t1 = _b_GT(vm, f[2], _k1)  # PUSHL 2; PUSHC 0; GT
+                _t1 = _b_GT(vm, f[_l0], _k1)  # PUSHL 2; PUSHC 0; GT
                 executed += 4
                 if not _t1:                 # JMPF 10
                     pc = 10
@@ -275,13 +275,13 @@ class _Codegen:
     def emit_instr(self, pc: int, ins, ind: str) -> None:
         op = ins.op
         if op is Op.PUSHL:
-            self.stack.append((f"f[{ins.args[0]}]", "frame"))
+            self.stack.append((f"f[{self.operand(f'_l{pc}')}]", "frame"))
         elif op is Op.PUSHC:
             self.stack.append((self.operand(f"_k{pc}"), "const"))
         elif op is Op.STOREL:
             (val,) = self.popn(1, ind)
             self.flush_frame_reads(ind)
-            self.emit(ind, f"f[{ins.args[0]}] = {val}")
+            self.emit(ind, f"f[{self.operand(f'_l{pc}')}] = {val}")
         elif op is Op.POP:
             if self.stack:
                 self.stack.pop()
@@ -466,7 +466,8 @@ class _Codegen:
             self.emit(ind, "_fk += 1")
         elif op is Op.NEWCH:
             self.flush_frame_reads(ind)
-            self.emit(ind, f"f[{ins.args[0]}] = vm.heap.new_channel()")
+            self.emit(ind, f"f[{self.operand(f'_l{pc}')}] = "
+                           "vm.heap.new_channel()")
         elif op is Op.PRINT:
             (nargs,) = ins.args
             vals = self.popn(nargs, ind)
@@ -665,13 +666,14 @@ class _Codegen:
 
 
 #: Compiled code per block *shape*.  Nothing block-specific is in the
-#: generated source: each PUSHC literal is the default ``_k<pc>``, a
-#: FORK target ``_fb<pc>``, a TROBJ method table ``_m<pc>`` and the
-#: block's own id ``_bid`` (:func:`_operands`); everything else the
-#: function binds is the same for every block.  So two blocks whose
-#: instructions differ only in those operands -- one launch template's
-#: instantiations, the same class linked at two positions, a generated
-#: program's look-alike classes -- share one code object, and a hit
+#: generated source: each frame slot is the default ``_l<pc>``, a PUSHC
+#: literal ``_k<pc>``, a FORK target ``_fb<pc>``, a TROBJ method table
+#: ``_m<pc>`` and the block's own id ``_bid`` (:func:`_operands`);
+#: everything else the function binds is the same for every block.  So
+#: two blocks whose instructions differ only in those operands -- one
+#: launch template's instantiations, the same class linked at two
+#: positions, a generated program's look-alike classes placed at
+#: different slots of one def group -- share one code object, and a hit
 #: costs a ``FunctionType`` with this block's defaults: no codegen, no
 #: ``compile``.  Keys are pure shape, so the memo can never go stale: a
 #: re-tupled literal block or a relinked bundle changes the key or the
@@ -684,12 +686,22 @@ _MEMO: dict = {}
 _MEMO_CAP = 1024
 
 
+#: Opcodes whose one operand is a frame slot.  The slot is the default
+#: ``_l<pc>`` (:func:`_operands`) and the opcode alone is its key
+#: (:func:`_memo_key`): codegen never compares two slots -- a frame
+#: write flushes every pending frame read -- so a slot shapes nothing
+#: in the source.
+_SLOT_OPS = (Op.PUSHL, Op.STOREL, Op.NEWCH)
+
+
 def _operands(program: Program, block_id: int, block: CodeBlock) -> dict:
     """The defaults a block binds that its memo key abstracts."""
     operands = {"_bid": block_id}
     for pc, ins in enumerate(block.instrs):
         op = ins.op
-        if op is Op.PUSHC:
+        if op in _SLOT_OPS:
+            operands[f"_l{pc}"] = ins.args[0]
+        elif op is Op.PUSHC:
             operands[f"_k{pc}"] = ins.args[0]
         elif op is Op.FORK:
             operands[f"_fb{pc}"] = ins.args[0]
@@ -699,12 +711,15 @@ def _operands(program: Program, block_id: int, block: CodeBlock) -> dict:
 
 
 def _memo_key(block: CodeBlock) -> tuple:
-    """The block's shape: its instructions with a PUSHC literal reduced
-    to its type -- the inlined arithmetic checks a literal's type, and
-    ``7 == 7.0 == True`` must not alias -- and a FORK / TROBJ to its
-    width; every other operand is in the source and keyed as is."""
+    """The block's shape: its instructions with a frame-slot operand
+    (:data:`_SLOT_OPS`) dropped, a PUSHC literal reduced to its type --
+    the inlined arithmetic checks a literal's type, and ``7 == 7.0 ==
+    True`` must not alias -- and a FORK / TROBJ to its width.  Those
+    are the operands :func:`_operands` binds; every other operand is in
+    the source and keyed as is."""
     return tuple(
-        (Op.PUSHC, type(ins.args[0])) if ins.op is Op.PUSHC
+        (ins.op,) if ins.op in _SLOT_OPS
+        else (Op.PUSHC, type(ins.args[0])) if ins.op is Op.PUSHC
         else (ins.op, ins.args[1]) if ins.op in (Op.FORK, Op.TROBJ)
         else (ins.op, ins.args)
         for ins in block.instrs)

@@ -114,3 +114,39 @@ def test_bad_host_port_is_a_usage_error(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "expected HOST:PORT" in err
+
+
+#: The seven commands that read a program (or session) named on the
+#: command line.
+PROGRAM_COMMANDS = {
+    "run": ["run"], "compile": ["compile"], "check": ["check"],
+    "trace": ["trace", "--out", "-"], "chaos": ["chaos"],
+    "balance": ["balance"], "net": ["net"]}
+
+
+@pytest.mark.parametrize("command", sorted(PROGRAM_COMMANDS))
+def test_unreadable_program_is_one_error_line(command, tmp_path, capsys):
+    missing = tmp_path / "missing.dityco"
+    assert main([*PROGRAM_COMMANDS[command], str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", sorted(PROGRAM_COMMANDS))
+@pytest.mark.parametrize("source, message", [
+    ("print![", "2:1: expected an expression, found ''"),
+    ("print![1 $ 2]", "1:10: unexpected character '$'")])
+def test_front_end_error_is_one_line(command, source, message, tmp_path,
+                                     capsys):
+    # A program file carries the error's own position; a session names
+    # the script line whose launch failed, then the position within it.
+    if command == "net":
+        path = tmp_path / "bad.tycosh"
+        path.write_text(f"# comment\neval n1 main {source}\n")
+        line = f"{path}:2: {message.replace('2:1', '1:8')}\n"
+    else:
+        path = tmp_path / "bad.dityco"
+        path.write_text(source + "\n")
+        line = f"{path}:{message}\n"
+    assert main([*PROGRAM_COMMANDS[command], str(path)]) == 1
+    assert capsys.readouterr().err == line

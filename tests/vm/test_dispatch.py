@@ -231,6 +231,9 @@ class TestBoolArithRejection:
                 run(src)
 
 
+_ASM_MAIN = "; externals: print\n; main: block 0\n"
+
+
 def swap_literal(prog, old, new):
     """Hot-swap block 0 for a copy pushing ``new`` where it pushed
     ``old`` (what a relink does: a new instruction tuple)."""
@@ -278,6 +281,66 @@ class TestDecodedCache:
         for bid, dec in cached_before.items():
             assert prog.decoded_cache[bid] is dec
         assert max(result.block_map.values()) < len(prog.blocks)
+
+
+def cold_group(classes):
+    """One def group of ``classes`` classes in the five forms of the
+    ``coldstart`` benchmark -- arith, branch, channel, object, call --
+    of arity 2 to 4, in eight chains that join on one channel.  A class
+    index fixes its form, arity and literals, so class ``K000`` has the
+    same instructions in a group of any size, at different slots."""
+    chains = 8
+    arity = lambda i: 2 + i % 3  # noqa: E731
+
+    def call(i, acc, x):
+        j = i + chains
+        if j >= classes:
+            return f"join![{acc}]"
+        return f"K{j:03d}[{', '.join([acc, x] + ['7'] * (arity(j) - 2))}]"
+
+    defs = []
+    for i in range(classes):
+        a, b = 100 + i, 500 + i
+        body = [
+            call(i, f"acc + x * {a} + {b}", f"x + {a}"),
+            f"if x > {a} then {call(i, f'acc + {b}', f'x - {a}')} "
+            f"else {call(i, f'acc + x + {a}', f'x + {b}')}",
+            f"new t (t![x + {a}] | t?(w) = {call(i, 'acc + w', 'x')})",
+            f"new o (o!put[x, {a}] | o?{{ put(p, q) = "
+            f"{call(i, 'acc + p * q', f'x + {b}')}, skip() = 0 }})",
+            f"new s ((s?{{ get(k, r) = r![k + {a}] }}) | "
+            f"let w = s!get[x] in {call(i, 'acc + w', f'x + {b}')})",
+        ][i % 5]
+        params = ", ".join(("acc", "x", "y", "z")[:arity(i)])
+        defs.append(f"K{i:03d}({params}) = {body}")
+    starts = [f"K{c:03d}[{', '.join(['1'] * arity(c))}]"
+              for c in range(min(chains, classes))]
+    join = "".join(f"join?(v{c}) = " for c in range(len(starts))) + \
+        f"print![{' + '.join(f'v{c}' for c in range(len(starts)))}]"
+    return (f"new join (def {' and '.join(defs)} "
+            f"in ({' | '.join(starts)} | {join}))")
+
+
+#: The opcodes whose one operand is a frame slot.
+SLOT_OPS = (Op.PUSHL, Op.STOREL, Op.NEWCH)
+
+#: One STOREL / PUSHL shape at two placements: ``same`` writes the slot
+#: it has a pending read of (codegen must flush that read first), and
+#: ``apart`` writes another slot.  Both print ``5, 7``.
+STORE_ASM = {
+    placement: _ASM_MAIN + f"""
+block 0 (main) [free=1 params=0 frame=3]
+     0  pushc 5
+     1  storel 1
+     2  pushl 0
+     3  pushl 1
+     4  pushc 7
+     5  storel {slot}
+     6  pushl {slot}
+     7  trmsg 'val', 2
+     8  halt
+"""
+    for placement, slot in (("same", 1), ("apart", 2))}
 
 
 class TestCompiledCache:
@@ -425,6 +488,68 @@ class TestCompiledCache:
                 tier3.compile_block(prog, prog.main, prog.blocks[prog.main])
         assert len(sources) == 2
 
+    def test_frame_slots_share_one_code_object(self, monkeypatch):
+        # Frame slots are defaults of the generated function, not part
+        # of its source: one class placed in def groups of different
+        # sizes, and one STOREL shape at two placements, each share one
+        # code object -- and each block reads and writes its own slots,
+        # on every arm.
+        monkeypatch.setattr(tier3, "_MEMO", {})
+        programs = {f"group of {n}": (lambda n=n: compile_source(
+            cold_group(n))) for n in (16, 120)}
+        programs.update({f"STOREL {p}": (lambda p=p: parse_assembly(
+            STORE_ASM[p])) for p in STORE_ASM})
+        for name, program in programs.items():
+            ref = run_observed(program(), "slow")
+            assert ref[1] is None and ref[0][0], name
+            for arm in each_arm(monkeypatch):
+                assert run_observed(program(), "compiled") == ref, (name, arm)
+        assert run_observed(programs["STOREL same"](), "slow")[0][0] == [5, 7]
+        for pair, block_name in ((("group of 16", "group of 120"),
+                                  "class K000"),
+                                 (("STOREL same", "STOREL apart"), "main")):
+            codes, slots = [], []
+            for name in pair:
+                prog = programs[name]()
+                (bid,) = [i for i, b in enumerate(prog.blocks)
+                          if b.name == block_name]
+                block = prog.blocks[bid]
+                slots.append([ins.args for ins in block.instrs
+                              if ins.op in SLOT_OPS])
+                codes.append(tier3.compile_block(prog, bid, block).__code__)
+            assert slots[0] != slots[1] and codes[0] is codes[1], pair
+
+    def test_equal_keys_generate_equal_source(self):
+        # What the memo relies on: two blocks with one ``_memo_key``
+        # generate the same text, so no operand reaches the source
+        # without reaching the key (or the defaults).
+        from repro.workloads import APPS, WorkloadSpec, generate_trace
+
+        programs = Path(__file__).resolve().parents[2] / "examples" / "programs"
+        sources = [path.read_text() for path in programs.glob("*.dityco")]
+        sources += [line.split(None, 3)[3]
+                    for path in programs.glob("*.tycosh")
+                    for line in path.read_text().splitlines()
+                    if line.startswith("eval ")]
+        for workload, app in sorted(APPS.items()):
+            spec = WorkloadSpec(workload, ops=4)
+            sources += [src for phase in app.setup_phases(spec)
+                        for _ip, _site, src in phase]
+            sources.append(app.op_entry(spec, generate_trace(spec)[0])[2])
+        sources.append(cold_group(120))
+        texts, slots = {}, {}
+        for source in sources:
+            prog = compile_source(source)
+            for bid, block in enumerate(prog.blocks):
+                key = tier3._memo_key(block)
+                text = tier3._Codegen(prog, bid, block).generate()
+                assert texts.setdefault(key, text) == text, block.name
+                slots.setdefault(key, set()).add(tuple(
+                    ins.args for ins in block.instrs
+                    if ins.op in SLOT_OPS))
+        # The corpus does hold blocks that differ only in their slots.
+        assert any(len(placements) > 1 for placements in slots.values())
+
     def test_link_bundle_keeps_compiled_entries(self):
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
@@ -522,7 +647,6 @@ class TestCompiledCache:
 #: Hand-built programs for what the compiler never emits: a FORK, an
 #: object or a class whose block disagrees with the width of the
 #: environment it is given, and an instance of a non-class.
-_ASM_MAIN = "; externals: print\n; main: block 0\n"
 ASM_CELLS = {
     "FORK env mismatch": """
 block 0 (main) [free=1 params=0 frame=1]
