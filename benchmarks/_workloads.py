@@ -1,4 +1,4 @@
-"""Shared workload generators for the experiment benchmarks E1-E12.
+"""Shared workload generators for the experiment benchmarks.
 
 The paper (CLUSTER 2000) contains no quantitative tables -- its
 evaluation is the architecture of sections 4-5.  DESIGN.md therefore

@@ -29,7 +29,6 @@ EXPERIMENTS = {
     "e9": ("bench_e9_wire", "wire format sizes"),
     "e10": ("bench_e10_types", "type-inference scaling"),
     "e11": ("bench_e11_calculus", "formal derivations"),
-    "e12": ("bench_e12_termination", "termination-detection overhead"),
     "e13": ("bench_e13_failure", "failure detection and recovery"),
     "e10gc": ("bench_e10_distgc", "distributed GC churn"),
     "e14": ("bench_e14_pubsub", "macro: pub/sub chat fabric"),

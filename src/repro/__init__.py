@@ -26,7 +26,7 @@ The package is layered exactly like the system in the paper:
     The distributed runtime: sites (extended VMs), nodes with the
     TyCOd / TyCOi daemons and TyCOsh shell, the network name service,
     export tables and network references, plus the future-work
-    features (termination detection, failure detection).
+    feature of failure detection.
 ``repro.transport``
     The cluster substrate: a deterministic simulated network with
     Myrinet / Fast-Ethernet link models and a real TCP transport

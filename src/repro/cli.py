@@ -292,7 +292,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             report = explore(scenario,
                              range(args.seed, args.seed + args.explore),
                              config, max_time=args.max_time,
-                             check_termination=args.check_termination,
                              monitor=args.monitor)
         except UnknownNodeError as exc:
             return _unknown_node(exc)
@@ -306,7 +305,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         run = run_scenario(scenario, args.seed, config,
                            max_time=args.max_time,
-                           check_termination=args.check_termination,
                            monitor=args.monitor,
                            tracing=args.trace is not None,
                            metrics=registry)
@@ -695,9 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(optionally restart later); repeatable")
     p_chaos.add_argument("--max-time", type=float, default=5.0,
                          help="virtual-time bound per run (default: 5.0)")
-    p_chaos.add_argument("--check-termination", action="store_true",
-                         help="interleave Safra's detector and flag "
-                              "early announcements")
     p_chaos.add_argument("--monitor", action="store_true",
                          help="install a heartbeat failure detector "
                               "and check reconfiguration integrity")

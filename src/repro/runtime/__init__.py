@@ -2,8 +2,8 @@
 
 Sites (extended TyCO VMs), nodes with the TyCOd/TyCOi daemons, the
 TyCOsh shell, the network name service, the wire format, and the
-future-work features (termination detection, failure detection,
-dynamic checking of remote interactions).
+future-work features (failure detection, dynamic checking of remote
+interactions).
 """
 
 from .._lazy import exports
@@ -20,8 +20,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "shell": "ShellError TycoShell",
     "failure": "HeartbeatMonitor Suspicion",
     "site": "DeliveryError ReclaimedRefError Site SiteStats",
-    "termination": "SafraDetector TerminationReport "
-                   "run_with_termination_detection",
     "typecheck": "ProtocolError SiteSignatures WireSignature "
                  "chan_type_to_signature check_site_program type_to_tag",
     "wire": "KIND_CODE_NEED KIND_CODE_REPLY KIND_FETCH_REPLY "

@@ -388,7 +388,14 @@ class ProcessCluster:
         return quiet, fingerprint
 
     def run(self, max_time: float = 60.0) -> float:
-        """Wait for stable global inactivity (two matching polls)."""
+        """Wait for stable global inactivity: three quiet polls in a
+        row with the same per-daemon ``(sent, delivered)`` fingerprint.
+
+        One quiet poll is not enough: ``status`` is read one daemon at
+        a time, so a pass can miss a record in flight between two
+        reads -- a daemon read idle just before the record reached it,
+        its peer read after the answer came back, and the sums still
+        balance.  Unchanged counters over the repeats rule that out."""
         start = monotime()
         deadline = start + max_time
         stable, last = 0, None

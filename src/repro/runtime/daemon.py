@@ -217,8 +217,7 @@ class TyCOi:
         """Destroy sites whose programs have exited (idle, no queues,
         nothing parked); returns how many were reaped."""
         dead = [site for site in self.node.sites.values()
-                if site.is_idle() and not site.vm.has_stalled()
-                and not site._pending_fetch and not site._pending_code
+                if site.is_idle() and not site.has_parked_work()
                 and site.vm.heap.live_queues() == 0]
         for site in dead:
             # Retire the site's name-service registrations first so no

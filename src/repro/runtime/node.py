@@ -392,13 +392,11 @@ class Node:
         return min((t for t in (sweep, retry) if t is not None), default=None)
 
     def is_quiescent(self) -> bool:
-        """Nothing runnable, queued, stalled or awaiting FETCH/code."""
+        """Nothing runnable, queued or parked on any site."""
         if self.mobility is not None and not self.mobility.idle():
             return False
         return not self._batch_buf and all(
-            site.vm.is_idle() and not site.incoming and not site.outgoing
-            and not site.vm.has_stalled() and not site._pending_fetch
-            and not site._pending_code
+            site.is_idle() and not site.has_parked_work()
             for site in self.sites.values()
         )
 

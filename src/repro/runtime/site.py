@@ -202,12 +202,15 @@ class Site:
     def is_idle(self) -> bool:
         return (self.vm.is_idle() and not self.incoming and not self.outgoing)
 
+    def has_parked_work(self) -> bool:
+        """Work waiting on an answer from elsewhere: a stalled import,
+        a pending FETCH or a code offer awaiting its byte-code."""
+        return (self.vm.has_stalled() or bool(self._pending_fetch)
+                or bool(self._pending_code))
+
     def is_blocked(self) -> bool:
-        """Idle but holding parked work (stalled imports / pending
-        FETCH / code offers awaiting their byte-code)."""
-        return self.is_idle() and (
-            self.vm.has_stalled() or bool(self._pending_fetch)
-            or bool(self._pending_code))
+        """Idle but holding parked work."""
+        return self.is_idle() and self.has_parked_work()
 
     def attach_obs(self, bus) -> None:
         """Connect this site to the world's event bus.  The VM is not

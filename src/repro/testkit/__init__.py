@@ -1,10 +1,10 @@
 """repro.testkit -- deterministic chaos testing for the DiTyCO runtime.
 
 The paper's section-7 future work (failure detection, topology
-reconfiguration, clean termination) is only as trustworthy as the
-schedules it has been exercised under.  This package provides a
-FoundationDB-style simulation-testing layer on top of the
-deterministic :class:`~repro.transport.sim.SimWorld`:
+reconfiguration) is only as trustworthy as the schedules it has been
+exercised under.  This package provides a FoundationDB-style
+simulation-testing layer on top of the deterministic
+:class:`~repro.transport.sim.SimWorld`:
 
 :class:`~repro.testkit.chaos.ChaosWorld`
     A simulated cluster whose only source of nondeterminism is one
@@ -16,7 +16,7 @@ deterministic :class:`~repro.transport.sim.SimWorld`:
 :mod:`~repro.testkit.explore`
     A schedule explorer that runs one scenario across many seeds and
     checks the cross-run invariants (answer confluence, message
-    accounting, termination safety, no dangling imports).
+    accounting, no dangling imports).
 
 :mod:`~repro.testkit.invariants`
     The individual invariant checkers, usable directly from tests.
@@ -37,6 +37,5 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "proxy": "ChaosProxy LinkReset",
     "invariants": "check_export_liveness check_message_accounting "
                   "check_nameservice_integrity check_no_dangling_imports "
-                  "check_no_premature_reclaim check_termination_not_early "
-                  "settle_distgc",
+                  "check_no_premature_reclaim settle_distgc",
 })

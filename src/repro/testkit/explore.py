@@ -25,7 +25,6 @@ from typing import Callable, Iterable
 
 from repro.obs import FlightRecorder, TraceCollector, chrome_trace_json
 from repro.runtime.network import DiTyCONetwork
-from repro.runtime.termination import run_with_termination_detection
 from repro.vm.values import value_repr
 
 from .chaos import ChaosConfig, ChaosWorld
@@ -125,7 +124,6 @@ class ExplorationReport:
 def run_scenario(scenario: Scenario, seed: int = 0,
                  config: ChaosConfig | None = None,
                  max_time: float = DEFAULT_MAX_TIME,
-                 check_termination: bool = False,
                  monitor: bool = False,
                  tracing: bool = False,
                  metrics=None) -> ChaosRun:
@@ -134,8 +132,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
 
     ``monitor`` installs a :class:`HeartbeatMonitor` over the run (so
     crashes trigger name-service reconfiguration, whose integrity is
-    then checked); ``check_termination`` interleaves Safra's detector
-    with execution and flags early announcements.
+    then checked).
 
     A flight recorder rides along on every run; its dump lands in
     ``ChaosRun.flight_dump`` when an invariant breaks or a node
@@ -166,17 +163,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
 
         hb = HeartbeatMonitor(world, net.nameservice)
         hb.install(horizon=min(max_time, 0.05))
-    violations: list[str] = []
-    if check_termination:
-        report = run_with_termination_detection(world, max_rounds=2000)
-        if report.detected and not net.is_quiescent():
-            violations.append("termination detected early "
-                              "(network still active at announcement)")
-        if report.detected and world.in_flight:
-            violations.append(f"termination detected early "
-                              f"({world.in_flight} packet(s) in flight)")
-    else:
-        net.run(max_time)
+    net.run(max_time)
     # A .tycosh scenario may have run the network itself; the total
     # virtual time is the meaningful (and deterministic) elapsed value.
     elapsed = net.time
@@ -187,12 +174,9 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         site.site_name
         for node in world.nodes.values()
         for site in node.sites.values()
-        if site.vm.has_stalled() or site._pending_fetch
-        or site._pending_code))
-    violations += inv.check_message_accounting(world)
+        if site.has_parked_work()))
+    violations = inv.check_message_accounting(world)
     violations += inv.check_no_stale_code(net)
-    if quiescent:
-        violations += inv.check_termination_not_early(net)
     if hb is not None:
         violations += inv.check_nameservice_integrity(net, hb)
     if inv.has_distgc(net):
@@ -241,7 +225,6 @@ def run_scenario(scenario: Scenario, seed: int = 0,
 def explore(scenario: Scenario, seeds: Iterable[int],
             config: ChaosConfig | None = None,
             max_time: float = DEFAULT_MAX_TIME,
-            check_termination: bool = False,
             monitor: bool = False) -> ExplorationReport:
     """Sweep ``scenario`` across ``seeds`` under ``config``.
 
@@ -256,10 +239,8 @@ def explore(scenario: Scenario, seeds: Iterable[int],
     """
     config = config or ChaosConfig()
     base = run_scenario(scenario, seed=0, config=ChaosConfig(),
-                        max_time=max_time,
-                        check_termination=check_termination)
+                        max_time=max_time)
     runs = [run_scenario(scenario, seed, config, max_time,
-                         check_termination=check_termination,
                          monitor=monitor)
             for seed in seeds]
     report = ExplorationReport(config=config, baseline=base, runs=runs)

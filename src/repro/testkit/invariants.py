@@ -5,8 +5,6 @@ violation strings (empty = invariant holds).  They encode the safety
 properties the DiTyCO network layer must keep under *any* schedule:
 
 * **message accounting** -- no packet vanishes without a logged fault;
-* **termination safety** -- Safra's detector never announces
-  termination while work remains;
 * **no dangling imports** -- a site stalled on an import really is
   waiting on an unresolvable name (a stall with a resolvable name
   means a name-service notification was lost);
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.runtime.termination import SafraDetector
 from repro.transport.sim import SimWorld
 from repro.vm.values import remote_ref_key
 
@@ -52,29 +49,6 @@ def check_message_accounting(world: "ChaosWorld") -> list[str]:
                 f"crash-dropped={world.dropped_packets} "
                 f"duplicated={world.chaos_duplicated})"]
     return []
-
-
-def check_termination_not_early(net: "DiTyCONetwork") -> list[str]:
-    """If Safra's detector says *terminated*, the network must actually
-    be quiescent with nothing left on the wire."""
-    world = net.world
-    detector = SafraDetector(world)
-    # Safra needs one clean round after the last receive before it can
-    # announce; three attempts give a fresh detector that chance.
-    detected = any(detector.try_detect() for _ in range(3))
-    if not detected:
-        return []
-    violations = []
-    if not net.is_quiescent():
-        busy = sorted(ip for ip, node in world.nodes.items()
-                      if not node.is_quiescent())
-        violations.append(
-            f"termination detected early: nodes still active: {busy}")
-    if isinstance(world, SimWorld) and world.in_flight:
-        violations.append(
-            f"termination detected early: {world.in_flight} packet(s) "
-            f"still in flight")
-    return violations
 
 
 def check_no_dangling_imports(net: "DiTyCONetwork") -> list[str]:

@@ -220,6 +220,11 @@ class SimWorld(World):
     def is_failed(self, ip: str) -> bool:
         return ip in self.failed
 
+    def is_quiescent(self) -> bool:
+        """No node has work, and no packet is on the wire: a bounded
+        run can stop with a delivery still queued."""
+        return self._in_flight == 0 and super().is_quiescent()
+
     @property
     def in_flight(self) -> int:
         """Packets currently traversing the (virtual) wire."""

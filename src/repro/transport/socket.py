@@ -513,11 +513,9 @@ class SocketWorld(World):
     through :meth:`call`; a node whose step or receive raises is
     stepped no more, and :meth:`run` raises the exception.
 
-    Quiescence is one check on the loop (:meth:`_quiet`); the
-    algorithmic alternative (Safra's token ring, the paper's
-    future-work termination detection) lives in
-    :mod:`repro.runtime.termination` and is exercised by experiment
-    E12.
+    Quiescence is one check on the loop (:meth:`_quiet`): no node has
+    work, every link is idle, and exact record accounting says every
+    record sent has been delivered.
 
     ``proxy`` (a :class:`~repro.testkit.proxy.ChaosProxy`) interposes
     a fault-injecting TCP relay on every link; the world then mirrors

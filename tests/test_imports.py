@@ -105,8 +105,6 @@ EXPORTS = {
         "shell": "ShellError TycoShell",
         "failure": "HeartbeatMonitor Suspicion",
         "site": "DeliveryError ReclaimedRefError Site SiteStats",
-        "termination": "SafraDetector TerminationReport "
-                       "run_with_termination_detection",
         "typecheck": "ProtocolError SiteSignatures WireSignature "
                      "chan_type_to_signature check_site_program type_to_tag",
         "wire": "KIND_CODE_NEED KIND_CODE_REPLY KIND_FETCH_REPLY "
@@ -119,8 +117,7 @@ EXPORTS = {
         "proxy": "ChaosProxy LinkReset",
         "invariants": "check_export_liveness check_message_accounting "
                       "check_nameservice_integrity check_no_dangling_imports "
-                      "check_no_premature_reclaim check_termination_not_early "
-                      "settle_distgc",
+                      "check_no_premature_reclaim settle_distgc",
     },
     "repro.transport": {
         "base": "TransportStats World",

@@ -10,7 +10,6 @@ from repro.testkit import (
     check_message_accounting,
     check_nameservice_integrity,
     check_no_dangling_imports,
-    check_termination_not_early,
     explore,
     run_scenario,
 )
@@ -62,9 +61,19 @@ class TestExplore:
         assert report.ok(), report.summary()
 
     def test_termination_never_fires_early_under_chaos(self):
+        """Runs cut off by ``max_time`` while delayed packets are still
+        on the wire must not read quiescent: a run is over only when
+        nothing is left to deliver."""
         config = ChaosConfig(jitter_s=1e-3, delay_prob=0.5, delay_s=5e-3)
-        report = explore(pump, range(5), config, check_termination=True)
-        assert report.ok(), report.summary()
+        cut = 0
+        for seed in range(5):
+            run = run_scenario(pump, seed, config, max_time=2e-3)
+            on_wire = (run.packets + run.chaos_duplicated - run.deliveries
+                       - run.chaos_dropped - run.crash_dropped)
+            if on_wire:
+                cut += 1
+                assert not run.quiescent, seed
+        assert cut
 
     def test_lease_churn_sweep_no_premature_reclaim(self):
         """The distgc acceptance sweep: ten seeds of delivery jitter
@@ -180,21 +189,30 @@ class TestNameServiceIntegrity:
 
 
 class TestTerminationInvariant:
+    """A run is over when its world is quiescent: nothing runnable,
+    parked, or on the wire."""
+
     def test_quiescent_run_passes(self):
         world = ChaosWorld(seed=1)
         net = DiTyCONetwork(world=world)
         pump(net)
         net.run()
         assert net.is_quiescent()
-        assert check_termination_not_early(net) == []
+        assert world.in_flight == 0
+        assert check_message_accounting(world) == []
 
     def test_in_flight_packets_block_detection(self):
-        """With a request still on the (slow) wire, Safra must not
-        announce -- and the checker must agree."""
+        """A bounded run stops with the request still on the (slow)
+        wire and every node idle: the world must not call that
+        quiescent."""
         config = ChaosConfig(delay_prob=1.0, delay_s=1.0)
         world = ChaosWorld(seed=1, config=config)
         net = DiTyCONetwork(world=world)
         echo(net)
-        net.run(max_time=1e-4)  # bound: the delayed packet is in flight
-        if world.in_flight:
-            assert check_termination_not_early(net) == []
+        net.run(max_time=1e-4)
+        assert world.in_flight == 1
+        assert all(not node.has_work() for node in world.nodes.values())
+        assert not net.is_quiescent()
+        net.run()
+        assert world.in_flight == 0
+        assert net.is_quiescent()

@@ -2,10 +2,10 @@
 
 ``install_scenario`` plants a whole workload (fabric + open-loop
 arrival schedule) on a :class:`ChaosWorld`; the per-run invariants
-(message accounting, no dangling imports, no stale code, termination
-safety) must hold under drops, duplicates and jitter, and the same
-``(spec, chaos seed)`` pair must replay to identical canonical outputs
-and fault logs.  A fault-free schedule must additionally complete
+(message accounting, no dangling imports, no stale code) must hold
+under drops, duplicates and jitter, and the same ``(spec, chaos
+seed)`` pair must replay to identical canonical outputs and fault
+logs.  A fault-free schedule must additionally complete
 every operation with exactly the expected effects.
 """
 
