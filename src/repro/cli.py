@@ -10,11 +10,9 @@
     python -m repro shell --nodes n1,n2           interactive TyCOsh
     python -m repro chaos --seed 42 SESSION       one seeded chaos run
     python -m repro chaos --explore 20 SESSION    sweep seeds, check invariants
-    python -m repro trace --out t.json SESSION    causal trace (Perfetto JSON)
     python -m repro trace-check t.json            validate a trace file
     python -m repro workload pubsub --ops 100     macro workload latency run
     python -m repro obs scrape --controls ...     aggregate a daemon cluster
-    python -m repro obs stitch a.jsonl b.jsonl    merge event streams
     python -m repro obs profile PROGRAM           sampling profiler (sim)
     python -m repro obs top --controls ...        per-node load table
 
@@ -136,27 +134,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unknown_node(exc: Exception) -> int:
-    """A session named a node ``--nodes`` did not create: one line,
-    exit 2 like any other bad argument."""
-    print(f"error: {exc} — pass --nodes", file=sys.stderr)
-    return 2
-
-
 def _cmd_net(args: argparse.Namespace) -> int:
     from repro.runtime import DiTyCONetwork, TycoShell
-    from repro.runtime.shell import UnknownNodeError
 
     net = DiTyCONetwork(typecheck=args.check)
     for ip in args.nodes.split(","):
         net.add_node(ip.strip())
     shell = TycoShell(net, write=print)
     script = _read(args.session)
-    try:
-        with _front_end(args.session):
-            shell.execute_script(script)
-    except UnknownNodeError as exc:
-        return _unknown_node(exc)
+    with _front_end(args.session):
+        shell.execute_script(script)
     return 0
 
 
@@ -183,15 +170,14 @@ def _chaos_scenario(args: argparse.Namespace):
     path = Path(args.program)
     text = _read(args.program)
     nodes = [ip.strip() for ip in args.nodes.split(",")]
-    distgc = getattr(args, "distgc", False)
-    max_time = getattr(args, "max_time", 5.0)
+    distgc = getattr(args, "distgc", False)   # chaos only
 
     def prepare(net):
         if distgc:
             from repro.runtime import GcScheduler
 
             net.distgc = True
-            GcScheduler(net.world).install(horizon=min(max_time, 0.05))
+            GcScheduler(net.world).install(horizon=min(args.max_time, 0.05))
         for ip in nodes:
             net.add_node(ip)
 
@@ -215,35 +201,6 @@ def _write_or_print(path: str, text: str) -> None:
         print(text, end="")
     else:
         Path(path).write_text(text)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run once with full causal tracing; export Chrome-trace JSON."""
-    from repro.obs import (MetricsRegistry, TraceCollector,
-                           chrome_trace_json, world_metrics)
-    from repro.runtime import DiTyCONetwork
-    from repro.transport import SimWorld
-
-    scenario = _chaos_scenario(args)
-    world = SimWorld()
-    world.obs.tracing = True
-    collector = TraceCollector()
-    world.obs.subscribe(collector)
-    registry = None
-    if args.metrics is not None:
-        registry = MetricsRegistry()
-        world.obs.subscribe(registry)
-    net = DiTyCONetwork(world=world)
-    scenario(net)
-    net.run(args.max_time)
-    _write_or_print(args.out, chrome_trace_json(collector.events))
-    if args.out != "-":
-        print(f"wrote {len(collector.events)} event(s), "
-              f"{world.obs.spans_allocated} span(s) to {args.out}")
-    if registry is not None:
-        world_metrics(world, registry)
-        _write_or_print(args.metrics, registry.render())
-    return 0
 
 
 def _cmd_trace_check(args: argparse.Namespace) -> int:
@@ -270,7 +227,6 @@ def _cmd_trace_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.runtime.shell import UnknownNodeError
     from repro.testkit import ChaosConfig, explore, run_scenario
 
     config = ChaosConfig(
@@ -288,13 +244,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print("--trace/--metrics apply to single runs, not --explore",
                   file=sys.stderr)
             return 2
-        try:
-            report = explore(scenario,
-                             range(args.seed, args.seed + args.explore),
-                             config, max_time=args.max_time,
-                             monitor=args.monitor)
-        except UnknownNodeError as exc:
-            return _unknown_node(exc)
+        report = explore(scenario,
+                         range(args.seed, args.seed + args.explore),
+                         config, max_time=args.max_time,
+                         monitor=args.monitor)
         print(report.summary(program))
         return 0 if report.ok() else 3
     registry = None
@@ -302,14 +255,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    try:
-        run = run_scenario(scenario, args.seed, config,
-                           max_time=args.max_time,
-                           monitor=args.monitor,
-                           tracing=args.trace is not None,
-                           metrics=registry)
-    except UnknownNodeError as exc:
-        return _unknown_node(exc)
+    run = run_scenario(scenario, args.seed, config,
+                       max_time=args.max_time,
+                       monitor=args.monitor,
+                       tracing=args.trace is not None,
+                       metrics=registry)
     print(f"chaos seed={run.seed} {config.describe()}")
     print(f"quiescent: {'yes' if run.quiescent else 'no'}  "
           f"elapsed: {run.elapsed:.9f}s")
@@ -496,27 +446,6 @@ def _cmd_obs_scrape(args: argparse.Namespace) -> int:
     except (OSError, RuntimeError) as exc:
         print(f"scrape failed: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_obs_stitch(args: argparse.Namespace) -> int:
-    """Merge on-disk JSONL event streams into one Chrome trace."""
-    from repro.obs import events_from_jsonl, stitch_trace_json
-
-    streams = {}
-    for path in args.streams:
-        p = Path(path)
-        try:
-            streams[p.stem] = events_from_jsonl(p.read_text())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"{path}: unreadable event stream: {exc}", file=sys.stderr)
-            return 1
-    _write_or_print(args.out, stitch_trace_json(streams,
-                                                relabel=args.relabel))
-    if args.out != "-":
-        total = sum(len(evs) for evs in streams.values())
-        print(f"stitched {total} event(s) from {len(streams)} "
-              f"stream(s) to {args.out}")
     return 0
 
 
@@ -707,25 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "exposition (- for stdout)")
     p_chaos.set_defaults(func=_cmd_chaos)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run once with causal tracing; export Perfetto-loadable JSON")
-    p_trace.add_argument("program",
-                         help="a .tycosh session script or a .dityco program")
-    p_trace.add_argument("--out", default="trace.json", metavar="PATH",
-                         help="trace output file (- for stdout; "
-                              "default: trace.json)")
-    p_trace.add_argument("--nodes", default="n1,n2",
-                         help="comma-separated node IPs (default: n1,n2)")
-    p_trace.add_argument("--max-time", type=float, default=5.0,
-                         help="virtual-time bound (default: 5.0)")
-    p_trace.add_argument("--distgc", action="store_true",
-                         help="enable lease-based distributed GC")
-    p_trace.add_argument("--metrics", metavar="PATH", default=None,
-                         help="also write the Prometheus-style metrics "
-                              "exposition (- for stdout)")
-    p_trace.set_defaults(func=_cmd_trace)
-
     p_tcheck = sub.add_parser(
         "trace-check",
         help="validate a trace file against docs/trace_schema.json")
@@ -861,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="cluster observability plane: scrape, stitch, profile, top "
+        help="cluster observability plane: scrape, profile, top "
              "(docs/OBSERVABILITY.md)")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -885,21 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-call control timeout in seconds "
                                "(default: 10)")
     p_scrape.set_defaults(func=_cmd_obs_scrape)
-
-    p_stitch = obs_sub.add_parser(
-        "stitch",
-        help="merge JSONL event streams (one file per node) into one "
-             "Perfetto-loadable Chrome trace")
-    p_stitch.add_argument("streams", nargs="+",
-                          help="JSONL event-stream files; each file's "
-                               "stem labels its stream")
-    p_stitch.add_argument("--out", default="trace.json", metavar="PATH",
-                          help="merged trace output (- for stdout; "
-                               "default: trace.json)")
-    p_stitch.add_argument("--relabel", action="store_true",
-                          help="stamp world-level events (empty node) "
-                               "with their stream's label")
-    p_stitch.set_defaults(func=_cmd_obs_stitch)
 
     p_profile = obs_sub.add_parser(
         "profile",
@@ -952,6 +847,16 @@ def main(argv: list[str] | None = None) -> int:
     except _Fail as exc:
         print(exc, file=sys.stderr)
         return exc.status
+    except Exception as exc:
+        # A session named a node --nodes did not create: one line,
+        # exit 2 like any other bad argument.  (Imported here, on the
+        # error path: the shell loads the whole runtime.)
+        from repro.runtime.shell import UnknownNodeError
+
+        if not isinstance(exc, UnknownNodeError):
+            raise
+        print(f"error: {exc} — pass --nodes", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,8 @@ Sinks shipped here:
 * :class:`~repro.obs.metrics.MetricsRegistry` -- counter / gauge /
   histogram instruments with Prometheus-style text exposition;
 * :class:`~repro.obs.chrome.TraceCollector` -- records everything for
-  Chrome-trace-event JSON export (``repro trace``, Perfetto-loadable);
+  Chrome-trace-event JSON export (``repro chaos --trace``,
+  Perfetto-loadable);
 * :class:`~repro.obs.flight.FlightRecorder` -- a bounded per-node ring
   of recent events, dumped when an invariant breaks or a node crashes.
 
@@ -30,9 +31,8 @@ from .._lazy import exports
 __getattr__, __dir__, __all__ = exports(__name__, {
     "bus": "EventBus",
     "chrome": "TraceCollector chrome_trace chrome_trace_json",
-    "cluster": "ClusterScraper event_from_dict event_to_dict "
-               "events_from_jsonl events_to_jsonl merge_metrics stitch_events "
-               "stitch_trace_json top_table",
+    "cluster": "ClusterScraper event_from_dict event_to_dict merge_metrics "
+               "stitch_events stitch_trace_json top_table",
     "events": "CATEGORY_OF KNOWN_KINDS ObsEvent category_of",
     "flight": "FlightRecorder",
     "metrics": "Counter Gauge Histogram MetricsRegistry merge_snapshots "

@@ -17,9 +17,9 @@ Two activation levels:
 * **tracing** -- full causal tracing: span ids are allocated and
   carried in packets (one extra wire tag, docs/WIRE.md), and a site
   publishes its VM's state after each step (``heap``).  Opt-in
-  (``repro trace`` / ``repro chaos --trace``) because the span field
-  perturbs wire sizes and therefore simulated packet timings.  It
-  does not pick the engine the run executes on.
+  (``repro chaos --trace``, ``repro daemon --obs``) because the span
+  field perturbs wire sizes and therefore simulated packet timings.
+  It does not pick the engine the run executes on.
 
 Determinism: sequence numbers and span ids come from plain counters,
 timestamps from the world clock (virtual under simulation), so a

@@ -5,9 +5,9 @@ which trapped every PR4 sink inside its own process: each daemon's
 events, metrics and flight rings describe one slice of a computation
 that spans the cluster.  This module is the other half:
 
-* JSON-lines codecs for :class:`~repro.obs.events.ObsEvent` streams
-  (what the daemon ``trace`` control command returns, and what
-  ``repro obs stitch`` consumes from disk);
+* a flat-dict codec for :class:`~repro.obs.events.ObsEvent` (what
+  the daemon ``trace`` control command returns, inside its
+  ``wire.encode`` control record);
 * :func:`stitch_events` -- merge per-node event streams into one
   deterministic, totally ordered stream, so
   :func:`~repro.obs.chrome.chrome_trace_json` renders a single
@@ -32,14 +32,13 @@ scraped twice and compared.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Mapping
 
 from .chrome import chrome_trace_json
 from .events import ObsEvent
 from .metrics import MetricsRegistry, merge_snapshots
 
-#: The ObsEvent fields, in wire/JSONL order.
+#: The ObsEvent fields, in wire order.
 EVENT_FIELDS = ("seq", "time", "kind", "node", "src", "dst",
                 "size", "span", "note")
 
@@ -55,18 +54,6 @@ def event_from_dict(data: Mapping) -> ObsEvent:
     """Rebuild an event from :func:`event_to_dict` output."""
     return ObsEvent(**{name: data[name] for name in EVENT_FIELDS})
 
-
-def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
-    """One JSON object per line, sorted keys -- deterministic."""
-    return "".join(
-        json.dumps(event_to_dict(ev), sort_keys=True,
-                   separators=(",", ":")) + "\n"
-        for ev in events)
-
-
-def events_from_jsonl(text: str) -> list[ObsEvent]:
-    return [event_from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
 
 
 # -- stitching ----------------------------------------------------------------

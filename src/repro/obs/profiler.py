@@ -8,14 +8,15 @@ block which compiled definition, the handler kind which opcode was
 about to execute.
 
 A sample fires every ``stride`` executed instructions.
-:meth:`TycoVM.step` runs its slices in chunks capped at the stride
-remainder, so samples land at exact instruction boundaries -- the
-profile is a pure function of ``(program, seed, stride)`` and repeated
-runs are byte-identical (:meth:`collapsed` output is sorted).
-Chunking preserves slice boundaries and instruction accounting (a
-chunk end is a budget end, and every tier already lands those on the
-exact instruction), so schedules with the profiler attached are
-bit-identical to unprofiled runs.
+:meth:`TycoVM.step` runs its usual loop up to the instruction before
+each sample point and then the sample instruction alone, so samples
+land at exact instruction boundaries -- the profile is a pure function
+of ``(program, seed, stride)`` and repeated runs are byte-identical
+(:meth:`collapsed` output is sorted).  The loop is the one the VM runs
+anyway (the production engine, or the reference loop for
+``engine="slow"`` or a tracer), and a budget end is a budget end for
+either, so schedules with the profiler attached are bit-identical to
+unprofiled runs.
 
 Output: collapsed-stack flamegraph text (``site;block;kind count``
 lines, the format ``flamegraph.pl`` and speedscope consume) and
@@ -60,22 +61,12 @@ class VMProfiler:
             for site in node.sites.values():
                 self.install(site.vm)
 
-    # -- the VM-side hooks (called from TycoVM._run_slice_profiled) ----------
+    # -- the VM-side hook (called from TycoVM._step_profiled) --------------
 
-    def next_chunk(self, vm) -> int:
-        """Instructions the VM may run before the next sample point."""
-        return vm._profile_left
-
-    def account(self, vm, thread, ran: int) -> None:
-        """Charge ``ran`` executed instructions; record a sample when
-        a stride boundary was reached."""
-        left = vm._profile_left - ran
-        if left <= 0:
-            self._record(vm, thread)
-            left = self.stride
-        vm._profile_left = left
-
-    def _record(self, vm, thread) -> None:
+    def sample(self, vm, thread) -> None:
+        """Charge one sample to ``thread``, which just ran the sample
+        instruction: the frame is its block and the opcode at its pc
+        now (END past the last instruction)."""
         from repro.vm.dispatch import handler_kind
 
         block = vm.program.blocks[thread.block_id]

@@ -29,7 +29,7 @@ starting at a leader pc (block entry, any jump target, and the pcs
 around non-inlinable opcodes).  The generated function is one
 ``while`` loop dispatching over the leaders::
 
-    def _compiled_block(vm, t, f, st, budget, chain=False, ...bindings...):
+    def _compiled_block(vm, t, f, st, budget, ...bindings...):
         executed = 0
         pc = t.pc
         while 1:
@@ -72,8 +72,14 @@ The accounting invariant (docs/PERF.md) is preserved by construction:
   instructions with their import-stall protocol) execute through the
   predecoded per-pc ``head`` handler, one instruction at a time, with
   ``t.pc`` maintained exactly as the closure loop would;
+* at HALT, a next queued thread of the *same block* is picked up in
+  place while budget remains -- the pop counted as a context switch,
+  exactly like the step loop's.  There is one calling convention: a
+  profiled step cuts the budget at its sample points and calls the
+  same function;
 * a per-instruction ``Tracer`` (``repro run --trace N``) still forces
-  the original instrumented loop; the observability bus does not.
+  the original instrumented loop; the observability bus and the
+  profiler do not.
 
 Consequently ``VMStats``, context switches, simulated schedules, wire
 metrics and error messages are bit-identical between the ``slow``
@@ -554,25 +560,20 @@ class _Codegen:
             self.emit(ind, "continue")
 
     def emit_thread_end(self, ind: str) -> None:
-        """End of thread (HALT).  When called from the step loop
-        (``chain`` true), peek the run queue: a next thread on the
-        *same block* is picked up in place -- the pop goes through the
-        context-switch counter exactly like :meth:`RunQueue.pop`, so
-        accounting matches the generic loop switching threads through
-        :meth:`TycoVM.step`.  The profiled path always calls with
-        ``chain`` false: there every slice covers one thread, keeping
-        sample attribution identical to the closures'."""
+        """End of thread (HALT).  Peek the run queue: a next thread on
+        the *same block* is picked up in place -- the pop goes through
+        the context-switch counter exactly like :meth:`RunQueue.pop`,
+        so accounting matches the step loop switching threads."""
         self.uses_acc = True
-        self.emit(ind, "if chain:")
-        self.emit(ind, "    if _dq and executed < budget "
+        self.emit(ind, "if _dq and executed < budget "
                        f"and _dq[0].block_id == {self.operand('_bid')}:")
-        self.emit(ind, "        _cs += 1")
-        self.emit(ind, "        t = _dq.popleft()")
-        self.emit(ind, "        vm.current = t")
-        self.emit(ind, "        f = t.frame")
-        self.emit(ind, "        st = t.stack")
-        self.emit(ind, "        pc = t.pc")
-        self.emit(ind, "        continue")
+        self.emit(ind, "    _cs += 1")
+        self.emit(ind, "    t = _dq.popleft()")
+        self.emit(ind, "    vm.current = t")
+        self.emit(ind, "    f = t.frame")
+        self.emit(ind, "    st = t.stack")
+        self.emit(ind, "    pc = t.pc")
+        self.emit(ind, "    continue")
         self.emit(ind, "vm.current = None")
         self.emit(ind, "return executed")
 
@@ -632,8 +633,7 @@ class _Codegen:
         arms.append("        t.pc = pc")
         arms.append("        return executed")
         params = "".join(f", {name}={name}" for name in self.bindings)
-        header = [f"def _compiled_block(vm, t, f, st, budget, "
-                  f"chain=False{params}):",
+        header = [f"def _compiled_block(vm, t, f, st, budget{params}):",
                   "    executed = 0",
                   "    pc = t.pc"]
         if self.uses_stats or self.uses_acc:
@@ -736,8 +736,8 @@ def compile_block(program: Program, block_id: int, block: CodeBlock):
     key = _memo_key(block)
     seen = _MEMO.get(key)
     if seen is not None:
-        # The parameters after (vm, t, f, st, budget) are ``chain`` and
-        # the bindings, in the order of ``seen.__defaults__``.
+        # The parameters after (vm, t, f, st, budget) are the
+        # bindings, in the order of ``seen.__defaults__``.
         operands = _operands(program, block_id, block)
         return FunctionType(seen.__code__, seen.__globals__, seen.__name__,
                             tuple(operands.get(name, value) for name, value

@@ -16,7 +16,10 @@ sites and account simulated time per instruction (experiments E1-E3).
 Which loop a step runs is decided by ``engine`` and an attached
 per-instruction :class:`~repro.vm.trace.Tracer`, nothing else: this
 package does not know the observability bus exists.  A site reads its
-VM's state off it after ``step`` returns (docs/PERF.md).
+VM's state off it after ``step`` returns (docs/PERF.md).  An attached
+sampling profiler (``VMProfiler``, docs/OBSERVABILITY.md) does not
+pick a loop either: ``step`` cuts the chosen loop's budget at each
+sample point.
 
 Every reduction -- COMM from either side, INST, FORK -- spawns a
 thread through one set of helpers (``_trmsg`` / ``_trobj`` /
@@ -120,7 +123,13 @@ class VMStats:
 
 
 class TycoVM:
-    """One extended TyCO virtual machine."""
+    """One extended TyCO virtual machine.
+
+    :meth:`step` runs one of two loops -- :meth:`_step_compiled`, the
+    production engine, or :meth:`_step_reference` for ``engine="slow"``
+    or an attached tracer -- and with a profiler attached it runs the
+    same loop, cut at the sample points (:meth:`_step_profiled`).
+    """
 
     def __init__(self, program: Program, port: RemotePort | None = None,
                  name: str = "vm", engine: str | None = None) -> None:
@@ -246,28 +255,56 @@ class TycoVM:
     def step(self, budget: int = 1) -> int:
         """Execute up to ``budget`` instructions; returns the number run.
 
-        The loop is chosen per call: the original instrumented loop
+        The loop is chosen per call: the instrumented reference loop
         for ``engine="slow"`` or an attached tracer, else the production
         engine.  Both charge instructions identically, so schedules
-        never depend on the choice -- only wall-clock time does.
+        never depend on the choice -- only wall-clock time does.  An
+        attached profiler does not choose: it cuts the chosen loop's
+        budget at its sample points (:meth:`_step_profiled`).
         """
         if self.profiler is not None:
-            run_slice = self._run_slice_profiled
+            executed = self._step_profiled(budget)
         elif self._reference():
-            run_slice = self._run_slice
+            executed = self._step_reference(budget)
         else:
             executed = self._step_compiled(budget)
-            self.stats.instructions += executed
-            return executed
-        executed = 0
-        runqueue = self.runqueue
-        while executed < budget:
-            if self.current is None:
-                if not runqueue:
-                    break
-                self.current = runqueue.pop()
-            executed += run_slice(self.current, budget - executed)
         self.stats.instructions += executed
+        return executed
+
+    def _step_profiled(self, budget: int) -> int:
+        """:meth:`step` with a sampling profiler attached
+        (``VMProfiler``, docs/OBSERVABILITY.md): the usual loop runs up
+        to the instruction before the next sample point, then the
+        sample instruction alone, with a budget of 1, and the thread
+        that ran it is sampled.  A budget end is a budget end for
+        either loop -- they land it on the exact instruction -- so
+        instruction accounting, slice ends and schedules are
+        bit-identical to an unprofiled run.
+        """
+        run = (self._step_reference if self._reference()
+               else self._step_compiled)
+        queue = self.runqueue._queue
+        executed = 0
+        while executed < budget:
+            left = self._profile_left
+            if left > 1:
+                want = min(left - 1, budget - executed)
+                ran = run(want)
+                executed += ran
+                self._profile_left = left - ran
+                if ran < want:          # idle
+                    break
+                continue
+            thread = self.current
+            if thread is None:
+                if not queue:
+                    break
+                thread = queue[0]
+            if not run(1):
+                break
+            executed += 1
+            self.profiler.sample(self, thread)
+            self._profile_left = self.profiler.stride
         return executed
 
     def _step_compiled(self, budget: int) -> int:
@@ -282,15 +319,23 @@ class TycoVM:
         its own entries on the decoded-cache entry and is translated
         into generated Python at the ``TIER_UP_ENTRIES``-th; until
         then the slice runs on the predecoded closures.
-        Accounting is identical to the generic loop by construction:
+        Accounting is identical to the reference loop by construction:
         pops go through the run-queue counter, a closure charges one
         instruction and generated code its segments' original widths,
-        and a compiled function that yields early hands the remainder
-        to the closures exactly like :meth:`_run_slice_compiled`.
-        ``program.blocks`` is indexed afresh every iteration (a
-        ``link_bundle`` append lands between slices); the program and
-        its decoded cache are the VM's for life.  Pops are counted in
-        a local and flushed in a ``finally``, like generated code's.
+        and a compiled function that yields early -- with ``thread.pc``
+        stored, when the remaining budget is smaller than its next
+        straight-line segment or the thread resumes at an interior pc
+        -- hands the remainder to the closures, landing the slice end
+        on exactly the instruction the reference loop would.
+        Decoded blocks are cached on the *program* (shared by every VM
+        executing it) and checked by instruction-tuple identity: a
+        ``link_bundle`` relink appends new block ids, which decode on
+        first entry, and ``_Template.instantiate`` re-tuples a literal
+        block and installs its patched plan before any VM runs.  The
+        entry count and the compiled function ride on the entry and
+        die with it; ``program.blocks`` is indexed afresh every
+        iteration.  Pops are counted in a local and flushed in a
+        ``finally``, like generated code's.
         """
         executed = 0
         switches = 0
@@ -323,38 +368,12 @@ class TycoVM:
                     fn = dec.compiled = self._compile_block(program, bid,
                                                             block)
                 executed += fn(self, thread, thread.frame, thread.stack,
-                               budget - executed, True)
+                               budget - executed)
                 if self.current is thread and executed < budget:
                     executed += self._run_closures(dec, thread,
                                                    budget - executed)
         finally:
             runqueue.context_switches += switches
-        return executed
-
-    def _run_slice_profiled(self, thread: Thread, budget: int) -> int:
-        """Run a slice in chunks capped at the profiler's next sample
-        point (``VMProfiler``, docs/OBSERVABILITY.md).
-
-        Re-entering the underlying engine mid-slice is exactly what
-        :meth:`step`'s outer loop does after a truthy handler return,
-        and a chunk boundary is a budget boundary like any other -- so
-        instruction accounting, slice ends and schedules are
-        bit-identical to unprofiled runs; only the sample counters
-        differ.
-        """
-        profiler = self.profiler
-        if self._reference():
-            base = self._run_slice
-        else:
-            base = self._run_slice_compiled
-        executed = 0
-        while executed < budget and self.current is thread:
-            chunk = min(budget - executed, profiler.next_chunk(self))
-            ran = base(thread, chunk)
-            executed += ran
-            profiler.account(self, thread, ran)
-            if ran < chunk:
-                break
         return executed
 
     def _run_closures(self, dec, thread: Thread, budget: int) -> int:
@@ -379,54 +398,28 @@ class TycoVM:
                 return executed
         return executed
 
-    def _run_slice_compiled(self, thread: Thread, budget: int) -> int:
-        """One production-engine slice for ``thread``: the chunked
-        entry the profiler needs (:meth:`_step_compiled` inlines the
-        same prologue for everything else).
-
-        Decoded blocks are cached on the *program* (shared by every VM
-        executing it) and checked by instruction-tuple identity: a
-        ``link_bundle`` relink appends new block ids, which decode on
-        first entry, and ``_Template.instantiate`` re-tuples a literal
-        block and installs its patched plan before any VM runs.  The
-        entry count and the compiled function ride on the entry and
-        die with it.  The compiled function charges original
-        instruction widths and returns early -- with ``thread.pc``
-        stored -- when the remaining budget is smaller than the next
-        straight-line segment or the thread resumes at an interior pc;
-        the closures then finish the slice, landing boundaries on
-        exactly the instructions the instrumented loop would.
-        """
+    def _step_reference(self, budget: int) -> int:
+        """The reference body of :meth:`step`: the original
+        instrumented loop, one ``if``/``elif`` over the opcode and a
+        tracer hook per instruction.  A slice ends where
+        ``self.current`` stops being the thread it runs."""
         program = self.program
-        bid = thread.block_id
-        block = program.blocks[bid]
-        cache = program.decoded_cache
-        dec = cache.get(bid)
-        if dec is None or dec.instrs is not block.instrs:
-            dec = self._predecode(program, block)
-            cache[bid] = dec
-        fn = dec.compiled
-        if fn is None:
-            dec.entries += 1
-            if dec.entries < TIER_UP_ENTRIES:
-                return self._run_closures(dec, thread, budget)
-            fn = dec.compiled = self._compile_block(program, bid, block)
-        executed = fn(self, thread, thread.frame, thread.stack, budget)
-        if executed < budget and self.current is thread:
-            executed += self._run_closures(dec, thread, budget - executed)
-        return executed
-
-    def _run_slice(self, thread: Thread, budget: int) -> int:
-        """Run ``thread`` for at most ``budget`` instructions."""
-        program = self.program
-        instrs = program.blocks[thread.block_id].instrs
-        frame = thread.frame
-        stack = thread.stack
+        runqueue = self.runqueue
+        thread = None
         executed = 0
         while executed < budget:
+            if thread is None or thread is not self.current:
+                thread = self.current
+                if thread is None:
+                    if not runqueue:
+                        break
+                    thread = self.current = runqueue.pop()
+                instrs = program.blocks[thread.block_id].instrs
+                frame = thread.frame
+                stack = thread.stack
             if thread.pc >= len(instrs):
                 self.current = None
-                return executed
+                continue
             ins = instrs[thread.pc]
             if self.tracer is not None:
                 self.tracer.record(thread.block_id, thread.pc, ins)
@@ -490,7 +483,6 @@ class TycoVM:
                     thread.pc = ins.args[0]
             elif op is Op.HALT:
                 self.current = None
-                return executed
             elif op is Op.PRINT:
                 (nargs,) = ins.args
                 args = tuple(stack[len(stack) - nargs:])
@@ -520,7 +512,6 @@ class TycoVM:
                     frame[slot] = self._require_port().import_name(hint, site)
                 except ImportPending:
                     self._stall(thread)
-                    return executed
             elif op is Op.EXPORTCLASS:
                 group_id, slot, hint = ins.args
                 self._require_port().export_class(hint, frame[slot])
@@ -530,7 +521,6 @@ class TycoVM:
                     frame[slot] = self._require_port().import_class(hint, site)
                 except ImportPending:
                     self._stall(thread)
-                    return executed
             else:  # pragma: no cover - exhaustive over the opcode set
                 raise VMRuntimeError(f"{self.name}: unknown opcode {op}")
         return executed

@@ -91,7 +91,8 @@ MIGRATE_SESSION = (Path(__file__).parents[2]
 
 
 @pytest.mark.parametrize("argv", [
-    ["net"], ["chaos"], ["chaos", "--explore", "2"]])
+    ["net"], ["chaos"], ["chaos", "--explore", "2"], ["obs", "profile"],
+    ["balance"]])
 def test_unknown_node_is_one_error_line(argv, capsys):
     # The session names n3; the default --nodes is n1,n2.
     assert main([*argv, str(MIGRATE_SESSION)]) == 2
@@ -120,7 +121,7 @@ def test_bad_host_port_is_a_usage_error(argv, capsys):
 #: command line.
 PROGRAM_COMMANDS = {
     "run": ["run"], "compile": ["compile"], "check": ["check"],
-    "trace": ["trace", "--out", "-"], "chaos": ["chaos"],
+    "obs profile": ["obs", "profile"], "chaos": ["chaos"],
     "balance": ["balance"], "net": ["net"]}
 
 

@@ -2,8 +2,9 @@
 
 Two contracts pinned here:
 
-* the JSONL event codec round-trips exactly (it is the daemon
-  ``trace`` control command's on-disk form for ``repro obs stitch``);
+* the event codec a daemon's ``trace`` control command uses round-trips
+  exactly: ``event_to_dict``, the control record codec
+  (``wire.encode`` / ``wire.decode``), ``event_from_dict``;
 * stitching is deterministic -- the same streams always merge to the
   same bytes, and partitioning a single simulated world's events by
   node and re-stitching (``relabel=False``) reproduces the original
@@ -13,11 +14,11 @@ Two contracts pinned here:
 import json
 from pathlib import Path
 
-from repro.obs import (TraceCollector, chrome_trace_json, events_from_jsonl,
-                       events_to_jsonl, stitch_events, stitch_trace_json,
+from repro.obs import (TraceCollector, chrome_trace_json, event_from_dict,
+                       event_to_dict, stitch_events, stitch_trace_json,
                        validate_trace)
 from repro.obs.events import ObsEvent
-from repro.runtime import DiTyCONetwork
+from repro.runtime import DiTyCONetwork, wire
 from repro.testkit import ChaosConfig, ChaosWorld, CrashEvent
 
 from tests.testkit.scenarios import applet
@@ -46,20 +47,14 @@ def _ev(seq, time, kind="send", node="n1", span=0):
                     src="n1", dst="n2", size=4, span=span, note="x")
 
 
-class TestJsonlCodec:
-    def test_round_trip_preserves_every_field(self):
-        events = [_ev(1, 0.0), _ev(2, 1e-6, kind="deliver", node="", span=3)]
-        assert events_from_jsonl(events_to_jsonl(events)) == events
-
-    def test_one_sorted_object_per_line(self):
-        text = events_to_jsonl([_ev(1, 0.0)])
-        assert text.endswith("\n")
-        obj = json.loads(text.splitlines()[0])
-        assert list(obj) == sorted(obj)
-
-    def test_real_run_round_trips(self):
+class TestControlCodec:
+    def test_golden_schedule_round_trips_through_the_control_codec(self):
+        # Exactly what `trace` replies with and ClusterScraper rebuilds.
         events = _traced_events()
-        assert events_from_jsonl(events_to_jsonl(events)) == events
+        assert {ev.node for ev in events} > {""}
+        assert any(ev.span for ev in events)
+        record = wire.encode([event_to_dict(ev) for ev in events])
+        assert [event_from_dict(d) for d in wire.decode(record)] == events
 
 
 class TestStitchDeterminism:

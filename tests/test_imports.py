@@ -83,8 +83,7 @@ EXPORTS = {
         "bus": "EventBus",
         "chrome": "TraceCollector chrome_trace chrome_trace_json",
         "cluster": "ClusterScraper event_from_dict event_to_dict "
-                   "events_from_jsonl events_to_jsonl merge_metrics "
-                   "stitch_events stitch_trace_json top_table",
+                   "merge_metrics stitch_events stitch_trace_json top_table",
         "events": "CATEGORY_OF KNOWN_KINDS ObsEvent category_of",
         "flight": "FlightRecorder",
         "metrics": "Counter Gauge Histogram MetricsRegistry merge_snapshots "

@@ -309,13 +309,13 @@ def traced_network_run(monkeypatch, engine=None, tracer=False):
     from repro.vm.trace import Tracer
 
     entered = []
-    reference_loop = TycoVM._run_slice
+    reference_loop = TycoVM._step_reference
 
-    def counting(self, thread, budget):
+    def counting(self, budget):
         entered.append(self.name)
-        return reference_loop(self, thread, budget)
+        return reference_loop(self, budget)
 
-    monkeypatch.setattr(TycoVM, "_run_slice", counting)
+    monkeypatch.setattr(TycoVM, "_step_reference", counting)
     if engine is not None:
         monkeypatch.setenv("REPRO_VM_ENGINE", engine)
     net = DiTyCONetwork()
@@ -350,6 +350,36 @@ class TestWhoPicksTheEngine:
         assert notes[-1].endswith(f"comm={stats.comm_reductions} "
                                   f"inst={stats.inst_reductions}")
         assert {e.kind for e in events} == {"heap"}
+
+    def test_a_profiled_run_is_on_the_production_engine(self, monkeypatch):
+        from repro.obs import VMProfiler
+
+        entered = []
+        production = TycoVM._step_compiled
+
+        def counting(self, budget):
+            entered.append(self.name)
+            return production(self, budget)
+
+        monkeypatch.setattr(TycoVM, "_step_compiled", counting)
+        vms = {}
+        for name in ("plain", "profiled"):
+            vm = vms[name] = TycoVM(compile_source(LOOP), name=name,
+                                    engine="compiled")
+            if name == "profiled":
+                VMProfiler(stride=7).install(vm)
+            vm.boot()
+            vm.run()
+            assert vm.output == [40]
+        assert entered.count("plain") > 0
+        assert entered.count("profiled") > 0
+        for vm in vms.values():
+            program = vm.program
+            count = next(i for i, block in enumerate(program.blocks)
+                         if "Count" in block.name)
+            assert program.decoded_cache[count].compiled is not None
+        assert vms["profiled"].profiler.samples > 0
+        assert vms["profiled"].stats == vms["plain"].stats
 
     @pytest.mark.parametrize("how", [{"engine": "slow"}, {"tracer": True}])
     def test_the_reference_loop_is_asked_for_by_name(self, monkeypatch, how):
