@@ -47,14 +47,22 @@ def _ev(seq, time, kind="send", node="n1", span=0):
                     src="n1", dst="n2", size=4, span=span, note="x")
 
 
+def _round_trip(events):
+    """Exactly what `trace` replies with and ClusterScraper rebuilds."""
+    record = wire.encode([event_to_dict(ev) for ev in events])
+    return [event_from_dict(d) for d in wire.decode(record)]
+
+
 class TestControlCodec:
-    def test_golden_schedule_round_trips_through_the_control_codec(self):
-        # Exactly what `trace` replies with and ClusterScraper rebuilds.
+    def test_round_trip_preserves_every_field(self):
+        events = [_ev(1, 0.0), _ev(2, 1e-6, kind="deliver", node="", span=3)]
+        assert _round_trip(events) == events
+
+    def test_real_run_round_trips(self):
         events = _traced_events()
         assert {ev.node for ev in events} > {""}
         assert any(ev.span for ev in events)
-        record = wire.encode([event_to_dict(ev) for ev in events])
-        assert [event_from_dict(d) for d in wire.decode(record)] == events
+        assert _round_trip(events) == events
 
 
 class TestStitchDeterminism:
