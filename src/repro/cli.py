@@ -528,7 +528,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
                              pinned=frozenset(
                                  s for s in args.pin.split(",") if s))
     balancer = LoadBalancer(net, policy)
-    balancer.install_sim(args.interval, args.until)
+    balancer.install(args.interval, args.until)
     with _front_end(args.program):
         if path.suffix == ".tycosh":
             TycoShell(net, write=print).execute_script(text)
@@ -680,8 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "the traffic window (docs/MIGRATION.md)")
     p_wl.add_argument("--balance-interval", type=float, default=None,
                       metavar="S",
-                      help="sim balancer sampling period in virtual "
-                           "seconds (default: traffic span / 8)")
+                      help="balancer sampling period in seconds of the "
+                           "world's clock (default: traffic span / 8)")
     p_wl.add_argument("--json", action="store_true",
                       help="print the latency summary as JSON "
                            "(deterministic on sim)")

@@ -94,10 +94,9 @@ class ThresholdPolicy:
 class LoadBalancer:
     """Samples a network's load and migrates hot sites.
 
-    Works on any world: call :meth:`tick` at whatever cadence the
-    world affords -- from a ``schedule_at`` loop under the simulator
-    (:meth:`install_sim`), or from the runner's stepping loop on
-    wall-clock worlds.
+    Works on any world: :meth:`install` plants :meth:`rebalance` on
+    the world's timer (:meth:`~repro.transport.base.World.schedule_at`),
+    virtual seconds on the simulator and monotonic ones on sockets.
     """
 
     def __init__(self, net, policy: Optional[ThresholdPolicy] = None,
@@ -140,7 +139,7 @@ class LoadBalancer:
 
     # -- the control loop body -----------------------------------------------
 
-    def tick(self) -> Optional[BalanceDecision]:
+    def rebalance(self) -> Optional[BalanceDecision]:
         """One sample + policy evaluation; migrates when told to."""
         self.ticks += 1
         loads = self.sample()
@@ -174,17 +173,20 @@ class LoadBalancer:
         self.net.migrate(decision.site_name, decision.dest_ip)
         return decision
 
-    # -- drivers -------------------------------------------------------------
+    # -- driver --------------------------------------------------------------
 
-    def install_sim(self, interval: float, until: float) -> None:
-        """Drive :meth:`tick` from the simulator's timer wheel every
-        ``interval`` virtual seconds until time ``until``."""
+    def install(self, interval: float, until: float) -> None:
+        """Run :meth:`rebalance` on the world's timer every ``interval``
+        seconds from now until time ``until``.  Each tick is planned
+        from the last one's planned time (on the simulator that is the
+        time it ran), so a late wall-clock tick does not drop the rest."""
         world = self.net.world
 
-        def fire() -> None:
-            self.tick()
-            nxt = world.time + interval
+        def fire(at: float) -> None:
+            self.rebalance()
+            nxt = at + interval
             if nxt <= until:
-                world.schedule_at(nxt, fire)
+                world.schedule_at(nxt, lambda: fire(nxt))
 
-        world.schedule_at(world.time + interval, fire)
+        first = world.time + interval
+        world.schedule_at(first, lambda: fire(first))

@@ -38,7 +38,7 @@ ordinary wire format -- no new byte tags, exactly like REF_LEASE.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.runtime.wire import (
     KIND_MIG_ACK,
@@ -105,7 +105,6 @@ class _Outbound:
     state_bytes: bytes
     code_digest: bytes
     attempts: int = 0
-    next_retry: float = 0.0
     failed: bool = False
 
 
@@ -129,14 +128,9 @@ class MobilityManager:
     byte-identical.
     """
 
-    def __init__(self, node, config: Optional[MobilityConfig] = None,
-                 schedule: Optional[Callable] = None) -> None:
+    def __init__(self, node, config: Optional[MobilityConfig] = None) -> None:
         self.node = node
         self.config = config or MobilityConfig()
-        #: ``schedule(deadline, fn)`` -- the world's timer facility
-        #: (SimWorld.schedule_at).  When None, retries are driven by
-        #: :meth:`tick` from the node's step loop (wall-clock worlds).
-        self.schedule = schedule
         self.stats = MobilityStats()
         #: site_id -> outbound record while the site is frozen here.
         self.frozen: dict[int, _Outbound] = {}
@@ -213,10 +207,10 @@ class MobilityManager:
         self.node.transport_send(record.dest_ip, data)
 
     def _arm_retry(self, record: _Outbound) -> None:
-        record.next_retry = self.node.now() + self.config.retry_s
-        if self.schedule is not None:
-            token = record.token
-            self.schedule(record.next_retry, lambda: self._retry(token))
+        # The node's world timer (World.schedule_at) fires the retry.
+        token = record.token
+        self.node.schedule_at(self.node.now() + self.config.retry_s,
+                              lambda: self._retry(token))
 
     def _retry(self, token: str) -> None:
         record = self.outbound.get(token)
@@ -237,25 +231,6 @@ class MobilityManager:
                         note=f"{record.site_name} attempt={record.attempts + 1}")
         self._send_ship(record)
         self._arm_retry(record)
-
-    def tick(self, now: float) -> int:
-        """Wall-clock retry driver (called from Node.step when no
-        world timer facility is wired); returns retries fired."""
-        if self.schedule is not None:
-            return 0
-        fired = 0
-        for record in list(self.outbound.values()):
-            if not record.failed and now >= record.next_retry:
-                self._retry(record.token)
-                fired += 1
-        return fired
-
-    def next_retry(self) -> Optional[float]:
-        """When :meth:`tick` next has a retry to fire, or None."""
-        if self.schedule is not None:
-            return None
-        return min((record.next_retry for record in self.outbound.values()
-                    if not record.failed), default=None)
 
     # -- control packet dispatch --------------------------------------------
 

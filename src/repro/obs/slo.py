@@ -73,7 +73,8 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SLOSpec":
-        if not isinstance(data, dict) or "rules" not in data:
+        if not isinstance(data, dict) \
+                or not isinstance(data.get("rules"), list):
             raise SLOError('an SLO spec is {"rules": [...]}')
         rules = []
         for i, raw in enumerate(data["rules"]):

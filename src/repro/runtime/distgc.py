@@ -302,8 +302,7 @@ class GcScheduler:
     """
 
     def __init__(self, world: "SimWorld", period: float | None = None) -> None:
-        if getattr(world, "wall_clock", False) or \
-                not hasattr(world, "schedule_at"):
+        if world.wall_clock:
             raise TypeError(
                 "GcScheduler needs a virtual-clock SimWorld; wall-clock "
                 "worlds wake nodes themselves (threads run in real time)")

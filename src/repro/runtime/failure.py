@@ -41,8 +41,7 @@ class HeartbeatMonitor:
                  period: float = 1e-3, timeout: float = 3.5e-3) -> None:
         if timeout <= period:
             raise ValueError("timeout must exceed the heartbeat period")
-        if getattr(world, "wall_clock", False) or \
-                not hasattr(world, "schedule_at"):
+        if world.wall_clock:
             # The detector pre-schedules ticks on the virtual clock;
             # silently accepting a wall-clock world would install
             # millisecond deadlines against time.monotonic() and

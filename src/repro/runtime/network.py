@@ -123,27 +123,16 @@ class DiTyCONetwork:
 
     def mobility(self, ip: str, config=None):
         """The (create-on-demand) migration manager of the node at
-        ``ip``.  Under the simulator, SHIP retries ride the world's
-        timer wheel (:meth:`SimWorld.schedule_at`); wall-clock worlds
-        drive them from the node's own step loop instead."""
-        node = self.node(ip)
-        schedule = None
-        if getattr(self.world, "wall_clock", False):
-            if config is None and node.mobility is None:
-                from repro.mobility.migrate import MobilityConfig
+        ``ip``; its SHIP retries ride the world's timer
+        (:meth:`~repro.transport.base.World.schedule_at`)."""
+        return self.node(ip).ensure_mobility(config=config)
 
-                config = MobilityConfig.wall_clock()
-        else:
-            schedule_at = getattr(self.world, "schedule_at", None)
-            if schedule_at is not None:
-                schedule = schedule_at
-        return node.ensure_mobility(config=config, schedule=schedule)
-
-    def migrate(self, site_name: str, dest_ip: str, config=None) -> str:
+    def migrate(self, site_name: str, dest_ip: str) -> str:
         """Live-migrate the named site to the node at ``dest_ip``;
         returns the migration token.  The source node is found by
         name, the destination manager is pre-created so the cutover
-        needs no lazy construction mid-protocol."""
+        needs no lazy construction mid-protocol, and the SHIP retries
+        ride the world's timer on every world."""
         return self.world.call(self._migrate, site_name, dest_ip)
 
     def _migrate(self, site_name: str, dest_ip: str) -> str:

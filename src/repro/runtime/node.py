@@ -93,6 +93,7 @@ class Node:
         self._gc_sweep_s = (gc_config or GcConfig()).sweep_s
         self._next_sweep = 0.0
         self._clock: Callable[[], float] = monotime
+        self._timer: Optional[Callable] = None
         self._send: Optional[Callable[[str, str, bytes], None]] = None
         self._wakeup: Optional[Callable[[], None]] = None
         #: The world's observability bus (repro.obs), set by add_node
@@ -107,20 +108,30 @@ class Node:
 
     def attach_transport(self, send: Callable[[str, str, bytes], None],
                          wakeup: Optional[Callable[[], None]] = None,
-                         clock: Optional[Callable[[], float]] = None) -> None:
+                         clock: Optional[Callable[[], float]] = None,
+                         schedule: Optional[Callable] = None) -> None:
         """Connect the node to a world: ``send(src_ip, dst_ip, data)``
         forwards a buffer; ``wakeup`` reschedules the node when new
         work appears (used by both transports); ``clock`` is the
         world's time base (virtual under simulation) that GC leases
-        and sweep cadences are measured on."""
+        and sweep cadences are measured on; ``schedule(time, action)``
+        is the world's timer on that clock (:meth:`World.schedule_at`),
+        which migration retries ride."""
         self._send = send
         self._wakeup = wakeup
         if clock is not None:
             self._clock = clock
+        self._timer = schedule
 
     def now(self) -> float:
         """Current time on the attached world's clock."""
         return self._clock()
+
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` at ``time`` on the attached world's timer."""
+        if self._timer is None:
+            raise RuntimeError(f"node {self.ip} has no world timer attached")
+        self._timer(time, action)
 
     def transport_send(self, dest_ip: str, data: bytes) -> None:
         if self._send is None:
@@ -198,7 +209,7 @@ class Node:
         self.on_work_available()
         return site
 
-    def ensure_mobility(self, config=None, schedule=None):
+    def ensure_mobility(self, config=None):
         """Create (once) and return this node's migration manager."""
         if self.mobility is None:
             from repro.mobility.migrate import MobilityConfig, MobilityManager
@@ -208,12 +219,9 @@ class Node:
                 # Every wall-clock world attaches monotime as the node
                 # clock; the sim-scale retry interval would retransmit
                 # between scheduling quanta of a real link (the same
-                # scaling GcConfig.wall_clock applies).  Matters when
-                # the manager is first built by an incoming MIG_SHIP
-                # (daemon clusters) rather than DiTyCONetwork.mobility.
+                # scaling GcConfig.wall_clock applies).
                 config = MobilityConfig.wall_clock()
-            self.mobility = MobilityManager(self, config=config,
-                                            schedule=schedule)
+            self.mobility = MobilityManager(self, config=config)
         return self.mobility
 
     def adopt_site(self, site: Site) -> Site:
@@ -272,12 +280,12 @@ class Node:
         the quantum boundary flushes them.
 
         A quantum costs what runs in it: with nothing queued or
-        runnable and no timer to serve it returns at the door, and the
-        walk steps only the sites that have work when it reaches them
-        (a name-service wake-up earlier in the same walk counts).  The
-        budget still divides by the whole pool -- that, and pool order,
-        are the schedule."""
-        if not (self.distgc or self.mobility is not None or self.has_work()):
+        runnable and no distgc sweep to serve it returns at the door,
+        and the walk steps only the sites that have work when it
+        reaches them (a name-service wake-up earlier in the same walk
+        counts).  The budget still divides by the whole pool -- that,
+        and pool order, are the schedule."""
+        if not (self.distgc or self.has_work()):
             return NodeStepReport(0, 0, 0)
         self._in_step = True
         try:
@@ -309,7 +317,6 @@ class Node:
                         site.run_distgc(now)
             if self.mobility is not None:
                 moved += self.mobility.process_inbox()
-                self.mobility.tick(self.now())
             moved += self.tycod.pump()
         finally:
             self._in_step = False
@@ -385,11 +392,8 @@ class Node:
         return False
 
     def next_deadline(self) -> Optional[float]:
-        """When a timer of this node falls due on its clock -- the
-        distgc sweep or a wall-clock migration retry -- or None."""
-        sweep = self._next_sweep if self.distgc and self.sites else None
-        retry = None if self.mobility is None else self.mobility.next_retry()
-        return min((t for t in (sweep, retry) if t is not None), default=None)
+        """When this node's distgc sweep falls due on its clock, or None."""
+        return self._next_sweep if self.distgc and self.sites else None
 
     def is_quiescent(self) -> bool:
         """Nothing runnable, queued or parked on any site."""

@@ -148,8 +148,9 @@ class TycoShell:
             raise ShellError("usage: migrate <site-name> <dest-ip> [at-time]")
         site_name, dest_ip = args[0], self._node(args[1])
         if len(args) == 3:
-            # Plant the cutover on the timer wheel so chaos sessions
-            # can migrate mid-traffic at a reproducible virtual time.
+            # Plant the cutover on the world's timer, so chaos sessions
+            # can migrate mid-traffic at a reproducible virtual time (on
+            # a wall-clock world the time is monotonic; past fires now).
             at = float(args[2])
             self.network.world.schedule_at(
                 at, lambda: self.network.migrate(site_name, dest_ip))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.runtime.distgc import GcScheduler
 from repro.transport.sim import SimWorld
 from repro.vm.values import remote_ref_key
 
@@ -150,17 +151,7 @@ def settle_distgc(net: "DiTyCONetwork") -> None:
                for s in sites)
     horizon = 3 * max(s.distgc.config.lease_s
                       + s.distgc.config.effective_grace_s for s in sites)
-    now = world.time
-
-    def wake_all() -> None:
-        for ip, node in world.nodes.items():
-            if ip in world.failed:
-                continue
-            if getattr(node, "distgc", False):
-                node.on_work_available()
-
-    for k in range(1, int(horizon / tick) + 2):
-        world.schedule_at(now + k * tick, wake_all)
+    GcScheduler(world, period=tick).install(horizon)
     world.run()
 
 

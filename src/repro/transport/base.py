@@ -16,16 +16,17 @@ worlds drive exactly the same :class:`~repro.runtime.node.Node` code:
   :class:`~repro.runtime.cluster.DaemonWorld`, one process per node.
 
 Whatever reaches a node from outside the world's own stepping --
-a launch, a migration, a control RPC, a workload injector --
-goes through :meth:`World.call`.
+a launch, a migration, a control RPC -- goes through
+:meth:`World.call`; whatever must happen at a later time -- a workload
+arrival, a balancer tick, an SLO check, a migration retry -- is planted
+with :meth:`World.schedule_at`, the one timer every world has.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs import EventBus
 
@@ -93,6 +94,12 @@ class World(ABC):
     @abstractmethod
     def time(self) -> float:
         """Current time (virtual or wall-clock, world-dependent)."""
+
+    @abstractmethod
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` where this world steps its nodes once
+        :attr:`time` reaches ``time``.  Until it has run, the action is
+        pending work: :meth:`run` does not return before it."""
 
     def call(self, fn, *args):
         """Run ``fn(*args)`` where this world steps its nodes and return

@@ -70,7 +70,8 @@ class SimWorld(World):
             raise ValueError(f"duplicate node ip {node.ip}")
         self.nodes[node.ip] = node
         node.attach_transport(self._send, wakeup=lambda: self._wake(node.ip),
-                              clock=lambda: self._clock)
+                              clock=lambda: self._clock,
+                              schedule=self.schedule_at)
         node.attach_obs(self.obs)
 
     def _wake(self, ip: str) -> None:
@@ -180,7 +181,8 @@ class SimWorld(World):
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule an arbitrary control-plane action on the virtual
-        clock (heartbeats, monitors, workload generators)."""
+        clock (arrivals, balancer ticks, SLO checks, migration retries,
+        heartbeats); a time in the past is a ``ValueError``."""
         if not callable(action):
             raise TypeError(f"event action must be callable, got {action!r}")
         if time < self._clock:

@@ -507,15 +507,20 @@ class SocketWorld(World):
     are implemented as threads sharing the address space of the node."
     Here they share one thread: a delivered record, new work or a busy
     quantum schedules the node's :meth:`Node.step` on the loop, and a
-    timer that falls due later (:meth:`Node.next_deadline`) a
+    distgc sweep that falls due later (:meth:`Node.next_deadline`) a
     ``call_at``.  A node with a link at :data:`QUEUE_LIMIT` is not stepped
     until the drain frees a slot.  Another thread reaches a node
     through :meth:`call`; a node whose step or receive raises is
     stepped no more, and :meth:`run` raises the exception.
 
+    The world's timer, :meth:`schedule_at`, is a ``call_at`` on the same
+    loop, on the same clock (``monotime`` is the loop's clock): workload
+    arrivals, balancer ticks, SLO checks and migration retries all ride
+    it, exactly as they ride the simulator's event queue.
+
     Quiescence is one check on the loop (:meth:`_quiet`): no node has
-    work, every link is idle, and exact record accounting says every
-    record sent has been delivered.
+    work, no planned action is still to run, every link is idle, and
+    exact record accounting says every record sent has been delivered.
 
     ``proxy`` (a :class:`~repro.testkit.proxy.ChaosProxy`) interposes
     a fault-injecting TCP relay on every link; the world then mirrors
@@ -538,8 +543,11 @@ class SocketWorld(World):
         self._addrs: dict[str, tuple[str, int]] = {}
         self._scheduled: set[str] = set()    # a step is on the loop's queue
         self._deferred: set[str] = set()     # waiting for a link slot
-        self._armed: dict[str, float] = {}   # last timer deadline per node
-        #: ip -> what that node's step or receive raised.
+        self._armed: dict[str, float] = {}   # last sweep deadline per node
+        self._timers = 0                     # planned actions not yet run
+        self._due: deque[Callable[[], None]] = deque()   # fell due, to run
+        #: ip -> what that node's step or receive raised ("" for a
+        #: planned action).
         self._errors: dict[str, Exception] = {}
         self._started = False
         self._running = False                # the loop steps the nodes
@@ -581,7 +589,7 @@ class SocketWorld(World):
         self._endpoints[node.ip] = endpoint
         node.attach_transport(self._send,
                               wakeup=lambda ip=node.ip: self._wake(ip),
-                              clock=monotime)
+                              clock=monotime, schedule=self.schedule_at)
         node.attach_obs(self.obs)
 
     def use_proxy(self, proxy) -> None:
@@ -645,6 +653,38 @@ class SocketWorld(World):
     def _fail(self, ip: str, exc: Exception) -> None:
         self._errors.setdefault(ip, exc)
         self._settled.set()
+
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` on the loop at ``time`` on the ``monotime``
+        clock; a time already past fires at once.  Callable from any
+        thread."""
+        if not callable(action):
+            raise TypeError(f"event action must be callable, got {action!r}")
+        self.call(self._plant, time, action)
+
+    def _plant(self, time: float, action: Callable[[], None]) -> None:
+        self._timers += 1
+        self.io.loop.call_at(time, self._fall_due, action)
+
+    def _fall_due(self, action: Callable[[], None]) -> None:
+        # One due action per pass of the loop, behind the node steps
+        # already queued: a burst of late arrivals cannot starve the
+        # nodes that serve them.
+        self._due.append(action)
+        if len(self._due) == 1:
+            self.io.loop.call_soon(self._fire)
+
+    def _fire(self) -> None:
+        action = self._due.popleft()
+        try:
+            action()
+        except Exception as exc:  # noqa: BLE001 - run() raises it
+            self._fail("", exc)
+        self._timers -= 1
+        if self._due:
+            self.io.loop.call_soon(self._fire)
+        else:
+            self._settle()
 
     def _send(self, src_ip: str, dst_ip: str, data: bytes) -> None:
         if not self._routable(dst_ip):
@@ -735,7 +775,8 @@ class SocketWorld(World):
     def _quiet(self) -> bool:
         """The one quiescence check (on the loop); after an unclean
         drop the accounting proves nothing and is skipped."""
-        if self._scheduled or any(n.has_work() for n in self.nodes.values()):
+        if (self._timers or self._scheduled
+                or any(n.has_work() for n in self.nodes.values())):
             return False
         if not all(e.links_idle() for e in self._endpoints.values()):
             return False

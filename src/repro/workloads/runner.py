@@ -4,15 +4,16 @@
 :class:`~repro.runtime.network.DiTyCONetwork`, injects the generated
 arrival schedule open-loop, and stopwatches every operation from its
 injection to the moment its completion token reaches the ``collector``
-site.  The same code path drives both worlds:
+site.  The same code path drives both worlds: arrivals, balancer
+ticks and SLO checks are planted on the world's timer
+(:meth:`~repro.transport.base.World.schedule_at`), and ``run`` drains
+the network once they have all fired.
 
-* ``sim`` -- arrivals become :meth:`SimWorld.schedule_at` events on
-  the virtual clock, so the whole run (latencies included) is a pure
-  function of the spec; repeated runs are bit-identical.
-* ``socket`` -- the world is started, the injector thread sleeps out
-  the schedule on the wall clock and hands each arrival to the world's
-  loop (:meth:`~repro.transport.base.World.call`), and latencies are
-  real round-trip times over loopback TCP.
+* ``sim`` -- the timer is the virtual clock's event queue, so the whole
+  run (latencies included) is a pure function of the spec; repeated
+  runs are bit-identical.
+* ``socket`` -- the timer is a ``call_at`` on the loop that steps every
+  node, and latencies are real round-trip times over loopback TCP.
 
 Latency measurement needs no VM support: every workload routes each
 operation's completion token (its ``seq``) to the collector's console,
@@ -36,7 +37,6 @@ superlinear.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
@@ -194,25 +194,24 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                  slo=None) -> WorkloadReport:
     """Build the fabric, drive the open-loop schedule, report latency.
 
-    ``max_time`` bounds each wall-clock drain (ignored on the
-    simulator, which runs to quiescence); a wall run that cannot drain
-    raises ``TimeoutError`` from the world.
+    ``max_time`` bounds each wall-clock drain -- for the traffic, the
+    drain after its last arrival -- and is ignored on the simulator,
+    which runs to quiescence; a wall run that cannot drain raises
+    ``TimeoutError`` from the world.
 
     With ``balance`` the metrics-driven load balancer
-    (:mod:`repro.mobility.balancer`) runs over the traffic window --
-    on the simulator as a timer-wheel loop every ``balance_interval``
-    virtual seconds, on wall-clock worlds as one tick per injected
-    arrival.  The ``collector`` site is pinned (its output list holds
-    the latency tap, which a checkpoint round trip would shed); every
-    migration the balancer orders lands on the report, and a flight
-    recorder captures the event context so a violated run shows what
-    the balancer did right before.
+    (:mod:`repro.mobility.balancer`) runs over the traffic window, one
+    tick every ``balance_interval`` seconds of the world's clock
+    (default: an eighth of the window).  The ``collector`` site is
+    pinned (its output list holds the latency tap, which a checkpoint
+    round trip would shed); every migration the balancer orders lands
+    on the report, and a flight recorder captures the event context so
+    a violated run shows what the balancer did right before.
 
     With ``slo`` (an :class:`~repro.obs.slo.SLOSpec`) the watchdog
-    evaluates the rules at deterministic points of the traffic window
-    (quarters of the schedule on the simulator, every 16 arrivals on
-    wall clocks) and once more at drain; breaches land on the report
-    and the first one captures a flight dump.
+    evaluates the rules at the quarter points of the traffic window and
+    once more at drain; breaches land on the report and the first one
+    captures a flight dump.
     """
     app = APPS[spec.workload]
     trace = generate_trace(spec)
@@ -288,39 +287,28 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
                 net.launch(ip, name, src)
             return launch
 
-        base = net.time
-        if world == "sim":
-            sim_world = net.world
+        span = trace[-1].at_us * 1e-6 if trace else 0.0
+
+        def plant() -> float:
+            """Plant the traffic window on the world's timer (on a
+            wall-clock world, from its loop: one hop, one clock
+            reading); returns its start."""
+            base = net.time
             for arrival in trace:
-                sim_world.schedule_at(base + arrival.at_us * 1e-6,
+                net.world.schedule_at(base + arrival.at_us * 1e-6,
                                       make_launch(arrival))
             if balancer is not None:
-                span = trace[-1].at_us * 1e-6 if trace else 0.0
                 interval = balance_interval or max(span / 8.0, 1e-5)
-                balancer.install_sim(interval, base + span + interval)
+                balancer.install(interval, base + span + interval)
             if watchdog is not None:
-                # Deterministic mid-run checkpoints: quarters of the
-                # traffic window on the virtual clock.
-                span = trace[-1].at_us * 1e-6 if trace else 0.0
                 for k in range(1, 5):
-                    sim_world.schedule_at(base + span * k / 4.0,
+                    net.world.schedule_at(base + span * k / 4.0,
                                           watchdog.check)
-            net.run(max_time)
-        else:
-            # This thread sleeps out the schedule; everything that
-            # touches a node runs on the world's loop (World.call).
-            net.world.start()
-            base = net.world.time
-            for arrival in trace:
-                delay = base + arrival.at_us * 1e-6 - net.world.time
-                if delay > 0:
-                    _time.sleep(delay)
-                if balancer is not None:
-                    net.world.call(balancer.tick)
-                if watchdog is not None and arrival.seq % 16 == 15:
-                    net.world.call(watchdog.check)
-                net.world.call(make_launch(arrival))
-            net.run(wall_timeout)
+            return base
+
+        base = net.world.call(plant)
+        net.run(max_time if world == "sim"
+                else base + span - net.time + wall_timeout)
         makespan = net.time - base
 
         for phase in app.post_phases(spec, trace):

@@ -54,7 +54,6 @@ def reference_step(self, quantum=256):
                     site.run_distgc(now)
         if self.mobility is not None:
             moved += self.mobility.process_inbox()
-            self.mobility.tick(self.now())
         moved += self.tycod.pump()
     finally:
         self._in_step = False

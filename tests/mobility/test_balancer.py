@@ -88,7 +88,7 @@ class TestLoadBalancer:
         net.world.obs.subscribe(sink)
         balancer = LoadBalancer(net, ThresholdPolicy(hot_load=4.0,
                                                      imbalance=2.0))
-        balancer.install_sim(interval=2e-5, until=2e-3)
+        balancer.install(interval=2e-5, until=2e-3)
         net.run()
         assert len(balancer.decisions) >= 1
         first = balancer.decisions[0]
@@ -110,7 +110,7 @@ class TestLoadBalancer:
         net.add_nodes(["n1", "n2"])
         net.launch("n1", "quiet", "print![1]")
         balancer = LoadBalancer(net)  # default thresholds: high
-        balancer.install_sim(interval=2e-5, until=5e-4)
+        balancer.install(interval=2e-5, until=5e-4)
         net.run()
         assert balancer.decisions == []
         assert balancer.ticks > 0
@@ -149,7 +149,7 @@ class TestLoadBalancer:
 
         balancer.sample = stale_sample
         node1.remove_site(site)
-        assert balancer.tick() is None
+        assert balancer.rebalance() is None
         assert balancer.decisions == []
 
 
@@ -165,7 +165,7 @@ class TestDecisionObservability:
         balancer = LoadBalancer(net, ThresholdPolicy(hot_load=4.0,
                                                      imbalance=2.0),
                                 registry=registry)
-        balancer.install_sim(interval=2e-5, until=2e-3)
+        balancer.install(interval=2e-5, until=2e-3)
         net.run()
         assert balancer.decisions
         return balancer, sink

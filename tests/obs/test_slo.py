@@ -43,6 +43,9 @@ class TestSpecParsing:
     def test_top_level_shape(self):
         with pytest.raises(SLOError):
             SLOSpec.from_dict({"rule": []})
+        for rules in (5, None, {"op": "*"}):
+            with pytest.raises(SLOError, match="rules"):
+                SLOSpec.from_dict({"rules": rules})
         with pytest.raises(SLOError, match="bad SLO JSON"):
             SLOSpec.from_json("{nope")
 

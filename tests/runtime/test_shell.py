@@ -102,6 +102,26 @@ class TestErrors:
         assert net.nameservice.lookup_site("server").ip == "n2"
         assert net.site("c1").output == [9]
 
+    def test_migrate_scheduled_on_a_socket_world(self):
+        """A wall-clock world has the same timer: a planned migration
+        is pending work, and a time already past fires at once."""
+        from repro.transport import SocketWorld
+
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2"])
+        shell = TycoShell(net)
+        try:
+            shell.execute("eval n1 s export def Pump(r) = r![9] in 0")
+            shell.execute("step 30")
+            shell.execute("migrate s n2 0.5")
+            assert any("scheduled at 0.5" in l for l in shell.lines)
+            shell.execute("step 30")
+            assert net.nameservice.lookup_site("s").ip == "n2"
+            assert net.node("n1").mobility.stats.migrations_out == 1
+        finally:
+            world.shutdown()
+
     def test_bad_migrate_usage(self, shell):
         with pytest.raises(ShellError):
             shell.execute("migrate onlysite")

@@ -243,6 +243,45 @@ class TestSocketWorld:
         finally:
             world.shutdown()
 
+    def test_run_waits_for_a_planned_action(self):
+        # The network is quiet before the action falls due; run() must
+        # still wait for it, and for the work it starts.
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_node("n1")
+        try:
+            net.run(max_time=10.0)
+            fired = []
+            at = world.time + 0.2
+
+            def arrive():
+                fired.append(world.time)
+                net.launch("n1", "late", "print![5]")
+
+            world.schedule_at(at, arrive)
+            net.run(max_time=10.0)
+            assert fired and fired[0] >= at
+            assert net.site("late").output == [5]
+            # A time already past fires at once; the simulator would
+            # refuse it instead.
+            world.schedule_at(0.0, lambda: fired.append("past"))
+            net.run(max_time=10.0)
+            assert fired[-1] == "past"
+        finally:
+            world.shutdown()
+
+    def test_a_failing_planned_action_ends_run(self):
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_node("n1")
+        try:
+            world.start()
+            world.schedule_at(world.time, lambda: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                net.run(max_time=5.0)
+        finally:
+            world.shutdown()
+
     def test_world_metrics_gain_socket_gauges(self):
         from repro.obs import world_metrics
 

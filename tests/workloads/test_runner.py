@@ -291,7 +291,7 @@ def test_wall_world_leaves_no_threads():
 
 
 def test_wall_world_reaps(monkeypatch):
-    # The injector reaps every 32 arrivals on the socket world too, on
+    # The runner reaps every 32 arrivals on the socket world too, on
     # the loop that steps the nodes: the SiteTable holds the live sites
     # and no more, and they are a window of the run, not all of it.
     net = run_keeping_net(monkeypatch, "pubsub", 300, world="socket")
@@ -299,3 +299,41 @@ def test_wall_world_reaps(monkeypatch):
             for name in node.sites_by_name}
     assert set(net.nameservice.snapshot()["sites"]) == live
     assert len(live) < 64
+
+
+def test_wall_world_balances_and_watches_on_the_world_timer(monkeypatch):
+    # Balancer ticks and SLO checks ride the world's timer on sockets
+    # as on the simulator: the tick count follows from the interval,
+    # and the watchdog checks the four quarter points plus the drain.
+    from repro.mobility import balancer as balancer_module
+    from repro.obs import slo as slo_module
+    from repro.obs.slo import SLOSpec
+    from repro.workloads import generate_trace
+
+    made = {}
+
+    def recording(cls, key):
+        class Recording(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made[key] = self
+        return Recording
+
+    monkeypatch.setattr(balancer_module, "LoadBalancer",
+                        recording(balancer_module.LoadBalancer, "balancer"))
+    monkeypatch.setattr(slo_module, "SLOWatchdog",
+                        recording(slo_module.SLOWatchdog, "watchdog"))
+    span = generate_trace(WALL_SPEC)[-1].at_us * 1e-6
+    slo = SLOSpec.from_dict({"rules": [
+        {"op": "*", "percentile": 99.0, "max_latency_us": 1e9},
+        {"min_throughput_ops_per_s": 0.001}]})
+    # Ticks at 1..4 intervals: the last one, 4.5 intervals in, would
+    # pass the window's end (span + one interval).
+    rep = run_workload(WALL_SPEC, world="socket", max_time=20.0,
+                       balance=True, balance_interval=span / 3.5, slo=slo)
+    assert rep.violations == []
+    assert rep.ops_completed == WALL_SPEC.ops
+    assert rep.slo_breaches == []
+    assert rep.balance_decisions == made["balancer"].decisions
+    assert made["balancer"].ticks == 4
+    assert made["watchdog"].checks == 5
