@@ -69,15 +69,14 @@ def spawn_tree(depth: int) -> str:
 
 
 def one_hop_network(placement: str, n_messages: int = 1,
-                    cluster: ClusterModel | None = None,
-                    local_fast_path: bool = True) -> DiTyCONetwork:
+                    cluster: ClusterModel | None = None) -> DiTyCONetwork:
     """A receiver and a sender placed per ``placement``:
 
     ``"same-site"``      one site sends to itself,
     ``"same-node"``      two sites on one node,
     ``"cross-node"``     two sites on two nodes.
     """
-    net = DiTyCONetwork(cluster=cluster, local_fast_path=local_fast_path)
+    net = DiTyCONetwork(cluster=cluster)
     receivers = " | ".join(
         f"(svc?(v{i}) = print![v{i}])" for i in range(n_messages))
     server_src = f"export new svc ({receivers})"
@@ -137,15 +136,11 @@ def latency_hiding_network(n_threads: int, local_work: int,
     return net
 
 
-def applet_fetch_network(body_size: int, uses: int,
-                         **net_kwargs) -> DiTyCONetwork:
+def applet_fetch_network(body_size: int, uses: int) -> DiTyCONetwork:
     """E4, fetch flavour: an applet class with ``body_size`` padding
-    instructions, instantiated ``uses`` times (sequentially).
-
-    ``net_kwargs`` pass through to :class:`DiTyCONetwork` (the E4
-    ablations toggle ``code_cache`` / ``fetch_cache`` this way)."""
+    instructions, instantiated ``uses`` times (sequentially)."""
     pad = _padded_body(body_size)
-    net = DiTyCONetwork(**net_kwargs)
+    net = DiTyCONetwork()
     net.add_nodes(["n1", "n2"])
     net.launch("n1", "server", f"""
     export def Applet(out) = ({pad} | out![1])
@@ -159,12 +154,11 @@ def applet_fetch_network(body_size: int, uses: int,
     return net
 
 
-def applet_ship_network(body_size: int, uses: int,
-                        **net_kwargs) -> DiTyCONetwork:
+def applet_ship_network(body_size: int, uses: int) -> DiTyCONetwork:
     """E4, ship flavour: the server ships a ``body_size`` applet object
     per request; the client invokes it ``uses`` times sequentially."""
     pad = _padded_body(body_size)
-    net = DiTyCONetwork(**net_kwargs)
+    net = DiTyCONetwork()
     net.add_nodes(["n1", "n2"])
     net.launch("n1", "server", f"""
     def AppletServer(self) =

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import importlib
 import json
+from unittest import mock
 
 from repro.runtime import DiTyCONetwork
 
@@ -74,16 +75,11 @@ def _one_hop_sim_us(placement: str, n: int) -> float:
 def refetch_network(code_cache: bool = True) -> DiTyCONetwork:
     """The repeated-FETCH workload: ``REFETCH_USES`` sequential
     instantiations of the same remote class with the ClassRef cache
-    disabled, so every use re-runs the FETCH protocol."""
-    net = applet_fetch_network(REFETCH_BODY, REFETCH_USES)
-    for node in net.world.nodes.values():
-        node.fetch_cache = False
-        for site in node.sites.values():
-            site.fetch_cache = False
-            if not code_cache:
-                site.codecache = None
-    net.fetch_cache = False
-    return net
+    disabled, so every use re-runs the FETCH protocol.  Both switches
+    are read when the sites are built."""
+    with mock.patch("repro.runtime.site.FETCH_CACHE", False), \
+            mock.patch("repro.runtime.codecache.CODE_CACHE", code_cache):
+        return applet_fetch_network(REFETCH_BODY, REFETCH_USES)
 
 
 def _refetch() -> tuple[float, int]:
@@ -108,13 +104,14 @@ def _ship_bytes(body: int, uses: int) -> int:
 
 
 def _burst(batching: bool) -> tuple[int, int]:
-    net = DiTyCONetwork(batching=batching)
+    net = DiTyCONetwork()
     net.add_nodes(["n1", "n2"])
     receivers = " | ".join(f"(svc?(v{i}) = print![v{i}])" for i in range(32))
     net.launch("n1", "server", f"export new svc ({receivers})")
     sends = " | ".join(f"svc![{i}]" for i in range(32))
     net.launch("n2", "client", f"import svc from server in ({sends})")
-    net.run()
+    with mock.patch("repro.runtime.node.BATCHING", batching):
+        net.run()
     assert sorted(net.site("server").output) == list(range(32))
     return net.world.stats.packets, net.world.stats.bytes
 

@@ -42,8 +42,8 @@ def run() -> dict:
     net.launch("n1", "server", SERVER)
     _burst(net, "n2", base=0)
 
-    # The quiesced server's checkpoint, as crash-restart would journal
-    # it (MAGIC + version + digest + encoded code/state sections).
+    # The quiesced server's checkpoint as one durable blob (MAGIC +
+    # version + digest + encoded code/state sections).
     blob = write_checkpoint(net.site("server"))
 
     bytes0, t0 = net.world.stats.bytes, net.world.time
@@ -84,7 +84,7 @@ def report() -> list[dict]:
     r = run()
     return [
         {"leg": "checkpoint blob", "wire_bytes": r["ckpt_bytes"],
-         "sim_us": None, "note": "journal record for crash-restart"},
+         "sim_us": None, "note": "durable blob (write_checkpoint)"},
         {"leg": "cold migrate n1->n3", "wire_bytes": r["cold_bytes"],
          "sim_us": r["cold_sim_us"],
          "note": f"code+state ship ({r['code_bytes']}B code)"},

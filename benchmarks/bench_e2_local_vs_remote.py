@@ -14,10 +14,13 @@ Two measurements per placement:
   so the per-message cost collapses toward the serialisation +
   compute cost (the bandwidth story).
 
-Ablation A3 (``local_fast_path=False``) forces same-node interactions
-through the wire encoding; its cost is visible in encoded bytes and in
-wall time (the simulator charges network time only to real links).
+Ablation A3 (``repro.runtime.daemon.LOCAL_FAST_PATH = False``) forces
+same-node interactions through the wire encoding; its cost is visible
+in encoded bytes and in wall time (the simulator charges network time
+only to real links).
 """
+
+from unittest import mock
 
 import pytest
 
@@ -26,10 +29,8 @@ from _workloads import one_hop_network
 PLACEMENTS = ("same-site", "same-node", "cross-node")
 
 
-def simulated_time(placement: str, n_messages: int,
-                   local_fast_path: bool = True) -> float:
-    net = one_hop_network(placement, n_messages=n_messages,
-                          local_fast_path=local_fast_path)
+def simulated_time(placement: str, n_messages: int) -> float:
+    net = one_hop_network(placement, n_messages=n_messages)
     elapsed = net.run()
     server = net.site("server")
     assert sorted(v for v in server.output) == list(range(n_messages))
@@ -37,9 +38,10 @@ def simulated_time(placement: str, n_messages: int,
 
 
 def encoded_bytes(placement: str, local_fast_path: bool) -> int:
-    net = one_hop_network(placement, n_messages=8,
-                          local_fast_path=local_fast_path)
-    net.run()
+    net = one_hop_network(placement, n_messages=8)
+    with mock.patch("repro.runtime.daemon.LOCAL_FAST_PATH",
+                    local_fast_path):
+        net.run()
     return sum(n.tycod.stats.bytes_sent for n in net.world.nodes.values())
 
 
@@ -86,9 +88,9 @@ def test_wall_time_fast_path_ablation(benchmark, fast_path):
     """A3 in wall time: the no-fast-path config pays encode+decode."""
 
     def kernel():
-        net = one_hop_network("same-node", n_messages=16,
-                              local_fast_path=fast_path)
-        net.run()
+        net = one_hop_network("same-node", n_messages=16)
+        with mock.patch("repro.runtime.daemon.LOCAL_FAST_PATH", fast_path):
+            net.run()
         return net
 
     benchmark(kernel)

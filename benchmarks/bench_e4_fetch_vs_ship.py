@@ -14,9 +14,12 @@ sweep the applet's code size and the number of uses:
 * the per-site *code cache* (offer/need/reply) rescues both degenerate
   shapes: once a digest is installed, repeats move zero code bytes.
 
-The pre-cache shapes are pinned with ``code_cache=False`` networks so
-the two cost models stay separately measurable.
+The pre-cache shapes are pinned with networks built under
+``repro.runtime.codecache.CODE_CACHE = False`` so the two cost models
+stay separately measurable.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -25,19 +28,17 @@ from _workloads import applet_fetch_network, applet_ship_network
 
 def run_fetch(body_size: int, uses: int, cache: bool = True,
               code_cache: bool = True):
-    net = applet_fetch_network(body_size, uses, code_cache=code_cache)
-    if not cache:
-        for node in net.world.nodes.values():
-            for site in node.sites.values():
-                site.fetch_cache = False
-        net.fetch_cache = False
+    with mock.patch("repro.runtime.site.FETCH_CACHE", cache), \
+            mock.patch("repro.runtime.codecache.CODE_CACHE", code_cache):
+        net = applet_fetch_network(body_size, uses)
     elapsed = net.run()
     assert net.site("client").output == [42]
     return elapsed, net.world.stats.bytes, net
 
 
 def run_ship(body_size: int, uses: int, code_cache: bool = True):
-    net = applet_ship_network(body_size, uses, code_cache=code_cache)
+    with mock.patch("repro.runtime.codecache.CODE_CACHE", code_cache):
+        net = applet_ship_network(body_size, uses)
     elapsed = net.run()
     assert net.site("client").output == [42]
     return elapsed, net.world.stats.bytes, net

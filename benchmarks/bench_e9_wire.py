@@ -136,11 +136,12 @@ class TestBatchFrames:
         assert len(frame) - payload <= 2 + 3 * len(chunks)
         assert decode_frame(frame) == chunks
 
-    def test_burst_sends_fewer_packets_batched(self):
+    def test_burst_sends_fewer_packets_batched(self, monkeypatch):
         from repro.runtime import DiTyCONetwork
 
         def burst(batching: bool):
-            net = DiTyCONetwork(batching=batching)
+            monkeypatch.setattr("repro.runtime.node.BATCHING", batching)
+            net = DiTyCONetwork()
             net.add_nodes(["n1", "n2"])
             receivers = " | ".join(f"(svc?(v{i}) = print![v{i}])"
                                    for i in range(16))

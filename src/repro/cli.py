@@ -512,8 +512,10 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
-    """Run a session on the simulator with the load balancer on."""
-    from repro.mobility.balancer import LoadBalancer, ThresholdPolicy
+    """Run a session on the simulator with the load balancer on: the
+    default :class:`~repro.mobility.balancer.ThresholdPolicy`, sampling
+    every 1e-4 virtual seconds until 0.05."""
+    from repro.mobility.balancer import LoadBalancer
     from repro.runtime import DiTyCONetwork, TycoShell
 
     path = Path(args.program)
@@ -522,13 +524,8 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     net = DiTyCONetwork()
     for ip in nodes:
         net.add_node(ip)
-    policy = ThresholdPolicy(hot_load=args.hot_load,
-                             imbalance=args.imbalance,
-                             cooldown_ticks=args.cooldown,
-                             pinned=frozenset(
-                                 s for s in args.pin.split(",") if s))
-    balancer = LoadBalancer(net, policy)
-    balancer.install(args.interval, args.until)
+    balancer = LoadBalancer(net)
+    balancer.install(1e-4, 0.05)
     with _front_end(args.program):
         if path.suffix == ".tycosh":
             TycoShell(net, write=print).execute_script(text)
@@ -716,9 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--control-port", type=int, default=0,
                           help="control protocol port (default: ephemeral; "
                                "printed on the READY line)")
-    p_daemon.add_argument("--quantum", type=int, default=512,
-                          help="instructions per scheduling quantum "
-                               "(default: 512)")
     p_daemon.add_argument("--obs", action="store_true",
                           help="turn on the observability plane: causal "
                                "tracing plus trace/flight sinks served "
@@ -746,25 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "program")
     p_balance.add_argument("--nodes", default="n1,n2",
                            help="comma-separated node IPs (default: n1,n2)")
-    p_balance.add_argument("--interval", type=float, default=1e-4,
-                           metavar="S",
-                           help="sampling period in virtual seconds "
-                                "(default: 1e-4)")
-    p_balance.add_argument("--until", type=float, default=0.05, metavar="T",
-                           help="stop sampling at virtual time T "
-                                "(default: 0.05)")
-    p_balance.add_argument("--hot-load", type=float, default=512.0,
-                           help="policy: minimum hot-node load "
-                                "(default: 512)")
-    p_balance.add_argument("--imbalance", type=float, default=2.0,
-                           help="policy: hottest/coldest ratio trigger "
-                                "(default: 2.0)")
-    p_balance.add_argument("--cooldown", type=int, default=2,
-                           help="policy: ticks to sit out after a move "
-                                "(default: 2)")
-    p_balance.add_argument("--pin", default="",
-                           help="comma-separated site names the balancer "
-                                "must never move")
     p_balance.add_argument("--max-time", type=float, default=5.0,
                            help="virtual-time bound (default: 5.0)")
     p_balance.set_defaults(func=_cmd_balance)

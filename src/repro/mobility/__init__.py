@@ -7,8 +7,6 @@ between fixed sites):
   complete state (heap, queues, run-queue frames, program area,
   pending protocol continuations) into a versioned, content-digested
   blob, and rebuild a running site from one.
-* :mod:`repro.mobility.journal` -- append-only checkpoint stores
-  (in-memory and file backends) for crash-restart of whole nodes.
 * :mod:`repro.mobility.migrate` -- the FREEZE / CKPT_SHIP / forward /
   rebind / RESUME protocol moving a live site between nodes with
   at-most-once cutover under the chaos fault model.
@@ -27,6 +25,5 @@ __getattr__, __dir__, __all__ = exports(__name__, {
                   "CheckpointVersionError SiteCheckpoint capture_site "
                   "digest_bytes pack_checkpoint read_checkpoint restore_site "
                   "write_checkpoint",
-    "journal": "FileJournal MemoryJournal checkpoint_node restore_node",
     "migrate": "MobilityConfig MobilityManager MobilityStats",
 })

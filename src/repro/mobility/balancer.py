@@ -110,8 +110,10 @@ class LoadBalancer:
         self.decisions: list[BalanceDecision] = []
         self.ticks = 0
         self._last_move_tick = -1
-        #: site_name -> instruction total at the previous sample.
-        self._last_instructions: dict[str, int] = {}
+        #: site id -> instruction total at the previous sample, for the
+        #: sites still registered (a relaunch under a reaped site's
+        #: name gets a new id, so it starts from zero).
+        self._last_instructions: dict[int, int] = {}
 
     # -- sampling ------------------------------------------------------------
 
@@ -119,14 +121,21 @@ class LoadBalancer:
         """Per-node load, sorted by ip.  A site's load is its
         instruction delta since the last sample plus its run-queue and
         mailbox depths (work done + work waiting)."""
+        # A site in flight between two nodes keeps its baseline (it is
+        # still registered); a reaped one's goes.
+        registered = {rec.site_id for rec in
+                      self.net.nameservice.snapshot()["sites"].values()}
+        last = {site_id: total
+                for site_id, total in self._last_instructions.items()
+                if site_id in registered}
         loads = []
         for ip in sorted(self.net.world.nodes):
             node = self.net.world.nodes[ip]
             site_loads = []
             for site in node.sites.values():
                 total = site.vm.stats.instructions
-                delta = total - self._last_instructions.get(site.site_name, 0)
-                self._last_instructions[site.site_name] = total
+                delta = total - last.get(site.site_id, 0)
+                last[site.site_id] = total
                 site_loads.append((float(delta + len(site.vm.runqueue)
                                          + len(site.incoming)
                                          + len(site.outgoing)),
@@ -135,6 +144,7 @@ class LoadBalancer:
             loads.append(NodeLoad(ip=ip,
                                   load=sum(l for l, _ in site_loads),
                                   sites=tuple(site_loads)))
+        self._last_instructions = last
         return loads
 
     # -- the control loop body -----------------------------------------------

@@ -25,7 +25,7 @@ Two byte strings come out of a capture:
   suite pins).
 
 :func:`write_checkpoint` wraps both parts into one self-describing
-blob for the journal: ``b"DTCK" + version + blake2b-16(body) + body``.
+blob: ``b"DTCK" + version + blake2b-16(body) + body``.
 
 Restrictions: run-time type-checking state (``wire_signatures``) holds
 live signature objects with no wire form; checkpointing a typechecked
@@ -41,6 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 from repro.compiler.assembly import Program
 from repro.compiler.linker import CodeBundle, link_bundle
+from repro.runtime.codecache import CodeCache, CodeStore
 from repro.runtime.distgc import DistGC, GcConfig
 from repro.runtime.nameservice import NameService
 from repro.runtime.site import Site
@@ -48,7 +49,7 @@ from repro.runtime.wire import WireError, decode, encode
 from repro.vm.scheduler import Thread
 from repro.vm.values import Channel, ClassRef, NetRef, RemoteClassRef
 
-#: Magic + format version of the journal blob.
+#: Magic + format version of the checkpoint blob.
 MAGIC = b"DTCK"
 VERSION = 1
 
@@ -414,11 +415,11 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
     """Rebuild a site at ``ip`` from its checkpoint parts.
 
     The returned site is *not* adopted into any node, registered with
-    the name service, or booted -- the caller (the mobility manager or
-    the journal restart path) wires it in.  Restoring onto the
-    checkpointed ip reproduces the original exactly; restoring onto a
-    new ip records the old home in :attr:`Site.alias_ips` so
-    references minted before the move keep resolving locally.
+    the name service, or booted -- the caller (the mobility manager)
+    wires it in.  Restoring onto the checkpointed ip reproduces the
+    original exactly; restoring onto a new ip records the old home in
+    :attr:`Site.alias_ips` so references minted before the move keep
+    resolving locally.
     """
     program = restore_code(code_bytes)
     state = _decode_part(state_bytes, "state")
@@ -431,10 +432,14 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
                      if gc_state is not None else None)
         site = Site(state["site_name"], state["site_id"], ip, program,
                     nameservice,
-                    fetch_cache=state["fetch_cache"],
-                    code_cache=state["codecache"] is not None,
                     distgc=gc_state is not None, gc_config=gc_config,
                     clock=clock)
+        # The ablations a site was built under travel with it.
+        site.fetch_cache = state["fetch_cache"]
+        if state["codecache"] is None:
+            site.codecache = site.codestore = None
+        elif site.codecache is None:
+            site.codecache, site.codestore = CodeCache(program), CodeStore()
         _fill_site(site, state, old_ip=state["ip"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(
@@ -546,7 +551,7 @@ def _console_handler(vm):
 
 
 # ---------------------------------------------------------------------------
-# Journal blob
+# Checkpoint blob
 # ---------------------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Live site migration: FREEZE -> SHIP -> forward -> rebind -> RESUME.
 
 The paper moves *code* between fixed sites (FETCH); this module moves
-a whole *site* between nodes, built on the same checkpoint bytes the
-journal uses.  The protocol, per migration:
+a whole *site* between nodes, built on the checkpoint bytes of
+:mod:`repro.mobility.checkpoint`.  The protocol, per migration:
 
 1. **FREEZE** -- the source node drains the site's outgoing queue,
    captures its checkpoint ONCE, and removes it from the site pool.

@@ -20,10 +20,10 @@ DEFAULT_CAPACITY = 256
 
 
 class FlightRecorder:
-    """Bus sink keeping the last ``capacity`` events per node."""
+    """Bus sink keeping the last :data:`DEFAULT_CAPACITY` events per node."""
 
-    def __init__(self, capacity: int | None = None) -> None:
-        self.capacity = DEFAULT_CAPACITY if capacity is None else capacity
+    def __init__(self) -> None:
+        self.capacity = DEFAULT_CAPACITY
         self._rings: dict[str, deque[ObsEvent]] = {}
         self._evicted: dict[str, int] = {}
         #: Every dump produced so far (reason, text).

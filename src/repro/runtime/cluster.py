@@ -224,8 +224,7 @@ def daemon_main(args: argparse.Namespace) -> int:
         ns_host, ns_port = args.ns
 
     ns = NameServiceClient(ns_host, ns_port)
-    world = DaemonWorld(directory=ns.node_addr, host=args.host,
-                        quantum=args.quantum)
+    world = DaemonWorld(directory=ns.node_addr, host=args.host)
     # The poller hands its subscriber callbacks to the loop, unwaited.
     ns.handoff = lambda fn: world.io.loop.call_soon_threadsafe(world.call, fn)
     collector = recorder = registry = None
@@ -279,15 +278,11 @@ class ProcessCluster:
     """
 
     def __init__(self, ips, host: str = "127.0.0.1",
-                 quantum: int = 512,
-                 python: str = sys.executable,
                  obs: bool = False) -> None:
         self.ips = list(ips)
         if not self.ips:
             raise ValueError("a cluster needs at least one node")
         self.host = host
-        self.quantum = quantum
-        self.python = python
         #: Spawn daemons with ``--obs`` (scrapeable trace/flight/metrics
         #: sinks + span tracing).
         self.obs = obs
@@ -299,8 +294,8 @@ class ProcessCluster:
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, ip: str, serve_ns: bool) -> subprocess.Popen:
-        cmd = [self.python, "-m", "repro", "daemon", "--ip", ip,
-               "--host", self.host, "--quantum", str(self.quantum)]
+        cmd = [sys.executable, "-m", "repro", "daemon", "--ip", ip,
+               "--host", self.host]
         if self.obs:
             cmd.append("--obs")
         if serve_ns:

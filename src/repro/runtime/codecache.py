@@ -78,6 +78,12 @@ ROOTS_ARG = {BLOCK: "block_roots", OBJECT: "object_roots",
 #: download, nothing else.
 MAX_SLICES = 1024
 
+#: Nodes keep a :class:`CodeStore` and sites a :class:`CodeCache`
+#: (read when each is built).  False is ablation A2, which tests and
+#: benchmarks flip: no digest tables or stores, every code offer is
+#: answered with a CODE_NEED and every bundle is linked from scratch.
+CODE_CACHE = True
+
 
 def _bundle_as_program(bundle: CodeBundle) -> Program:
     """View a bundle as a program area so it can be re-extracted."""

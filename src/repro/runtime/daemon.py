@@ -26,6 +26,10 @@ from .wire import (KIND_CODE_NEED, KIND_CODE_REPLY, KIND_REF_DROP,
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
+#: Same-node packets skip the wire encoding (the paper's behaviour);
+#: False is ablation A3, which tests and benchmarks flip.
+LOCAL_FAST_PATH = True
+
 
 @dataclass(slots=True)
 class DaemonStats:
@@ -48,16 +52,15 @@ class TyCOd:
     (collect from site outgoing queues, route); ``receive`` implements
     step 3 (deposit into the destination site's incoming queue).
 
-    When ``local_fast_path`` is enabled (the default, and the paper's
-    behaviour), packets between sites of the same node skip the wire
-    encoding entirely -- "code movement or message sending can be
-    implemented with a single shared-memory reference exchange".
-    Disabling it is ablation A3: every interaction pays serialisation.
+    Packets between sites of the same node skip the wire encoding
+    entirely -- "code movement or message sending can be implemented
+    with a single shared-memory reference exchange".  With
+    :data:`LOCAL_FAST_PATH` off (ablation A3) every interaction pays
+    serialisation.
     """
 
-    def __init__(self, node: "Node", local_fast_path: bool = True) -> None:
+    def __init__(self, node: "Node") -> None:
         self.node = node
-        self.local_fast_path = local_fast_path
         self.stats = DaemonStats()
 
     def pump(self) -> int:
@@ -76,7 +79,7 @@ class TyCOd:
             if target is None:
                 self._no_such_site(packet)
                 return
-            if self.local_fast_path:
+            if LOCAL_FAST_PATH:
                 self.stats.local_deliveries += 1
                 self.stats.encode_skipped += 1
                 target.incoming.append(packet)

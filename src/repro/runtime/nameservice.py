@@ -189,7 +189,7 @@ class NameService:
         ``lookup_class`` immediately yields references to the new home.
 
         ``site_id`` (required when the site has no record, e.g. a
-        crash-restart from a journal into a fresh name service) pins
+        site restored into a fresh name service) pins
         the restored site to its checkpointed id; when a record exists
         it must agree.  Returns the site id and notifies subscribers
         (stalled imports may resolve against the new home)."""

@@ -38,13 +38,6 @@ class DiTyCONetwork:
         paper's centralized service); a multi-process cluster passes a
         :class:`~repro.runtime.nsnet.NameServiceClient` talking to the
         one shared store.
-    local_fast_path / fetch_cache / code_cache / batching:
-        On by default; turning one off is an ablation.  No
-        ``local_fast_path``: same-node traffic goes through TyCOd (A3).
-        No ``code_cache``: no digest tables or node code stores, every
-        offer gets a CODE_NEED (A2).  No ``fetch_cache``: every remote
-        instantiation re-runs FETCH (E4's refetch workload is built
-        so).  No ``batching``: one packet per send, no frames.
     distgc / gc_config:
         The lease-based distributed garbage collector (docs/GC.md).
         Off by default -- lease traffic perturbs packet schedules, so
@@ -56,10 +49,6 @@ class DiTyCONetwork:
     def __init__(self, world: Optional[World] = None,
                  nameservice: Optional[NameService] = None,
                  cluster: Optional[ClusterModel] = None,
-                 local_fast_path: bool = True,
-                 fetch_cache: bool = True,
-                 code_cache: bool = True,
-                 batching: bool = True,
                  typecheck: bool = False,
                  distgc: bool = False,
                  gc_config=None) -> None:
@@ -69,10 +58,6 @@ class DiTyCONetwork:
             raise ValueError("pass cluster or world, not both")
         self.world = world
         self.nameservice = nameservice or NameService()
-        self.local_fast_path = local_fast_path
-        self.fetch_cache = fetch_cache
-        self.code_cache = code_cache
-        self.batching = batching
         self.typecheck = typecheck
         self.distgc = distgc
         self.gc_config = gc_config
@@ -96,10 +81,6 @@ class DiTyCONetwork:
 
             gc_config = GcConfig.wall_clock()
         node = Node(ip, self.nameservice,
-                    local_fast_path=self.local_fast_path,
-                    fetch_cache=self.fetch_cache,
-                    code_cache=self.code_cache,
-                    batching=self.batching,
                     typecheck=self.typecheck,
                     distgc=self.distgc,
                     gc_config=gc_config)

@@ -22,12 +22,19 @@ from repro.compiler.assembly import Program
 
 from repro.transport.clock import monotime
 
+from . import codecache
 from .codecache import CodeStore
 from .daemon import TyCOd, TyCOi
 from .distgc import GcConfig
 from .nameservice import NameService, NameServiceError
 from .site import Site
 from .wire import decode_frame, encode_frame, is_frame
+
+#: Wire batching: a stepping node holds its outgoing packets per
+#: destination and sends them as one frame at the quantum boundary.
+#: False (one packet per send, no frames) is the ablation tests and
+#: benchmarks flip.
+BATCHING = True
 
 #: A destination's batch is flushed early once this many bytes wait.
 BATCH_BYTES = 4096
@@ -50,10 +57,6 @@ class Node:
     """One IP node: a pool of sites plus the TyCOd/TyCOi daemons."""
 
     def __init__(self, ip: str, nameservice: NameService,
-                 local_fast_path: bool = True,
-                 fetch_cache: bool = True,
-                 code_cache: bool = True,
-                 batching: bool = True,
                  typecheck: bool = False,
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None) -> None:
@@ -61,26 +64,22 @@ class Node:
         self.nameservice = nameservice
         self.sites: dict[int, Site] = {}
         self.sites_by_name: dict[str, Site] = {}
-        self.tycod = TyCOd(self, local_fast_path=local_fast_path)
+        self.tycod = TyCOd(self)
         self.tycoi = TyCOi(self)
-        self.fetch_cache = fetch_cache
-        self.code_cache = code_cache
         #: Code belongs to the node: every site this node runs links
         #: out of, and deposits into, this one store -- a class is
         #: downloaded once per node, not once per site.  None under
-        #: ablation A2 (``code_cache=False``).
+        #: ablation A2 (:data:`~repro.runtime.codecache.CODE_CACHE`).
         self.codestore: Optional[CodeStore] = (
-            CodeStore() if code_cache else None)
+            CodeStore() if codecache.CODE_CACHE else None)
         #: Sampling profiler (repro.obs.profiler): when set (usually by
         #: VMProfiler.install_network), every site this node creates or
         #: adopts gets the profiler installed on its VM.
         self.profiler = None
-        #: Wire batching: buffers outgoing buffers per destination while
-        #: a scheduling quantum runs and flushes them as one frame at
-        #: the quantum boundary (or earlier, once ``BATCH_BYTES`` are
-        #: buffered).  Only active inside :meth:`step`, so direct pumps
-        #: from tests and tools behave exactly as before.
-        self.batching = batching
+        #: Wire batching (:data:`BATCHING`) buffers while a scheduling
+        #: quantum runs and flushes at its boundary (or earlier, once
+        #: ``BATCH_BYTES`` are buffered).  Only active inside
+        #: :meth:`step`, so direct pumps from tests and tools send at once.
         self._batch_buf: dict[str, list[bytes]] = {}
         self._batch_size: dict[str, int] = {}
         self._in_step = False
@@ -136,7 +135,7 @@ class Node:
     def transport_send(self, dest_ip: str, data: bytes) -> None:
         if self._send is None:
             raise RuntimeError(f"node {self.ip} has no transport attached")
-        if not (self.batching and self._in_step):
+        if not (BATCHING and self._in_step):
             self._send(self.ip, dest_ip, data)
             return
         self._batch_buf.setdefault(dest_ip, []).append(data)
@@ -199,8 +198,7 @@ class Node:
                 f"site {site_name!r} already registered at {self.ip}")
         site_id = self.nameservice.register_site(site_name, self.ip)
         site = Site(site_name, site_id, self.ip, program,
-                    self.nameservice, fetch_cache=self.fetch_cache,
-                    code_cache=self.code_cache,
+                    self.nameservice,
                     name_signatures=name_signatures,
                     distgc=self.distgc, gc_config=self.gc_config,
                     clock=self.now)

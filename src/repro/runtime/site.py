@@ -40,6 +40,7 @@ from repro.vm.values import (
     remote_ref_key,
 )
 
+from . import codecache
 from .codecache import (
     BLOCK,
     GROUP,
@@ -65,6 +66,11 @@ from .wire import (
     KIND_REF_RENEW,
     Packet,
 )
+
+#: A site keeps the classes it FETCHed (the ClassRef cache), read when
+#: the site is built.  False makes every remote instantiation re-run
+#: FETCH: the ablation E4's refetch workload is built with.
+FETCH_CACHE = True
 
 
 class DeliveryError(VMRuntimeError):
@@ -103,8 +109,6 @@ class Site:
 
     def __init__(self, site_name: str, site_id: int, ip: str,
                  program: Program, nameservice: NameService,
-                 fetch_cache: bool = True,
-                 code_cache: bool = True,
                  name_signatures: Optional[dict] = None,
                  distgc: bool = False,
                  gc_config: Optional[GcConfig] = None,
@@ -118,7 +122,9 @@ class Site:
         #: Empty (and free) for every site that never moved.
         self.alias_ips: set[str] = set()
         self.nameservice = nameservice
-        self.fetch_cache = fetch_cache
+        #: This site's :data:`FETCH_CACHE` setting; a checkpoint
+        #: carries it, so an ablated site restores ablated.
+        self.fetch_cache = FETCH_CACHE
         self.vm = TycoVM(program, port=self, name=site_name)
         self.stats = SiteStats()
         # Distributed GC (repro.runtime.distgc, docs/GC.md).  Off by
@@ -151,16 +157,17 @@ class Site:
         # Instantiations waiting for an in-flight FETCH.
         self._pending_fetch: dict[tuple[str, int, int], list[tuple]] = {}
         # Per-site code table: digest -> id in *this* program area,
-        # plus the in-flight protocol state (ablation: code_cache=False
-        # links every bundle from scratch, the pre-cache behaviour).
+        # plus the in-flight protocol state (ablation A2,
+        # ``codecache.CODE_CACHE`` off, links every bundle from scratch,
+        # the pre-cache behaviour).
         self.codecache: Optional[CodeCache] = (
-            CodeCache(program) if code_cache else None)
+            CodeCache(program) if codecache.CODE_CACHE else None)
         #: Where the code itself is kept: the node's store, handed over
         #: by ``Node.create_site`` / ``adopt_site``.  A bare site gets a
         #: private one so there is a single path; None with the cache
         #: ablated (every offer is then answered with a CODE_NEED).
         self.codestore: Optional[CodeStore] = (
-            CodeStore() if code_cache else None)
+            CodeStore() if codecache.CODE_CACHE else None)
         # The one digest memo over this program area (serving and
         # shipping; site-owned so an ablated cache still serves from it).
         self._digest_memo: dict = {}

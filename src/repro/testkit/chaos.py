@@ -105,18 +105,23 @@ class ChaosConfig:
         return " ".join(parts)
 
 
+#: Faults a :class:`FaultLog` keeps (read when one is built).
+FAULT_LOG_CAPACITY = 65536
+
+
 class FaultLog:
     """Bus sink keeping the injected faults of one run, oldest first.
 
-    Bounded: past ``capacity`` the oldest fault falls off and is
-    counted, and :meth:`format` says so -- never silently incomplete.
+    Bounded: past :data:`FAULT_LOG_CAPACITY` the oldest fault falls
+    off and is counted, and :meth:`format` says so -- never silently
+    incomplete.
     """
 
     KINDS = frozenset(
         {"drop", "dup", "delay", "crash", "restart", "crash-drop"})
 
-    def __init__(self, capacity: int = 65536) -> None:
-        self.events: deque[ObsEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.events: deque[ObsEvent] = deque(maxlen=FAULT_LOG_CAPACITY)
         self.evicted = 0
 
     def on_event(self, event: ObsEvent) -> None:

@@ -27,6 +27,9 @@ from typing import TYPE_CHECKING
 from repro.runtime.distgc import GcScheduler
 from repro.transport.sim import SimWorld
 from repro.vm.values import remote_ref_key
+# Macro-run completeness is checked by the workload runner after every
+# run, so it lives there; it is one of this module's checkers too.
+from repro.workloads.runner import check_expected_outputs  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.failure import HeartbeatMonitor
@@ -241,57 +244,6 @@ def check_export_liveness(net: "DiTyCONetwork") -> list[str]:
                 f"export leak: {site.site_name!r} still holds class "
                 f"export {cid} with no registration or lease")
     return violations
-
-
-def check_expected_outputs(net: "DiTyCONetwork",
-                           expected: dict[str, tuple]) -> list[str]:
-    """Macro-run completeness: every listed site's output *multiset*
-    must equal the expected one (order-insensitive -- open-loop
-    schedules legitimately reorder completions, they must never lose
-    or duplicate one).  Used by the workload runner and the macro
-    chaos tests on fault-free schedules; sites the network never
-    created are reported too (a silently-failed launch is a bug, not
-    an empty answer)."""
-    violations = []
-    produced = net.outputs()
-    for site_name in sorted(expected):
-        want = tuple(sorted(expected[site_name], key=repr))
-        if site_name not in produced:
-            violations.append(
-                f"macro run lost site {site_name!r}: expected "
-                f"{len(want)} output value(s), site does not exist")
-            continue
-        got = tuple(sorted(produced[site_name], key=repr))
-        if got != want:
-            missing = _multiset_diff(want, got)
-            extra = _multiset_diff(got, want)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing[:8]!r}"
-                              + ("..." if len(missing) > 8 else ""))
-            if extra:
-                detail.append(f"unexpected {extra[:8]!r}"
-                              + ("..." if len(extra) > 8 else ""))
-            violations.append(
-                f"site {site_name!r} output mismatch "
-                f"({len(got)}/{len(want)} values): "
-                + "; ".join(detail))
-    return violations
-
-
-def _multiset_diff(a: tuple, b: tuple) -> list:
-    """Elements of ``a`` not matched one-for-one in ``b``."""
-    from collections import Counter
-
-    remaining = Counter(map(repr, b))
-    out = []
-    for item in a:
-        key = repr(item)
-        if remaining[key] > 0:
-            remaining[key] -= 1
-        else:
-            out.append(item)
-    return out
 
 
 def _mobility_nodes(net: "DiTyCONetwork") -> list:

@@ -60,6 +60,9 @@ MAX_RECORD = 16 * 1024 * 1024
 
 #: Records a link queues before its node is deferred (backpressure).
 QUEUE_LIMIT = 1024
+#: Instructions a node may run per step, read when a world is built
+#: (the simulator's is :data:`repro.transport.sim.QUANTUM`).
+QUANTUM = 512
 #: First redial delay after a failed connect or handshake; doubles per
 #: failure up to :data:`BACKOFF_CAP` seconds.
 BACKOFF_BASE = 0.05
@@ -532,10 +535,9 @@ class SocketWorld(World):
 
     wall_clock = True
 
-    def __init__(self, quantum: int = 512,
-                 host: str = "127.0.0.1") -> None:
+    def __init__(self, host: str = "127.0.0.1") -> None:
         super().__init__()
-        self.quantum = quantum
+        self.quantum = QUANTUM
         self.host = host
         self.io = LoopThread()
         self.proxy = None

@@ -37,17 +37,20 @@ class TraceEvent:
                 f"@{self.pc:<4d} {self.instr}")
 
 
+#: Instructions a :class:`Tracer` keeps (read when one is built).
+CAPACITY = 4096
+
+
 class Tracer:
     """Bounded instruction trace.
 
     Attach with :meth:`install`; the VM then calls :meth:`record`
-    before executing each instruction.  ``capacity`` bounds memory;
-    the most recent events win.
+    before executing each instruction.  :data:`CAPACITY` bounds
+    memory; the most recent events win.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.events: deque[TraceEvent] = deque(maxlen=CAPACITY)
         self._seq = 0
         self.vm: Optional["TycoVM"] = None
 

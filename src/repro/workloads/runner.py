@@ -29,7 +29,7 @@ a :class:`~repro.obs.metrics.MetricsRegistry` (bucketed p50/p99 for
 exposition, exactly what E14--E16 surface through ``run_all --json``).
 
 On both worlds the runner also reaps drained operation sites every
-``reap_every`` arrivals (on the simulator a deterministic point in
+:data:`REAP_EVERY` arrivals (on the simulator a deterministic point in
 virtual time); without this the per-site scheduling quantum shrinks as
 thousands of dead client sites accumulate and long runs go
 superlinear.
@@ -37,11 +37,11 @@ superlinear.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.network import DiTyCONetwork
-from repro.testkit.invariants import check_expected_outputs
 
 from . import agents, mapreduce, pubsub
 from .spec import Arrival, WorkloadSpec, WorkloadError, generate_trace
@@ -57,6 +57,10 @@ WORLD_KINDS = ("sim", "socket")
 LATENCY_BUCKETS = tuple(1e-6 * 4.0 ** k for k in range(13))
 
 DEFAULT_WALL_TIMEOUT_S = 30.0
+
+#: Arrivals between two reaps of the drained operation sites (0: never
+#: reap, which tests set to see what reaping saves).
+REAP_EVERY = 32
 
 
 class _TapList(list):
@@ -188,7 +192,6 @@ def _reap_all(net: DiTyCONetwork) -> int:
 def run_workload(spec: WorkloadSpec, world: str = "sim",
                  registry: MetricsRegistry | None = None,
                  max_time: float | None = None,
-                 reap_every: int = 32,
                  balance: bool = False,
                  balance_interval: float | None = None,
                  slo=None) -> WorkloadReport:
@@ -277,7 +280,8 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
         collector.vm.output = _TapList(collector.vm.output, on_token)
 
         def make_launch(arrival: Arrival):
-            reap = reap_every > 0 and arrival.seq % reap_every == reap_every - 1
+            reap = (REAP_EVERY > 0
+                    and arrival.seq % REAP_EVERY == REAP_EVERY - 1)
 
             def launch() -> None:
                 if reap:
@@ -350,6 +354,55 @@ def run_workload(spec: WorkloadSpec, world: str = "sim",
     finally:
         if world != "sim":
             net.world.shutdown()
+
+
+def check_expected_outputs(net: DiTyCONetwork,
+                           expected: dict[str, tuple]) -> list[str]:
+    """Macro-run completeness: every listed site's output *multiset*
+    must equal the expected one (order-insensitive -- open-loop
+    schedules legitimately reorder completions, they must never lose
+    or duplicate one).  Used by the runner and the macro chaos tests
+    on fault-free schedules; sites the network never created are
+    reported too (a silently-failed launch is a bug, not an empty
+    answer)."""
+    violations = []
+    produced = net.outputs()
+    for site_name in sorted(expected):
+        want = tuple(sorted(expected[site_name], key=repr))
+        if site_name not in produced:
+            violations.append(
+                f"macro run lost site {site_name!r}: expected "
+                f"{len(want)} output value(s), site does not exist")
+            continue
+        got = tuple(sorted(produced[site_name], key=repr))
+        if got != want:
+            missing = _multiset_diff(want, got)
+            extra = _multiset_diff(got, want)
+            detail = []
+            if missing:
+                detail.append(f"missing {missing[:8]!r}"
+                              + ("..." if len(missing) > 8 else ""))
+            if extra:
+                detail.append(f"unexpected {extra[:8]!r}"
+                              + ("..." if len(extra) > 8 else ""))
+            violations.append(
+                f"site {site_name!r} output mismatch "
+                f"({len(got)}/{len(want)} values): "
+                + "; ".join(detail))
+    return violations
+
+
+def _multiset_diff(a: tuple, b: tuple) -> list:
+    """Elements of ``a`` not matched one-for-one in ``b``."""
+    remaining = Counter(map(repr, b))
+    out = []
+    for item in a:
+        key = repr(item)
+        if remaining[key] > 0:
+            remaining[key] -= 1
+        else:
+            out.append(item)
+    return out
 
 
 def expected_outputs(spec: WorkloadSpec) -> dict[str, tuple]:

@@ -152,6 +152,32 @@ class TestLoadBalancer:
         assert balancer.rebalance() is None
         assert balancer.decisions == []
 
+    def test_relaunch_under_a_reaped_name_starts_from_zero(self):
+        """The site relaunched under a reaped site's name is sampled
+        from zero, not from its predecessor's total (a negative load)."""
+        net = hot_cold_net(rounds=500)
+        balancer = LoadBalancer(net)
+        net.run()
+        balancer.sample()
+        assert net.node("n1").tycoi.reap() == 1
+        net.launch("n1", "hotsite", "print![1]")
+        net.run()
+        [n1] = [n for n in balancer.sample() if n.ip == "n1"]
+        assert n1.load == net.site("hotsite").vm.stats.instructions > 0
+
+    def test_reaped_sites_leave_no_baseline(self):
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        balancer = LoadBalancer(net)
+        for r in range(20):
+            for i in range(10):
+                net.launch("n1", f"op{r}-{i}", f"print![{i}]")
+            net.run()
+            balancer.sample()
+            assert net.node("n1").tycoi.reap() == 10
+        balancer.sample()
+        assert balancer._last_instructions == {}
+
 
 class TestDecisionObservability:
     """PR9: every ordered migration is first-class on the obs plane --

@@ -4,7 +4,7 @@ damaged blobs, and the pinned golden digest.
 The core contract is *bit-identical idempotence*: capture a site,
 rebuild it from the blob, capture the rebuilt site -- the two blobs
 must be equal byte for byte.  Everything else (resume correctness,
-migration, journals) builds on that.
+migration) builds on that.
 """
 
 import functools
@@ -104,6 +104,27 @@ class TestRoundTrip:
         assert sorted(ch.heap_id for ch in rebuilt.vm.heap) == \
             sorted(ch.heap_id for ch in site.vm.heap)
         assert rebuilt.output == list(site.output)
+
+    @pytest.mark.parametrize("built_ablated", [True, False])
+    def test_cache_ablations_travel_with_the_site(self, monkeypatch,
+                                                  built_ablated):
+        """A site keeps the cache settings it was built under: restored
+        where the module switches read the other way, it comes back as
+        it was, and re-checkpoints to the same bytes."""
+        def switches(on):
+            monkeypatch.setattr("repro.runtime.site.FETCH_CACHE", on)
+            monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", on)
+
+        switches(not built_ablated)
+        net = pump_net()
+        switches(built_ablated)
+        site = net.site("client")
+        blob = write_checkpoint(site)
+        rebuilt = restore_site(net.node("n2"), *read_checkpoint(blob))
+        assert rebuilt.fetch_cache is site.fetch_cache is not built_ablated
+        assert (rebuilt.codecache is None) is built_ablated
+        assert (rebuilt.codestore is None) is built_ablated
+        assert write_checkpoint(rebuilt) == blob
 
     def test_typecheck_signatures_refuse_checkpoint(self):
         net = DiTyCONetwork(typecheck=True)

@@ -147,26 +147,29 @@ class TestFaultLogBounded:
             == [(2, "drop"), (4, "crash"), (6, "restart")]
         assert log.format().splitlines() == [str(e) for e in log.events]
 
-    def test_eviction_is_counted(self):
+    def test_eviction_is_counted(self, monkeypatch):
+        monkeypatch.setattr("repro.testkit.chaos.FAULT_LOG_CAPACITY", 3)
         bus = EventBus()
-        log = FaultLog(capacity=3)
+        log = FaultLog()
         bus.subscribe(log)
         _publish(bus, ["drop"] * 5)
         assert [e.seq for e in log.events] == [3, 4, 5]
         assert log.evicted == 2
 
-    def test_format_faults_surfaces_eviction(self):
+    def test_format_faults_surfaces_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.testkit.chaos.FAULT_LOG_CAPACITY", 2)
         bus = EventBus()
-        log = FaultLog(capacity=2)
+        log = FaultLog()
         bus.subscribe(log)
         _publish(bus, ["crash", "drop", "dup"])     # evicts the crash
         text = log.format()
         assert "1 older fault(s) evicted" in text
         assert "fault list is incomplete" in text
 
-    def test_format_faults_silent_when_nothing_evicted(self):
+    def test_format_faults_silent_when_nothing_evicted(self, monkeypatch):
+        monkeypatch.setattr("repro.testkit.chaos.FAULT_LOG_CAPACITY", 2)
         bus = EventBus()
-        log = FaultLog(capacity=2)
+        log = FaultLog()
         bus.subscribe(log)
         # Ordinary traffic never counts against the bound.
         _publish(bus, ["crash", "send", "deliver", "send", "deliver"])

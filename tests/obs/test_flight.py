@@ -21,8 +21,9 @@ class TestFlightRecorder:
         assert [e.seq for e in rec.recent("n2")] == [2]
         assert [e.seq for e in rec.recent()] == [3]
 
-    def test_ring_bounds_and_counts_evictions(self):
-        rec = FlightRecorder(capacity=2)
+    def test_ring_bounds_and_counts_evictions(self, monkeypatch):
+        monkeypatch.setattr(flight, "DEFAULT_CAPACITY", 2)
+        rec = FlightRecorder()
         for i in range(5):
             rec.on_event(_ev(i + 1, "send"))
         assert [e.seq for e in rec.recent("n1")] == [4, 5]

@@ -53,9 +53,9 @@ class TestDeterminism:
             assert int(count) > 0
 
     def test_attribution_is_engine_independent(self, monkeypatch):
-        # Fused superinstructions must not leak synthetic opcodes into
-        # the frames, and generated code runs whole blocks but profiled
-        # slices stay one-thread-per-call (no HALT chaining): whichever
+        # The profiler cuts the loop the VM runs anyway -- generated
+        # code, HALT chaining included, or closures -- just before each
+        # sample point and runs the sampled instruction alone: whichever
         # tier a block runs on, every (site, block, handler-kind) frame
         # and count matches the reference loop byte for byte.
         monkeypatch.setenv("REPRO_VM_ENGINE", "slow")

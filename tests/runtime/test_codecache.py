@@ -231,8 +231,8 @@ class TestLinkBundleCached:
 APPLET_SERVER = "export def Applet(x) = x![7 * 6] in 0"
 
 
-def two_node_net(**kwargs):
-    net = DiTyCONetwork(**kwargs)
+def two_node_net():
+    net = DiTyCONetwork()
     net.add_nodes(["10.0.0.1", "10.0.0.2"])
     return net
 
@@ -252,11 +252,12 @@ class TestFetchProtocol:
         assert client.stats.code_items_installed > 0
         assert net.site("server").stats.code_replies_served == 1
 
-    def test_warm_refetch_moves_no_code(self):
+    def test_warm_refetch_moves_no_code(self, monkeypatch):
         """With the instantiation-level fetch cache ablated, a second
         FETCH of the same class still crosses the wire -- but the offer
         digest hits the code cache, so zero code bytes move."""
-        net = two_node_net(fetch_cache=False)
+        monkeypatch.setattr("repro.runtime.site.FETCH_CACHE", False)
+        net = two_node_net()
         net.launch("10.0.0.1", "server", APPLET_SERVER)
         # Sequenced instantiations: the second FETCH starts only after
         # the first completed, so it cannot coalesce -- it must be a
@@ -276,11 +277,12 @@ class TestFetchProtocol:
         assert client.stats.code_needs_sent == 1          # only the first
         assert net.site("server").stats.code_replies_served == 1
 
-    def test_concurrent_fetches_coalesce_upstream(self):
+    def test_concurrent_fetches_coalesce_upstream(self, monkeypatch):
         """Two concurrent FETCHes of the *same class* coalesce before
         the wire: the second instantiation parks on the pending FETCH,
         so only one request (and one code download) happens."""
-        net = two_node_net(fetch_cache=False)
+        monkeypatch.setattr("repro.runtime.site.FETCH_CACHE", False)
+        net = two_node_net()
         net.launch("10.0.0.1", "server", APPLET_SERVER)
         net.launch("10.0.0.2", "client", """
         import Applet from server in
@@ -317,8 +319,10 @@ class TestFetchProtocol:
         assert mover.stats.code_replies_served == 1
         assert net.is_quiescent()
 
-    def test_cache_disabled_ablation_refetches_code(self):
-        net = two_node_net(fetch_cache=False, code_cache=False)
+    def test_cache_disabled_ablation_refetches_code(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.site.FETCH_CACHE", False)
+        monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", False)
+        net = two_node_net()
         net.launch("10.0.0.1", "server", APPLET_SERVER)
         net.launch("10.0.0.2", "client", """
         import Applet from server in
@@ -372,8 +376,8 @@ FETCH_CLIENT = ("import Applet from server in "
                 "new v (Applet[v] | v?(w) = print![w])")
 
 
-def three_node_net(**kwargs):
-    net = DiTyCONetwork(**kwargs)
+def three_node_net():
+    net = DiTyCONetwork()
     net.add_nodes([N1, N2, N3])
     return net
 
@@ -579,8 +583,8 @@ class TestLinkedSlot:
 class TestNodeStore:
     """Code belongs to the node: once per node, exactly."""
 
-    def _two_clients(self, reap_between: bool, **kwargs):
-        net = two_node_net(**kwargs)
+    def _two_clients(self, reap_between: bool):
+        net = two_node_net()
         net.launch(N1, "server", APPLET_SERVER)
         first = net.launch(N2, "c1", FETCH_CLIENT)
         net.run()
@@ -654,22 +658,23 @@ class TestNodeStore:
         assert not any(p is server.vm.program for p in extracted_from)
         assert len(net.node(N2).codestore) == len(net.node(N3).codestore) == 1
 
-    def test_ablated_cache_ships_every_time(self):
-        net, first, second = self._two_clients(False, code_cache=False)
+    def test_ablated_cache_ships_every_time(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", False)
+        net, first, second = self._two_clients(False)
         assert net.node(N2).codestore is None
         assert first.codestore is None and second.codestore is None
         assert second.stats.code_cache_hits == 0
         assert second.stats.code_needs_sent == 1
         assert net.site("server").stats.code_replies_served == 2
 
-    def test_bare_site_has_a_private_store(self):
+    def test_bare_site_has_a_private_store(self, monkeypatch):
         from repro.runtime.nameservice import NameService
         from repro.runtime.site import Site
 
         site = Site("s", 1, N1, compile_source("0"), NameService())
         assert isinstance(site.codestore, CodeStore)
-        lone = Site("t", 2, N1, compile_source("0"), NameService(),
-                    code_cache=False)
+        monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", False)
+        lone = Site("t", 2, N1, compile_source("0"), NameService())
         assert lone.codestore is None
 
     def test_migrated_site_links_from_its_new_node(self):
@@ -770,8 +775,8 @@ class TestOrphanNeed:
     """A reaped site takes neither its offered code nor the world
     with it: its node answers from the store."""
 
-    def _ship_and_reap(self, **kwargs):
-        net = three_node_net(**kwargs)
+    def _ship_and_reap(self):
+        net = three_node_net()
         net.launch(N1, "holder", "export new spot spot![5]")
         net.launch(N3, "sink", "export new done done?(v) = print![v]")
         net.run()
@@ -792,10 +797,13 @@ class TestOrphanNeed:
         assert check_no_stale_code(net) == []
 
     @pytest.mark.parametrize("how", ["ablated", "evicted"])
-    def test_unanswerable_need_blocks_and_does_not_raise(self, how):
+    def test_unanswerable_need_blocks_and_does_not_raise(self, how,
+                                                          monkeypatch):
         from repro.obs import TraceCollector
 
-        net = self._ship_and_reap(code_cache=how != "ablated")
+        if how == "ablated":
+            monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", False)
+        net = self._ship_and_reap()
         events = TraceCollector()
         net.world.obs.subscribe(events)
         node = net.node(N2)

@@ -9,8 +9,8 @@ from repro.transport import SimWorld, fast_ethernet_cluster, myrinet_cluster
 from repro.vm.values import NetRef
 
 
-def two_node_net(**kwargs):
-    net = DiTyCONetwork(**kwargs)
+def two_node_net():
+    net = DiTyCONetwork()
     net.add_nodes(["10.0.0.1", "10.0.0.2"])
     return net
 
@@ -131,8 +131,9 @@ class TestClassFetch:
         assert client.stats.fetch_cache_hits + 1 >= 2 or \
             client.stats.fetch_requests_sent == 1
 
-    def test_cache_disabled_refetches(self):
-        net = two_node_net(fetch_cache=False)
+    def test_cache_disabled_refetches(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.site.FETCH_CACHE", False)
+        net = two_node_net()
         net.launch("10.0.0.1", "server", self.APPLET_SERVER)
         # Sequence the two instantiations so the second cannot piggyback
         # on the first FETCH being in flight.
@@ -234,8 +235,9 @@ class TestFastPathAblation:
         assert node.tycod.stats.encode_skipped >= 1
         assert node.tycod.stats.remote_sends == 0
 
-    def test_ablation_forces_encoding(self):
-        net = DiTyCONetwork(local_fast_path=False)
+    def test_ablation_forces_encoding(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.daemon.LOCAL_FAST_PATH", False)
+        net = DiTyCONetwork()
         node = net.add_node("10.0.0.1")
         net.launch("10.0.0.1", "server", "export new svc svc?(w) = print![w]")
         net.launch("10.0.0.1", "client", "import svc from server in svc![5]")

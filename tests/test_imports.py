@@ -25,6 +25,7 @@ NOT_ON_SIM_PATH = (
     "asyncio", "ssl", "subprocess", "socketserver",
     "repro.runtime.cluster", "repro.runtime.nsnet", "repro.transport.socket",
     "repro.types", "repro.core.reduction", "repro.testkit.proxy",
+    "repro.testkit.explore", "repro.testkit.chaos", "repro.obs.chrome",
     "repro.obs.slo",
 )
 
@@ -76,7 +77,6 @@ EXPORTS = {
                       "CheckpointVersionError SiteCheckpoint capture_site "
                       "digest_bytes pack_checkpoint read_checkpoint "
                       "restore_site write_checkpoint",
-        "journal": "FileJournal MemoryJournal checkpoint_node restore_node",
         "migrate": "MobilityConfig MobilityManager MobilityStats",
     },
     "repro.obs": {
@@ -187,7 +187,7 @@ def fresh(code: str, *args: str) -> str:
 
 def test_sim_path_loads_only_what_it_runs():
     loaded = json.loads(fresh(
-        "import json, sys, repro.runtime.network, repro.workloads; "
+        "import json, sys, repro.runtime.network, repro.workloads.runner; "
         "print(json.dumps(sorted(sys.modules)))"))
     assert [m for m in NOT_ON_SIM_PATH if m in loaded] == []
 

@@ -101,23 +101,25 @@ class TestBatchedOrdering:
         # them: the client's burst really was batched.
         assert any(e.kind == "batch" for e in sink.events)
 
-    def test_sim_fifo_without_batching_matches(self):
-        net = DiTyCONetwork(batching=False)
+    def test_sim_fifo_without_batching_matches(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.node.BATCHING", False)
+        net = DiTyCONetwork()
         net.add_nodes(["n1", "n2"])
         n = fifo_program(net, n=12)
         net.run()
         assert net.site("server").output == list(range(n))
 
-    def test_sim_link_clock_defeats_jitter_reorder(self):
+    def test_sim_link_clock_defeats_jitter_reorder(self, monkeypatch):
         """Chaos jitter stretches per-packet delays by 100x the link
         latency; the per-link FIFO clock must still deliver one link's
         stream in send order (batching off, so every packet rides the
         link individually)."""
         from repro.testkit import ChaosConfig, ChaosWorld
 
+        monkeypatch.setattr("repro.runtime.node.BATCHING", False)
         for seed in (3, 11, 23):
             world = ChaosWorld(seed=seed, config=ChaosConfig(jitter_s=1e-3))
-            net = DiTyCONetwork(world=world, batching=False)
+            net = DiTyCONetwork(world=world)
             net.add_nodes(["n1", "n2"])
             n = fifo_program(net)
             net.run()

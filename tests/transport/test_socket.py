@@ -325,7 +325,9 @@ class TestSocketWorld:
 
         n = 24
         monkeypatch.setattr(socket_transport, "QUEUE_LIMIT", 4)
-        world = SocketWorld(quantum=16)
+        monkeypatch.setattr(socket_transport, "QUANTUM", 16)
+        monkeypatch.setattr("repro.runtime.node.BATCHING", False)
+        world = SocketWorld()
         resolve = world._resolve
         outage = iter(range(3))
 
@@ -343,7 +345,7 @@ class TestSocketWorld:
                               default=0))
             return step(node, quantum)
 
-        net = DiTyCONetwork(world=world, batching=False)
+        net = DiTyCONetwork(world=world)
         net.add_nodes(["n1", "n2"])
         monkeypatch.setattr(Node, "step", recording_step)
         try:

@@ -8,9 +8,9 @@ from repro.vm import TycoVM
 from repro.vm.trace import Tracer
 
 
-def traced_vm(source, capacity=4096):
+def traced_vm(source):
     vm = TycoVM(compile_source(source))
-    tracer = Tracer(capacity=capacity)
+    tracer = Tracer()
     tracer.install(vm)
     vm.boot()
     vm.run()
@@ -24,10 +24,10 @@ class TestTracer:
         assert any("print" in e.instr or "pushc" in e.instr
                    for e in tracer.events)
 
-    def test_ring_buffer_bounded(self):
+    def test_ring_buffer_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.vm.trace.CAPACITY", 64)
         vm, tracer = traced_vm(
-            "def C(n) = if n > 0 then C[n - 1] else 0 in C[500]",
-            capacity=64)
+            "def C(n) = if n > 0 then C[n - 1] else 0 in C[500]")
         assert len(tracer.events) == 64
         assert len(tracer) == vm.stats.instructions
 

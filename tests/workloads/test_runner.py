@@ -80,14 +80,16 @@ class TestDeterminism:
         assert rerun.summary() == rep.summary()
         assert rerun.registry.render() == rep.registry.render()
 
-    def test_reap_cadence_never_changes_answers(self):
+    def test_reap_cadence_never_changes_answers(self, monkeypatch):
         # Reaping drained op sites shifts the per-site scheduling
         # quantum, so *timings* legitimately move with the cadence --
-        # which is why the runner pins one default.  The observable
-        # answers must not move at all.
+        # which is why the runner pins one.  The observable answers
+        # must not move at all.
         spec = SPECS["pubsub"]
-        a = run_workload(spec, reap_every=4)
-        b = run_workload(spec, reap_every=0)          # never reap
+        monkeypatch.setattr("repro.workloads.runner.REAP_EVERY", 4)
+        a = run_workload(spec)
+        monkeypatch.setattr("repro.workloads.runner.REAP_EVERY", 0)
+        b = run_workload(spec)                        # never reap
         assert a.violations == b.violations == []
         assert a.ops_completed == b.ops_completed == spec.ops
 
