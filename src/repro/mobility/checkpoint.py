@@ -34,14 +34,14 @@ site raises :class:`CheckpointError`.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import deque
 from dataclasses import dataclass, fields, replace
 
 from repro.compiler.assembly import Program
 from repro.compiler.linker import CodeBundle, link_bundle
-from repro.runtime.codecache import CodeCache, CodeStore
+from repro.runtime.codecache import (DIGEST_SIZE, CodeCache, CodeStore,
+                                     digest_bytes)
 from repro.runtime.distgc import DistGC, GcConfig
 from repro.runtime.nameservice import NameService
 from repro.runtime.site import Site
@@ -52,9 +52,6 @@ from repro.vm.values import Channel, ClassRef, NetRef, RemoteClassRef
 #: Magic + format version of the checkpoint blob.
 MAGIC = b"DTCK"
 VERSION = 1
-
-#: Digest width: matches the code cache (blake2b-16).
-DIGEST_SIZE = 16
 
 
 class CheckpointError(Exception):
@@ -67,10 +64,6 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointCorruptError(CheckpointError):
     """The checkpoint bytes fail their digest or structure checks."""
-
-
-def digest_bytes(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
 @dataclass(slots=True)

@@ -38,8 +38,9 @@ ordinary wire format -- no new byte tags, exactly like REF_LEASE.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
+from repro.runtime.codecache import digest_bytes
+from repro.runtime.site import DeliveryError
 from repro.runtime.wire import (
     KIND_MIG_ACK,
     KIND_MIG_CODE,
@@ -49,7 +50,17 @@ from repro.runtime.wire import (
     encode,
 )
 
-from .checkpoint import capture_site, digest_bytes, restore_site
+from .checkpoint import capture_site, restore_site
+
+
+#: kind -> (handler, payload layout).  A peer's control packet is
+#: unpacked only after its payload matched the layout of its kind.
+_CONTROL = {
+    KIND_MIG_SHIP: ("_on_ship", (str, str, int, bytes, bytes)),
+    KIND_MIG_NEED: ("_on_need", (str, bytes)),
+    KIND_MIG_CODE: ("_on_code", (str, bytes, bytes)),
+    KIND_MIG_ACK: ("_on_ack", (str, bool)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +139,11 @@ class MobilityManager:
     byte-identical.
     """
 
-    def __init__(self, node, config: Optional[MobilityConfig] = None) -> None:
+    def __init__(self, node) -> None:
         self.node = node
-        self.config = config or MobilityConfig()
+        #: Retry timing; :meth:`Node.ensure_mobility` swaps in
+        #: :meth:`MobilityConfig.wall_clock` on wall-clock worlds.
+        self.config = MobilityConfig()
         self.stats = MobilityStats()
         #: site_id -> outbound record while the site is frozen here.
         self.frozen: dict[int, _Outbound] = {}
@@ -249,18 +262,22 @@ class MobilityManager:
         return done
 
     def on_control(self, packet: Packet) -> None:
-        """Dispatch one mobility control packet."""
-        if packet.kind == KIND_MIG_SHIP:
-            self._on_ship(packet)
-        elif packet.kind == KIND_MIG_NEED:
-            self._on_need(packet)
-        elif packet.kind == KIND_MIG_CODE:
-            self._on_code(packet)
-        elif packet.kind == KIND_MIG_ACK:
-            self._on_ack(packet)
-        else:
-            raise LookupError(
-                f"node {self.node.ip}: unknown mobility packet {packet.kind}")
+        """Dispatch one mobility control packet.  An unknown kind or a
+        payload off its kind's layout is a peer's fault: it raises
+        :class:`DeliveryError`, like bad mail to a site."""
+        entry = _CONTROL.get(packet.kind)
+        if entry is None:
+            raise DeliveryError(
+                f"node {self.node.ip}: unknown mobility packet "
+                f"{packet.kind!r}")
+        handler, layout = entry
+        payload = packet.payload
+        if not (type(payload) is tuple and len(payload) == len(layout)
+                and all(map(isinstance, payload, layout))):
+            raise DeliveryError(
+                f"node {self.node.ip}: malformed {packet.kind} payload "
+                f"{payload!r:.80}")
+        getattr(self, handler)(packet)
 
     # -- destination side ---------------------------------------------------
 

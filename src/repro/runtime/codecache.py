@@ -91,7 +91,8 @@ def _bundle_as_program(bundle: CodeBundle) -> Program:
                    groups=list(bundle.groups))
 
 
-def _digest_bytes(data: bytes) -> bytes:
+def digest_bytes(data: bytes) -> bytes:
+    """The one content digest: code slices and checkpoint blobs."""
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
@@ -115,7 +116,7 @@ def digest_item(program: Program, kind: str, item_id: int,
     from .wire import encode
 
     rooted_slice = extract_bundle(program, **{ROOTS_ARG[kind]: (item_id,)})
-    digest = _digest_bytes(encode(rooted_slice))
+    digest = digest_bytes(encode(rooted_slice))
     if memo is not None:
         memo[key] = digest
     if store is not None:

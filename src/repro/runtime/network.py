@@ -102,11 +102,11 @@ class DiTyCONetwork:
 
     # -- live migration (repro.mobility) ------------------------------------------
 
-    def mobility(self, ip: str, config=None):
+    def mobility(self, ip: str):
         """The (create-on-demand) migration manager of the node at
         ``ip``; its SHIP retries ride the world's timer
         (:meth:`~repro.transport.base.World.schedule_at`)."""
-        return self.node(ip).ensure_mobility(config=config)
+        return self.node(ip).ensure_mobility()
 
     def migrate(self, site_name: str, dest_ip: str) -> str:
         """Live-migrate the named site to the node at ``dest_ip``;

@@ -207,19 +207,19 @@ class Node:
         self.on_work_available()
         return site
 
-    def ensure_mobility(self, config=None):
+    def ensure_mobility(self):
         """Create (once) and return this node's migration manager."""
         if self.mobility is None:
             from repro.mobility.migrate import MobilityConfig, MobilityManager
             from repro.transport.clock import monotime
 
-            if config is None and self._clock is monotime:
+            self.mobility = MobilityManager(self)
+            if self._clock is monotime:
                 # Every wall-clock world attaches monotime as the node
                 # clock; the sim-scale retry interval would retransmit
                 # between scheduling quanta of a real link (the same
                 # scaling GcConfig.wall_clock applies).
-                config = MobilityConfig.wall_clock()
-            self.mobility = MobilityManager(self, config=config)
+                self.mobility.config = MobilityConfig.wall_clock()
         return self.mobility
 
     def adopt_site(self, site: Site) -> Site:

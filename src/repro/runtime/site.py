@@ -290,20 +290,6 @@ class Site:
         if self.vm.has_stalled():
             self.vm.resume_stalled()
 
-    def collect_garbage(self) -> int:
-        """Site-level GC: exported channels are pinned (a remote site
-        may hold a network reference to them); arguments parked with
-        pending FETCHes are extra roots.
-
-        This is the conservative pre-distgc collector: *every* id ever
-        exported stays pinned forever.  :meth:`run_distgc` is the
-        lease-based collector that can actually shrink the pinned set.
-        """
-        fetch_roots = [args for waiting in self._pending_fetch.values()
-                       for args in waiting]
-        return self.vm.collect_garbage(pinned=set(self.exported_ids),
-                                       extra_roots=fetch_roots)
-
     # -- distributed GC (repro.runtime.distgc, docs/GC.md) ---------------------
 
     def _gc_extra_roots(self, include_exports: bool = True) -> list:

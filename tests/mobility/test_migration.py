@@ -12,8 +12,8 @@ import pytest
 from repro.mobility.migrate import KIND_MIG_SHIP, MobilityConfig
 from repro.obs.events import MOBILITY, category_of
 from repro.obs.metrics import world_metrics
-from repro.runtime import DiTyCONetwork
-from repro.runtime.wire import Packet
+from repro.runtime import DeliveryError, DiTyCONetwork
+from repro.runtime.wire import Packet, encode
 from repro.testkit import ChaosConfig, ChaosWorld
 from repro.testkit import invariants as inv
 
@@ -181,7 +181,7 @@ class TestDedup:
         net = self.migrated_net()
         bogus = Packet(kind="mig_bogus", src_ip="n1", src_site_id=0,
                        dest_ip="n3", dest_site_id=0, payload=())
-        with pytest.raises(LookupError, match="mig_bogus"):
+        with pytest.raises(DeliveryError, match="mig_bogus"):
             net.node("n3").mobility.on_control(bogus)
 
     def test_need_for_unknown_digest_is_ignored(self):
@@ -211,7 +211,7 @@ class TestRetryAndAbandon:
         net.add_nodes(["n1", "n3"])
         net.launch("n1", "server", SERVER)
         net.run()
-        net.mobility("n1", config=config)
+        net.mobility("n1").config = config
         net.migrate("server", "n3")
         net.run()
         src = net.node("n1").mobility
@@ -234,8 +234,8 @@ class TestRetryAndAbandon:
         net.add_nodes(["n1", "n3"])
         net.launch("n1", "server", SERVER)
         net.run()
-        net.mobility("n1", config=MobilityConfig(retry_s=1e-4,
-                                                 max_attempts=5))
+        net.mobility("n1").config = MobilityConfig(retry_s=1e-4,
+                                                   max_attempts=5)
         net.migrate("server", "n3")
         # Mid-protocol (no ACK yet, not abandoned): not quiescent.
         assert not net.node("n1").mobility.idle()
@@ -280,6 +280,23 @@ class TestErrors:
         with pytest.raises(LookupError, match="no site 'op7'"):
             net.mobility("n1").migrate_site("op7", "n2")
         assert net.node("n1").mobility.frozen == {}
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("mig_bogus", ()),
+        ("mig_ack", (1, 2, 3)),
+        ("mig_need", "x"),
+    ])
+    def test_malformed_control_packet_is_a_delivery_error(self, kind,
+                                                          payload):
+        # A peer's bad control bytes end the run with the one exception
+        # bad mail raises, not whatever unpacking the payload hits.
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        packet = Packet(kind=kind, src_ip="n2", src_site_id=0,
+                        dest_ip="n1", dest_site_id=0, payload=payload)
+        net.world._send("n2", "n1", encode(packet))
+        with pytest.raises(DeliveryError, match=kind):
+            net.run()
 
 
 class _Sink:

@@ -231,10 +231,14 @@ class TestLeaseLifecycle:
         server = net.launch("n1", "s", "export new svc svc?(w) = print![w]")
         net.run()
         assert server.distgc is None
-        # The pre-distgc collector pins every export forever.
-        server.collect_garbage()
+        # Without distgc a site never collects: every export stays
+        # pinned forever and still serves remote mail.
+        net.launch("n2", "c", "import svc from s in svc![9]")
+        net.run()
         svc_id = net.nameservice.lookup_name("s", "svc").heap_id
         assert svc_id in server.vm.heap
+        assert server.vm.heap.stats().collections == 0
+        assert server.output == [9]
 
 
 class TestGcScheduler:

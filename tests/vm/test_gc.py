@@ -3,7 +3,6 @@
 import pytest
 
 from repro.compiler import compile_source
-from repro.runtime import DiTyCONetwork
 from repro.vm import TycoVM
 from repro.vm.values import ClassRef
 
@@ -119,31 +118,3 @@ class TestCollectEdgeCases:
         assert after.live == len(vm.heap)
         assert set(after.as_dict()) == {
             "allocated", "reclaimed", "collections", "live"}
-
-
-class TestSiteCollect:
-    def test_exported_channels_pinned(self):
-        net = DiTyCONetwork()
-        net.add_node("n1")
-        site = net.launch("n1", "s", "export new svc svc?(w) = print![w]")
-        net.run()
-        reclaimed = site.collect_garbage()
-        svc_id = net.nameservice.lookup_name("s", "svc").heap_id
-        assert svc_id in site.vm.heap._channels
-        # A remote message can still arrive after the GC.
-        net.launch("n1", "client", "import svc from s in svc![9]")
-        net.run()
-        assert site.output == [9]
-
-    def test_gc_between_jobs(self):
-        net = DiTyCONetwork()
-        net.add_node("n1")
-        site = net.launch("n1", "s", """
-        def Churn(n) =
-          if n > 0 then new t (t![n] | t?(v) = Churn[v - 1]) else 0
-        in Churn[30]
-        """)
-        net.run()
-        before = len(site.vm.heap)
-        site.collect_garbage()
-        assert len(site.vm.heap) < before
