@@ -9,21 +9,31 @@ When the policy says yes, the hottest migratable site of the hottest
 node is live-migrated to the coldest node.
 
 The policy is pluggable; :class:`ThresholdPolicy` implements
-threshold + hysteresis: a node must be *absolutely* busy (``hot_load``)
-and *relatively* overloaded (``imbalance`` times the coldest node),
-and after any migration the balancer holds off for
-``cooldown_ticks`` samples so a decision can settle before the next
-one is made on post-move numbers.
+threshold + hysteresis: a node must be *absolutely* busy
+(:data:`HOT_LOAD`) and *relatively* overloaded (:data:`IMBALANCE`
+times the coldest node), and after any migration the balancer holds
+off for :data:`COOLDOWN_TICKS` samples so a decision can settle before
+the next one is made on post-move numbers.
 
-Every decision is emitted as a ``balance`` event on the node's
-observability bus, so the flight recorder shows what the balancer did
-right before any invariant violation.
+Every decision is emitted as one ``balance`` event on the node's
+observability bus (site, both loads and the policy's reason), so the
+flight recorder shows what the balancer did right before any
+invariant violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+#: Minimum load (instructions this sample + queue depths) before a
+#: node counts as hot at all.  Read per decision; tests monkeypatch it.
+HOT_LOAD = 512.0
+#: The hottest node must carry at least this many times the coldest
+#: node's load (+1 smoothing so an idle cold node works).
+IMBALANCE = 2.0
+#: Samples to sit out after a migration (hysteresis).
+COOLDOWN_TICKS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +63,9 @@ class BalanceDecision:
 
 @dataclass(frozen=True, slots=True)
 class ThresholdPolicy:
-    """Threshold + hysteresis migration policy."""
+    """Threshold + hysteresis migration policy (:data:`HOT_LOAD`,
+    :data:`IMBALANCE`, :data:`COOLDOWN_TICKS`)."""
 
-    #: Minimum load (instructions this sample + queue depths) before a
-    #: node counts as hot at all.
-    hot_load: float = 512.0
-    #: Hottest node must carry at least this many times the coldest
-    #: node's load (+1 smoothing so an idle cold node works).
-    imbalance: float = 2.0
-    #: Samples to sit out after a migration (hysteresis).
-    cooldown_ticks: int = 2
     #: Site names the balancer must never move (e.g. a site whose
     #: output is tapped by a collector).
     pinned: frozenset = frozenset()
@@ -73,13 +76,13 @@ class ThresholdPolicy:
         (determinism); ties break toward the lexically first node."""
         if len(loads) < 2:
             return None
-        if last_move_tick >= 0 and tick - last_move_tick <= self.cooldown_ticks:
+        if last_move_tick >= 0 and tick - last_move_tick <= COOLDOWN_TICKS:
             return None
         hottest = max(loads, key=lambda n: n.load)
         coldest = min(loads, key=lambda n: n.load)
-        if hottest.ip == coldest.ip or hottest.load < self.hot_load:
+        if hottest.ip == coldest.ip or hottest.load < HOT_LOAD:
             return None
-        if hottest.load < self.imbalance * (coldest.load + 1.0):
+        if hottest.load < IMBALANCE * (coldest.load + 1.0):
             return None
         for site_load, site_name in hottest.sites:
             if site_name in self.pinned:
@@ -164,15 +167,12 @@ class LoadBalancer:
             return None
         self._last_move_tick = self.ticks
         self.decisions.append(decision)
+        # The policy's trigger rides along, so traces and metrics
+        # answer "why did it move".
         src_node.trace("balance", src=decision.src_ip, dst=decision.dest_ip,
                        note=(f"{decision.site_name} load "
                              f"{decision.src_load:.0f}->"
-                             f"{decision.dest_load:.0f}"))
-        # The decision itself, first-class (PR9): carries the policy's
-        # trigger so traces and metrics answer "why did it move".
-        src_node.trace("balance_decide",
-                       src=decision.src_ip, dst=decision.dest_ip,
-                       note=f"{decision.site_name} {decision.reason}")
+                             f"{decision.dest_load:.0f} {decision.reason}"))
         if self.registry is not None:
             self.registry.counter(
                 "repro_balancer_decisions_total",

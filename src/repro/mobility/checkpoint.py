@@ -35,14 +35,12 @@ site raises :class:`CheckpointError`.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.compiler.assembly import Program
 from repro.compiler.linker import CodeBundle, link_bundle
-from repro.runtime.codecache import (DIGEST_SIZE, CodeCache, CodeStore,
-                                     digest_bytes)
-from repro.runtime.distgc import DistGC, GcConfig
+from repro.runtime.codecache import DIGEST_SIZE, digest_bytes
+from repro.runtime.distgc import checkpoint_leases, restore_leases
 from repro.runtime.nameservice import NameService
 from repro.runtime.site import Site
 from repro.runtime.wire import WireError, decode, encode
@@ -255,15 +253,6 @@ class _Restore:
 # ---------------------------------------------------------------------------
 
 
-def _stats_dict(stats) -> dict:
-    return {f.name: getattr(stats, f.name) for f in fields(stats)}
-
-
-def _restore_stats(stats, data: dict) -> None:
-    for name, value in data.items():
-        setattr(stats, name, value)
-
-
 def _thread_record(cap: _Capture, thread: Thread) -> tuple:
     return (thread.block_id, thread.pc,
             cap.flatten_all(thread.frame), cap.flatten_all(thread.stack))
@@ -275,21 +264,8 @@ def _restore_thread(res: _Restore, record) -> Thread:
                   pc=pc, stack=[res.unflatten(v) for v in stack])
 
 
-def capture_state(site: Site) -> bytes:
-    """The state part of one site checkpoint (wire-encoded).
-
-    Deterministic by construction: sets are sorted, dicts captured in
-    insertion order, channels sorted by heap id, class instances in
-    discovery order of a fixed traversal -- so restoring a checkpoint
-    and capturing again yields the same bytes.
-    """
-    if site.name_signatures or site.wire_signatures:
-        raise CheckpointError(
-            f"{site.site_name}: typechecked sites (live wire signatures) "
-            f"cannot be checkpointed")
-    vm = site.vm
-    cap = _Capture(site)
-
+def _capture_vm(vm, cap: _Capture) -> dict:
+    """The VM's heap, threads, externals, output and counters."""
     channels = []
     for ch in sorted(vm.heap, key=lambda c: c.heap_id):
         channels.append((
@@ -300,92 +276,61 @@ def capture_state(site: Site) -> bytes:
                   for methods, env in ch.objects),
         ))
     heap_stats = vm.heap.stats()
-
-    current = None if vm.current is None else _thread_record(cap, vm.current)
-    runqueue = tuple(_thread_record(cap, t)
-                     for t in vm.runqueue.threads())
-    stalled = tuple(_thread_record(cap, t) for t in vm.stalled)
-    externals = [(hint, ch.heap_id) for hint, ch in vm.externals.items()]
-    output = cap.flatten_all(vm.output)
-
-    class_exports = [(cid, cap.flatten(cr))
-                     for cid, cr in sorted(site._class_exports.items())]
-    fetched = [(key, cap.flatten(cr)) for key, cr in site._fetched.items()]
-    pending_fetch = [(key, tuple(cap.flatten_all(args) for args in waiting))
-                     for key, waiting in site._pending_fetch.items()]
-    pending_code = [(pkey, needed, payload)
-                    for pkey, (needed, payload)
-                    in site._pending_code.items()]
-
-    codecache = None
-    if site.codecache is not None:
-        cc = site.codecache
-        codecache = {
-            "entries": [(digest, kind, item_id) for digest, (kind, item_id)
-                        in sorted(cc.snapshot().items())],
-            "in_flight": sorted(cc.in_flight_snapshot().items()),
-            "generation": cc.generation,
-            "hits": cc.hits, "misses": cc.misses, "installs": cc.installs,
-        }
-
-    distgc = None
-    if site.distgc is not None:
-        gc = site.distgc
-        cfg = gc.config
-        distgc = {
-            "config": (cfg.lease_s, cfg.renew_s, cfg.sweep_s, cfg.grace_s),
-            "stats": gc.stats.as_dict(),
-            "leases": [(key, list(holders.items()))
-                       for key, holders in gc.leases.items()],
-            "held": [(ep, list(keys.items()))
-                     for ep, keys in gc.held.items()],
-            "pending": [(ep, list(keys))
-                        for ep, keys in gc._pending_claims.items()],
-        }
-
-    state = {
-        "site_name": site.site_name,
-        "site_id": site.site_id,
-        "ip": site.ip,
-        "alias_ips": sorted(site.alias_ips),
-        "fetch_cache": site.fetch_cache,
+    return {
         "heap": {
             "next_id": vm.heap._next_id,
             "stats": (heap_stats.allocated, heap_stats.reclaimed,
                       heap_stats.collections),
             "channels": channels,
         },
-        "current": current,
+        "current": (None if vm.current is None
+                    else _thread_record(cap, vm.current)),
         "runqueue": {
-            "threads": runqueue,
+            "threads": tuple(_thread_record(cap, t)
+                             for t in vm.runqueue.threads()),
             "context_switches": vm.runqueue.context_switches,
             "max_depth": vm.runqueue.max_depth,
         },
-        "stalled": stalled,
-        "externals": externals,
-        "output": output,
-        "vm_stats": _stats_dict(vm.stats),
-        "site_stats": _stats_dict(site.stats),
-        "exported_ids": sorted(site.exported_ids),
-        "name_exports": list(site._name_exports.items()),
-        "class_export_names": list(site._class_export_names.items()),
-        "class_exports": class_exports,
-        "next_class_id": site._next_class_id,
-        "fetched": fetched,
-        "pending_fetch": pending_fetch,
-        "pending_code": pending_code,
-        "ship_offers": list(site._ship_offers.items()),
-        "next_ship_token": site._next_ship_token,
-        "gc_tombstones": sorted(site._gc_tombstones),
-        "gc_class_tombstones": sorted(site._gc_class_tombstones),
-        "incoming": list(site.incoming),
-        "outgoing": list(site.outgoing),
-        "codecache": codecache,
-        "distgc": distgc,
-        # Captured last: the instance table fills while everything
-        # above flattens (order is part of the format).
-        "instances": [tuple(entry) for entry in cap.instances],
+        "stalled": tuple(_thread_record(cap, t) for t in vm.stalled),
+        "externals": [(hint, ch.heap_id)
+                      for hint, ch in vm.externals.items()],
+        "output": cap.flatten_all(vm.output),
+        "vm_stats": asdict(vm.stats),
     }
+
+
+def capture_state(site: Site) -> bytes:
+    """The state part of one site checkpoint (wire-encoded).
+
+    The VM is captured here; the site's tables, the code protocol and
+    the lease protocol each capture their own keys.  Deterministic by
+    construction: sets are sorted, dicts captured in insertion order,
+    channels sorted by heap id, class instances in discovery order of a
+    fixed traversal -- so restoring a checkpoint and capturing again
+    yields the same bytes.
+    """
+    if site.name_signatures or site.wire_signatures:
+        raise CheckpointError(
+            f"{site.site_name}: typechecked sites (live wire signatures) "
+            f"cannot be checkpointed")
+    cap = _Capture(site)
+    # Flattening order fixes the instance table: VM first, then the
+    # site's exported classes, then the fetched ones.
+    parts = _capture_vm(site.vm, cap)
+    parts.update(site.checkpoint_state(cap))
+    parts.update(site.code.checkpoint_state(cap))
+    parts.update(checkpoint_leases(site))
+    state = {key: parts[key] for key in (
+        "site_name", "site_id", "ip", "alias_ips", "fetch_cache", "heap",
+        "current", "runqueue", "stalled", "externals", "output",
+        "vm_stats", "site_stats", "exported_ids", "name_exports",
+        "class_export_names", "class_exports", "next_class_id", "fetched",
+        "pending_fetch", "pending_code", "ship_offers", "next_ship_token",
+        "gc_tombstones", "gc_class_tombstones", "incoming", "outgoing",
+        "codecache", "distgc")}
+    # Captured last: the instance table fills while everything above
+    # flattens (order is part of the format).
+    state["instances"] = [tuple(entry) for entry in cap.instances]
     try:
         return encode(state)
     except WireError as exc:  # a payload slipped past the guards
@@ -412,49 +357,31 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
     wires it in.  Restoring onto the checkpointed ip reproduces the
     original exactly; restoring onto a new ip records the old home in
     :attr:`Site.alias_ips` so references minted before the move keep
-    resolving locally.
+    resolving locally.  The cache ablations and the lease protocol a
+    site was built with travel with it.
     """
     program = restore_code(code_bytes)
     state = _decode_part(state_bytes, "state")
     try:
-        gc_state = state["distgc"]
-        gc_config = (GcConfig(lease_s=gc_state["config"][0],
-                              renew_s=gc_state["config"][1],
-                              sweep_s=gc_state["config"][2],
-                              grace_s=gc_state["config"][3])
-                     if gc_state is not None else None)
         site = Site(state["site_name"], state["site_id"], ip, program,
-                    nameservice,
-                    distgc=gc_state is not None, gc_config=gc_config,
-                    clock=clock)
-        # The ablations a site was built under travel with it.
-        site.fetch_cache = state["fetch_cache"]
-        if state["codecache"] is None:
-            site.codecache = site.codestore = None
-        elif site.codecache is None:
-            site.codecache, site.codestore = CodeCache(program), CodeStore()
-        _fill_site(site, state, old_ip=state["ip"])
+                    nameservice, clock=clock)
+        res = _Restore(program)
+        _restore_vm(site.vm, state, res)
+        site.restore_state(state, res)
+        site.code.restore_state(state, res)
+        restore_leases(site, state)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(
             f"malformed checkpoint state: {exc!r}") from exc
     return site
 
 
-def _fill_site(site: Site, state: dict, old_ip: str) -> None:
-    vm = site.vm
-    res = _Restore(vm.program)
-
-    site.alias_ips = set(state["alias_ips"])
-    if old_ip != site.ip:
-        site.alias_ips.add(old_ip)
-    site.alias_ips.discard(site.ip)
-
+def _restore_vm(vm, state: dict, res: _Restore) -> None:
     # Heap channels first (empty), then group instances, then values.
     heap_state = state["heap"]
     for heap_id, hint, is_console, _msgs, _objs in heap_state["channels"]:
-        builtin = _console_handler(vm) if is_console else None
-        res.channels[heap_id] = vm.heap.adopt(
-            Channel(heap_id, hint=hint, builtin=builtin))
+        res.channels[heap_id] = vm.heap.adopt(Channel(
+            heap_id, hint=hint, builtin=vm.console if is_console else None))
     res.build_instances(state["instances"])
     res.resolve_instances(state["instances"])
     for heap_id, _hint, _is_console, msgs, objs in heap_state["channels"]:
@@ -480,67 +407,10 @@ def _fill_site(site: Site, state: dict, old_ip: str) -> None:
     vm.externals = {hint: res.channels[hid]
                     for hint, hid in state["externals"]}
     vm.output = [res.unflatten(v) for v in state["output"]]
-    _restore_stats(vm.stats, state["vm_stats"])
-    _restore_stats(site.stats, state["site_stats"])
+    for name, value in state["vm_stats"].items():
+        setattr(vm.stats, name, value)
     # The program is in flight again: boot() must never re-run main.
     vm._booted = True
-
-    site.exported_ids = set(state["exported_ids"])
-    site._name_exports = dict(state["name_exports"])
-    site._class_export_names = dict(state["class_export_names"])
-    site._class_exports = {cid: res.unflatten(flat)
-                           for cid, flat in state["class_exports"]}
-    site._class_ids = {id(cr): cid
-                       for cid, cr in site._class_exports.items()}
-    site._next_class_id = state["next_class_id"]
-    site._fetched = {tuple(key): res.unflatten(flat)
-                     for key, flat in state["fetched"]}
-    site._pending_fetch = {
-        tuple(key): [res.unflatten_all(args) for args in waiting]
-        for key, waiting in state["pending_fetch"]}
-    site._pending_code = {tuple(pkey): (tuple(needed), payload)
-                          for pkey, needed, payload
-                          in state["pending_code"]}
-    site._ship_offers = {token: tuple(blocks)
-                         for token, blocks in state["ship_offers"]}
-    site._next_ship_token = state["next_ship_token"]
-    site._gc_tombstones = set(state["gc_tombstones"])
-    site._gc_class_tombstones = set(state["gc_class_tombstones"])
-    site.incoming = deque(state["incoming"])
-    site.outgoing = deque(state["outgoing"])
-
-    cc_state = state["codecache"]
-    if cc_state is not None:
-        site.codecache.restore_state(
-            [(digest, kind, item_id)
-             for digest, kind, item_id in cc_state["entries"]],
-            dict(cc_state["in_flight"]), cc_state["generation"])
-        site.codecache.hits = cc_state["hits"]
-        site.codecache.misses = cc_state["misses"]
-        site.codecache.installs = cc_state["installs"]
-
-    gc_state = state["distgc"]
-    if gc_state is not None:
-        gc: DistGC = site.distgc
-        _restore_stats(gc.stats, gc_state["stats"])
-        gc.leases = {tuple(key): {tuple(ep): t for ep, t in holders}
-                     for key, holders in gc_state["leases"]}
-        gc.held = {tuple(ep): {tuple(key): t for key, t in keys}
-                   for ep, keys in gc_state["held"]}
-        gc._pending_claims = {tuple(ep): [tuple(key) for key in keys]
-                              for ep, keys in gc_state["pending"]}
-
-
-def _console_handler(vm):
-    """Rebuild the builtin console handler
-    (:meth:`~repro.vm.machine.TycoVM.make_console` semantics, bound to
-    the restored VM)."""
-
-    def handler(label: str, args: tuple) -> None:
-        vm.stats.prints += 1
-        vm.output.extend(args)
-
-    return handler
 
 
 # ---------------------------------------------------------------------------

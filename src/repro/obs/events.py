@@ -23,7 +23,7 @@ transport  send, deliver, batch, crash-drop
 chaos      drop, dup, delay, crash, restart
 mobility   migrate-out, migrate-ship, migrate-need, migrate-code,
            migrate-in, migrate-ack, migrate-forward, migrate-retry,
-           migrate-fail, balance, balance_decide
+           migrate-fail, balance
 slo        slo_breach  (an SLO watchdog threshold check failed)
 ========== ==========================================================
 
@@ -88,7 +88,6 @@ CATEGORY_OF: dict[str, str] = {
     "migrate-retry": MOBILITY,
     "migrate-fail": MOBILITY,
     "balance": MOBILITY,
-    "balance_decide": MOBILITY,
     # SLO watchdog (repro.obs.slo).
     "slo_breach": SLO,
 }

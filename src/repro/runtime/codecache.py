@@ -40,6 +40,9 @@ already holds:
   missing, renumbering every cross-reference onto the cached copies.
   Block ids are area-relative, so a slice out of the node's store is
   linked into each site's own area through here too.
+* :class:`SiteCode` -- the protocol that moves code (``site.code``):
+  FETCH, the SHIPO offer, offer / need / reply, and the node's answer
+  for a site it no longer runs (:func:`answer_orphan_need`).
 """
 
 from __future__ import annotations
@@ -58,6 +61,17 @@ from repro.compiler.linker import (
     link_bundle,
 )
 from repro.vm.dispatch import DecodedBlock, predecode
+from repro.vm.machine import VMRuntimeError
+from repro.vm.values import ClassRef, RemoteClassRef
+
+from .wire import (
+    KIND_CODE_NEED,
+    KIND_CODE_REPLY,
+    KIND_FETCH_REPLY,
+    KIND_FETCH_REQUEST,
+    Packet,
+    encode,
+)
 
 #: Digest width in bytes.  16 bytes of blake2b keeps manifests compact
 #: while making accidental collisions astronomically unlikely.
@@ -83,6 +97,11 @@ MAX_SLICES = 1024
 #: benchmarks flip: no digest tables or stores, every code offer is
 #: answered with a CODE_NEED and every bundle is linked from scratch.
 CODE_CACHE = True
+
+
+class DeliveryError(VMRuntimeError):
+    """An incoming packet referenced an unknown or unexported entity,
+    or carried code that does not verify."""
 
 
 def _bundle_as_program(bundle: CodeBundle) -> Program:
@@ -112,9 +131,6 @@ def digest_item(program: Program, kind: str, item_id: int,
         cached = memo.get(key)
         if cached is not None:
             return cached
-    # Imported lazily: wire imports the linker, which this module extends.
-    from .wire import encode
-
     rooted_slice = extract_bundle(program, **{ROOTS_ARG[kind]: (item_id,)})
     digest = digest_bytes(encode(rooted_slice))
     if memo is not None:
@@ -175,7 +191,7 @@ class CodeStore:
     Everything here was either extracted on this node from a program
     area (:func:`digest_item` with ``store=``) or re-extracted from a
     download whose every digest was recomputed first
-    (``Site._on_code_reply``); the key is the hash of what is stored,
+    (:meth:`SiteCode.on_code_reply`); the key is the hash of what is stored,
     by construction.  Entries are immutable and only the node's own
     thread writes the table (a wall-clock world's delivery thread may
     read it, to answer an orphan CODE_NEED).
@@ -317,14 +333,6 @@ class CodeCache:
         """Record that ``digest`` lives at ``(kind, item_id)`` locally."""
         self._by_digest.setdefault(digest, (kind, item_id))
 
-    def register_own(self, kind: str, item_id: int) -> bytes:
-        """Digest and register one of our own items (the serving side
-        does this so code we exported once is also recognised when it
-        bounces back to us)."""
-        digest = digest_item(self.program, kind, item_id)
-        self.register(digest, kind, item_id)
-        return digest
-
     def lookup(self, digest: bytes) -> Optional[tuple[str, int]]:
         return self._by_digest.get(digest)
 
@@ -335,20 +343,29 @@ class CodeCache:
         """Copy of the digest table (for the integrity invariant)."""
         return dict(self._by_digest)
 
-    def in_flight_snapshot(self) -> dict[bytes, int]:
-        """Copy of the in-flight marks with their generations (for
+    def checkpoint_state(self) -> dict:
+        """Digest rows, in-flight marks, generation and counters (for
         site checkpointing, repro.mobility)."""
-        return dict(self._in_flight)
+        return {
+            "entries": [(digest, kind, item_id) for digest, (kind, item_id)
+                        in sorted(self._by_digest.items())],
+            "in_flight": sorted(self._in_flight.items()),
+            "generation": self.generation,
+            "hits": self.hits, "misses": self.misses,
+            "installs": self.installs,
+        }
 
-    def restore_state(self, entries, in_flight: dict[bytes, int],
-                      generation: int) -> None:
-        """Refill from a checkpoint: digest rows, in-flight marks and
-        the generation counter.  Item ids are valid verbatim because a
-        checkpoint restore rebuilds the program area identically."""
-        for digest, kind, item_id in entries:
+    def restore_state(self, state: dict) -> None:
+        """Refill from :meth:`checkpoint_state`.  Item ids are valid
+        verbatim because a checkpoint restore rebuilds the program area
+        identically."""
+        for digest, kind, item_id in state["entries"]:
             self.register(digest, kind, item_id)
-        self._in_flight.update(in_flight)
-        self.generation = generation
+        self._in_flight.update(dict(state["in_flight"]))
+        self.generation = state["generation"]
+        self.hits = state["hits"]
+        self.misses = state["misses"]
+        self.installs = state["installs"]
 
     # -- in-flight request coalescing ----------------------------------------
 
@@ -374,7 +391,8 @@ class CodeCache:
         Two callers: a node *restart* (our own in-flight requests may
         have died with the crash) and the distributed GC's
         *peer-suspected* path (requests toward the dead peer will never
-        be answered; see :meth:`~repro.runtime.site.Site.on_peer_suspected`).
+        be answered; see
+        :meth:`~repro.runtime.distgc.LeaseProtocol.on_peer_suspected`).
         Installed code is content-addressed and therefore never stale --
         only the transient request-coalescing state is discarded."""
         self.generation += 1
@@ -476,3 +494,500 @@ def verify_store_integrity(store: CodeStore) -> list[str]:
                 f"stale code: store slice {tag} is rooted at "
                 f"{[d.hex()[:12] for _kind, _i, d in roots]}")
     return violations
+
+
+class SiteCode:
+    """The code-movement protocol of one site (docs/WIRE.md): FETCH
+    request and serve, the SHIPO offer, offer / need / reply with its
+    verification and install, and the restart re-drive.  Owns the
+    protocol's state; the site marshals values and hands over the
+    packets of these kinds."""
+
+    def __init__(self, site, fetch_cache: bool) -> None:
+        self.site = site
+        #: The site's ``FETCH_CACHE`` setting; a checkpoint carries it,
+        #: so an ablated site restores ablated.
+        self.fetch_cache = fetch_cache
+        #: Digest -> id in *this* program area, plus the in-flight
+        #: state; None is ablation A2 (:data:`CODE_CACHE` off: every
+        #: bundle is linked from scratch, every offer needs its code).
+        self.cache: Optional[CodeCache] = (
+            CodeCache(site.vm.program) if CODE_CACHE else None)
+        #: Where the code itself is kept: the node's store once the
+        #: node admits the site (a bare site has its own); None under A2.
+        self.store: Optional[CodeStore] = CodeStore() if CODE_CACHE else None
+        # The one digest memo over this program area (serving and
+        # shipping; kept even with the cache ablated).
+        self._digest_memo: dict = {}
+        # FETCH cache: (owner ip, owner site, class id) -> local ClassRef.
+        self._fetched: dict[tuple[str, int, int], ClassRef] = {}
+        # Instantiations waiting for an in-flight FETCH.
+        self._pending_fetch: dict[tuple[str, int, int], list[tuple]] = {}
+        # Offers whose code has not arrived yet:
+        # (src ip, src site, token kind, token value) ->
+        #     (needed digests, offer payload).
+        self._pending_code: dict[tuple, tuple[tuple[bytes, ...], tuple]] = {}
+        # SHIPO offers we made, so a CODE_NEED can be answered later --
+        # kept for the lifetime of the site: a crashed receiver may ask
+        # for the code long after the offer (restart recovery).  Once
+        # the site is gone its node answers from the store instead
+        # (:func:`answer_orphan_need`).
+        self._ship_offers: dict[int, tuple[int, ...]] = {}
+        self._next_ship_token = 1
+
+    def has_pending(self) -> bool:
+        """A FETCH or a code offer is waiting for an answer."""
+        return bool(self._pending_fetch) or bool(self._pending_code)
+
+    def parked_offers(self) -> int:
+        """Code offers still waiting for their byte-code."""
+        return len(self._pending_code)
+
+    def gc_roots(self) -> list:
+        """Values only this protocol holds: FETCH arguments, parked
+        offers, cached classes."""
+        roots: list = [args for waiting in self._pending_fetch.values()
+                       for args in waiting]
+        roots.extend(entry[1] for entry in self._pending_code.values())
+        roots.extend(self._fetched.values())
+        return roots
+
+    def fetched_classes(self) -> list[tuple[str, int, int]]:
+        """(owner ip, owner site, class id) of every cached FETCH."""
+        return list(self._fetched)
+
+    def held_classes(self) -> list[tuple[str, int, int]]:
+        """(owner ip, owner site, class id) of every cached or
+        in-flight FETCH: each holds its owner's class alive."""
+        return [*self._fetched, *self._pending_fetch]
+
+    def forget_peer(self, ip: str) -> None:
+        """The node at ``ip`` is suspected dead: evict its class
+        bindings (a restarted peer may rebind class ids; the code stays
+        installed) and the in-flight marks it will never answer."""
+        for key in [k for k in self._fetched if k[0] == ip]:
+            del self._fetched[key]
+        if self.cache is not None:
+            self.cache.bump_generation()
+
+    def cached_class(self, cref: RemoteClassRef):
+        """The local ClassRef a FETCH of ``cref`` left, else ``cref``."""
+        if self.fetch_cache:
+            cached = self._fetched.get((cref.ip, cref.site_id, cref.class_id))
+            if cached is not None:
+                return cached
+        return cref
+
+    def debug_lines(self) -> list[str]:
+        lines = []
+        for (ip, sid, cid), args_list in self._pending_fetch.items():
+            lines.append(f"FETCH pending from {ip}/s{sid}/c{cid} "
+                         f"({len(args_list)} instantiation(s) parked)")
+        for (ip, sid, token_kind, token_val), (needed, _payload) \
+                in self._pending_code.items():
+            lines.append(f"code pending from {ip}/s{sid} "
+                         f"({token_kind} {token_val}, "
+                         f"{len(needed)} digest(s) awaited)")
+        return lines
+
+    def _digest_of(self, kind: str, item_id: int) -> bytes:
+        """Content digest of one of our own program items, registered
+        in our table so code that bounces back is not re-downloaded.
+        The slice extracted to compute it stays in the node's store:
+        the next need for it is answered without extracting again, by
+        this site or -- once this site was reaped -- by the node."""
+        digest = digest_item(self.site.vm.program, kind, item_id,
+                             self._digest_memo, self.store)
+        if self.cache is not None:
+            self.cache.register(digest, kind, item_id)
+        return digest
+
+    # -- sender side ------------------------------------------------------
+
+    def offer(self, methods: dict[str, int]
+              ) -> tuple[int, dict[str, int], tuple[bytes, ...]]:
+        """SHIPO: *offer* the method blocks by content digest; returns
+        (ship token, label -> position, digests) for the object packet."""
+        block_ids = tuple(methods.values())
+        digests = tuple(self._digest_of(BLOCK, bid) for bid in block_ids)
+        token = self._next_ship_token
+        self._next_ship_token += 1
+        self._ship_offers[token] = block_ids
+        positions = {label: i for i, label in enumerate(methods.keys())}
+        return token, positions, digests
+
+    def fetch_instance(self, cref: RemoteClassRef, args: tuple) -> None:
+        """INSTOF on a remote class: FETCH protocol with caching."""
+        key = (cref.ip, cref.site_id, cref.class_id)
+        site = self.site
+        if self.fetch_cache:
+            cached = self._fetched.get(key)
+            if cached is not None:
+                site.stats.fetch_cache_hits += 1
+                site.vm.spawn_instance(cached, args)
+                return
+        pending = self._pending_fetch.get(key)
+        if pending is not None:
+            pending.append(args)
+            return
+        self._pending_fetch[key] = [args]
+        site.stats.fetch_requests_sent += 1
+        site.send(KIND_FETCH_REQUEST, cref.ip, cref.site_id,
+                  (cref.class_id,))
+        site.trace("fetch-req", cref.ip, note=f"class {cref.class_id}")
+
+    def serve_fetch(self, packet: Packet) -> None:
+        """Owner side of FETCH: *offer* the class group by content
+        digest plus its captured environment.  The byte-code itself
+        travels only if the requester answers with a CODE_NEED."""
+        (class_id,) = packet.payload
+        site = self.site
+        classref = site.exported_class(class_id, "FETCH of ")
+        requester = (packet.src_ip, packet.src_site_id)
+        # The requester becomes a holder of the class the moment we
+        # serve it (its own claim may still be in flight).
+        if site.distgc is not None:
+            site.distgc.grant_out(("c", class_id), requester)
+        root_digest = self._digest_of(GROUP, classref.group_id)
+        group = site.vm.program.groups[classref.group_id]
+        captured = tuple(site.marshal_value(v, requester)
+                         for v in classref.env[:group.nfree])
+        site.stats.fetch_replies_served += 1
+        site.send(KIND_FETCH_REPLY, packet.src_ip, packet.src_site_id,
+                  (class_id, root_digest, classref.index, captured,
+                   classref.hint))
+        site.trace("fetch-serve", packet.src_ip, note=f"class {class_id}")
+
+    def serve_code_need(self, packet: Packet) -> None:
+        """Owner side, step 2: send the requested slice with its
+        manifest, so the receiver installs item-by-item.  A single
+        root -- every FETCH, every one-method object -- is the slice
+        the node's store already keeps under the digest we offered."""
+        token_kind, token_val, digests = packet.payload
+        site = self.site
+        if token_kind == "fetch":
+            classref = site.exported_class(token_val, "CODE_NEED for ")
+            kind, root_ids = GROUP, (classref.group_id,)
+        elif token_kind == "ship":
+            block_ids = self._ship_offers.get(token_val)
+            if block_ids is None:
+                raise DeliveryError(
+                    f"{site.site_name}: CODE_NEED for unknown ship "
+                    f"token {token_val}")
+            # Send only the subset of entry blocks the receiver asked
+            # for; the rest it already holds.
+            wanted = set(digests)
+            subset = tuple(b for b in block_ids
+                           if self._digest_of(BLOCK, b) in wanted)
+            kind, root_ids = BLOCK, subset or block_ids
+        else:
+            raise DeliveryError(
+                f"{site.site_name}: unknown CODE_NEED token kind "
+                f"{token_kind!r}")
+        store = self.store if len(root_ids) == 1 else None
+        root_digest = self._digest_of(kind, root_ids[0])  # memoised: offered
+        reply = _stored_reply(store, packet, root_digest)
+        if reply is None:  # several roots, evicted since offered, or A2
+            bundle = extract_bundle(site.vm.program,
+                                    **{ROOTS_ARG[kind]: root_ids})
+            reply = (token_kind, token_val,
+                     *(store.deposit(root_digest, bundle) if store is not None
+                       else (bundle, manifest_for_bundle(bundle))))
+        site.stats.code_replies_served += 1
+        site.send(KIND_CODE_REPLY, packet.src_ip, packet.src_site_id, reply)
+
+    # -- receiver side ------------------------------------------------------
+
+    def _send_code_need(self, pkey, digests: tuple[bytes, ...]) -> None:
+        src_ip, src_site_id, token_kind, token_val = pkey
+        if self.cache is not None:
+            for digest in digests:
+                self.cache.mark_in_flight(digest)
+        self.site.stats.code_needs_sent += 1
+        self.site.send(KIND_CODE_NEED, src_ip, src_site_id,
+                       (token_kind, token_val, digests))
+        self.site.trace("code-need", src_ip, size=len(digests))
+
+    def _local_code(self, digest: bytes, kind: str,
+                    installed: dict[bytes, tuple[str, int]]
+                    ) -> Optional[int]:
+        """The one lookup order of the code protocol: what a reply just
+        linked (``installed``; all an ablated site has to go by), this
+        site's own table, then the node's store -- a hit there links
+        the stored slice into *our* program area (block ids are
+        area-relative) and registers it in the table.  None means only
+        the owner can help."""
+        found = installed.get(digest)
+        cache = self.cache
+        if found is None and cache is not None:
+            found = cache.lookup(digest)
+            if found is None and self.store is not None:
+                result = self.store.link(digest, self.site.vm.program, cache)
+                if result is not None:
+                    self.site.stats.code_items_installed += \
+                        result.installed_count()
+                    found = cache.lookup(digest)
+        if found is not None and found[0] == kind:
+            return found[1]
+        return None
+
+    def _local_ids(self, token_kind: str, payload,
+                   installed: dict[bytes, tuple[str, int]]):
+        """Where an offer's code is here: the local group id of a FETCH
+        offer, label -> local block id of a SHIPO; None while some of
+        it is missing."""
+        if token_kind == "fetch":
+            return self._local_code(payload[1], GROUP, installed)
+        _token, _heap_id, positions, entry_digests, _env = payload
+        block_ids = {}
+        for label, pos in positions.items():
+            block_id = self._local_code(entry_digests[pos], BLOCK, installed)
+            if block_id is None:
+                return None
+            block_ids[label] = block_id
+        return block_ids
+
+    def on_offer(self, packet: Packet) -> None:
+        """Receiver side, step 1: the owner offered a class group
+        (FETCH_REPLY) or method blocks (SHIPO) by digest.  Held by this
+        site or its node -> install with zero code bytes on the wire;
+        missing -> park the offer and ask for the missing digests,
+        unless an earlier request covers them all (in-flight
+        coalescing: concurrent fetches of the same code share one
+        download)."""
+        site = self.site
+        if packet.kind == KIND_FETCH_REPLY:
+            token_val, root_digest, _index, _captured, _hint = packet.payload
+            token_kind, note, needed = "fetch", f"class {token_val}", \
+                (root_digest,)
+        else:
+            token_val, heap_id, _positions, entry_digests, _env = \
+                packet.payload
+            site.check_target(heap_id)
+            # De-dup: an object may expose one block under two labels.
+            token_kind, note, needed = "ship", f"obj {heap_id}", \
+                tuple(dict.fromkeys(entry_digests))
+        pkey = (packet.src_ip, packet.src_site_id, token_kind, token_val)
+        local = self._local_ids(token_kind, packet.payload, {})
+        if local is not None:
+            site.stats.code_cache_hits += 1
+            site.trace("cache-hit", packet.src_ip, note=note)
+            self._install(pkey, packet.payload, local)
+            return
+        site.stats.code_cache_misses += 1
+        site.trace("cache-miss", packet.src_ip, note=note)
+        if pkey in self._pending_code:
+            return  # duplicate offer; a request is already out
+        self._pending_code[pkey] = (needed, packet.payload)
+        missing = needed if self.cache is None else tuple(
+            d for d in needed
+            if not self.cache.has(d) and not self.cache.is_in_flight(d))
+        if missing:
+            self._send_code_need(pkey, missing)
+
+    def _verify_code_reply(self, pkey, bundle, manifest) -> list:
+        """Nothing unverified is linked or stored: every digest of the
+        manifest is recomputed from the shipped bundle, and while the
+        offer is parked the bundle must be rooted at digests it asked
+        for.  Returns the bundle's roots."""
+        try:
+            roots = verified_roots(bundle, manifest)
+        except LinkError as exc:
+            raise DeliveryError(
+                f"{self.site.site_name}: CODE_REPLY does not verify: "
+                f"{exc}") from exc
+        entry = self._pending_code.get(pkey)
+        if entry is not None:
+            asked = set(entry[0])
+            if not roots or any(d not in asked for _k, _i, d in roots):
+                raise DeliveryError(
+                    f"{self.site.site_name}: CODE_REPLY is not the code "
+                    f"{pkey[2]} {pkey[3]} asked for")
+        return roots
+
+    def on_code_reply(self, packet: Packet) -> None:
+        """Receiver side, step 3: verify the slice, link it (installing
+        only the missing items), leave each root with the node for the
+        sites that come after us, then complete every offer it
+        satisfies."""
+        token_kind, token_val, bundle, manifest = packet.payload
+        pkey = (packet.src_ip, packet.src_site_id, token_kind, token_val)
+        roots = self._verify_code_reply(pkey, bundle, manifest)
+        result = link_bundle_cached(self.site.vm.program, bundle, manifest,
+                                    self.cache)
+        if self.store is not None and pkey in self._pending_code:
+            self.store.deposit_roots(bundle, roots)
+        installed = {digest: (BLOCK, result.block_map[i])
+                     for i, digest in enumerate(manifest.block_digests)}
+        installed.update((digest, (GROUP, result.group_map[i]))
+                         for i, digest in enumerate(manifest.group_digests))
+        new_items = result.installed_count()
+        self.site.stats.code_items_installed += new_items
+        self.site.trace("code-install", packet.src_ip, size=new_items,
+                        note=f"{token_kind} {token_val}")
+        self._try_complete_code(pkey, installed)
+        if self.cache is not None:
+            # Coalesced offers parked on the same digests complete now.
+            for other in list(self._pending_code):
+                self._try_complete_code(other, installed)
+
+    def _try_complete_code(
+            self, pkey, installed: dict[bytes, tuple[str, int]]) -> bool:
+        """Complete one parked offer if all its code is now local."""
+        entry = self._pending_code.get(pkey)
+        if entry is None:
+            return False
+        local = self._local_ids(pkey[2], entry[1], installed)
+        if local is None:
+            return False
+        del self._pending_code[pkey]
+        self._install(pkey, entry[1], local)
+        return True
+
+    def _install(self, pkey, payload, local) -> None:
+        """Final step, once an offer's code is local: deliver the
+        shipped object, or build the ClassRefs on the fetched class
+        group and spawn every parked instantiation."""
+        vm, unmarshal = self.site.vm, self.site.unmarshal_value
+        if pkey[2] == "ship":
+            _token, heap_id, _positions, _entry_digests, env = payload
+            vm.deliver_object(heap_id, local,
+                              tuple(unmarshal(v) for v in env))
+            return
+        src_ip, src_site_id, _kind, class_id = pkey
+        _class_id, _root_digest, index, captured, hint = payload
+        group = vm.program.groups[local]
+        env: list = [unmarshal(v) for v in captured]
+        env.extend([None] * len(group.clauses))
+        classrefs = []
+        for i, (clause_hint, block_id) in enumerate(group.clauses):
+            cr = ClassRef(block_id, env, local, i, hint=clause_hint)
+            env[group.nfree + i] = cr
+            classrefs.append(cr)
+        target = classrefs[index]
+        key = (src_ip, src_site_id, class_id)
+        if self.fetch_cache:
+            self._fetched[key] = target
+        waiting = self._pending_fetch.pop(key, [])
+        # The reply can come back from a different ip than the request
+        # went to: the owning site was live-migrated while our
+        # fetch_req was in flight and the old home forwarded it
+        # (docs/MIGRATION.md).  Site ids are allocated by the name
+        # service and survive rebinds, so (site_id, class_id) still
+        # identifies the fetch; adopt instantiations parked under the
+        # stale ip and alias the cache so heap refs minted before the
+        # move keep hitting it.
+        for stale in [k for k in self._pending_fetch
+                      if k[1] == src_site_id and k[2] == class_id]:
+            waiting.extend(self._pending_fetch.pop(stale))
+            if self.fetch_cache:
+                self._fetched[stale] = target
+        for args in waiting:
+            vm.spawn_instance(target, args)
+
+    # -- restart recovery -----------------------------------------------------
+
+    def on_restart(self) -> None:
+        """The owning node restarted after a crash (or lost a link).
+
+        A crash makes every in-flight code request unanswerable (its
+        CODE_NEED or CODE_REPLY may have been dropped while we were
+        down).  Bump the cache generation to invalidate the in-flight
+        marks, then re-drive the protocol: complete offers the cache
+        can already satisfy, re-request the rest, and re-issue FETCH
+        requests whose offer never arrived.  Installed code survives --
+        it is content-addressed, never stale."""
+        if self.cache is not None:
+            self.cache.bump_generation()
+        for pkey in list(self._pending_code):
+            if self._try_complete_code(pkey, {}):
+                continue
+            needed = self._pending_code[pkey][0]
+            self._send_code_need(pkey, needed if self.cache is None else
+                                 tuple(d for d in needed
+                                       if not self.cache.has(d)))
+        for key in list(self._pending_fetch):
+            ip, sid, class_id = key
+            if (ip, sid, "fetch", class_id) in self._pending_code:
+                continue  # offer arrived; the re-sent NEED covers it
+            self.site.stats.fetch_requests_sent += 1
+            self.site.send(KIND_FETCH_REQUEST, ip, sid, (class_id,))
+
+    # -- checkpoint (repro.mobility.checkpoint) -------------------------------
+
+    def checkpoint_state(self, cap) -> dict:
+        """This protocol's part of a site checkpoint; ``cap.flatten``
+        gives a VM value its checkpoint form."""
+        return {
+            "fetch_cache": self.fetch_cache,
+            "fetched": [(key, cap.flatten(cr))
+                        for key, cr in self._fetched.items()],
+            "pending_fetch": [(key, tuple(cap.flatten_all(args)
+                                          for args in waiting))
+                              for key, waiting in self._pending_fetch.items()],
+            "pending_code": [(pkey, needed, payload) for pkey, (needed, payload)
+                             in self._pending_code.items()],
+            "ship_offers": list(self._ship_offers.items()),
+            "next_ship_token": self._next_ship_token,
+            "codecache": (None if self.cache is None
+                          else self.cache.checkpoint_state()),
+        }
+
+    def restore_state(self, state: dict, res) -> None:
+        """Refill from :meth:`checkpoint_state`, the ablations included
+        (``res.unflatten`` turns a checkpoint form back into a value)."""
+        self.fetch_cache = state["fetch_cache"]
+        if state["codecache"] is None:
+            self.cache = self.store = None
+        else:
+            if self.cache is None:
+                self.cache, self.store = CodeCache(self.site.vm.program), \
+                    CodeStore()
+            self.cache.restore_state(state["codecache"])
+        self._fetched = {tuple(key): res.unflatten(flat)
+                         for key, flat in state["fetched"]}
+        self._pending_fetch = {
+            tuple(key): [res.unflatten_all(args) for args in waiting]
+            for key, waiting in state["pending_fetch"]}
+        self._pending_code = {tuple(pkey): (tuple(needed), payload)
+                              for pkey, needed, payload
+                              in state["pending_code"]}
+        self._ship_offers = {token: tuple(blocks)
+                             for token, blocks in state["ship_offers"]}
+        self._next_ship_token = state["next_ship_token"]
+
+
+def _stored_reply(store: Optional[CodeStore], need: Packet,
+                  digest: bytes) -> Optional[tuple]:
+    """The CODE_REPLY payload answering ``need`` with the slice
+    ``store`` keeps under ``digest``; None when it keeps none."""
+    entry = store.get(digest) if store is not None else None
+    if entry is None:
+        return None
+    token_kind, token_val, _digests = need.payload
+    return (token_kind, token_val, *entry)
+
+
+def answer_orphan_need(tycod, need: Packet) -> None:
+    """A CODE_NEED for a site the node no longer runs: the slices it
+    digested to make the offer are still in the node's store.  Answer
+    in its name, one CODE_REPLY per requested digest (the receiver
+    completes its offer across replies).  A need the store cannot
+    answer in full (ablation A2, an evicted digest) is dropped, which
+    leaves the receiver blocked -- the state a crashed owner leaves --
+    never an exception out of the world."""
+    node = tycod.node
+    token_kind, token_val, digests = need.payload
+    replies = [_stored_reply(node.codestore, need, d) for d in digests]
+    if not replies or None in replies:
+        tycod.stats.orphan_needs_dropped += 1
+        node.trace("code-orphan", need.src_ip, node.ip, len(digests),
+                   note=f"site {need.dest_site_id} is gone: "
+                        f"{token_kind} {token_val}")
+        return
+    for reply in replies:
+        tycod.route(Packet(
+            kind=KIND_CODE_REPLY,
+            src_ip=node.ip, src_site_id=need.dest_site_id,
+            dest_ip=need.src_ip, dest_site_id=need.src_site_id,
+            payload=reply, span=need.span))

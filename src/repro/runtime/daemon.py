@@ -19,9 +19,11 @@ from typing import TYPE_CHECKING
 
 from repro.compiler.assembly import Program
 
+from .codecache import answer_orphan_need
+from .distgc import drop_orphan_ref
 from .launch import LaunchCache
-from .wire import (KIND_CODE_NEED, KIND_CODE_REPLY, KIND_REF_DROP,
-                   KIND_REF_LEASE, KIND_REF_RENEW, Packet, decode, encode)
+from .wire import (KIND_CODE_NEED, KIND_REF_DROP, KIND_REF_LEASE,
+                   KIND_REF_RENEW, Packet, decode, encode)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -69,11 +71,11 @@ class TyCOd:
         for site in list(self.node.sites.values()):
             outgoing = site.outgoing
             while outgoing:
-                self._route(outgoing.popleft())
+                self.route(outgoing.popleft())
                 moved += 1
         return moved
 
-    def _route(self, packet: Packet) -> None:
+    def route(self, packet: Packet) -> None:
         if packet.dest_ip == self.node.ip:
             target = self.node.sites.get(packet.dest_site_id)
             if target is None:
@@ -129,51 +131,22 @@ class TyCOd:
         """A packet addresses a site this node does not run.  Mid-
         migration mail is buffered (frozen here) or forwarded
         (tombstoned: it left) by :mod:`repro.mobility.migrate`; a
-        CODE_NEED for code a since-reaped site offered is the node's
-        to answer; a lease claim, renewal or drop has nobody left to
-        hold or release the lease (the site was reaped, its exports
-        with it) and is counted; anything else is a routing fault."""
+        CODE_NEED is the code protocol's to answer from the node's
+        store (:func:`~repro.runtime.codecache.answer_orphan_need`), a
+        lease claim, renewal or drop the lease protocol's to count
+        (:func:`~repro.runtime.distgc.drop_orphan_ref`); anything else
+        is a routing fault."""
         mobility = self.node.mobility
         if mobility is not None and mobility.intercept(packet):
             return
         if packet.kind == KIND_CODE_NEED:
-            self._answer_orphan_need(packet)
-            return
-        if packet.kind in (KIND_REF_LEASE, KIND_REF_RENEW, KIND_REF_DROP):
-            self.stats.orphan_refs_dropped += 1
-            self.node.trace("gc-late", packet.src_ip, self.node.ip,
-                            note=f"site {packet.dest_site_id} is gone: "
-                                 f"{packet.kind}")
-            return
-        raise LookupError(
-            f"node {self.node.ip}: no site {packet.dest_site_id} "
-            f"for {packet.kind}")
-
-    def _answer_orphan_need(self, need: Packet) -> None:
-        """The site that offered this code is gone; the slices it
-        digested to make the offer are still in the node's store.
-        Answer in its name, one CODE_REPLY per requested digest (the
-        receiver completes its offer across replies).  A need the store
-        cannot answer in full (ablation A2, an evicted digest) is
-        dropped, which leaves the receiver blocked -- the state a
-        crashed owner leaves -- never an exception out of the world."""
-        token_kind, token_val, digests = need.payload
-        store = self.node.codestore
-        slices = [store.get(d) for d in digests] if store is not None else []
-        if not slices or None in slices:
-            self.stats.orphan_needs_dropped += 1
-            self.node.trace("code-orphan", need.src_ip, self.node.ip,
-                            len(digests),
-                            note=f"site {need.dest_site_id} is gone: "
-                                 f"{token_kind} {token_val}")
-            return
-        for rooted_slice, manifest in slices:
-            self._route(Packet(
-                kind=KIND_CODE_REPLY,
-                src_ip=self.node.ip, src_site_id=need.dest_site_id,
-                dest_ip=need.src_ip, dest_site_id=need.src_site_id,
-                payload=(token_kind, token_val, rooted_slice, manifest),
-                span=need.span))
+            answer_orphan_need(self, packet)
+        elif packet.kind in (KIND_REF_LEASE, KIND_REF_RENEW, KIND_REF_DROP):
+            drop_orphan_ref(self, packet)
+        else:
+            raise LookupError(
+                f"node {self.node.ip}: no site {packet.dest_site_id} "
+                f"for {packet.kind}")
 
 
 class TyCOi:

@@ -40,12 +40,19 @@ crashed or fallen silent becomes unpinned after at most
 ``lease_s + grace_s`` and the next sweep reclaims it.  The testkit's
 ``check_export_liveness`` invariant checks exactly this after a
 settling run.
+
+:class:`DistGC` keeps the lease tables; :class:`LeaseProtocol`
+(``site.distgc``) is the protocol that drives them for one site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import asdict, astuple, dataclass
+from typing import TYPE_CHECKING, Optional
+
+from repro.vm.values import remote_ref_key
+
+from .wire import KIND_REF_DROP, KIND_REF_LEASE, KIND_REF_RENEW, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.sim import SimWorld
@@ -111,16 +118,12 @@ class GcStats:
     classes_reclaimed: int = 0
     late_drops: int = 0
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name)
-                for f in self.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-
 
 class DistGC:
     """Lease state of one site: the leases it has *granted* on its own
     exports (owner side) and the leases it *holds* on remote
-    references (holder side).  Pure bookkeeping -- all wire traffic and
-    heap work stays in :class:`~repro.runtime.site.Site`.
+    references (holder side).  Pure bookkeeping -- the wire traffic and
+    heap work are :class:`LeaseProtocol`'s.
     """
 
     def __init__(self, config: GcConfig | None = None) -> None:
@@ -175,33 +178,28 @@ class DistGC:
         at least one live holder (grace sentinel included).  A key whose
         holders all *expired* is removed outright -- the lease term was
         the slack, no further grace applies."""
-        dead_keys = []
-        for key, holders in self.leases.items():
-            expired = [h for h, exp in holders.items() if exp <= now]
-            for h in expired:
-                del holders[h]
-                self.stats.leases_expired += 1
-            if not holders:
-                dead_keys.append(key)
-        for key in dead_keys:
-            del self.leases[key]
+        self.stats.leases_expired += self._evict(lambda _h, exp: exp <= now)
         return set(self.leases)
 
     def expire_holder(self, ip: str) -> int:
         """Forget every lease held by sites at ``ip`` immediately (the
         failure detector suspected the node; no grace -- its references
         are gone).  Returns how many holder entries were removed."""
+        removed = self._evict(lambda h, _exp: h[0] == ip)
+        self.stats.holders_expired += removed
+        return removed
+
+    def _evict(self, gone) -> int:
+        """Remove every holder entry ``gone(holder, expiry)`` picks and
+        every key left without a holder; returns the entries removed."""
         removed = 0
-        dead_keys = []
-        for key, holders in self.leases.items():
-            for h in [h for h in holders if h[0] == ip]:
+        for key in list(self.leases):
+            holders = self.leases[key]
+            for h in [h for h, exp in holders.items() if gone(h, exp)]:
                 del holders[h]
                 removed += 1
             if not holders:
-                dead_keys.append(key)
-        for key in dead_keys:
-            del self.leases[key]
-        self.stats.holders_expired += removed
+                del self.leases[key]
         return removed
 
     # -- holder side ----------------------------------------------------------
@@ -276,10 +274,177 @@ class DistGC:
             self._pending_claims.pop(owner)
         return removed
 
-    # -- diagnostics ----------------------------------------------------------
+
+class LeaseProtocol(DistGC):
+    """The lease protocol of one site: :class:`DistGC`'s tables plus
+    the wire traffic and heap work that drive them -- claims, renewals
+    and drops, the owner's sweep, and the tombstones of what it
+    reclaimed.  A site without distributed GC has none."""
+
+    def __init__(self, site, config: GcConfig | None = None) -> None:
+        super().__init__(config)
+        self.site = site
+        # Ids the sweep reclaimed: late packets for them are dropped
+        # gracefully rather than treated as protocol errors.
+        self.tombstones: set[int] = set()
+        self.class_tombstones: set[int] = set()
+
+    def extra_roots(self, include_exports: bool = True) -> list:
+        """Values outside the VM graph that must count as live for a
+        sweep: what the code protocol holds, exported classes (their
+        environments hold channels), and the payloads of queued packets
+        (already marshalled, so they contain references, never raw
+        channels).
+
+        ``include_exports=False`` omits the exported channels
+        themselves -- the testkit uses it to ask "what is reachable
+        *without* the export pins?" for the liveness invariant."""
+        site = self.site
+        extra = site.code.gc_roots()
+        extra.extend(site.class_exports.values())
+        extra.extend(p.payload for p in site.incoming)
+        extra.extend(p.payload for p in site.outgoing)
+        if include_exports:
+            # Exported channels' queues are live data while pinned;
+            # remote references parked in them still need renewing.
+            heap = site.vm.heap
+            extra.extend(heap.get(hid) for hid in site.exported_ids
+                         if hid in heap)
+        return extra
+
+    def run(self, now: float) -> int:
+        """One sweep (driven by the owning node).
+
+        Holder half: rescan the live graph, drop leases on references
+        we no longer hold, renew the rest, flush first-sight claims.
+        Owner half: expire overdue leases, reclaim exported classes
+        and heap channels that are neither registered, leased, nor
+        locally reachable.  Returns reclaimed channel count."""
+        site = self.site
+        # -- holder side -----------------------------------------------------
+        self_ep = (site.ip, site.site_id)
+        reachable: dict[Endpoint, set] = {}
+        for ref in site.vm.scan_refs(extra_roots=self.extra_roots()):
+            owner = (ref.ip, ref.site_id)
+            if owner != self_ep:
+                reachable.setdefault(owner, set()).add(remote_ref_key(ref))
+        # Cached and in-flight fetches hold the owner's class alive
+        # even when no RemoteClassRef value remains in the graph.
+        for (ip, sid, cid) in site.code.held_classes():
+            if (ip, sid) != self_ep:
+                reachable.setdefault((ip, sid), set()).add(("c", cid))
+        for owner, keys in self.sync_held(reachable, now).items():
+            self._send_ref(KIND_REF_DROP, owner, keys)
+        for owner, keys in self.pop_renewals(now).items():
+            self._send_ref(KIND_REF_RENEW, owner, keys)
+        self.flush_claims()
+        # -- owner side ------------------------------------------------------
+        live = self.live_keys(now)
+        live_classes = set(site.class_export_names.values())
+        live_classes.update(i for (k, i) in live if k == "c")
+        dead_classes = [c for c in site.class_exports
+                        if c not in live_classes]
+        for cid in dead_classes:
+            site.forget_class(cid)
+        self.class_tombstones.update(dead_classes)
+        self.stats.classes_reclaimed += len(dead_classes)
+        pinned = set(site.name_exports.values())
+        pinned.update(i for (k, i) in live if k == "n")
+        # include_exports=False: pinned ids are already transitive roots
+        # inside Heap.collect; rooting *every* exported channel here
+        # would keep unpinned exports alive forever.
+        reclaimed = site.vm.collect_garbage(
+            pinned=pinned, extra_roots=self.extra_roots(include_exports=False))
+        dead_exports = [hid for hid in site.exported_ids
+                        if hid not in site.vm.heap]
+        for hid in dead_exports:
+            site.exported_ids.discard(hid)
+            site.wire_signatures.pop(hid, None)
+        self.tombstones.update(dead_exports)
+        self.stats.sweeps += 1
+        self.stats.channels_reclaimed += reclaimed
+        if reclaimed or dead_classes:
+            hs = site.vm.heap.stats()
+            site.trace("gc", size=reclaimed,
+                       note=f"classes={len(dead_classes)} "
+                            f"exports={len(dead_exports)} "
+                            f"heap={hs.live}/{hs.allocated}")
+        if site.obs is not None and site.obs.tracing:
+            # A sweep changes the heap outside a step; the holder may
+            # be idle, and an idle site is never stepped.
+            site.emit_vm_state()
+        return reclaimed
+
+    def on_peer_suspected(self, ip: str) -> None:
+        """Failure-detector reconfiguration: the node at ``ip`` is
+        suspected dead.  Its leases on our exports lapse immediately
+        (no grace -- its references are gone with it), we stop renewing
+        leases it granted us, and the code protocol forgets what it
+        fetched from there."""
+        if ip == self.site.ip:
+            return
+        self.expire_holder(ip)
+        self.drop_owner(ip)
+        self.site.code.forget_peer(ip)
+
+    def grant_out(self, key: Key, dest: Optional[Endpoint]) -> None:
+        """Owner side: a reference leaves for ``dest`` (grant-on-
+        marshal-out), so the id stays pinned until the holder's own
+        claim takes over."""
+        if dest is None or dest == (self.site.ip, self.site.site_id):
+            return
+        self.grant(key, dest, self.site.clock())
+
+    def note_remote(self, ref) -> None:
+        """Holder side: a remote reference entered the site's graph;
+        claim a lease at its owner on first sight (idempotent at the
+        owner, and the only signal for third-party forwards)."""
+        self.note_held((ref.ip, ref.site_id), remote_ref_key(ref),
+                       self.site.clock())
+
+    def flush_claims(self) -> None:
+        for owner, keys in self.pop_claims().items():
+            self._send_ref(KIND_REF_LEASE, owner, keys)
+
+    def _send_ref(self, kind: str, owner: Endpoint, keys: tuple) -> None:
+        self.site.send(kind, owner[0], owner[1], (tuple(keys),))
+        if self.site.on_work is not None:
+            self.site.on_work()
+
+    def on_ref(self, packet: Packet) -> None:
+        """Owner side of REF_LEASE / REF_RENEW / REF_DROP: record,
+        extend or release the sender's leases.  Claims naming
+        already-reclaimed ids are skipped per-entry (the claim lost the
+        grace race; the holder's next scan will drop the dead
+        reference) -- one stale entry must not void the live ones
+        batched with it."""
+        site = self.site
+        holder = (packet.src_ip, packet.src_site_id)
+        now = site.clock()
+        (entries,) = packet.payload
+        for kind, ident in entries:
+            key = (kind, ident)
+            if packet.kind == KIND_REF_DROP:
+                self.drop(key, holder, now)
+                site.trace("lease-drop", packet.src_ip, note=f"{kind}{ident}")
+            elif (kind == "n" and ident in self.tombstones) or \
+                    (kind == "c" and ident in self.class_tombstones):
+                self.stats.late_drops += 1
+                site.trace("gc-late", packet.src_ip,
+                           note=f"lease for reclaimed {kind}{ident}")
+            elif packet.kind == KIND_REF_RENEW:
+                self.renew(key, holder, now)
+                site.trace("lease-renew", packet.src_ip, note=f"{kind}{ident}")
+            else:
+                self.grant(key, holder, now)
+                site.trace("lease-claim", packet.src_ip, note=f"{kind}{ident}")
 
     def debug_lines(self) -> list[str]:
-        lines = []
+        hs = self.site.vm.heap.stats()
+        lines = [f"heap: {hs.live} live / {hs.allocated} allocated / "
+                 f"{hs.reclaimed} reclaimed; gc: {self.stats.sweeps} "
+                 f"sweep(s), {len(self.leases)} leased key(s), "
+                 f"{self.stats.late_drops} late drop(s)"]
         for key, holders in sorted(self.leases.items()):
             hs = ", ".join(f"{h[0]}/s{h[1]}@{exp:.6f}"
                            for h, exp in sorted(holders.items()))
@@ -288,6 +453,57 @@ class DistGC:
             ks = ", ".join(f"{k[0]}{k[1]}" for k in sorted(keys))
             lines.append(f"held from {owner[0]}/s{owner[1]}: {ks}")
         return lines
+
+
+def checkpoint_leases(site) -> dict:
+    """The lease protocol's part of a site checkpoint (its keys are
+    there, empty, for a site without one)."""
+    gc: Optional[LeaseProtocol] = site.distgc
+    if gc is None:
+        return {"gc_tombstones": [], "gc_class_tombstones": [],
+                "distgc": None}
+    return {
+        "gc_tombstones": sorted(gc.tombstones),
+        "gc_class_tombstones": sorted(gc.class_tombstones),
+        "distgc": {
+            "config": astuple(gc.config),
+            "stats": asdict(gc.stats),
+            "leases": [(key, list(holders.items()))
+                       for key, holders in gc.leases.items()],
+            "held": [(ep, list(keys.items()))
+                     for ep, keys in gc.held.items()],
+            "pending": [(ep, list(keys))
+                        for ep, keys in gc._pending_claims.items()],
+        },
+    }
+
+
+def restore_leases(site, state: dict) -> None:
+    """Give ``site`` back the lease protocol :func:`checkpoint_leases`
+    captured, if it had one."""
+    saved = state["distgc"]
+    if saved is None:
+        return
+    gc = site.distgc = LeaseProtocol(site, GcConfig(*saved["config"]))
+    gc.stats = GcStats(**saved["stats"])
+    gc.leases = {tuple(key): {tuple(ep): t for ep, t in holders}
+                 for key, holders in saved["leases"]}
+    gc.held = {tuple(ep): {tuple(key): t for key, t in keys}
+               for ep, keys in saved["held"]}
+    gc._pending_claims = {tuple(ep): [tuple(key) for key in keys]
+                          for ep, keys in saved["pending"]}
+    gc.tombstones = set(state["gc_tombstones"])
+    gc.class_tombstones = set(state["gc_class_tombstones"])
+
+
+def drop_orphan_ref(tycod, packet: Packet) -> None:
+    """Lease traffic for a site the node no longer runs: nobody is left
+    to hold or release the lease (the site was reaped, its exports with
+    it), so it is counted and dropped."""
+    tycod.stats.orphan_refs_dropped += 1
+    tycod.node.trace("gc-late", packet.src_ip, tycod.node.ip,
+                     note=f"site {packet.dest_site_id} is gone: "
+                          f"{packet.kind}")
 
 
 class GcScheduler:
@@ -330,11 +546,3 @@ class GcScheduler:
             if getattr(node, "distgc", False):
                 node.on_work_available()
 
-
-def merge_stats(stats: Iterable[GcStats]) -> GcStats:
-    """Sum per-site GC counters into one record (benchmark reporting)."""
-    total = GcStats()
-    for s in stats:
-        for f in GcStats.__dataclass_fields__:
-            setattr(total, f, getattr(total, f) + getattr(s, f))
-    return total

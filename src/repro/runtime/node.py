@@ -235,8 +235,8 @@ class Node:
         :meth:`create_site` and :meth:`adopt_site`."""
         self.sites[site.site_id] = site
         self.sites_by_name[site.site_name] = site
-        if site.codecache is not None:
-            site.codestore = self.codestore
+        if site.code.cache is not None:
+            site.code.store = self.codestore
         site.on_work = self.on_work_available
         if self.obs is not None:
             site.attach_obs(self.obs)
@@ -312,7 +312,8 @@ class Node:
                 if now >= self._next_sweep:
                     self._next_sweep = now + self._gc_sweep_s
                     for site in list(self.sites.values()):
-                        site.run_distgc(now)
+                        if site.distgc is not None:
+                            site.distgc.run(now)
             if self.mobility is not None:
                 moved += self.mobility.process_inbox()
             moved += self.tycod.pump()
@@ -330,7 +331,8 @@ class Node:
         if not self.distgc:
             return
         for site in list(self.sites.values()):
-            site.on_peer_suspected(ip)
+            if site.distgc is not None:
+                site.distgc.on_peer_suspected(ip)
         self.on_work_available()
 
     def on_link_reset(self, peer_ip: str) -> None:
@@ -348,8 +350,8 @@ class Node:
         content-addressed.
         """
         for site in list(self.sites.values()):
-            if site._pending_code or site._pending_fetch:
-                site.on_restart()
+            if site.code.has_pending():
+                site.code.on_restart()
         self.on_work_available()
 
     def code_generation(self) -> int:
@@ -359,8 +361,8 @@ class Node:
         can observe that a reconnecting node re-drove its requests."""
         total = 0
         for site in self.sites.values():
-            if site.codecache is not None:
-                total += site.codecache.generation
+            if site.code.cache is not None:
+                total += site.code.cache.generation
         return total
 
     def on_restart(self) -> None:
@@ -370,7 +372,7 @@ class Node:
         self._batch_buf.clear()
         self._batch_size.clear()
         for site in list(self.sites.values()):
-            site.on_restart()
+            site.code.on_restart()
         if self.mobility is not None:
             self.mobility.on_restart()
         self.on_work_available()

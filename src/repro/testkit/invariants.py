@@ -108,9 +108,9 @@ def check_no_stale_code(net: "DiTyCONetwork") -> list[str]:
             for problem in verify_store_integrity(node.codestore):
                 violations.append(f"node {node.ip}: {problem}")
         for site in node.sites.values():
-            if site.codecache is None:
+            if site.code.cache is None:
                 continue
-            for problem in verify_cache_integrity(site.codecache):
+            for problem in verify_cache_integrity(site.code.cache):
                 violations.append(f"site {site.site_name!r}: {problem}")
     lossy = (getattr(world, "chaos_dropped", 0)
              or getattr(world, "dropped_packets", 0)
@@ -118,10 +118,11 @@ def check_no_stale_code(net: "DiTyCONetwork") -> list[str]:
     if not lossy and not getattr(world, "in_flight", 0):
         for node in world.nodes.values():
             for site in node.sites.values():
-                if site._pending_code:
+                parked = site.code.parked_offers()
+                if parked:
                     violations.append(
                         f"site {site.site_name!r}: fault-free run left "
-                        f"{len(site._pending_code)} parked code offer(s)")
+                        f"{parked} parked code offer(s)")
     return violations
 
 
@@ -190,7 +191,7 @@ def check_no_premature_reclaim(net: "DiTyCONetwork") -> list[str]:
     for node, site in pairs:
         if world.is_failed(node.ip) or node.ip in crashed:
             continue
-        refs = site.vm.scan_refs(extra_roots=site._gc_extra_roots())
+        refs = site.vm.scan_refs(extra_roots=site.distgc.extra_roots())
         for ref in refs:
             owner = owners.get((ref.ip, ref.site_id))
             if owner is None or owner.ip == site.ip and owner.site_id == site.site_id:
@@ -199,12 +200,13 @@ def check_no_premature_reclaim(net: "DiTyCONetwork") -> list[str]:
                 continue
             kind, ident = remote_ref_key(ref)
             if kind == "n":
-                if ident in owner._gc_tombstones or ident not in owner.vm.heap:
+                if ident in owner.distgc.tombstones \
+                        or ident not in owner.vm.heap:
                     violations.append(
                         f"premature reclamation: {site.site_name!r} still "
                         f"holds {ref}, but owner {owner.site_name!r} "
                         f"reclaimed heap id {ident}")
-            elif ident in owner._gc_class_tombstones:
+            elif ident in owner.distgc.class_tombstones:
                 violations.append(
                     f"premature reclamation: {site.site_name!r} still "
                     f"holds {ref}, but owner {owner.site_name!r} "
@@ -224,9 +226,9 @@ def check_export_liveness(net: "DiTyCONetwork") -> list[str]:
             continue
         gc = site.distgc
         leased = {ident for (k, ident) in gc.leases if k == "n"}
-        registered = set(site._name_exports.values())
+        registered = set(site.name_exports.values())
         reachable = site.vm.heap.trace(site.vm._gc_roots(
-            site._gc_extra_roots(include_exports=False)))
+            gc.extra_roots(include_exports=False)))
         for hid in sorted(site.exported_ids):
             if hid in registered or hid in leased or hid in reachable:
                 continue
@@ -234,11 +236,11 @@ def check_export_liveness(net: "DiTyCONetwork") -> list[str]:
                 f"export leak: {site.site_name!r} still pins heap id "
                 f"{hid} with no registration, lease, or local reference")
         leased_classes = {ident for (k, ident) in gc.leases if k == "c"}
-        registered_classes = set(site._class_export_names.values())
-        for cid in sorted(site._class_exports):
-            if cid in registered_classes or cid in leased_classes:
-                continue
-            if cid in {c for (_ip, _sid, c) in site._fetched}:
+        registered_classes = set(site.class_export_names.values())
+        fetched = {c for (_ip, _sid, c) in site.code.fetched_classes()}
+        for cid in sorted(site.class_exports):
+            if cid in registered_classes or cid in leased_classes \
+                    or cid in fetched:
                 continue
             violations.append(
                 f"export leak: {site.site_name!r} still holds class "

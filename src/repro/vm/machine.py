@@ -172,13 +172,12 @@ class TycoVM:
 
     def make_console(self, hint: str = "print") -> Channel:
         """Create a builtin console channel appending to :attr:`output`."""
+        return self.heap.new_channel(hint=hint, builtin=self.console)
 
-        def handler(label: str, args: tuple) -> None:
-            self.stats.prints += 1
-            self.output.extend(args)
-
-        ch = self.heap.new_channel(hint=hint, builtin=handler)
-        return ch
+    def console(self, label: str, args: tuple) -> None:
+        """The builtin handler of every console channel."""
+        self.stats.prints += 1
+        self.output.extend(args)
 
     def bind_external(self, hint: str, channel: Channel) -> None:
         """Pre-bind a free program name to an existing channel."""

@@ -51,7 +51,8 @@ def reference_step(self, quantum=256):
             if now >= self._next_sweep:
                 self._next_sweep = now + self._gc_sweep_s
                 for site in list(self.sites.values()):
-                    site.run_distgc(now)
+                    if site.distgc is not None:
+                        site.distgc.run(now)
         if self.mobility is not None:
             moved += self.mobility.process_inbox()
         moved += self.tycod.pump()

@@ -2,6 +2,7 @@
 LoadBalancer driving real migrations on the simulator.
 """
 
+from repro.mobility import balancer as balancer_mod
 from repro.mobility.balancer import (
     BalanceDecision,
     LoadBalancer,
@@ -82,12 +83,12 @@ def hot_cold_net(rounds=40):
 
 
 class TestLoadBalancer:
-    def test_balancer_migrates_hot_site(self):
+    def test_balancer_migrates_hot_site(self, monkeypatch):
+        monkeypatch.setattr(balancer_mod, "HOT_LOAD", 4.0)
         net = hot_cold_net()
         sink = _Sink()
         net.world.obs.subscribe(sink)
-        balancer = LoadBalancer(net, ThresholdPolicy(hot_load=4.0,
-                                                     imbalance=2.0))
+        balancer = LoadBalancer(net)
         balancer.install(interval=2e-5, until=2e-3)
         net.run()
         assert len(balancer.decisions) >= 1
@@ -120,7 +121,7 @@ class TestLoadBalancer:
         """A site that was busy once but went idle must cool off:
         load is the per-sample delta, not the lifetime counter."""
         net = hot_cold_net(rounds=10)
-        balancer = LoadBalancer(net, ThresholdPolicy(hot_load=1e9))
+        balancer = LoadBalancer(net)
         net.run()                      # workload fully done
         first = balancer.sample()
         again = balancer.sample()
@@ -129,12 +130,13 @@ class TestLoadBalancer:
         assert n1_first.load > 0.0     # lifetime instructions show once
         assert n1_again.load == 0.0    # then the delta goes to zero
 
-    def test_tick_rechecks_site_still_hosted(self):
+    def test_tick_rechecks_site_still_hosted(self, monkeypatch):
         """If the hot site vanishes between sample and act (reaped,
         or already migrating), the tick declines instead of raising."""
+        monkeypatch.setattr(balancer_mod, "HOT_LOAD", 0.0)
+        monkeypatch.setattr(balancer_mod, "IMBALANCE", 0.0)
         net = hot_cold_net()
-        balancer = LoadBalancer(net, ThresholdPolicy(hot_load=0.0,
-                                                     imbalance=0.0))
+        balancer = LoadBalancer(net)
         net.run()
         balancer.sample()              # seed the deltas
         node1 = net.node("n1")
@@ -180,43 +182,45 @@ class TestLoadBalancer:
 
 
 class TestDecisionObservability:
-    """PR9: every ordered migration is first-class on the obs plane --
-    a ``balance_decide`` event carrying the policy's trigger and a
-    ``repro_balancer_decisions_total{src,dst,reason}`` counter."""
+    """Every ordered migration is first-class on the obs plane -- one
+    ``balance`` event carrying the site, both loads and the policy's
+    trigger, and a ``repro_balancer_decisions_total{src,dst,reason}``
+    counter."""
 
-    def _balanced_run(self, registry=None):
+    def _balanced_run(self, monkeypatch, registry=None):
+        monkeypatch.setattr(balancer_mod, "HOT_LOAD", 4.0)
         net = hot_cold_net()
         sink = _Sink()
         net.world.obs.subscribe(sink)
-        balancer = LoadBalancer(net, ThresholdPolicy(hot_load=4.0,
-                                                     imbalance=2.0),
-                                registry=registry)
+        balancer = LoadBalancer(net, registry=registry)
         balancer.install(interval=2e-5, until=2e-3)
         net.run()
         assert balancer.decisions
         return balancer, sink
 
-    def test_balance_decide_event_rides_with_the_legacy_balance(self):
-        balancer, sink = self._balanced_run()
-        decides = [e for e in sink.events if e.kind == "balance_decide"]
-        legacy = [e for e in sink.events if e.kind == "balance"]
-        assert len(decides) == len(legacy) == len(balancer.decisions)
+    def test_one_balance_event_per_decision(self, monkeypatch):
+        balancer, sink = self._balanced_run(monkeypatch)
+        balances = [e for e in sink.events if e.kind.startswith("balance")]
+        assert [e.kind for e in balances] == \
+            ["balance"] * len(balancer.decisions)
         first = balancer.decisions[0]
-        assert decides[0].src == first.src_ip
-        assert decides[0].dst == first.dest_ip
-        assert decides[0].note == f"{first.site_name} {first.reason}"
+        assert balances[0].src == first.src_ip
+        assert balances[0].dst == first.dest_ip
+        assert balances[0].note == (
+            f"{first.site_name} load {first.src_load:.0f}->"
+            f"{first.dest_load:.0f} {first.reason}")
 
-    def test_decisions_counter_carries_src_dst_reason(self):
+    def test_decisions_counter_carries_src_dst_reason(self, monkeypatch):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        balancer, _ = self._balanced_run(registry=registry)
+        balancer, _ = self._balanced_run(monkeypatch, registry=registry)
         first = balancer.decisions[0]
         assert first.reason == "imbalance"
         text = registry.render()
         assert (f'repro_balancer_decisions_total{{src="{first.src_ip}",'
                 f'dst="{first.dest_ip}",reason="imbalance"}}') in text
 
-    def test_no_registry_means_no_counter_and_no_crash(self):
-        balancer, _ = self._balanced_run(registry=None)
+    def test_no_registry_means_no_counter_and_no_crash(self, monkeypatch):
+        balancer, _ = self._balanced_run(monkeypatch, registry=None)
         assert balancer.registry is None

@@ -122,13 +122,6 @@ class TestCodeCache:
         cache.register(b"d1", BLOCK, 9)
         assert cache.lookup(b"d1") == (BLOCK, 3)
 
-    def test_register_own(self):
-        prog = compile_source(NESTED)
-        cache = CodeCache(prog)
-        digest = cache.register_own(GROUP, 0)
-        assert cache.lookup(digest) == (GROUP, 0)
-        assert digest == digest_item(prog, GROUP, 0)
-
     def test_in_flight_marks(self):
         cache = self._cache()
         assert not cache.is_in_flight(b"d1")
@@ -365,7 +358,7 @@ class TestFetchProtocol:
         for name in ("server", "client", "holder", "sender"):
             site = net.site(name)
             assert verify_cache_integrity(site.codecache) == []
-            assert not site._pending_code
+            assert not site.code._pending_code
 
 
 # -- the node's code store ---------------------------------------------------
@@ -633,7 +626,6 @@ class TestNodeStore:
     def test_second_node_downloads_and_the_owner_serves_from_its_store(
             self, monkeypatch):
         import repro.runtime.codecache as codecache_mod
-        import repro.runtime.site as site_mod
 
         net = three_node_net()
         server = net.launch(N1, "server", APPLET_SERVER)
@@ -645,7 +637,6 @@ class TestNodeStore:
             extracted_from.append(program)
             return extract_bundle(program, **roots)
 
-        monkeypatch.setattr(site_mod, "extract_bundle", spy)
         monkeypatch.setattr(codecache_mod, "extract_bundle", spy)
         far = net.launch(N3, "far", FETCH_CLIENT)
         net.run()
@@ -784,7 +775,7 @@ class TestOrphanNeed:
             N2, "mover",
             "import spot from holder in import done from sink in "
             "spot?(w) = done![w * 2]")
-        run_until(net, lambda: mover._ship_offers and mover.is_idle())
+        run_until(net, lambda: mover.code._ship_offers and mover.is_idle())
         return net
 
     def test_node_answers_for_a_reaped_site(self):
@@ -877,13 +868,13 @@ class TestReplyVerification:
         net = two_node_net()
         server = net.launch(N1, "server", TWO_CLASSES)
         client = net.launch(N2, "client", FETCH_CLIENT)
-        run_until(net, lambda: bool(client._pending_code))
-        (pkey, (needed, _payload)), = client._pending_code.items()
+        run_until(net, lambda: bool(client.code._pending_code))
+        (pkey, (needed, _payload)), = client.code._pending_code.items()
         slices = {}
-        for hint, class_id in server._class_export_names.items():
+        for hint, class_id in server.class_export_names.items():
             bundle = extract_bundle(
                 server.vm.program,
-                group_roots=(server._class_exports[class_id].group_id,))
+                group_roots=(server.class_exports[class_id].group_id,))
             slices[hint] = (bundle, manifest_for_bundle(bundle))
         honest = slices["Applet"]
         assert [d for _k, _i, d in verified_roots(*honest)] == list(needed)
@@ -904,11 +895,11 @@ class TestReplyVerification:
         assert _program_bytes(client.vm.program) == image
         assert client.codecache.snapshot() == table
         assert len(store) == 0
-        assert pkey in client._pending_code
+        assert pkey in client.code._pending_code
         # The honest reply that follows installs.
         client.incoming.append(reply(honest))
         client.pump_incoming()
-        assert not client._pending_code
+        assert not client.code._pending_code
         assert store.get(needed[0]) is not None
         net.run()
         assert client.output == [42]
@@ -924,8 +915,8 @@ class TestReplyVerification:
         net.run()
         other = extract_bundle(
             server.vm.program,
-            group_roots=(server._class_exports[
-                server._class_export_names["Other"]].group_id,))
+            group_roots=(server.class_exports[
+                server.class_export_names["Other"]].group_id,))
         client.incoming.append(Packet(
             kind=KIND_CODE_REPLY, src_ip=N1, src_site_id=server.site_id,
             dest_ip=N2, dest_site_id=client.site_id,
@@ -943,15 +934,12 @@ class TestCodeHooksStayCold:
     def test_no_code_hook_fires(self, workload, monkeypatch):
         import repro.compiler.linker as linker_mod
         import repro.runtime.codecache as codecache_mod
-        import repro.runtime.site as site_mod
 
         fired = []
         for mod, names in ((linker_mod, ("extract_bundle", "link_bundle")),
                            (codecache_mod, ("extract_bundle", "link_bundle",
                                             "link_bundle_cached",
-                                            "digest_item")),
-                           (site_mod, ("extract_bundle", "digest_item",
-                                       "link_bundle_cached"))):
+                                            "digest_item"))):
             for name in names:
                 def hook(*a, _name=name, _real=getattr(mod, name), **kw):
                     fired.append(_name)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime import DiTyCONetwork, DistGC, GcConfig, GcScheduler
-from repro.runtime.distgc import GRACE_HOLDER, GcStats, merge_stats
+from repro.runtime.distgc import GRACE_HOLDER
 from repro.runtime.wire import KIND_MESSAGE, Packet
 from repro.testkit import (
     check_export_liveness,
@@ -102,14 +102,6 @@ class TestLeaseTable:
         assert A not in gc.held and B in gc.held
         assert A not in gc.pop_claims()
 
-    def test_merge_stats(self):
-        a = GcStats(claims_sent=1, sweeps=2)
-        b = GcStats(claims_sent=3, late_drops=1)
-        total = merge_stats([a, b])
-        assert total.claims_sent == 4
-        assert total.sweeps == 2
-        assert total.late_drops == 1
-
 
 #: Sim-scale lease timings: fast enough that a settling run converges
 #: in a few virtual milliseconds.
@@ -146,7 +138,7 @@ def lifecycle_net(hold: bool = False):
 class TestLeaseLifecycle:
     def test_import_claims_lease(self):
         net, server, client = lifecycle_net(hold=True)
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         holders = server.distgc.leases.get(("n", svc_id))
         assert holders is not None
         assert (client.ip, client.site_id) in holders
@@ -156,7 +148,7 @@ class TestLeaseLifecycle:
         # The non-holding client finishes and its reference dies; the
         # renew scan relinquishes the lease, leaving the grace pin.
         net, server, client = lifecycle_net()
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         holders = server.distgc.leases.get(("n", svc_id))
         assert holders is not None
         assert list(holders) == [GRACE_HOLDER]
@@ -164,13 +156,13 @@ class TestLeaseLifecycle:
 
     def test_unexport_then_settle_reclaims(self):
         net, server, client = lifecycle_net()
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         assert server.unexport_name("svc")
         assert net.nameservice.lookup_name("s", "svc") is None
         settle_distgc(net)
         assert svc_id not in server.vm.heap
         assert svc_id not in server.exported_ids
-        assert svc_id in server._gc_tombstones
+        assert svc_id in server.distgc.tombstones
         assert server.distgc.stats.channels_reclaimed >= 1
         assert check_no_premature_reclaim(net) == []
         assert check_export_liveness(net) == []
@@ -183,7 +175,7 @@ class TestLeaseLifecycle:
         net.run()
         net.launch("n2", "c", "import svc from s in svc![5]")
         net.run()
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         settle_distgc(net)
         assert svc_id in server.vm.heap
         # The channel stays usable after any number of sweeps.
@@ -193,10 +185,10 @@ class TestLeaseLifecycle:
 
     def test_late_message_to_reclaimed_id_dropped(self):
         net, server, client = lifecycle_net()
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         server.unexport_name("svc")
         settle_distgc(net)
-        assert svc_id in server._gc_tombstones
+        assert svc_id in server.distgc.tombstones
         server.incoming.append(Packet(
             kind=KIND_MESSAGE, src_ip=client.ip,
             src_site_id=client.site_id, dest_ip=server.ip,
@@ -206,7 +198,7 @@ class TestLeaseLifecycle:
 
     def test_peer_suspected_expires_leases(self):
         net, server, client = lifecycle_net(hold=True)
-        svc_id = next(iter(server._name_exports.values()))
+        svc_id = next(iter(server.name_exports.values()))
         assert (client.ip, client.site_id) in server.distgc.leases[("n", svc_id)]
         net.world.fail_node("n2")
         gen_before = server.codecache.generation
