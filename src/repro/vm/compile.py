@@ -1,10 +1,12 @@
 """Tier-3 of the production engine: decoded blocks as generated Python
 (docs/PERF.md).
 
-The predecoded closures (:mod:`repro.vm.dispatch`) pay one Python call
-per handler plus the dispatch loop's list indexing per executed
-instruction.  This module removes that last layer for blocks that are
-entered again (``machine.TIER_UP_ENTRIES``): such a block is translated
+The interpreter pays an opcode chain per executed instruction and the
+predecoded closures (:mod:`repro.vm.dispatch`) one Python call per
+handler plus the dispatch loop's list indexing.  This module removes
+that last layer for blocks that are entered again
+(``machine.TIER_UP_ENTRIES``, where the block is also predecoded for
+the escapes below): such a block is translated
 *once* into straight-line Python source -- operand stack traffic
 lowered onto local variables, PUSHL/PUSHC/arith/JMPF shapes inlined,
 and every reduction spawned in place: TRMSG and INSTOF of any arity,
@@ -12,7 +14,7 @@ TROBJ and FORK inline the common case of ``TycoVM._trmsg`` /
 ``_trobj`` / ``_instof`` -> ``_fire`` -> ``spawn``, the helpers every
 loop calls, with the same checks in the same order -- then
 ``exec``-compiled and cached on the block's
-:class:`~repro.vm.dispatch.DecodedBlock` entry.  The cache therefore
+:class:`~repro.vm.machine.DecodedBlock` entry.  The cache therefore
 inherits the closures' invalidation rules verbatim: entries are
 checked by instruction-tuple identity, ``link_bundle`` only appends
 new block ids, and ``_Template.instantiate`` re-tuples a literal
@@ -78,8 +80,8 @@ The accounting invariant (docs/PERF.md) is preserved by construction:
   profiled step cuts the budget at its sample points and calls the
   same function;
 * a per-instruction ``Tracer`` (``repro run --trace N``) still forces
-  the original instrumented loop; the observability bus and the
-  profiler do not.
+  the reference shell, every slice on the interpreter; the
+  observability bus and the profiler do not.
 
 Consequently ``VMStats``, context switches, simulated schedules, wire
 metrics and error messages are bit-identical between the ``slow``
@@ -628,8 +630,9 @@ class _Codegen:
                 self.emit_segment(leader, leaders, ind)
             arms.append(f"        if pc == {leader}:")
             arms.extend(self.lines)
-        # Entry at a non-leader pc (a slice ended mid-segment in the
-        # closures): yield back so they finish.
+        # Entry at a non-leader pc (a slice ended mid-segment on the
+        # interpreter or the closures): yield back so the closures
+        # finish.
         arms.append("        t.pc = pc")
         arms.append("        return executed")
         params = "".join(f", {name}={name}" for name in self.bindings)

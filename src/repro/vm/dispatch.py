@@ -1,25 +1,24 @@
 """Predecoded threaded dispatch for the TyCO VM (docs/PERF.md).
 
-The instrumented interpreter in :mod:`repro.vm.machine` walks a 30-arm
+The interpreter in :mod:`repro.vm.machine` walks a 30-arm
 ``if/elif`` chain per instruction and re-reads every operand tuple on
 every execution.  This module translates a
 :class:`~repro.compiler.assembly.CodeBlock` *once* into per-pc handler
 closures with the operands unpacked at decode time -- the standard
 predecoding cure for interpreter dispatch cost (cf. py-evm's opcode
-binding).  The production engine runs these handlers in a bare loop
-on a block's first slice entry and wherever generated code
-(:mod:`repro.vm.compile`) yields; only ``engine="slow"`` or an attached
-per-instruction :class:`~repro.vm.trace.Tracer` sends
-:meth:`TycoVM.step` to the original instrumented loop -- the
-observability bus does not.
+binding).  Decoding costs more than running a block once, so it is
+paid once per shape that repeats: a launch template's blocks, a linked
+slice a second site takes from the node's store, and a block that
+tiers up (``machine.TIER_UP_ENTRIES``), whose generated code
+(:mod:`repro.vm.compile`) escapes to these handlers and yields to them.
+The production engine runs them in a bare loop (``_run_closures``);
+code that runs once runs on the interpreter and builds none.
 
 One handler per instruction: a handler charges one instruction, so
 executed-instruction counts, slice boundaries and context switches --
 and therefore every simulated schedule -- are those of the
-instrumented loop by construction; and the instruction tuple is only
-read, so wire images and jump targets never change.  A block runs on
-this tier once (``machine.TIER_UP_ENTRIES``): code that comes back is
-generated code's to speed up, not this module's.
+interpreter by construction; and the instruction tuple is only read,
+so wire images and jump targets never change.
 
 Handler protocol: ``handler(vm, thread, frame, stack)`` with
 ``thread.pc`` already advanced past the instruction; a truthy return
@@ -30,7 +29,8 @@ from __future__ import annotations
 
 from repro.compiler.assembly import CodeBlock, Op, Program
 
-from .machine import ImportPending, VMRuntimeError, _arith, _vm_equal
+from .machine import (DecodedBlock, ImportPending, VMRuntimeError, _arith,
+                      _vm_equal)
 from .values import ClassRef
 
 
@@ -144,30 +144,6 @@ FAST_BINOP = {
 
 
 # -- decoded blocks ----------------------------------------------------------
-
-class DecodedBlock:
-    """The predecoded form of one code block.
-
-    ``heads[pc]`` is the handler for the instruction at ``pc``.
-    ``instrs`` keeps the source tuple's identity so the cache
-    self-invalidates when a block is replaced.
-    """
-
-    __slots__ = ("instrs", "size", "heads", "entries", "compiled")
-
-    def __init__(self, instrs, heads):
-        self.instrs = instrs
-        self.size = len(instrs)
-        self.heads = heads
-        # Tier state of the production engine (machine.TIER_UP_ENTRIES):
-        # slice entries seen so far, and the generated function
-        # (repro.vm.compile) once there were enough of them.  Riding on
-        # the decoded entry gives both the handlers' invalidation
-        # rules for free: an identity mismatch drops them with the
-        # entry.
-        self.entries = 0
-        self.compiled = None
-
 
 def handler_kind(block: CodeBlock, pc: int) -> str:
     """The handler-kind label the sampling profiler attributes a

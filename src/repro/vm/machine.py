@@ -41,12 +41,25 @@ from .heap import Heap
 from .scheduler import RunQueue, Thread
 from .values import Channel, ClassRef, NetRef, RemoteClassRef, VMValue
 
-#: Slice entries into a decoded block before the production engine
-#: translates it into generated Python (docs/PERF.md, "Tier-3").  A
-#: block's first entry runs on the closures ``predecode`` already
-#: built; mobile code -- applets, FETCHed classes, one client program
-#: per operation -- mostly runs once and never pays for ``compile``.
+#: Slice entries into a block before the production engine translates
+#: it into generated Python (docs/PERF.md, "Tier-3").  A block's first
+#: entry runs on the interpreter (:meth:`TycoVM._interpret`), or on the
+#: closures of a plan a launch template or a linked slice installed;
+#: ``predecode`` runs only here, for the escapes of generated code.
+#: Mobile code -- applets, FETCHed classes, one client program per
+#: operation -- mostly runs once and pays for neither.
 TIER_UP_ENTRIES = 2
+
+#: The tiers' builders, bound on first use (:func:`_bind_tiers`):
+#: ``repro.vm.dispatch`` and ``repro.vm.compile`` import this module.
+#: Plain globals, so rebinding either name here reaches the engine.
+predecode = compile_block = None
+
+
+def _bind_tiers() -> None:
+    global predecode, compile_block
+    from .compile import compile_block
+    from .dispatch import predecode
 
 
 class VMRuntimeError(Exception):
@@ -122,13 +135,38 @@ class VMStats:
         return self.comm_reductions + self.inst_reductions
 
 
+class DecodedBlock:
+    """One block's entry in ``Program.decoded_cache``.
+
+    ``heads[pc]`` is the handler for the instruction at ``pc``
+    (repro.vm.dispatch), or ``heads`` is None while the block has only
+    run on the interpreter.  ``instrs`` keeps the source tuple's
+    identity so the cache self-invalidates when a block is replaced.
+    """
+
+    __slots__ = ("instrs", "size", "heads", "entries", "compiled")
+
+    def __init__(self, instrs, heads=None):
+        self.instrs = instrs
+        self.size = len(instrs)
+        self.heads = heads
+        # Tier state of the production engine (TIER_UP_ENTRIES): slice
+        # entries seen so far, and the generated function
+        # (repro.vm.compile) once there were enough of them.  Riding on
+        # the entry gives both the handlers' invalidation rules for
+        # free: an identity mismatch drops them with the entry.
+        self.entries = 0
+        self.compiled = None
+
+
 class TycoVM:
     """One extended TyCO virtual machine.
 
-    :meth:`step` runs one of two loops -- :meth:`_step_compiled`, the
-    production engine, or :meth:`_step_reference` for ``engine="slow"``
-    or an attached tracer -- and with a profiler attached it runs the
-    same loop, cut at the sample points (:meth:`_step_profiled`).
+    :meth:`step` runs one of two shells around the one opcode loop,
+    :meth:`_interpret` -- :meth:`_step_compiled`, the production
+    engine, or :meth:`_step_reference` for ``engine="slow"`` or an
+    attached tracer -- and with a profiler attached it runs the same
+    shell, cut at the sample points (:meth:`_step_profiled`).
     """
 
     def __init__(self, program: Program, port: RemotePort | None = None,
@@ -137,22 +175,17 @@ class TycoVM:
         self.port = port
         self.name = name
         # Execution engine (docs/PERF.md): "compiled" is the production
-        # engine -- predecoded closures on a block's first entry,
-        # per-block generated Python from its TIER_UP_ENTRIES-th;
-        # "slow" forces the original instrumented loop, the reference
-        # the differential suite compares against.  Defaults from the
-        # environment so whole networks (and chaos scenarios) can be
-        # flipped without plumbing.
+        # engine -- the interpreter on a block's first entry (closures
+        # where a plan was installed), per-block generated Python from
+        # its TIER_UP_ENTRIES-th; "slow" runs every instruction on the
+        # interpreter, the reference the differential suite compares
+        # against.  Defaults from the environment so whole networks
+        # (and chaos scenarios) can be flipped without plumbing.
         if engine is None:
             engine = os.environ.get("REPRO_VM_ENGINE", "compiled")
         if engine not in ("compiled", "slow"):
             raise ValueError(f"unknown VM engine {engine!r}")
         self.engine = engine
-        # deferred: dispatch and compile import us
-        from .compile import compile_block
-        from .dispatch import predecode
-        self._predecode = predecode
-        self._compile_block = compile_block
         self.heap = Heap()
         self.runqueue = RunQueue()
         self.stats = VMStats()
@@ -246,7 +279,7 @@ class TycoVM:
         return total
 
     def _reference(self) -> bool:
-        """Whether this step must run the instrumented loop: the
+        """Whether this step must run the reference shell: the
         reference engine was asked for or a per-instruction tracer is
         attached -- and nothing else picks the engine."""
         return self.engine == "slow" or self.tracer is not None
@@ -254,10 +287,11 @@ class TycoVM:
     def step(self, budget: int = 1) -> int:
         """Execute up to ``budget`` instructions; returns the number run.
 
-        The loop is chosen per call: the instrumented reference loop
-        for ``engine="slow"`` or an attached tracer, else the production
-        engine.  Both charge instructions identically, so schedules
-        never depend on the choice -- only wall-clock time does.  An
+        The shell is chosen per call: the reference, every slice on
+        the interpreter, for ``engine="slow"`` or an attached tracer,
+        else the production engine.  Both charge instructions
+        identically, so schedules never depend on the choice -- only
+        wall-clock time does.  An
         attached profiler does not choose: it cuts the chosen loop's
         budget at its sample points (:meth:`_step_profiled`).
         """
@@ -315,23 +349,26 @@ class TycoVM:
         slice-function call -- dominate spawn-chain workloads like E1;
         one frame removes one Python call per context switch.
         The prologue is also where a block picks its tier: it counts
-        its own entries on the decoded-cache entry and is translated
-        into generated Python at the ``TIER_UP_ENTRIES``-th; until
-        then the slice runs on the predecoded closures.
+        its own entries on its decoded-cache entry, runs them on the
+        interpreter -- or on the closures of a plan a launch template
+        or a linked slice installed -- and at the
+        ``TIER_UP_ENTRIES``-th is predecoded and translated into
+        generated Python.  Code that runs once builds nothing.
         Accounting is identical to the reference loop by construction:
-        pops go through the run-queue counter, a closure charges one
-        instruction and generated code its segments' original widths,
-        and a compiled function that yields early -- with ``thread.pc``
-        stored, when the remaining budget is smaller than its next
-        straight-line segment or the thread resumes at an interior pc
-        -- hands the remainder to the closures, landing the slice end
-        on exactly the instruction the reference loop would.
+        pops go through the run-queue counter, the interpreter and a
+        closure charge one instruction each and generated code its
+        segments' original widths, and a compiled function that yields
+        early -- with ``thread.pc`` stored, when the remaining budget is
+        smaller than its next straight-line segment or the thread
+        resumes at an interior pc -- hands the remainder to the
+        closures, landing the slice end on exactly the instruction the
+        reference loop would.
         Decoded blocks are cached on the *program* (shared by every VM
         executing it) and checked by instruction-tuple identity: a
-        ``link_bundle`` relink appends new block ids, which decode on
-        first entry, and ``_Template.instantiate`` re-tuples a literal
-        block and installs its patched plan before any VM runs.  The
-        entry count and the compiled function ride on the entry and
+        ``link_bundle`` relink appends new block ids, which get an
+        entry on first entry, and ``_Template.instantiate`` re-tuples a
+        literal block and installs its patched plan before any VM runs.
+        The entry count and the compiled function ride on the entry and
         die with it; ``program.blocks`` is indexed afresh every
         iteration.  Pops are counted in a local and flushed in a
         ``finally``, like generated code's.
@@ -340,7 +377,6 @@ class TycoVM:
         switches = 0
         runqueue = self.runqueue
         queue = runqueue._queue
-        predecode = self._predecode
         program = self.program
         cache = program.decoded_cache
         try:
@@ -355,17 +391,23 @@ class TycoVM:
                 block = program.blocks[bid]
                 dec = cache.get(bid)
                 if dec is None or dec.instrs is not block.instrs:
-                    dec = predecode(program, block)
-                    cache[bid] = dec
+                    dec = cache[bid] = DecodedBlock(block.instrs)
                 fn = dec.compiled
                 if fn is None:
                     dec.entries += 1
                     if dec.entries < TIER_UP_ENTRIES:
-                        executed += self._run_closures(dec, thread,
-                                                       budget - executed)
+                        if dec.heads is None:
+                            executed += self._interpret(thread,
+                                                        budget - executed)
+                        else:
+                            executed += self._run_closures(
+                                dec, thread, budget - executed)
                         continue
-                    fn = dec.compiled = self._compile_block(program, bid,
-                                                            block)
+                    if compile_block is None:
+                        _bind_tiers()
+                    if dec.heads is None:
+                        dec.heads = predecode(program, block).heads
+                    fn = dec.compiled = compile_block(program, bid, block)
                 executed += fn(self, thread, thread.frame, thread.stack,
                                budget - executed)
                 if self.current is thread and executed < budget:
@@ -379,7 +421,7 @@ class TycoVM:
         """Run ``thread`` on the predecoded handlers of ``dec``, its
         block's decoded-cache entry (repro.vm.dispatch): one handler,
         one instruction, so slice boundaries and instruction counts
-        are exactly those of the instrumented loop.
+        are exactly those of the interpreter.
         """
         heads = dec.heads
         size = dec.size
@@ -398,31 +440,43 @@ class TycoVM:
         return executed
 
     def _step_reference(self, budget: int) -> int:
-        """The reference body of :meth:`step`: the original
-        instrumented loop, one ``if``/``elif`` over the opcode and a
-        tracer hook per instruction.  A slice ends where
-        ``self.current`` stops being the thread it runs."""
-        program = self.program
+        """The reference body of :meth:`step`: every slice on the
+        interpreter, with the tracer's hook per instruction."""
         runqueue = self.runqueue
-        thread = None
         executed = 0
         while executed < budget:
-            if thread is None or thread is not self.current:
-                thread = self.current
-                if thread is None:
-                    if not runqueue:
-                        break
-                    thread = self.current = runqueue.pop()
-                instrs = program.blocks[thread.block_id].instrs
-                frame = thread.frame
-                stack = thread.stack
-            if thread.pc >= len(instrs):
+            thread = self.current
+            if thread is None:
+                if not runqueue:
+                    break
+                thread = self.current = runqueue.pop()
+            executed += self._interpret(thread, budget - executed)
+        return executed
+
+    def _interpret(self, thread: Thread, budget: int) -> int:
+        """Run ``thread``, the current thread, for up to ``budget``
+        instructions: one ``if``/``elif`` over the opcode per
+        instruction, and an attached tracer's hook before each.
+        Returns at the budget, or with ``self.current`` cleared where
+        the thread ends (HALT, past its last instruction) or stalls on
+        an import."""
+        program = self.program
+        block_id = thread.block_id
+        instrs = program.blocks[block_id].instrs
+        size = len(instrs)
+        frame = thread.frame
+        stack = thread.stack
+        tracer = self.tracer
+        executed = 0
+        while executed < budget:
+            pc = thread.pc
+            if pc >= size:
                 self.current = None
-                continue
-            ins = instrs[thread.pc]
-            if self.tracer is not None:
-                self.tracer.record(thread.block_id, thread.pc, ins)
-            thread.pc += 1
+                return executed
+            ins = instrs[pc]
+            if tracer is not None:
+                tracer.record(block_id, pc, ins)
+            thread.pc = pc + 1
             executed += 1
             op = ins.op
 
@@ -454,10 +508,10 @@ class TycoVM:
                 cref = stack.pop()
                 self._instof(cref, args)
             elif op is Op.FORK:
-                block_id, nfree = ins.args
+                fork_id, nfree = ins.args
                 env = tuple(stack[len(stack) - nfree:])
                 del stack[len(stack) - nfree:]
-                self.spawn(block_id, env, ())
+                self.spawn(fork_id, env, ())
                 self.stats.forks += 1
             elif op is Op.NEWCH:
                 frame[ins.args[0]] = self.heap.new_channel()
@@ -467,8 +521,8 @@ class TycoVM:
                 del stack[len(stack) - nfree:]
                 group = program.groups[group_id]
                 env.extend([None] * len(group.clauses))
-                for index, (hint, block_id) in enumerate(group.clauses):
-                    cr = ClassRef(block_id, env, group_id, index, hint=hint)
+                for index, (hint, clause_id) in enumerate(group.clauses):
+                    cr = ClassRef(clause_id, env, group_id, index, hint=hint)
                     env[nfree + index] = cr
                     frame[first_slot + index] = cr
             elif op is Op.JMP:
@@ -482,6 +536,7 @@ class TycoVM:
                     thread.pc = ins.args[0]
             elif op is Op.HALT:
                 self.current = None
+                return executed
             elif op is Op.PRINT:
                 (nargs,) = ins.args
                 args = tuple(stack[len(stack) - nargs:])
@@ -511,6 +566,7 @@ class TycoVM:
                     frame[slot] = self._require_port().import_name(hint, site)
                 except ImportPending:
                     self._stall(thread)
+                    return executed
             elif op is Op.EXPORTCLASS:
                 group_id, slot, hint = ins.args
                 self._require_port().export_class(hint, frame[slot])
@@ -520,6 +576,7 @@ class TycoVM:
                     frame[slot] = self._require_port().import_class(hint, site)
                 except ImportPending:
                     self._stall(thread)
+                    return executed
             else:  # pragma: no cover - exhaustive over the opcode set
                 raise VMRuntimeError(f"{self.name}: unknown opcode {op}")
         return executed

@@ -1,15 +1,16 @@
 """Differential harness: the production engine vs the reference engine.
 
 The production engine (docs/PERF.md) promises *observational
-identity*: for any program and any schedule, running a block on its
-predecoded closures, on generated Python (src/repro/vm/compile.py), or
-on the original instrumented loop produces the same outputs, the same
-VMStats -- ``instructions`` exactly, so every simulated schedule is
-untouched -- and the same final heap.  Which of the first two a block
-gets is the engine's own choice (``machine.TIER_UP_ENTRIES``), so the
-arms (tests/vm/arms.py) pin that constant: as shipped, at 1 (every
-block on generated code from its first entry) and out of reach
-(closures only).  This file checks the promise end to end:
+identity*: for any program and any schedule, running a block on the
+interpreter, on its predecoded closures or on generated Python
+(src/repro/vm/compile.py) under the production shell produces what the
+reference shell produces: the same outputs, the same VMStats --
+``instructions`` exactly, so every simulated schedule is untouched --
+and the same final heap.  Which tier a block gets is the engine's own
+choice (``machine.TIER_UP_ENTRIES``), so the arms (tests/vm/arms.py)
+pin it: as shipped, every block on generated code from its first
+entry, closures only, and the interpreter-first path held at every
+entry.  This file checks the promise end to end:
 
 * every example ``.dityco`` program, single-VM;
 * every frozen chaos-corpus schedule, whole-network, by flipping the

@@ -54,8 +54,9 @@ class TestDeterminism:
 
     def test_attribution_is_engine_independent(self, monkeypatch):
         # The profiler cuts the loop the VM runs anyway -- generated
-        # code, HALT chaining included, or closures -- just before each
-        # sample point and runs the sampled instruction alone: whichever
+        # code, HALT chaining included, closures or the interpreter --
+        # just before each sample point and runs the sampled
+        # instruction alone: whichever
         # tier a block runs on, every (site, block, handler-kind) frame
         # and count matches the reference loop byte for byte.
         monkeypatch.setenv("REPRO_VM_ENGINE", "slow")

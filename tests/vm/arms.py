@@ -1,22 +1,53 @@
 """The production-engine arms every engine-parity test compares with
 the ``slow`` reference.
 
-Which tier a block runs on is the engine's own choice
-(``machine.TIER_UP_ENTRIES``), so the arms pin that constant: as
-shipped, at 1 (every block on generated code from its first entry) and
-out of reach (predecoded closures only).
+Which tier a block runs on is the engine's own choice: its first entry
+runs on the interpreter -- or on the closures of a plan a launch
+template or a linked slice installed -- and its
+``machine.TIER_UP_ENTRIES``-th and later on generated code.  The arms
+pin that choice:
+
+* ``shipped`` -- as shipped;
+* ``generated`` -- every block on generated code from its first entry;
+* ``closures`` -- every block decoded before it runs, as a launch
+  template's are, and never tiered up: predecoded closures only;
+* ``interpreter`` -- never tiered up and nothing decoded beyond what
+  templates and linked slices install: the production engine's
+  interpreter-first path held at every entry.
 """
 
 import sys
 
-from repro.vm import machine
+from repro.vm import dispatch, machine
 
 ARMS = {"shipped": machine.TIER_UP_ENTRIES, "generated": 1,
-        "closures": sys.maxsize}
+        "closures": sys.maxsize, "interpreter": sys.maxsize}
+
+_STEP = machine.TycoVM._step_compiled
+
+
+def _step_on_plans(vm, budget):
+    """``_step_compiled`` once every block of the VM's program has a
+    predecoded plan (a block linked in since the last step gets one
+    here, before it runs)."""
+    program = vm.program
+    cache = program.decoded_cache
+    for block_id, block in enumerate(program.blocks):
+        dec = cache.get(block_id)
+        if dec is None or dec.heads is None or dec.instrs is not block.instrs:
+            cache[block_id] = dispatch.predecode(program, block)
+    return _STEP(vm, budget)
+
+
+def use_arm(monkeypatch, arm):
+    """Patch the engine into ``arm``."""
+    monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS[arm])
+    monkeypatch.setattr(machine.TycoVM, "_step_compiled",
+                        _step_on_plans if arm == "closures" else _STEP)
 
 
 def each_arm(monkeypatch):
-    """Yield each arm's name with its constant patched in."""
-    for arm, entries in ARMS.items():
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", entries)
+    """Yield each arm's name with the engine patched into it."""
+    for arm in ARMS:
+        use_arm(monkeypatch, arm)
         yield arm

@@ -20,10 +20,10 @@ from repro.compiler import compile_source, parse_assembly
 from repro.compiler.assembly import CodeBlock, Instr, Op
 from repro.compiler.linker import extract_bundle, link_bundle
 from repro.runtime import DiTyCONetwork
-from repro.vm import TycoVM, VMRuntimeError, dispatch, machine
+from repro.vm import TycoVM, VMRuntimeError, dispatch
 from repro.vm import compile as tier3
 
-from tests.vm.arms import ARMS, each_arm
+from tests.vm.arms import each_arm, use_arm
 
 COUNTER = "def Count(n) = if n > 0 then Count[n - 1] else print![0] in Count[40]"
 CELL = """
@@ -148,11 +148,15 @@ class TestEngineParity:
             self, monkeypatch):
         # One handler charges one instruction, so a budget cut can
         # land between any two instructions of a block.
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["closures"])
+        use_arm(monkeypatch, "closures")
         for source in (COUNTER, CELL):
             ref = snapshot(run(source, "slow"))
             for budget in (*range(1, 13), 100_000):
-                assert snapshot(run(source, budget=budget)) == ref, budget
+                vm = run(source, budget=budget)
+                assert snapshot(vm) == ref, budget
+                # The arm ran closures and nothing else.
+                assert all(dec.heads is not None and dec.compiled is None
+                           for dec in vm.program.decoded_cache.values())
 
     def test_step_budget_exact_on_fast_engine(self, monkeypatch):
         for arm in each_arm(monkeypatch):
@@ -214,7 +218,7 @@ class TestBoolArithRejection:
     @pytest.mark.parametrize("arm", ["slow", "closures", "generated"])
     def test_bool_operand_raises(self, expr, arm, monkeypatch):
         if arm != "slow":
-            monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS[arm])
+            use_arm(monkeypatch, arm)
         with pytest.raises(VMRuntimeError, match="arithmetic on booleans"):
             run(f"print![{expr}]", "slow" if arm == "slow" else "compiled")
 
@@ -395,7 +399,7 @@ class TestCompiledCache:
     def test_literal_type_not_aliased_by_memo(self, monkeypatch):
         # 7 == 7.0 == True-as-1 in Python: the content-addressed memo
         # must not hand the int program's function to the float one.
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        use_arm(monkeypatch, "generated")
         out = []
         for lit in ("7 / 2", "7.0 / 2"):
             out.append(run(f"print![{lit}]", budget=100).output[0])
@@ -429,7 +433,7 @@ class TestCompiledCache:
         # blocks differing only in those share one code object, and
         # each still prints its own answer.
         monkeypatch.setattr(tier3, "_MEMO", {})
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        use_arm(monkeypatch, "generated")
         donor = compile_source(
             "def F(x) = (print![x] | print![x + 1]) in F[1]")
         prog = compile_source(
@@ -637,6 +641,45 @@ class TestCompiledCache:
         assert rebuilt.vm.engine == "compiled"
 
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "programs"
+
+#: Programs whose blocks mostly run once: a generated def group in the
+#: ``coldstart`` benchmark's five forms, and the example programs.
+RUN_ONCE = {"cold group": cold_group(100),
+            **{path.stem: path.read_text()
+               for path in sorted(EXAMPLES.glob("*.dityco"))}}
+
+
+class TestRunOnceCode:
+    """Code that runs once builds nothing: a block's first entry runs
+    on the interpreter and the block is predecoded only when it tiers
+    up, so every decoded-cache entry with closures has generated code
+    too (no template or linked slice installs plans here)."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_ONCE))
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 100_000])
+    def test_run_once_code_builds_no_closures(self, name, budget):
+        # Budgets 1 to 7 cut first entries mid-block on the interpreter
+        # and resume them, tiered up, on generated code.
+        def observed(engine):
+            vm = TycoVM(compile_source(RUN_ONCE[name]), name="t",
+                        engine=engine)
+            vm.boot()
+            while not vm.is_idle():
+                if vm.step(budget) == 0:
+                    break
+            return vm, observe(vm)
+
+        _, ref = observed("slow")
+        vm, got = observed("compiled")
+        assert got == ref
+        cache = vm.program.decoded_cache
+        assert [bid for bid, dec in cache.items()
+                if dec.heads is not None and dec.compiled is None] == []
+        if budget == 100_000:
+            assert any(dec.heads is None for dec in cache.values())
+
+
 # -- every reduction, inline -------------------------------------------------
 #
 # Generated code spawns in place for TRMSG and INSTOF of any arity, for
@@ -757,7 +800,7 @@ class TestReductionParity:
             return parse_assembly(_ASM_MAIN + ASM_CELLS[cell])
 
         ref = run_observed(program(), "slow")
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        use_arm(monkeypatch, "generated")
         assert run_observed(program(), "compiled") == ref
         assert (ref[1] is not None) == (
             "mismatch" in cell or "non-" in cell or cell == "TROBJ builtin")
@@ -798,7 +841,7 @@ class TestReductionParity:
         stats = ref[3]["client"][1]
         assert (stats["remote_messages"], stats["remote_objects"],
                 stats["remote_instances"]) == (7, 1, 3)
-        monkeypatch.setattr(machine, "TIER_UP_ENTRIES", ARMS["generated"])
+        use_arm(monkeypatch, "generated")
         assert record("compiled") == ref
 
 
