@@ -49,7 +49,7 @@ from repro.vm.values import Channel, ClassRef, NetRef, RemoteClassRef
 
 #: Magic + format version of the checkpoint blob.
 MAGIC = b"DTCK"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -325,7 +325,7 @@ def capture_state(site: Site) -> bytes:
         "current", "runqueue", "stalled", "externals", "output",
         "vm_stats", "site_stats", "exported_ids", "name_exports",
         "class_export_names", "class_exports", "next_class_id", "fetched",
-        "pending_fetch", "pending_code", "ship_offers", "next_ship_token",
+        "pending_fetch", "pending_code", "next_ship_token",
         "gc_tombstones", "gc_class_tombstones", "incoming", "outgoing",
         "codecache", "distgc")}
     # Captured last: the instance table fills while everything above

@@ -23,10 +23,10 @@ already holds:
   state.
 * :class:`CodeCache` -- digest -> installed program id, plus the
   transient protocol state: in-flight digest requests (so concurrent
-  fetches of the same code share one download) and a *generation*
-  counter bumped when the owning node restarts, which invalidates
-  in-flight state that a crash made unanswerable (the cached code
-  itself is content-addressed and can never go stale).
+  fetches of the same code share one download), all cleared when the
+  owning node restarts or suspects a peer, since a crash may have made
+  them unanswerable (the cached code itself is content-addressed and
+  can never go stale).
 * :class:`CodeStore` -- one per node: digest -> the rooted slice that
   digests to it.  What a site downloads, serves or offers is kept here,
   so the next site of the node links the slice out of the store
@@ -302,26 +302,19 @@ class _LinkedSlice:
 class CodeCache:
     """Digest -> installed location for one site's program area.
 
-    Also owns the transient fetch-protocol state:
-
-    * ``in_flight`` -- digests this site has asked a remote sender for
-      and not yet received, tagged with the generation that asked.  A
-      second fetch needing an in-flight digest parks instead of
-      re-downloading (request coalescing).
-    * ``generation`` -- bumped by :meth:`bump_generation` when the
-      owning node restarts after a crash.  In-flight marks from older
-      generations are dead (their replies may have been crash-dropped)
-      and are discarded; installed entries survive because they are
-      content-addressed and verified against the program area itself.
+    Also owns the transient fetch-protocol state, ``in_flight``: the
+    digests this site has asked a remote sender for and not yet
+    received.  A second fetch needing an in-flight digest parks instead
+    of re-downloading (request coalescing).  :meth:`forget_in_flight`
+    drops every mark when a crash may have eaten the replies; installed
+    entries survive because they are content-addressed and verified
+    against the program area itself.
     """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.generation = 0
         self._by_digest: dict[bytes, tuple[str, int]] = {}
-        self._in_flight: dict[bytes, int] = {}
-        self.hits = 0
-        self.misses = 0
+        self._in_flight: set[bytes] = set()
         self.installs = 0
 
     def __len__(self) -> int:
@@ -344,14 +337,12 @@ class CodeCache:
         return dict(self._by_digest)
 
     def checkpoint_state(self) -> dict:
-        """Digest rows, in-flight marks, generation and counters (for
-        site checkpointing, repro.mobility)."""
+        """Digest rows, in-flight marks and the install count (for site
+        checkpointing, repro.mobility)."""
         return {
             "entries": [(digest, kind, item_id) for digest, (kind, item_id)
                         in sorted(self._by_digest.items())],
-            "in_flight": sorted(self._in_flight.items()),
-            "generation": self.generation,
-            "hits": self.hits, "misses": self.misses,
+            "in_flight": sorted(self._in_flight),
             "installs": self.installs,
         }
 
@@ -361,32 +352,24 @@ class CodeCache:
         identically."""
         for digest, kind, item_id in state["entries"]:
             self.register(digest, kind, item_id)
-        self._in_flight.update(dict(state["in_flight"]))
-        self.generation = state["generation"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+        self._in_flight.update(state["in_flight"])
         self.installs = state["installs"]
 
     # -- in-flight request coalescing ----------------------------------------
 
     def mark_in_flight(self, digest: bytes) -> None:
-        self._in_flight[digest] = self.generation
+        self._in_flight.add(digest)
 
     def is_in_flight(self, digest: bytes) -> bool:
-        """In flight *in the current generation* and not yet installed.
-
-        Marks from older generations are stale by definition: the
-        request (or its reply) may have died with the crash, so they
-        must never suppress a re-request."""
-        if digest in self._by_digest:
-            return False
-        return self._in_flight.get(digest) == self.generation
+        """Asked for and not yet installed."""
+        return digest in self._in_flight and digest not in self._by_digest
 
     def clear_in_flight(self, digest: bytes) -> None:
-        self._in_flight.pop(digest, None)
+        self._in_flight.discard(digest)
 
-    def bump_generation(self) -> None:
-        """Invalidate every in-flight mark.
+    def forget_in_flight(self) -> None:
+        """Drop every in-flight mark: the request (or its reply) may
+        have died, so no mark may suppress a re-request.
 
         Two callers: a node *restart* (our own in-flight requests may
         have died with the crash) and the distributed GC's
@@ -395,7 +378,6 @@ class CodeCache:
         :meth:`~repro.runtime.distgc.LeaseProtocol.on_peer_suspected`).
         Installed code is content-addressed and therefore never stale --
         only the transient request-coalescing state is discarded."""
-        self.generation += 1
         self._in_flight.clear()
 
 
@@ -527,12 +509,8 @@ class SiteCode:
         # (src ip, src site, token kind, token value) ->
         #     (needed digests, offer payload).
         self._pending_code: dict[tuple, tuple[tuple[bytes, ...], tuple]] = {}
-        # SHIPO offers we made, so a CODE_NEED can be answered later --
-        # kept for the lifetime of the site: a crashed receiver may ask
-        # for the code long after the offer (restart recovery).  Once
-        # the site is gone its node answers from the store instead
-        # (:func:`answer_orphan_need`).
-        self._ship_offers: dict[int, tuple[int, ...]] = {}
+        # Names each SHIPO for the receiver's parked offer.  A CODE_NEED
+        # is answered from the digests it names, so no offer is kept.
         self._next_ship_token = 1
 
     def has_pending(self) -> bool:
@@ -568,7 +546,7 @@ class SiteCode:
         for key in [k for k in self._fetched if k[0] == ip]:
             del self._fetched[key]
         if self.cache is not None:
-            self.cache.bump_generation()
+            self.cache.forget_in_flight()
 
     def cached_class(self, cref: RemoteClassRef):
         """The local ClassRef a FETCH of ``cref`` left, else ``cref``."""
@@ -602,6 +580,22 @@ class SiteCode:
             self.cache.register(digest, kind, item_id)
         return digest
 
+    def _method_block(self, digest: bytes) -> int:
+        """The method block of our own object code that digests to
+        ``digest``: one we offered (the memo holds it), else -- the memo
+        is not checkpointed -- the first method block that digests so.
+        :class:`DeliveryError` when none does."""
+        for (kind, item_id), known in self._digest_memo.items():
+            if kind == BLOCK and known == digest:
+                return item_id
+        for obj in self.site.vm.program.objects:
+            for block_id in obj.methods.values():
+                if self._digest_of(BLOCK, block_id) == digest:
+                    return block_id
+        raise DeliveryError(
+            f"{self.site.site_name}: CODE_NEED for digest "
+            f"{digest.hex()[:12]}, which no method block here has")
+
     # -- sender side ------------------------------------------------------
 
     def offer(self, methods: dict[str, int]
@@ -612,7 +606,6 @@ class SiteCode:
         digests = tuple(self._digest_of(BLOCK, bid) for bid in block_ids)
         token = self._next_ship_token
         self._next_ship_token += 1
-        self._ship_offers[token] = block_ids
         positions = {label: i for i, label in enumerate(methods.keys())}
         return token, positions, digests
 
@@ -660,7 +653,9 @@ class SiteCode:
 
     def serve_code_need(self, packet: Packet) -> None:
         """Owner side, step 2: send the requested slice with its
-        manifest, so the receiver installs item-by-item.  A single
+        manifest, so the receiver installs item-by-item.  A FETCH need
+        names its class, a SHIPO need the method digests it lacks (the
+        ship token only keys the receiver's parked offer).  A single
         root -- every FETCH, every one-method object -- is the slice
         the node's store already keeps under the digest we offered."""
         token_kind, token_val, digests = packet.payload
@@ -669,23 +664,18 @@ class SiteCode:
             classref = site.exported_class(token_val, "CODE_NEED for ")
             kind, root_ids = GROUP, (classref.group_id,)
         elif token_kind == "ship":
-            block_ids = self._ship_offers.get(token_val)
-            if block_ids is None:
+            if not digests:
                 raise DeliveryError(
-                    f"{site.site_name}: CODE_NEED for unknown ship "
-                    f"token {token_val}")
-            # Send only the subset of entry blocks the receiver asked
-            # for; the rest it already holds.
-            wanted = set(digests)
-            subset = tuple(b for b in block_ids
-                           if self._digest_of(BLOCK, b) in wanted)
-            kind, root_ids = BLOCK, subset or block_ids
+                    f"{site.site_name}: CODE_NEED for ship token "
+                    f"{token_val} names no digest")
+            # Only the blocks the receiver asked for; the rest it holds.
+            kind, root_ids = BLOCK, tuple(map(self._method_block, digests))
         else:
             raise DeliveryError(
                 f"{site.site_name}: unknown CODE_NEED token kind "
                 f"{token_kind!r}")
         store = self.store if len(root_ids) == 1 else None
-        root_digest = self._digest_of(kind, root_ids[0])  # memoised: offered
+        root_digest = self._digest_of(kind, root_ids[0])  # memoised
         reply = _stored_reply(store, packet, root_digest)
         if reply is None:  # several roots, evicted since offered, or A2
             bundle = extract_bundle(site.vm.program,
@@ -892,13 +882,13 @@ class SiteCode:
 
         A crash makes every in-flight code request unanswerable (its
         CODE_NEED or CODE_REPLY may have been dropped while we were
-        down).  Bump the cache generation to invalidate the in-flight
-        marks, then re-drive the protocol: complete offers the cache
-        can already satisfy, re-request the rest, and re-issue FETCH
-        requests whose offer never arrived.  Installed code survives --
-        it is content-addressed, never stale."""
+        down).  Forget the in-flight marks, then re-drive the protocol:
+        complete offers the cache can already satisfy, re-request the
+        rest, and re-issue FETCH requests whose offer never arrived.
+        Installed code survives -- it is content-addressed, never
+        stale."""
         if self.cache is not None:
-            self.cache.bump_generation()
+            self.cache.forget_in_flight()
         for pkey in list(self._pending_code):
             if self._try_complete_code(pkey, {}):
                 continue
@@ -927,7 +917,6 @@ class SiteCode:
                               for key, waiting in self._pending_fetch.items()],
             "pending_code": [(pkey, needed, payload) for pkey, (needed, payload)
                              in self._pending_code.items()],
-            "ship_offers": list(self._ship_offers.items()),
             "next_ship_token": self._next_ship_token,
             "codecache": (None if self.cache is None
                           else self.cache.checkpoint_state()),
@@ -952,8 +941,6 @@ class SiteCode:
         self._pending_code = {tuple(pkey): (tuple(needed), payload)
                               for pkey, needed, payload
                               in state["pending_code"]}
-        self._ship_offers = {token: tuple(blocks)
-                             for token, blocks in state["ship_offers"]}
         self._next_ship_token = state["next_ship_token"]
 
 

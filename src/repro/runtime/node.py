@@ -354,21 +354,10 @@ class Node:
                 site.code.on_restart()
         self.on_work_available()
 
-    def code_generation(self) -> int:
-        """Sum of the per-site code-cache generations: a cheap scalar
-        that only moves when some site invalidated in-flight cache
-        state.  Carried in the socket transport's handshake so peers
-        can observe that a reconnecting node re-drove its requests."""
-        total = 0
-        for site in self.sites.values():
-            if site.code.cache is not None:
-                total += site.code.cache.generation
-        return total
-
     def on_restart(self) -> None:
         """The world restarted this node after a crash: let every site
-        re-drive its in-flight code requests (stale in-flight state is
-        what generation-based cache invalidation clears)."""
+        re-drive its in-flight code requests (their in-flight marks are
+        cleared first)."""
         self._batch_buf.clear()
         self._batch_size.clear()
         for site in list(self.sites.values()):

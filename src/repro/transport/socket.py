@@ -14,9 +14,9 @@ Three layers (see docs/TRANSPORT.md):
 * **per-link connections** -- every (src, dst) pair gets its own
   dialed connection (records flow one way per connection, like the
   paper's TyCOd channel pairs), opened lazily on first send, with a
-  versioned handshake carrying the dialer's node id, connection
-  attempt and code-cache generation.  Lost connections reconnect with
-  capped exponential backoff; an unclean drop is surfaced to the node
+  versioned handshake carrying the dialer's node id and connection
+  attempt.  Lost connections reconnect with capped exponential
+  backoff; an unclean drop is surfaced to the node
   as :meth:`~repro.runtime.node.Node.on_link_reset` (crash-restart
   semantics: in-flight code requests re-drive, plain messages may be
   lost).
@@ -51,7 +51,7 @@ MAGIC = b"DTCO"
 #: *payload* format inside records is governed by docs/WIRE.md and
 #: carries its own tags; this number only changes when the stream
 #: layer itself does.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Upper bound on one record: a defence against a desynchronised or
 #: hostile stream turning a garbage length prefix into a giant
@@ -69,7 +69,7 @@ BACKOFF_BASE = 0.05
 BACKOFF_CAP = 1.0
 
 _LEN = struct.Struct(">I")
-_HELLO = struct.Struct(">4sBIIH")     # magic, version, attempt, generation, len(ip)
+_HELLO = struct.Struct(">4sBIH")      # magic, version, attempt, len(ip)
 _ACK = struct.Struct(">4sBB")         # magic, status, version
 
 ACK_OK = 0
@@ -117,20 +117,20 @@ class StreamDecoder:
         return len(self._buf)
 
 
-def encode_hello(ip: str, attempt: int, generation: int,
+def encode_hello(ip: str, attempt: int,
                  version: int = WIRE_VERSION) -> bytes:
     raw = ip.encode()
-    return _HELLO.pack(MAGIC, version, attempt, generation, len(raw)) + raw
+    return _HELLO.pack(MAGIC, version, attempt, len(raw)) + raw
 
 
-def decode_hello(payload: bytes) -> tuple[bytes, int, int, int, str]:
-    """-> (magic, version, attempt, generation, ip).  Raises ValueError
-    on a truncated record."""
+def decode_hello(payload: bytes) -> tuple[bytes, int, int, str]:
+    """-> (magic, version, attempt, ip).  Raises ValueError on a
+    truncated record."""
     if len(payload) < _HELLO.size:
         raise ValueError("truncated handshake")
-    magic, version, attempt, generation, iplen = _HELLO.unpack_from(payload)
+    magic, version, attempt, iplen = _HELLO.unpack_from(payload)
     ip = payload[_HELLO.size:_HELLO.size + iplen].decode()
-    return magic, version, attempt, generation, ip
+    return magic, version, attempt, ip
 
 
 def encode_ack(status: int) -> bytes:
@@ -239,7 +239,6 @@ class SocketEndpoint:
                  on_link_reset: Optional[Callable[[str], None]] = None,
                  on_reset_observed: Optional[Callable[[str], None]] = None,
                  on_drain: Callable[[], None] = lambda: None,
-                 generation: Callable[[], int] = lambda: 0,
                  host: str = "127.0.0.1") -> None:
         from .base import TransportStats
 
@@ -254,14 +253,11 @@ class SocketEndpoint:
         self.on_reset_observed = on_reset_observed
         #: Told when a link's queue empties or drops below the limit.
         self.on_drain = on_drain
-        self.generation = generation
         self._links: dict[str, _Link] = {}
         #: Destinations whose queue holds :data:`QUEUE_LIMIT` records or more.
         self.full: set[str] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbound: set[asyncio.StreamWriter] = set()
-        #: Last handshake seen per dialing peer: ip -> (attempt, generation).
-        self.peer_hello: dict[str, tuple[int, int]] = {}
         self.records_delivered = 0
         self.records_dropped = 0      # dead-lettered (rejected link)
         self._closed = False
@@ -397,8 +393,7 @@ class SocketEndpoint:
                 self.on_reset_observed(link.dst)
 
     async def _handshake(self, link: _Link, reader, writer) -> bool:
-        writer.write(encode_record(encode_hello(
-            self.ip, link.attempt + 1, self.generation())))
+        writer.write(encode_record(encode_hello(self.ip, link.attempt + 1)))
         await writer.drain()
         size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
         status, _version = decode_ack(await reader.readexactly(size))
@@ -466,8 +461,7 @@ class SocketEndpoint:
             try:
                 size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
                 hello = await reader.readexactly(min(size, MAX_RECORD))
-                magic, version, attempt, generation, peer = \
-                    decode_hello(hello)
+                magic, version, attempt, peer = decode_hello(hello)
             except (asyncio.IncompleteReadError, ValueError, OSError):
                 return
             if magic != MAGIC:
@@ -482,9 +476,7 @@ class SocketEndpoint:
                 return
             writer.write(encode_record(encode_ack(ACK_OK)))
             await writer.drain()
-            reconnect = attempt >= 2
-            self.peer_hello[peer] = (attempt, generation)
-            if reconnect and self.on_link_reset is not None:
+            if attempt >= 2 and self.on_link_reset is not None:
                 self.on_link_reset(peer)
             decoder = StreamDecoder()
             while True:
@@ -586,8 +578,7 @@ class SocketWorld(World):
             on_link_reset=lambda peer, ip=node.ip: self._on_reset(ip, peer),
             on_reset_observed=lambda peer, ip=node.ip:
                 self._note_reset(ip, peer),
-            on_drain=lambda ip=node.ip: self._on_drain(ip),
-            generation=node.code_generation, host=self.host)
+            on_drain=lambda ip=node.ip: self._on_drain(ip), host=self.host)
         self._endpoints[node.ip] = endpoint
         node.attach_transport(self._send,
                               wakeup=lambda ip=node.ip: self._wake(ip),

@@ -242,7 +242,7 @@ GOLDEN_PROGRAM = (
 #: blake2b-16 of the golden corpus checkpoint.  This pins the whole
 #: format: wire encoding, state layout, field order, digesting.  An
 #: intentional format change must bump VERSION and re-pin.
-GOLDEN_DIGEST = "ea5c2ede0bc64d3cc19702efd520cfe3"
+GOLDEN_DIGEST = "a4f90203b19797e79fd15740244420dd"
 
 
 class TestGoldenCheckpoint:

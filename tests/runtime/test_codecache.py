@@ -27,7 +27,7 @@ from repro.runtime.codecache import (
     verify_store_integrity,
 )
 from repro.runtime.site import DeliveryError
-from repro.runtime.wire import KIND_CODE_REPLY, Packet, encode
+from repro.runtime.wire import KIND_CODE_NEED, KIND_CODE_REPLY, Packet, encode
 from repro.testkit import ChaosWorld
 from repro.testkit.invariants import check_no_stale_code
 from repro.vm.dispatch import predecode
@@ -136,15 +136,14 @@ class TestCodeCache:
         cache.register(b"d1", BLOCK, 0)
         assert not cache.is_in_flight(b"d1")
 
-    def test_generation_bump_invalidates_in_flight(self):
+    def test_forget_in_flight_drops_every_mark(self):
         # The restart rule: a crash may have eaten the reply, so marks
-        # from the old generation must not suppress a re-request.
+        # made before it must not suppress a re-request.
         cache = self._cache()
         cache.mark_in_flight(b"d1")
-        cache.bump_generation()
-        assert cache.generation == 1
+        cache.forget_in_flight()
         assert not cache.is_in_flight(b"d1")
-        # A fresh mark in the new generation works normally.
+        # A fresh mark after it works normally.
         cache.mark_in_flight(b"d2")
         assert cache.is_in_flight(b"d2")
 
@@ -775,7 +774,8 @@ class TestOrphanNeed:
             N2, "mover",
             "import spot from holder in import done from sink in "
             "spot?(w) = done![w * 2]")
-        run_until(net, lambda: mover.code._ship_offers and mover.is_idle())
+        run_until(net, lambda: mover.vm.stats.remote_objects
+                  and mover.is_idle())
         return net
 
     def test_node_answers_for_a_reaped_site(self):
@@ -817,6 +817,91 @@ class TestOrphanNeed:
                        payload=(1, "val", ()))
         with pytest.raises(LookupError, match="no site"):
             node.receive(encode(stray))
+
+
+class TestShipNeedByDigest:
+    """A SHIPO's CODE_NEED is answered from the digests it names, each
+    resolved to a method block of the sender's own object code: the
+    sender keeps no per-offer table, and a checkpoint carries none."""
+
+    HOLDER = "export new spot spot![5]"
+    MOVER = "import spot from holder in spot?(w) = print![w * 2]"
+
+    def _shipped(self):
+        """The mover's SHIPO is out; the holder's CODE_NEED is not yet
+        answered."""
+        net = two_node_net()
+        net.launch(N1, "holder", self.HOLDER)
+        net.run()
+        mover = net.launch(N2, "mover", self.MOVER)
+        run_until(net, lambda: mover.vm.stats.remote_objects
+                  and mover.is_idle())
+        assert mover.stats.code_replies_served == 0
+        return net, mover
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_sender_restored_between_offer_and_need_serves(
+            self, cache, monkeypatch):
+        from repro.mobility.checkpoint import (read_checkpoint,
+                                               restore_site,
+                                               write_checkpoint)
+
+        monkeypatch.setattr("repro.runtime.codecache.CODE_CACHE", cache)
+        net, mover = self._shipped()
+        node = net.node(N2)
+        code, state = read_checkpoint(write_checkpoint(mover))
+        node.remove_site(mover)
+        rebuilt = node.adopt_site(restore_site(node, code, state))
+        assert rebuilt.code._digest_memo == {}
+        net.run()
+        assert rebuilt.output == [10]     # print is the mover's
+        assert rebuilt.stats.code_replies_served == 1
+        assert net.is_quiescent()
+        assert check_no_stale_code(net) == []
+
+    @pytest.mark.parametrize("forged", ["unknown", "main block", "none"])
+    def test_need_for_a_digest_never_offered_raises(self, forged):
+        net, mover = self._shipped()
+        net.run()
+        assert mover.output == [10]
+        holder = net.site("holder")
+        prog = mover.vm.program
+        main = next(i for i, blk in enumerate(prog.blocks)
+                    if blk.name == "main")
+        digests = {"unknown": (b"\x5a" * DIGEST_SIZE,),
+                   "main block": (digest_item(prog, BLOCK, main),),
+                   "none": ()}[forged]
+        # Token 1 is the mover's real offer: the digests decide.
+        need = Packet(kind=KIND_CODE_NEED, src_ip=N1,
+                      src_site_id=holder.site_id, dest_ip=N2,
+                      dest_site_id=mover.site_id,
+                      payload=("ship", 1, digests))
+        net.node(N1).transport_send(N2, encode(need))
+        with pytest.raises(DeliveryError, match="mover"):
+            net.run()
+
+    @staticmethod
+    def _state_after_ships(count):
+        from repro.mobility.checkpoint import capture_state
+
+        net = two_node_net()
+        net.launch(N1, "server", "export new svc 0")
+        net.run()
+        client = net.launch(
+            N2, "client",
+            "import svc from server in def Loop(n) = if n == 0 then 0 "
+            "else ((svc?(w) = print![w]) | Loop[n - 1]) in "
+            f"Loop[{count}]")
+        net.run()
+        assert client.vm.stats.remote_objects == count
+        assert client.code.parked_offers() == 0
+        return capture_state(client)
+
+    def test_checkpoint_does_not_grow_with_offers_made(self):
+        # Only the counters widen (their varints gain a byte or two);
+        # a table of the 270 extra offers would add kilobytes.
+        assert len(self._state_after_ships(300)) - \
+            len(self._state_after_ships(30)) <= 16
 
 
 # -- nothing unverified is linked or stored ----------------------------------

@@ -201,10 +201,10 @@ class TestLeaseLifecycle:
         svc_id = next(iter(server.name_exports.values()))
         assert (client.ip, client.site_id) in server.distgc.leases[("n", svc_id)]
         net.world.fail_node("n2")
-        gen_before = server.codecache.generation
+        server.codecache.mark_in_flight(b"d1")
         net.world.nodes["n1"].on_peer_suspected("n2")
         assert server.distgc.stats.holders_expired >= 1
-        assert server.codecache.generation == gen_before + 1
+        assert not server.codecache.is_in_flight(b"d1")
         server.unexport_name("svc")
         settle_distgc(net)
         assert svc_id not in server.vm.heap

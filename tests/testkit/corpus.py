@@ -119,6 +119,21 @@ CORPUS = [
              "and the protocol restarts cleanly.",
     ),
     CorpusEntry(
+        name="object-crash-mid-need",
+        scenario="ship", seed=7,
+        config=ChaosConfig(
+            crashes=(CrashEvent("n1", at=2.4e-5, restart_at=1e-3),)),
+        outputs={"client": (42,), "server": ()},
+        quiescent=True,
+        fault_kinds=("crash", "crash-drop", "restart"),
+        note="The server crashes while the CODE_REPLY carrying the "
+             "shipped object's two method blocks is in flight (the "
+             "reply is crash-dropped), then restarts: the parked offer "
+             "re-sends its CODE_NEED, the client answers it again from "
+             "the digests it names, and the object fires -- the SHIPO "
+             "twin of applet-crash-mid-fetch.",
+    ),
+    CorpusEntry(
         name="lease-crash-renew-in-flight",
         scenario="lease_churn", seed=0,
         config=ChaosConfig(

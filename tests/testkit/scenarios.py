@@ -45,6 +45,16 @@ def applet(net):
                "new v (Applet[v] | v?(w) = print![w])")
 
 
+def ship(net):
+    """Code mobility the other way: the client SHIPOs a two-method
+    object to the server's channel, whose waiting message fires it."""
+    net.add_nodes(["n1", "n2"])
+    net.launch("n1", "server", "export new svc svc!times[6]")
+    net.launch("n2", "client",
+               "import svc from server in "
+               "svc?{ times(w) = print![w * 7], plus(w) = print![w + 1] }")
+
+
 def lease_churn(net, rounds=4):
     """Import/export churn under the distributed GC: each round spawns
     a fresh server site exporting ``churn``, a client that imports and
@@ -106,6 +116,7 @@ SCENARIOS = {
     "echo": echo,
     "pump": pump,
     "applet": applet,
+    "ship": ship,
     "lease_churn": lease_churn,
     "migrate": migrate,
 }

@@ -9,6 +9,8 @@ of blocking a sender, and a failing node ends ``run()``.
 """
 
 import functools
+import socket as stdlib_socket
+import struct
 import threading
 import time
 
@@ -84,12 +86,12 @@ class TestStreamDecoder:
 
 class TestHandshakeCodec:
     def test_hello_roundtrip(self):
-        magic, version, attempt, gen, ip = decode_hello(
-            encode_hello("node-17", attempt=3, generation=9, version=1))
-        assert (version, attempt, gen, ip) == (1, 3, 9, "node-17")
+        magic, version, attempt, ip = decode_hello(
+            encode_hello("node-17", attempt=3))
+        assert (magic, version, attempt, ip) == (b"DTCO", 2, 3, "node-17")
 
     def test_ack_roundtrip(self):
-        assert decode_ack(encode_ack(ACK_OK)) == (ACK_OK, 1)
+        assert decode_ack(encode_ack(ACK_OK)) == (ACK_OK, 2)
         assert decode_ack(encode_ack(ACK_BAD_VERSION))[0] == ACK_BAD_VERSION
 
     def test_truncated_hello_rejected(self):
@@ -151,9 +153,9 @@ class TestSocketEndpoint:
         assert a.stats.handshakes == 1
 
     def test_version_mismatch_rejected(self, monkeypatch, harness):
-        # a's hellos claim version 2; b accepts WIRE_VERSION == 1 only.
+        # a's hellos claim version 1; b accepts WIRE_VERSION == 2 only.
         monkeypatch.setattr(socket_transport, "encode_hello",
-                            functools.partial(encode_hello, version=2))
+                            functools.partial(encode_hello, version=1))
         a = harness.endpoint("a")
         b = harness.endpoint("b")
         harness.send(a, "b", b"doomed")
@@ -166,11 +168,27 @@ class TestSocketEndpoint:
         harness.send(a, "b", b"also-doomed")
         assert a.records_dropped >= 2
 
+    def test_version_1_hello_acked_bad_version(self, harness):
+        # Version 1 carried a code-cache generation after the attempt;
+        # a peer still speaking it is refused, not misparsed.
+        harness.endpoint("b")
+        v1_hello = struct.pack(">4sBIIH", b"DTCO", 1, 1, 9, 1) + b"a"
+        with stdlib_socket.create_connection(harness.directory["b"],
+                                             timeout=10) as conn:
+            conn.sendall(encode_record(v1_hello))
+            reply = b""
+            while len(reply) < 4 + 6:
+                chunk = conn.recv(64)
+                if not chunk:
+                    break
+                reply += chunk
+        assert decode_ack(reply[4:])[0] == ACK_BAD_VERSION
+
     def test_reconnect_with_backoff_after_peer_restart(self, monkeypatch,
                                                        harness):
         monkeypatch.setattr(socket_transport, "BACKOFF_BASE", 0.01)
         monkeypatch.setattr(socket_transport, "BACKOFF_CAP", 0.1)
-        resets = []
+        resets, b_resets = [], []
         a = harness.endpoint("a", on_link_reset=resets.append)
         b = harness.endpoint("b")
         b_port = harness.directory["b"][1]
@@ -184,14 +202,13 @@ class TestSocketEndpoint:
         # Queue real traffic while the peer is down, then bring it back
         # on the same port: the link must redial and drain the queue.
         harness.send(a, "b", b"queued-during-outage")
-        harness.endpoint("b", port=b_port)
+        harness.endpoint("b", port=b_port, on_link_reset=b_resets.append)
         assert wait_until(lambda: any(
             data == b"queued-during-outage"
             for (_s, _d, data) in harness.delivered))
         assert a.stats.reconnects >= 1
         assert resets == ["b"]
-        hello = harness.endpoints[-1].peer_hello["a"]
-        assert hello[0] >= 2               # reconnect attempt number
+        assert b_resets == ["a"]           # a's hello said "reconnect"
 
 
 class TestSocketWorld:

@@ -353,8 +353,7 @@ class TestCompiledCache:
     its ``DecodedBlock`` beside the closure plan, so it inherits the
     plan's invalidation rules: identity checks drop stale entries,
     ``link_bundle`` appends without disturbing live entries, and a
-    restart rebuilds the program (fresh cache) -- the generation-bump
-    path."""
+    restart rebuilds the program (fresh cache)."""
 
     def test_first_entry_runs_closures_second_compiles(self):
         prog = compile_source("print![7]")
@@ -617,9 +616,9 @@ class TestCompiledCache:
 
     def test_restart_rebuild_gets_fresh_cache(self, monkeypatch):
         # A node restart re-materialises the site from its checkpoint:
-        # new Program, empty decoded cache -- the CodeCache
-        # generation-bump path can never see a stale compiled function
-        # because nothing survives but content-addressed bytes.
+        # new Program, empty decoded cache -- a restart can never see a
+        # stale compiled function because nothing survives but
+        # content-addressed bytes.
         from repro.mobility.checkpoint import (read_checkpoint,
                                                restore_site,
                                                write_checkpoint)
