@@ -688,8 +688,15 @@ class SiteCode:
 
     # -- receiver side ------------------------------------------------------
 
-    def _send_code_need(self, pkey, digests: tuple[bytes, ...]) -> None:
+    def _send_code_need(self, pkey, needed: tuple[bytes, ...]) -> None:
+        """Ask the owner for the digests of ``needed`` this site neither
+        holds nor has asked for already; send nothing if none is left."""
         src_ip, src_site_id, token_kind, token_val = pkey
+        digests = needed if self.cache is None else tuple(
+            d for d in needed
+            if not self.cache.has(d) and not self.cache.is_in_flight(d))
+        if not digests:
+            return
         if self.cache is not None:
             for digest in digests:
                 self.cache.mark_in_flight(digest)
@@ -769,11 +776,7 @@ class SiteCode:
         if pkey in self._pending_code:
             return  # duplicate offer; a request is already out
         self._pending_code[pkey] = (needed, packet.payload)
-        missing = needed if self.cache is None else tuple(
-            d for d in needed
-            if not self.cache.has(d) and not self.cache.is_in_flight(d))
-        if missing:
-            self._send_code_need(pkey, missing)
+        self._send_code_need(pkey, needed)
 
     def _verify_code_reply(self, pkey, bundle, manifest) -> list:
         """Nothing unverified is linked or stored: every digest of the
@@ -892,10 +895,7 @@ class SiteCode:
         for pkey in list(self._pending_code):
             if self._try_complete_code(pkey, {}):
                 continue
-            needed = self._pending_code[pkey][0]
-            self._send_code_need(pkey, needed if self.cache is None else
-                                 tuple(d for d in needed
-                                       if not self.cache.has(d)))
+            self._send_code_need(pkey, self._pending_code[pkey][0])
         for key in list(self._pending_fetch):
             ip, sid, class_id = key
             if (ip, sid, "fetch", class_id) in self._pending_code:

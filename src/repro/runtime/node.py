@@ -23,12 +23,12 @@ from repro.compiler.assembly import Program
 from repro.transport.clock import monotime
 
 from . import codecache
-from .codecache import CodeStore
+from .codecache import CodeStore, DeliveryError
 from .daemon import TyCOd, TyCOi
 from .distgc import GcConfig
 from .nameservice import NameService, NameServiceError
 from .site import Site
-from .wire import decode_frame, encode_frame, is_frame
+from .wire import WireError, decode_frame, encode_frame, is_frame
 
 #: Wire batching: a stepping node holds its outgoing packets per
 #: destination and sends them as one frame at the quantum boundary.
@@ -264,12 +264,15 @@ class Node:
     # -- execution -------------------------------------------------------------------
 
     def receive(self, data: bytes) -> None:
-        """A buffer arrives from the network (called by the world)."""
-        if is_frame(data):
-            for chunk in decode_frame(data):
+        """A buffer arrives from the network (called by the world).
+        Bytes that do not decode are a :class:`DeliveryError` naming
+        this node, chained from the :class:`WireError`."""
+        try:
+            for chunk in decode_frame(data) if is_frame(data) else (data,):
                 self.tycod.receive(chunk)
-            return
-        self.tycod.receive(data)
+        except WireError as exc:
+            raise DeliveryError(
+                f"node {self.ip}: undecodable buffer: {exc}") from exc
 
     def step(self, quantum: int = 256) -> NodeStepReport:
         """One scheduling quantum: pump the daemon, then round-robin

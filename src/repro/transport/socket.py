@@ -15,15 +15,18 @@ Three layers (see docs/TRANSPORT.md):
   dialed connection (records flow one way per connection, like the
   paper's TyCOd channel pairs), opened lazily on first send, with a
   versioned handshake carrying the dialer's node id and connection
-  attempt.  Lost connections reconnect with capped exponential
-  backoff; an unclean drop is surfaced to the node
-  as :meth:`~repro.runtime.node.Node.on_link_reset` (crash-restart
+  attempt.  Each end is an :class:`asyncio.Protocol` (:class:`_Link`
+  dials, :class:`_Inbound` accepts): a send is a ``transport.write``
+  and a received chunk is fed straight to the decoder, so a record
+  costs no task.  Lost connections (``connection_lost``) reconnect
+  with capped exponential backoff; an unclean drop is surfaced to the
+  node as :meth:`~repro.runtime.node.Node.on_link_reset` (crash-restart
   semantics: in-flight code requests re-drive, plain messages may be
   lost).
-* **backpressure** -- each link owns an outbound queue, and a world
-  does not step a node while one of its links holds
-  :data:`QUEUE_LIMIT` records; the peak depth and the deferrals are
-  visible in :class:`~repro.transport.base.TransportStats`.
+* **backpressure** -- each link queues the records the kernel has not
+  taken, and a world does not step a node while one of its links
+  holds :data:`QUEUE_LIMIT` records; the peak depth and the deferrals
+  are visible in :class:`~repro.transport.base.TransportStats`.
 
 :class:`SocketWorld` runs the whole network in one process on one
 asyncio loop thread, which owns every endpoint and steps every node --
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.node import Node
 
-from .base import World
+from .base import TransportStats, World
 from .clock import monotime
 
 MAGIC = b"DTCO"
@@ -138,37 +141,119 @@ def encode_ack(status: int) -> bytes:
 
 
 def decode_ack(payload: bytes) -> tuple[int, int]:
-    """-> (status, version)."""
-    magic, status, version = _ACK.unpack_from(payload)
-    if magic != MAGIC:
+    """-> (status, version).  Raises ValueError on a malformed ack."""
+    if len(payload) != _ACK.size or payload[:4] != MAGIC:
         raise ValueError("bad handshake ack")
+    _magic, status, version = _ACK.unpack(payload)
     return status, version
 
 
-class _Link:
-    """Dialer-side state for one (src, dst) connection."""
+class _Link(asyncio.Protocol):
+    """Dialer side of one (src, dst) link: the protocol of its current
+    connection.  The write buffer's high-water mark is 0, so
+    :attr:`paused` says whether the kernel lacks bytes written on it;
+    :attr:`queue` holds those records and the ones sent while the link
+    was down, and is re-sent on the next connection."""
 
-    __slots__ = ("dst", "queue", "event", "task", "state", "attempt",
-                 "writing", "dropped")
+    __slots__ = ("endpoint", "dst", "queue", "task", "state", "attempt",
+                 "transport", "paused", "lost", "_ack")
 
-    def __init__(self, dst: str) -> None:
+    def __init__(self, endpoint: "SocketEndpoint", dst: str) -> None:
+        self.endpoint = endpoint
         self.dst = dst
         self.queue: deque[bytes] = deque()
-        self.event: Optional[asyncio.Event] = None
         self.task: Optional[asyncio.Task] = None
         self.state = "connecting"      # connecting | up | rejected | closed
         self.attempt = 0
-        self.writing = False
-        self.dropped = 0
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False
+        #: Resolved when the current connection is lost.
+        self.lost: Optional[asyncio.Future] = None
 
-    def is_idle(self) -> bool:
-        """Nothing queued, nothing mid-write, and not in a state where
-        progress is still expected (a reconnecting link that already
-        carried traffic counts as busy until it is back up)."""
-        if self.queue or self.writing:
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._ack = StreamDecoder()
+        transport.set_write_buffer_limits(high=0)
+        transport.write(encode_record(
+            encode_hello(self.endpoint.ip, self.attempt + 1)))
+
+    def data_received(self, data: bytes) -> None:
+        if self.state != "connecting":
+            return     # the acceptor writes nothing after its ACK
+        try:
+            records = self._ack.feed(data)
+            if not records:
+                return
+            status, _version = decode_ack(records[0])
+        except ValueError:
+            self.transport.abort()     # a malformed ACK: back off
+            return
+        self.endpoint._acked(self, status)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.state == "up":
+            self.endpoint._taken(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self.paused = False
+        if self.state == "up":
+            self.state = "connecting"
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+
+class _Inbound(asyncio.Protocol):
+    """Acceptor side of one connection: a HELLO, then records for the
+    endpoint's node.  Bytes that do not frame close the connection."""
+
+    __slots__ = ("endpoint", "transport", "decoder", "peer")
+
+    def __init__(self, endpoint: "SocketEndpoint") -> None:
+        self.endpoint = endpoint
+        self.decoder = StreamDecoder()
+        self.peer: Optional[str] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.endpoint._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.endpoint._inbound.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        endpoint = self.endpoint
+        try:
+            records = self.decoder.feed(data)
+            hello = (decode_hello(records.pop(0))
+                     if self.peer is None and records else None)
+        except ValueError:
+            self.transport.abort()
+            return
+        if hello is not None and not self._hello(*hello):
+            return
+        for record in records:
+            endpoint.records_delivered += 1
+            endpoint.deliver(self.peer, endpoint.ip, record)
+
+    def _hello(self, magic: bytes, version: int, attempt: int,
+               peer: str) -> bool:
+        """Answer the HELLO; False if the connection is refused."""
+        endpoint, transport = self.endpoint, self.transport
+        status = (ACK_BAD_MAGIC if magic != MAGIC else
+                  ACK_BAD_VERSION if version != WIRE_VERSION else ACK_OK)
+        transport.write(encode_record(encode_ack(status)))
+        if status != ACK_OK:
+            endpoint.stats.handshake_failures += 1
+            transport.close()
             return False
-        if self.state == "connecting" and self.attempt >= 1:
-            return False
+        self.peer = peer
+        if attempt >= 2 and endpoint.on_link_reset is not None:
+            endpoint.on_link_reset(peer)
         return True
 
 
@@ -240,8 +325,6 @@ class SocketEndpoint:
                  on_reset_observed: Optional[Callable[[str], None]] = None,
                  on_drain: Callable[[], None] = lambda: None,
                  host: str = "127.0.0.1") -> None:
-        from .base import TransportStats
-
         self.ip = ip
         self.host = host
         self.port: Optional[int] = None
@@ -251,13 +334,13 @@ class SocketEndpoint:
         self.stats = stats if stats is not None else TransportStats()
         self.on_link_reset = on_link_reset
         self.on_reset_observed = on_reset_observed
-        #: Told when a link's queue empties or drops below the limit.
+        #: Told when a link's queue empties.
         self.on_drain = on_drain
         self._links: dict[str, _Link] = {}
         #: Destinations whose queue holds :data:`QUEUE_LIMIT` records or more.
         self.full: set[str] = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inbound: set[asyncio.StreamWriter] = set()
+        self._inbound: set[_Inbound] = set()
         self.records_delivered = 0
         self.records_dropped = 0      # dead-lettered (rejected link)
         self._closed = False
@@ -266,13 +349,10 @@ class SocketEndpoint:
 
     def start(self, port: int = 0) -> int:
         """Bind and start the listening server; returns the bound port."""
-        self.port = self.loop.call(self._start, port)
+        self._server = self.loop.call(self.loop.loop.create_server,
+                                      lambda: _Inbound(self), self.host, port)
+        self.port = self._server.sockets[0].getsockname()[1]
         return self.port
-
-    async def _start(self, port: int) -> int:
-        self._server = await asyncio.start_server(
-            self._serve, host=self.host, port=port)
-        return self._server.sockets[0].getsockname()[1]
 
     def close(self) -> None:
         """Tear everything down (idempotent): link tasks, dialed
@@ -292,11 +372,13 @@ class SocketEndpoint:
             link.state = "closed"
             if link.task is not None:
                 link.task.cancel()
-        tasks = [link.task for link in links if link.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in list(self._inbound):
-            writer.close()
+            if link.transport is not None:
+                link.transport.close()
+        await asyncio.gather(*(link.task for link in links
+                               if link.task is not None),
+                             return_exceptions=True)
+        for inbound in list(self._inbound):
+            inbound.transport.close()
         self._inbound.clear()
         if self._server is not None:
             self._server.close()
@@ -304,8 +386,11 @@ class SocketEndpoint:
             self._server = None
 
     def links_idle(self) -> bool:
-        """Every link drained, at rest, and not mid-reconnect."""
-        return all(link.is_idle() for link in self._links.values())
+        """Every record taken by the kernel, and no link that carried
+        traffic mid-reconnect."""
+        return not any(link.queue or (link.state == "connecting"
+                                      and link.attempt)
+                       for link in self._links.values())
 
     def pending_tasks(self) -> int:
         """Link tasks not yet finished (0 after a clean close)."""
@@ -320,18 +405,24 @@ class SocketEndpoint:
     # -- outbound ------------------------------------------------------------
 
     def send(self, dst_ip: str, data: bytes) -> None:
-        """Queue one record for ``dst_ip`` (on the loop).  Never blocks:
-        a queue that reaches :data:`QUEUE_LIMIT` puts ``dst_ip`` in
-        :attr:`full` until the drain frees a slot.  Dead-letters the
-        record if the link was rejected or closed."""
+        """Write one record for ``dst_ip`` (on the loop).  Never blocks:
+        a record the kernel does not take at once, or sent while the
+        link is down, is queued, and a queue that reaches
+        :data:`QUEUE_LIMIT` puts ``dst_ip`` in :attr:`full` until the
+        kernel takes it.  Dead-letters the record if the link was
+        rejected or closed."""
         link = self._links.get(dst_ip)
         if link is None:
-            link = self._links[dst_ip] = _Link(dst_ip)
+            link = self._links[dst_ip] = _Link(self, dst_ip)
             if not self._closed:
-                link.event = asyncio.Event()
                 link.task = self.loop.loop.create_task(self._run_link(link))
-        if link.state in ("rejected", "closed"):
-            link.dropped += 1
+        state = link.state
+        if state == "up":
+            transport = link.transport
+            transport.write(encode_record(data))
+            if not (link.paused or transport.is_closing()):
+                return
+        elif state != "connecting":
             self.records_dropped += 1
             return
         queue = link.queue
@@ -341,156 +432,63 @@ class SocketEndpoint:
             self.stats.queue_peak = depth
         if depth >= QUEUE_LIMIT:
             self.full.add(dst_ip)
-        if link.event is not None:
-            link.event.set()
 
     async def _run_link(self, link: _Link) -> None:
+        """Dial ``link`` until it is rejected or closed: resolve,
+        connect (the link is the connection's protocol, which says
+        HELLO and takes the ACK), then await the connection's loss."""
+        loop = asyncio.get_running_loop()
         backoff = BACKOFF_BASE
-        while not self._closed and link.state != "closed":
-            link.state = "connecting"
+        while link.state == "connecting":
+            attempt = link.attempt
+            link.lost = loop.create_future()
             try:
-                host, port = await asyncio.get_running_loop().run_in_executor(
+                host, port = await loop.run_in_executor(
                     None, self.resolve, link.dst)
-                reader, writer = await asyncio.open_connection(host, port)
+                await loop.create_connection(lambda: link, host, port)
+                await link.lost
             except (OSError, LookupError):
                 # Peer unreachable or not yet in the directory (its
                 # registration may still be propagating): back off.
-                await asyncio.sleep(backoff)
-                backoff = min(BACKOFF_CAP, backoff * 2)
-                continue
-            try:
-                accepted = await self._handshake(link, reader, writer)
-            except (OSError, asyncio.IncompleteReadError, ValueError):
-                writer.close()
-                await asyncio.sleep(backoff)
-                backoff = min(BACKOFF_CAP, backoff * 2)
-                continue
-            if not accepted:
-                link.state = "rejected"
-                self._dead_letter(link)
-                writer.close()
-                return
-            backoff = BACKOFF_BASE
-            link.attempt += 1
-            link.state = "up"
-            self.stats.handshakes += 1
-            if link.attempt >= 2:
-                self.stats.reconnects += 1
-                if self.on_link_reset is not None:
-                    self.on_link_reset(link.dst)
-            try:
-                await self._drain(link, reader, writer)
-            except (OSError, ConnectionError):
                 pass
-            finally:
-                link.writing = False
-                writer.close()
-            if self._closed or link.state == "closed":
-                return
+            if link.state != "connecting":
+                return             # rejected or closed
+            if link.attempt == attempt:
+                # Never came up (unreachable, refused, a malformed ACK).
+                await asyncio.sleep(backoff)
+                backoff = min(BACKOFF_CAP, backoff * 2)
+                continue
             # The connection died under us: unclean drop.
+            backoff = BACKOFF_BASE
             self.stats.resets += 1
             if self.on_reset_observed is not None:
                 self.on_reset_observed(link.dst)
 
-    async def _handshake(self, link: _Link, reader, writer) -> bool:
-        writer.write(encode_record(encode_hello(self.ip, link.attempt + 1)))
-        await writer.drain()
-        size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
-        status, _version = decode_ack(await reader.readexactly(size))
+    def _acked(self, link: _Link, status: int) -> None:
+        """``link``'s peer answered its HELLO with ``status``."""
         if status != ACK_OK:
             self.stats.handshake_failures += 1
-            return False
-        return True
+            link.state = "rejected"
+            link.transport.abort()
+            self.records_dropped += len(link.queue)
+            self._taken(link)
+            return
+        link.attempt += 1
+        link.state = "up"
+        self.stats.handshakes += 1
+        link.transport.writelines(map(encode_record, link.queue))
+        if not link.paused:
+            self._taken(link)
+        if link.attempt >= 2:
+            self.stats.reconnects += 1
+            if self.on_link_reset is not None:
+                self.on_link_reset(link.dst)
 
-    async def _drain(self, link: _Link, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Ship queued records until the connection breaks.  The head
-        record is only dequeued after a successful drain, so a record
-        interrupted mid-write is re-sent on the next connection
-        (at-least-once for the interrupted record; duplicates are
-        tolerated by the protocol layer).
-
-        The acceptor never writes after its handshake ack, so a read
-        on the connection acts as an EOF watchdog: it completes only
-        when the peer closed or reset the connection, letting an idle
-        link notice a dead peer without waiting for a write to fail.
-        """
-        loop = asyncio.get_running_loop()
-        eof = loop.create_task(reader.read(1))
-        queue = link.queue
-        try:
-            while not self._closed and link.state == "up":
-                if eof.done():
-                    raise ConnectionResetError("peer closed the connection")
-                if not queue:
-                    link.event.clear()
-                    waiter = loop.create_task(link.event.wait())
-                    done, _pending = await asyncio.wait(
-                        {waiter, eof}, timeout=0.5,
-                        return_when=asyncio.FIRST_COMPLETED)
-                    waiter.cancel()
-                    continue
-                link.writing = True
-                try:
-                    writer.write(encode_record(queue[0]))
-                    await writer.drain()
-                finally:
-                    link.writing = False
-                queue.popleft()
-                if not queue or (link.dst in self.full
-                                 and len(queue) < QUEUE_LIMIT):
-                    self.full.discard(link.dst)
-                    self.on_drain()
-        finally:
-            eof.cancel()
-
-    def _dead_letter(self, link: _Link) -> None:
-        dropped = len(link.queue)
+    def _taken(self, link: _Link) -> None:
+        """The kernel took every byte written on ``link``."""
         link.queue.clear()
-        link.dropped += dropped
-        self.records_dropped += dropped
         self.full.discard(link.dst)
         self.on_drain()
-
-    # -- inbound -------------------------------------------------------------
-
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        self._inbound.add(writer)
-        try:
-            try:
-                size = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
-                hello = await reader.readexactly(min(size, MAX_RECORD))
-                magic, version, attempt, peer = decode_hello(hello)
-            except (asyncio.IncompleteReadError, ValueError, OSError):
-                return
-            if magic != MAGIC:
-                writer.write(encode_record(encode_ack(ACK_BAD_MAGIC)))
-                await writer.drain()
-                self.stats.handshake_failures += 1
-                return
-            if version != WIRE_VERSION:
-                writer.write(encode_record(encode_ack(ACK_BAD_VERSION)))
-                await writer.drain()
-                self.stats.handshake_failures += 1
-                return
-            writer.write(encode_record(encode_ack(ACK_OK)))
-            await writer.drain()
-            if attempt >= 2 and self.on_link_reset is not None:
-                self.on_link_reset(peer)
-            decoder = StreamDecoder()
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                for record in decoder.feed(chunk):
-                    self.records_delivered += 1
-                    self.deliver(peer, self.ip, record)
-        except (OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._inbound.discard(writer)
-            writer.close()
 
 
 class SocketWorld(World):
@@ -504,7 +502,7 @@ class SocketWorld(World):
     quantum schedules the node's :meth:`Node.step` on the loop, and a
     distgc sweep that falls due later (:meth:`Node.next_deadline`) a
     ``call_at``.  A node with a link at :data:`QUEUE_LIMIT` is not stepped
-    until the drain frees a slot.  Another thread reaches a node
+    until the kernel takes its queue.  Another thread reaches a node
     through :meth:`call`; a node whose step or receive raises is
     stepped no more, and :meth:`run` raises the exception.
 
@@ -704,7 +702,7 @@ class SocketWorld(World):
         self._wake(dst_ip)
 
     def _on_drain(self, ip: str) -> None:
-        """A link of ``ip`` emptied or freed a slot."""
+        """A link of ``ip`` emptied its queue."""
         if ip in self._deferred and not self._endpoints[ip].full:
             self._deferred.discard(ip)
             self._wake(ip)
@@ -758,8 +756,7 @@ class SocketWorld(World):
     # -- quiescence ----------------------------------------------------------
 
     def _expected_deliveries(self) -> int:
-        expected = self.records_sent
-        expected -= sum(e.records_dropped for e in self._endpoints.values())
+        expected = self.records_sent - self.dropped_packets
         if self.proxy is not None:
             expected -= self.proxy.dropped_total
             expected += self.proxy.duplicated_total

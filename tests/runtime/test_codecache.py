@@ -718,6 +718,37 @@ class TestNodeStore:
         assert unlucky.stats.code_needs_sent == 1     # never asked again
         assert net.is_quiescent()
 
+    def test_redrive_asks_once_for_coalesced_offers(self):
+        """Two offers parked on one CODE_NEED whose reply was lost: the
+        re-drive asks once more, not once per offer."""
+
+        class LosesFirstReply(ChaosWorld):
+            lost = 0
+
+            def _admit_packet(self, src_ip, dst_ip, data):
+                if not self.lost and b"code_reply" in data:
+                    self.lost = 1
+                    self.chaos_dropped += 1
+                    return 0
+                return 1
+
+        net = DiTyCONetwork(world=LosesFirstReply(seed=1))
+        net.add_nodes([N1, N2])
+        holder = net.launch(N1, "holder",
+                            "export new spot (spot![5] | spot![6])")
+        net.launch(N2, "mover",
+                   "import spot from holder in "
+                   "((spot?(w) = print![w]) | spot?(w) = print![w])")
+        net.run()
+        assert holder.code.parked_offers() == 2
+        assert holder.stats.code_needs_sent == 1
+        net.node(N1).on_link_reset(N2)
+        net.run()
+        assert holder.stats.code_needs_sent == 2
+        assert sorted(holder.output + net.site("mover").output) == [5, 6]
+        assert holder.code.parked_offers() == 0
+        assert net.is_quiescent()
+
     def test_crash_between_offer_and_reply_redrives_to_one_copy(self):
         net = two_node_net()
         server = net.launch(N1, "server", APPLET_SERVER)

@@ -9,6 +9,7 @@ of blocking a sender, and a failing node ends ``run()``.
 """
 
 import functools
+import logging
 import socket as stdlib_socket
 import struct
 import threading
@@ -22,6 +23,7 @@ from repro.transport import socket as socket_transport
 from repro.transport.socket import (
     ACK_BAD_VERSION,
     ACK_OK,
+    MAX_RECORD,
     LoopThread,
     SocketEndpoint,
     StreamDecoder,
@@ -184,6 +186,27 @@ class TestSocketEndpoint:
                 reply += chunk
         assert decode_ack(reply[4:])[0] == ACK_BAD_VERSION
 
+    def test_oversized_record_closes_only_its_connection(self, caplog,
+                                                         harness):
+        # A valid HELLO, then a length prefix past MAX_RECORD: the
+        # acceptor drops that connection without a log line and serves
+        # the next dialer.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        harness.endpoint("b")
+        with stdlib_socket.create_connection(harness.directory["b"],
+                                             timeout=10) as conn:
+            conn.sendall(encode_record(encode_hello("x", 1))
+                         + struct.pack(">I", MAX_RECORD + 1))
+            try:
+                while conn.recv(64):       # until b closes it
+                    pass
+            except ConnectionResetError:
+                pass
+        a = harness.endpoint("a")
+        harness.send(a, "b", b"after")
+        assert wait_until(lambda: harness.delivered == [("a", "b", b"after")])
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_reconnect_with_backoff_after_peer_restart(self, monkeypatch,
                                                        harness):
         monkeypatch.setattr(socket_transport, "BACKOFF_BASE", 0.01)
@@ -296,6 +319,27 @@ class TestSocketWorld:
             world.schedule_at(world.time, lambda: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 net.run(max_time=5.0)
+        finally:
+            world.shutdown()
+
+    def test_undecodable_record_is_a_delivery_error(self):
+        from repro.runtime.site import DeliveryError
+        from repro.runtime.wire import WireError
+
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_node("n1")
+        try:
+            world.start()
+            with stdlib_socket.create_connection(
+                    ("127.0.0.1", world.endpoint("n1").port),
+                    timeout=10) as conn:
+                conn.sendall(encode_record(encode_hello("x", 1))
+                             + encode_record(b"\xff"))
+                assert wait_until(lambda: world.records_delivered == 1)
+            with pytest.raises(DeliveryError, match="n1") as info:
+                net.run(max_time=5.0)
+            assert isinstance(info.value.__cause__, WireError)
         finally:
             world.shutdown()
 
@@ -467,3 +511,46 @@ class TestThreadModel:
                 net.run(max_time=5.0)
         finally:
             world.shutdown()
+
+
+class TestLoopCost:
+    """A record is a ``transport.write`` on one side and a
+    ``data_received`` on the other: no task per record."""
+
+    SERVER = ("export new svc def Serve(self) = "
+              "self?{ call(k, reply) = (reply![k + 1] | Serve[self]) } "
+              "in Serve[svc]")
+
+    def _tasks_for_chain(self, rounds):
+        client_src = (
+            "import svc from server in def Loop(k) = "
+            f"if k < {rounds} then new a (svc!call[k, a] | "
+            "a?(v) = (print![v] | Loop[k + 1])) else 0 in Loop[0]")
+        world = SocketWorld()
+        loop = world.io.loop
+        created = []
+        create_task = loop.create_task
+
+        def counting_create_task(*args, **kwargs):
+            created.append(1)
+            return create_task(*args, **kwargs)
+
+        loop.create_task = counting_create_task
+        net = DiTyCONetwork(world=world)
+        net.add_nodes(["n1", "n2"])
+        try:
+            net.launch("n1", "server", self.SERVER)
+            client = net.launch("n2", "client", client_src)
+            world.start()
+            # Poll from this thread: run() would hop onto the loop.
+            assert wait_until(lambda: len(client.output) == rounds,
+                              timeout=60.0)
+            tasks = len(created)
+            net.run(max_time=10.0)
+        finally:
+            world.shutdown()
+        assert client.output == list(range(1, rounds + 1))
+        return tasks
+
+    def test_a_record_costs_no_task(self):
+        assert self._tasks_for_chain(1000) <= self._tasks_for_chain(500)
