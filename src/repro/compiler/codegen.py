@@ -31,7 +31,6 @@ from repro.core.network import (
     ImportName,
     SiteProgram,
 )
-from repro.core.subst import free_classvars, free_names
 from repro.core.terms import (
     BinOp,
     Def,
@@ -94,12 +93,128 @@ class _Ctx:
         # Instr per opcode program-wide keeps blocks small and makes
         # equality checks on relinked code cheap.
         if args:
-            self.instrs.append(Instr(op, tuple(args)))
+            self.instrs.append(Instr(op, args))
         else:
             self.instrs.append(NOARG_INSTRS[op])
 
     def frame_size(self) -> int:
         return max(self.high_water, self.nfree + self.nparams)
+
+
+def free_vars_table(
+        term: SiteProgram,
+) -> dict[int, tuple[tuple[Name, ...], tuple[ClassVar, ...]]]:
+    """The free names and free class variables, each sorted by serial,
+    of every subterm codegen captures an environment for, keyed by
+    ``id``: each leaf of a parallel composition, each method and clause
+    body, and the program body under its export/import wrappers (its
+    free names are the externals).
+
+    One bottom-up walk: a subterm's sets are built from its children's,
+    where :func:`repro.core.subst.free_names` and ``free_classvars``
+    walk the subtree again for every capture above it.  They hold the
+    same identifiers (``tests/compiler/test_free_vars.py``).  The keys
+    are ids, so the table is only good while ``term`` lives.
+    """
+    table = {}
+    # The wrappers Compiler._collect_externals looks through.
+    body = term
+    while isinstance(body, (ExportNew, ImportName, ExportDef, ImportClass)):
+        if isinstance(body, ExportDef):
+            _clauses(body.definitions.clauses.values(), set(), set(), table)
+        body = body.body
+    _keep(body, table)
+    return table
+
+
+def _keep(p, table) -> tuple[set[Name], set[ClassVar]]:
+    """``_walk(p)``, entered in the table."""
+    names, classes = _walk(p, table)
+    table[id(p)] = (tuple(sorted(names, key=_serial)),
+                    tuple(sorted(classes, key=_serial)))
+    return names, classes
+
+
+def _clauses(methods, names: set[Name], classes: set[ClassVar],
+             table) -> None:
+    """Add the free variables of the method or clause bodies."""
+    for m in methods:
+        body_names, body_classes = _keep(m.body, table)
+        body_names.difference_update(m.params)
+        names |= body_names
+        classes |= body_classes
+
+
+def _walk(p, table) -> tuple[set[Name], set[ClassVar]]:
+    """The free names and class variables of ``p``, as new sets."""
+    kind = type(p)
+    if kind is Message:
+        names = {p.subject} if type(p.subject) is Name else set()
+        for arg in p.args:
+            _expr_names(arg, names)
+        return names, set()
+    if kind is Instance:
+        names = set()
+        for arg in p.args:
+            _expr_names(arg, names)
+        return names, {p.classref} if type(p.classref) is ClassVar else set()
+    if kind is Par:
+        names, classes = set(), set()
+        for leaf in flatten_par(p):
+            leaf_names, leaf_classes = _keep(leaf, table)
+            names |= leaf_names
+            classes |= leaf_classes
+        return names, classes
+    if kind is New or kind is ExportNew:
+        names, classes = _walk(p.body, table)
+        names.difference_update(p.names)
+        return names, classes
+    if kind is Object:
+        names, classes = set(), set()
+        if type(p.subject) is Name:
+            names.add(p.subject)
+        _clauses(p.methods.values(), names, classes, table)
+        return names, classes
+    if kind is Def or kind is ExportDef:
+        names, classes = _walk(p.body, table)
+        group = p.definitions.clauses
+        _clauses(group.values(), names, classes, table)
+        classes.difference_update(group)
+        return names, classes
+    if kind is If:
+        names, classes = _walk(p.then_branch, table)
+        else_names, else_classes = _walk(p.else_branch, table)
+        names |= else_names
+        classes |= else_classes
+        _expr_names(p.condition, names)
+        return names, classes
+    if kind is Nil:
+        return set(), set()
+    if kind is ImportName:
+        names, classes = _walk(p.body, table)
+        names.discard(p.name)
+        return names, classes
+    if kind is ImportClass:
+        names, classes = _walk(p.body, table)
+        classes.discard(p.var)
+        return names, classes
+    raise TypeError(f"not a process: {p!r}")
+
+
+def _expr_names(e: Expr, out: set[Name]) -> None:
+    kind = type(e)
+    if kind is Name:
+        out.add(e)
+    elif kind is BinOp:
+        _expr_names(e.left, out)
+        _expr_names(e.right, out)
+    elif kind is UnOp:
+        _expr_names(e.operand, out)
+    # Lit and LocatedName contribute no free simple names.
+
+
+def _serial(var: "Name | ClassVar") -> int:
+    return var.serial
 
 
 class Compiler:
@@ -108,10 +223,19 @@ class Compiler:
     def __init__(self, source_name: str = "<program>") -> None:
         self.program = Program(source_name=source_name)
         self.fork_count = 0
+        #: free_vars_table of the term being compiled, for that long.
+        self._free: dict[int, tuple] = {}
 
     # -- public API ----------------------------------------------------------
 
     def compile(self, term: SiteProgram) -> Program:
+        self._free = free_vars_table(term)
+        try:
+            return self._compile(term)
+        finally:
+            self._free = {}
+
+    def _compile(self, term: SiteProgram) -> Program:
         externals = self._collect_externals(term)
         self.program.externals = [n.hint for n in externals]
         ctx = _Ctx(
@@ -154,10 +278,9 @@ class Compiler:
                 body = body.body
             else:
                 break
-        free = free_names(body)  # type: ignore[arg-type]
-        free -= set(binders)
         # Deterministic order: by serial (creation order ~ source order).
-        return sorted(free, key=lambda n: n.serial)
+        bound = set(binders)
+        return [n for n in self._free[id(body)][0] if n not in bound]
 
     # -- processes -----------------------------------------------------------------
 
@@ -263,16 +386,15 @@ class Compiler:
 
     def _free_vars_of(self, p: Process, ctx: _Ctx) -> tuple[list[Name], list[ClassVar]]:
         """Variables of ``p`` that must be captured from ``ctx``."""
-        free = free_names(p)
-        fns = [n for n in sorted(free, key=lambda n: n.serial)
-               if n in ctx.names]
+        free, classes = self._free[id(p)]
+        fns = [n for n in free if n in ctx.names]
         # Anything free but unknown to the context is a genuine error --
         # external names were pre-bound in the main context and inner
         # contexts inherit captures explicitly.
         unknown = [n for n in free if n not in ctx.names]
         if unknown:
             raise CompileError(f"unbound name(s) {unknown} in nested block")
-        fcs = [c for c in sorted(free_classvars(p), key=lambda c: c.serial)]
+        fcs = list(classes)
         missing = [c for c in fcs if c not in ctx.classes]
         if missing:
             raise CompileError(f"unbound class variable(s) {missing}")
@@ -329,14 +451,14 @@ class Compiler:
         seen_n: set[Name] = set()
         seen_c: set[ClassVar] = set()
         for m in p.methods.values():
-            body_free = free_names(m.body) - set(m.params)
-            for n in sorted(body_free, key=lambda n: n.serial):
-                if n not in seen_n:
+            body_free, body_classes = self._free[id(m.body)]
+            for n in body_free:
+                if n not in seen_n and n not in m.params:
                     if n not in ctx.names:
                         raise CompileError(f"unbound name {n} in method body")
                     seen_n.add(n)
                     all_fns.append(n)
-            for c in sorted(free_classvars(m.body), key=lambda c: c.serial):
+            for c in body_classes:
                 if c not in seen_c:
                     if c not in ctx.classes:
                         raise CompileError(f"unbound class variable {c}")
@@ -361,14 +483,14 @@ class Compiler:
         seen_n: set[Name] = set()
         seen_c: set[ClassVar] = set()
         for var, m in clauses.items():
-            for n in sorted(free_names(m.body) - set(m.params),
-                            key=lambda n: n.serial):
-                if n not in seen_n:
+            body_free, body_classes = self._free[id(m.body)]
+            for n in body_free:
+                if n not in seen_n and n not in m.params:
                     if n not in ctx.names:
                         raise CompileError(f"unbound name {n} in class body")
                     seen_n.add(n)
                     all_fns.append(n)
-            for c in sorted(free_classvars(m.body), key=lambda c: c.serial):
+            for c in body_classes:
                 if c in clauses or c in seen_c:
                     seen_c.add(c)
                     continue

@@ -22,9 +22,14 @@ Comments run from ``--`` or ``//`` to end of line.
 The scanner is one compiled regular expression (``_SCAN``) applied with
 ``finditer``: a character-at-a-time Python loop was 0.12 / 0.22 / 0.28 s
 of the ``pubsub`` / ``mapreduce`` / ``coldstart`` benchmark windows
-(docs/PERF.md, "Launch path").  A :class:`Token` is a ``NamedTuple``:
-the frozen dataclass it replaced cost more to build than the rest of
-the scan (docs/PERF.md, "A miss pays once per token").
+(docs/PERF.md, "Launch path").  A match is one token together with the
+blanks before it, so the loop sees no match for a space, and it tells
+the token classes apart by group number (``m.lastindex``).  A
+:class:`Token` is a ``NamedTuple`` built by one ``tuple.__new__``: the
+frozen dataclass it replaced cost more to build than the rest of the
+scan, and so did the generated ``Token.__new__`` (docs/PERF.md, "A miss
+pays once per token").  A launch-cache hit builds no token at all
+(:func:`scan_ints`).
 Its behaviour -- kinds, texts, values, positions, error messages -- is
 pinned row by row in ``tests/lang/test_lexer.py``.
 """
@@ -78,11 +83,17 @@ class LexError(Exception):
         self.column = column
 
 
-#: The scanner: one alternative per token class, tried in order at
-#: every position (so ``--`` is a comment before ``-`` is an operator,
-#: ``1.5`` a float before ``1`` an int, ``<=`` before ``<``).  The last
-#: alternative takes any one character, so successive matches tile the
-#: source and a match of ``bad`` is the first offending character.
+#: The scanner: one match per token, tried in order at every position
+#: (so ``--`` is a comment before ``-`` is an operator, ``1.5`` a float
+#: before ``1`` an int, ``<=`` before ``<``).  Blanks before a token
+#: are taken by the possessive prefix rather than by a match of their
+#: own, which halves the matches of spaced-out text; a ``newline``
+#: match ends just past its last ``\n`` (blank lines included), so its
+#: end is the offset of the next line.  The ``bad`` alternative takes
+#: any one character and ``\Z`` the blanks at the end, so successive
+#: matches tile the source and a match of ``bad`` is the first
+#: offending character.  ``tokens`` dispatches on ``m.lastindex``, a
+#: group's number (``None`` where only ``\Z`` matched).
 #:
 #: ``\w`` is exactly ``str.isalnum() or '_'``, the continuation class
 #: of an identifier; its *first* character must be ``str.isalpha()``
@@ -100,8 +111,8 @@ _COMMENT = r"(?:--|//)[^\n]*"
 _STRING_BODY = r'(?:[^"\\\n]|\\[ntr"\\0])*'
 _STRING = '"' + _STRING_BODY + '"'
 _SCAN = re.compile(rf"""
-    (?P<space>   [ \t\r]+ )
-  | (?P<newline> \n [ \t\r\n]* )
+    [ \t\r]*+
+  (?: (?P<newline> \n (?: [ \t\r]* \n )* )
   | (?P<lower>   [a-z_] {_WORD_TAIL} )
   | (?P<upper>   [A-Z] {_WORD_TAIL} )
   | (?P<float>   {_FLOAT} )
@@ -111,6 +122,7 @@ _SCAN = re.compile(rf"""
   | (?P<string>  {_STRING} )
   | (?P<word>    {_WORD} )
   | (?P<bad>     (?s: . ) )
+  | \Z )
 """, re.VERBOSE)
 
 #: The same walk, for the launch path (repro.runtime.launch), which
@@ -143,6 +155,13 @@ class Lexer:
     text with those spans blanked.
     """
 
+    #: The class the scan loop builds its tokens as, bound once:
+    #: ``tuple.__new__`` needs the class itself, whatever the module's
+    #: ``Token`` name is rebound to, and ``Token(...)`` would add the
+    #: Python-level frame of the generated ``Token.__new__`` to every
+    #: token.
+    _token = Token
+
     def __init__(self, source: str) -> None:
         self.source = source
         self.int_spans: list[tuple[int, int, int]] = []
@@ -153,48 +172,64 @@ class Lexer:
         out: list[Token] = []
         append = out.append
         spans = self.int_spans = []
+        new, token = tuple.__new__, self._token
         line = 1
-        bol = 0     # offset of the first character of the current line
+        # One less than the offset of the current line's first
+        # character, so a token at offset ``i`` is in column ``i - bol``.
+        bol = -1
         IDENT, CLASSID = TokenKind.IDENT, TokenKind.CLASSID
-        PUNCT, KEYWORD = TokenKind.PUNCT, TokenKind.KEYWORD
+        PUNCT, KEYWORD, INT = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.INT
+        group = _SCAN.groupindex
+        NEWLINE_G, LOWER_G, UPPER_G = (group["newline"], group["lower"],
+                                       group["upper"])
+        FLOAT_G, INT_G, COMMENT_G = (group["float"], group["int"],
+                                     group["comment"])
+        PUNCT_G, STRING_G, WORD_G = (group["punct"], group["string"],
+                                     group["word"])
+        # Most frequent first: punctuation, then lowercase words.
         for m in _SCAN.finditer(source):
-            group = m.lastgroup
-            if group == "space" or group == "comment":
-                continue
-            start = m.start()
-            text = m.group()
-            column = start - bol + 1
-            if group == "newline":
-                line += text.count("\n")
-                bol = start + text.rindex("\n") + 1
-            elif group == "punct":
-                append(Token(PUNCT, text, line, column))
-            elif group == "lower":
+            g = m.lastindex
+            if g == PUNCT_G:
+                append(new(token, (PUNCT, m[g], line, m.start(g) - bol, None)))
+            elif g == LOWER_G:
+                text = m[g]
                 if text in KEYWORDS:
-                    append(Token(KEYWORD, text, line, column,
-                                 _BOOLEANS.get(text)))
+                    append(new(token, (KEYWORD, text, line, m.start(g) - bol,
+                                       _BOOLEANS.get(text))))
                 else:
-                    append(Token(IDENT, text, line, column))
-            elif group == "upper":
-                append(Token(CLASSID, text, line, column))
-            elif group == "int":
+                    append(new(token, (IDENT, text, line, m.start(g) - bol,
+                                       None)))
+            elif g == NEWLINE_G:
+                line += m[g].count("\n")
+                bol = m.end() - 1
+            elif g == INT_G:
+                text = m[g]
+                start = m.start(g)
                 spans.append((len(out), start, m.end()))
-                append(Token(TokenKind.INT, text, line, column, int(text)))
-            elif group == "float":
-                append(Token(TokenKind.FLOAT, text, line, column,
-                             float(text)))
-            elif group == "string":
-                value = text[1:-1]
+                append(new(token, (INT, text, line, start - bol, int(text))))
+            elif g == UPPER_G:
+                append(new(token, (CLASSID, m[g], line, m.start(g) - bol,
+                                   None)))
+            elif g is None or g == COMMENT_G:
+                continue
+            elif g == FLOAT_G:
+                text = m[g]
+                append(new(token, (TokenKind.FLOAT, text, line,
+                                   m.start(g) - bol, float(text))))
+            elif g == STRING_G:
+                value = m[g][1:-1]
                 if "\\" in value:
                     value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
-                append(Token(TokenKind.STRING, '"' + value + '"', line,
-                             column, value))
-            elif group == "word" and text[0].isalpha():
+                append(new(token, (TokenKind.STRING, '"' + value + '"', line,
+                                   m.start(g) - bol, value)))
+            elif g == WORD_G and m[g][0].isalpha():
+                text = m[g]
                 kind = CLASSID if text[0].isupper() else IDENT
-                append(Token(kind, text, line, column))
+                append(new(token, (kind, text, line, m.start(g) - bol, None)))
             else:
-                raise self._error(start, line, column)
-        append(Token(TokenKind.EOF, "", line, len(source) - bol + 1))
+                start = m.start(g)
+                raise self._error(start, line, start - bol)
+        append(Token(TokenKind.EOF, "", line, len(source) - bol))
         return out
 
     def _error(self, start: int, line: int, column: int) -> LexError:

@@ -126,55 +126,71 @@ _MUL_OPS = {"*", "/", "%"}
 class Parser:
     """One-pass parser producing core terms (sugar already expanded)."""
 
+    # The token kinds, read as attributes of the parser: an attribute of
+    # ``TokenKind`` goes through ``EnumType``'s ``__getattr__`` hook, about
+    # 0.15 us a read -- a third of parse time when every test spelt it.
+    _IDENT, _CLASSID = TokenKind.IDENT, TokenKind.CLASSID
+    _INT, _FLOAT, _STRING = TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING
+    _KEYWORD, _PUNCT, _EOF = TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.EOF
+
     def __init__(self, source: str,
                  tokens: list[Token] | None = None) -> None:
         self.tokens = Lexer(source).tokens() if tokens is None else tokens
         self.index = 0
+        #: The EOF token's index: the list's last token and its only EOF.
+        self.eof = len(self.tokens) - 1
         self.free_names: dict[str, Name] = {}
 
     # -- token helpers -----------------------------------------------------
+    #
+    # The hot helpers read the token list and compare texts: a
+    # punctuation or keyword text is the text of no token of another
+    # kind (identifiers are never keywords, a string token's text keeps
+    # its quotes), so the text alone says what the token is.
 
     def _peek(self) -> Token:
         return self.tokens[self.index]
 
     def _next(self) -> Token:
-        tok = self.tokens[self.index]
-        # The token list ends in EOF and no step passes it (here, in the
-        # skip loops, or restoring an index held before), so
-        # ``self.index <= len(self.tokens) - 1``: only lookahead clamps.
-        if tok.kind is not TokenKind.EOF:
-            self.index += 1
-        return tok
+        # No step passes the EOF token (here, in the skip loops, or
+        # restoring an index held before), so ``self.index <= self.eof``:
+        # only lookahead clamps.
+        index = self.index
+        if index < self.eof:
+            self.index = index + 1
+        return self.tokens[index]
 
     def _at_punct(self, text: str) -> bool:
-        tok = self.tokens[self.index]
-        return tok.kind is TokenKind.PUNCT and tok.text == text
+        return self.tokens[self.index].text == text
 
     def _at_keyword(self, text: str) -> bool:
-        tok = self.tokens[self.index]
-        return tok.kind is TokenKind.KEYWORD and tok.text == text
+        return self.tokens[self.index].text == text
 
     def _expect_punct(self, text: str) -> Token:
-        tok = self._next()
-        if tok.kind is not TokenKind.PUNCT or tok.text != text:
+        index = self.index
+        tok = self.tokens[index]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok)
+        self.index = index + 1      # a punctuation token is not EOF
         return tok
 
     def _expect_keyword(self, text: str) -> Token:
-        tok = self._next()
-        if tok.kind is not TokenKind.KEYWORD or tok.text != text:
+        index = self.index
+        tok = self.tokens[index]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok)
+        self.index = index + 1
         return tok
 
     def _expect_ident(self) -> Token:
         tok = self._next()
-        if tok.kind is not TokenKind.IDENT:
+        if tok.kind is not self._IDENT:
             raise ParseError(f"expected an identifier, found {tok.text!r}", tok)
         return tok
 
     def _expect_classid(self) -> Token:
         tok = self._next()
-        if tok.kind is not TokenKind.CLASSID:
+        if tok.kind is not self._CLASSID:
             raise ParseError(
                 f"expected a class identifier, found {tok.text!r}", tok)
         return tok
@@ -185,7 +201,7 @@ class Parser:
         scope = _Scope()
         proc = self._parse_proc(scope)
         tok = self._peek()
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not self._EOF:
             raise ParseError(f"unexpected input after program: {tok.text!r}", tok)
         return ParsedProgram(program=proc, free_names=dict(self.free_names))
 
@@ -219,11 +235,11 @@ class Parser:
     def _parse_term(self, scope: _Scope) -> SiteProgram:
         tok = self._peek()
 
-        if tok.kind is TokenKind.INT and tok.value == 0:
+        if tok.kind is self._INT and tok.value == 0:
             self._next()
             return Nil()
 
-        if tok.kind is TokenKind.KEYWORD:
+        if tok.kind is self._KEYWORD:
             if tok.text == "new":
                 return self._parse_new(scope)
             if tok.text == "def":
@@ -238,13 +254,13 @@ class Parser:
                 return self._parse_import(scope)
             raise ParseError(f"unexpected keyword {tok.text!r}", tok)
 
-        if tok.kind is TokenKind.CLASSID:
+        if tok.kind is self._CLASSID:
             self._next()
             var = self._resolve_class(tok, scope)
             args = self._parse_bracket_args(scope)
             return Instance(var, args)
 
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is self._IDENT:
             return self._parse_prefixed(scope)
 
         if self._at_punct("("):
@@ -267,7 +283,7 @@ class Parser:
 
     def _parse_binder_idents(self) -> list[str]:
         names = [self._expect_ident().text]
-        while self._peek().kind is TokenKind.IDENT and not self._starts_prefix():
+        while self._peek().kind is self._IDENT and not self._starts_prefix():
             names.append(self._expect_ident().text)
         if len(set(names)) != len(names):
             raise ParseError(f"duplicate name in binder: {names}")
@@ -281,7 +297,7 @@ class Parser:
         """
         tokens = self.tokens
         nxt = tokens[min(self.index + 1, len(tokens) - 1)]
-        return nxt.kind is TokenKind.PUNCT and nxt.text in ("!", "?")
+        return nxt.kind is self._PUNCT and nxt.text in ("!", "?")
 
     def _parse_clauses(self, scope: _Scope) -> tuple[_Scope, Definitions]:
         """Parse ``X(params) = P and Y(...) = Q ...`` with mutual scope."""
@@ -326,7 +342,7 @@ class Parser:
         """Skip one clause body from ``i``: the index of its ``and`` /
         ``in`` at depth 0."""
         tokens = self.tokens
-        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
+        PUNCT, KEYWORD, EOF = self._PUNCT, self._KEYWORD, self._EOF
         depth = 0
         while True:
             tok = tokens[i]
@@ -359,7 +375,7 @@ class Parser:
     def _skip_to_then(self, i: int) -> int:
         """After an 'if', skip the condition: the index past its 'then'."""
         tokens = self.tokens
-        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
+        PUNCT, KEYWORD, EOF = self._PUNCT, self._KEYWORD, self._EOF
         depth = 0
         while True:
             tok = tokens[i]
@@ -380,7 +396,7 @@ class Parser:
     def _skip_to_matching_in(self, i: int) -> int:
         """After a nested def/let/import keyword: the index past its 'in'."""
         tokens = self.tokens
-        PUNCT, KEYWORD, EOF = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.EOF
+        PUNCT, KEYWORD, EOF = self._PUNCT, self._KEYWORD, self._EOF
         depth = 0
         while True:
             tok = tokens[i]
@@ -466,7 +482,7 @@ class Parser:
     def _parse_import(self, scope: _Scope) -> SiteProgram:
         self._expect_keyword("import")
         tok = self._next()
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is self._IDENT:
             self._expect_keyword("from")
             site_tok = self._expect_ident()
             self._expect_keyword("in")
@@ -475,7 +491,7 @@ class Parser:
             inner.names[tok.text] = placeholder
             body = self._parse_proc(inner)
             return ImportName(placeholder, Site(site_tok.text), body)  # type: ignore[arg-type]
-        if tok.kind is TokenKind.CLASSID:
+        if tok.kind is self._CLASSID:
             self._expect_keyword("from")
             site_tok = self._expect_ident()
             self._expect_keyword("in")
@@ -531,7 +547,7 @@ class Parser:
             f"expected '!' or '?' after {subj_tok.text!r}", self._peek())
 
     def _parse_optional_label(self) -> Label:
-        if self._peek().kind is TokenKind.IDENT:
+        if self._peek().kind is self._IDENT:
             return Label(self._next().text)
         return VAL
 
@@ -587,7 +603,7 @@ class Parser:
     def _parse_compare(self, scope: _Scope) -> Expr:
         left = self._parse_additive(scope)
         tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in _COMPARE_OPS:
+        if tok.kind is self._PUNCT and tok.text in _COMPARE_OPS:
             self._next()
             right = self._parse_additive(scope)
             return BinOp(tok.text, left, right)
@@ -597,7 +613,7 @@ class Parser:
         left = self._parse_multiplicative(scope)
         while True:
             tok = self._peek()
-            if tok.kind is TokenKind.PUNCT and tok.text in _ADD_OPS:
+            if tok.kind is self._PUNCT and tok.text in _ADD_OPS:
                 self._next()
                 left = BinOp(tok.text, left, self._parse_multiplicative(scope))
             else:
@@ -607,7 +623,7 @@ class Parser:
         left = self._parse_unary(scope)
         while True:
             tok = self._peek()
-            if tok.kind is TokenKind.PUNCT and tok.text in _MUL_OPS:
+            if tok.kind is self._PUNCT and tok.text in _MUL_OPS:
                 self._next()
                 left = BinOp(tok.text, left, self._parse_unary(scope))
             else:
@@ -621,15 +637,15 @@ class Parser:
 
     def _parse_atom(self, scope: _Scope) -> Expr:
         tok = self._next()
-        if tok.kind is TokenKind.INT or tok.kind is TokenKind.FLOAT:
+        if tok.kind is self._INT or tok.kind is self._FLOAT:
             return Lit(tok.value)  # type: ignore[arg-type]
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is self._STRING:
             return Lit(tok.value)  # type: ignore[arg-type]
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
+        if tok.kind is self._KEYWORD and tok.text in ("true", "false"):
             return Lit(tok.value)  # type: ignore[arg-type]
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is self._IDENT:
             return self._resolve_name(tok, scope)
-        if tok.kind is TokenKind.PUNCT and tok.text == "(":
+        if tok.kind is self._PUNCT and tok.text == "(":
             inner = self._parse_expr(scope)
             self._expect_punct(")")
             return inner

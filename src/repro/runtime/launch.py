@@ -22,6 +22,16 @@ blanked.  The code is one unit, the literals are its data.
   literals' digits from one C-level pass, so a known shape launches at
   the cost of its literals.
 
+Every submission without a NUL is keyed by ``scan_ints``; a miss keeps
+that key and runs the front end once: :class:`Lexer`, ``parse_program``
+and ``compile_term``, each one call (a text holding a NUL is keyed from
+its tokens instead -- see :meth:`LaunchCache.compile`).  A first
+sighting drops its tokens once they are parsed, and an untyped miss
+runs with the cyclic garbage collector paused: none of what it
+allocates is in a reference cycle (``tests/runtime/test_launch_miss.py``),
+so a collection during it would only rescan the heap (docs/PERF.md,
+"A miss pays once per token").
+
 Why the second sighting and not the first: a shape seen once is the
 common case for generated one-off programs (the ``coldstart``
 benchmark), where templating every submission cost +48 % wall for no
@@ -45,6 +55,7 @@ the worst a race does is compile a shape once more than necessary.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -202,27 +213,51 @@ class LaunchCache:
         ``typecheck`` node -- the export signatures the static check
         inferred for its shape."""
         stats = self.stats
+        key = None
         if "\0" not in source:
             # The hit path builds no token.  Two NUL-free texts with one
             # key are equal outside the ``[0-9]+`` spans one
             # deterministic left-to-right walk found in each, so they
             # tile alike and one lexes iff the other does -- and a
-            # template is only ever stored for a text that did.
+            # template is only ever stored for a text that did.  For a
+            # text that lexes, this is ``_shape_key`` of its tokens, so
+            # a miss keeps it.
             pieces, digits = scan_ints(source)
-            seen = self._shapes.get(_key(pieces))
+            key = _key(pieces)
+            seen = self._shapes.get(key)
             if type(seen) is _Template and (
                     seen.signatures is not None or not typecheck):
                 stats.hits += 1
                 return seen.instantiate([int(d) for d in digits],
                                         site_name), seen.signatures
+        # An untyped miss allocates tens of thousands of tokens, terms
+        # and instructions, none of them in a reference cycle, so a
+        # cyclic collection during it finds nothing and only rescans the
+        # heap: the collector waits until the miss is over.  (The type
+        # checker's unifier does leave cycles behind.)
+        if typecheck or not gc.isenabled():
+            return self._miss(source, site_name, typecheck, key)
+        gc.disable()
+        try:
+            return self._miss(source, site_name, typecheck, key)
+        finally:
+            gc.enable()
+
+    def _miss(self, source: str, site_name: str, typecheck: bool,
+              key: "bytes | None") -> tuple[Program, "dict | None"]:
+        """A submission whose shape has no template (or whose text holds
+        a NUL), given its key if ``scan_ints`` made one."""
+        stats = self.stats
         # A miss tokenises, and so does any text holding a NUL: legal
         # inside a string or a comment, a ``LexError`` wherever a token
         # would start -- the error that keeps ``print![\0]`` from
-        # having the key of ``print![5]``.
+        # having the key of ``print![5]`` -- so such a text is keyed
+        # from its tokens.
         lexer = Lexer(source)
         tokens = lexer.tokens()
         spans = lexer.int_spans
-        key = _shape_key(source, spans)
+        if key is None:
+            key = _shape_key(source, spans)
         values = [tokens[index].value for index, _s, _e in spans]
         seen = self._shapes.get(key, 0)
         if type(seen) is _Template:
@@ -234,7 +269,11 @@ class LaunchCache:
         if seen is None:                           # untemplatable
             return self._full(source, tokens, site_name, typecheck)
         if seen + 1 < TEMPLATE_ON_SIGHTING:
-            result = self._full(source, tokens, site_name, typecheck)
+            program = parse_program(source, tokens).program
+            # The tokens are done with once parsed: code is generated
+            # without them held.
+            del tokens
+            result = self._generate(program, site_name, typecheck)
             self._remember(key, seen + 1)
             return result
         marked = list(tokens)
@@ -259,14 +298,20 @@ class LaunchCache:
             shapes.clear()
         shapes[key] = entry
 
-    @staticmethod
-    def _full(source: str, tokens: "list[Token] | None", site_name: str,
+    @classmethod
+    def _full(cls, source: str, tokens: "list[Token] | None", site_name: str,
               typecheck: bool = False) -> tuple[Program, "dict | None"]:
         """What a miss is: parse, (check,) generate code."""
-        parsed = parse_program(source, tokens)
+        return cls._generate(parse_program(source, tokens).program,
+                             site_name, typecheck)
+
+    @staticmethod
+    def _generate(term, site_name: str,
+                  typecheck: bool) -> tuple[Program, "dict | None"]:
+        """(Check,) generate code."""
         signatures = None
         if typecheck:
             from .typecheck import check_site_program
 
-            signatures = check_site_program(site_name, parsed.program).names
-        return compile_term(parsed.program, source_name=site_name), signatures
+            signatures = check_site_program(site_name, term).names
+        return compile_term(term, source_name=site_name), signatures

@@ -85,13 +85,26 @@ def encode_record(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
+class RecordTooLarge(ValueError):
+    """A length prefix past the decoder's bound: the stream cannot be
+    framed any further.  ``records`` holds what the same ``feed`` framed
+    ahead of the prefix, still the caller's to deliver."""
+
+    def __init__(self, size: int, bound: int, records: list[bytes]) -> None:
+        super().__init__(f"record of {size} bytes exceeds the {bound}-byte "
+                         f"bound (desynchronised stream?)")
+        self.records = records
+
+
 class StreamDecoder:
     """Incremental record reassembly over an arbitrary byte stream.
 
     Feed it whatever ``recv`` returned -- half a length prefix, three
     records and a tail, one byte -- and it yields each complete record
-    payload exactly once, in order.  Kept free of any socket so the
-    reassembly logic is unit-testable byte-by-byte.
+    payload exactly once, in order; a length prefix past ``max_record``
+    raises :class:`RecordTooLarge` with the records framed ahead of it.
+    Kept free of any socket so the reassembly logic is unit-testable
+    byte-by-byte.
     """
 
     def __init__(self, max_record: int = MAX_RECORD) -> None:
@@ -106,9 +119,7 @@ class StreamDecoder:
                 return out
             (size,) = _LEN.unpack_from(self._buf)
             if size > self.max_record:
-                raise ValueError(
-                    f"record of {size} bytes exceeds the "
-                    f"{self.max_record}-byte bound (desynchronised stream?)")
+                raise RecordTooLarge(size, self.max_record, out)
             if len(self._buf) < _LEN.size + size:
                 return out
             out.append(bytes(self._buf[_LEN.size:_LEN.size + size]))
@@ -226,16 +237,28 @@ class _Inbound(asyncio.Protocol):
         self.endpoint._inbound.discard(self)
 
     def data_received(self, data: bytes) -> None:
-        endpoint = self.endpoint
         try:
             records = self.decoder.feed(data)
-            hello = (decode_hello(records.pop(0))
-                     if self.peer is None and records else None)
-        except ValueError:
+        except RecordTooLarge as err:
+            # The records ahead of the bad prefix are the peer's: a
+            # HELLO among them is answered, the rest delivered.
+            self._take(err.records)
             self.transport.abort()
             return
-        if hello is not None and not self._hello(*hello):
-            return
+        self._take(records)
+
+    def _take(self, records: list[bytes]) -> None:
+        """Answer the HELLO the first record is until one was, and
+        deliver the rest."""
+        endpoint = self.endpoint
+        if self.peer is None and records:
+            try:
+                hello = decode_hello(records.pop(0))
+            except ValueError:
+                self.transport.abort()
+                return
+            if not self._hello(*hello):
+                return
         for record in records:
             endpoint.records_delivered += 1
             endpoint.deliver(self.peer, endpoint.ip, record)

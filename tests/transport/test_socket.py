@@ -85,6 +85,13 @@ class TestStreamDecoder:
         with pytest.raises(ValueError):
             decoder.feed(encode_record(b"y" * 65))
 
+    def test_records_framed_ahead_of_an_oversize_prefix_are_kept(self):
+        decoder = StreamDecoder(max_record=64)
+        with pytest.raises(ValueError) as err:
+            decoder.feed(encode_record(b"a") + encode_record(b"b")
+                         + encode_record(b"y" * 65))
+        assert err.value.records == [b"a", b"b"]
+
 
 class TestHandshakeCodec:
     def test_hello_roundtrip(self):
@@ -206,6 +213,39 @@ class TestSocketEndpoint:
         harness.send(a, "b", b"after")
         assert wait_until(lambda: harness.delivered == [("a", "b", b"after")])
         assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    @staticmethod
+    def _send_and_read(address, data):
+        """Send ``data`` in one write; everything read until the close."""
+        reply = b""
+        with stdlib_socket.create_connection(address, timeout=10) as conn:
+            conn.sendall(data)
+            try:
+                while chunk := conn.recv(64):
+                    reply += chunk
+            except ConnectionResetError:
+                pass
+        return reply
+
+    def test_hello_ahead_of_a_bad_prefix_is_acked(self, harness):
+        harness.endpoint("b")
+        reply = self._send_and_read(
+            harness.directory["b"],
+            encode_record(encode_hello("x", 1))
+            + struct.pack(">I", MAX_RECORD + 1))
+        assert reply[:4] == struct.pack(">I", 6)
+        assert decode_ack(reply[4:10]) == (ACK_OK, 2)
+
+    def test_records_ahead_of_a_bad_prefix_are_delivered(self, harness):
+        # One chunk: HELLO, two records, then a prefix past MAX_RECORD.
+        # The two records arrive before the connection is dropped.
+        harness.endpoint("b")
+        self._send_and_read(
+            harness.directory["b"],
+            encode_record(encode_hello("x", 1)) + encode_record(b"one")
+            + encode_record(b"two") + struct.pack(">I", MAX_RECORD + 1))
+        assert wait_until(lambda: len(harness.delivered) == 2, timeout=2)
+        assert harness.delivered == [("x", "b", b"one"), ("x", "b", b"two")]
 
     def test_reconnect_with_backoff_after_peer_restart(self, monkeypatch,
                                                        harness):
