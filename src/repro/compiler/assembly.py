@@ -94,6 +94,10 @@ class CodeBlock:
 
     ``nfree``/``nparams`` fix the frame prefix; ``frame_size`` is the
     total number of local slots the block needs.
+
+    The last three fields are the engine's tier state, not code
+    (repro.vm.machine): not constructor arguments, not compared, not
+    encoded.  Every program area holding the object shares them.
     """
 
     instrs: tuple[Instr, ...]
@@ -101,6 +105,11 @@ class CodeBlock:
     nparams: int
     frame_size: int
     name: str = "block"
+    heads: list | None = field(default=None, init=False, compare=False,
+                               repr=False)
+    entries: int = field(default=0, init=False, compare=False, repr=False)
+    compiled: object = field(default=None, init=False, compare=False,
+                             repr=False)
 
     def __post_init__(self) -> None:
         if self.frame_size < self.nfree + self.nparams:
@@ -146,14 +155,6 @@ class Program:
     externals: list[str] = field(default_factory=list)
     main: int = 0
     source_name: str = "<program>"
-    #: Predecoded-handler cache (repro.vm.dispatch), keyed by block id.
-    #: Handlers are VM-independent closures, so every VM running this
-    #: program area shares one decode.  Entries are checked by
-    #: instruction-tuple identity; new ids decode lazily after a
-    #: ``link_bundle`` append, and ``_Template.instantiate`` installs a
-    #: re-tupled literal block's patched plan before any VM runs.
-    decoded_cache: dict = field(default_factory=dict, repr=False,
-                                compare=False)
 
     # -- construction helpers (used by codegen and the linker) -----------
 

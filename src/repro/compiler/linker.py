@@ -252,9 +252,10 @@ def link_bundle(program: Program, bundle: CodeBundle,
                           len(program.groups), "group")
 
     # Linked code goes through the Program helpers: ids stay append-only
-    # (never renumbered in place), which is what lets the predecoded
-    # dispatch cache (repro.vm.dispatch) keep existing entries across a
-    # relink and decode the new blocks lazily.
+    # (never renumbered in place), so a block already in the area keeps
+    # its id and the tier state it carries (CodeBlock.heads / entries /
+    # compiled) across a relink, and every appended block is a new
+    # object that starts at zero.
     for i, blk in enumerate(bundle.blocks):
         if i in reuse_blocks:
             continue

@@ -13,7 +13,9 @@ a whole *site* between nodes, built on the checkpoint bytes of
    The destination answers from its code library when the digest is
    known (warm: one message) or asks with ``MIG_NEED`` and receives
    ``MIG_CODE`` (cold: three messages) -- the CodeCache economics of
-   FETCH applied to whole checkpoints.
+   FETCH applied to whole checkpoints.  The library is emptied at
+   ``codecache.MAX_SLICES`` blobs; an unACKed migration's record keeps
+   its code, so a NEED never depends on the library.
 3. **RESUME** -- the destination restores the site, rebinds its name
    service record to the new home, adopts it into its pool and sends
    ``MIG_ACK``.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.runtime.codecache import digest_bytes
+from repro.runtime import codecache
 from repro.runtime.site import DeliveryError
 from repro.runtime.wire import (
     KIND_MIG_ACK,
@@ -115,6 +117,7 @@ class _Outbound:
     dest_ip: str
     state_bytes: bytes
     code_digest: bytes
+    code: bytes          # answers a NEED until the ACK
     attempts: int = 0
     failed: bool = False
 
@@ -158,7 +161,7 @@ class MobilityManager:
         self.pending_in: dict[str, _Inbound] = {}
         #: code digest -> checkpoint code bytes.  Both roles feed it:
         #: shipping registers our own code (a migrate-back is warm),
-        #: receiving keeps what we were sent.
+        #: receiving keeps what we were sent (:meth:`_keep_code`).
         self.code_library: dict[bytes, bytes] = {}
         #: site_id -> packets that arrived while the site was frozen.
         self.residuals: dict[int, list[Packet]] = {}
@@ -186,13 +189,13 @@ class MobilityManager:
         self.node.tycod.pump()
         ckpt = capture_site(site)
         self.node.remove_site(site)
-        self.code_library.setdefault(ckpt.code_digest, ckpt.code)
+        self._keep_code(ckpt.code_digest, ckpt.code)
         self._seq += 1
         token = f"{self.node.ip}:{site.site_id}:{self._seq}"
         record = _Outbound(token=token, site_name=site_name,
                            site_id=site.site_id, dest_ip=dest_ip,
                            state_bytes=ckpt.state,
-                           code_digest=ckpt.code_digest)
+                           code_digest=ckpt.code_digest, code=ckpt.code)
         self.frozen[site.site_id] = record
         self.outbound[token] = record
         self.stats.migrations_out += 1
@@ -318,7 +321,11 @@ class MobilityManager:
 
     def _on_need(self, packet: Packet) -> None:
         token, code_digest = packet.payload
-        code = self.code_library.get(code_digest)
+        record = self.outbound.get(token)
+        if record is not None and record.code_digest == code_digest:
+            code = record.code
+        else:
+            code = self.code_library.get(code_digest)
         if code is None:
             # Unknown digest: a stray from a long-gone migration --
             # nothing to serve; the SHIP retry loop re-drives if real.
@@ -335,10 +342,10 @@ class MobilityManager:
 
     def _on_code(self, packet: Packet) -> None:
         token, code_digest, code = packet.payload
-        if digest_bytes(code) != code_digest:
+        if codecache.digest_bytes(code) != code_digest:
             # Never install code that does not match its digest.
             return
-        self.code_library.setdefault(code_digest, code)
+        self._keep_code(code_digest, code)
         record = self.pending_in.pop(token, None)
         if record is None:
             return  # duplicate CODE: already completed (or never asked)
@@ -365,6 +372,14 @@ class MobilityManager:
                         note=f"{site_name} token={token}")
         self._send_ack(src_ip, token)
         self.node.on_work_available()
+
+    def _keep_code(self, code_digest: bytes, code: bytes) -> None:
+        """Keep the first copy of a digest; empty a full library."""
+        library = self.code_library
+        if code_digest not in library:
+            if len(library) >= codecache.MAX_SLICES:
+                library.clear()
+            library[code_digest] = code
 
     def _send_ack(self, dest_ip: str, token: str) -> None:
         packet = Packet(kind=KIND_MIG_ACK, src_ip=self.node.ip,

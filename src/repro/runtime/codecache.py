@@ -34,7 +34,8 @@ already holds:
   a site it no longer runs once offered.  An entry also keeps what
   :func:`link_bundle` made of it last time (:meth:`CodeStore.link`):
   the task sites of a workload have one area shape, so they share the
-  linked blocks and their decoded plans instead of each linking anew.
+  linked block objects -- and with them the tier state each block
+  carries -- instead of each linking anew.
 * :func:`link_bundle_cached` -- the receiving half: link a bundle into
   a program area installing **only** the items whose digests are
   missing, renumbering every cross-reference onto the cached copies.
@@ -60,7 +61,6 @@ from repro.compiler.linker import (
     extract_bundle,
     link_bundle,
 )
-from repro.vm.dispatch import DecodedBlock, predecode
 from repro.vm.machine import VMRuntimeError
 from repro.vm.values import ClassRef, RemoteClassRef
 
@@ -246,10 +246,9 @@ class CodeStore:
         link is remembered: the next site whose area has that shape and
         whose table knows none of the slice's digests -- every task
         site of a workload -- ``extend`` s its area with the same
-        objects.  The first site to do so proves the shape repeats and
-        pays for decoding the blocks; from then on the plans (and the
-        tier state on them) are shared too.  The bookkeeping is
-        :func:`link_bundle_cached`'s in both cases.
+        objects, so the blocks' tier state is shared from the first
+        site on.  The bookkeeping is :func:`link_bundle_cached`'s in
+        both cases.
         """
         entry = self._slices.get(digest)
         if entry is None:
@@ -272,11 +271,6 @@ class CodeStore:
         program.blocks.extend(linked.blocks)
         program.objects.extend(linked.objects)
         program.groups.extend(linked.groups)
-        if linked.plans is None:
-            linked.plans = {
-                block_id: predecode(program, block)
-                for block_id, block in enumerate(linked.blocks, nblocks)}
-        program.decoded_cache.update(linked.plans)
         _register_linked(cache, manifest, linked.result)
         return linked.result
 
@@ -295,8 +289,6 @@ class _LinkedSlice:
     objects: list[ObjectCode]
     groups: list[ClassGroup]
     result: LinkResult
-    #: block id -> decoded plan, once a second site had that shape.
-    plans: Optional[dict[int, DecodedBlock]] = None
 
 
 class CodeCache:

@@ -15,9 +15,10 @@ blanked.  The code is one unit, the literals are its data.
   as untemplatable and always compiles in full (``0`` in process
   position is ``Nil``, not a constant).
 * Later sightings: :meth:`_Template.instantiate` -- a fresh ``Program``
-  that shares the literal-free ``CodeBlock`` s *and their decoded
-  plans* and re-tuples (and re-binds the constant handlers of) the
-  rest.  A later sighting is recognised without the :class:`Lexer`:
+  that shares the literal-free ``CodeBlock`` s -- and with them the
+  handlers the template decoded and the tier state beside them -- and
+  re-tuples (and re-binds the constant handlers of) the rest.  A later
+  sighting is recognised without the :class:`Lexer`:
   :func:`~repro.lang.lexer.scan_ints` yields the same key and the
   literals' digits from one C-level pass, so a known shape launches at
   the cost of its literals.
@@ -111,13 +112,12 @@ class _Template:
         #: ``SiteSignatures.names`` of the marked compile, set before
         #: the template is stored; None when it was not checked.
         self.signatures: "dict | None" = None
-        # The template owns the decoded plans (repro.vm.dispatch): an
-        # instantiation starts from a copy of this dict, so the plan --
-        # and the tier state riding on it -- of a literal-free block is
-        # per content, not per site.
-        program.decoded_cache.update(
-            (block_id, predecode(program, block))
-            for block_id, block in enumerate(program.blocks))
+        # Decoded once, here (repro.vm.dispatch): an instantiation
+        # holds the literal-free blocks themselves, so their handlers --
+        # and the tier state beside them -- are per content, not per
+        # site.
+        for block in program.blocks:
+            block.heads = predecode(program, block)
 
     @classmethod
     def accept(cls, program: Program, holes: int) -> "_Template | None":
@@ -150,28 +150,25 @@ class _Template:
         return cls(program, patches)
 
     def instantiate(self, values: list[int], site_name: str) -> Program:
-        """A fresh program area for one submission: own tables and own
-        decoded-cache dict; the literal-free blocks and their plans are
-        the template's, a block with a literal is re-tupled and its
-        plan patched where the literal is bound."""
+        """A fresh program area for one submission: own tables; the
+        literal-free blocks are the template's, a block with a literal
+        is re-tupled and its handlers patched where the literal is
+        bound."""
         shared = self.program
         blocks = list(shared.blocks)
-        decoded = dict(shared.decoded_cache)
         program = Program(blocks=blocks, objects=list(shared.objects),
                           groups=list(shared.groups),
                           externals=list(shared.externals),
-                          main=shared.main, source_name=site_name,
-                          decoded_cache=decoded)
+                          main=shared.main, source_name=site_name)
         for block_id, pcs, indexes in self.patches:
-            block = blocks[block_id]
-            instrs = list(block.instrs)
+            marked = blocks[block_id]
+            instrs = list(marked.instrs)
             for pc, index in zip(pcs, indexes):
                 instrs[pc] = Instr(Op.PUSHC, (values[index],))
             block = blocks[block_id] = CodeBlock(
-                tuple(instrs), block.nfree, block.nparams, block.frame_size,
-                block.name)
-            decoded[block_id] = patch_constants(program, decoded[block_id],
-                                                block, pcs)
+                tuple(instrs), marked.nfree, marked.nparams,
+                marked.frame_size, marked.name)
+            block.heads = patch_constants(program, marked.heads, block, pcs)
         return program
 
 

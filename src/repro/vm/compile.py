@@ -13,15 +13,13 @@ and every reduction spawned in place: TRMSG and INSTOF of any arity,
 TROBJ and FORK inline the common case of ``TycoVM._trmsg`` /
 ``_trobj`` / ``_instof`` -> ``_fire`` -> ``spawn``, the helpers every
 loop calls, with the same checks in the same order -- then
-``exec``-compiled and cached on the block's
-:class:`~repro.vm.machine.DecodedBlock` entry.  The cache therefore
-inherits the closures' invalidation rules verbatim: entries are
-checked by instruction-tuple identity, ``link_bundle`` only appends
-new block ids, and ``_Template.instantiate`` re-tuples a literal
-block and installs its patched plan before any VM runs.  Behind it,
-compiled code is memoised per block *shape* (``_MEMO``): frame slots,
-literals, FORK targets, TROBJ method tables and the block's own id are
-defaults of the function, not part of its source.
+``exec``-compiled and kept on the block itself
+(``CodeBlock.compiled``), like its closures, so every program area
+holding the block object shares one translation and a block built
+anew starts without one.  Behind it, compiled code is memoised per
+block *shape* (``_MEMO``): frame slots, literals, FORK targets, TROBJ
+method tables and the block's own id are defaults of the function, not
+part of its source.
 
 Codegen shape
 -------------
@@ -585,20 +583,20 @@ class _Codegen:
         loop's protocol (``t.pc`` pre-advanced; truthy return ends the
         slice; stalls rewind ``t.pc`` themselves).
 
-        The handler is fetched through the caller's decoded-cache
-        entry at run time rather than bound into the function:
-        handlers close over their *program*, and the indirection is
-        what keeps compiled code program-independent (so blocks of one
-        shape share one code object via the memo).
-        The slice prologue refreshed the entry just before the call,
-        so the lookup always sees live handlers.
+        The handler is fetched through the running program's block at
+        run time rather than bound into the function: handlers close
+        over their *program*, and the indirection is what keeps
+        compiled code program-independent (so blocks of one shape
+        share one code object via the memo).  The slice prologue
+        decoded the block before it first called this function, so
+        ``heads`` is always there.
         """
         self.emit(ind, "if executed >= budget:")
         self.emit(ind, f"    t.pc = {pc}")
         self.emit(ind, "    return executed")
         self.emit(ind, f"t.pc = {pc + 1}")
         self.emit(ind, "executed += 1")
-        self.emit(ind, f"if vm.program.decoded_cache[{self.operand('_bid')}]"
+        self.emit(ind, f"if vm.program.blocks[{self.operand('_bid')}]"
                        f".heads[{pc}](vm, t, f, st):")
         self.emit(ind, "    return executed")
         self.emit(ind, "pc = t.pc")

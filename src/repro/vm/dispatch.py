@@ -7,10 +7,11 @@ every execution.  This module translates a
 closures with the operands unpacked at decode time -- the standard
 predecoding cure for interpreter dispatch cost (cf. py-evm's opcode
 binding).  Decoding costs more than running a block once, so it is
-paid once per shape that repeats: a launch template's blocks, a linked
-slice a second site takes from the node's store, and a block that
-tiers up (``machine.TIER_UP_ENTRIES``), whose generated code
-(:mod:`repro.vm.compile`) escapes to these handlers and yields to them.
+paid once per shape that repeats: a launch template's blocks, and a
+block that tiers up (``machine.TIER_UP_ENTRIES``), whose generated
+code (:mod:`repro.vm.compile`) escapes to these handlers and yields to
+them.  They are kept as ``CodeBlock.heads``, one decode for every
+area holding the block (docs/TESTING.md, "Block sharing").
 The production engine runs them in a bare loop (``_run_closures``);
 code that runs once runs on the interpreter and builds none.
 
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 from repro.compiler.assembly import CodeBlock, Op, Program
 
-from .machine import (DecodedBlock, ImportPending, VMRuntimeError, _arith,
-                      _vm_equal)
+from .machine import ImportPending, VMRuntimeError, _arith, _vm_equal
 from .values import ClassRef
 
 
@@ -157,28 +157,26 @@ def handler_kind(block: CodeBlock, pc: int) -> str:
     return "END"
 
 
-def predecode(program: Program, block: CodeBlock) -> DecodedBlock:
+def predecode(program: Program, block: CodeBlock) -> list:
     """Translate ``block`` into pre-bound handlers, one per instruction."""
-    instrs = block.instrs
-    return DecodedBlock(instrs, [_decode_one(program, ins) for ins in instrs])
+    return [_decode_one(program, ins) for ins in block.instrs]
 
 
-def patch_constants(program: Program, dec: DecodedBlock, block: CodeBlock,
-                    pcs: list[int]) -> DecodedBlock:
+def patch_constants(program: Program, heads: list, block: CodeBlock,
+                    pcs: list[int]) -> list:
     """What :func:`predecode` would build for ``block``, made from
-    ``dec`` -- the decoded form of a block that differs from it only in
+    ``heads`` -- the handlers of a block that differs from it only in
     the operands of the ``PUSHC`` s at ``pcs`` (a launch template and
     one instantiation of it, repro.runtime.launch).
 
     A ``PUSHC`` operand is bound in that instruction's handler and
-    nowhere else, so only those are built again.  The tier state starts
-    from zero, the block being new content.
+    nowhere else, so only those are built again.
     """
     instrs = block.instrs
-    heads = list(dec.heads)
+    heads = list(heads)
     for pc in pcs:
         heads[pc] = _decode_one(program, instrs[pc])
-    return DecodedBlock(instrs, heads)
+    return heads
 
 
 # -- handlers ----------------------------------------------------------------

@@ -41,13 +41,25 @@ from .heap import Heap
 from .scheduler import RunQueue, Thread
 from .values import Channel, ClassRef, NetRef, RemoteClassRef, VMValue
 
+# ``Op.X`` is a read through the enum's metaclass (~0.1 us); the
+# interpreter compares one opcode per ``elif`` arm per instruction.
+_PUSHL, _PUSHC, _STOREL, _POP = Op.PUSHL, Op.PUSHC, Op.STOREL, Op.POP
+_TRMSG, _TROBJ, _INSTOF, _FORK = Op.TRMSG, Op.TROBJ, Op.INSTOF, Op.FORK
+_NEWCH, _DEFGROUP, _PRINT, _HALT = Op.NEWCH, Op.DEFGROUP, Op.PRINT, Op.HALT
+_JMP, _JMPF, _BNOT, _NEG = Op.JMP, Op.JMPF, Op.BNOT, Op.NEG
+_EXPORT, _IMPORT = Op.EXPORT, Op.IMPORT
+_EXPORTCLASS, _IMPORTCLASS = Op.EXPORTCLASS, Op.IMPORTCLASS
+_ADD, _SUB, _MUL, _DIV, _MOD = Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD
+_LT, _LE, _GT, _GE = Op.LT, Op.LE, Op.GT, Op.GE
+_EQ, _NE, _BAND, _BOR = Op.EQ, Op.NE, Op.BAND, Op.BOR
+
 #: Slice entries into a block before the production engine translates
 #: it into generated Python (docs/PERF.md, "Tier-3").  A block's first
 #: entry runs on the interpreter (:meth:`TycoVM._interpret`), or on the
-#: closures of a plan a launch template or a linked slice installed;
-#: ``predecode`` runs only here, for the escapes of generated code.
-#: Mobile code -- applets, FETCHed classes, one client program per
-#: operation -- mostly runs once and pays for neither.
+#: closures a launch template decoded for it; ``predecode`` runs only
+#: there and here, for the escapes of generated code.  Mobile code --
+#: applets, FETCHed classes, one client program per operation -- mostly
+#: runs once and pays for neither.
 TIER_UP_ENTRIES = 2
 
 #: The tiers' builders, bound on first use (:func:`_bind_tiers`):
@@ -135,30 +147,6 @@ class VMStats:
         return self.comm_reductions + self.inst_reductions
 
 
-class DecodedBlock:
-    """One block's entry in ``Program.decoded_cache``.
-
-    ``heads[pc]`` is the handler for the instruction at ``pc``
-    (repro.vm.dispatch), or ``heads`` is None while the block has only
-    run on the interpreter.  ``instrs`` keeps the source tuple's
-    identity so the cache self-invalidates when a block is replaced.
-    """
-
-    __slots__ = ("instrs", "size", "heads", "entries", "compiled")
-
-    def __init__(self, instrs, heads=None):
-        self.instrs = instrs
-        self.size = len(instrs)
-        self.heads = heads
-        # Tier state of the production engine (TIER_UP_ENTRIES): slice
-        # entries seen so far, and the generated function
-        # (repro.vm.compile) once there were enough of them.  Riding on
-        # the entry gives both the handlers' invalidation rules for
-        # free: an identity mismatch drops them with the entry.
-        self.entries = 0
-        self.compiled = None
-
-
 class TycoVM:
     """One extended TyCO virtual machine.
 
@@ -176,11 +164,12 @@ class TycoVM:
         self.name = name
         # Execution engine (docs/PERF.md): "compiled" is the production
         # engine -- the interpreter on a block's first entry (closures
-        # where a plan was installed), per-block generated Python from
-        # its TIER_UP_ENTRIES-th; "slow" runs every instruction on the
-        # interpreter, the reference the differential suite compares
-        # against.  Defaults from the environment so whole networks
-        # (and chaos scenarios) can be flipped without plumbing.
+        # where a launch template decoded it), per-block generated
+        # Python from its TIER_UP_ENTRIES-th; "slow" runs every
+        # instruction on the interpreter, the reference the
+        # differential suite compares against.  Defaults from the
+        # environment so whole networks (and chaos scenarios) can be
+        # flipped without plumbing.
         if engine is None:
             engine = os.environ.get("REPRO_VM_ENGINE", "compiled")
         if engine not in ("compiled", "slow"):
@@ -345,15 +334,15 @@ class TycoVM:
         thread loop and the slice prologue in one frame.
 
         TyCO threads are tiny ("a few tens of byte-code instructions"),
-        so per-thread fixed costs -- queue pop, decode-cache probe,
+        so per-thread fixed costs -- queue pop, block lookup,
         slice-function call -- dominate spawn-chain workloads like E1;
         one frame removes one Python call per context switch.
-        The prologue is also where a block picks its tier: it counts
-        its own entries on its decoded-cache entry, runs them on the
-        interpreter -- or on the closures of a plan a launch template
-        or a linked slice installed -- and at the
-        ``TIER_UP_ENTRIES``-th is predecoded and translated into
-        generated Python.  Code that runs once builds nothing.
+        The prologue is also where a block picks its tier, from the
+        state it carries (``CodeBlock.heads`` / ``entries`` /
+        ``compiled``): it counts its own entries, runs them on the
+        interpreter -- or on the closures a launch template decoded --
+        and at the ``TIER_UP_ENTRIES``-th is predecoded and translated
+        into generated Python.  Code that runs once builds nothing.
         Accounting is identical to the reference loop by construction:
         pops go through the run-queue counter, the interpreter and a
         closure charge one instruction each and generated code its
@@ -363,22 +352,19 @@ class TycoVM:
         resumes at an interior pc -- hands the remainder to the
         closures, landing the slice end on exactly the instruction the
         reference loop would.
-        Decoded blocks are cached on the *program* (shared by every VM
-        executing it) and checked by instruction-tuple identity: a
-        ``link_bundle`` relink appends new block ids, which get an
-        entry on first entry, and ``_Template.instantiate`` re-tuples a
-        literal block and installs its patched plan before any VM runs.
-        The entry count and the compiled function ride on the entry and
-        die with it; ``program.blocks`` is indexed afresh every
-        iteration.  Pops are counted in a local and flushed in a
-        ``finally``, like generated code's.
+        The state is the block object's, so it is shared wherever the
+        object is (every VM and every program area holding it), and a
+        block built anew -- a ``link_bundle`` append, a re-tupled
+        literal block, a decoded or restored area -- starts at zero;
+        ``program.blocks`` is indexed afresh every iteration.  Pops are
+        counted in a local and flushed in a ``finally``, like generated
+        code's.
         """
         executed = 0
         switches = 0
         runqueue = self.runqueue
         queue = runqueue._queue
         program = self.program
-        cache = program.decoded_cache
         try:
             while executed < budget:
                 thread = self.current
@@ -389,42 +375,38 @@ class TycoVM:
                     thread = self.current = queue.popleft()
                 bid = thread.block_id
                 block = program.blocks[bid]
-                dec = cache.get(bid)
-                if dec is None or dec.instrs is not block.instrs:
-                    dec = cache[bid] = DecodedBlock(block.instrs)
-                fn = dec.compiled
+                fn = block.compiled
                 if fn is None:
-                    dec.entries += 1
-                    if dec.entries < TIER_UP_ENTRIES:
-                        if dec.heads is None:
+                    block.entries += 1
+                    if block.entries < TIER_UP_ENTRIES:
+                        if block.heads is None:
                             executed += self._interpret(thread,
                                                         budget - executed)
                         else:
                             executed += self._run_closures(
-                                dec, thread, budget - executed)
+                                block.heads, thread, budget - executed)
                         continue
                     if compile_block is None:
                         _bind_tiers()
-                    if dec.heads is None:
-                        dec.heads = predecode(program, block).heads
-                    fn = dec.compiled = compile_block(program, bid, block)
+                    if block.heads is None:
+                        block.heads = predecode(program, block)
+                    fn = block.compiled = compile_block(program, bid, block)
                 executed += fn(self, thread, thread.frame, thread.stack,
                                budget - executed)
                 if self.current is thread and executed < budget:
-                    executed += self._run_closures(dec, thread,
+                    executed += self._run_closures(block.heads, thread,
                                                    budget - executed)
         finally:
             runqueue.context_switches += switches
         return executed
 
-    def _run_closures(self, dec, thread: Thread, budget: int) -> int:
-        """Run ``thread`` on the predecoded handlers of ``dec``, its
-        block's decoded-cache entry (repro.vm.dispatch): one handler,
-        one instruction, so slice boundaries and instruction counts
-        are exactly those of the interpreter.
+    def _run_closures(self, heads: list, thread: Thread, budget: int) -> int:
+        """Run ``thread`` on ``heads``, its block's predecoded handlers
+        (repro.vm.dispatch): one handler, one instruction, so slice
+        boundaries and instruction counts are exactly those of the
+        interpreter.
         """
-        heads = dec.heads
-        size = dec.size
+        size = len(heads)
         frame = thread.frame
         stack = thread.stack
         executed = 0
@@ -480,42 +462,42 @@ class TycoVM:
             executed += 1
             op = ins.op
 
-            if op is Op.PUSHL:
+            if op is _PUSHL:
                 stack.append(frame[ins.args[0]])
-            elif op is Op.PUSHC:
+            elif op is _PUSHC:
                 stack.append(ins.args[0])
-            elif op is Op.STOREL:
+            elif op is _STOREL:
                 frame[ins.args[0]] = stack.pop()
-            elif op is Op.POP:
+            elif op is _POP:
                 stack.pop()
-            elif op is Op.TRMSG:
+            elif op is _TRMSG:
                 label, nargs = ins.args
                 args = tuple(stack[len(stack) - nargs:])
                 del stack[len(stack) - nargs:]
                 target = stack.pop()
                 self._trmsg(target, label, args)
-            elif op is Op.TROBJ:
+            elif op is _TROBJ:
                 obj_id, nfree = ins.args
                 env = tuple(stack[len(stack) - nfree:])
                 del stack[len(stack) - nfree:]
                 target = stack.pop()
                 methods = program.objects[obj_id].methods
                 self._trobj(target, methods, env)
-            elif op is Op.INSTOF:
+            elif op is _INSTOF:
                 (nargs,) = ins.args
                 args = tuple(stack[len(stack) - nargs:])
                 del stack[len(stack) - nargs:]
                 cref = stack.pop()
                 self._instof(cref, args)
-            elif op is Op.FORK:
+            elif op is _FORK:
                 fork_id, nfree = ins.args
                 env = tuple(stack[len(stack) - nfree:])
                 del stack[len(stack) - nfree:]
                 self.spawn(fork_id, env, ())
                 self.stats.forks += 1
-            elif op is Op.NEWCH:
+            elif op is _NEWCH:
                 frame[ins.args[0]] = self.heap.new_channel()
-            elif op is Op.DEFGROUP:
+            elif op is _DEFGROUP:
                 group_id, nfree, first_slot = ins.args
                 env = list(stack[len(stack) - nfree:])
                 del stack[len(stack) - nfree:]
@@ -525,19 +507,19 @@ class TycoVM:
                     cr = ClassRef(clause_id, env, group_id, index, hint=hint)
                     env[nfree + index] = cr
                     frame[first_slot + index] = cr
-            elif op is Op.JMP:
+            elif op is _JMP:
                 thread.pc = ins.args[0]
-            elif op is Op.JMPF:
+            elif op is _JMPF:
                 cond = stack.pop()
                 if cond is not True and cond is not False:
                     raise VMRuntimeError(
                         f"{self.name}: conditional on non-boolean {cond!r}")
                 if not cond:
                     thread.pc = ins.args[0]
-            elif op is Op.HALT:
+            elif op is _HALT:
                 self.current = None
                 return executed
-            elif op is Op.PRINT:
+            elif op is _PRINT:
                 (nargs,) = ins.args
                 args = tuple(stack[len(stack) - nargs:])
                 del stack[len(stack) - nargs:]
@@ -547,30 +529,30 @@ class TycoVM:
                 b = stack.pop()
                 a = stack.pop()
                 stack.append(_arith(self, op, a, b))
-            elif op is Op.BNOT:
+            elif op is _BNOT:
                 v = stack.pop()
                 if v is not True and v is not False:
                     raise VMRuntimeError(f"{self.name}: 'not' on {v!r}")
                 stack.append(not v)
-            elif op is Op.NEG:
+            elif op is _NEG:
                 v = stack.pop()
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise VMRuntimeError(f"{self.name}: '-' on {v!r}")
                 stack.append(-v)
-            elif op is Op.EXPORT:
+            elif op is _EXPORT:
                 slot, hint = ins.args
                 self._require_port().export_name(hint, frame[slot])
-            elif op is Op.IMPORT:
+            elif op is _IMPORT:
                 hint, site, slot = ins.args
                 try:
                     frame[slot] = self._require_port().import_name(hint, site)
                 except ImportPending:
                     self._stall(thread)
                     return executed
-            elif op is Op.EXPORTCLASS:
+            elif op is _EXPORTCLASS:
                 group_id, slot, hint = ins.args
                 self._require_port().export_class(hint, frame[slot])
-            elif op is Op.IMPORTCLASS:
+            elif op is _IMPORTCLASS:
                 hint, site, slot = ins.args
                 try:
                     frame[slot] = self._require_port().import_class(hint, site)
@@ -712,47 +694,47 @@ class TycoVM:
 
 
 _ARITH_OPS = {
-    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD,
-    Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE, Op.BAND, Op.BOR,
+    _ADD, _SUB, _MUL, _DIV, _MOD,
+    _LT, _LE, _GT, _GE, _EQ, _NE, _BAND, _BOR,
 }
 
 
 def _arith(vm: TycoVM, op: Op, a, b):
     """Builtin binary operators with the dynamic checks of section 7."""
-    if op is Op.EQ:
+    if op is _EQ:
         return _vm_equal(a, b)
-    if op is Op.NE:
+    if op is _NE:
         return not _vm_equal(a, b)
-    if op in (Op.BAND, Op.BOR):
+    if op is _BAND or op is _BOR:
         if a is not True and a is not False or b is not True and b is not False:
             raise VMRuntimeError(f"{vm.name}: boolean op on {a!r}, {b!r}")
-        return (a and b) if op is Op.BAND else (a or b)
+        return (a and b) if op is _BAND else (a or b)
     if isinstance(a, bool) or isinstance(b, bool):
         raise VMRuntimeError(f"{vm.name}: arithmetic on booleans")
     num_a = isinstance(a, (int, float))
     num_b = isinstance(b, (int, float))
     str_a = isinstance(a, str)
     str_b = isinstance(b, str)
-    if op is Op.ADD and str_a and str_b:
+    if op is _ADD and str_a and str_b:
         return a + b
-    if op in (Op.LT, Op.LE, Op.GT, Op.GE) and str_a and str_b:
+    if op in (_LT, _LE, _GT, _GE) and str_a and str_b:
         return _compare(op, a, b)
     if not (num_a and num_b):
         raise VMRuntimeError(
             f"{vm.name}: operator {op.name} on {a!r} and {b!r}")
-    if op is Op.ADD:
+    if op is _ADD:
         return a + b
-    if op is Op.SUB:
+    if op is _SUB:
         return a - b
-    if op is Op.MUL:
+    if op is _MUL:
         return a * b
-    if op is Op.DIV:
+    if op is _DIV:
         if b == 0:
             raise VMRuntimeError(f"{vm.name}: division by zero")
         if isinstance(a, int) and isinstance(b, int):
             return a // b
         return a / b
-    if op is Op.MOD:
+    if op is _MOD:
         if b == 0:
             raise VMRuntimeError(f"{vm.name}: modulo by zero")
         return a % b
@@ -760,11 +742,11 @@ def _arith(vm: TycoVM, op: Op, a, b):
 
 
 def _compare(op: Op, a, b) -> bool:
-    if op is Op.LT:
+    if op is _LT:
         return a < b
-    if op is Op.LE:
+    if op is _LE:
         return a <= b
-    if op is Op.GT:
+    if op is _GT:
         return a > b
     return a >= b
 

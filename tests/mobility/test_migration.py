@@ -244,6 +244,65 @@ class TestRetryAndAbandon:
         assert net.is_quiescent()
 
 
+def waiter(i):
+    """A site whose code differs by one literal: one code digest each."""
+    return f"export new w{i} w{i}?(v) = print![v + {i}]"
+
+
+class TestCodeLibraryBound:
+    """The code library is a cache, emptied at ``codecache.MAX_SLICES``
+    blobs; an in-flight migration's code rides on its record."""
+
+    CAP = 3
+
+    def test_distinct_migrations_keep_the_library_within_the_cap(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.codecache.MAX_SLICES", self.CAP)
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        count = 3 * self.CAP + 1
+        for i in range(count):
+            net.launch("n1", f"w{i}", waiter(i))
+        net.run()
+        for i in range(count):
+            net.migrate(f"w{i}", "n2")
+            net.run()
+            for ip in ("n1", "n2"):
+                assert len(net.node(ip).mobility.code_library) <= self.CAP
+        src, dst = net.node("n1").mobility, net.node("n2").mobility
+        assert dst.stats.migrations_in == dst.stats.cold_restores == count
+        assert src.outbound == {} and src.frozen == {}
+        for i in range(count):
+            net.launch("n1", f"c{i}", f"import w{i} from w{i} in w{i}![1]")
+        net.run()
+        assert [net.site(f"w{i}").output for i in range(count)] == \
+            [[1 + i] for i in range(count)]
+        check_invariants(net)
+
+    def test_code_emptied_mid_flight_still_ships_cold(self, monkeypatch):
+        # Two migrations leave n1 back to back: keeping the second's
+        # code empties the one-blob library of the first's before n2
+        # asks for it, and the first's record answers the NEED.
+        monkeypatch.setattr("repro.runtime.codecache.MAX_SLICES", 1)
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n2"])
+        net.launch("n1", "w0", waiter(0))
+        net.launch("n1", "w1", waiter(1))
+        net.run()
+        first = net.migrate("w0", "n2")
+        net.migrate("w1", "n2")
+        src = net.node("n1").mobility
+        assert src.outbound[first].code_digest not in src.code_library
+        net.run()
+        dst = net.node("n2").mobility
+        assert dst.stats.cold_restores == 2 and src.stats.codes_sent == 2
+        assert {net.site("w0").ip, net.site("w1").ip} == {"n2"}
+        net.launch("n1", "c", "import w0 from w0 in w0![5]")
+        net.run()
+        assert net.site("w0").output == [5]
+        check_invariants(net)
+
+
 class TestErrors:
     def test_migrate_unknown_site(self):
         net = DiTyCONetwork()

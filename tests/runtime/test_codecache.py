@@ -31,6 +31,7 @@ from repro.runtime.wire import KIND_CODE_NEED, KIND_CODE_REPLY, Packet, encode
 from repro.testkit import ChaosWorld
 from repro.testkit.invariants import check_no_stale_code
 from repro.vm.dispatch import predecode
+from repro.vm.machine import TIER_UP_ENTRIES
 
 
 NESTED = """
@@ -464,8 +465,6 @@ class TestLinkedSlot:
             ref.block_map, ref.object_map, ref.group_map,
             ref.installed_count())
         assert verify_cache_integrity(cache) == []
-        for block_id, dec in program.decoded_cache.items():
-            assert dec.instrs is program.blocks[block_id].instrs
         return program, cache, base
 
     def test_unknown_digest_links_nothing(self):
@@ -477,43 +476,47 @@ class TestLinkedSlot:
         store, digest = self._store()
         first, _c1, base = self._link(store, digest, self.SMALL)
         slot = store._linked[digest]
-        assert slot.plans is None and first.decoded_cache == {}
+        linked = range(base, len(first.blocks))
+        # The slot holds the first site's own block objects.
+        assert slot.blocks == first.blocks[base:]
+        assert all(mine is kept for mine, kept
+                   in zip(first.blocks[base:], slot.blocks))
         second, _c2, _ = self._link(store, digest, self.SMALL)
         third, _c3, _ = self._link(store, digest, self.SMALL)
         assert store._linked[digest] is slot       # one slot, reused
-        linked = range(base, len(first.blocks))
         assert len(linked) >= 3
         for program in (second, third):
             assert program.blocks is not first.blocks
-            assert program.decoded_cache is not slot.plans
             for i in linked:
                 assert program.blocks[i] is first.blocks[i]
-                assert program.decoded_cache[i] is slot.plans[i]
             assert program.objects[0] is first.objects[0]
             assert program.groups[-1] is first.groups[-1]
-            assert set(program.decoded_cache) == set(linked)
-        # The shared plan is the plan predecode builds here.
+        # One decode serves every area, and it is the decode each
+        # area would make of the block itself.
         for i in linked:
+            block = first.blocks[i]
+            block.heads = predecode(first, block)
+            assert third.blocks[i].heads is block.heads
             fresh = predecode(third, third.blocks[i])
-            assert [h.__code__ for h in fresh.heads] == \
-                [h.__code__ for h in slot.plans[i].heads]
+            assert [(h.__code__, h.__defaults__) for h in fresh] == \
+                [(h.__code__, h.__defaults__) for h in block.heads]
         assert verify_store_integrity(store) == []
 
     def test_another_area_shape_links_in_full_with_its_own_ids(self):
         store, digest = self._store()
-        first, _c, _b = self._link(store, digest, self.SMALL)
+        first, _c, small = self._link(store, digest, self.SMALL)
         self._link(store, digest, self.SMALL)
-        assert store._linked[digest].plans is not None
         other, _c, base = self._link(store, digest, self.LARGER)
         assert base > len(compile_source(self.SMALL).blocks)
         assert not any(block is mine for block in other.blocks
                        for mine in first.blocks)
         # It is the last shape now; the small one links in full again.
         slot = store._linked[digest]
-        assert slot.area[0] == base and slot.plans is None
+        assert slot.area[0] == base
         again, _c, _b = self._link(store, digest, self.SMALL)
         assert store._linked[digest] is not slot
-        assert again.decoded_cache == {}
+        assert not any(again.blocks[i] is first.blocks[i]
+                       for i in range(small, len(again.blocks)))
 
     def test_a_table_that_knows_an_item_links_item_by_item(self):
         store, digest = self._store()
@@ -564,8 +567,11 @@ class TestLinkedSlot:
             assert site.codecache.snapshot() == c2.codecache.snapshot()
             assert site.vm.program.blocks[last] is c2.vm.program.blocks[last]
             assert site.vm.program.groups[-1] is c2.vm.program.groups[-1]
-        assert c4.vm.program.decoded_cache[last] is \
-            c3.vm.program.decoded_cache[last]
+        # One block object, so one entry count: the class tiered up on
+        # c3, the second site to run the block c2 linked.
+        applet = c2.vm.program.blocks[last]
+        assert applet.entries == TIER_UP_ENTRIES
+        assert applet.compiled is not None
         assert len(wide.vm.program.blocks) > last + 1
         assert wide.vm.program.blocks[-1] is not c2.vm.program.blocks[last]
         assert check_no_stale_code(net) == []

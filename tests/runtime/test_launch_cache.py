@@ -7,8 +7,8 @@ and fails the way the full path fails.
 process-global `Name` counter, history-dependent already, and stripped
 by checkpoints for the same reason.
 
-An instantiation also arrives decoded (`Program.decoded_cache`): every
-plan it carries is checked, wherever a program is, against the plan
+An instantiation also arrives decoded (`CodeBlock.heads`): every
+block's handlers are checked, wherever a program is, against the ones
 `predecode` builds for the same block.
 """
 
@@ -63,7 +63,7 @@ def outcome(build):
         for instr in block.instrs:
             assert all(type(arg) in (int, float, str, bool)
                        for arg in instr.args), instr
-    assert_plans_are_what_predecode_builds(program)
+    assert_handlers_are_what_predecode_builds(program)
     return ("ok", canonical(program))
 
 
@@ -74,12 +74,10 @@ def bound(handlers):
              [type(v) for v in h.__defaults__ or ()]) for h in handlers]
 
 
-def assert_plans_are_what_predecode_builds(program):
-    for block_id, dec in program.decoded_cache.items():
-        block = program.blocks[block_id]
-        fresh = predecode(program, block)
-        assert dec.instrs is block.instrs and dec.size == fresh.size
-        assert bound(dec.heads) == bound(fresh.heads)
+def assert_handlers_are_what_predecode_builds(program):
+    for block in program.blocks:
+        if block.heads is not None:
+            assert bound(block.heads) == bound(predecode(program, block))
 
 
 def reference(source, site_name):
@@ -339,12 +337,12 @@ def template_of(cache):
 
 def test_an_instantiation_is_a_fresh_object_graph():
     cache, (a, b) = instantiations(2)
-    for name in ("blocks", "objects", "groups", "externals", "decoded_cache"):
+    for name in ("blocks", "objects", "groups", "externals"):
         assert getattr(a, name) is not getattr(b, name)
     assert a.source_name == "s2"
-    # It arrives decoded: one plan per block, in a dict of its own.
-    plans = template_of(cache).program.decoded_cache
-    assert set(a.decoded_cache) == set(plans) == set(range(len(a.blocks)))
+    # It arrives decoded: every block carries its handlers.
+    template = template_of(cache).program
+    assert all(block.heads is not None for block in a.blocks)
     patched = [i for i, block in enumerate(a.blocks)
                if any(ins.op is Op.PUSHC and type(ins.args[0]) is int
                       for ins in block.instrs)]
@@ -352,46 +350,45 @@ def test_an_instantiation_is_a_fresh_object_graph():
     for i, (mine, theirs) in enumerate(zip(a.blocks, b.blocks)):
         if i in patched:
             assert mine is not theirs and mine.instrs is not theirs.instrs
-            # A block with a literal is new content: own plan, own
-            # tier state, decoded from its own instruction tuple.
-            assert a.decoded_cache[i] is not b.decoded_cache[i]
-            assert a.decoded_cache[i] is not plans[i]
-            assert a.decoded_cache[i].instrs is mine.instrs
+            # A block with a literal is new content: own handlers, own
+            # tier state.
+            assert mine is not template.blocks[i]
+            assert mine.heads is not theirs.heads
+            assert mine.heads is not template.blocks[i].heads
+            assert (mine.entries, mine.compiled) == (0, None)
         else:
-            assert mine is theirs          # literal-free code is shared
-            # ... and so is its plan, tier state included.
-            assert a.decoded_cache[i] is b.decoded_cache[i] is plans[i]
-    assert_plans_are_what_predecode_builds(a)
+            # Literal-free code is the template's own object, and its
+            # handlers and tier state come with it.
+            assert mine is theirs is template.blocks[i]
+    assert_handlers_are_what_predecode_builds(a)
 
 
 def test_changing_one_instantiation_leaves_the_others_alone():
     cache, (a, b) = instantiations(2)
     before = canonical(b)
     block_ids = [id(block) for block in b.blocks]
-    plans = template_of(cache).program.decoded_cache
-    template_plans, b_plans = dict(plans), dict(b.decoded_cache)
-    tiers = [(dec.entries, dec.compiled) for dec in plans.values()]
+    template = template_of(cache).program
+    tiers = [(blk.heads, blk.entries, blk.compiled) for blk in template.blocks]
 
-    a.decoded_cache.clear()                # a's dict only
-    a.decoded_cache[a.main] = predecode(a, a.blocks[a.main])   # warm
+    fresh = a.blocks[a.main] = replace(a.blocks[a.main])    # a's list only
+    fresh.heads = predecode(a, fresh)                          # warm
     donor = compile_source("def K(x) = print![x] in K[1]")
     link_bundle(a, extract_bundle(donor, group_roots=(0,)))
     assert len(a.blocks) > len(b.blocks) and len(a.groups) > len(b.groups)
-    a.decoded_cache[len(b.blocks)] = predecode(a, a.blocks[len(b.blocks)])
+    linked = a.blocks[len(b.blocks)]
+    linked.heads = predecode(a, linked)
 
     assert canonical(b) == before
     assert [id(block) for block in b.blocks] == block_ids
-    # Same keys, same objects: b's dict and the template's plans.
-    assert list(b.decoded_cache.items()) == list(b_plans.items())
-    assert list(plans.items()) == list(template_plans.items())
-    assert [(dec.entries, dec.compiled) for dec in plans.values()] == tiers
-    assert_plans_are_what_predecode_builds(b)
+    # The template's blocks -- handlers and tier state -- are as they were.
+    assert [(blk.heads, blk.entries, blk.compiled)
+            for blk in template.blocks] == tiers
+    assert_handlers_are_what_predecode_builds(b)
     source = SHAPE.format(70, 80, 90)
     assert submit(cache, source, "late") == reference(source, "late")
     late = cache.compile(source, "late")[0]
     assert len(late.blocks) == len(b.blocks)
-    assert set(late.decoded_cache) == set(plans)
-    assert all(late.decoded_cache[i] is plans[i]
+    assert all(late.blocks[i] is template.blocks[i]
                for i, block in enumerate(late.blocks) if block is b.blocks[i])
 
 
@@ -407,21 +404,23 @@ def test_instantiated_programs_run():
 
 
 def test_a_literal_free_block_tiers_up_on_the_nodes_second_op():
-    # `entries` counts per content: the plan of a literal-free block is
-    # one object for every site instantiated from the shape, so the
-    # engine's tier rule (machine.TIER_UP_ENTRIES) sees the node's
-    # second op as the block's second entry.
+    # `entries` counts per content: a literal-free block is one object
+    # for every site instantiated from the shape, so the engine's tier
+    # rule (machine.TIER_UP_ENTRIES) sees the node's second op as the
+    # block's second entry.
     net = DiTyCONetwork()
     net.add_node("n0")
     for n in range(5):
         net.launch("n0", f"s{n}", SHAPE.format(n + 3, n, n * 10))
         net.run()
-    plans = template_of(net.node("n0").tycoi.launch).program.decoded_cache
+    template = template_of(net.node("n0").tycoi.launch).program
     shared = [i for i, block in enumerate(net.site("s4").vm.program.blocks)
               if block is net.site("s3").vm.program.blocks[i]]
-    assert shared and all(plans[i].entries == 0 or plans[i].compiled
-                          for i in shared)
-    assert any(plans[i].compiled for i in shared)
+    assert shared and all(net.site("s4").vm.program.blocks[i]
+                          is template.blocks[i] for i in shared)
+    blocks = template.blocks
+    assert all(blocks[i].entries == 0 or blocks[i].compiled for i in shared)
+    assert any(blocks[i].compiled for i in shared)
     for n in range(5):
         assert sorted(net.site(f"s{n}").output) == sorted([n + 3, n * 10])
 
@@ -454,9 +453,9 @@ def assert_only_the_holes_were_rebuilt(template, program):
     patched = {(block_id, pc) for block_id, pcs, _indexes in template.patches
                for pc in pcs}
     assert patched
-    for block_id, dec in program.decoded_cache.items():
-        theirs = template.program.decoded_cache[block_id].heads
-        for pc, head in enumerate(dec.heads):
+    for block_id, block in enumerate(program.blocks):
+        theirs = template.program.blocks[block_id].heads
+        for pc, head in enumerate(block.heads):
             if (block_id, pc) not in patched:
                 assert head is theirs[pc]
             assert not any(type(v) is launch._Hole
@@ -483,7 +482,7 @@ def test_a_hole_before_every_consumer_of_a_constant():
     template = launch._Template.accept(marked, 2)
     program = template.instantiate([40, 2], "s")
     assert program.blocks[0].instrs[0] == Instr(Op.PUSHC, (40,))
-    assert_plans_are_what_predecode_builds(program)
+    assert_handlers_are_what_predecode_builds(program)
     assert_only_the_holes_were_rebuilt(template, program)
     seen |= consumers_of_literals(program)
     assert seen >= {Op.ADD, Op.EQ, Op.LT, Op.JMPF, Op.STOREL, Op.TRMSG,

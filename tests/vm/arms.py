@@ -2,18 +2,17 @@
 the ``slow`` reference.
 
 Which tier a block runs on is the engine's own choice: its first entry
-runs on the interpreter -- or on the closures of a plan a launch
-template or a linked slice installed -- and its
-``machine.TIER_UP_ENTRIES``-th and later on generated code.  The arms
-pin that choice:
+runs on the interpreter -- or on the closures a launch template
+decoded -- and its ``machine.TIER_UP_ENTRIES``-th and later on
+generated code.  The arms pin that choice:
 
 * ``shipped`` -- as shipped;
 * ``generated`` -- every block on generated code from its first entry;
 * ``closures`` -- every block decoded before it runs, as a launch
   template's are, and never tiered up: predecoded closures only;
 * ``interpreter`` -- never tiered up and nothing decoded beyond what
-  templates and linked slices install: the production engine's
-  interpreter-first path held at every entry.
+  templates decode: the production engine's interpreter-first path
+  held at every entry.
 """
 
 import sys
@@ -27,15 +26,13 @@ _STEP = machine.TycoVM._step_compiled
 
 
 def _step_on_plans(vm, budget):
-    """``_step_compiled`` once every block of the VM's program has a
-    predecoded plan (a block linked in since the last step gets one
-    here, before it runs)."""
+    """``_step_compiled`` once every block of the VM's program has its
+    predecoded handlers (a block linked in since the last step gets
+    them here, before it runs)."""
     program = vm.program
-    cache = program.decoded_cache
-    for block_id, block in enumerate(program.blocks):
-        dec = cache.get(block_id)
-        if dec is None or dec.heads is None or dec.instrs is not block.instrs:
-            cache[block_id] = dispatch.predecode(program, block)
+    for block in program.blocks:
+        if block.heads is None:
+            block.heads = dispatch.predecode(program, block)
     return _STEP(vm, budget)
 
 

@@ -124,14 +124,15 @@ class TestEnginePlumbing:
 def test_one_handler_per_instruction():
     # The closure tier decodes and does nothing else: no second row of
     # handlers, no widths, no planner behind it (docs/PERF.md, "Tried,
-    # shipped, deleted").
-    assert dispatch.DecodedBlock.__slots__ == (
-        "instrs", "size", "heads", "entries", "compiled")
+    # shipped, deleted"), and the tier state beside the handlers is
+    # the block's own three fields.
+    assert [f.name for f in dataclasses.fields(CodeBlock)
+            if not f.init] == ["heads", "entries", "compiled"]
     for source in (COUNTER, CELL):
         prog = compile_source(source)
         for block in prog.blocks:
-            dec = dispatch.predecode(prog, block)
-            assert len(dec.heads) == len(block.instrs)
+            heads = dispatch.predecode(prog, block)
+            assert len(heads) == len(block.instrs)
     assert not hasattr(dispatch, "_FUSED_FACTORIES")
 
 
@@ -155,8 +156,8 @@ class TestEngineParity:
                 vm = run(source, budget=budget)
                 assert snapshot(vm) == ref, budget
                 # The arm ran closures and nothing else.
-                assert all(dec.heads is not None and dec.compiled is None
-                           for dec in vm.program.decoded_cache.values())
+                assert all(block.heads is not None and block.compiled is None
+                           for block in vm.program.blocks)
 
     def test_step_budget_exact_on_fast_engine(self, monkeypatch):
         for arm in each_arm(monkeypatch):
@@ -253,21 +254,25 @@ def swap_literal(prog, old, new):
 
 
 class TestDecodedCache:
+    """A block's handlers live on the block (``CodeBlock.heads``)."""
+
     def test_cache_fills_lazily_and_is_shared(self):
         prog = compile_source(COUNTER)
-        assert prog.decoded_cache == {}
+        assert all(block.heads is None for block in prog.blocks)
         vm1 = run_program(prog)
-        assert prog.decoded_cache    # hot blocks decoded
-        filled = dict(prog.decoded_cache)
-        # A second VM over the same program reuses the entries.
+        filled = {bid: block.heads for bid, block in enumerate(prog.blocks)
+                  if block.heads is not None}
+        assert filled    # hot blocks decoded
+        # A second VM over the same program reuses the handlers.
         vm2 = run_program(prog)
-        for bid, dec in filled.items():
-            assert prog.decoded_cache[bid] is dec
+        for bid, heads in filled.items():
+            assert prog.blocks[bid].heads is heads
         assert vm2.output == vm1.output
 
     def test_stale_entry_reinvalidated_by_identity(self):
         # Hot-swapping a block (what a relink does) must not execute
-        # stale handlers: the cache checks instruction-tuple identity.
+        # stale handlers: the new block is a new object, and the old
+        # one's handlers stay on the old one.
         prog = compile_source("print![1]")
         assert run_program(prog, 100).output == [1]
         swap_literal(prog, 1, 2)
@@ -279,12 +284,16 @@ class TestDecodedCache:
         donor = compile_source(COUNTER)
         prog = compile_source("print![7]")
         run_program(prog, 100)
-        cached_before = dict(prog.decoded_cache)
+        run_program(prog, 100)
+        cached_before = [block.heads for block in prog.blocks]
+        assert cached_before[prog.main] is not None
         bundle = extract_bundle(donor, block_roots=(0,))
         result = link_bundle(prog, bundle)
-        for bid, dec in cached_before.items():
-            assert prog.decoded_cache[bid] is dec
+        for bid, heads in enumerate(cached_before):
+            assert prog.blocks[bid].heads is heads
         assert max(result.block_map.values()) < len(prog.blocks)
+        assert all(prog.blocks[bid].heads is None
+                   for bid in result.block_map.values())
 
 
 def cold_group(classes):
@@ -350,16 +359,17 @@ block 0 (main) [free=1 params=0 frame=3]
 class TestCompiledCache:
     """A block's tier state -- its slice-entry count and, from the
     ``TIER_UP_ENTRIES``-th entry, its generated function -- lives on
-    its ``DecodedBlock`` beside the closure plan, so it inherits the
-    plan's invalidation rules: identity checks drop stale entries,
-    ``link_bundle`` appends without disturbing live entries, and a
-    restart rebuilds the program (fresh cache)."""
+    the ``CodeBlock`` beside its handlers: a swapped-in block is a new
+    object that starts at zero, ``link_bundle`` appends new objects
+    without touching the ones already there, and a restart rebuilds
+    the program from bytes (new objects)."""
 
     def test_first_entry_runs_closures_second_compiles(self):
         prog = compile_source("print![7]")
         assert run_program(prog, 100).output == [7]
-        dec = prog.decoded_cache[prog.main]
+        dec = prog.blocks[prog.main]
         assert dec.entries == 1 and dec.compiled is None
+        assert dec.heads is None             # the interpreter ran it
         assert run_program(prog, 100).output == [7]
         assert dec.entries == 2 and dec.compiled is not None
         # From here on the count has done its job and stops moving.
@@ -369,31 +379,33 @@ class TestCompiledCache:
     def test_compiled_fn_cached_and_shared(self):
         prog = compile_source(COUNTER)
         vm1 = run_program(prog)
-        fns = {bid: dec.compiled for bid, dec in prog.decoded_cache.items()
-               if dec.compiled is not None}
+        fns = {bid: block.compiled for bid, block in enumerate(prog.blocks)
+               if block.compiled is not None}
         assert fns, "no block got a compiled function"
         # A second VM over the same program reuses the same functions.
         vm2 = run_program(prog)
         for bid, fn in fns.items():
-            assert prog.decoded_cache[bid].compiled is fn
+            assert prog.blocks[bid].compiled is fn
         assert vm2.output == vm1.output == [0]
 
     def test_stale_entry_reinvalidated_by_identity(self):
         # Hot-swapping a block must not execute stale handlers or a
         # stale compiled function, nor inherit the old block's count:
-        # the decoded entry (and everything hanging off it) is dropped
-        # on instruction-tuple identity mismatch.
+        # the swapped-in block is a new object, and the state is the
+        # object's.
         prog = compile_source("print![1]")
         assert run_program(prog, 100).output == [1]
+        old = prog.blocks[0]
         swap_literal(prog, 1, 2)
         assert run_program(prog, 100).output == [2]
-        dec = prog.decoded_cache[0]
+        dec = prog.blocks[0]
         assert dec.entries == 1 and dec.compiled is None
         assert run_program(prog, 100).output == [2]
         assert dec.compiled is not None
         swap_literal(prog, 2, 3)
         assert run_program(prog, 100).output == [3]
-        assert prog.decoded_cache[0].compiled is None
+        assert prog.blocks[0].compiled is None
+        assert (old.entries, old.compiled) == (1, None)
 
     def test_literal_type_not_aliased_by_memo(self, monkeypatch):
         # 7 == 7.0 == True-as-1 in Python: the content-addressed memo
@@ -454,11 +466,11 @@ class TestCompiledCache:
         vm.spawn(moved, (vm.externals["print"], None), (5,))
         vm.run(100)
         assert sorted(vm.output) == [3, 5, 6, 10]
-        codes = {id(program.decoded_cache[bid].compiled.__code__)
+        codes = {id(program.blocks[bid].compiled.__code__)
                  for program, bid in ((donor, fid), (prog, fid),
                                       (prog, moved))}
         assert len(codes) == 1
-        forks = {id(prog.decoded_cache[bid].compiled.__code__)
+        forks = {id(prog.blocks[bid].compiled.__code__)
                  for bid in (*fork_at, *fork_moved)}
         assert len(forks) == 1
 
@@ -558,16 +570,15 @@ class TestCompiledCache:
         prog = compile_source("print![7]")
         run_program(prog, 100)
         run_program(prog, 100)
-        cached = {bid: (dec.entries, dec.compiled) for bid, dec in
-                  prog.decoded_cache.items()}
+        cached = [(dec.entries, dec.compiled) for dec in prog.blocks]
         assert cached[prog.main][1] is not None
         bundle = extract_bundle(donor, block_roots=(0,))
         result = link_bundle(prog, bundle)
-        for bid, state in cached.items():
-            dec = prog.decoded_cache[bid]
+        for bid, state in enumerate(cached):
+            dec = prog.blocks[bid]
             assert (dec.entries, dec.compiled) == state
-        # The appended block starts its own count: closures on its
-        # first entry, generated code from its second.
+        # The appended block starts its own count: the interpreter on
+        # its first entry, generated code from its second.
         linked = max(result.block_map.values())
         blk = prog.blocks[linked]
         for compiled in (False, True):
@@ -579,8 +590,7 @@ class TestCompiledCache:
             vm.spawn(linked, tuple(
                 vm.heap.new_channel() for _ in range(blk.nfree)), (0,))
             vm.run(100_000)
-            assert (prog.decoded_cache[linked].compiled is not None) \
-                is compiled
+            assert (prog.blocks[linked].compiled is not None) is compiled
 
     def test_budget_cut_thread_resumes_on_generated_code(self):
         # A thread starts on closures (its block's first entry), is cut
@@ -606,19 +616,19 @@ class TestCompiledCache:
                     # repr: channels are per-VM objects.
                     assert repr(vm.current.stack) == repr(ref.current.stack)
                     assert repr(vm.current.frame) == repr(ref.current.frame)
-                # One entry per step: closures ran the first, generated
-                # code every later one.
+                # One entry per step: the interpreter ran the first,
+                # generated code every later one.
                 assert (dec is None) == (
-                    vm.program.decoded_cache[vm.program.main].compiled is None)
-                dec = vm.program.decoded_cache[vm.program.main]
+                    vm.program.blocks[vm.program.main].compiled is None)
+                dec = vm.program.blocks[vm.program.main]
             assert vm.is_idle() and vm.output == ref.output == [3, 12]
             assert dec.compiled is not None
 
     def test_restart_rebuild_gets_fresh_cache(self, monkeypatch):
         # A node restart re-materialises the site from its checkpoint:
-        # new Program, empty decoded cache -- a restart can never see a
-        # stale compiled function because nothing survives but
-        # content-addressed bytes.
+        # new Program, new blocks with no tier state -- a restart can
+        # never see a stale compiled function because nothing survives
+        # but content-addressed bytes.
         from repro.mobility.checkpoint import (read_checkpoint,
                                                restore_site,
                                                write_checkpoint)
@@ -631,12 +641,14 @@ class TestCompiledCache:
         net.run()
         site = net.site("worker")
         assert site.output == [0]
-        donor_cache = site.vm.program.decoded_cache
-        assert any(d.compiled for d in donor_cache.values())
+        donor_blocks = site.vm.program.blocks
+        assert any(d.compiled for d in donor_blocks)
         code, state = read_checkpoint(write_checkpoint(site))
         rebuilt = restore_site(net.node("n1"), code, state)
-        assert rebuilt.vm.program.decoded_cache is not donor_cache
-        assert rebuilt.vm.program.decoded_cache == {}
+        assert not any(mine is theirs for mine in rebuilt.vm.program.blocks
+                       for theirs in donor_blocks)
+        assert all((d.heads, d.entries, d.compiled) == (None, 0, None)
+                   for d in rebuilt.vm.program.blocks)
         assert rebuilt.vm.engine == "compiled"
 
 
@@ -652,8 +664,8 @@ RUN_ONCE = {"cold group": cold_group(100),
 class TestRunOnceCode:
     """Code that runs once builds nothing: a block's first entry runs
     on the interpreter and the block is predecoded only when it tiers
-    up, so every decoded-cache entry with closures has generated code
-    too (no template or linked slice installs plans here)."""
+    up, so every block with closures has generated code too (no
+    template decodes anything here)."""
 
     @pytest.mark.parametrize("name", sorted(RUN_ONCE))
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 100_000])
@@ -672,11 +684,11 @@ class TestRunOnceCode:
         _, ref = observed("slow")
         vm, got = observed("compiled")
         assert got == ref
-        cache = vm.program.decoded_cache
-        assert [bid for bid, dec in cache.items()
-                if dec.heads is not None and dec.compiled is None] == []
+        ran = [block for block in vm.program.blocks if block.entries]
+        assert [block for block in vm.program.blocks
+                if block.heads is not None and block.compiled is None] == []
         if budget == 100_000:
-            assert any(dec.heads is None for dec in cache.values())
+            assert any(block.heads is None for block in ran)
 
 
 # -- every reduction, inline -------------------------------------------------

@@ -341,7 +341,7 @@ class TestWhoPicksTheEngine:
         program = site.vm.program
         count = next(i for i, block in enumerate(program.blocks)
                      if "Count" in block.name)
-        assert program.decoded_cache[count].compiled is not None
+        assert program.blocks[count].compiled is not None
         # What the per-reduction events counted rides on the per-step
         # VM-state event, cumulatively.
         notes = [e.note for e in events if e.kind == "heap"]
@@ -377,7 +377,7 @@ class TestWhoPicksTheEngine:
             program = vm.program
             count = next(i for i, block in enumerate(program.blocks)
                          if "Count" in block.name)
-            assert program.decoded_cache[count].compiled is not None
+            assert program.blocks[count].compiled is not None
         assert vms["profiled"].profiler.samples > 0
         assert vms["profiled"].stats == vms["plain"].stats
 
@@ -386,8 +386,8 @@ class TestWhoPicksTheEngine:
         watched = traced_network_run(monkeypatch)
         site, events, entered = traced_network_run(monkeypatch, **how)
         assert entered > 0
-        assert not any(dec.compiled
-                       for dec in site.vm.program.decoded_cache.values())
+        assert not any(block.compiled
+                       for block in site.vm.program.blocks)
         # Same events either way: the state is read off the VM.
         key = lambda e: (e.kind, e.src, e.size, e.note, e.node, e.time)
         assert [key(e) for e in events] == [key(e) for e in watched[1]]
