@@ -45,7 +45,8 @@ from repro.runtime.nameservice import NameService
 from repro.runtime.site import Site
 from repro.runtime.wire import WireError, decode, encode
 from repro.vm.scheduler import Thread
-from repro.vm.values import Channel, ClassRef, NetRef, RemoteClassRef
+from repro.vm.values import (Channel, ClassRef, NetRef, RemoteClassRef,
+                              group_classrefs)
 
 #: Magic + format version of the checkpoint blob.
 MAGIC = b"DTCK"
@@ -208,15 +209,9 @@ class _Restore:
         """Pass 1: every group environment with its clause classrefs
         backpatched; captures still hold flat values."""
         for group_id, captures in instances:
-            group = self.program.groups[group_id]
             env: list = list(captures)
-            env.extend([None] * len(group.clauses))
-            refs = []
-            for i, (clause_hint, block_id) in enumerate(group.clauses):
-                cr = ClassRef(block_id, env, group_id, i, hint=clause_hint)
-                env[group.nfree + i] = cr
-                refs.append(cr)
-            self.classrefs.append(refs)
+            self.classrefs.append(group_classrefs(
+                group_id, self.program.groups[group_id].clauses, env))
             self._envs.append(env)
 
     def resolve_instances(self, instances) -> None:
@@ -370,7 +365,8 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
         site.restore_state(state, res)
         site.code.restore_state(state, res)
         restore_leases(site, state)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, WireError) as exc:
+        # WireError: a queued packet off its kind's layout.
         raise CheckpointCorruptError(
             f"malformed checkpoint state: {exc!r}") from exc
     return site

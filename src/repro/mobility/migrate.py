@@ -32,14 +32,14 @@ state on ACK.  If every retry is exhausted the site stays frozen at
 the source -- present in exactly one place, merely stopped -- and the
 manager reports idle so runs terminate.
 
-Control packets travel with ``dest_site_id=0`` (site ids start at 1)
-so the TyCOd can route them to the node-level manager, and reuse the
-ordinary wire format -- no new byte tags, exactly like REF_LEASE.
+Control packets are node-level: ``repro.runtime.wire.KINDS`` declares
+them, addressed as site 0, with every other kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 from repro.runtime import codecache
 from repro.runtime.site import DeliveryError
@@ -48,21 +48,12 @@ from repro.runtime.wire import (
     KIND_MIG_CODE,
     KIND_MIG_NEED,
     KIND_MIG_SHIP,
+    KINDS,
     Packet,
     encode,
 )
 
-from .checkpoint import capture_site, restore_site
-
-
-#: kind -> (handler, payload layout).  A peer's control packet is
-#: unpacked only after its payload matched the layout of its kind.
-_CONTROL = {
-    KIND_MIG_SHIP: ("_on_ship", (str, str, int, bytes, bytes)),
-    KIND_MIG_NEED: ("_on_need", (str, bytes)),
-    KIND_MIG_CODE: ("_on_code", (str, bytes, bytes)),
-    KIND_MIG_ACK: ("_on_ack", (str, bool)),
-}
+from .checkpoint import CheckpointError, capture_site, restore_site
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +111,8 @@ class _Outbound:
     code: bytes          # answers a NEED until the ACK
     attempts: int = 0
     failed: bool = False
+    #: Cancels the planted SHIP retry (the ACK does).
+    cancel_retry: Optional[Callable[[], None]] = None
 
 
 @dataclass(slots=True)
@@ -225,8 +218,8 @@ class MobilityManager:
     def _arm_retry(self, record: _Outbound) -> None:
         # The node's world timer (World.schedule_at) fires the retry.
         token = record.token
-        self.node.schedule_at(self.node.now() + self.config.retry_s,
-                              lambda: self._retry(token))
+        record.cancel_retry = self.node.schedule_at(
+            self.node.now() + self.config.retry_s, lambda: self._retry(token))
 
     def _retry(self, token: str) -> None:
         record = self.outbound.get(token)
@@ -265,22 +258,10 @@ class MobilityManager:
         return done
 
     def on_control(self, packet: Packet) -> None:
-        """Dispatch one mobility control packet.  An unknown kind or a
-        payload off its kind's layout is a peer's fault: it raises
-        :class:`DeliveryError`, like bad mail to a site."""
-        entry = _CONTROL.get(packet.kind)
-        if entry is None:
-            raise DeliveryError(
-                f"node {self.node.ip}: unknown mobility packet "
-                f"{packet.kind!r}")
-        handler, layout = entry
-        payload = packet.payload
-        if not (type(payload) is tuple and len(payload) == len(layout)
-                and all(map(isinstance, payload, layout))):
-            raise DeliveryError(
-                f"node {self.node.ip}: malformed {packet.kind} payload "
-                f"{payload!r:.80}")
-        getattr(self, handler)(packet)
+        """Dispatch one control packet to its handler in
+        :data:`~repro.runtime.wire.KINDS`; the node's door held a
+        peer's packet to its kind's layout."""
+        getattr(self, KINDS[packet.kind][1])(packet)
 
     # -- destination side ---------------------------------------------------
 
@@ -357,7 +338,12 @@ class MobilityManager:
     def _complete_inbound(self, token: str, site_name: str, site_id: int,
                           state_bytes: bytes, code: bytes,
                           src_ip: str) -> None:
-        site = restore_site(self.node, code, state_bytes)
+        try:
+            site = restore_site(self.node, code, state_bytes)
+        except CheckpointError as exc:
+            raise DeliveryError(
+                f"node {self.node.ip}: {site_name} does not restore: "
+                f"{exc}") from exc
         self.node.nameservice.rebind_site(site_name, self.node.ip,
                                           site_id=site.site_id)
         self.node.adopt_site(site)
@@ -397,6 +383,7 @@ class MobilityManager:
         if record is None:
             self.stats.dup_acks += 1
             return
+        record.cancel_retry()
         self.frozen.pop(record.site_id, None)
         self.tombstones[record.site_id] = record.dest_ip
         self.node.trace("migrate-out", src=self.node.ip, dst=record.dest_ip,
@@ -443,6 +430,7 @@ class MobilityManager:
         lost replies get re-asked."""
         for record in list(self.outbound.values()):
             if not record.failed:
+                record.cancel_retry()     # one retry chain per migration
                 self._send_ship(record)
                 self._arm_retry(record)
         for pending in list(self.pending_in.values()):

@@ -62,7 +62,7 @@ from repro.compiler.linker import (
     link_bundle,
 )
 from repro.vm.machine import VMRuntimeError
-from repro.vm.values import ClassRef, RemoteClassRef
+from repro.vm.values import ClassRef, RemoteClassRef, group_classrefs
 
 from .wire import (
     KIND_CODE_NEED,
@@ -656,10 +656,10 @@ class SiteCode:
             classref = site.exported_class(token_val, "CODE_NEED for ")
             kind, root_ids = GROUP, (classref.group_id,)
         elif token_kind == "ship":
-            if not digests:
+            if not digests or any(type(d) is not bytes for d in digests):
                 raise DeliveryError(
                     f"{site.site_name}: CODE_NEED for ship token "
-                    f"{token_val} names no digest")
+                    f"{token_val} names no digests")
             # Only the blocks the receiver asked for; the rest it holds.
             kind, root_ids = BLOCK, tuple(map(self._method_block, digests))
         else:
@@ -750,9 +750,15 @@ class SiteCode:
             token_kind, note, needed = "fetch", f"class {token_val}", \
                 (root_digest,)
         else:
-            token_val, heap_id, _positions, entry_digests, _env = \
+            token_val, heap_id, positions, entry_digests, _env = \
                 packet.payload
             site.check_target(heap_id)
+            if any(type(d) is not bytes for d in entry_digests) or any(
+                    type(p) is not int or not 0 <= p < len(entry_digests)
+                    for p in positions.values()):
+                raise DeliveryError(
+                    f"{site.site_name}: object offer {token_val} does not "
+                    f"map its labels to its digests")
             # De-dup: an object may expose one block under two labels.
             token_kind, note, needed = "ship", f"obj {heap_id}", \
                 tuple(dict.fromkeys(entry_digests))
@@ -836,20 +842,24 @@ class SiteCode:
         vm, unmarshal = self.site.vm, self.site.unmarshal_value
         if pkey[2] == "ship":
             _token, heap_id, _positions, _entry_digests, env = payload
+            if any(vm.program.blocks[block_id].nfree != len(env)
+                   for block_id in local.values()):
+                raise DeliveryError(
+                    f"{self.site.site_name}: object offer {pkey[3]} does "
+                    f"not fit its methods ({len(env)} captures)")
             vm.deliver_object(heap_id, local,
                               tuple(unmarshal(v) for v in env))
             return
         src_ip, src_site_id, _kind, class_id = pkey
         _class_id, _root_digest, index, captured, hint = payload
         group = vm.program.groups[local]
-        env: list = [unmarshal(v) for v in captured]
-        env.extend([None] * len(group.clauses))
-        classrefs = []
-        for i, (clause_hint, block_id) in enumerate(group.clauses):
-            cr = ClassRef(block_id, env, local, i, hint=clause_hint)
-            env[group.nfree + i] = cr
-            classrefs.append(cr)
-        target = classrefs[index]
+        if len(captured) != group.nfree or not (
+                0 <= index < len(group.clauses)):
+            raise DeliveryError(
+                f"{self.site.site_name}: class {class_id} offer does not "
+                f"fit its group (clause {index}, {len(captured)} captures)")
+        target = group_classrefs(
+            local, group.clauses, [unmarshal(v) for v in captured])[index]
         key = (src_ip, src_site_id, class_id)
         if self.fetch_cache:
             self._fetched[key] = target
@@ -957,7 +967,8 @@ def answer_orphan_need(tycod, need: Packet) -> None:
     never an exception out of the world."""
     node = tycod.node
     token_kind, token_val, digests = need.payload
-    replies = [_stored_reply(node.codestore, need, d) for d in digests]
+    replies = [_stored_reply(node.codestore, need, d)
+               if type(d) is bytes else None for d in digests]
     if not replies or None in replies:
         tycod.stats.orphan_needs_dropped += 1
         node.trace("code-orphan", need.src_ip, node.ip, len(digests),

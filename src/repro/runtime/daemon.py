@@ -22,8 +22,7 @@ from repro.compiler.assembly import Program
 from .codecache import answer_orphan_need
 from .distgc import drop_orphan_ref
 from .launch import LaunchCache
-from .wire import (KIND_CODE_NEED, KIND_REF_DROP, KIND_REF_LEASE,
-                   KIND_REF_RENEW, Packet, decode, encode)
+from .wire import KIND_CODE_NEED, KINDS, Packet, check_payload, decode, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -111,13 +110,12 @@ class TyCOd:
                 for site in self.node.sites.values()}
 
     def receive(self, data: bytes) -> None:
-        """A buffer arrived from a remote TyCOd."""
+        """A buffer arrived from a remote TyCOd, held to its kind."""
         packet = decode(data)
+        owner = check_payload(packet)[0]
         self.stats.remote_receives += 1
         self.stats.bytes_received += len(data)
-        if packet.dest_site_id == 0 and packet.kind.startswith("mig_"):
-            # Node-level mobility control traffic (site ids start at
-            # 1, so id 0 is free for the migration manager).
+        if owner == "mobility":
             self.node.ensure_mobility().enqueue_control(packet)
             return
         target = self.node.sites.get(packet.dest_site_id)
@@ -141,7 +139,7 @@ class TyCOd:
             return
         if packet.kind == KIND_CODE_NEED:
             answer_orphan_need(self, packet)
-        elif packet.kind in (KIND_REF_LEASE, KIND_REF_RENEW, KIND_REF_DROP):
+        elif KINDS[packet.kind][0] == "distgc":
             drop_orphan_ref(self, packet)
         else:
             raise LookupError(

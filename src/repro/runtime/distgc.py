@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.vm.values import remote_ref_key
 
+from .codecache import DeliveryError
 from .wire import KIND_REF_DROP, KIND_REF_LEASE, KIND_REF_RENEW, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -422,6 +423,11 @@ class LeaseProtocol(DistGC):
         holder = (packet.src_ip, packet.src_site_id)
         now = site.clock()
         (entries,) = packet.payload
+        if any(type(e) is not tuple or len(e) != 2 or e[0] not in ("n", "c")
+               or type(e[1]) is not int for e in entries):
+            raise DeliveryError(
+                f"{site.site_name}: {packet.kind} names a key that is not "
+                f"('n' | 'c', id)")
         for kind, ident in entries:
             key = (kind, ident)
             if packet.kind == KIND_REF_DROP:

@@ -126,11 +126,13 @@ class Node:
         """Current time on the attached world's clock."""
         return self._clock()
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
-        """Run ``action()`` at ``time`` on the attached world's timer."""
+    def schedule_at(self, time: float,
+                    action: Callable[[], None]) -> Callable[[], None]:
+        """Run ``action()`` at ``time`` on the attached world's timer;
+        returns the timer's cancel (:meth:`World.schedule_at`)."""
         if self._timer is None:
             raise RuntimeError(f"node {self.ip} has no world timer attached")
-        self._timer(time, action)
+        return self._timer(time, action)
 
     def transport_send(self, dest_ip: str, data: bytes) -> None:
         if self._send is None:
@@ -265,14 +267,15 @@ class Node:
 
     def receive(self, data: bytes) -> None:
         """A buffer arrives from the network (called by the world).
-        Bytes that do not decode are a :class:`DeliveryError` naming
-        this node, chained from the :class:`WireError`."""
+        Bytes that do not decode or do not fit their kind in
+        :data:`~repro.runtime.wire.KINDS` are a :class:`DeliveryError`
+        naming this node, chained from the :class:`WireError`."""
         try:
             for chunk in decode_frame(data) if is_frame(data) else (data,):
                 self.tycod.receive(chunk)
         except WireError as exc:
             raise DeliveryError(
-                f"node {self.ip}: undecodable buffer: {exc}") from exc
+                f"node {self.ip}: rejected buffer: {exc}") from exc
 
     def step(self, quantum: int = 256) -> NodeStepReport:
         """One scheduling quantum: pump the daemon, then round-robin

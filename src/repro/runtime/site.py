@@ -49,18 +49,7 @@ from repro.vm.values import (
 from .codecache import DeliveryError, SiteCode
 from .distgc import GcConfig, LeaseProtocol
 from .nameservice import NameService
-from .wire import (
-    KIND_CODE_NEED,
-    KIND_CODE_REPLY,
-    KIND_FETCH_REPLY,
-    KIND_FETCH_REQUEST,
-    KIND_MESSAGE,
-    KIND_OBJECT,
-    KIND_REF_DROP,
-    KIND_REF_LEASE,
-    KIND_REF_RENEW,
-    Packet,
-)
+from .wire import KIND_MESSAGE, KIND_OBJECT, KINDS, Packet, check_payload
 
 #: A site keeps the classes it FETCHed (the ClassRef cache), read when
 #: the site is built.  False makes every remote instantiation re-run
@@ -515,6 +504,8 @@ class Site:
 
     def unmarshal_value(self, v: Any) -> Any:
         """Receiver half: references bound to this site become local."""
+        if isinstance(v, (int, float, str)):    # bool is an int
+            return v
         if isinstance(v, NetRef):
             if self.is_self(v.ip, v.site_id):
                 self.check_target(v.heap_id, "reference to")
@@ -528,35 +519,31 @@ class Site:
             if self.distgc is not None:
                 self.distgc.note_remote(v)
             return self.code.cached_class(v)
-        return v
+        # Only what marshal_value produces crosses the network.
+        raise DeliveryError(
+            f"{self.site_name}: received value {v!r:.80} is not a "
+            f"marshalled value")
 
     # -- delivery -------------------------------------------------------------------
 
     def _deliver(self, packet: Packet) -> None:
+        """Hand a packet to the handler its kind names in ``KINDS``."""
         self.stats.packets_received += 1
-        kind = packet.kind
-        if kind == KIND_MESSAGE:
-            heap_id, label, args = packet.payload
-            self.check_target(heap_id)
-            values = tuple(self.unmarshal_value(a) for a in args)
-            signature = self.wire_signatures.get(heap_id)
-            if signature is not None:
-                # Dynamic half of the section-7 checking scheme.
-                signature.check(label, values)
-            self.vm.deliver_message(heap_id, label, values)
-        elif kind in (KIND_OBJECT, KIND_FETCH_REPLY):
-            self.code.on_offer(packet)
-        elif kind == KIND_FETCH_REQUEST:
-            self.code.serve_fetch(packet)
-        elif kind == KIND_CODE_NEED:
-            self.code.serve_code_need(packet)
-        elif kind == KIND_CODE_REPLY:
-            self.code.on_code_reply(packet)
-        elif kind in (KIND_REF_LEASE, KIND_REF_RENEW, KIND_REF_DROP):
-            if self.distgc is not None:  # else stray lease traffic: ignore
-                self.distgc.on_ref(packet)
-        else:
-            raise DeliveryError(f"unknown packet kind {kind!r}")
+        owner, handler, _layout = KINDS[packet.kind]
+        target = self if owner == "site" else getattr(self, owner)
+        if target is not None:  # else no distgc: stray lease traffic
+            getattr(target, handler)(packet)
+
+    def on_message(self, packet: Packet) -> None:
+        """SHIPM's remote half: a message for a channel we exported."""
+        heap_id, label, args = packet.payload
+        self.check_target(heap_id)
+        values = tuple(self.unmarshal_value(a) for a in args)
+        signature = self.wire_signatures.get(heap_id)
+        if signature is not None:
+            # Dynamic half of the section-7 checking scheme.
+            signature.check(label, values)
+        self.vm.deliver_message(heap_id, label, values)
 
     # -- checkpoint (repro.mobility.checkpoint) -------------------------------
 
@@ -597,3 +584,5 @@ class Site:
         self._next_class_id = state["next_class_id"]
         self.incoming = deque(state["incoming"])
         self.outgoing = deque(state["outgoing"])
+        for packet in (*self.incoming, *self.outgoing):
+            check_payload(packet)

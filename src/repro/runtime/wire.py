@@ -282,16 +282,14 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int]:
             val, pos = _decode_at(buf, pos)
             d[key] = val
         return d, pos
-    if tag == _T_NETREF:
-        heap_id, pos = _read_varint(buf, pos)
+    if tag == _T_NETREF or tag == _T_RCLASSREF:
+        ident, pos = _read_varint(buf, pos)
         site_id, pos = _read_varint(buf, pos)
         ip, pos = _decode_at(buf, pos)
-        return NetRef(heap_id, site_id, ip), pos
-    if tag == _T_RCLASSREF:
-        class_id, pos = _read_varint(buf, pos)
-        site_id, pos = _read_varint(buf, pos)
-        ip, pos = _decode_at(buf, pos)
-        return RemoteClassRef(class_id, site_id, ip), pos
+        if type(ip) is not str:
+            raise WireError(f"reference with a non-string ip {ip!r:.40}")
+        ref = NetRef if tag == _T_NETREF else RemoteClassRef
+        return ref(ident, site_id, ip), pos
     if tag == _T_INSTR:
         if pos >= len(buf):
             raise WireError("truncated instruction")
@@ -367,46 +365,68 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int]:
 # Packets
 # ---------------------------------------------------------------------------
 
-#: Packet kinds exchanged by the TyCOd daemons.  Code-carrying kinds
-#: follow the offer / need / reply protocol of the code cache
-#: (docs/WIRE.md): the sender first *offers* content digests, the
-#: receiver answers with the subset of code it is missing.
-KIND_MESSAGE = "msg"          # payload: (heap_id, label, args tuple)
-KIND_OBJECT = "obj"           # offer: (token, heap_id,
-                              #         method positions dict, entry
-                              #         digests tuple, env tuple)
-KIND_FETCH_REQUEST = "fetch_req"    # payload: (class_id,)
-KIND_FETCH_REPLY = "fetch_reply"    # offer: (class_id, root digest,
-                                    #         index, env tuple, hint)
-KIND_CODE_NEED = "code_need"        # payload: (token kind, token value,
-                                    #           missing digests tuple)
-KIND_CODE_REPLY = "code_reply"      # payload: (token kind, token value,
-                                    #           bundle, manifest)
-
-#: Distributed-GC lease traffic (repro.runtime.distgc, docs/GC.md).
-#: Each carries ``(entries,)`` where entries is a tuple of lease keys
-#: ``("n", heap_id)`` / ``("c", class_id)`` naming exported channels or
-#: classes of the *destination* site.  Existing str/int/tuple wire tags
-#: encode them; no new byte tags are needed.
+#: Packet kinds exchanged by the TyCOd daemons: code movement, whose
+#: offer / need / reply protocol offers content digests first
+#: (docs/WIRE.md); the distributed GC's leases on the destination
+#: site's exported channels and classes (docs/GC.md); live-migration
+#: control (docs/MIGRATION.md), addressed to the node as site 0 (site
+#: ids start at 1).
+KIND_MESSAGE = "msg"
+KIND_OBJECT = "obj"
+KIND_FETCH_REQUEST = "fetch_req"
+KIND_FETCH_REPLY = "fetch_reply"
+KIND_CODE_NEED = "code_need"
+KIND_CODE_REPLY = "code_reply"
 KIND_REF_LEASE = "ref_lease"    # holder claims leases on the keys
 KIND_REF_RENEW = "ref_renew"    # holder extends its leases on the keys
 KIND_REF_DROP = "ref_drop"      # holder relinquishes the keys
+KIND_MIG_SHIP = "mig_ship"
+KIND_MIG_NEED = "mig_need"
+KIND_MIG_CODE = "mig_code"
+KIND_MIG_ACK = "mig_ack"
 
-#: Live-migration control traffic (repro.mobility, docs/MIGRATION.md).
-#: These are *node-level* packets: ``dest_site_id`` is 0 (site ids
-#: start at 1), so they address the node's mobility manager rather
-#: than any site.  Like the REF_* kinds they ride the existing
-#: str/int/bytes/tuple wire tags; no new byte tags are needed.  The
-#: checkpoint itself travels as opaque ``bytes`` (its own format and
-#: digest are described in docs/MIGRATION.md), while the code part is
-#: shipped separately and content-addressed so a destination that
-#: already holds the program area (an earlier migration, or a
-#: migrate-back) receives zero code bytes.
-KIND_MIG_SHIP = "mig_ship"    # payload: (token, site_name, site_id,
-                              #           state bytes, code digest)
-KIND_MIG_NEED = "mig_need"    # payload: (token, code digest)
-KIND_MIG_CODE = "mig_code"    # payload: (token, code digest, code bytes)
-KIND_MIG_ACK = "mig_ack"      # payload: (token, ok flag)
+#: Every kind, declared once: kind -> (owner, handler, payload layout).
+#: The owner is ``"site"``, its ``"code"`` protocol, its ``"distgc"``
+#: lease protocol or the node's ``"mobility"`` manager; the handler is
+#: the owner's method that takes the packet; the layout gives one type
+#: per payload field (named in docs/WIRE.md and by each handler).
+KINDS: dict[str, tuple[str, str, tuple[type, ...]]] = {
+    KIND_MESSAGE: ("site", "on_message", (int, str, tuple)),
+    KIND_OBJECT: ("code", "on_offer", (int, int, dict, tuple, tuple)),
+    KIND_FETCH_REQUEST: ("code", "serve_fetch", (int,)),
+    KIND_FETCH_REPLY: ("code", "on_offer", (int, bytes, int, tuple, str)),
+    KIND_CODE_NEED: ("code", "serve_code_need", (str, int, tuple)),
+    KIND_CODE_REPLY: ("code", "on_code_reply",
+                      (str, int, CodeBundle, BundleManifest)),
+    KIND_REF_LEASE: ("distgc", "on_ref", (tuple,)),
+    KIND_REF_RENEW: ("distgc", "on_ref", (tuple,)),
+    KIND_REF_DROP: ("distgc", "on_ref", (tuple,)),
+    KIND_MIG_SHIP: ("mobility", "_on_ship", (str, str, int, bytes, bytes)),
+    KIND_MIG_NEED: ("mobility", "_on_need", (str, bytes)),
+    KIND_MIG_CODE: ("mobility", "_on_code", (str, bytes, bytes)),
+    KIND_MIG_ACK: ("mobility", "_on_ack", (str, bool)),
+}
+
+
+def check_payload(packet: Any) -> tuple[str, str, tuple[type, ...]]:
+    """Hold a peer's packet to :data:`KINDS` and return its entry; an
+    unknown kind, a payload off its layout, or a ``mobility`` kind for a
+    site (another kind for site 0) is a :class:`WireError`."""
+    if type(packet) is not Packet:
+        raise WireError(f"not a packet: {packet!r:.80}")
+    kind = packet.kind
+    entry = KINDS.get(kind) if type(kind) is str else None
+    if entry is None:
+        raise WireError(f"unknown packet kind {kind!r:.80}")
+    layout, payload = entry[2], packet.payload
+    if not (type(payload) is tuple and len(payload) == len(layout)
+            and all(map(isinstance, payload, layout))):
+        raise WireError(f"malformed {kind} payload {payload!r:.80}")
+    if (entry[0] == "mobility") != (packet.dest_site_id == 0):
+        raise WireError(f"{kind} addressed to site {packet.dest_site_id}")
+    if type(packet.src_ip) is not str or type(packet.dest_ip) is not str:
+        raise WireError(f"{kind} with a non-string address")
+    return entry
 
 
 @dataclass(slots=True)

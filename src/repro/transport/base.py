@@ -96,10 +96,13 @@ class World(ABC):
         """Current time (virtual or wall-clock, world-dependent)."""
 
     @abstractmethod
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+    def schedule_at(self, time: float,
+                    action: Callable[[], None]) -> Callable[[], None]:
         """Run ``action()`` where this world steps its nodes once
         :attr:`time` reaches ``time``.  Until it has run, the action is
-        pending work: :meth:`run` does not return before it."""
+        pending work: :meth:`run` does not return before it.  Returns
+        a function that cancels the action if it has not run yet (due
+        or not): it then never runs and is pending no more."""
 
     def call(self, fn, *args):
         """Run ``fn(*args)`` where this world steps its nodes and return

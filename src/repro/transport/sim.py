@@ -179,15 +179,25 @@ class SimWorld(World):
 
     # -- control plane ---------------------------------------------------------
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+    def schedule_at(self, time: float,
+                    action: Callable[[], None]) -> Callable[[], None]:
         """Schedule an arbitrary control-plane action on the virtual
         clock (arrivals, balancer ticks, SLO checks, migration retries,
-        heartbeats); a time in the past is a ``ValueError``."""
+        heartbeats); a time in the past is a ``ValueError``.  The
+        returned cancel takes the event off the queue, so it neither
+        runs nor advances the clock."""
         if not callable(action):
             raise TypeError(f"event action must be callable, got {action!r}")
         if time < self._clock:
             raise ValueError(f"cannot schedule in the past ({time} < {self._clock})")
-        self._push(time, action)
+        event = (time, next(self._seq), action)
+        heapq.heappush(self._events, event)
+
+        def cancel() -> None:
+            if event in self._events:     # not run yet
+                self._events.remove(event)
+                heapq.heapify(self._events)
+        return cancel
 
     def fail_node(self, ip: str) -> None:
         """Crash a node: it stops computing, and packets to or from it

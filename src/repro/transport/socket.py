@@ -560,7 +560,7 @@ class SocketWorld(World):
         self._deferred: set[str] = set()     # waiting for a link slot
         self._armed: dict[str, float] = {}   # last sweep deadline per node
         self._timers = 0                     # planned actions not yet run
-        self._due: deque[Callable[[], None]] = deque()   # fell due, to run
+        self._due: deque[list] = deque()     # cells that fell due, to run
         #: ip -> what that node's step or receive raised ("" for a
         #: planned action).
         self._errors: dict[str, Exception] = {}
@@ -668,33 +668,50 @@ class SocketWorld(World):
         self._errors.setdefault(ip, exc)
         self._settled.set()
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
+    def schedule_at(self, time: float,
+                    action: Callable[[], None]) -> Callable[[], None]:
         """Run ``action()`` on the loop at ``time`` on the ``monotime``
         clock; a time already past fires at once.  Callable from any
-        thread."""
+        thread, and so is the cancel it returns."""
         if not callable(action):
             raise TypeError(f"event action must be callable, got {action!r}")
-        self.call(self._plant, time, action)
+        return self.call(self._plant, time, action)
 
-    def _plant(self, time: float, action: Callable[[], None]) -> None:
+    def _plant(self, time: float,
+               action: Callable[[], None]) -> Callable[[], None]:
         self._timers += 1
-        self.io.loop.call_at(time, self._fall_due, action)
+        # The cell holds the action until it runs or is cancelled.
+        cell = [action]
+        timer = self.io.loop.call_at(time, self._fall_due, cell)
 
-    def _fall_due(self, action: Callable[[], None]) -> None:
+        def cancel() -> None:
+            self.call(self._cancel, timer, cell)
+        return cancel
+
+    def _cancel(self, timer: asyncio.TimerHandle, cell: list) -> None:
+        if cell[0] is not None:
+            cell[0] = None
+            timer.cancel()
+            self._timers -= 1
+            self._settle()
+
+    def _fall_due(self, cell: list) -> None:
         # One due action per pass of the loop, behind the node steps
         # already queued: a burst of late arrivals cannot starve the
         # nodes that serve them.
-        self._due.append(action)
+        self._due.append(cell)
         if len(self._due) == 1:
             self.io.loop.call_soon(self._fire)
 
     def _fire(self) -> None:
-        action = self._due.popleft()
-        try:
-            action()
-        except Exception as exc:  # noqa: BLE001 - run() raises it
-            self._fail("", exc)
-        self._timers -= 1
+        cell = self._due.popleft()
+        action, cell[0] = cell[0], None
+        if action is not None:       # else cancelled after it fell due
+            try:
+                action()
+            except Exception as exc:  # noqa: BLE001 - run() raises it
+                self._fail("", exc)
+            self._timers -= 1
         if self._due:
             self.io.loop.call_soon(self._fire)
         else:

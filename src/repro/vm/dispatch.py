@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.compiler.assembly import CodeBlock, Op, Program
 
 from .machine import ImportPending, VMRuntimeError, _arith, _vm_equal
-from .values import ClassRef
+from .values import group_classrefs
 
 
 # -- fast binary operators ---------------------------------------------------
@@ -266,14 +266,10 @@ def _decode_one(program: Program, ins):
         clauses = program.groups[group_id].clauses
 
         def h(vm, t, f, st, _c=clauses, _n=nfree, _g=group_id,
-              _f=first_slot):
-            env = list(st[len(st) - _n:])
+              _f=first_slot, _e=first_slot + len(clauses)):
+            env = st[len(st) - _n:]
             del st[len(st) - _n:]
-            env.extend([None] * len(_c))
-            for index, (hint, block_id) in enumerate(_c):
-                cr = ClassRef(block_id, env, _g, index, hint=hint)
-                env[_n + index] = cr
-                f[_f + index] = cr
+            f[_f:_e] = group_classrefs(_g, _c, env)
         return h
 
     if op is Op.JMP:

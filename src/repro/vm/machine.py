@@ -39,7 +39,8 @@ from repro.compiler.assembly import Op, Program
 
 from .heap import Heap
 from .scheduler import RunQueue, Thread
-from .values import Channel, ClassRef, NetRef, RemoteClassRef, VMValue
+from .values import (Channel, ClassRef, NetRef, RemoteClassRef, VMValue,
+                     group_classrefs)
 
 # ``Op.X`` is a read through the enum's metaclass (~0.1 us); the
 # interpreter compares one opcode per ``elif`` arm per instruction.
@@ -499,14 +500,11 @@ class TycoVM:
                 frame[ins.args[0]] = self.heap.new_channel()
             elif op is _DEFGROUP:
                 group_id, nfree, first_slot = ins.args
-                env = list(stack[len(stack) - nfree:])
+                env = stack[len(stack) - nfree:]
                 del stack[len(stack) - nfree:]
-                group = program.groups[group_id]
-                env.extend([None] * len(group.clauses))
-                for index, (hint, clause_id) in enumerate(group.clauses):
-                    cr = ClassRef(clause_id, env, group_id, index, hint=hint)
-                    env[nfree + index] = cr
-                    frame[first_slot + index] = cr
+                refs = group_classrefs(
+                    group_id, program.groups[group_id].clauses, env)
+                frame[first_slot:first_slot + len(refs)] = refs
             elif op is _JMP:
                 thread.pc = ins.args[0]
             elif op is _JMPF:
@@ -525,10 +523,6 @@ class TycoVM:
                 del stack[len(stack) - nargs:]
                 self.stats.prints += 1
                 self.output.extend(args)
-            elif op in _ARITH_OPS:
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(_arith(self, op, a, b))
             elif op is _BNOT:
                 v = stack.pop()
                 if v is not True and v is not False:
@@ -559,8 +553,13 @@ class TycoVM:
                 except ImportPending:
                     self._stall(thread)
                     return executed
-            else:  # pragma: no cover - exhaustive over the opcode set
-                raise VMRuntimeError(f"{self.name}: unknown opcode {op}")
+            else:
+                # The binary operators: every other opcode has an arm
+                # above.  (A set test here would hash the Enum, a
+                # Python call, on every instruction.)
+                b = stack.pop()
+                a = stack.pop()
+                stack.append(_arith(self, op, a, b))
         return executed
 
     # -- communication / instantiation ---------------------------------------
@@ -691,12 +690,6 @@ class TycoVM:
     def spawn_instance(self, classref: ClassRef, args: tuple) -> None:
         """Run a deferred instantiation (after a FETCH reply linked)."""
         self._instof(classref, args)
-
-
-_ARITH_OPS = {
-    _ADD, _SUB, _MUL, _DIV, _MOD,
-    _LT, _LE, _GT, _GE, _EQ, _NE, _BAND, _BOR,
-}
 
 
 def _arith(vm: TycoVM, op: Op, a, b):

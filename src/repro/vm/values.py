@@ -124,6 +124,17 @@ class ClassRef:
         return f"<classref {self.hint} b{self.block_id}>"
 
 
+def group_classrefs(group_id: int, clauses, env: list) -> list[ClassRef]:
+    """Instantiate class group ``group_id``: one :class:`ClassRef` per
+    ``(hint, block id)`` clause, all sharing ``env`` -- the group's
+    captures, extended here by the classrefs themselves so the clauses
+    can name each other.  Returns the classrefs in clause order."""
+    refs = [ClassRef(block_id, env, group_id, index, hint=hint)
+            for index, (hint, block_id) in enumerate(clauses)]
+    env.extend(refs)
+    return refs
+
+
 #: Everything a VM slot or stack cell can hold.
 VMValue = object
 

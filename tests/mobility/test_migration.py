@@ -56,6 +56,14 @@ class TestHappyPath:
         assert migrated.is_quiescent()
         check_invariants(migrated)
 
+    def test_ack_cancels_the_retry(self):
+        # The run ends at the cutover, not at the planted SHIP retry.
+        net = build(DiTyCONetwork(), messages=1)
+        elapsed = net.run()
+        src = net.mobility("n1")
+        assert src.stats.retries == 0 and src.outbound == {}
+        assert elapsed < MobilityConfig().retry_s
+
     def test_site_lands_on_dest_and_ns_rebinds(self):
         net = build(DiTyCONetwork())
         net.run()
@@ -182,7 +190,7 @@ class TestDedup:
         bogus = Packet(kind="mig_bogus", src_ip="n1", src_site_id=0,
                        dest_ip="n3", dest_site_id=0, payload=())
         with pytest.raises(DeliveryError, match="mig_bogus"):
-            net.node("n3").mobility.on_control(bogus)
+            net.node("n3").receive(encode(bogus))
 
     def test_need_for_unknown_digest_is_ignored(self):
         net = self.migrated_net()

@@ -27,7 +27,8 @@ from repro.runtime.codecache import (
     verify_store_integrity,
 )
 from repro.runtime.site import DeliveryError
-from repro.runtime.wire import KIND_CODE_NEED, KIND_CODE_REPLY, Packet, encode
+from repro.runtime.wire import (KIND_CODE_NEED, KIND_CODE_REPLY, KIND_MESSAGE,
+                                Packet, encode)
 from repro.testkit import ChaosWorld
 from repro.testkit.invariants import check_no_stale_code
 from repro.vm.dispatch import predecode
@@ -849,7 +850,7 @@ class TestOrphanNeed:
         node = net.node(N2)
         mover_id = net.site("mover").site_id
         node.tycoi.reap()
-        stray = Packet(kind="message", src_ip=N1, src_site_id=1,
+        stray = Packet(kind=KIND_MESSAGE, src_ip=N1, src_site_id=1,
                        dest_ip=N2, dest_site_id=mover_id,
                        payload=(1, "val", ()))
         with pytest.raises(LookupError, match="no site"):

@@ -350,6 +350,25 @@ class TestSocketWorld:
         finally:
             world.shutdown()
 
+    def test_a_cancelled_planned_action_is_not_waited_for(self):
+        world = SocketWorld()
+        net = DiTyCONetwork(world=world)
+        net.add_node("n1")
+        try:
+            world.start()
+            fired = []
+            cancel = world.schedule_at(world.time + 30.0,
+                                       lambda: fired.append("late"))
+            assert world.call(lambda: world._timers) == 1
+            cancel()
+            assert world.call(lambda: world._timers) == 0
+            assert net.run(max_time=10.0) < 5.0
+            cancel()                 # a second cancel changes nothing
+            assert world.call(lambda: world._timers) == 0
+            assert fired == []
+        finally:
+            world.shutdown()
+
     def test_a_failing_planned_action_ends_run(self):
         world = SocketWorld()
         net = DiTyCONetwork(world=world)

@@ -90,6 +90,25 @@ class TestSimWorld:
         assert fired == ["early", "late"]
         assert world.time == 2e-3
 
+    def test_cancelled_action_neither_runs_nor_advances_the_clock(self):
+        world = SimWorld()
+        fired = []
+        world.schedule_at(1e-3, lambda: fired.append("kept"))
+        cancel = world.schedule_at(2e-3, lambda: fired.append("cancelled"))
+        cancel()
+        assert world.run() == 1e-3
+        assert fired == ["kept"]
+        cancel()                     # once it is gone: a no-op
+
+    def test_cancel_after_falling_due_before_firing(self):
+        world = SimWorld()
+        fired = []
+        cancels = []
+        world.schedule_at(1e-3, lambda: cancels[0]())
+        cancels.append(world.schedule_at(1e-3, lambda: fired.append("due")))
+        world.run()
+        assert fired == []
+
     def test_failed_node_not_scheduled(self):
         world = SimWorld()
         net = DiTyCONetwork(world=world)
