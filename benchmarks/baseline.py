@@ -40,10 +40,10 @@ Metric glossary
   functions of the workload spec).
 - ``e17_ckpt_bytes`` -- packed checkpoint blob for the quiesced E17
   pump server.  ``e17_cold_migrate_bytes`` / ``e17_warm_migrate_bytes``
-  (and ``_sim_us``) -- wire bytes / virtual time for a cutover that
-  ships code+state vs one whose destination already holds the code;
-  the gap is ``e17_code_bytes_shipped``, and
-  ``e17_state_bytes_shipped`` is the rest.
+  (and ``_sim_us``) -- wire bytes / virtual time for its cutover to a
+  node that never ran it and back to the node it left; each is one
+  SHIP carrying code + state and one ACK.  ``e17_code_bytes_shipped``
+  / ``e17_state_bytes_shipped`` are the two parts of the first SHIP.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def _macro_metrics(metrics: dict, group: str, bench_module: str) -> None:
 
 def _e17_metrics(metrics: dict) -> None:
     """E17: live-migration cutover costs -- checkpoint blob size, wire
-    bytes and virtual time for a cold (code + state) and a warm
-    (state-only) cutover of the same site."""
+    bytes and virtual time for a cutover out (cold) and back (warm) of
+    the same site, and the code / state split of the shipped bytes."""
     from bench_e17_migration import run
 
     r = run()

@@ -34,7 +34,7 @@ EXPERIMENTS = {
     "e14": ("bench_e14_pubsub", "macro: pub/sub chat fabric"),
     "e15": ("bench_e15_mapreduce", "macro: map-reduce code movement"),
     "e16": ("bench_e16_agents", "macro: mobile-agent pipeline"),
-    "e17": ("bench_e17_migration", "live migration: cold vs warm cutover"),
+    "e17": ("bench_e17_migration", "live migration: a cutover out and back"),
 }
 
 

@@ -292,7 +292,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"trace: {args.trace}")
     if registry is not None:
         _write_or_print(args.metrics, registry.render())
-    print(f"repro: {run.repro(program)}")
+    print(f"repro: {run.repro(program, trace=args.trace)}")
     return 3 if run.violations else 0
 
 

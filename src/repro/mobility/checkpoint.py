@@ -13,10 +13,9 @@ rides the same tags every packet does.
 Two byte strings come out of a capture:
 
 * the **code part** -- the program area as an identity-layout
-  :class:`~repro.compiler.linker.CodeBundle` plus externals/main.  It
-  is content-digested separately so the migration protocol can skip
-  shipping it to a node that already holds it (the CodeCache idea,
-  lifted to whole program areas).
+  :class:`~repro.compiler.linker.CodeBundle` plus externals/main.  A
+  migration ships it beside the state part in one packet, so a site
+  moves with its code.
 * the **state part** -- everything else, with heap ids, class ids and
   program-area ids preserved verbatim.  Restoring links the bundle
   into an *empty* program area, which yields identity id maps, so a
@@ -72,8 +71,7 @@ class SiteCheckpoint:
     site_name: str
     site_id: int
     state: bytes        # everything but the program area
-    code: bytes         # the program area (separately shippable)
-    code_digest: bytes  # blake2b-16 of ``code``
+    code: bytes         # the program area
 
     def total_bytes(self) -> int:
         return len(self.state) + len(self.code)
@@ -338,8 +336,7 @@ def capture_site(site: Site) -> SiteCheckpoint:
     code = capture_code(site.vm.program)
     state = capture_state(site)
     return SiteCheckpoint(site_name=site.site_name, site_id=site.site_id,
-                          state=state, code=code,
-                          code_digest=digest_bytes(code))
+                          state=state, code=code)
 
 
 def build_site(code_bytes: bytes, state_bytes: bytes, *,
@@ -355,9 +352,9 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
     resolving locally.  The cache ablations and the lease protocol a
     site was built with travel with it.
     """
-    program = restore_code(code_bytes)
-    state = _decode_part(state_bytes, "state")
     try:
+        program = restore_code(code_bytes)
+        state = _decode_part(state_bytes, "state")
         site = Site(state["site_name"], state["site_id"], ip, program,
                     nameservice, clock=clock)
         res = _Restore(program)
@@ -365,10 +362,12 @@ def build_site(code_bytes: bytes, state_bytes: bytes, *,
         site.restore_state(state, res)
         site.code.restore_state(state, res)
         restore_leases(site, state)
-    except (KeyError, IndexError, TypeError, ValueError, WireError) as exc:
-        # WireError: a queued packet off its kind's layout.
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+            WireError) as exc:
+        # WireError: a queued packet off its kind's layout;
+        # AttributeError: a code part whose bundle is no CodeBundle.
         raise CheckpointCorruptError(
-            f"malformed checkpoint state: {exc!r}") from exc
+            f"malformed checkpoint: {exc!r}") from exc
     return site
 
 

@@ -8,17 +8,12 @@ a whole *site* between nodes, built on the checkpoint bytes of
    captures its checkpoint ONCE, and removes it from the site pool.
    From here on, every packet addressed to the frozen site is buffered
    (*residuals*) instead of delivered.
-2. **CKPT_SHIP** -- a ``MIG_SHIP`` control packet carries the state
-   bytes plus the *digest* of the code part (never the code itself).
-   The destination answers from its code library when the digest is
-   known (warm: one message) or asks with ``MIG_NEED`` and receives
-   ``MIG_CODE`` (cold: three messages) -- the CodeCache economics of
-   FETCH applied to whole checkpoints.  The library is emptied at
-   ``codecache.MAX_SLICES`` blobs; an unACKed migration's record keeps
-   its code, so a NEED never depends on the library.
-3. **RESUME** -- the destination restores the site, rebinds its name
-   service record to the new home, adopts it into its pool and sends
-   ``MIG_ACK``.
+2. **CKPT_SHIP** -- one ``MIG_SHIP`` control packet carries both
+   checkpoint parts, state and code: the site moves with its code, as
+   the paper's SHIPO moves an object with its methods.
+3. **RESUME** -- on that SHIP the destination restores the site,
+   rebinds its name service record to the new home, adopts it into its
+   pool and sends ``MIG_ACK``.
 4. **Redirect** -- on ACK the source drops the frozen state, installs
    a *tombstone* (site id -> new home) and flushes the residuals to
    the new home.  Later strays that still arrive at the old home are
@@ -41,17 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from repro.runtime import codecache
 from repro.runtime.site import DeliveryError
-from repro.runtime.wire import (
-    KIND_MIG_ACK,
-    KIND_MIG_CODE,
-    KIND_MIG_NEED,
-    KIND_MIG_SHIP,
-    KINDS,
-    Packet,
-    encode,
-)
+from repro.runtime.wire import KIND_MIG_ACK, KIND_MIG_SHIP, KINDS, Packet, encode
 
 from .checkpoint import CheckpointError, capture_site, restore_site
 
@@ -81,16 +67,12 @@ class MobilityStats:
     migrations_out: int = 0
     migrations_in: int = 0
     ships_sent: int = 0
-    needs_sent: int = 0
-    codes_sent: int = 0
     retries: int = 0
     failures: int = 0
     dup_ships: int = 0
     dup_acks: int = 0
     residuals_buffered: int = 0
     forwards: int = 0
-    warm_restores: int = 0
-    cold_restores: int = 0
     state_bytes_shipped: int = 0
     code_bytes_shipped: int = 0
 
@@ -107,24 +89,11 @@ class _Outbound:
     site_id: int
     dest_ip: str
     state_bytes: bytes
-    code_digest: bytes
-    code: bytes          # answers a NEED until the ACK
+    code: bytes
     attempts: int = 0
     failed: bool = False
     #: Cancels the planted SHIP retry (the ACK does).
     cancel_retry: Optional[Callable[[], None]] = None
-
-
-@dataclass(slots=True)
-class _Inbound:
-    """One arrived SHIP waiting for its code (destination side)."""
-
-    token: str
-    site_name: str
-    site_id: int
-    src_ip: str
-    state_bytes: bytes
-    code_digest: bytes
 
 
 class MobilityManager:
@@ -150,19 +119,14 @@ class MobilityManager:
         #: token -> (site_name, site_id) of completed inbound
         #: migrations (dup-SHIP dedup; invariant accounting).
         self.completed_in: dict[str, tuple[str, int]] = {}
-        #: token -> inbound record while its code is being fetched.
-        self.pending_in: dict[str, _Inbound] = {}
-        #: code digest -> checkpoint code bytes.  Both roles feed it:
-        #: shipping registers our own code (a migrate-back is warm),
-        #: receiving keeps what we were sent (:meth:`_keep_code`).
-        self.code_library: dict[bytes, bytes] = {}
         #: site_id -> packets that arrived while the site was frozen.
         self.residuals: dict[int, list[Packet]] = {}
         #: control packets awaiting :meth:`process_inbox` (the node's
-        #: step loop).  Deferral matters: processing a SHIP sends a
-        #: NEED, whose processing sends a CODE -- run inline inside
-        #: transport delivery that chain re-enters the transport
-        #: (unbounded recursion on the simulator).
+        #: step loop).  Deferral keeps control work on the node's own
+        #: quantum: a SHIP's restore runs there, and the ACK and the
+        #: residual forwards it sends ride that quantum's batch frames
+        #: instead of leaving unbatched from inside transport delivery
+        #: (which would move every pinned migration schedule).
         self.inbox: list[Packet] = []
         self._seq = 0
 
@@ -182,13 +146,11 @@ class MobilityManager:
         self.node.tycod.pump()
         ckpt = capture_site(site)
         self.node.remove_site(site)
-        self._keep_code(ckpt.code_digest, ckpt.code)
         self._seq += 1
         token = f"{self.node.ip}:{site.site_id}:{self._seq}"
         record = _Outbound(token=token, site_name=site_name,
                            site_id=site.site_id, dest_ip=dest_ip,
-                           state_bytes=ckpt.state,
-                           code_digest=ckpt.code_digest, code=ckpt.code)
+                           state_bytes=ckpt.state, code=ckpt.code)
         self.frozen[site.site_id] = record
         self.outbound[token] = record
         self.stats.migrations_out += 1
@@ -206,10 +168,11 @@ class MobilityManager:
                         dest_site_id=0,
                         payload=(record.token, record.site_name,
                                  record.site_id, record.state_bytes,
-                                 record.code_digest))
+                                 record.code))
         data = encode(packet)
         self.stats.ships_sent += 1
-        self.stats.state_bytes_shipped += len(data)
+        self.stats.state_bytes_shipped += len(record.state_bytes)
+        self.stats.code_bytes_shipped += len(record.code)
         self.node.trace("migrate-ship", src=self.node.ip,
                         dst=record.dest_ip, size=len(data),
                         note=f"{record.site_name} attempt={record.attempts}")
@@ -266,78 +229,13 @@ class MobilityManager:
     # -- destination side ---------------------------------------------------
 
     def _on_ship(self, packet: Packet) -> None:
-        token, site_name, site_id, state_bytes, code_digest = packet.payload
+        token, site_name, _site_id, state_bytes, code = packet.payload
         if token in self.completed_in:
             # Duplicate after completion (our ACK was dropped): the
             # site already runs here, just re-ACK.
             self.stats.dup_ships += 1
             self._send_ack(packet.src_ip, token)
             return
-        if token in self.pending_in:
-            # Duplicate while the code request is in flight: re-NEED
-            # (the earlier NEED may have been the dropped packet).
-            self.stats.dup_ships += 1
-            self._send_need(packet.src_ip, token, code_digest)
-            return
-        code = self.code_library.get(code_digest)
-        if code is not None:
-            self.stats.warm_restores += 1
-            self._complete_inbound(token, site_name, site_id, state_bytes,
-                                   code, packet.src_ip)
-            return
-        self.pending_in[token] = _Inbound(
-            token=token, site_name=site_name, site_id=site_id,
-            src_ip=packet.src_ip, state_bytes=state_bytes,
-            code_digest=code_digest)
-        self._send_need(packet.src_ip, token, code_digest)
-
-    def _send_need(self, dest_ip: str, token: str, code_digest: bytes) -> None:
-        packet = Packet(kind=KIND_MIG_NEED, src_ip=self.node.ip,
-                        src_site_id=0, dest_ip=dest_ip, dest_site_id=0,
-                        payload=(token, code_digest))
-        self.stats.needs_sent += 1
-        self.node.trace("migrate-need", src=self.node.ip, dst=dest_ip,
-                        note=f"digest={code_digest.hex()[:12]}")
-        self.node.transport_send(dest_ip, encode(packet))
-
-    def _on_need(self, packet: Packet) -> None:
-        token, code_digest = packet.payload
-        record = self.outbound.get(token)
-        if record is not None and record.code_digest == code_digest:
-            code = record.code
-        else:
-            code = self.code_library.get(code_digest)
-        if code is None:
-            # Unknown digest: a stray from a long-gone migration --
-            # nothing to serve; the SHIP retry loop re-drives if real.
-            return
-        reply = Packet(kind=KIND_MIG_CODE, src_ip=self.node.ip,
-                       src_site_id=0, dest_ip=packet.src_ip, dest_site_id=0,
-                       payload=(token, code_digest, code))
-        data = encode(reply)
-        self.stats.codes_sent += 1
-        self.stats.code_bytes_shipped += len(data)
-        self.node.trace("migrate-code", src=self.node.ip, dst=packet.src_ip,
-                        size=len(data), note=f"digest={code_digest.hex()[:12]}")
-        self.node.transport_send(packet.src_ip, data)
-
-    def _on_code(self, packet: Packet) -> None:
-        token, code_digest, code = packet.payload
-        if codecache.digest_bytes(code) != code_digest:
-            # Never install code that does not match its digest.
-            return
-        self._keep_code(code_digest, code)
-        record = self.pending_in.pop(token, None)
-        if record is None:
-            return  # duplicate CODE: already completed (or never asked)
-        self.stats.cold_restores += 1
-        self._complete_inbound(record.token, record.site_name,
-                               record.site_id, record.state_bytes, code,
-                               record.src_ip)
-
-    def _complete_inbound(self, token: str, site_name: str, site_id: int,
-                          state_bytes: bytes, code: bytes,
-                          src_ip: str) -> None:
         try:
             site = restore_site(self.node, code, state_bytes)
         except CheckpointError as exc:
@@ -353,19 +251,11 @@ class MobilityManager:
         self.tombstones.pop(site.site_id, None)
         self.completed_in[token] = (site_name, site.site_id)
         self.stats.migrations_in += 1
-        self.node.trace("migrate-in", src=src_ip, dst=self.node.ip,
-                        size=len(state_bytes),
+        self.node.trace("migrate-in", src=packet.src_ip, dst=self.node.ip,
+                        size=len(state_bytes) + len(code),
                         note=f"{site_name} token={token}")
-        self._send_ack(src_ip, token)
+        self._send_ack(packet.src_ip, token)
         self.node.on_work_available()
-
-    def _keep_code(self, code_digest: bytes, code: bytes) -> None:
-        """Keep the first copy of a digest; empty a full library."""
-        library = self.code_library
-        if code_digest not in library:
-            if len(library) >= codecache.MAX_SLICES:
-                library.clear()
-            library[code_digest] = code
 
     def _send_ack(self, dest_ip: str, token: str) -> None:
         packet = Packet(kind=KIND_MIG_ACK, src_ip=self.node.ip,
@@ -421,18 +311,14 @@ class MobilityManager:
     def idle(self) -> bool:
         """No migration still in progress (failed-frozen sites and
         tombstones are terminal states, not work)."""
-        return not self.inbox and not self.pending_in and all(
+        return not self.inbox and all(
             r.failed for r in self.outbound.values())
 
     def on_restart(self) -> None:
         """The node restarted after a crash: re-drive every in-flight
-        exchange.  Duplicates are harmless by design (dedup by token),
-        lost replies get re-asked."""
+        migration.  Duplicates are harmless by design (dedup by token)."""
         for record in list(self.outbound.values()):
             if not record.failed:
                 record.cancel_retry()     # one retry chain per migration
                 self._send_ship(record)
                 self._arm_retry(record)
-        for pending in list(self.pending_in.values()):
-            self._send_need(pending.src_ip, pending.token,
-                            pending.code_digest)

@@ -21,9 +21,8 @@ cache      cache-hit, cache-miss, code-need, code-install
 gc         gc, lease-claim, lease-renew, lease-drop
 transport  send, deliver, batch, crash-drop
 chaos      drop, dup, delay, crash, restart
-mobility   migrate-out, migrate-ship, migrate-need, migrate-code,
-           migrate-in, migrate-ack, migrate-forward, migrate-retry,
-           migrate-fail, balance
+mobility   migrate-out, migrate-ship, migrate-in, migrate-ack,
+           migrate-forward, migrate-retry, migrate-fail, balance
 slo        slo_breach  (an SLO watchdog threshold check failed)
 ========== ==========================================================
 
@@ -80,8 +79,6 @@ CATEGORY_OF: dict[str, str] = {
     # Live migration and load balancing (repro.mobility).
     "migrate-out": MOBILITY,
     "migrate-ship": MOBILITY,
-    "migrate-need": MOBILITY,
-    "migrate-code": MOBILITY,
     "migrate-in": MOBILITY,
     "migrate-ack": MOBILITY,
     "migrate-forward": MOBILITY,

@@ -559,12 +559,6 @@ def world_metrics(world, registry: Optional[MetricsRegistry] = None
             "repro_migration_code_bytes_total":
                 ("Checkpoint code bytes shipped.",
                  lambda m: m.stats.code_bytes_shipped),
-            "repro_migration_warm_restores_total":
-                ("Inbound restores served from the code library.",
-                 lambda m: m.stats.warm_restores),
-            "repro_migration_cold_restores_total":
-                ("Inbound restores that needed a code round-trip.",
-                 lambda m: m.stats.cold_restores),
             "repro_migration_frozen_sites":
                 ("Sites currently frozen mid-migration.",
                  lambda m: len(m.frozen)),

@@ -381,8 +381,6 @@ KIND_REF_LEASE = "ref_lease"    # holder claims leases on the keys
 KIND_REF_RENEW = "ref_renew"    # holder extends its leases on the keys
 KIND_REF_DROP = "ref_drop"      # holder relinquishes the keys
 KIND_MIG_SHIP = "mig_ship"
-KIND_MIG_NEED = "mig_need"
-KIND_MIG_CODE = "mig_code"
 KIND_MIG_ACK = "mig_ack"
 
 #: Every kind, declared once: kind -> (owner, handler, payload layout).
@@ -402,8 +400,6 @@ KINDS: dict[str, tuple[str, str, tuple[type, ...]]] = {
     KIND_REF_RENEW: ("distgc", "on_ref", (tuple,)),
     KIND_REF_DROP: ("distgc", "on_ref", (tuple,)),
     KIND_MIG_SHIP: ("mobility", "_on_ship", (str, str, int, bytes, bytes)),
-    KIND_MIG_NEED: ("mobility", "_on_need", (str, bytes)),
-    KIND_MIG_CODE: ("mobility", "_on_code", (str, bytes, bytes)),
     KIND_MIG_ACK: ("mobility", "_on_ack", (str, bool)),
 }
 

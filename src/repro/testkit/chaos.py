@@ -92,14 +92,14 @@ class ChaosConfig:
         """The ``python -m repro chaos`` flags reproducing this config."""
         parts = []
         if self.jitter_s:
-            parts.append(f"--jitter {self.jitter_s:g}")
+            parts.append(f"--jitter {self.jitter_s!r}")
         if self.drop_prob:
-            parts.append(f"--drop {self.drop_prob:g}")
+            parts.append(f"--drop {self.drop_prob!r}")
         if self.dup_prob:
-            parts.append(f"--dup {self.dup_prob:g}")
+            parts.append(f"--dup {self.dup_prob!r}")
         if self.delay_prob:
-            parts.append(f"--delay-prob {self.delay_prob:g} "
-                         f"--delay {self.delay_s:g}")
+            parts.append(f"--delay-prob {self.delay_prob!r} "
+                         f"--delay {self.delay_s!r}")
         for c in self.crashes:
             parts.append(f"--crash {c.describe()}")
         return " ".join(parts)

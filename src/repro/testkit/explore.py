@@ -56,6 +56,11 @@ class ChaosRun:
     stalled_sites: tuple[str, ...]
     violations: list[str] = field(default_factory=list)
     distgc: bool = False
+    #: The network's nodes, in the order they were added (the CLI's
+    #: ``--nodes``, whose default is n1,n2).
+    nodes: tuple[str, ...] = ("n1", "n2")
+    max_time: float = DEFAULT_MAX_TIME
+    monitor: bool = False
     #: Flight-recorder dump (repro.obs): filled automatically when an
     #: invariant broke or a node crashed during the run, "" otherwise.
     flight_dump: str = ""
@@ -73,13 +78,28 @@ class ChaosRun:
         return (self.chaos_dropped + self.chaos_duplicated
                 + self.chaos_delayed + self.crash_dropped)
 
-    def repro(self, program: str = "<scenario>") -> str:
-        """One line that replays this exact schedule."""
+    def repro(self, program: str = "<scenario>",
+              trace: str | None = None) -> str:
+        """One line that replays this exact schedule: every flag that
+        shapes the run and is not ``repro chaos``'s default.  ``trace``
+        is the path a traced run wrote (span ids ride the wire, so
+        tracing shapes the schedule)."""
+        parts = [f"--seed {self.seed}"]
+        if self.nodes != ("n1", "n2"):
+            parts.append(f"--nodes {','.join(self.nodes)}")
+        if self.distgc:
+            parts.append("--distgc")
+        if self.monitor:
+            parts.append("--monitor")
+        if self.max_time != DEFAULT_MAX_TIME:
+            parts.append(f"--max-time {self.max_time!r}")
         flags = self.config.cli_flags()
-        flags = f" {flags}" if flags else ""
-        gc = " --distgc" if self.distgc else ""
+        if flags:
+            parts.append(flags)
+        if trace is not None:
+            parts.append(f"--trace {trace}")
         return (f"PYTHONPATH=src python -m repro chaos "
-                f"--seed {self.seed}{gc}{flags} {program}")
+                f"{' '.join(parts)} {program}")
 
 
 @dataclass(slots=True)
@@ -207,6 +227,9 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         stalled_sites=stalled,
         violations=violations,
         distgc=inv.has_distgc(net),
+        nodes=tuple(world.nodes),
+        max_time=max_time,
+        monitor=monitor,
     )
     if violations or world.crashed_ever:
         reason = ("invariant violation: " + "; ".join(violations)

@@ -50,11 +50,12 @@ from .base import TransportStats, World
 from .clock import monotime
 
 MAGIC = b"DTCO"
-#: Version of the stream protocol (framing + handshake layout).  The
-#: *payload* format inside records is governed by docs/WIRE.md and
-#: carries its own tags; this number only changes when the stream
-#: layer itself does.
-WIRE_VERSION = 2
+#: Version of the stream protocol (framing + handshake layout) and of
+#: the packet kinds it carries (docs/WIRE.md): it changes when either
+#: does, so two nodes that would misread each other's packets refuse
+#: at the HELLO instead.  3: a ``mig_ship`` carries the code part
+#: itself, and version 2's two migration code-request kinds are gone.
+WIRE_VERSION = 3
 
 #: Upper bound on one record: a defence against a desynchronised or
 #: hostile stream turning a garbage length prefix into a giant

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+import shlex
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,31 @@ class TestNet:
 
 MIGRATE_SESSION = (Path(__file__).parents[2]
                    / "examples" / "programs" / "migrate_network.tycosh")
+APPLET_SESSION = MIGRATE_SESSION.with_name("applet_network.tycosh")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nodes", "n1,n2,n3", "--crash", "n1@4.2e-5:4e-4", MIGRATE_SESSION],
+    ["--monitor", "--crash", "n1@0.002:0.01", "--max-time", "0.05",
+     APPLET_SESSION],
+    ["--max-time", "1e-6", APPLET_SESSION.with_name("factorial.dityco")],
+    ["--jitter", "0.12345678", APPLET_SESSION],
+    ["--drop", "0.4", "--trace", "TRACE", APPLET_SESSION],
+])
+def test_chaos_repro_line_replays_the_run(argv, tmp_path, capsys):
+    # The printed line carries every flag that shaped the run, so
+    # running it prints the same report (and writes the same trace).
+    trace = tmp_path / "t.json"
+    argv = [str(trace) if a == "TRACE" else str(a) for a in argv]
+    assert main(["chaos", "--seed", "0", *argv]) == 0
+    first = capsys.readouterr().out
+    first_trace = trace.read_bytes() if trace.exists() else None
+    prefix = "repro: PYTHONPATH=src python -m repro "
+    line = first.splitlines()[-1]
+    assert line.startswith(prefix)
+    assert main(shlex.split(line[len(prefix):])) == 0
+    assert capsys.readouterr().out == first
+    assert (trace.read_bytes() if trace.exists() else None) == first_trace
 
 
 @pytest.mark.parametrize("argv", [

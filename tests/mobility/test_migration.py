@@ -2,7 +2,7 @@
 
 Covers the protocol on the deterministic simulator: the happy path
 (outputs identical to an unmigrated run, name service rebound), the
-warm/cold code economics, residual buffering + tombstone forwarding,
+one-SHIP, one-ACK exchange, residual buffering + tombstone forwarding,
 token-based dedup of duplicate SHIPs/ACKs, the retry/abandon ladder,
 and the observability surface (events, metrics, invariants).
 """
@@ -13,7 +13,7 @@ from repro.mobility.migrate import KIND_MIG_SHIP, MobilityConfig
 from repro.obs.events import MOBILITY, category_of
 from repro.obs.metrics import world_metrics
 from repro.runtime import DeliveryError, DiTyCONetwork
-from repro.runtime.wire import Packet, encode
+from repro.runtime.wire import Packet, decode, encode
 from repro.testkit import ChaosConfig, ChaosWorld
 from repro.testkit import invariants as inv
 
@@ -77,15 +77,28 @@ class TestHappyPath:
         assert src.tombstones == {site.site_id: "n3"}
         assert src.frozen == {} and src.outbound == {}
 
-    def test_cold_migration_uses_need_code_path(self):
-        net = build(DiTyCONetwork())
+    def test_migration_is_one_ship_and_one_ack(self, monkeypatch):
+        # The SHIP carries the code with the state: on a lossless link
+        # a move with no client traffic is two packets on the wire.
+        net = DiTyCONetwork()
+        net.add_nodes(["n1", "n3"])
+        net.launch("n1", "server", SERVER)
         net.run()
-        src, dst = net.node("n1").mobility, net.node("n3").mobility
-        assert dst.stats.cold_restores == 1
-        assert dst.stats.warm_restores == 0
-        assert dst.stats.needs_sent == 1
-        assert src.stats.codes_sent == 1
-        assert src.stats.code_bytes_shipped > 0
+        kinds = []
+        for ip in ("n1", "n3"):
+            node = net.node(ip)
+
+            def spy(dest_ip, data, send=node.transport_send):
+                kinds.append(decode(data).kind)
+                send(dest_ip, data)
+            monkeypatch.setattr(node, "transport_send", spy)
+        net.migrate("server", "n3")
+        net.run()
+        assert kinds == ["mig_ship", "mig_ack"]
+        assert net.site("server").ip == "n3"
+        src = net.node("n1").mobility
+        assert src.stats.ships_sent == 1 and src.stats.code_bytes_shipped > 0
+        check_invariants(net)
 
     def test_migrate_back_is_warm(self):
         net = build(DiTyCONetwork())
@@ -93,13 +106,12 @@ class TestHappyPath:
         net.migrate("server", "n1")
         net.run()
         assert net.site("server").ip == "n1"
-        src_again = net.node("n1").mobility
-        # n1 registered its own code when it first shipped: coming
-        # home needs no MIG_NEED round trip.
-        assert src_again.stats.warm_restores == 1
-        assert net.node("n3").mobility.stats.needs_sent == 1  # unchanged
         # n3's stale tombstone from leg 1 must not shadow n1's new one.
         assert net.node("n1").mobility.tombstones == {}
+        # Back home, the site still serves.
+        net.launch("n2", "client9", "import svc from server in svc![9]")
+        net.run()
+        assert sorted(net.site("server").output) == [0, 1, 2, 3, 9]
         check_invariants(net)
 
     def test_residuals_buffered_while_frozen_then_flushed(self):
@@ -192,24 +204,6 @@ class TestDedup:
         with pytest.raises(DeliveryError, match="mig_bogus"):
             net.node("n3").receive(encode(bogus))
 
-    def test_need_for_unknown_digest_is_ignored(self):
-        net = self.migrated_net()
-        src = net.node("n1").mobility
-        before = src.stats.codes_sent
-        src._on_need(Packet(kind="mig_need", src_ip="n3", src_site_id=0,
-                            dest_ip="n1", dest_site_id=0,
-                            payload=("tok", b"\x00" * 16)))
-        assert src.stats.codes_sent == before
-
-    def test_code_with_wrong_digest_never_installs(self):
-        net = self.migrated_net()
-        dst = net.node("n3").mobility
-        before = dict(dst.code_library)
-        dst._on_code(Packet(kind="mig_code", src_ip="n1", src_site_id=0,
-                            dest_ip="n3", dest_site_id=0,
-                            payload=("tok", b"\x00" * 16, b"evil-bytes")))
-        assert dst.code_library == before
-
 
 class TestRetryAndAbandon:
     def test_total_packet_loss_leaves_site_frozen_in_one_place(self):
@@ -252,65 +246,6 @@ class TestRetryAndAbandon:
         assert net.is_quiescent()
 
 
-def waiter(i):
-    """A site whose code differs by one literal: one code digest each."""
-    return f"export new w{i} w{i}?(v) = print![v + {i}]"
-
-
-class TestCodeLibraryBound:
-    """The code library is a cache, emptied at ``codecache.MAX_SLICES``
-    blobs; an in-flight migration's code rides on its record."""
-
-    CAP = 3
-
-    def test_distinct_migrations_keep_the_library_within_the_cap(
-            self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.codecache.MAX_SLICES", self.CAP)
-        net = DiTyCONetwork()
-        net.add_nodes(["n1", "n2"])
-        count = 3 * self.CAP + 1
-        for i in range(count):
-            net.launch("n1", f"w{i}", waiter(i))
-        net.run()
-        for i in range(count):
-            net.migrate(f"w{i}", "n2")
-            net.run()
-            for ip in ("n1", "n2"):
-                assert len(net.node(ip).mobility.code_library) <= self.CAP
-        src, dst = net.node("n1").mobility, net.node("n2").mobility
-        assert dst.stats.migrations_in == dst.stats.cold_restores == count
-        assert src.outbound == {} and src.frozen == {}
-        for i in range(count):
-            net.launch("n1", f"c{i}", f"import w{i} from w{i} in w{i}![1]")
-        net.run()
-        assert [net.site(f"w{i}").output for i in range(count)] == \
-            [[1 + i] for i in range(count)]
-        check_invariants(net)
-
-    def test_code_emptied_mid_flight_still_ships_cold(self, monkeypatch):
-        # Two migrations leave n1 back to back: keeping the second's
-        # code empties the one-blob library of the first's before n2
-        # asks for it, and the first's record answers the NEED.
-        monkeypatch.setattr("repro.runtime.codecache.MAX_SLICES", 1)
-        net = DiTyCONetwork()
-        net.add_nodes(["n1", "n2"])
-        net.launch("n1", "w0", waiter(0))
-        net.launch("n1", "w1", waiter(1))
-        net.run()
-        first = net.migrate("w0", "n2")
-        net.migrate("w1", "n2")
-        src = net.node("n1").mobility
-        assert src.outbound[first].code_digest not in src.code_library
-        net.run()
-        dst = net.node("n2").mobility
-        assert dst.stats.cold_restores == 2 and src.stats.codes_sent == 2
-        assert {net.site("w0").ip, net.site("w1").ip} == {"n2"}
-        net.launch("n1", "c", "import w0 from w0 in w0![5]")
-        net.run()
-        assert net.site("w0").output == [5]
-        check_invariants(net)
-
-
 class TestErrors:
     def test_migrate_unknown_site(self):
         net = DiTyCONetwork()
@@ -351,7 +286,7 @@ class TestErrors:
     @pytest.mark.parametrize("kind, payload", [
         ("mig_bogus", ()),
         ("mig_ack", (1, 2, 3)),
-        ("mig_need", "x"),
+        ("mig_need", "x"),     # a kind version 2 knew, gone since
     ])
     def test_malformed_control_packet_is_a_delivery_error(self, kind,
                                                           payload):
@@ -381,9 +316,8 @@ class TestObservability:
         net.world.obs.subscribe(sink)
         net.run()
         kinds = {e.kind for e in sink.events}
-        for expected in ("migrate-out", "migrate-ship", "migrate-need",
-                         "migrate-code", "migrate-in", "migrate-ack",
-                         "migrate-forward"):
+        for expected in ("migrate-out", "migrate-ship", "migrate-in",
+                         "migrate-ack", "migrate-forward"):
             assert expected in kinds, expected
             assert category_of(expected) == MOBILITY
 
@@ -394,7 +328,10 @@ class TestObservability:
         assert 'repro_migration_out_total{node="n1"} 1' in text
         assert 'repro_migration_in_total{node="n3"} 1' in text
         assert 'repro_migration_tombstones{node="n1"} 1' in text
-        assert 'repro_migration_cold_restores_total{node="n3"} 1' in text
+        code_bytes = net.node("n1").mobility.stats.code_bytes_shipped
+        assert code_bytes > 0
+        assert (f'repro_migration_code_bytes_total{{node="n1"}} '
+                f'{code_bytes}') in text
 
     def test_no_gauges_without_mobility(self):
         net = DiTyCONetwork()

@@ -11,8 +11,9 @@ a live node.  It leaves out, by name:
 * code-bundle internals: a CODE_REPLY carries an empty bundle here,
   and what a bundle whose digests verify makes the VM do is the
   peer's code running as sent;
-* checkpoint bytes that verify: a MIG_CODE whose code matches its
-  digest (and the state it then restores) is a site the peer built;
+* checkpoint bytes that verify: a MIG_SHIP whose code and state parts
+  restore is a site the peer built -- a restored thread naming a block
+  the area lacks among them (ROADMAP item 1a);
 * what the receiving program does with well-formed values: a message
   for the live method carries one argument (an arity clash is the
   program's ``VMRuntimeError``, as between two sites of one node),
@@ -26,10 +27,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.compiler.assembly import CodeBlock, Instr, Op
 from repro.compiler.linker import BundleManifest, CodeBundle
-from repro.mobility.checkpoint import capture_code
+from repro.mobility.checkpoint import capture_code, capture_state
 from repro.runtime import DeliveryError, DiTyCONetwork
-from repro.runtime.codecache import BLOCK, GROUP, digest_bytes, digest_item
+from repro.runtime.codecache import BLOCK, GROUP, digest_item
 from repro.runtime.wire import (
     KIND_CODE_NEED,
     KIND_FETCH_REPLY,
@@ -39,6 +41,7 @@ from repro.runtime.wire import (
     KIND_REF_LEASE,
     KINDS,
     Packet,
+    decode,
     encode,
 )
 from repro.vm.values import NetRef, RemoteClassRef
@@ -174,9 +177,29 @@ class TestInsidePayloads:
     def test_ship_of_garbage_state_with_known_code(self):
         net = _live_net()
         code = capture_code(net.site("server").vm.program)
-        digest = digest_bytes(code)
-        net.node(HOME).ensure_mobility().code_library[digest] = code
-        _send(net, KIND_MIG_SHIP, ("tok", "ghost", 9, b"junk", digest),
+        _send(net, KIND_MIG_SHIP, ("tok", "ghost", 9, b"junk", code),
+              dest_site_id=0, src_site_id=0)
+        with pytest.raises(DeliveryError,
+                           match=f"node {HOME}: ghost does not restore"):
+            net.run()
+
+    @pytest.mark.parametrize("part", ["int", "empty", "bundle", "fork"])
+    def test_ship_of_real_state_with_hostile_code(self, part):
+        net = _live_net()
+        server = net.site("server")
+        code = decode(capture_code(server.vm.program))
+        stray_fork = CodeBlock(instrs=(Instr(Op.FORK, (7, 0)),), nfree=0,
+                               nparams=0, frame_size=0, name="stray")
+        hostile = {
+            "int": 5,
+            "empty": {},
+            "bundle": {**code, "bundle": 5},
+            "fork": {**code, "bundle": CodeBundle(
+                blocks=(stray_fork,), objects=(), groups=(),
+                entry_blocks=(0,), entry_objects=(), entry_groups=())},
+        }[part]
+        _send(net, KIND_MIG_SHIP,
+              ("tok", "ghost", 9, capture_state(server), encode(hostile)),
               dest_site_id=0, src_site_id=0)
         with pytest.raises(DeliveryError,
                            match=f"node {HOME}: ghost does not restore"):
@@ -229,7 +252,6 @@ def test_generated_payloads_end_in_nothing_but_delivery_errors(kind, data):
     server = net.site("server")
     program = server.vm.program
     code = capture_code(program)
-    net.node(HOME).ensure_mobility().code_library[digest_bytes(code)] = code
     method = digest_item(program, BLOCK, program.objects[0].methods["val"])
     # Asked for its method block once, the server holds its digest, so
     # an object offer naming it installs at once.
@@ -238,8 +260,7 @@ def test_generated_payloads_end_in_nothing_but_delivery_errors(kind, data):
     live = {
         "ints": [0, 1, server.name_exports["svc"],
                  *server.class_export_names.values()],
-        "digests": [digest_item(program, GROUP, 0), method,
-                    digest_bytes(code)],
+        "digests": [digest_item(program, GROUP, 0), method, code],
     }
     owner, _handler, layout = KINDS[kind]
     payload = tuple(_field(data, typ, live) for typ in layout)

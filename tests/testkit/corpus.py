@@ -170,13 +170,12 @@ CORPUS = [
         name="migrate-dup-ckpt-ship",
         scenario="migrate", seed=3, config=ChaosConfig(dup_prob=1.0),
         outputs={"client0": (), "client1": (), "client2": (),
-                 "client3": (), "server": (0, 0, 3, 3, 1, 1, 2, 2, 1, 1,
-                                           2, 2)},
+                 "client3": (), "server": (0, 0, 2, 2, 1, 1, 1, 1, 3, 3)},
         quiescent=True,
-        fault_kinds=("dup",) * 9,
-        note="Every packet duplicated, including MIG_SHIP carrying the "
-             "checkpoint: the destination dedups by migration token "
-             "(the second SHIP re-drives NEED/re-ACKs instead of "
+        fault_kinds=("dup",) * 7,
+        note="Every packet duplicated, including the MIG_SHIP carrying "
+             "the checkpoint (n1->n3 1449B): the destination dedups by "
+             "migration token (the second SHIP is re-ACKed instead of "
              "restoring a twin) and the site ends up running in "
              "exactly one place.  Data messages really are delivered "
              "at-least-once -- forwarded ones twice per hop -- which "
@@ -189,30 +188,30 @@ CORPUS = [
         config=ChaosConfig(
             crashes=(CrashEvent("n1", at=4.2e-5, restart_at=4e-4),)),
         outputs={"client0": (), "client1": (), "client2": (),
-                 "client3": (), "server": (0,)},
+                 "client3": (), "server": (0, 2, 3)},
         quiescent=True,
-        fault_kinds=("crash", "crash-drop", "crash-drop", "crash-drop",
-                     "crash-drop", "restart"),
-        note="The source node crashes right after its first MIG_SHIP "
-             "(the destination's MIG_NEED is crash-dropped against the "
-             "dead node, as are the in-crash client messages).  On "
-             "restart the manager re-ships from the state captured at "
-             "freeze -- byte-identical, so the dup-SHIP path re-drives "
-             "NEED and the cutover completes onto n3 exactly once.  "
-             "Messages swallowed by the crash window stay lost "
-             "(crash-drop semantics), never twinned.",
+        fault_kinds=("crash", "crash-drop", "crash-drop", "restart"),
+        note="The source node crashes right after its first MIG_SHIP: "
+             "the destination restores the site and its MIG_ACK is "
+             "crash-dropped against the dead node (n3->n1 31B), as is "
+             "client1's message.  On restart the manager re-ships from "
+             "the state captured at freeze -- byte-identical, so the "
+             "dup-SHIP path re-ACKs and the site runs on n3 exactly "
+             "once.  Clients that resolve the server after the rebind "
+             "reach n3 directly; the message swallowed by the crash "
+             "window stays lost (crash-drop semantics), never twinned.",
     ),
     CorpusEntry(
         name="migrate-old-home-message-after-rebind",
         scenario="migrate", seed=1,
         config=ChaosConfig(delay_prob=0.4, delay_s=1e-4),
         outputs={"client0": (), "client1": (), "client2": (),
-                 "client3": (), "server": (0, 1, 2, 3)},
+                 "client3": (), "server": (2, 0, 3, 1)},
         quiescent=True,
-        fault_kinds=("delay",) * 4,
-        note="Delays push every post-migration client message to the "
-             "old home *after* the cutover completed: no residual "
-             "buffering, three pure tombstone forwards redirect them "
+        fault_kinds=("delay",) * 3,
+        note="Delays push the client messages addressed to the old "
+             "home there *after* the cutover completed: no residual "
+             "buffering, two pure tombstone forwards redirect them "
              "to n3 and the output multiset is exactly the "
              "unmigrated answer.",
     ),

@@ -97,10 +97,10 @@ class TestHandshakeCodec:
     def test_hello_roundtrip(self):
         magic, version, attempt, ip = decode_hello(
             encode_hello("node-17", attempt=3))
-        assert (magic, version, attempt, ip) == (b"DTCO", 2, 3, "node-17")
+        assert (magic, version, attempt, ip) == (b"DTCO", 3, 3, "node-17")
 
     def test_ack_roundtrip(self):
-        assert decode_ack(encode_ack(ACK_OK)) == (ACK_OK, 2)
+        assert decode_ack(encode_ack(ACK_OK)) == (ACK_OK, 3)
         assert decode_ack(encode_ack(ACK_BAD_VERSION))[0] == ACK_BAD_VERSION
 
     def test_truncated_hello_rejected(self):
@@ -162,7 +162,7 @@ class TestSocketEndpoint:
         assert a.stats.handshakes == 1
 
     def test_version_mismatch_rejected(self, monkeypatch, harness):
-        # a's hellos claim version 1; b accepts WIRE_VERSION == 2 only.
+        # a's hellos claim version 1; b accepts WIRE_VERSION == 3 only.
         monkeypatch.setattr(socket_transport, "encode_hello",
                             functools.partial(encode_hello, version=1))
         a = harness.endpoint("a")
@@ -234,7 +234,7 @@ class TestSocketEndpoint:
             encode_record(encode_hello("x", 1))
             + struct.pack(">I", MAX_RECORD + 1))
         assert reply[:4] == struct.pack(">I", 6)
-        assert decode_ack(reply[4:10]) == (ACK_OK, 2)
+        assert decode_ack(reply[4:10]) == (ACK_OK, 3)
 
     def test_records_ahead_of_a_bad_prefix_are_delivered(self, harness):
         # One chunk: HELLO, two records, then a prefix past MAX_RECORD.
